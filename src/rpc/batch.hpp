@@ -17,17 +17,27 @@
 // a lone caller keeps fig5-latency behavior, while concurrent callers pay
 // the linger once and amortize the per-message cost across the batch.
 //
+// All four batching paths — socket client calls, RPCoIB RC calls, RPCoIB
+// UD datagrams and RPCoIB server responses — run one append policy and
+// one linger timer, Coalescer<Sink>; each transport supplies only its
+// frame limit, linger cap, stop check and flush body through the Sink.
+//
 // Batching is OFF by default; with it disabled every wire byte is
 // identical to the unbatched build.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "net/bytes.hpp"
+#include "rpc/stats.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "trace/context.hpp"
 
 namespace rpcoib::rpc {
 
@@ -140,6 +150,88 @@ class CallBatcher {
   std::size_t bytes_ = 0;
   std::uint64_t epoch_ = 0;
   LingerEstimator gaps_;
+};
+
+/// Frame byte limit of a Sink that never pre-flushes (socket frames have
+/// no receive-buffer bound; only BatchConfig's limits apply).
+inline constexpr std::size_t kUnboundedBatch = std::numeric_limits<std::size_t>::max();
+/// Linger cap of a Sink that takes the full adaptive linger (the clients).
+inline constexpr sim::Dur kUncappedLinger = std::numeric_limits<sim::Dur>::max();
+
+/// The one append policy + linger timer over a CallBatcher, plus the
+/// batch's TraceContext (the first traced message parents batch.flush).
+///
+/// `Sink` is a small copyable handle naming one transport's batch owner.
+/// The linger timer holds a copy, so the handle must keep the Coalescer's
+/// owner alive (a shared_ptr to the connection). It provides:
+///   sim::Scheduler& sched() const
+///   std::size_t limit() const       frame byte limit; kUnboundedBatch = none
+///   sim::Dur linger_cap() const     ceiling on the adaptive linger
+///   bool stopped() const            owner torn down: stand down after a
+///                                   suspension
+///   RpcStats* flush_stats() const   where batched_calls and the flush
+///                                   reasons are counted; null = not counted
+///   sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext)
+///                                   encode and send one batch frame
+template <typename Sink>
+class Coalescer {
+ public:
+  explicit Coalescer(const BatchConfig& cfg) : batcher_(cfg) {}
+
+  /// Buffer one serialized message. A message that would push the open
+  /// batch past the sink's limit first flushes it; a batch that reaches a
+  /// count/size limit flushes inline; the first message of a batch arms
+  /// the adaptive-linger timer.
+  sim::Co<void> append(Sink sink, net::Bytes payload, const trace::TraceContext& ctx) {
+    const std::size_t limit = sink.limit();
+    if (batcher_.would_overflow(payload.size(), limit)) {
+      if (RpcStats* st = sink.flush_stats()) ++st->batch_flush_full;
+      co_await flush(sink);
+      if (sink.stopped()) co_return;
+    }
+    const bool was_empty = batcher_.empty();
+    if (was_empty && ctx.valid()) ctx_ = ctx;
+    batcher_.append(std::move(payload), sink.sched().now());
+    if (RpcStats* st = sink.flush_stats()) ++st->batched_calls;
+    if (batcher_.full() || batcher_.bytes() >= limit) {
+      if (RpcStats* st = sink.flush_stats()) ++st->batch_flush_full;
+      co_await flush(sink);
+    } else if (was_empty) {
+      const sim::Dur linger = std::min(batcher_.adaptive_linger(), sink.linger_cap());
+      sink.sched().spawn(linger_flush(sink, batcher_.epoch(), linger));
+    }
+  }
+
+  /// The buffered state (stop-time accounting, idle checks, epochs).
+  CallBatcher& batcher() { return batcher_; }
+
+ private:
+  /// Hand everything buffered to the sink as one batch. The items are
+  /// taken before any suspension, so a concurrent limit-flush can't
+  /// double-send them.
+  sim::Co<void> flush(Sink sink) {
+    if (batcher_.empty()) co_return;
+    const trace::TraceContext ctx = std::exchange(ctx_, {});
+    std::vector<net::Bytes> items = batcher_.take();
+    co_await sink.flush(std::move(items), ctx);
+  }
+
+  /// Delayed flush armed per batch. A zero linger still suspends one
+  /// scheduler tick, so same-timestamp arrivals coalesce while a lone
+  /// message flushes "now". Stands down when the owner stopped or when
+  /// `epoch` already flushed (a full() flush beat the timer).
+  sim::Task linger_flush(Sink sink, std::uint64_t epoch, sim::Dur linger) {
+    co_await sim::delay(sink.sched(), linger);
+    if (sink.stopped()) co_return;
+    if (batcher_.empty() || batcher_.epoch() != epoch) co_return;
+    if (RpcStats* st = sink.flush_stats()) {
+      ++(linger > 0 ? st->batch_flush_linger : st->batch_flush_immediate);
+    }
+    co_await flush(sink);
+  }
+
+  CallBatcher batcher_;
+  trace::TraceContext ctx_;
 };
 
 }  // namespace rpcoib::rpc

@@ -2,14 +2,15 @@
 //
 // Both servers used to carry a private copy of the same receive-side
 // chain: admission gate (decide / shed-newest / evict-oldest), enqueue
-// accounting, dequeue pairing, deadline bookkeeping, retry-cache dedup and
-// stop()-time drain. With the server sharded (server.shards), each reader
-// shard instantiates one CallPipeline over its own call queue, its own
-// AdmissionController/RetryCache and its own stats block, so shards never
-// share mutable state — the single-writer discipline the shard.* counters
+// accounting, dequeue pairing, deadline bookkeeping, session leases, the
+// exactly-once gate for retried attempts and stop()-time drain. With the
+// server sharded (server.shards), each reader shard instantiates one
+// CallPipeline over its own call queue, its own AdmissionController/
+// RetryCache/SessionTable and its own stats block, so shards never share
+// mutable state — the single-writer discipline the shard.* counters
 // document. The transport keeps what is genuinely transport-specific:
-// frame parsing, busy-frame encoding, trace-span emission and buffer
-// ownership.
+// frame parsing, busy/expired/replay frame encoding, trace-span emission
+// and buffer ownership.
 //
 // `Call` must expose a `sim::Time enqueued` member; the protocol string
 // used for per-protocol admission quotas is extracted through the functor
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "rpc/overload.hpp"
+#include "rpc/session.hpp"
 #include "rpc/stats.hpp"
 #include "sim/channel.hpp"
 #include "sim/random.hpp"
@@ -42,11 +44,25 @@ class CallPipeline {
     kEvictOldest,  // admit the arrival after evicting the queue head
   };
 
+  /// Exactly-once verdict for a dequeued call (see decide()).
+  struct Verdict {
+    enum Kind {
+      kExecute,        // run the handler, then complete()
+      kReplay,         // already executed: re-send *frame
+      kDropInFlight,   // first attempt still executing: drop this one
+      kRejectSession,  // retry cannot be deduplicated: terminal session-expired
+    };
+    Kind kind = kExecute;
+    const net::Bytes* frame = nullptr;  // kReplay only; valid until the next cache mutation
+  };
+
   CallPipeline(sim::Scheduler& sched, std::uint32_t shard_id, const OverloadConfig& cfg,
-               ProtocolFn protocol_of, std::uint64_t seed)
+               const SessionConfig& session, ProtocolFn protocol_of, std::uint64_t seed)
       : shard_id_(shard_id),
         queue_(std::make_unique<sim::Channel<Call>>(sched)),
         protocol_of_(std::move(protocol_of)),
+        sessions_enabled_(session.enabled),
+        sessions_(session),
         rng_(seed) {
     if (cfg.admission_enabled()) admission_ = std::make_unique<AdmissionController>(cfg);
     if (cfg.cache_enabled()) {
@@ -155,13 +171,92 @@ class CallPipeline {
 
   void close() { queue_->close(); }
 
-  /// Per-<conn, call> dedup cache; null when the config disables it.
-  RetryCache* retry_cache() { return retry_cache_.get(); }
+  /// Lease bookkeeping for one call: renew (or open, unless the call is a
+  /// retry) its session and drop retry-cache state for every session the
+  /// sweep expired or evicted. `call_id` fences the session's incarnation
+  /// when the call opens it. No-op for sessionless calls (sid 0) and with
+  /// sessions disabled. Each transport calls this at its own touch point
+  /// (socket: arrival, RPCoIB: dequeue) — moving one changes lease timing.
+  void touch_session(std::uint64_t sid, bool retried, std::uint64_t call_id, sim::Time now) {
+    if (!sessions_enabled_ || sid == 0) return;
+    const SessionTable::TouchResult r =
+        sessions_.touch(sid, now, /*open_if_missing=*/!retried, call_id);
+    if (r.opened) ++stats_.sessions_opened;
+    stats_.sessions_expired += r.expired.size();
+    stats_.sessions_evicted += r.evicted.size();
+    if (sessions_.peak() > stats_.session_table_peak) {
+      stats_.session_table_peak = sessions_.peak();
+    }
+    // A dead session's retry-cache entries go with it — the dedup promise
+    // is scoped to the lease, and the space bound depends on the purge.
+    if (retry_cache_) {
+      for (const std::uint64_t dead : r.expired) retry_cache_->forget_owner(dead);
+      for (const std::uint64_t dead : r.evicted) retry_cache_->forget_owner(dead);
+    }
+  }
+
+  /// The exactly-once gate, run once per dequeued call before any handler
+  /// work. `owner` keys the retry cache (session id, else connection id).
+  ///
+  /// A retried attempt (kWireRetryFlag) on a session is refused with a
+  /// terminal kRejectSession when the server cannot prove the first
+  /// attempt never executed: (a) the session that would hold its dedup
+  /// state is gone (expired or evicted), or (b) the session was re-opened
+  /// by a later fresh call (the fence) and this retried id misses the
+  /// cache — its state, if any, died with the previous incarnation. A
+  /// retryable bounce would merely defer the duplicate until a fresh call
+  /// revives the session. Otherwise the retry cache decides: a completed
+  /// <owner, call> replays its stored frame, an in-progress one drops the
+  /// duplicate (running twice is the one forbidden outcome), and a fresh
+  /// one is registered in-progress and executes. Counts sessions_rejected,
+  /// dedup_hits and dedup_in_flight. With no cache and a fresh call this
+  /// is two branches and no allocation.
+  Verdict decide(std::uint64_t owner, std::uint64_t sid, std::uint64_t call_id, bool retried,
+                 sim::Time now) {
+    if (retried && sid != 0 && sessions_enabled_) {
+      const bool undedupable =
+          !sessions_.alive(sid, now) ||
+          (retry_cache_ != nullptr &&
+           retry_cache_->peek(owner, call_id) == RetryCache::State::kFresh &&
+           call_id < sessions_.fence(sid));
+      if (undedupable) {
+        ++stats_.sessions_rejected;
+        return {Verdict::kRejectSession};
+      }
+    }
+    if (!retry_cache_) return {};
+    switch (retry_cache_->begin(owner, call_id)) {
+      case RetryCache::State::kCompleted:
+        ++stats_.dedup_hits;
+        return {Verdict::kReplay, retry_cache_->completed_frame(owner, call_id)};
+      case RetryCache::State::kInProgress:
+        ++stats_.dedup_in_flight;
+        return {Verdict::kDropInFlight};
+      case RetryCache::State::kFresh: break;
+    }
+    return {};
+  }
+
+  /// Record an executed call's response frame for replay — also when the
+  /// response itself is dropped for a passed deadline: the executed
+  /// outcome must answer the retry that is already on its way.
+  void complete(std::uint64_t owner, std::uint64_t call_id, net::ByteSpan frame) {
+    if (retry_cache_) {
+      retry_cache_->complete(owner, call_id, net::Bytes(frame.begin(), frame.end()));
+    }
+  }
+
+  /// Forget an in-progress call without an outcome (shed with a retryable
+  /// status): the client's retry must execute fresh.
+  void forget(std::uint64_t owner, std::uint64_t call_id) {
+    if (retry_cache_) retry_cache_->forget(owner, call_id);
+  }
 
   /// This shard's stats block. Only this shard's loops write scalars here
   /// (plus the stealing exception, which the counters record explicitly);
   /// the server's stats() override folds the blocks into one view.
   RpcStats& stats() { return stats_; }
+  const RpcStats& stats() const { return stats_; }
   ShardCounters& counters() { return counters_; }
   const ShardCounters& counters() const { return counters_; }
 
@@ -176,6 +271,8 @@ class CallPipeline {
   ProtocolFn protocol_of_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<RetryCache> retry_cache_;
+  bool sessions_enabled_;
+  SessionTable sessions_;  // durable-session leases (home shard only)
   RpcStats stats_;
   ShardCounters counters_;
   sim::Rng rng_;
@@ -186,6 +283,28 @@ class CallPipeline {
 /// queue (a blocked recv never sees a sibling's backlog build), so this
 /// bounds both the steal latency and the idle event rate.
 inline constexpr sim::Dur kStealPollInterval = sim::micros(100);
+
+/// One work-stealing poll for a handler homed on shard `home`: take the
+/// home queue's head, else a sibling's, scanning from a per-shard seeded
+/// start so thieves spread over victims. `shards` is a range of pointers
+/// to shards with a `pipeline`. Counts steals/stolen; false when every
+/// queue is empty.
+template <typename Shards, typename Call>
+bool take_or_steal(const Shards& shards, std::size_t home, Call& out) {
+  auto& mine = shards[home]->pipeline;
+  if (mine.try_take(out)) return true;
+  const std::size_t start = static_cast<std::size_t>(mine.rng().next_below(shards.size()));
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    const std::size_t v = (start + k) % shards.size();
+    if (v == home) continue;
+    if (shards[v]->pipeline.try_take(out)) {
+      ++mine.counters().steals;
+      ++shards[v]->pipeline.counters().stolen;
+      return true;
+    }
+  }
+  return false;
+}
 
 /// Per-shard seed derivation shared by both transports: a splitmix64-style
 /// mix of the server's base seed and the shard index, so every shard owns

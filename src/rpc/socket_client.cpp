@@ -212,50 +212,15 @@ sim::Task SocketRpcClient::receive_loop(ConnectionPtr conn) {
   }
 }
 
-sim::Co<void> SocketRpcClient::append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                               const trace::TraceContext& ctx) {
-  CallBatcher& b = conn->batcher;
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) conn->batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full()) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-  } else if (was_empty) {
-    host_.sched().spawn(batch_timer(conn, b.epoch(), b.adaptive_linger()));
-  }
-}
-
-sim::Task SocketRpcClient::batch_timer(ConnectionPtr conn, std::uint64_t epoch,
-                                       sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // arrivals coalesce while a lone caller's flush happens "now".
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (conn->cancelled || conn->broken) co_return;
-  const CallBatcher& b = conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await flush_batch(conn);
-}
-
-sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn) {
-  CallBatcher& b = conn->batcher;
-  if (b.empty()) co_return;
+sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
+                                           trace::TraceContext ctx) {
   // Hoisted for the same reason as receive_loop: the send mutex wait
   // below may outlive the client.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(conn->batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
-  std::vector<net::Bytes> items = b.take();
   std::size_t payload_bytes = 0;
   for (const net::Bytes& m : items) payload_bytes += m.size();
   // [u32 total][u64 kWireBatchFlag|count][u32 len_i x count][payload_i...]
@@ -367,7 +332,8 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
     conn->pending[id] = &pc;
     net::Bytes payload(d.data().begin(), d.data().end());
     co_await host_.compute(cm.heap_copy(d.length()));
-    co_await append_to_batch(conn, std::move(payload), ctx);
+    const CallSink sink{this, conn};
+    co_await conn->calls.append(sink, std::move(payload), ctx);
   }
   const sim::Time t_sent = host_.sched().now();
   if (ctx.valid()) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "rpc/batch.hpp"
 #include "rpc/rpc.hpp"
@@ -64,9 +65,30 @@ class SocketRpcClient final : public RpcClient {
   /// session-keyed server retry cache makes that replay exactly-once.
   enum class Recovery : std::uint8_t { kConnecting, kHealthy, kTornDown };
 
+  struct Connection;
+  // Shared-owned for the same reason as RdmaRpcClient: the receive loop
+  // and in-flight calls must outlive close_connections().
+  using ConnectionPtr = std::shared_ptr<Connection>;
+
+  /// Coalescer sink for one connection's small calls: socket frames carry
+  /// any length, so only BatchConfig's limits apply (kUnboundedBatch); the
+  /// full adaptive linger; flush reasons counted in the client's stats.
+  struct CallSink {
+    SocketRpcClient* self;
+    ConnectionPtr conn;
+    sim::Scheduler& sched() const { return self->host_.sched(); }
+    std::size_t limit() const { return kUnboundedBatch; }
+    sim::Dur linger_cap() const { return kUncappedLinger; }
+    bool stopped() const { return conn->cancelled || conn->broken; }
+    RpcStats* flush_stats() const { return &self->stats_; }
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
+      return self->flush_batch(conn, std::move(items), ctx);
+    }
+  };
+
   struct Connection {
     Connection(sim::Scheduler& s, const BatchConfig& batch)
-        : send_mu(s), ready(s), batcher(batch) {}
+        : send_mu(s), ready(s), calls(batch) {}
     net::SocketPtr sock;
     sim::SimMutex send_mu;
     sim::SimEvent ready;  // set once the socket handshake completed
@@ -77,15 +99,9 @@ class SocketRpcClient final : public RpcClient {
     bool cancelled = false;
     Recovery recovery = Recovery::kConnecting;
     std::map<std::uint64_t, PendingCall*> pending;
-    CallBatcher batcher;
-    // First traced call of the open batch; parents the batch.flush span.
-    trace::TraceContext batch_ctx;
+    Coalescer<CallSink> calls;  // small-call coalescing (BatchConfig)
     sim::JoinHandle receiver;
   };
-
-  // Shared-owned for the same reason as RdmaRpcClient: the receive loop
-  // and in-flight calls must outlive close_connections().
-  using ConnectionPtr = std::shared_ptr<Connection>;
 
   sim::Co<ConnectionPtr> get_connection(net::Address addr);
   sim::Task receive_loop(ConnectionPtr conn);
@@ -94,14 +110,10 @@ class SocketRpcClient final : public RpcClient {
   /// Static: runs off `host`/`conn` only, never the (possibly dead) client.
   static sim::Co<void> deliver_one(cluster::Host& host, Connection& conn,
                                    net::ByteSpan payload);
-  /// Buffer one serialized call payload; flushes inline when a limit
-  /// fills, otherwise arms the adaptive-linger timer on first append.
-  sim::Co<void> append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                const trace::TraceContext& ctx);
-  /// Encode and send everything currently buffered as one batch frame.
-  sim::Co<void> flush_batch(ConnectionPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed.
-  sim::Task batch_timer(ConnectionPtr conn, std::uint64_t epoch, sim::Dur linger);
+  /// Encode and send coalesced call payloads as one batch frame (the
+  /// CallSink flush body).
+  sim::Co<void> flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
+                            trace::TraceContext ctx);
   static void fail_all(Connection& conn, const std::string& why);
   /// Count one recovery-FSM activation (failure detected, connection torn
   /// down) and emit its kSession trace span.

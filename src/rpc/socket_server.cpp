@@ -103,38 +103,7 @@ const RpcStats& SocketRpcServer::stats() const {
 }
 
 void SocketRpcServer::sync_stats() {
-  if (shards_.empty()) return;
-  RpcStats agg;
-  for (const auto& sh : shards_) {
-    agg.merge_resilience(sh->pipeline.stats());
-    agg.calls_handled += sh->pipeline.stats().calls_handled;
-    agg.recv_alloc_us.merge(sh->pipeline.stats().recv_alloc_us);
-    agg.recv_total_us.merge(sh->pipeline.stats().recv_total_us);
-    agg.shards.push_back(sh->pipeline.counters());
-  }
-  // Only overwrite the shard-sourced fields; anything written directly to
-  // stats_ by non-shard code stays untouched.
-  stats_.calls_handled = agg.calls_handled;
-  stats_.calls_shed = agg.calls_shed;
-  stats_.calls_expired = agg.calls_expired;
-  stats_.responses_expired = agg.responses_expired;
-  stats_.dedup_hits = agg.dedup_hits;
-  stats_.dedup_in_flight = agg.dedup_in_flight;
-  stats_.dropped_on_stop = agg.dropped_on_stop;
-  stats_.responses_dropped_on_stop = agg.responses_dropped_on_stop;
-  stats_.queue_depth_peak = agg.queue_depth_peak;
-  stats_.sessions_opened = agg.sessions_opened;
-  stats_.sessions_expired = agg.sessions_expired;
-  stats_.sessions_evicted = agg.sessions_evicted;
-  stats_.sessions_rejected = agg.sessions_rejected;
-  stats_.session_table_peak = agg.session_table_peak;
-  stats_.batches_received = agg.batches_received;
-  stats_.batched_calls_received = agg.batched_calls_received;
-  stats_.response_batches = agg.response_batches;
-  stats_.batched_responses = agg.batched_responses;
-  stats_.recv_alloc_us = agg.recv_alloc_us;
-  stats_.recv_total_us = agg.recv_total_us;
-  stats_.shards = std::move(agg.shards);
+  if (!shards_.empty()) (void)stats_.fold_shards(shards_);
 }
 
 sim::Task SocketRpcServer::listener_loop() {
@@ -203,26 +172,6 @@ void SocketRpcServer::unpend(const net::SocketPtr& conn) {
       pending_conns_.erase(it);
       return;
     }
-  }
-}
-
-void SocketRpcServer::touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                                    std::uint64_t call_id) {
-  if (!session_.enabled || session_id == 0) return;
-  const SessionTable::TouchResult r = shard.sessions.touch(
-      session_id, host_.sched().now(), /*open_if_missing=*/!retried, call_id);
-  RpcStats& st = shard.pipeline.stats();
-  if (r.opened) ++st.sessions_opened;
-  st.sessions_expired += r.expired.size();
-  st.sessions_evicted += r.evicted.size();
-  if (shard.sessions.peak() > st.session_table_peak) {
-    st.session_table_peak = shard.sessions.peak();
-  }
-  // A dead session's retry-cache entries go with it — the dedup promise
-  // is scoped to the lease, and the space bound depends on the purge.
-  if (RetryCache* cache = shard.pipeline.retry_cache()) {
-    for (const std::uint64_t sid : r.expired) cache->forget_owner(sid);
-    for (const std::uint64_t sid : r.evicted) cache->forget_owner(sid);
   }
 }
 
@@ -369,7 +318,8 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   call.owner = session_id != 0 ? session_id : conn_id;
   call.shard = shard.index;
   call.frame = std::move(frame);
-  touch_session(shard, session_id, call.retried, call.id);
+  // Sessions renew at arrival here (RPCoIB renews at dequeue).
+  shard.pipeline.touch_session(session_id, call.retried, call.id, host_.sched().now());
 
   // Admission control: shed beyond the configured bound while the
   // call is still cheap — before it costs a handler.
@@ -406,21 +356,7 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       // Stealing handlers poll rather than park on their own queue: a
       // blocked recv() would never see a sibling's backlog build up.
       while (steal_ && shards_.size() > 1 && !have && !home.pipeline.queue().closed()) {
-        have = home.pipeline.try_take(call);
-        if (!have) {
-          // Per-shard seeded scan start spreads thieves over victims.
-          const std::size_t start = static_cast<std::size_t>(
-              home.pipeline.rng().next_below(shards_.size()));
-          for (std::size_t k = 0; k < shards_.size() && !have; ++k) {
-            const std::size_t v = (start + k) % shards_.size();
-            if (v == home.index) continue;
-            if (shards_[v]->pipeline.try_take(call)) {
-              have = true;
-              ++home.pipeline.counters().steals;
-              ++shards_[v]->pipeline.counters().stolen;
-            }
-          }
-        }
+        have = take_or_steal(shards_, home.index, call);
         if (!have) co_await sim::delay(host_.sched(), kStealPollInterval);
       }
       if (!have) {
@@ -449,64 +385,32 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
                          call.ctx, host_.id(), call.enqueued, t_dequeue);
       }
 
-      // Session checks for retried attempts. The server cannot prove the
-      // first attempt never executed when (a) the session that would hold
-      // the dedup state is gone (expired or evicted), or (b) the session
-      // was re-opened by a later fresh call (the fence) and this retried
-      // id misses the cache — its state, if any, died with the previous
-      // incarnation. Either way the retry is refused with a *terminal*
-      // session-expired status — retrying again could duplicate a
-      // completed call, and a retryable bounce would merely defer that
-      // outcome until a fresh call revives the session. A fresh call
-      // simply re-opened the session at arrival.
-      if (call.retried && call.session_id != 0) {
-        bool undedupable = !shard.sessions.alive(call.session_id, t_dequeue);
-        if (!undedupable) {
-          RetryCache* rc = shard.pipeline.retry_cache();
-          undedupable = rc != nullptr &&
-                        rc->peek(call.owner, call.id) == RetryCache::State::kFresh &&
-                        call.id < shard.sessions.fence(call.session_id);
+      // The exactly-once gate (CallPipeline::decide): a refused retry gets
+      // a terminal session-expired status, a completed one its recorded
+      // response, an in-flight duplicate nothing.
+      const auto verdict = shard.pipeline.decide(call.owner, call.session_id, call.id,
+                                                 call.retried, t_dequeue);
+      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kRejectSession) {
+        if (tr != nullptr) {
+          tr->add_complete("session.rejected:" + call.key.method, trace::Kind::kServer,
+                           trace::Category::kSession, call.ctx, host_.id(), t_dequeue,
+                           host_.sched().now());
         }
-        if (undedupable) {
-          ++shard.pipeline.stats().sessions_rejected;
-          if (tr != nullptr) {
-            tr->add_complete("session.rejected:" + call.key.method, trace::Kind::kServer,
-                             trace::Category::kSession, call.ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          shard.response_queue.push(Response{
-              call.conn,
-              status_frame(call.id, RpcStatus::kSessionExpired,
-                           "session expired: retry cannot be deduplicated")});
-          continue;
-        }
+        shard.response_queue.push(Response{
+            call.conn, status_frame(call.id, RpcStatus::kSessionExpired,
+                                    "session expired: retry cannot be deduplicated")});
+        continue;
       }
-
-      // Retry cache: a repeated <owner, call id> is a client retry (the
-      // owner is the durable session id when one was advertised, the dense
-      // connection id otherwise). Re-send the stored response rather than
-      // re-executing the handler (the non-idempotent-safety contract of
-      // RpcRetryPolicy).
-      if (RetryCache* retry_cache = shard.pipeline.retry_cache()) {
-        const RetryCache::State st = retry_cache->begin(call.owner, call.id);
-        if (st == RetryCache::State::kCompleted) {
-          ++shard.pipeline.stats().dedup_hits;
-          if (tr != nullptr) {
-            tr->add_complete("overload.dedup:" + call.key.method, trace::Kind::kServer,
-                             trace::Category::kOverload, call.ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          shard.response_queue.push(
-              Response{call.conn, *retry_cache->completed_frame(call.owner, call.id)});
-          continue;
+      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kReplay) {
+        if (tr != nullptr) {
+          tr->add_complete("overload.dedup:" + call.key.method, trace::Kind::kServer,
+                           trace::Category::kOverload, call.ctx, host_.id(), t_dequeue,
+                           host_.sched().now());
         }
-        if (st == RetryCache::State::kInProgress) {
-          // First attempt still executing; it (or the cache on the next
-          // retry) will answer. Running twice is the one forbidden outcome.
-          ++shard.pipeline.stats().dedup_in_flight;
-          continue;
-        }
+        shard.response_queue.push(Response{call.conn, *verdict.frame});
+        continue;
       }
+      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kDropInFlight) continue;
 
       trace::SpanScope handle(tr, "handle:" + call.key.method, trace::Kind::kServer,
                               trace::Category::kHandler, call.ctx, host_.id());
@@ -558,9 +462,7 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       net::Bytes wire = frame.take_pending();
       // The executed outcome must survive even when the response is
       // dropped below: the caller's retry is answered from the cache.
-      if (RetryCache* retry_cache = shard.pipeline.retry_cache()) {
-        retry_cache->complete(call.owner, call.id, wire);
-      }
+      shard.pipeline.complete(call.owner, call.id, wire);
       if (shard.pipeline.expired_before_response(call.deadline, host_.sched().now())) {
         // Executed past the caller's deadline: the response would be
         // ignored, so don't spend the Responder + wire on it.

@@ -89,12 +89,11 @@ class SocketRpcServer final : public RpcServer {
     Shard(sim::Scheduler& sched, std::uint32_t index, const OverloadConfig& cfg,
           int readers, std::uint64_t seed, const SessionConfig& session)
         : index(index),
-          pipeline(sched, index, cfg,
+          pipeline(sched, index, cfg, session,
                    [](const ServerCall& c) -> const std::string& { return c.key.protocol; },
                    seed),
           response_queue(sched),
-          reader_slots(sched, readers),
-          sessions(session) {}
+          reader_slots(sched, readers) {}
 
     std::uint32_t index;
     CallPipeline<ServerCall> pipeline;
@@ -102,7 +101,6 @@ class SocketRpcServer final : public RpcServer {
     sim::Semaphore reader_slots;
     std::vector<net::SocketPtr> conns;
     LingerEstimator resp_gaps;  // responder-side adaptive-linger estimator
-    SessionTable sessions;      // durable-session leases (home shard only)
   };
 
   sim::Task listener_loop();
@@ -122,12 +120,6 @@ class SocketRpcServer final : public RpcServer {
                                              std::uint64_t session_id, Shard& shard,
                                              net::Bytes frame, sim::Time t_recv_start,
                                              sim::Dur alloc_cost);
-  /// Lease bookkeeping for one arriving call: renew (or open, unless the
-  /// call is a retry) its session and drop retry-cache state for every
-  /// session the sweep expired or evicted. `call_id` fences the session's
-  /// incarnation when the call opens it.
-  void touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                     std::uint64_t call_id);
   /// Remove `conn` from the accepted-but-unhomed list (no-op when absent).
   void unpend(const net::SocketPtr& conn);
   /// Coalesce group[begin..end) (small responses for one connection) into
@@ -139,8 +131,7 @@ class SocketRpcServer final : public RpcServer {
 
   net::Bytes status_frame(std::uint64_t id, RpcStatus status, const std::string& msg);
   void shed(Shard& shard, const ServerCall& call);
-  /// Fold the per-shard stat blocks into stats_ (idempotent; the scalar
-  /// aggregates are rebuilt from scratch on every call).
+  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards).
   void sync_stats();
 
   cluster::Host& host_;

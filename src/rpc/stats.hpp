@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/metrics.hpp"
@@ -169,6 +170,50 @@ struct RpcStats {
   std::vector<ShardCounters> shards;
 
   MethodProfile& method(const MethodKey& key) { return methods[key]; }
+
+  /// Server-side fold of per-shard blocks into this server-wide view,
+  /// shared by both servers. `blocks` is a range of pointers to reader
+  /// shards whose `pipeline` exposes stats() and counters(). Only the
+  /// shard-sourced fields are overwritten, rebuilt from scratch so repeated
+  /// syncs stay idempotent; anything written directly to this view by
+  /// non-shard code (e.g. threshold_mismatches) stays untouched. Returns
+  /// the raw aggregate, with its shard list moved out, for transport-only
+  /// fields.
+  template <typename Shards>
+  RpcStats fold_shards(const Shards& blocks) {
+    RpcStats agg;
+    for (const auto& sh : blocks) {
+      const RpcStats& s = sh->pipeline.stats();
+      agg.merge_resilience(s);
+      agg.calls_handled += s.calls_handled;
+      agg.recv_alloc_us.merge(s.recv_alloc_us);
+      agg.recv_total_us.merge(s.recv_total_us);
+      agg.shards.push_back(sh->pipeline.counters());
+    }
+    calls_handled = agg.calls_handled;
+    calls_shed = agg.calls_shed;
+    calls_expired = agg.calls_expired;
+    responses_expired = agg.responses_expired;
+    dedup_hits = agg.dedup_hits;
+    dedup_in_flight = agg.dedup_in_flight;
+    dropped_on_stop = agg.dropped_on_stop;
+    responses_dropped_on_stop = agg.responses_dropped_on_stop;
+    pool_nacks = agg.pool_nacks;
+    queue_depth_peak = agg.queue_depth_peak;
+    sessions_opened = agg.sessions_opened;
+    sessions_expired = agg.sessions_expired;
+    sessions_evicted = agg.sessions_evicted;
+    sessions_rejected = agg.sessions_rejected;
+    session_table_peak = agg.session_table_peak;
+    batches_received = agg.batches_received;
+    batched_calls_received = agg.batched_calls_received;
+    response_batches = agg.response_batches;
+    batched_responses = agg.batched_responses;
+    recv_alloc_us = agg.recv_alloc_us;
+    recv_total_us = agg.recv_total_us;
+    shards = std::move(agg.shards);
+    return agg;
+  }
 
   void merge_resilience(const RpcStats& o) {
     timeouts += o.timeouts;

@@ -283,8 +283,7 @@ void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf) {
 void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan frame,
                                      NativeBuffer* buf, bool is_recv_slot) {
   // frame = [u8 kResp][u64 id][u8 status][...]
-  std::uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) id = (id << 8) | frame[1 + static_cast<std::size_t>(i)];
+  const std::uint64_t id = read_be64(frame.data() + 1);
   auto it = conn->pending.find(id);
   if (it == conn->pending.end()) {
     // Stale response; recycle the buffer.
@@ -365,20 +364,17 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
             // Server-coalesced eager responses: split into pooled copies
             // (each sub-response owns its buffer like a fetched response),
             // then recycle the receive slot. One copy charge covers the
-            // whole frame.
-            std::uint32_t count = 0;
-            std::memcpy(&count, frame.data() + 1, 4);
-            co_await host.compute(cm.direct_copy(wc.byte_len));
-            if (conn->cancelled) co_return;
-            std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
-            for (std::uint32_t i = 0; i < count; ++i) {
-              std::uint32_t sub_len = 0;
-              std::memcpy(&sub_len, frame.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
-              NativeBuffer* sub = shadow_.acquire_sized(sub_len);
-              std::memcpy(sub->span.data(), frame.data() + off, sub_len);
-              off += sub_len;
-              deliver_response(conn, net::ByteSpan(sub->span.data(), sub_len), sub,
-                               /*is_recv_slot=*/false);
+            // whole frame; a malformed frame is dropped whole.
+            std::vector<net::ByteSpan> subs;
+            if (split_batch(frame, subs) == BatchSplit::kOk) {
+              co_await host.compute(cm.direct_copy(wc.byte_len));
+              if (conn->cancelled) co_return;
+              for (const net::ByteSpan sub_frame : subs) {
+                NativeBuffer* sub = shadow_.acquire_sized(sub_frame.size());
+                std::memcpy(sub->span.data(), sub_frame.data(), sub_frame.size());
+                deliver_response(conn, net::ByteSpan(sub->span.data(), sub_frame.size()), sub,
+                                 /*is_recv_slot=*/false);
+              }
             }
             repost_recv(conn, rb);
           } else if (type == FrameType::kCtrlResp) {
@@ -423,77 +419,19 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
   }
 }
 
-sim::Co<void> RdmaRpcClient::append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                             const trace::TraceContext& ctx) {
-  rpc::CallBatcher& b = conn->batcher;
-  // Batch frames ride the eager path, so the whole frame must fit the
-  // peer's pre-posted receive buffers: clamp the byte limit to the
-  // negotiated threshold.
-  const std::size_t limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  if (b.would_overflow(payload.size(), limit)) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-    if (conn->cancelled || conn->broken) co_return;
-  }
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) conn->batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full() || b.bytes() >= limit) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-  } else if (was_empty) {
-    host_.sched().spawn(batch_timer(conn, b.epoch(), b.adaptive_linger()));
-  }
-}
-
-sim::Task RdmaRpcClient::batch_timer(ConnectionPtr conn, std::uint64_t epoch,
-                                     sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // arrivals coalesce while a lone caller's flush happens "now".
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (conn->cancelled || conn->broken) co_return;
-  const rpc::CallBatcher& b = conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await flush_batch(conn);
-}
-
-sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn) {
-  rpc::CallBatcher& b = conn->batcher;
-  if (b.empty()) co_return;
+sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
+                                         trace::TraceContext ctx) {
   // Hoisted like receive_loop: the computes below may outlive the client.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(conn->batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
-  // Take the items before any suspension so a concurrent limit-flush
-  // can't double-send them.
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
   // [u8 kBatch][u32 count][u32 len_i x count][kCall sub-frames...] encoded
   // straight into a pooled registered buffer — one doorbell for the lot.
-  const std::size_t total = 5 + 4 * items.size() + payload_bytes;
+  const std::size_t total = batch_frame_size(items);
   NativeBuffer* fb = shadow_.acquire_sized(total);
-  net::Byte* p = fb->span.data();
-  p[0] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 1, &count, 4);
-  std::size_t off = 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 5 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
+  encode_batch(items, fb->span.data());
   const sim::Dur encode_cost = cm.direct_copy(total) + cm.jni_call();
   co_await host.compute(encode_cost);
   // Client torn down while we computed: the pool died with it, so the
@@ -576,10 +514,7 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
       if (wc.byte_len > grh + 9) {
         net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
         if (static_cast<FrameType>(frame[0]) == FrameType::kResp) {
-          std::uint64_t id = 0;
-          for (int i = 0; i < 8; ++i) {
-            id = (id << 8) | frame[1 + static_cast<std::size_t>(i)];
-          }
+          const std::uint64_t id = read_be64(frame.data() + 1);
           auto it = ud->pending.find(id);
           if (it != ud->pending.end()) {
             PendingCall* pc = it->second;
@@ -610,91 +545,33 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
   }
 }
 
-sim::Co<void> RdmaRpcClient::ud_append_to_batch(UdStatePtr ud, net::Address addr,
-                                                net::Bytes payload,
-                                                const trace::TraceContext& ctx) {
-  auto it = ud_dests_.find(addr);
-  if (it == ud_dests_.end()) {
-    it = ud_dests_.emplace(addr, std::make_unique<UdDest>(batch_)).first;
-  }
-  UdDest& dest = *it->second;
-  rpc::CallBatcher& b = dest.batcher;
-  // The whole kUdCall datagram must fit the MTU: clamp the byte limit so
-  // wrapper + batch headers (9 + 5 + 4*count) always fit in the slack.
-  const std::size_t limit = std::min(
-      batch_.max_bytes, std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
-  if (b.would_overflow(payload.size(), limit)) {
-    ++stats_.batch_flush_full;
-    co_await ud_flush_batch(ud, addr);
-    if (ud->cancelled) co_return;
-  }
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) dest.batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full() || b.bytes() >= limit) {
-    ++stats_.batch_flush_full;
-    co_await ud_flush_batch(ud, addr);
-  } else if (was_empty) {
-    host_.sched().spawn(ud_batch_timer(ud, addr, b.epoch(), b.adaptive_linger()));
-  }
+std::size_t RdmaRpcClient::ud_batch_limit() const {
+  return std::min(batch_.max_bytes,
+                  std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
 }
 
-sim::Task RdmaRpcClient::ud_batch_timer(UdStatePtr ud, net::Address addr,
-                                        std::uint64_t epoch, sim::Dur linger) {
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (ud->cancelled) co_return;
-  auto it = ud_dests_.find(addr);
-  if (it == ud_dests_.end()) co_return;
-  const rpc::CallBatcher& b = it->second->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await ud_flush_batch(ud, addr);
-}
-
-sim::Co<void> RdmaRpcClient::ud_flush_batch(UdStatePtr ud, net::Address addr) {
-  auto dit = ud_dests_.find(addr);
-  if (dit == ud_dests_.end()) co_return;
-  UdDest& dest = *dit->second;
-  rpc::CallBatcher& b = dest.batcher;
-  if (b.empty()) co_return;
+sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes> items,
+                                            trace::TraceContext ctx) {
+  const UdStatePtr& ud = sink.ud;
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(dest.batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
   // [u8 kUdCall][u64 session][u8 kBatch][u32 count][u32 len_i][sub-frames]
   // — one datagram, one doorbell for the lot.
   const std::uint64_t sid = session_id(host_);
-  const std::size_t total = kUdHeaderBytes + 5 + 4 * items.size() + payload_bytes;
+  const std::size_t total = kUdHeaderBytes + batch_frame_size(items);
   NativeBuffer* fb = shadow_.acquire_sized(total);
   net::Byte* p = fb->span.data();
   p[0] = static_cast<net::Byte>(FrameType::kUdCall);
   for (int i = 0; i < 8; ++i) {
     p[1 + i] = static_cast<net::Byte>((sid >> (8 * (7 - i))) & 0xff);
   }
-  p[9] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 10, &count, 4);
-  std::size_t off = kUdHeaderBytes + 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 14 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
+  encode_batch(items, p + kUdHeaderBytes);
   co_await host.compute(cm.direct_copy(total) + cm.jni_call());
   if (ud->cancelled) co_return;
-  const verbs::UdService* svc = stack_.ud_service(addr);
+  const verbs::UdService* svc = stack_.ud_service(sink.addr);
   if (svc == nullptr || svc->qpns.empty() || !ud->ep) {
     // Service withdrawn (server stopped): the datagrams are "lost"; the
     // callers time out and their retries take the RC or socket path.
@@ -703,7 +580,8 @@ sim::Co<void> RdmaRpcClient::ud_flush_batch(UdStatePtr ud, net::Address addr) {
   }
   try {
     const net::ByteSpan wire(fb->span.data(), total);
-    co_await ud->ep->post_send(wr_of(fb), ud_target(*svc, sid, b.epoch()), wire);
+    co_await ud->ep->post_send(wr_of(fb), ud_target(*svc, sid, sink.dest->batcher().epoch()),
+                               wire);
     // fb is released by ud_receive_loop at the kSend completion.
   } catch (const std::exception&) {
     if (ud->cancelled) co_return;
@@ -793,9 +671,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
   ud->pending[id] = &pc;
 
   // --- Send: coalesced when small, else one datagram ---------------------
-  const std::size_t batch_limit = std::min(
-      batch_.max_bytes, std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
-  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit;
+  const bool batchable = batch_.batchable(msg_len) && msg_len <= ud_batch_limit();
   try {
     if (batchable) {
       // Append the *inner* frame: the flush re-wraps the batch in one
@@ -804,7 +680,10 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
       native_.release(buf);
       buf = nullptr;
       co_await host_.compute(cm.direct_copy(msg_len));
-      co_await ud_append_to_batch(ud, addr, std::move(payload), ctx);
+      std::shared_ptr<rpc::Coalescer<UdSink>>& dest = ud_dests_[addr];
+      if (!dest) dest = std::make_shared<rpc::Coalescer<UdSink>>(batch_);
+      const UdSink sink{this, ud, dest, addr};
+      co_await dest->append(sink, std::move(payload), ctx);
     } else {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
       co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, id), dg);
@@ -1203,8 +1082,8 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
 
   // --- Hybrid send: coalesced when small, eager below the negotiated
   // threshold, rendezvous above ------------------------------------------
-  const std::size_t batch_limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit;
+  const bool batchable =
+      batch_.batchable(msg_len) && msg_len <= RcSink{this, conn}.limit();
   try {
     if (batchable) {
       if (conn->broken) throw rpc::RpcTransportError("connection broken");
@@ -1215,7 +1094,8 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
       native_.release(buf);
       buf = nullptr;
       co_await host_.compute(cm.direct_copy(msg_len));
-      co_await append_to_batch(conn, std::move(payload), ctx);
+      const RcSink sink{this, conn};
+      co_await conn->calls.append(sink, std::move(payload), ctx);
     } else if (msg_len <= conn->eager_threshold) {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
       co_await conn->qp->post_send(wr_of(buf), msg);

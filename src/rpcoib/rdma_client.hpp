@@ -9,11 +9,14 @@
 //  * eager SEND below the threshold, RDMA-READ rendezvous above it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "rpc/batch.hpp"
 #include "rpc/rpc.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpcoib/buffer_pool.hpp"
@@ -88,9 +91,34 @@ class RdmaRpcClient final : public rpc::RpcClient {
     std::string error_msg;
   };
 
+  struct Connection;
+  // Connections are shared-owned: the map, the receive loop, and every
+  // in-flight call hold references, so close_connections() can drop the
+  // map without freeing state that already-posted wakeups still touch.
+  using ConnectionPtr = std::shared_ptr<Connection>;
+
+  /// Coalescer sink for one RC connection's small kCall frames: batch
+  /// frames ride the eager path, so the byte limit clamps to the
+  /// negotiated eager threshold (the frame must fit the peer's pre-posted
+  /// receive buffers); flush reasons counted in the client's stats.
+  struct RcSink {
+    RdmaRpcClient* self;
+    ConnectionPtr conn;
+    sim::Scheduler& sched() const { return self->host_.sched(); }
+    std::size_t limit() const {
+      return std::min(self->batch_.max_bytes, conn->eager_threshold);
+    }
+    sim::Dur linger_cap() const { return rpc::kUncappedLinger; }
+    bool stopped() const { return conn->cancelled || conn->broken; }
+    rpc::RpcStats* flush_stats() const { return &self->stats_; }
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
+      return self->flush_batch(conn, std::move(items), ctx);
+    }
+  };
+
   struct Connection {
     Connection(sim::Scheduler& s, const rpc::BatchConfig& batch)
-        : cq(s), ready(s), batcher(batch) {}
+        : cq(s), ready(s), calls(batch) {}
     verbs::QueuePairPtr qp;
     verbs::CompletionQueue cq;  // shared send+recv CQ for this connection
     sim::SimEvent ready;
@@ -104,9 +132,7 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // eager SEND always fits the peer's pre-posted receive buffers.
     std::size_t eager_threshold = 0;
     Recovery recovery = Recovery::kConnecting;
-    rpc::CallBatcher batcher;  // small-call coalescing (BatchConfig)
-    // First traced call of the open batch; parents the batch.flush span.
-    trace::TraceContext batch_ctx;
+    rpc::Coalescer<RcSink> calls;  // small-call coalescing (BatchConfig)
     std::map<std::uint64_t, PendingCall*> pending;
     // RDMA-READ completions are routed from receive_loop to the fetch
     // task that posted them, keyed by an odd wr_id token (buffer-pointer
@@ -117,11 +143,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // torn down mid-flight); the waiter checks-and-erases after waking.
     std::set<std::uint64_t> read_errors;
   };
-
-  // Connections are shared-owned: the map, the receive loop, and every
-  // in-flight call hold references, so close_connections() can drop the
-  // map without freeing state that already-posted wakeups still touch.
-  using ConnectionPtr = std::shared_ptr<Connection>;
 
   /// Connectionless UD state, shared across every server address: one
   /// endpoint + CQ, a receive loop, and the call-id -> waiter map (call
@@ -135,27 +156,34 @@ class RdmaRpcClient final : public rpc::RpcClient {
     std::map<std::uint64_t, PendingCall*> pending;
   };
   using UdStatePtr = std::shared_ptr<UdState>;
-  /// Per-destination UD batch state: kBatch frames ride UD too, clamped
-  /// to the datagram budget instead of the negotiated RC threshold.
-  struct UdDest {
-    explicit UdDest(const rpc::BatchConfig& batch) : batcher(batch) {}
-    rpc::CallBatcher batcher;
-    trace::TraceContext batch_ctx;
+  /// Coalescer sink for one destination's UD calls: kBatch frames ride UD
+  /// too, clamped to the datagram budget (ud_batch_limit) instead of the
+  /// negotiated RC threshold; everything stands down once the UD state is
+  /// cancelled (close_connections).
+  struct UdSink {
+    RdmaRpcClient* self;
+    UdStatePtr ud;
+    std::shared_ptr<rpc::Coalescer<UdSink>> dest;
+    net::Address addr;
+    sim::Scheduler& sched() const { return self->host_.sched(); }
+    std::size_t limit() const { return self->ud_batch_limit(); }
+    sim::Dur linger_cap() const { return rpc::kUncappedLinger; }
+    bool stopped() const { return ud->cancelled; }
+    rpc::RpcStats* flush_stats() const { return &self->stats_; }
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
+      return self->ud_flush_batch(*this, std::move(items), ctx);
+    }
   };
 
   sim::Co<ConnectionPtr> get_connection(net::Address addr);
   sim::Task receive_loop(ConnectionPtr conn);
   sim::Task fetch_response(ConnectionPtr conn, std::uint32_t rkey, std::uint64_t off,
                            std::uint32_t len);
-  /// Buffer one serialized eager kCall frame; flushes inline when a limit
-  /// fills, otherwise arms the adaptive-linger timer on first append.
-  sim::Co<void> append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                const trace::TraceContext& ctx);
-  /// Post everything buffered as one kBatch SEND (pooled source buffer,
-  /// released at the kSend completion like any eager frame).
-  sim::Co<void> flush_batch(ConnectionPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed.
-  sim::Task batch_timer(ConnectionPtr conn, std::uint64_t epoch, sim::Dur linger);
+  /// Post coalesced kCall frames as one kBatch SEND (the RcSink flush
+  /// body; pooled source buffer, released at the kSend completion like any
+  /// eager frame).
+  sim::Co<void> flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
+                            trace::TraceContext ctx);
   void deliver_response(const ConnectionPtr& conn, net::ByteSpan frame, NativeBuffer* buf,
                         bool is_recv_slot);
   void repost_recv(const ConnectionPtr& conn, NativeBuffer* buf);
@@ -204,11 +232,13 @@ class RdmaRpcClient final : public rpc::RpcClient {
                                 rpc::Writable* response, std::uint64_t call_id,
                                 bool retried, trace::TraceCollector* tr,
                                 const trace::TraceContext& t_parent);
-  sim::Co<void> ud_append_to_batch(UdStatePtr ud, net::Address addr, net::Bytes payload,
-                                   const trace::TraceContext& ctx);
-  sim::Co<void> ud_flush_batch(UdStatePtr ud, net::Address addr);
-  sim::Task ud_batch_timer(UdStatePtr ud, net::Address addr, std::uint64_t epoch,
-                           sim::Dur linger);
+  /// Byte limit for a UD batch: the whole kUdCall datagram must fit the
+  /// MTU, so wrapper + batch headers (9 + 5 + 4*count) fit in the slack.
+  std::size_t ud_batch_limit() const;
+  /// Send coalesced kCall frames as one kUdCall datagram wrapping a kBatch
+  /// frame (the UdSink flush body).
+  sim::Co<void> ud_flush_batch(UdSink sink, std::vector<net::Bytes> items,
+                               trace::TraceContext ctx);
 
   sim::Task init_pool_task();
 
@@ -222,7 +252,8 @@ class RdmaRpcClient final : public rpc::RpcClient {
   sim::SimEvent pool_ready_;
   std::map<net::Address, std::shared_ptr<Connection>> connections_;
   UdStatePtr ud_;
-  std::map<net::Address, std::unique_ptr<UdDest>> ud_dests_;
+  // Per-destination UD call coalescers (shared with their linger timers).
+  std::map<net::Address, std::shared_ptr<rpc::Coalescer<UdSink>>> ud_dests_;
   // Cached one-sided advertisements, fetched once per address (the
   // bootstrap-time exchange) and refreshed only when a READ fails the
   // generation check — a server re-export must be detected, never assumed.

@@ -64,9 +64,10 @@ struct CallHeader {
 /// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
 inline constexpr std::size_t kUdHeaderBytes = 9;
 
-CallHeader parse_call_header(const cluster::CostModel& cm, net::ByteSpan frame) {
+/// Read a kCall header from `in` (positioned at the frame type byte),
+/// leaving it at the param bytes.
+CallHeader read_call_header(RDMAInputStream& in) {
   CallHeader h;
-  RDMAInputStream in(cm, frame);
   try {
     (void)in.read_u8();  // frame type
     h.id = in.read_u64();
@@ -84,6 +85,20 @@ CallHeader parse_call_header(const cluster::CostModel& cm, net::ByteSpan frame) 
     // Garbage header (client reused a rendezvous source after timing out).
   }
   return h;
+}
+
+CallHeader parse_call_header(const cluster::CostModel& cm, net::ByteSpan frame) {
+  RDMAInputStream in(cm, frame);
+  return read_call_header(in);
+}
+
+/// A status-only response: [kResp][u64 id][u8 status][text msg].
+void write_status(RDMAOutputStream& out, std::uint64_t id, rpc::RpcStatus status,
+                  const std::string& msg) {
+  out.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
+  out.write_u64(id);
+  out.write_u8(static_cast<std::uint8_t>(status));
+  out.write_text(msg);
 }
 
 }  // namespace
@@ -208,6 +223,9 @@ void RdmaRpcServer::start() {
     }
   }
   if (cfg_.socket_fallback) {
+    // A previous run's listener is retired, not destroyed: its stopped
+    // loops still resume once on their closed queues (see stop()).
+    if (fallback_) retired_fallbacks_.push_back(std::move(fallback_));
     fallback_ = std::make_unique<rpc::SocketRpcServer>(
         host_, sockets_,
         net::Address{addr_.host,
@@ -251,11 +269,11 @@ void RdmaRpcServer::stop() {
     }
   }
   for (auto& [id, c] : conns_) {
-    if (c->batcher && !c->batcher->empty()) {
+    if (c->responses && !c->responses->batcher().empty()) {
       // Finished responses still lingering in the coalescer die with the
       // server; account for them so teardown losses are never silent.
       shard_of(*c).pipeline.stats().responses_dropped_on_stop +=
-          c->batcher->take().size();
+          c->responses->batcher().take().size();
     }
     if (c->qp) {
       for (std::uint64_t wr : c->qp->drain_posted_recvs()) {
@@ -302,38 +320,11 @@ const rpc::RpcStats& RdmaRpcServer::stats() const {
 
 void RdmaRpcServer::sync_stats() {
   if (shards_.empty()) return;
-  rpc::RpcStats agg;
+  const rpc::RpcStats agg = stats_.fold_shards(shards_);
   std::uint64_t ring_peak_sum = 0;
   for (const auto& shard : shards_) {
-    agg.merge_resilience(shard->pipeline.stats());
-    agg.calls_handled += shard->pipeline.stats().calls_handled;
-    agg.recv_alloc_us.merge(shard->pipeline.stats().recv_alloc_us);
-    agg.recv_total_us.merge(shard->pipeline.stats().recv_total_us);
     ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
-    agg.shards.push_back(shard->pipeline.counters());
   }
-  // Only the shard-sourced fields are overwritten; anything written
-  // directly to stats_ by non-shard code (threshold_mismatches from the
-  // Listener's handshake) stays untouched.
-  stats_.calls_handled = agg.calls_handled;
-  stats_.calls_shed = agg.calls_shed;
-  stats_.calls_expired = agg.calls_expired;
-  stats_.responses_expired = agg.responses_expired;
-  stats_.dedup_hits = agg.dedup_hits;
-  stats_.dedup_in_flight = agg.dedup_in_flight;
-  stats_.dropped_on_stop = agg.dropped_on_stop;
-  stats_.responses_dropped_on_stop = agg.responses_dropped_on_stop;
-  stats_.pool_nacks = agg.pool_nacks;
-  stats_.queue_depth_peak = agg.queue_depth_peak;
-  stats_.sessions_opened = agg.sessions_opened;
-  stats_.sessions_expired = agg.sessions_expired;
-  stats_.sessions_evicted = agg.sessions_evicted;
-  stats_.sessions_rejected = agg.sessions_rejected;
-  stats_.session_table_peak = agg.session_table_peak;
-  stats_.batches_received = agg.batches_received;
-  stats_.batched_calls_received = agg.batched_calls_received;
-  stats_.response_batches = agg.response_batches;
-  stats_.batched_responses = agg.batched_responses;
   stats_.srq_posted = agg.srq_posted;
   stats_.srq_refills = agg.srq_refills;
   stats_.srq_rnr_stalls = agg.srq_rnr_stalls;
@@ -354,29 +345,6 @@ void RdmaRpcServer::sync_stats() {
   // footprint is the sum of the per-stripe peaks (exact at one shard).
   // The UD rings are one more fixed stripe on top.
   stats_.recv_ring_bytes_peak = ring_peak_sum + ud_ring_bytes_peak_;
-  stats_.recv_alloc_us = agg.recv_alloc_us;
-  stats_.recv_total_us = agg.recv_total_us;
-  stats_.shards = std::move(agg.shards);
-}
-
-void RdmaRpcServer::touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                                  std::uint64_t call_id) {
-  if (!session_.enabled || session_id == 0) return;
-  const rpc::SessionTable::TouchResult r = shard.sessions.touch(
-      session_id, host_.sched().now(), /*open_if_missing=*/!retried, call_id);
-  rpc::RpcStats& st = shard.pipeline.stats();
-  if (r.opened) ++st.sessions_opened;
-  st.sessions_expired += r.expired.size();
-  st.sessions_evicted += r.evicted.size();
-  if (shard.sessions.peak() > st.session_table_peak) {
-    st.session_table_peak = shard.sessions.peak();
-  }
-  // A dead session's retry-cache entries go with it — the dedup promise
-  // is scoped to the lease, and the space bound depends on the purge.
-  if (rpc::RetryCache* cache = shard.pipeline.retry_cache()) {
-    for (const std::uint64_t sid : r.expired) cache->forget_owner(sid);
-    for (const std::uint64_t sid : r.evicted) cache->forget_owner(sid);
-  }
 }
 
 void RdmaRpcServer::note_ring_bytes(Shard& shard, std::size_t n) {
@@ -443,7 +411,7 @@ sim::Task RdmaRpcServer::idle_evict_loop() {
         // Evict only quiet, fully-flushed connections; anything with a
         // pending response batch is mid-conversation by definition.
         if (now - c->last_recv < idle) continue;
-        if (c->batcher && !c->batcher->empty()) continue;
+        if (c->responses && !c->responses->batcher().empty()) continue;
         if (!c->qp || !c->qp->connected()) continue;
         victims.push_back(id);
       }
@@ -537,7 +505,7 @@ sim::Task RdmaRpcServer::listener_loop() {
       if (peer_threshold != 0 && peer_threshold != cfg_.eager_threshold) {
         ++stats_.threshold_mismatches;
       }
-      if (batch_.enabled) conn->batcher = std::make_unique<rpc::CallBatcher>(batch_);
+      if (batch_.enabled) conn->responses = std::make_unique<rpc::Coalescer<RespSink>>(batch_);
       // kRecv completions carry the connection id as qp_context — with a
       // shared ring the wr_id names only the buffer, not the sender.
       conn->qp->set_context(conn->id);
@@ -647,40 +615,11 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
             // sub-call owns its buffer like a fetched call) so admission,
             // deadlines and tracing all stay per call. One copy charge
             // covers the whole frame; the slot recycles after the split
-            // (its contents are stable until reposted).
-            ++shard.pipeline.stats().batches_received;
-            std::uint32_t count = 0;
-            std::memcpy(&count, frame.data() + 1, 4);
-            co_await host_.compute(cm.direct_copy(wc.byte_len));
-            const sim::Time recv_start = host_.sched().now();
-            trace::TraceContext bctx;
-            std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
-            for (std::uint32_t i = 0; i < count; ++i) {
-              std::uint32_t sub_len = 0;
-              std::memcpy(&sub_len, frame.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
-              NativeBuffer* sub = shadow_.acquire_sized(sub_len);
-              std::memcpy(sub->span.data(), frame.data() + off, sub_len);
-              off += sub_len;
-              ++shard.pipeline.stats().batched_calls_received;
-              if (!bctx.valid()) {
-                const CallHeader h =
-                    parse_call_header(cm, net::ByteSpan(sub->span.data(), sub_len));
-                if (h.ok) bctx = h.ctx;
-              }
-              ServerCall call;
-              call.conn = conn;
-              call.buf = sub;
-              call.frame_len = sub_len;
-              call.recv_start = recv_start;
-              co_await enqueue_call(std::move(call));
-            }
-            if (bctx.valid()) {
-              trace::TraceCollector* tr = trace::active(host_.tracer());
-              if (tr != nullptr) {
-                tr->add_complete("batch.parse", trace::Kind::kServer,
-                                 trace::Category::kRecv, bctx, host_.id(), recv_start,
-                                 host_.sched().now());
-              }
+            // (its contents are stable until reposted). A malformed frame
+            // is dropped whole.
+            std::vector<net::ByteSpan> subs;
+            if (split_batch(frame, subs) == BatchSplit::kOk) {
+              co_await enqueue_batch(conn, frame, subs, std::nullopt);
             }
             recycle_recv_buffer(shard, conn.get(), rb);  // frame fully copied out
           } else if (type == FrameType::kCtrlCall) {
@@ -735,11 +674,7 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
         std::uint32_t src_host = 0, src_qpn = 0;
         std::memcpy(&src_host, rb->span.data(), 4);
         std::memcpy(&src_qpn, rb->span.data() + 4, 4);
-        std::uint64_t sid = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-          sid = (sid << 8) | static_cast<std::uint64_t>(frame[1 + i]);
-        }
-        if (!session_.enabled) sid = 0;
+        const std::uint64_t sid = session_.enabled ? read_be64(frame.data() + 1) : 0;
         // One pseudo-connection per datagram: the handler pipeline keys
         // sessions, fences, dedup and the response path off the ConnState,
         // and UD keeps none per client — so each datagram carries its own,
@@ -778,43 +713,9 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
           // id, so a mid-flight session expiry bounces the affected
           // sub-calls individually (kSessionExpired) instead of failing
           // the frame as one retryable unit.
-          ++shard.pipeline.stats().batches_received;
-          std::uint32_t count = 0;
-          std::memcpy(&count, inner.data() + 1, 4);
-          co_await host_.compute(cm.direct_copy(inner.size()));
-          const sim::Time recv_start = host_.sched().now();
-          trace::TraceContext bctx;
-          std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint32_t sub_len = 0;
-            std::memcpy(&sub_len, inner.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
-            NativeBuffer* sub = shadow_.acquire_sized(sub_len);
-            std::memcpy(sub->span.data(), inner.data() + off, sub_len);
-            off += sub_len;
-            ++shard.pipeline.stats().batched_calls_received;
-            ++shard.pipeline.stats().ud_calls_received;
-            if (!bctx.valid()) {
-              const CallHeader h =
-                  parse_call_header(cm, net::ByteSpan(sub->span.data(), sub_len));
-              if (h.ok) bctx = h.ctx;
-            }
-            ServerCall call;
-            call.conn = conn;
-            call.buf = sub;
-            call.frame_len = sub_len;
-            call.recv_start = recv_start;
-            call.via_ud = true;
-            call.ud_peer = peer;
-            call.ud_ep = ep_index;
-            co_await enqueue_call(std::move(call));
-          }
-          if (bctx.valid()) {
-            trace::TraceCollector* tr = trace::active(host_.tracer());
-            if (tr != nullptr) {
-              tr->add_complete("batch.parse", trace::Kind::kServer,
-                               trace::Category::kRecv, bctx, host_.id(), recv_start,
-                               host_.sched().now());
-            }
+          std::vector<net::ByteSpan> subs;
+          if (split_batch(inner, subs) == BatchSplit::kOk) {
+            co_await enqueue_batch(conn, inner, subs, UdReturn{peer, ep_index});
           }
         }
       }
@@ -847,16 +748,10 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     // the RC path (the client's budget keeps *requests* off UD, but a
     // small request may still produce a huge response).
     ++shard.pipeline.stats().ud_resp_oversize;
-    std::uint64_t id = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      id = (id << 8) | static_cast<std::uint64_t>(msg[1 + i]);
-    }
+    const std::uint64_t id = read_be64(msg.data() + 1);
     native_.release(buf);
     RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
-    err.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-    err.write_u64(id);
-    err.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kError));
-    err.write_text("response exceeds the UD datagram MTU");
+    write_status(err, id, rpc::RpcStatus::kError, "response exceeds the UD datagram MTU");
     co_await host_.compute(err.take_accrued());
     msg = err.data();
     buf = err.take_buffer();
@@ -912,6 +807,45 @@ sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
   shard.pipeline.push(std::move(call), host_.sched().now());
 }
 
+sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
+                                           const std::vector<net::ByteSpan>& subs,
+                                           std::optional<UdReturn> ud) {
+  const cluster::CostModel& cm = host_.cost();
+  rpc::RpcStats& st = shard_of(*conn).pipeline.stats();
+  ++st.batches_received;
+  co_await host_.compute(cm.direct_copy(frame.size()));
+  const sim::Time recv_start = host_.sched().now();
+  trace::TraceContext bctx;
+  for (const net::ByteSpan sub_frame : subs) {
+    NativeBuffer* sub = shadow_.acquire_sized(sub_frame.size());
+    std::memcpy(sub->span.data(), sub_frame.data(), sub_frame.size());
+    const net::ByteSpan copied(sub->span.data(), sub_frame.size());
+    ++st.batched_calls_received;
+    if (ud) ++st.ud_calls_received;
+    if (!bctx.valid()) {
+      const CallHeader h = parse_call_header(cm, copied);
+      if (h.ok) bctx = h.ctx;
+    }
+    ServerCall call;
+    call.conn = conn;
+    call.buf = sub;
+    call.frame_len = static_cast<std::uint32_t>(copied.size());
+    call.recv_start = recv_start;
+    if (ud) {
+      call.via_ud = true;
+      call.ud_peer = ud->peer;
+      call.ud_ep = ud->ep;
+    }
+    co_await enqueue_call(std::move(call));
+  }
+  if (bctx.valid()) {
+    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
+      tr->add_complete("batch.parse", trace::Kind::kServer, trace::Category::kRecv, bctx,
+                       host_.id(), recv_start, host_.sched().now());
+    }
+  }
+}
+
 sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
                                        trace::TraceContext ctx, const std::string& method,
                                        sim::Time start) {
@@ -924,10 +858,7 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
   }
   try {
     RDMAOutputStream busy(host_.cost(), shadow_, rpc::MethodKey{"__overload", "busy"});
-    busy.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-    busy.write_u64(id);
-    busy.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kBusy));
-    busy.write_text("server busy: call queue full");
+    write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: call queue full");
     co_await respond(call, busy);
   } catch (const verbs::VerbsError&) {
     // Client already gone; nothing to tell it.
@@ -945,21 +876,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       // blocked recv() would never see a sibling's backlog build up.
       while (cfg_.steal && shards_.size() > 1 && !have &&
              !home.pipeline.queue().closed()) {
-        have = home.pipeline.try_take(call);
-        if (!have) {
-          // Per-shard seeded scan start spreads thieves over victims.
-          const std::size_t start = static_cast<std::size_t>(
-              home.pipeline.rng().next_below(shards_.size()));
-          for (std::size_t k = 0; k < shards_.size() && !have; ++k) {
-            const std::size_t v = (start + k) % shards_.size();
-            if (v == home.index) continue;
-            if (shards_[v]->pipeline.try_take(call)) {
-              have = true;
-              ++home.pipeline.counters().steals;
-              ++shards_[v]->pipeline.counters().stolen;
-            }
-          }
-        }
+        have = rpc::take_or_steal(shards_, home.index, call);
         if (!have) co_await sim::delay(host_.sched(), rpc::kStealPollInterval);
       }
       if (!have) {
@@ -975,30 +892,15 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       // Deserialize in place from the registered buffer: no per-call heap
       // buffer, no native->heap copy (Section III-B).
       RDMAInputStream in(cm, net::ByteSpan(call.buf->span.data(), call.frame_len));
-      std::uint64_t id = 0;
-      bool retried = false;
-      sim::Time deadline = 0;
-      trace::TraceContext ctx;
-      rpc::MethodKey key;
-      try {
-        (void)in.read_u8();  // frame type
-        id = in.read_u64();
-        if ((id & trace::kWireTraceFlag) != 0) {
-          ctx.trace_id = in.read_u64();
-          ctx.span_id = in.read_u64();
-        }
-        if ((id & trace::kWireDeadlineFlag) != 0) deadline = in.read_u64();
-        retried = (id & trace::kWireRetryFlag) != 0;
-        id &= trace::kWireIdMask;
-        key.protocol = in.read_text();
-        key.method = in.read_text();
-      } catch (const std::exception&) {
+      const CallHeader hdr = read_call_header(in);
+      if (!hdr.ok) {
         // Garbage header: a timed-out client may have released (and reused)
         // the rendezvous source before our RDMA-READ fetched it. Drop the
         // frame — the client already gave up on this call.
         native_.release(call.buf);
         continue;
       }
+      const auto& [ok, id, retried, deadline, ctx, key] = hdr;
       trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
       if (tr != nullptr) {
         // The id was only parsed here, so the receive interval is recorded
@@ -1023,74 +925,46 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
         tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, ctx,
                          host_.id(), call.enqueued, t_dequeue);
       }
-      // Session lease bookkeeping, then the checks for retries: a retried
-      // attempt whose session is gone — or whose id predates the fence of
-      // a re-opened session while missing the cache — cannot be proved
-      // unexecuted, so it is refused with a *terminal* session-expired
-      // error instead of run a second time (a retryable bounce would only
-      // defer the duplicate until a fresh call revives the session). A
-      // fresh call just (re-)opened the session above.
-      touch_session(shard, call.conn->session_id, retried, id);
-      if (retried && call.conn->session_id != 0) {
-        bool undedupable = !shard.sessions.alive(call.conn->session_id, t_dequeue);
-        if (!undedupable) {
-          rpc::RetryCache* rc = shard.pipeline.retry_cache();
-          undedupable =
-              rc != nullptr &&
-              rc->peek(call.conn->owner, id) == rpc::RetryCache::State::kFresh &&
-              id < shard.sessions.fence(call.conn->session_id);
+      // Session lease bookkeeping at dequeue (the socket server renews at
+      // arrival), then the exactly-once gate (CallPipeline::decide): a
+      // refused retry gets a terminal session-expired error, a completed
+      // one its recorded response, an in-flight duplicate nothing.
+      const std::uint64_t sid = call.conn->session_id;
+      shard.pipeline.touch_session(sid, retried, id, host_.sched().now());
+      const auto verdict = shard.pipeline.decide(call.conn->owner, sid, id, retried, t_dequeue);
+      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kRejectSession) {
+        if (tr != nullptr) {
+          tr->add_complete("session.rejected:" + key.method, trace::Kind::kServer,
+                           trace::Category::kSession, ctx, host_.id(), t_dequeue,
+                           host_.sched().now());
         }
-        if (undedupable) {
-          ++shard.pipeline.stats().sessions_rejected;
-          if (tr != nullptr) {
-            tr->add_complete("session.rejected:" + key.method, trace::Kind::kServer,
-                             trace::Category::kSession, ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          try {
-            RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
-            expired.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-            expired.write_u64(id);
-            expired.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired));
-            expired.write_text("session expired: retry cannot be deduplicated");
-            co_await respond(call, expired);
-          } catch (const verbs::VerbsError&) {
-            // Client already gone; nothing to tell it.
-          }
-          native_.release(call.buf);
-          continue;
+        try {
+          RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
+          write_status(expired, id, rpc::RpcStatus::kSessionExpired,
+                       "session expired: retry cannot be deduplicated");
+          co_await respond(call, expired);
+        } catch (const verbs::VerbsError&) {
+          // Client already gone; nothing to tell it.
         }
+        native_.release(call.buf);
+        continue;
       }
-
-      rpc::RetryCache* retry_cache = shard.pipeline.retry_cache();
-      if (retry_cache != nullptr) {
-        const rpc::RetryCache::State seen = retry_cache->begin(call.conn->owner, id);
-        if (seen == rpc::RetryCache::State::kCompleted) {
-          // A retry of a call that already executed: replay the recorded
-          // response instead of running the handler a second time.
-          ++shard.pipeline.stats().dedup_hits;
-          if (tr != nullptr) {
-            tr->add_complete("overload.dedup:" + key.method, trace::Kind::kServer,
-                             trace::Category::kOverload, ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          const net::Bytes* cached = retry_cache->completed_frame(call.conn->owner, id);
-          if (cached != nullptr) {
-            try {
-              co_await respond_frame(call, net::ByteSpan(cached->data(), cached->size()));
-            } catch (const verbs::VerbsError&) {
-            }
-          }
-          native_.release(call.buf);
-          continue;
+      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kReplay) {
+        if (tr != nullptr) {
+          tr->add_complete("overload.dedup:" + key.method, trace::Kind::kServer,
+                           trace::Category::kOverload, ctx, host_.id(), t_dequeue,
+                           host_.sched().now());
         }
-        if (seen == rpc::RetryCache::State::kInProgress) {
-          // First attempt still running on another handler; that execution
-          // will answer (or the client's next retry hits kCompleted).
-          ++shard.pipeline.stats().dedup_in_flight;
-          native_.release(call.buf);
-          continue;
+        try {
+          co_await respond_frame(call, *verdict.frame);
+        } catch (const verbs::VerbsError&) {
         }
+        native_.release(call.buf);
+        continue;
+      }
+      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kDropInFlight) {
+        native_.release(call.buf);
+        continue;
       }
       trace::SpanScope handle(tr, "handle:" + key.method, trace::Kind::kServer,
                               trace::Category::kHandler, ctx, host_.id());
@@ -1144,32 +1018,20 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
         if (pool_busy) {
           // Not recorded in the retry cache: the condition is transient
           // and the client's retry must execute fresh once the pool drains.
-          if (retry_cache != nullptr) retry_cache->forget(call.conn->owner, id);
+          shard.pipeline.forget(call.conn->owner, id);
           shard.pipeline.note_shed();
           RDMAOutputStream busy(cm, shadow_, rpc::MethodKey{"__overload", "busy"});
-          busy.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-          busy.write_u64(id);
-          busy.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kBusy));
-          busy.write_text("server busy: " + error_msg);
+          write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
           if (!resp_expired) co_await respond(call, busy);
         } else if (error) {
           // Rebuild the frame with the error payload.
           RDMAOutputStream err(cm, shadow_, key);
-          err.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-          err.write_u64(id);
-          err.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kError));
-          err.write_text(error_msg);
-          if (retry_cache != nullptr) {
-            retry_cache->complete(call.conn->owner, id,
-                                  net::Bytes(err.data().begin(), err.data().end()));
-          }
+          write_status(err, id, rpc::RpcStatus::kError, error_msg);
+          shard.pipeline.complete(call.conn->owner, id, err.data());
           if (!resp_expired) co_await respond(call, err);
           // On expiry the stream destructor returns the pooled buffer.
         } else {
-          if (retry_cache != nullptr) {
-            retry_cache->complete(call.conn->owner, id,
-                                  net::Bytes(out.data().begin(), out.data().end()));
-          }
+          shard.pipeline.complete(call.conn->owner, id, out.data());
           if (!resp_expired) co_await respond(call, out);
         }
       } catch (const verbs::VerbsError&) {
@@ -1187,55 +1049,29 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
 sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
   const cluster::CostModel& cm = host_.cost();
   ConnPtr conn = call.conn;
-  if (call.via_ud) {
-    // One kResp datagram back to the GRH source; no response batching (a
-    // pseudo-connection has no batcher) and no rendezvous (no QP to READ
-    // over) — oversize responses bounce inside ud_respond.
-    co_await host_.compute(out.take_accrued() + cm.jni_call() + cm.rpc_framework());
-    const std::size_t len = out.length();
-    const net::ByteSpan msg = out.data();
-    NativeBuffer* buf = out.take_buffer();
-    shadow_.update_history(out.key(), len);
-    co_await ud_respond(call, buf, msg);
-    co_return;
-  }
-  const std::size_t batch_limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  if (conn->batcher != nullptr && batch_.batchable(out.length()) &&
-      out.length() <= batch_limit) {
-    // Coalesced path: copy the frame out so the stream's pooled buffer
-    // returns immediately (via its destructor) and skip the per-response
-    // doorbell — the flush pays one JNI crossing for the whole batch.
-    const sim::Dur cost =
-        out.take_accrued() + cm.rpc_framework() + cm.direct_copy(out.length());
-    co_await host_.compute(cost);
-    shadow_.update_history(out.key(), out.length());
-    net::Bytes payload(out.data().begin(), out.data().end());
-    co_await append_response(conn, std::move(payload));
-    co_return;
+  // UD pseudo-connections never coalesce (no batcher; one datagram per
+  // response back to the GRH source).
+  if (conn->responses != nullptr) {
+    const RespSink sink{this, conn, alive_};
+    if (batch_.batchable(out.length()) && out.length() <= sink.limit()) {
+      // Coalesced path: copy the frame out so the stream's pooled buffer
+      // returns immediately (via its destructor) and skip the per-response
+      // doorbell — the flush pays one JNI crossing for the whole batch.
+      const sim::Dur cost =
+          out.take_accrued() + cm.rpc_framework() + cm.direct_copy(out.length());
+      co_await host_.compute(cost);
+      shadow_.update_history(out.key(), out.length());
+      net::Bytes payload(out.data().begin(), out.data().end());
+      const trace::TraceContext untraced{};
+      co_await conn->responses->append(sink, std::move(payload), untraced);
+      co_return;
+    }
   }
   co_await host_.compute(out.take_accrued() + cm.jni_call() + cm.rpc_framework());
-  const std::size_t len = out.length();
   const net::ByteSpan msg = out.data();
   NativeBuffer* buf = out.take_buffer();
-  shadow_.update_history(out.key(), len);
-  Shard& shard = shard_of(*conn);
-  try {
-    if (len <= conn->eager_threshold) {
-      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
-      // Released by reader_loop at the kSend completion.
-    } else {
-      shard.pending_resp[buf->mr.rkey] = buf;
-      const ControlFrame ctrl = ControlFrame::make(
-          FrameType::kCtrlResp, buf->mr.rkey,
-          static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
-          static_cast<std::uint32_t>(len));
-      co_await call.conn->qp->post_send(0, ctrl.span());
-    }
-  } catch (const verbs::VerbsError&) {
-    shard.pending_resp.erase(buf->mr.rkey);
-    native_.release(buf);
-    throw;
-  }
+  shadow_.update_history(out.key(), msg.size());
+  co_await send_response(call, buf, msg);
 }
 
 sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame) {
@@ -1243,22 +1079,28 @@ sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame
   NativeBuffer* buf = shadow_.acquire_sized(frame.size());
   std::memcpy(buf->span.data(), frame.data(), frame.size());
   co_await host_.compute(cm.direct_copy(frame.size()) + cm.jni_call() + cm.rpc_framework());
+  co_await send_response(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+}
+
+sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
+                                           net::ByteSpan msg) {
   if (call.via_ud) {
-    co_await ud_respond(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+    // One kResp datagram back to the GRH source; no rendezvous (no QP to
+    // READ over) — oversize responses bounce inside ud_respond.
+    co_await ud_respond(call, buf, msg);
     co_return;
   }
   Shard& shard = shard_of(*call.conn);
   try {
-    if (frame.size() <= call.conn->eager_threshold) {
-      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf),
-                                        net::ByteSpan(buf->span.data(), frame.size()));
+    if (msg.size() <= call.conn->eager_threshold) {
+      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
       // Released by reader_loop at the kSend completion.
     } else {
       shard.pending_resp[buf->mr.rkey] = buf;
       const ControlFrame ctrl = ControlFrame::make(
           FrameType::kCtrlResp, buf->mr.rkey,
-          static_cast<std::uint64_t>(buf->span.data() - buf->mr.addr),
-          static_cast<std::uint32_t>(frame.size()));
+          static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
+          static_cast<std::uint32_t>(msg.size()));
       co_await call.conn->qp->post_send(0, ctrl.span());
     }
   } catch (const verbs::VerbsError&) {
@@ -1268,63 +1110,20 @@ sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame
   }
 }
 
-sim::Co<void> RdmaRpcServer::append_response(ConnPtr conn, net::Bytes payload) {
-  rpc::CallBatcher& b = *conn->batcher;
+std::size_t RdmaRpcServer::RespSink::limit() const {
   // Batch frames ride the eager path, so the whole frame must fit the
   // client's pre-posted receive buffers: clamp to the negotiated threshold.
-  const std::size_t limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  if (b.would_overflow(payload.size(), limit)) co_await flush_response_batch(conn);
-  const bool was_empty = b.empty();
-  b.append(std::move(payload), host_.sched().now());
-  if (b.full() || b.bytes() >= limit) {
-    co_await flush_response_batch(conn);
-  } else if (was_empty) {
-    // Responses only need to cover handler-completion stagger, not caller
-    // phase alignment: cap the wait at a quarter of the configured linger
-    // (mirrors the socket Responder).
-    const sim::Dur linger = std::min(b.adaptive_linger(), batch_.linger / 4);
-    host_.sched().spawn(response_batch_timer(conn, b.epoch(), linger));
-  }
+  return std::min(self->batch_.max_bytes, conn->eager_threshold);
 }
 
-sim::Task RdmaRpcServer::response_batch_timer(ConnPtr conn, std::uint64_t epoch,
-                                              sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // responses coalesce while a lone response flushes "now".
-  sim::Scheduler& sched = host_.sched();
-  const std::shared_ptr<bool> alive = alive_;
-  co_await sim::delay(sched, linger);
-  if (!*alive) co_return;  // server stopped while we lingered
-  const rpc::CallBatcher& b = *conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  co_await flush_response_batch(conn);
-}
-
-sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn) {
-  rpc::CallBatcher& b = *conn->batcher;
-  if (b.empty()) co_return;
+sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn, std::vector<net::Bytes> items,
+                                                  std::shared_ptr<bool> alive) {
   const cluster::CostModel& cm = host_.cost();
-  const std::shared_ptr<bool> alive = alive_;
-  // Take the items before any suspension so a concurrent limit-flush
-  // can't double-send them.
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
   // [u8 kBatch][u32 count][u32 len_i x count][kResp sub-frames...] encoded
   // straight into a pooled registered buffer — one doorbell for the lot.
-  const std::size_t total = 5 + 4 * items.size() + payload_bytes;
+  const std::size_t total = batch_frame_size(items);
   NativeBuffer* fb = shadow_.acquire_sized(total);
-  net::Byte* p = fb->span.data();
-  p[0] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 1, &count, 4);
-  std::size_t off = 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 5 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
+  encode_batch(items, fb->span.data());
   const sim::Dur encode_cost = cm.direct_copy(total) + cm.jni_call();
   co_await host_.compute(encode_cost);
   if (!*alive) {
@@ -1344,7 +1143,7 @@ sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn) {
   if (!*alive) co_return;
   Shard& shard = shard_of(*conn);
   ++shard.pipeline.stats().response_batches;
-  shard.pipeline.stats().batched_responses += count;
+  shard.pipeline.stats().batched_responses += items.size();
 }
 
 }  // namespace rpcoib::oib

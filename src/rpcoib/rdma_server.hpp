@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "rpc/batch.hpp"
 #include "rpc/pipeline.hpp"
 #include "rpc/rpc.hpp"
 #include "rpc/socket_server.hpp"
@@ -92,6 +94,28 @@ class RdmaRpcServer final : public rpc::RpcServer {
   OneSidedRegion* onesided_region() { return onesided_region_.get(); }
 
  private:
+  struct ConnState;
+  // Shared across in-flight calls and the connection table so idle
+  // eviction can't pull a ConnState out from under a running handler.
+  using ConnPtr = std::shared_ptr<ConnState>;
+  /// Coalescer sink for small kResp frames on one RC connection: frames
+  /// clamp to the client's negotiated eager threshold, the linger caps at
+  /// a quarter of the configured one (responses only need to cover
+  /// handler-completion stagger), flush reasons are not counted, and
+  /// everything stands down once the server stopped.
+  struct RespSink {
+    RdmaRpcServer* self;
+    ConnPtr conn;
+    std::shared_ptr<bool> alive;  // the server's liveness token
+    sim::Scheduler& sched() const { return self->host_.sched(); }
+    std::size_t limit() const;
+    sim::Dur linger_cap() const { return self->batch_.linger / 4; }
+    bool stopped() const { return !*alive; }
+    rpc::RpcStats* flush_stats() const { return nullptr; }
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext) const {
+      return self->flush_response_batch(conn, std::move(items), alive);
+    }
+  };
   struct ConnState {
     verbs::QueuePairPtr qp;
     std::uint64_t id = 0;  // dense per-server sequence number
@@ -107,13 +131,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
     // when our advertisement reads as "none" (threshold 0).
     std::size_t recv_buf_size = 0;
     // Small-response coalescer, allocated only when batching is enabled.
-    std::unique_ptr<rpc::CallBatcher> batcher;
+    std::unique_ptr<rpc::Coalescer<RespSink>> responses;
     // Last receive completion; the LRU idle-eviction sweep keys on this.
     sim::Time last_recv = 0;
   };
-  // Shared across in-flight calls and the connection table so idle
-  // eviction can't pull a ConnState out from under a running handler.
-  using ConnPtr = std::shared_ptr<ConnState>;
   struct ServerCall {
     ConnPtr conn;
     NativeBuffer* buf = nullptr;  // holds the kCall frame (recv slot or fetched)
@@ -140,15 +161,13 @@ class RdmaRpcServer final : public rpc::RpcServer {
         : index(index),
           cq(std::make_unique<verbs::CompletionQueue>(sched)),
           pipeline(
-              sched, index, cfg,
+              sched, index, cfg, session,
               [](const ServerCall& c) -> const std::string& { return c.admit_protocol; },
-              seed),
-          sessions(session) {}
+              seed) {}
 
     std::uint32_t index;
     std::unique_ptr<verbs::CompletionQueue> cq;
     rpc::CallPipeline<ServerCall> pipeline;
-    rpc::SessionTable sessions;  // durable-session leases (home shard only)
     // This shard's stripe of the shared receive ring (null in legacy mode).
     std::unique_ptr<verbs::SharedReceiveQueue> srq;
     std::size_t srq_depth = 0;          // stripe depth
@@ -183,9 +202,25 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
   /// Send an already-framed response verbatim (retry-cache dedup hits).
   sim::Co<void> respond_frame(ServerCall& call, net::ByteSpan frame);
+  /// Post a framed response held in pooled `buf`: one datagram for UD
+  /// arrivals, else eager SEND or a rendezvous kCtrlResp by size.
+  sim::Co<void> send_response(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
   /// Admission gate in front of the home shard's call queue; sheds with a
   /// busy response.
   sim::Co<void> enqueue_call(ServerCall call);
+  /// Where a UD arrival's response goes: the GRH source address and the
+  /// endpoint that received the call.
+  struct UdReturn {
+    verbs::AddressHandle peer{};
+    std::size_t ep = 0;
+  };
+  /// Enqueue every sub-call of a split kBatch frame (split_batch views
+  /// into `frame`) as its own pooled call, so admission, deadlines and
+  /// tracing all stay per call. One copy charge covers the whole frame.
+  /// `ud` is set for frames that arrived in a kUdCall datagram.
+  sim::Co<void> enqueue_batch(ConnPtr conn, net::ByteSpan frame,
+                              const std::vector<net::ByteSpan>& subs,
+                              std::optional<UdReturn> ud);
   sim::Co<void> shed_call(ServerCall call, std::uint64_t id, trace::TraceContext ctx,
                           const std::string& method, sim::Time start);
   /// Post a pooled buffer as a receive: to `shard`'s SRQ stripe, or to
@@ -196,26 +231,14 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// stripe is full / the connection is gone).
   void recycle_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer* buf);
   void note_ring_bytes(Shard& shard, std::size_t n);
-  /// Lease bookkeeping for one dequeued call: renew (or open, unless the
-  /// call is a retry) its session and drop retry-cache state for every
-  /// session the sweep expired or evicted. `call_id` fences the session's
-  /// incarnation when the call opens it.
-  void touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                     std::uint64_t call_id);
   /// The home shard of a connection (CQ, pipeline, pending_resp...).
   Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
-  /// Buffer one serialized small kResp frame for `conn`; flushes inline
-  /// when a limit fills, otherwise arms the adaptive-linger timer.
-  sim::Co<void> append_response(ConnPtr conn, net::Bytes payload);
-  /// Post everything buffered for `conn` as one kBatch SEND.
-  sim::Co<void> flush_response_batch(ConnPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed
-  /// or the server stopped (checked through the `alive_` token).
-  sim::Task response_batch_timer(ConnPtr conn, std::uint64_t epoch, sim::Dur linger);
-  /// Fold the per-shard stat blocks into stats_ (idempotent; the scalar
-  /// aggregates are rebuilt from scratch on every call). Fields written
-  /// directly to stats_ by non-shard code (threshold_mismatches) are left
-  /// untouched.
+  /// Post coalesced kResp frames for `conn` as one kBatch SEND (the
+  /// RespSink flush body); `alive` is the server's liveness token.
+  sim::Co<void> flush_response_batch(ConnPtr conn, std::vector<net::Bytes> items,
+                                     std::shared_ptr<bool> alive);
+  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards)
+  /// plus the RPCoIB-only SRQ/UD/one-sided/ring fields.
   void sync_stats();
 
   cluster::Host& host_;
@@ -254,8 +277,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
   // completions, which is how SRQ-mode completions map back to their
   // connection (the wr_id names only the shared buffer).
   std::map<std::uint64_t, ConnPtr> conns_;
-  // Companion socket listener for bootstrap-failure fallback clients.
+  // Companion socket listener for bootstrap-failure fallback clients, and
+  // the stopped listeners of earlier runs (freed with the server).
   std::unique_ptr<rpc::SocketRpcServer> fallback_;
+  std::vector<std::unique_ptr<rpc::SocketRpcServer>> retired_fallbacks_;
   // Liveness token for detached flush timers: ConnState objects survive
   // stop() but the pool and stats must not be touched after it. Timers
   // hold a copy and stand down once *alive_ flips to false.

@@ -42,6 +42,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "net/bytes.hpp"
 
 namespace rpcoib::oib {
 
@@ -120,6 +124,77 @@ struct OneSidedConfig {
   /// odd or unequal version pair and retry/fall back.
   std::uint32_t write_window_us = 2;
 };
+
+/// Big-endian u64 at `p`: the call id of a kCall/kResp frame and the
+/// kUdCall session id, as the stream writers lay them out.
+inline std::uint64_t read_be64(const net::Byte* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+// ---- kBatch codec ---------------------------------------------------------
+// [u8 kBatch][u32 count][u32 len_i x count][sub-frame_i ...], integers in
+// host order (both ends of the simulated fabric share one). The one
+// encoder serves client calls (RC and, behind the kUdCall header, UD) and
+// server responses; the one splitter serves every receive path.
+
+/// Fixed kBatch header: type byte + count word.
+inline constexpr std::size_t kBatchHeaderBytes = 5;
+
+/// Encoded size of a kBatch frame carrying `items`.
+inline std::size_t batch_frame_size(const std::vector<net::Bytes>& items) {
+  std::size_t n = kBatchHeaderBytes + 4 * items.size();
+  for (const net::Bytes& m : items) n += m.size();
+  return n;
+}
+
+/// Encode a kBatch frame carrying `items` into `out`, which must hold
+/// batch_frame_size(items) bytes.
+inline void encode_batch(const std::vector<net::Bytes>& items, net::Byte* out) {
+  out[0] = static_cast<net::Byte>(FrameType::kBatch);
+  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
+  std::memcpy(out + 1, &count, 4);
+  std::size_t off = kBatchHeaderBytes + 4 * items.size();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
+    std::memcpy(out + kBatchHeaderBytes + 4 * i, &len, 4);
+    std::memcpy(out + off, items[i].data(), items[i].size());
+    off += items[i].size();
+  }
+}
+
+/// Outcome of split_batch. Anything but kOk means the frame is dropped.
+enum class BatchSplit : std::uint8_t {
+  kOk,
+  kTruncated,  // shorter than the fixed header
+  kEmpty,      // count == 0 (never encoded)
+  kBadCount,   // the length table runs past the frame
+  kBadLength,  // the sub-frame lengths disagree with the frame's size
+};
+
+/// Split a received kBatch frame (frame[0] == kBatch) into views of its
+/// sub-frames, every bound checked against `frame.size()` — the received
+/// byte count, never the wire's own claims. `subs` is cleared first and
+/// is only meaningful on kOk.
+inline BatchSplit split_batch(net::ByteSpan frame, std::vector<net::ByteSpan>& subs) {
+  subs.clear();
+  if (frame.size() < kBatchHeaderBytes) return BatchSplit::kTruncated;
+  std::uint32_t count = 0;
+  std::memcpy(&count, frame.data() + 1, 4);
+  if (count == 0) return BatchSplit::kEmpty;
+  if (count > (frame.size() - kBatchHeaderBytes) / 4) return BatchSplit::kBadCount;
+  std::size_t off = kBatchHeaderBytes + 4 * static_cast<std::size_t>(count);
+  subs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, frame.data() + kBatchHeaderBytes + 4 * static_cast<std::size_t>(i), 4);
+    if (len > frame.size() - off) return BatchSplit::kBadLength;
+    subs.push_back(frame.subspan(off, len));
+    off += len;
+  }
+  return off == frame.size() ? BatchSplit::kOk : BatchSplit::kBadLength;
+}
 
 /// Every RdmaRpcServer also listens for plain socket RPC at
 /// `addr.port + kSocketFallbackPortOffset`; clients whose QP bootstrap

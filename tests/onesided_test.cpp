@@ -169,7 +169,9 @@ Co<void> one_get(rpc::RpcClient& client, const std::string& key, int& out, bool&
   }
 }
 
-Task get_task(rpc::RpcClient& client, const std::string& key, int& out, bool& err) {
+// `key` by value: a spawned task starts after the spawning statement ends,
+// so a reference parameter would dangle when bound to a temporary.
+Task get_task(rpc::RpcClient& client, std::string key, int& out, bool& err) {
   co_await one_get(client, key, out, err);
 }
 
