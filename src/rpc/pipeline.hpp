@@ -17,6 +17,8 @@
 // passed at construction (the two transports store it differently).
 #pragma once
 
+#include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,13 +38,6 @@ template <typename Call>
 class CallPipeline {
  public:
   using ProtocolFn = std::function<const std::string&(const Call&)>;
-
-  /// Fate of an arriving call at the admission gate.
-  enum class Gate {
-    kAdmit,        // push() it
-    kShedArrival,  // answer busy, drop the arrival
-    kEvictOldest,  // admit the arrival after evicting the queue head
-  };
 
   /// Exactly-once verdict for a dequeued call (see decide()).
   struct Verdict {
@@ -80,26 +75,27 @@ class CallPipeline {
   /// (no extra coroutine layer) and pair it with note_dequeued().
   sim::Channel<Call>& queue() { return *queue_; }
 
-  /// Admission decision for an arrival while the queue holds its current
-  /// depth. kAdmit when no admission control is configured.
-  Gate gate(const Call& call) const {
-    if (!admission_) return Gate::kAdmit;
+  /// The admission step for one arrival: the admission policy's decision,
+  /// then the eviction it may ask for. Returns the call the transport must
+  /// answer busy before anything else, or nullptr:
+  ///  * `&call` — the arrival is shed; drop it after answering;
+  ///  * `&victim` — the queue head was evicted into `victim` (the policy
+  ///    keeps the bound at every instant); answer it, then push() `call`;
+  ///  * nullptr — push() `call`.
+  /// The transport answers and pushes itself, so its own busy-response
+  /// work (and any suspension in it) keeps its place before the push.
+  Call* admit(Call& call, Call& victim) {
+    if (!admission_) return nullptr;
     switch (admission_->decide(queue_->size(), protocol_of_(call))) {
-      case AdmissionController::Decision::kShedNewest: return Gate::kShedArrival;
-      case AdmissionController::Decision::kShedOldest: return Gate::kEvictOldest;
+      case AdmissionController::Decision::kShedNewest: return &call;
+      case AdmissionController::Decision::kShedOldest:
+        // The eviction can only miss when every queued call is already
+        // claimed by a waking handler; then the arrival is shed instead.
+        if (!try_take(victim)) return &call;
+        return &victim;
       case AdmissionController::Decision::kAdmit: break;
     }
-    return Gate::kAdmit;
-  }
-
-  /// Pop the queue head for eviction (Gate::kEvictOldest), pairing the
-  /// admission accounting. False when every queued call is already claimed
-  /// by a waking handler — then the caller sheds the arrival instead so
-  /// the bound holds at every instant.
-  bool evict_oldest(Call& victim) {
-    if (!queue_->try_recv(victim)) return false;
-    if (admission_) admission_->on_dequeue(protocol_of_(victim));
-    return true;
+    return nullptr;
   }
 
   /// Admit `call` into the shard queue: stamps `enqueued`, pairs the
@@ -304,6 +300,58 @@ bool take_or_steal(const Shards& shards, std::size_t home, Call& out) {
     }
   }
   return false;
+}
+
+/// The dequeue step for a handler homed on shard `home`, awaited directly
+/// (no coroutine frame per call); the call lands in `out`. Without
+/// stealing it is the home queue's recv() paired with note_dequeued().
+/// Stealing handlers (steal on, more than one shard) poll instead of
+/// parking — a blocked recv() would never see a sibling's backlog build —
+/// with take_or_steal() now and every kStealPollInterval after, until a
+/// call turns up or the home queue closes; then they fall back to recv()
+/// for the drain. Throws sim::ChannelClosed like recv().
+template <typename Shards, typename Call>
+struct Dequeue {
+  const Shards& shards;
+  std::size_t home;
+  bool steal;
+  sim::Scheduler& sched;
+  Call& out;
+  bool polling = false;
+
+  bool await_ready() { return advance(); }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (!polling) return queue().recv().await_suspend(h);
+    sched.call_after(kStealPollInterval, [this, h] {
+      if (advance()) {
+        h.resume();
+      } else {
+        await_suspend(h);
+      }
+    });
+  }
+  void await_resume() {
+    if (polling) return;  // a steal poll took it, already paired
+    out = queue().recv().await_resume();
+    shards[home]->pipeline.note_dequeued(out);
+  }
+
+  sim::Channel<Call>& queue() const { return shards[home]->pipeline.queue(); }
+  /// One poll: true when `out` holds a stolen (or local) call, or recv()
+  /// can complete without suspending.
+  bool advance() {
+    polling = steal && shards.size() > 1 && !queue().closed();
+    return polling ? take_or_steal(shards, home, out) : queue().recv().await_ready();
+  }
+};
+template <typename Shards, typename Call>
+Dequeue(const Shards&, std::size_t, bool, sim::Scheduler&, Call&) -> Dequeue<Shards, Call>;
+
+/// Handlers on shard `i` when `total` are split across `shards`: an even
+/// split, the remainder to the low shards, at least one each. With one
+/// shard that is every handler, in the unsharded server's spawn order.
+inline int handlers_on_shard(int total, int shards, int i) {
+  return std::max(1, total / shards + (i < total % shards ? 1 : 0));
 }
 
 /// Per-shard seed derivation shared by both transports: a splitmix64-style

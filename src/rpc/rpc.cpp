@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "net/fault.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
@@ -140,6 +141,77 @@ sim::Co<void> RpcClient::call(net::Address addr, const MethodKey& key, const Wri
                        trace::Category::kRetry, parent, h.id(), b0, h.sched().now());
     }
   }
+}
+
+void RpcClient::write_call_header(DataOutput& out, std::uint64_t call_id, bool retried,
+                                  const MethodKey& key, const trace::TraceContext& ctx) {
+  const sim::Time deadline =
+      retry_.call_timeout > 0 ? host().sched().now() + retry_.call_timeout : 0;
+  rpc::write_call_header(out, call_id, retried && session_.enabled, deadline, ctx, key);
+}
+
+MethodProfile& RpcClient::record_sent(const MethodKey& key, std::uint64_t mem_adjustments,
+                                      std::size_t msg_len, sim::Time t_start,
+                                      sim::Time t_serialized, sim::Time t_sent) {
+  MethodProfile& prof = stats_.method(key);
+  prof.mem_adjustments.add(static_cast<double>(mem_adjustments));
+  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
+  prof.send_us.add(sim::to_us(t_sent - t_serialized));
+  prof.msg_bytes.add(static_cast<double>(msg_len));
+  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
+  ++stats_.calls_sent;
+  return prof;
+}
+
+trace::SpanId RpcClient::trace_phase(trace::TraceCollector* tr, const trace::TraceContext& ctx,
+                                     const char* name, trace::Category cat, sim::Time t0,
+                                     sim::Time t1) {
+  if (!ctx.valid()) return 0;
+  return tr->add_complete(name, trace::Kind::kInternal, cat, ctx, host().id(), t0, t1);
+}
+
+void RpcClient::note_batch_sent(const trace::TraceContext& ctx, sim::Time t0) {
+  ++stats_.batches_sent;
+  cluster::Host& h = host();
+  if (trace::TraceCollector* tr = trace::active(h.tracer()); tr != nullptr && ctx.valid()) {
+    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx, h.id(),
+                     t0, h.sched().now());
+  }
+}
+
+RpcTimeoutError RpcClient::timeout_error() const {
+  return RpcTimeoutError("call timed out after " + std::to_string(sim::to_ms(retry_.call_timeout)) +
+                         " ms");
+}
+
+void RpcClient::throw_status(std::uint8_t status, const std::string& msg) {
+  switch (static_cast<RpcStatus>(status)) {
+    case RpcStatus::kSessionExpired: throw SessionExpiredException(msg);
+    case RpcStatus::kBusy: throw ServerBusyException(msg);
+    default: throw RemoteException(msg);
+  }
+}
+
+void RpcClient::note_reconnect(ReconnectCause cause) {
+  if (!session_.enabled) return;
+  switch (cause) {
+    case ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
+    case ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
+    case ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
+    case ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
+  }
+  cluster::Host& h = host();
+  if (trace::TraceCollector* tr = trace::active(h.tracer()); tr != nullptr) {
+    const sim::Time now = h.sched().now();
+    tr->add_complete(std::string("reconnect.") + reconnect_cause_name(cause),
+                     trace::Kind::kClient, trace::Category::kSession, {}, h.id(), now, now);
+  }
+}
+
+bool RpcClient::take_kill(net::Fabric& fabric, net::Address addr) {
+  net::FaultPlan* plan = fabric.fault_plan();
+  return plan != nullptr && plan->kills_enabled() &&
+         plan->take_kill(host().id(), addr.host, host().sched().now());
 }
 
 }  // namespace rpcoib::rpc

@@ -19,7 +19,9 @@
 #include "rpc/session.hpp"
 #include "rpc/stats.hpp"
 #include "rpc/writable.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
 
@@ -97,6 +99,70 @@ class RpcClient {
                                      const Writable& param, Writable* response,
                                      std::uint64_t call_id, bool retried) = 0;
 
+  // ---- The transport-independent call steps ------------------------------
+  // Both transports (and each RPCoIB plane) run every step of a call except
+  // moving its bytes through these, so the two stay operation-for-operation
+  // alike: same header bytes, same profile, same timeout, same exceptions.
+
+  /// Write this attempt's call header (protocol.hpp). The deadline is the
+  /// retry policy's call timeout from now, and the retry flag rides only
+  /// with sessions on (the server bounces an undedupable retry by it), so
+  /// the default wire format stays the seed's byte for byte.
+  void write_call_header(DataOutput& out, std::uint64_t call_id, bool retried,
+                         const MethodKey& key, const trace::TraceContext& ctx);
+
+  /// Profile a call that just went out (the Table I / Fig. 3 feeds) and
+  /// count it sent. Returns the method's profile for the total time.
+  MethodProfile& record_sent(const MethodKey& key, std::uint64_t mem_adjustments,
+                             std::size_t msg_len, sim::Time t_start, sim::Time t_serialized,
+                             sim::Time t_sent);
+
+  /// Record one phase of a traced call (serialize, send, deserialize) as an
+  /// internal span under `ctx`. Returns its id; 0, recording nothing, when
+  /// the call is untraced.
+  trace::SpanId trace_phase(trace::TraceCollector* tr, const trace::TraceContext& ctx,
+                            const char* name, trace::Category cat, sim::Time t0, sim::Time t1);
+
+  /// Count one coalesced frame sent and, when its batch is traced, record
+  /// the batch.flush span from `t0` (the flush's start) to now.
+  void note_batch_sent(const trace::TraceContext& ctx, sim::Time t0);
+
+  /// The reply wait under the policy's call timeout (unbounded without
+  /// one): resumes true once `done` is set, false if the timeout passed
+  /// first — then the transport unregisters the call and throws
+  /// timeout_error(). Hoist the result before branching on it (task.hpp).
+  sim::SimEvent::BoundedWaitAwaiter await_reply(sim::SimEvent& done) const {
+    return done.wait_up_to(retry_.call_timeout);
+  }
+  RpcTimeoutError timeout_error() const;
+
+  /// Throw what a reply's non-success status byte maps to: kSessionExpired
+  /// -> SessionExpiredException (terminal), kBusy -> ServerBusyException
+  /// (shed before execution, always retryable), else RemoteException.
+  [[noreturn]] static void throw_status(std::uint8_t status, const std::string& msg);
+
+  /// Count one reconnect — a failure detected and the connection torn down
+  /// for the next call to re-bootstrap — and emit its kSession span. The
+  /// reconnect state itself is the connection's ready/broken/cancelled
+  /// flags. No-op with sessions off, so sessionless seeded reports grow no
+  /// reconnect rows.
+  void note_reconnect(ReconnectCause cause);
+
+  /// The FaultPlan connection-kill hook, run right after a request went on
+  /// the wire to `addr` (so the server may still execute it — the case the
+  /// session-keyed retry cache makes exactly-once). True when a kill is due
+  /// now; the kill is consumed.
+  bool take_kill(net::Fabric& fabric, net::Address addr);
+
+  /// Drop `conn` from a connection table unless `addr` already maps to a
+  /// replacement another caller installed while this one was suspended —
+  /// erasing that would orphan its receiver and strand its pending calls.
+  template <typename Table, typename Ptr>
+  static void erase_if_current(Table& table, net::Address addr, const Ptr& conn) {
+    auto it = table.find(addr);
+    if (it != table.end() && it->second == conn) table.erase(it);
+  }
+
   /// The client's stable session id, minted on first use from the host's
   /// seeded RNG (top bit set so it can never collide with a dense
   /// server-side connection id). 0 when the session layer is off — the
@@ -138,11 +204,14 @@ class RpcServer {
   /// stop() the simulation can run to quiescence.
   virtual void stop() = 0;
 
-  /// Server-side counters. Sharded servers override this to fold their
-  /// per-shard stat blocks into one view on demand (the per-shard blocks
-  /// stay single-writer; only this read path aggregates).
-  virtual RpcStats& stats() { return stats_; }
-  virtual const RpcStats& stats() const { return stats_; }
+  /// Server-side counters. Sharded servers fold their per-shard stat
+  /// blocks into this view on demand (fold_stats); the per-shard blocks
+  /// stay single-writer, only this read path aggregates.
+  RpcStats& stats() {
+    fold_stats();
+    return stats_;
+  }
+  const RpcStats& stats() const { return const_cast<RpcServer*>(this)->stats(); }
 
   /// Overload-protection knobs (bounded queue, admission policy, retry
   /// cache). Set before start(); the default keeps the seed's unbounded
@@ -166,6 +235,8 @@ class RpcServer {
   virtual OneSidedPublisher* onesided() { return nullptr; }
 
  protected:
+  virtual void fold_stats() {}
+
   Dispatcher dispatcher_;
   RpcStats stats_;
   OverloadConfig overload_;

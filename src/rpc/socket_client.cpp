@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/fault.hpp"
 #include "rpc/buffers.hpp"
 #include "trace/trace.hpp"
 
@@ -41,9 +40,8 @@ void SocketRpcClient::close_connections() {
 
 void SocketRpcClient::fail_all(Connection& conn, const std::string& why) {
   conn.broken = true;
-  conn.recovery = Recovery::kTornDown;
   for (auto& [id, pc] : conn.pending) {
-    pc->error = true;
+    pc->status = static_cast<std::uint8_t>(RpcStatus::kError);
     pc->error_msg = why;
     pc->done.set();
   }
@@ -61,14 +59,9 @@ sim::Co<SocketRpcClient::ConnectionPtr> SocketRpcClient::get_connection(net::Add
     }
     co_await conn->ready.wait();  // another caller may still be handshaking
     if (!conn->broken) co_return conn;
-    // Woke up on a broken connection. While we were suspended another
-    // waiter may already have replaced the map entry with a fresh
-    // connection; blindly erasing and reconnecting here would orphan that
-    // replacement's receiver and strand its pending calls. Erase only if
-    // the map still points at *our* broken connection, then loop: the
-    // retry adopts any replacement instead of clobbering it.
-    auto it2 = connections_.find(addr);
-    if (it2 != connections_.end() && it2->second == conn) connections_.erase(it2);
+    // Woke up on a broken connection: drop it unless a replacement already
+    // took its place, then loop to adopt (or dial) the current one.
+    erase_if_current(connections_, addr, conn);
   }
 
   auto raw = std::make_shared<Connection>(host_.sched(), batch_);
@@ -88,35 +81,13 @@ sim::Co<SocketRpcClient::ConnectionPtr> SocketRpcClient::get_connection(net::Add
   } catch (const net::SocketError& e) {
     raw->ready.set();
     fail_all(*raw, e.what());
-    // Drop our corpse unless a concurrent caller already replaced it.
-    auto it = connections_.find(addr);
-    if (it != connections_.end() && it->second == raw) connections_.erase(it);
+    erase_if_current(connections_, addr, raw);
     throw RpcTransportError(e.what());
   }
   raw->receiver = host_.sched().spawn(receive_loop(raw));
   raw->ready.set();
-  raw->recovery = Recovery::kHealthy;
   ++stats_.connections_opened;
   co_return raw;
-}
-
-void SocketRpcClient::note_reconnect(ReconnectCause cause) {
-  // Reconnect accounting rides the session knob: with sessions off the
-  // counters stay zero, the report grows no rows, and seeded sessionless
-  // runs stay byte-identical to a build without the session layer.
-  if (!session_.enabled) return;
-  switch (cause) {
-    case ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
-    case ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
-    case ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
-    case ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
-  }
-  if (trace::TraceCollector* tr = trace::active(host_.tracer()); tr != nullptr) {
-    const sim::Time now = host_.sched().now();
-    tr->add_complete(std::string("reconnect.") + reconnect_cause_name(cause),
-                     trace::Kind::kClient, trace::Category::kSession, {}, host_.id(),
-                     now, now);
-  }
 }
 
 void SocketRpcClient::kill_connection(const ConnectionPtr& conn, net::Address addr) {
@@ -129,26 +100,25 @@ void SocketRpcClient::kill_connection(const ConnectionPtr& conn, net::Address ad
   if (conn->sock) conn->sock->close();
   fail_all(*conn, "connection killed (injected fault)");
   note_reconnect(ReconnectCause::kFaultInjected);
-  auto it = connections_.find(addr);
-  if (it != connections_.end() && it->second == conn) connections_.erase(it);
+  erase_if_current(connections_, addr, conn);
 }
 
 sim::Co<void> SocketRpcClient::deliver_one(cluster::Host& host, Connection& conn,
                                            net::ByteSpan payload) {
   const cluster::CostModel& cm = host.cost();
   DataInputBuffer in(cm, payload);
-  const std::uint64_t id = in.read_u64();
-  const std::uint8_t status = in.read_u8();
+  std::uint64_t id = 0;
+  std::uint8_t status = 0;
+  // A malformed payload is dropped; its call times out like a lost reply.
+  if (!in.try_read_u64(id) || !in.try_read_u8(status)) co_return;
   auto it = conn.pending.find(id);
   if (it == conn.pending.end()) co_return;  // call raced a timeout; drop
   PendingCall* pc = it->second;
+  const bool ok = status == static_cast<std::uint8_t>(RpcStatus::kSuccess);
+  if (!ok && !in.try_read_text(pc->error_msg)) co_return;
   conn.pending.erase(it);
-  if (status != static_cast<std::uint8_t>(RpcStatus::kSuccess)) {
-    pc->error = true;
-    pc->busy = status == static_cast<std::uint8_t>(RpcStatus::kBusy);
-    pc->session_expired = status == static_cast<std::uint8_t>(RpcStatus::kSessionExpired);
-    pc->error_msg = in.read_text();
-  } else {
+  pc->status = status;
+  if (ok) {
     pc->value.assign(payload.begin() + static_cast<std::ptrdiff_t>(in.position()),
                      payload.end());
   }
@@ -181,20 +151,17 @@ sim::Task SocketRpcClient::receive_loop(ConnectionPtr conn) {
 
       // A response frame whose first word carries kWireBatchFlag is a
       // server-coalesced batch; each sub-message is laid out exactly like
-      // a standalone response payload. Batches are always understood —
-      // the local config only gates what *we* emit.
-      DataInputBuffer peek(cm, data);
-      const std::uint64_t first = peek.read_u64();
-      if ((first & trace::kWireBatchFlag) != 0) {
-        const std::size_t count = first & kWireBatchCountMask;
-        std::vector<std::uint32_t> lens(count);
-        for (std::size_t i = 0; i < count; ++i) lens[i] = peek.read_u32();
-        std::size_t off = peek.position();
+      // a standalone response payload, and a malformed batch is dropped
+      // whole. Batches are always understood — the local config only gates
+      // what *we* emit.
+      if (is_wire_batch(data)) {
+        DataInputBuffer peek(cm, data);
+        std::vector<net::ByteSpan> subs;
+        if (split_wire_batch(peek, data, subs) != BatchSplit::kOk) continue;
         co_await host.compute(peek.take_accrued());
-        for (std::size_t i = 0; i < count; ++i) {
+        for (const net::ByteSpan sub : subs) {
           if (conn->cancelled) co_return;
-          co_await deliver_one(host, *conn, net::ByteSpan(data).subspan(off, lens[i]));
-          off += lens[i];
+          co_await deliver_one(host, *conn, sub);
         }
       } else {
         co_await deliver_one(host, *conn, net::ByteSpan(data));
@@ -218,7 +185,6 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::
   // below may outlive the client.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
-  trace::TraceCollector* tr = trace::active(host.tracer());
   const sim::Time t0 = host.sched().now();
 
   std::size_t payload_bytes = 0;
@@ -248,11 +214,7 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::
     co_return;
   }
   if (conn->cancelled) co_return;
-  ++stats_.batches_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
-                     host.id(), t0, host.sched().now());
-  }
+  note_batch_sent(ctx, t0);
 }
 
 sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& key,
@@ -275,38 +237,11 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   // --- Serialization (Listing 1, lines 2-7) ---------------------------
   const sim::Time t_ser_start = host_.sched().now();
   DataOutputBuffer d(cm, kClientInitialBuffer);
-  const std::uint64_t id = call_id;
-  // Absolute deadline on the shared virtual clock: a conservative lower
-  // bound on when this attempt gives up (the timeout wait starts after
-  // the send completes). Only stamped when a call timeout is configured,
-  // so the default wire format is byte-identical to the seed.
-  const sim::Time deadline =
-      retry_.call_timeout > 0 ? host_.sched().now() + retry_.call_timeout : 0;
-  std::uint64_t wire_id = id;
-  if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-  if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
-  // Retried attempts are marked only under the session layer: the server
-  // uses the flag to bounce a retry whose session lease expired instead
-  // of silently re-executing it. Sessionless wire stays byte-identical.
-  if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-  d.write_u64(wire_id);
-  if (ctx.valid()) {
-    // Flagged id announces two extra context words; untraced calls keep
-    // the seed wire format byte-for-byte.
-    d.write_u64(ctx.trace_id);
-    d.write_u64(ctx.span_id);
-  }
-  if (deadline != 0) d.write_u64(deadline);
-  d.write_text(key.protocol);
-  d.write_text(key.method);
+  write_call_header(d, call_id, retried, key, ctx);
   param.write(d);
   co_await host_.compute(d.take_accrued());
   const sim::Time t_serialized = host_.sched().now();
-  if (ctx.valid()) {
-    tr->add_complete("serialize", trace::Kind::kInternal,
-                     trace::Category::kSerialization, ctx, host_.id(), t_ser_start,
-                     t_serialized);
-  }
+  trace_phase(tr, ctx, "serialize", trace::Category::kSerialization, t_ser_start, t_serialized);
 
   PendingCall pc(host_.sched());
   if (!batch_.batchable(d.length())) {
@@ -317,7 +252,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
     out.flush();
     co_await host_.compute(out.take_accrued());
 
-    conn->pending[id] = &pc;
+    conn->pending[call_id] = &pc;
     {
       co_await conn->send_mu.lock();
       sim::SimLockGuard guard(conn->send_mu);
@@ -329,68 +264,43 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
     // Coalescing path: buffer the payload (one heap copy) and let the
     // batcher decide when the connection's next multi-call frame goes out.
     if (conn->broken) throw RpcTransportError("connection broken");
-    conn->pending[id] = &pc;
+    conn->pending[call_id] = &pc;
     net::Bytes payload(d.data().begin(), d.data().end());
     co_await host_.compute(cm.heap_copy(d.length()));
     const CallSink sink{this, conn};
     co_await conn->calls.append(sink, std::move(payload), ctx);
   }
   const sim::Time t_sent = host_.sched().now();
-  if (ctx.valid()) {
-    tr->add_complete("send", trace::Kind::kInternal, trace::Category::kSend, ctx,
-                     host_.id(), t_serialized, t_sent);
-  }
+  trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent);
 
-  // Connection-kill fault hook: the request is on the wire, so the server
-  // side may execute it — the retry that follows the teardown is the
-  // exactly-once case the durable session dedup covers.
-  if (net::FaultPlan* plan = sockets_.fabric().fault_plan();
-      plan != nullptr && plan->kills_enabled() && !conn->broken &&
-      plan->take_kill(host_.id(), addr.host, host_.sched().now())) {
-    kill_connection(conn, addr);
-  }
+  if (!conn->broken && take_kill(sockets_.fabric(), addr)) kill_connection(conn, addr);
+  MethodProfile& prof =
+      record_sent(key, d.stats().mem_adjustments, d.length(), t_start, t_serialized, t_sent);
 
-  // --- Profiling (Table I / Fig. 3 feeds) ------------------------------
-  MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(d.stats().mem_adjustments));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(d.length()));
-  stats_.record_size(prof, static_cast<std::uint32_t>(d.length()));
-  ++stats_.calls_sent;
-
-  if (const sim::Dur deadline = retry_.call_timeout; deadline > 0) {
-    const bool completed = co_await pc.done.wait_for(deadline);
-    if (!completed) {
-      // Unregister so a late reply is dropped by the receive loop instead
-      // of touching this (about to be destroyed) PendingCall.
-      conn->pending.erase(id);
-      throw RpcTimeoutError("call timed out after " +
-                            std::to_string(sim::to_ms(deadline)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    // Unregister so a late reply is dropped by the receive loop instead
+    // of touching this (about to be destroyed) PendingCall.
+    conn->pending.erase(call_id);
+    throw timeout_error();
   }
-  if (pc.error) {
-    conn->pending.erase(id);
+  if (pc.status != static_cast<std::uint8_t>(RpcStatus::kSuccess)) {
+    conn->pending.erase(call_id);
     // A session-expired verdict outranks a later connection failure: the
     // server has ruled the logical call undedupable, so it must surface
     // terminally, not as a retryable transport error.
-    if (pc.session_expired) throw SessionExpiredException(pc.error_msg);
-    if (conn->broken) throw RpcTransportError(pc.error_msg);
-    if (pc.busy) throw ServerBusyException(pc.error_msg);
-    throw RemoteException(pc.error_msg);
+    if (conn->broken && pc.status != static_cast<std::uint8_t>(RpcStatus::kSessionExpired)) {
+      throw RpcTransportError(pc.error_msg);
+    }
+    throw_status(pc.status, pc.error_msg);
   }
   if (response != nullptr) {
     const sim::Time t_deser = host_.sched().now();
     DataInputBuffer in(cm, pc.value);
     response->read_fields(in);
     co_await host_.compute(in.take_accrued());
-    if (ctx.valid()) {
-      tr->add_complete("deserialize", trace::Kind::kInternal,
-                       trace::Category::kSerialization, ctx, host_.id(), t_deser,
-                       host_.sched().now());
-    }
+    trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
+                host_.sched().now());
   }
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();

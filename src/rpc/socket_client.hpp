@@ -48,22 +48,11 @@ class SocketRpcClient final : public RpcClient {
     explicit PendingCall(sim::Scheduler& s) : done(s) {}
     sim::SimEvent done;
     net::Bytes value;
-    bool error = false;
-    bool busy = false;  // error with RpcStatus::kBusy -> ServerBusyException
-    bool session_expired = false;  // kSessionExpired -> SessionExpiredException
+    // The reply's RpcStatus byte; kError with the connection broken when
+    // fail_all() failed the call over to the retry loop.
+    std::uint8_t status = 0;
     std::string error_msg;
   };
-
-  /// Reconnect recovery state machine (unified with the RDMA client; see
-  /// DESIGN.md §13). A connection is kConnecting while the handshake runs,
-  /// kHealthy once ready, and kTornDown after a failure is detected (EOF
-  /// from the peer, a send into a closed socket, or an injected kill) and
-  /// every pending call was failed over to the retry loop. Re-bootstrap is
-  /// the next get_connection(): it drops the kTornDown corpse and dials a
-  /// fresh connection carrying the same durable session id, and the retry
-  /// loop replays the failed in-flight calls under RpcRetryPolicy — the
-  /// session-keyed server retry cache makes that replay exactly-once.
-  enum class Recovery : std::uint8_t { kConnecting, kHealthy, kTornDown };
 
   struct Connection;
   // Shared-owned for the same reason as RdmaRpcClient: the receive loop
@@ -97,7 +86,6 @@ class SocketRpcClient final : public RpcClient {
     // loop and flush timers check it after every resumption instead of
     // touching the (possibly destroyed) client.
     bool cancelled = false;
-    Recovery recovery = Recovery::kConnecting;
     std::map<std::uint64_t, PendingCall*> pending;
     Coalescer<CallSink> calls;  // small-call coalescing (BatchConfig)
     sim::JoinHandle receiver;
@@ -115,9 +103,6 @@ class SocketRpcClient final : public RpcClient {
   sim::Co<void> flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
                             trace::TraceContext ctx);
   static void fail_all(Connection& conn, const std::string& why);
-  /// Count one recovery-FSM activation (failure detected, connection torn
-  /// down) and emit its kSession trace span.
-  void note_reconnect(ReconnectCause cause);
   /// Forced mid-call teardown: the FaultPlan connection-kill hook.
   void kill_connection(const ConnectionPtr& conn, net::Address addr);
 

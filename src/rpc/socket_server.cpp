@@ -1,5 +1,6 @@
 #include "rpc/socket_server.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -46,16 +47,12 @@ void SocketRpcServer::start() {
   }
   listener_ = &sockets_.listen(addr_);
   host_.sched().spawn(listener_loop());
-  // Handlers split across shards (every shard keeps at least one); with
-  // one shard the ids and spawn order are exactly the unsharded server's.
-  int handler_id = 0;
   for (int i = 0; i < num_shards_; ++i) {
-    int mine = num_handlers_ / num_shards_ + (i < num_handlers_ % num_shards_ ? 1 : 0);
-    if (mine < 1) mine = 1;
-    for (int h = 0; h < mine; ++h) {
-      host_.sched().spawn(handler_loop(*shards_[static_cast<std::size_t>(i)], handler_id++));
+    Shard& shard = *shards_[static_cast<std::size_t>(i)];
+    for (int h = handlers_on_shard(num_handlers_, num_shards_, i); h > 0; --h) {
+      host_.sched().spawn(handler_loop(shard));
     }
-    host_.sched().spawn(responder_loop(*shards_[static_cast<std::size_t>(i)]));
+    host_.sched().spawn(responder_loop(shard));
   }
 }
 
@@ -92,17 +89,7 @@ void SocketRpcServer::stop() {
   }
 }
 
-RpcStats& SocketRpcServer::stats() {
-  sync_stats();
-  return stats_;
-}
-
-const RpcStats& SocketRpcServer::stats() const {
-  const_cast<SocketRpcServer*>(this)->sync_stats();
-  return stats_;
-}
-
-void SocketRpcServer::sync_stats() {
+void SocketRpcServer::fold_stats() {
   if (!shards_.empty()) (void)stats_.fold_shards(shards_);
 }
 
@@ -135,44 +122,38 @@ sim::Task SocketRpcServer::listener_loop() {
   }
 }
 
-net::Bytes SocketRpcServer::status_frame(std::uint64_t id, RpcStatus status,
-                                         const std::string& msg) {
+net::Bytes SocketRpcServer::response_frame(std::uint64_t id, RpcStatus status,
+                                           const std::string& msg, net::ByteSpan value,
+                                           sim::Dur* cost) const {
   const cluster::CostModel& cm = host_.cost();
+  const bool ok = status == RpcStatus::kSuccess;
   BufferedOutputStream frame(cm);
-  DataOutputBuffer hdr(cm, kClientInitialBuffer);
-  hdr.write_u64(id);
-  hdr.write_u8(static_cast<std::uint8_t>(status));
-  hdr.write_text(msg);
-  frame.write_u32(static_cast<std::uint32_t>(hdr.length()));
-  frame.write_payload(hdr.data());
+  DataOutputBuffer head(cm, kClientInitialBuffer);
+  head.write_u64(id);
+  head.write_u8(static_cast<std::uint8_t>(status));
+  if (!ok) head.write_text(msg);
+  frame.write_u32(static_cast<std::uint32_t>(head.length() + value.size()));
+  frame.write_payload(head.data());
+  if (ok) frame.write_payload(value);
   frame.flush();
-  // Shedding is meant to be cheap: no CPU is modeled for the tiny frame.
-  (void)hdr.take_accrued();
-  (void)frame.take_accrued();
+  const sim::Dur spent = head.take_accrued() + frame.take_accrued();
+  if (cost != nullptr) *cost = spent;
   return frame.take_pending();
 }
 
 void SocketRpcServer::shed(Shard& shard, const ServerCall& call) {
   shard.pipeline.note_shed();
-  if (call.ctx.valid()) {
+  if (call.hdr.ctx.valid()) {
     if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("overload.shed:" + call.key.method, trace::Kind::kServer,
-                       trace::Category::kOverload, call.ctx, host_.id(),
+      tr->add_complete("overload.shed:" + call.hdr.key.method, trace::Kind::kServer,
+                       trace::Category::kOverload, call.hdr.ctx, host_.id(),
                        call.enqueued != 0 ? call.enqueued : call.recv_start,
                        host_.sched().now());
     }
   }
+  // Shedding is meant to be cheap: no CPU is modeled for the tiny frame.
   shard.response_queue.push(Response{
-      call.conn, status_frame(call.id, RpcStatus::kBusy, "server busy: call queue full")});
-}
-
-void SocketRpcServer::unpend(const net::SocketPtr& conn) {
-  for (auto it = pending_conns_.begin(); it != pending_conns_.end(); ++it) {
-    if (*it == conn) {
-      pending_conns_.erase(it);
-      return;
-    }
-  }
+      call.conn, response_frame(call.hdr.id, RpcStatus::kBusy, "server busy: call queue full")});
 }
 
 sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
@@ -204,7 +185,7 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
       home = shards_[pick].get();
       ++home->pipeline.counters().conns_assigned;
       home->conns.push_back(conn);
-      unpend(conn);  // homed: the shard's conns list owns closing it now
+      std::erase(pending_conns_, conn);  // homed: the shard's conns list owns closing it now
     }
     Shard& shard = *home;
 
@@ -238,24 +219,20 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
       // multi-call frame; split it and run every sub-call through the
       // same admission/enqueue path as a standalone frame. The whole
       // batch paid the selector + syscall cost once above — the win the
-      // coalescing exists for. Batch frames are always understood; the
-      // local config only gates what this server *emits*.
-      DataInputBuffer peek(cm, frame);
-      const std::uint64_t first = peek.read_u64();
-      if ((first & trace::kWireBatchFlag) != 0) {
+      // coalescing exists for. A malformed batch is dropped whole. Batch
+      // frames are always understood; the local config only gates what
+      // this server *emits*.
+      if (is_wire_batch(frame)) {
+        DataInputBuffer peek(cm, frame);
+        std::vector<net::ByteSpan> subs;
+        if (split_wire_batch(peek, frame, subs) != BatchSplit::kOk) continue;
         ++shard.pipeline.stats().batches_received;
-        const std::size_t count = first & kWireBatchCountMask;
-        std::vector<std::uint32_t> lens(count);
-        for (std::size_t i = 0; i < count; ++i) lens[i] = peek.read_u32();
-        std::size_t off = peek.position();
         co_await host_.compute(peek.take_accrued());
         trace::TraceContext first_ctx{};
-        for (std::size_t i = 0; i < count; ++i) {
-          net::Bytes sub(frame.begin() + static_cast<std::ptrdiff_t>(off),
-                         frame.begin() + static_cast<std::ptrdiff_t>(off + lens[i]));
-          off += lens[i];
+        for (const net::ByteSpan view : subs) {
+          net::Bytes sub(view.begin(), view.end());
           ++shard.pipeline.stats().batched_calls_received;
-          const sim::Dur sub_alloc = cm.heap_alloc(lens[i]);
+          const sim::Dur sub_alloc = cm.heap_alloc(view.size());
           co_await host_.compute(sub_alloc);
           const trace::TraceContext ctx =
               co_await process_frame(conn, conn_id, session_id, shard, std::move(sub),
@@ -277,41 +254,32 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
     // Peer went away; connection reader exits. A conn that died during
     // the preamble is still on the pending list — drop it (no-op once
     // homed).
-    unpend(conn);
+    std::erase(pending_conns_, conn);
   } catch (const sim::ChannelClosed&) {
-    unpend(conn);
+    std::erase(pending_conns_, conn);
   }
 }
 
 sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
     net::SocketPtr conn, std::uint64_t conn_id, std::uint64_t session_id, Shard& shard,
     net::Bytes frame, sim::Time t_recv_start, sim::Dur alloc_cost) {
-  const cluster::CostModel& cm = host_.cost();
-  // Parse the call header; param bytes stay in place in `frame`.
-  DataInputBuffer in(cm, frame);
+  // Parse the call header; param bytes stay in place in `frame`. A
+  // truncated or malformed header drops the frame; the reader goes on.
+  DataInputBuffer in(host_.cost(), frame);
   ServerCall call;
+  if (!read_call_header(in, call.hdr)) co_return trace::TraceContext{};
   call.recv_start = t_recv_start;
   call.recv_alloc = alloc_cost;
-  call.id = in.read_u64();
-  if ((call.id & trace::kWireTraceFlag) != 0) {
-    call.ctx.trace_id = in.read_u64();
-    call.ctx.span_id = in.read_u64();
-  }
-  if ((call.id & trace::kWireDeadlineFlag) != 0) call.deadline = in.read_u64();
-  call.retried = (call.id & trace::kWireRetryFlag) != 0;
-  call.id &= trace::kWireIdMask;
-  call.key.protocol = in.read_text();
-  call.key.method = in.read_text();
   call.param_off = in.position();
   co_await host_.compute(in.take_accrued());
-  if (call.ctx.valid()) {
+  const trace::TraceContext ctx = call.hdr.ctx;
+  if (ctx.valid()) {
     if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("recv:" + call.key.method, trace::Kind::kServer,
-                       trace::Category::kRecv, call.ctx, host_.id(), t_recv_start,
+      tr->add_complete("recv:" + call.hdr.key.method, trace::Kind::kServer,
+                       trace::Category::kRecv, ctx, host_.id(), t_recv_start,
                        host_.sched().now());
     }
   }
-  const trace::TraceContext ctx = call.ctx;
   call.conn = std::move(conn);
   call.conn_id = conn_id;
   call.session_id = session_id;
@@ -319,92 +287,67 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   call.shard = shard.index;
   call.frame = std::move(frame);
   // Sessions renew at arrival here (RPCoIB renews at dequeue).
-  shard.pipeline.touch_session(session_id, call.retried, call.id, host_.sched().now());
+  shard.pipeline.touch_session(session_id, call.hdr.retried, call.hdr.id, host_.sched().now());
 
-  // Admission control: shed beyond the configured bound while the
-  // call is still cheap — before it costs a handler.
-  switch (shard.pipeline.gate(call)) {
-    case CallPipeline<ServerCall>::Gate::kShedArrival:
-      shed(shard, call);
-      co_return ctx;
-    case CallPipeline<ServerCall>::Gate::kEvictOldest: {
-      // Evict before enqueueing so the bound holds at every instant.
-      // evict_oldest can only miss when every queued call is already
-      // claimed by a waking handler; then the arrival is shed instead.
-      ServerCall victim;
-      if (shard.pipeline.evict_oldest(victim)) {
-        shed(shard, victim);
-      } else {
-        shed(shard, call);
-        co_return ctx;
-      }
-      break;
-    }
-    case CallPipeline<ServerCall>::Gate::kAdmit:
-      break;
+  // Admission control: shed beyond the configured bound while the call is
+  // still cheap — before it costs a handler.
+  ServerCall victim;
+  if (ServerCall* busy = shard.pipeline.admit(call, victim)) {
+    shed(shard, *busy);
+    if (busy == &call) co_return ctx;
   }
   shard.pipeline.push(std::move(call), host_.sched().now());
   co_return ctx;
 }
 
-sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
+sim::Task SocketRpcServer::handler_loop(Shard& home) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
       ServerCall call;
-      bool have = false;
-      // Stealing handlers poll rather than park on their own queue: a
-      // blocked recv() would never see a sibling's backlog build up.
-      while (steal_ && shards_.size() > 1 && !have && !home.pipeline.queue().closed()) {
-        have = take_or_steal(shards_, home.index, call);
-        if (!have) co_await sim::delay(host_.sched(), kStealPollInterval);
-      }
-      if (!have) {
-        call = co_await home.pipeline.queue().recv();
-        home.pipeline.note_dequeued(call);
-      }
+      co_await Dequeue{shards_, home.index, steal_, host_.sched(), call};
+      const CallHeader& hdr = call.hdr;
       // All per-call bookkeeping (stats, retry cache, responder) stays on
       // the call's home shard even when a sibling handler stole it.
       Shard& shard = *shards_[call.shard];
       const sim::Time t_dequeue = host_.sched().now();
-      trace::TraceCollector* tr =
-          call.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
+      trace::TraceCollector* tr = hdr.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
 
       // Deadline check at dequeue: the caller already gave up, so don't
       // burn a handler on it (and nobody is waiting for a response).
-      if (shard.pipeline.expired_at_dequeue(call.deadline, t_dequeue)) {
+      if (shard.pipeline.expired_at_dequeue(hdr.deadline, t_dequeue)) {
         if (tr != nullptr) {
-          tr->add_complete("deadline.expired:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, call.ctx, host_.id(),
-                           call.enqueued, t_dequeue);
+          tr->add_complete("deadline.expired:" + hdr.key.method, trace::Kind::kServer,
+                           trace::Category::kOverload, hdr.ctx, host_.id(), call.enqueued,
+                           t_dequeue);
         }
         continue;
       }
       if (tr != nullptr) {
-        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue,
-                         call.ctx, host_.id(), call.enqueued, t_dequeue);
+        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, hdr.ctx,
+                         host_.id(), call.enqueued, t_dequeue);
       }
 
       // The exactly-once gate (CallPipeline::decide): a refused retry gets
       // a terminal session-expired status, a completed one its recorded
       // response, an in-flight duplicate nothing.
-      const auto verdict = shard.pipeline.decide(call.owner, call.session_id, call.id,
-                                                 call.retried, t_dequeue);
+      const auto verdict =
+          shard.pipeline.decide(call.owner, call.session_id, hdr.id, hdr.retried, t_dequeue);
       if (verdict.kind == CallPipeline<ServerCall>::Verdict::kRejectSession) {
         if (tr != nullptr) {
-          tr->add_complete("session.rejected:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kSession, call.ctx, host_.id(), t_dequeue,
+          tr->add_complete("session.rejected:" + hdr.key.method, trace::Kind::kServer,
+                           trace::Category::kSession, hdr.ctx, host_.id(), t_dequeue,
                            host_.sched().now());
         }
         shard.response_queue.push(Response{
-            call.conn, status_frame(call.id, RpcStatus::kSessionExpired,
-                                    "session expired: retry cannot be deduplicated")});
+            call.conn, response_frame(hdr.id, RpcStatus::kSessionExpired,
+                                      "session expired: retry cannot be deduplicated")});
         continue;
       }
       if (verdict.kind == CallPipeline<ServerCall>::Verdict::kReplay) {
         if (tr != nullptr) {
-          tr->add_complete("overload.dedup:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, call.ctx, host_.id(), t_dequeue,
+          tr->add_complete("overload.dedup:" + hdr.key.method, trace::Kind::kServer,
+                           trace::Category::kOverload, hdr.ctx, host_.id(), t_dequeue,
                            host_.sched().now());
         }
         shard.response_queue.push(Response{call.conn, *verdict.frame});
@@ -412,8 +355,8 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       }
       if (verdict.kind == CallPipeline<ServerCall>::Verdict::kDropInFlight) continue;
 
-      trace::SpanScope handle(tr, "handle:" + call.key.method, trace::Kind::kServer,
-                              trace::Category::kHandler, call.ctx, host_.id());
+      trace::SpanScope handle(tr, "handle:" + hdr.key.method, trace::Kind::kServer,
+                              trace::Category::kHandler, hdr.ctx, host_.id());
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 
       // Deserialize the param and invoke the method; the server-side
@@ -421,20 +364,8 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       DataInputBuffer in(cm, net::ByteSpan(call.frame).subspan(call.param_off));
       in.trace_context = handle.context();
       DataOutputBuffer out(cm, kServerInitialBuffer);
-      bool error = false;
-      std::string error_msg;
-      const MethodHandler* handler = dispatcher_.find(call.key);
-      if (handler == nullptr) {
-        error = true;
-        error_msg = "unknown method " + call.key.to_string();
-      } else {
-        try {
-          co_await (*handler)(in, out);
-        } catch (const std::exception& e) {
-          error = true;
-          error_msg = e.what();
-        }
-      }
+      Invocation<> invocation(dispatcher_, hdr.key, in, out);
+      const RpcStatus status = co_await invocation;
       co_await host_.compute(in.take_accrued() + out.take_accrued());
 
       // The receive path per Listing 2 runs through deserialization;
@@ -444,31 +375,21 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       shard.pipeline.stats().recv_total_us.add(
           sim::to_us(host_.sched().now() - call.recv_start));
 
-      // Frame the response: [len][id][status][value|error text].
-      BufferedOutputStream frame(cm);
-      DataOutputBuffer hdr(cm, kClientInitialBuffer);
-      hdr.write_u64(call.id);
-      hdr.write_u8(error ? 1 : 0);
-      if (error) hdr.write_text(error_msg);
-      const std::uint32_t total =
-          static_cast<std::uint32_t>(hdr.length() + (error ? 0 : out.length()));
-      frame.write_u32(total);
-      frame.write_payload(hdr.data());
-      if (!error) frame.write_payload(out.data());
-      frame.flush();
-      co_await host_.compute(hdr.take_accrued() + frame.take_accrued() + cm.rpc_framework());
-
+      sim::Dur frame_cost = 0;
+      net::Bytes wire = response_frame(hdr.id, status, invocation.error(),
+                                       status == RpcStatus::kSuccess ? out.data() : net::ByteSpan{},
+                                       &frame_cost);
+      co_await host_.compute(frame_cost + cm.rpc_framework());
       handle.end();
-      net::Bytes wire = frame.take_pending();
       // The executed outcome must survive even when the response is
       // dropped below: the caller's retry is answered from the cache.
-      shard.pipeline.complete(call.owner, call.id, wire);
-      if (shard.pipeline.expired_before_response(call.deadline, host_.sched().now())) {
+      shard.pipeline.complete(call.owner, hdr.id, wire);
+      if (shard.pipeline.expired_before_response(hdr.deadline, host_.sched().now())) {
         // Executed past the caller's deadline: the response would be
         // ignored, so don't spend the Responder + wire on it.
         if (tr != nullptr) {
-          tr->add_complete("deadline.response:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, call.ctx, host_.id(),
+          tr->add_complete("deadline.response:" + hdr.key.method, trace::Kind::kServer,
+                           trace::Category::kOverload, hdr.ctx, host_.id(),
                            host_.sched().now(), host_.sched().now());
         }
       } else {
@@ -544,14 +465,9 @@ sim::Task SocketRpcServer::responder_loop(Shard& shard) {
       }
       std::vector<net::SocketPtr> order;
       for (const Response& resp : round) {
-        bool seen = false;
-        for (const net::SocketPtr& c : order) {
-          if (c == resp.conn) {
-            seen = true;
-            break;
-          }
+        if (std::find(order.begin(), order.end(), resp.conn) == order.end()) {
+          order.push_back(resp.conn);
         }
-        if (!seen) order.push_back(resp.conn);
       }
       for (const net::SocketPtr& conn : order) {
         std::vector<Response*> mine;

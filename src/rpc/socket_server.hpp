@@ -53,9 +53,6 @@ class SocketRpcServer final : public RpcServer {
   void start() override;
   void stop() override;
 
-  RpcStats& stats() override;
-  const RpcStats& stats() const override;
-
   cluster::Host& host() const { return host_; }
   const net::Address& addr() const { return addr_; }
   int num_shards() const { return num_shards_; }
@@ -66,16 +63,12 @@ class SocketRpcServer final : public RpcServer {
     std::uint64_t conn_id = 0;  // dense per-server connection sequence number
     std::uint64_t session_id = 0;  // durable session id (0 = sessionless)
     std::uint64_t owner = 0;       // retry-cache key: session_id, else conn_id
-    bool retried = false;          // kWireRetryFlag: a client retry attempt
     std::uint32_t shard = 0;    // home shard (== conn_id's shard)
-    std::uint64_t id = 0;
-    MethodKey key;
+    CallHeader hdr;             // id, retry flag, deadline, trace context, method
     net::Bytes frame;        // full received frame
     std::size_t param_off = 0;  // offset of the param bytes within frame
     sim::Time recv_start = 0;   // when the frame began arriving (Fig. 1)
     sim::Dur recv_alloc = 0;    // buffer-allocation share of the receive path
-    trace::TraceContext ctx;    // caller's trace context (from the wire)
-    sim::Time deadline = 0;     // caller's absolute deadline (0 = none)
     sim::Time enqueued = 0;     // when the call entered the call queue
   };
   struct Response {
@@ -90,7 +83,7 @@ class SocketRpcServer final : public RpcServer {
           int readers, std::uint64_t seed, const SessionConfig& session)
         : index(index),
           pipeline(sched, index, cfg, session,
-                   [](const ServerCall& c) -> const std::string& { return c.key.protocol; },
+                   [](const ServerCall& c) -> const std::string& { return c.hdr.key.protocol; },
                    seed),
           response_queue(sched),
           reader_slots(sched, readers) {}
@@ -109,7 +102,7 @@ class SocketRpcServer final : public RpcServer {
   /// the preamble, so a reconnect lands on the shard holding its dedup
   /// state.
   sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id, Shard* home);
-  sim::Task handler_loop(Shard& home, int handler_id);
+  sim::Task handler_loop(Shard& home);
   sim::Task responder_loop(Shard& shard);
 
   /// One call's receive-side processing (header parse, admission,
@@ -120,8 +113,6 @@ class SocketRpcServer final : public RpcServer {
                                              std::uint64_t session_id, Shard& shard,
                                              net::Bytes frame, sim::Time t_recv_start,
                                              sim::Dur alloc_cost);
-  /// Remove `conn` from the accepted-but-unhomed list (no-op when absent).
-  void unpend(const net::SocketPtr& conn);
   /// Coalesce group[begin..end) (small responses for one connection) into
   /// a single [u32 total][u64 kWireBatchFlag|n][u32 len_i][payload_i...]
   /// frame and write it.
@@ -129,10 +120,14 @@ class SocketRpcServer final : public RpcServer {
                                      const std::vector<Response*>& group,
                                      std::size_t begin, std::size_t end);
 
-  net::Bytes status_frame(std::uint64_t id, RpcStatus status, const std::string& msg);
+  /// Frame a response: [u32 len][u64 id][u8 status][value | error text].
+  /// `cost` (if set) receives the modeled framing CPU; status-only frames
+  /// (busy, session expired) are meant to be cheap and model none.
+  net::Bytes response_frame(std::uint64_t id, RpcStatus status, const std::string& msg,
+                            net::ByteSpan value = {}, sim::Dur* cost = nullptr) const;
   void shed(Shard& shard, const ServerCall& call);
   /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards).
-  void sync_stats();
+  void fold_stats() override;
 
   cluster::Host& host_;
   net::SocketTable& sockets_;

@@ -118,20 +118,9 @@ std::uint64_t DataInput::read_u64() {
 double DataInput::read_f64() { return std::bit_cast<double>(read_u64()); }
 
 std::int64_t DataInput::read_vi64() {
-  accrue(cost_model().field_op());
-  net::Byte first;
-  read_raw(net::MutByteSpan(&first, 1));
-  const auto fb = static_cast<std::int8_t>(first);
-  if (fb >= -112) return fb;
-  const bool neg = fb < -120;
-  const int n = neg ? -(fb + 120) : -(fb + 112);
-  std::uint64_t mag = 0;
-  for (int i = 0; i < n; ++i) {
-    net::Byte b;
-    read_raw(net::MutByteSpan(&b, 1));
-    mag = (mag << 8) | b;
-  }
-  return neg ? ~static_cast<std::int64_t>(mag) : static_cast<std::int64_t>(mag);
+  std::int64_t v = 0;
+  if (!try_read_vi64(v)) throw SerializationError("vint past end of input");
+  return v;
 }
 
 std::int32_t DataInput::read_vi32() {
@@ -141,15 +130,8 @@ std::int32_t DataInput::read_vi32() {
 }
 
 std::string DataInput::read_text() {
-  const std::int64_t len = read_vi64();
-  if (len < 0 || static_cast<std::size_t>(len) > remaining()) {
-    throw SerializationError("bad text length");
-  }
-  std::string s(static_cast<std::size_t>(len), '\0');
-  // new String(bytes): a heap allocation plus the copy out of the stream.
-  accrue_alloc(cost_model().heap_alloc(s.size()));
-  accrue(cost_model().field_op() + cost_model().heap_copy(s.size()));
-  read_raw(net::MutByteSpan(reinterpret_cast<net::Byte*>(s.data()), s.size()));
+  std::string s;
+  if (!try_read_text(s)) throw SerializationError("bad text length");
   return s;
 }
 
@@ -163,6 +145,54 @@ net::Bytes DataInput::read_bytes() {
   accrue(cost_model().field_op() + cost_model().heap_copy(len));
   read_raw(b);
   return b;
+}
+
+bool DataInput::try_read_u8(std::uint8_t& v) {
+  if (remaining() < 1) return false;
+  v = read_u8();
+  return true;
+}
+
+bool DataInput::try_read_u64(std::uint64_t& v) {
+  if (remaining() < 8) return false;
+  v = read_u64();
+  return true;
+}
+
+bool DataInput::try_read_vi64(std::int64_t& v) {
+  if (remaining() < 1) return false;
+  accrue(cost_model().field_op());
+  net::Byte first;
+  read_raw(net::MutByteSpan(&first, 1));
+  const auto fb = static_cast<std::int8_t>(first);
+  if (fb >= -112) {
+    v = fb;
+    return true;
+  }
+  const bool neg = fb < -120;
+  const int n = neg ? -(fb + 120) : -(fb + 112);
+  if (remaining() < static_cast<std::size_t>(n)) return false;
+  std::uint64_t mag = 0;
+  for (int i = 0; i < n; ++i) {
+    net::Byte b;
+    read_raw(net::MutByteSpan(&b, 1));
+    mag = (mag << 8) | b;
+  }
+  v = neg ? ~static_cast<std::int64_t>(mag) : static_cast<std::int64_t>(mag);
+  return true;
+}
+
+bool DataInput::try_read_text(std::string& s) {
+  std::int64_t len = 0;
+  if (!try_read_vi64(len) || len < 0 || static_cast<std::size_t>(len) > remaining()) {
+    return false;
+  }
+  s.assign(static_cast<std::size_t>(len), '\0');
+  // new String(bytes): a heap allocation plus the copy out of the stream.
+  accrue_alloc(cost_model().heap_alloc(s.size()));
+  accrue(cost_model().field_op() + cost_model().heap_copy(s.size()));
+  read_raw(net::MutByteSpan(reinterpret_cast<net::Byte*>(s.data()), s.size()));
+  return true;
 }
 
 }  // namespace rpcoib::rpc

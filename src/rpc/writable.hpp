@@ -114,6 +114,14 @@ class DataInput {
   std::string read_text();
   net::Bytes read_bytes();
 
+  // Total reads for wire headers: false, with nothing thrown, when the
+  // input ends first (or a text length is negative). On success they
+  // accrue exactly what the throwing reads above do.
+  bool try_read_u8(std::uint8_t& v);
+  bool try_read_u64(std::uint64_t& v);
+  bool try_read_vi64(std::int64_t& v);
+  bool try_read_text(std::string& s);
+
   void accrue(sim::Dur d) { accrued_ += d; }
   /// Allocation costs are tracked separately as well, so the server can
   /// decompose receive time into "buffer allocation" vs everything else

@@ -106,6 +106,12 @@ class NativeBufferPool {
 
   void release(NativeBuffer* buf);
 
+  /// Return the buffers behind a drained receive ring's wr_ids (each one a
+  /// NativeBuffer pointer, 0 for none) — teardown of posted receives.
+  void release_posted(const std::vector<std::uint64_t>& wr_ids) {
+    for (const std::uint64_t wr : wr_ids) release(reinterpret_cast<NativeBuffer*>(wr));
+  }
+
   /// Size of the class that would serve `size`.
   std::size_t class_size_for(std::size_t size) const;
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "net/fault.hpp"
 #include "rpcoib/onesided.hpp"
 #include "trace/trace.hpp"
 
@@ -16,41 +15,17 @@ namespace {
 std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
 
-/// Fixed-layout control frame, trivially destructible (safe as a co_await
-/// temporary) and copied by post_send at post time.
-struct ControlFrame {
-  net::Byte bytes[17];
-  std::size_t len = 0;
-
-  static ControlFrame make(FrameType t, std::uint32_t rkey, std::uint64_t off,
-                           std::uint32_t payload_len) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(t);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    std::memcpy(f.bytes + 5, &off, 8);
-    std::memcpy(f.bytes + 13, &payload_len, 4);
-    f.len = 17;
-    return f;
+/// A kResp body read in place (past [type][id]): the status byte, then the
+/// error text or the response's fields. Returns the status.
+std::uint8_t read_reply(RDMAInputStream& in, rpc::Writable* response, std::string& error_msg) {
+  const std::uint8_t status = in.read_u8();
+  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+    error_msg = in.read_text();
+  } else if (response != nullptr) {
+    response->read_fields(in);
   }
-  static ControlFrame ack(std::uint32_t rkey) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(FrameType::kAck);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    f.len = 5;
-    return f;
-  }
-  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
-};
-
-void parse_control(net::ByteSpan frame, std::uint32_t& rkey, std::uint64_t& off,
-                   std::uint32_t& len) {
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  std::memcpy(&off, frame.data() + 5, 8);
-  std::memcpy(&len, frame.data() + 13, 4);
+  return status;
 }
-
-/// kUdCall wrapper: [u8 type][u64 session] before the inner frame.
-inline constexpr std::size_t kUdHeaderBytes = 9;
 
 }  // namespace
 
@@ -86,9 +61,7 @@ void RdmaRpcClient::close_connections() {
     if (conn->qp) {
       // Pre-posted receive slots still hold pooled buffers; reclaim them
       // before the QP goes away or the pool leaks a slot per recv.
-      for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-        if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-      }
+      native_.release_posted(conn->qp->drain_posted_recvs());
       conn->qp->disconnect();
     }
     conn->cq.close();
@@ -100,17 +73,10 @@ void RdmaRpcClient::close_connections() {
     if (ud_->ep) {
       // Posted ring slots hold pooled buffers; reclaim before the
       // endpoint dies or the pool leaks one slot per posted recv.
-      for (std::uint64_t wr : ud_->ep->drain_posted_recvs()) {
-        if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-      }
+      native_.release_posted(ud_->ep->drain_posted_recvs());
     }
     ud_->cq.close();
-    for (auto& [id, pc] : ud_->pending) {
-      pc->transport_error = true;
-      pc->error_msg = "client shutdown";
-      pc->done.set();
-    }
-    ud_->pending.clear();
+    fail_pending(ud_->pending, "client shutdown");
     ud_.reset();
   }
   ud_dests_.clear();
@@ -127,8 +93,12 @@ void RdmaRpcClient::release_rendezvous(PendingCall& pc) {
 
 void RdmaRpcClient::fail_all(Connection& conn, const std::string& why) {
   conn.broken = true;
-  conn.recovery = Recovery::kTornDown;
-  for (auto& [id, pc] : conn.pending) {
+  fail_pending(conn.pending, why);
+}
+
+void RdmaRpcClient::fail_pending(std::map<std::uint64_t, PendingCall*>& pending,
+                                 const std::string& why) {
+  for (auto& [id, pc] : pending) {
     // Return in-flight rendezvous sources to the pool before waking the
     // caller: a drained scheduler may never resume the call coroutine, so
     // the release cannot be left to it.
@@ -137,7 +107,7 @@ void RdmaRpcClient::fail_all(Connection& conn, const std::string& why) {
     pc->error_msg = why;
     pc->done.set();
   }
-  conn.pending.clear();
+  pending.clear();
 }
 
 sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address addr) {
@@ -157,21 +127,15 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
       // receive loop exits, fail anything still parked on the connection,
       // and fall through to bootstrap a fresh one transparently.
       conn->cancelled = true;
-      for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-        if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-      }
+      native_.release_posted(conn->qp->drain_posted_recvs());
       conn->cq.close();
       fail_all(*conn, "QP closed by peer");
       note_reconnect(rpc::ReconnectCause::kIdleEvicted);
     }
     if (!conn->broken) co_return conn;
-    // Woke up on a broken connection. Another waiter may already have
-    // installed a replacement while we were suspended; clobbering it
-    // would orphan its receive loop and strand its pending calls. Erase
-    // only if the map still points at *our* broken connection, then loop:
-    // the retry adopts any replacement instead.
-    auto it2 = connections_.find(addr);
-    if (it2 != connections_.end() && it2->second == conn) connections_.erase(it2);
+    // Woke up on a broken connection: drop it unless a replacement already
+    // took its place, then loop to adopt (or bootstrap) the current one.
+    erase_if_current(connections_, addr, conn);
   }
 
   auto raw = std::make_shared<Connection>(host_.sched(), batch_);
@@ -187,26 +151,14 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
                                    net::Transport::kIPoIB,
                                    static_cast<std::uint64_t>(cfg_.eager_threshold),
                                    &peer_threshold, session_id(host_));
-    // min(local, peer): an eager SEND must fit buffers sized by *either*
-    // end's knob. Peer 0 means "not advertised" (legacy bootstrap).
-    raw->eager_threshold =
-        peer_threshold == 0
-            ? cfg_.eager_threshold
-            : std::min(cfg_.eager_threshold, static_cast<std::size_t>(peer_threshold));
-    if (peer_threshold != 0 && peer_threshold != cfg_.eager_threshold) {
-      ++stats_.threshold_mismatches;
-    }
-    // Ring sizing from the *negotiated* handshake, not the construction
-    // clamp (which only saw the local knob): a peer that advertised a
-    // larger threshold can send eager frames up to its own advertisement
-    // when our side reads as "not advertised" (threshold 0), so every
-    // pre-posted buffer must cover the larger of the two advertisements
-    // or an oversized eager response overruns the ring.
-    const std::size_t ring_buf = std::max(
-        cfg_.recv_buf_size,
-        std::max(raw->eager_threshold, static_cast<std::size_t>(peer_threshold)) + 512);
+    // Ring sizing follows the negotiated handshake, not the construction
+    // clamp (which only saw the local knob).
+    const EagerNegotiation eager =
+        negotiate_eager(cfg_.eager_threshold, peer_threshold, cfg_.recv_buf_size);
+    raw->eager_threshold = eager.threshold;
+    if (eager.mismatch) ++stats_.threshold_mismatches;
     for (int i = 0; i < cfg_.recv_depth; ++i) {
-      NativeBuffer* rb = native_.acquire(ring_buf);
+      NativeBuffer* rb = native_.acquire(eager.ring_buf);
       raw->qp->post_recv(wr_of(rb), rb->span);
     }
   } catch (const verbs::VerbsError& e) {
@@ -215,40 +167,18 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
     // socket mode.
     raw->ready.set();
     fail_all(*raw, e.what());
-    auto it = connections_.find(addr);
-    if (it != connections_.end() && it->second == raw) connections_.erase(it);
+    erase_if_current(connections_, addr, raw);
     throw;
   } catch (const std::exception& e) {
     raw->ready.set();
     fail_all(*raw, e.what());
-    auto it = connections_.find(addr);
-    if (it != connections_.end() && it->second == raw) connections_.erase(it);
+    erase_if_current(connections_, addr, raw);
     throw rpc::RpcTransportError(e.what());
   }
   host_.sched().spawn(receive_loop(raw));
-  raw->recovery = Recovery::kHealthy;
   raw->ready.set();
   ++stats_.connections_opened;
   co_return raw;
-}
-
-void RdmaRpcClient::note_reconnect(rpc::ReconnectCause cause) {
-  // Reconnect accounting rides the session knob: with sessions off the
-  // counters stay zero, the report grows no rows, and seeded sessionless
-  // runs stay byte-identical to a build without the session layer.
-  if (!session_.enabled) return;
-  switch (cause) {
-    case rpc::ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
-    case rpc::ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
-    case rpc::ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
-    case rpc::ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
-  }
-  if (trace::TraceCollector* tr = trace::active(host_.tracer()); tr != nullptr) {
-    const sim::Time now = host_.sched().now();
-    tr->add_complete(std::string("reconnect.") + rpc::reconnect_cause_name(cause),
-                     trace::Kind::kClient, trace::Category::kSession, {}, host_.id(),
-                     now, now);
-  }
 }
 
 void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address addr,
@@ -256,9 +186,7 @@ void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address 
   if (conn->qp) {
     // Still-posted receive slots hold pooled buffers; reclaim them before
     // the QP breaks or the pool leaks a slot per pre-posted recv.
-    for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-      if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-    }
+    native_.release_posted(conn->qp->drain_posted_recvs());
     conn->qp->disconnect();
   }
   // NOT cancelled and the CQ stays open: completions already scheduled
@@ -268,12 +196,12 @@ void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address 
   // the open CQ afterwards.
   fail_all(*conn, why);
   note_reconnect(cause);
-  auto it = connections_.find(addr);
-  if (it != connections_.end() && it->second == conn) connections_.erase(it);
+  erase_if_current(connections_, addr, conn);
 }
 
-void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf) {
-  if (conn->broken || !conn->qp->connected()) {
+void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf,
+                                bool is_recv_slot) {
+  if (!is_recv_slot || conn->broken || !conn->qp->connected()) {
     native_.release(buf);
     return;
   }
@@ -282,16 +210,11 @@ void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf) {
 
 void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan frame,
                                      NativeBuffer* buf, bool is_recv_slot) {
-  // frame = [u8 kResp][u64 id][u8 status][...]
-  const std::uint64_t id = read_be64(frame.data() + 1);
-  auto it = conn->pending.find(id);
+  // frame = [u8 kResp][u64 id][u8 status][...]; a shorter one is dropped.
+  auto it = frame.size() < 10 ? conn->pending.end()
+                              : conn->pending.find(read_be64(frame.data() + 1));
   if (it == conn->pending.end()) {
-    // Stale response; recycle the buffer.
-    if (is_recv_slot) {
-      repost_recv(conn, buf);
-    } else {
-      native_.release(buf);
-    }
+    repost_recv(conn, buf, is_recv_slot);  // stale (or malformed): recycle the buffer
     return;
   }
   PendingCall* pc = it->second;
@@ -316,7 +239,7 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
     // Client torn down while the READ was in flight: the pool died with
     // it, so the lease cannot be returned — just stop.
     if (conn->cancelled) co_return;
-    const ControlFrame ack = ControlFrame::ack(rkey);
+    const ControlFrame ack(Control{FrameType::kAck, rkey});
     co_await conn->qp->post_send(wr_of(nullptr), ack.span());
     if (conn->cancelled) co_return;
     deliver_response(conn, net::ByteSpan(dst->span.data(), len), dst, /*is_recv_slot=*/false);
@@ -377,30 +300,26 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
               }
             }
             repost_recv(conn, rb);
-          } else if (type == FrameType::kCtrlResp) {
-            std::uint32_t rkey = 0, len = 0;
-            std::uint64_t off = 0;
-            parse_control(frame, rkey, off, len);
-            host_.sched().spawn(fetch_response(conn, rkey, off, len));
-            repost_recv(conn, rb);
-          } else if (type == FrameType::kNack) {
-            // The server refused to RDMA-READ our rendezvous source (its
-            // pool hit the demand-allocation cap). Wake the call, which
-            // retries over the socket path.
-            std::uint32_t rkey = 0;
-            std::memcpy(&rkey, frame.data() + 1, 4);
-            for (auto it = conn->pending.begin(); it != conn->pending.end(); ++it) {
-              PendingCall* pc = it->second;
-              if (pc->rendezvous_buf != nullptr && pc->rendezvous_buf->mr.rkey == rkey) {
-                conn->pending.erase(it);
-                pc->nacked = true;
-                pc->done.set();
-                break;
+          } else {
+            Control c;
+            const bool control = parse_control(frame, c);
+            if (control && c.type == FrameType::kCtrlResp) {
+              host_.sched().spawn(fetch_response(conn, c.rkey, c.off, c.len));
+            } else if (control && c.type == FrameType::kNack) {
+              // The server refused to RDMA-READ our rendezvous source (its
+              // pool hit the demand-allocation cap). Wake the call, which
+              // retries over the socket path.
+              for (auto it = conn->pending.begin(); it != conn->pending.end(); ++it) {
+                PendingCall* pc = it->second;
+                if (pc->rendezvous_buf != nullptr && pc->rendezvous_buf->mr.rkey == c.rkey) {
+                  conn->pending.erase(it);
+                  pc->nacked = true;
+                  pc->done.set();
+                  break;
+                }
               }
             }
-            repost_recv(conn, rb);
-          } else {
-            repost_recv(conn, rb);  // unknown frame; drop
+            repost_recv(conn, rb);  // an unknown or short frame is dropped
           }
           break;
         }
@@ -424,7 +343,6 @@ sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::By
   // Hoisted like receive_loop: the computes below may outlive the client.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
-  trace::TraceCollector* tr = trace::active(host.tracer());
   const sim::Time t0 = host.sched().now();
 
   // [u8 kBatch][u32 count][u32 len_i x count][kCall sub-frames...] encoded
@@ -452,11 +370,7 @@ sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::By
     co_return;
   }
   if (conn->cancelled) co_return;
-  ++stats_.batches_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
-                     host.id(), t0, host.sched().now());
-  }
+  note_batch_sent(ctx, t0);
 }
 
 std::size_t RdmaRpcClient::ud_budget() const {
@@ -555,7 +469,6 @@ sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes>
   const UdStatePtr& ud = sink.ud;
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
-  trace::TraceCollector* tr = trace::active(host.tracer());
   const sim::Time t0 = host.sched().now();
 
   // [u8 kUdCall][u64 session][u8 kBatch][u32 count][u32 len_i][sub-frames]
@@ -591,12 +504,8 @@ sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes>
     co_return;
   }
   if (ud->cancelled) co_return;
-  ++stats_.batches_sent;
   ++stats_.ud_datagrams_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
-                     host.id(), t0, host.sched().now());
-  }
+  note_batch_sent(ctx, t0);
 }
 
 sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdService& svc,
@@ -618,25 +527,11 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
   const std::uint64_t sid = session_id(host_);
   const sim::Time t_ser_start = host_.sched().now();
   RDMAOutputStream out(cm, shadow_, key);
-  const std::uint64_t id = call_id;
-  const sim::Time deadline =
-      retry_.call_timeout > 0 ? host_.sched().now() + retry_.call_timeout : 0;
   try {
     out.write_u8(static_cast<std::uint8_t>(FrameType::kUdCall));
     out.write_u64(sid);
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    std::uint64_t wire_id = id;
-    if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-    if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
-    if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-    out.write_u64(wire_id);
-    if (ctx.valid()) {
-      out.write_u64(ctx.trace_id);
-      out.write_u64(ctx.span_id);
-    }
-    if (deadline != 0) out.write_u64(deadline);
-    out.write_text(key.protocol);
-    out.write_text(key.method);
+    write_call_header(out, call_id, retried, key, ctx);
     param.write(out);
   } catch (const PoolExhaustedError&) {
     // Let the RC path re-serialize and run its pool-exhaustion degrade
@@ -657,18 +552,14 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
     rpc.end();
     co_return false;
   }
-  if (ctx.valid()) {
-    tr->add_complete("serialize", trace::Kind::kInternal,
-                     trace::Category::kSerialization, ctx, host_.id(), t_ser_start,
-                     t_serialized);
-  }
+  trace_phase(tr, ctx, "serialize", trace::Category::kSerialization, t_ser_start, t_serialized);
   const net::ByteSpan dg = out.data();
   NativeBuffer* buf = out.take_buffer();
   shadow_.update_history(key, dg_len);
 
   UdStatePtr ud = ud_state();
   PendingCall pc(host_.sched());
-  ud->pending[id] = &pc;
+  ud->pending[call_id] = &pc;
 
   // --- Send: coalesced when small, else one datagram ---------------------
   const bool batchable = batch_.batchable(msg_len) && msg_len <= ud_batch_limit();
@@ -686,73 +577,46 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
       co_await dest->append(sink, std::move(payload), ctx);
     } else {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
-      co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, id), dg);
+      co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, call_id), dg);
       buf = nullptr;  // released by ud_receive_loop at the kSend completion
       ++stats_.ud_datagrams_sent;
     }
   } catch (const std::exception& e) {
-    ud->pending.erase(id);
+    ud->pending.erase(call_id);
     if (buf != nullptr) native_.release(buf);
     throw rpc::RpcTransportError(e.what());
   }
   const sim::Time t_sent = host_.sched().now();
-  if (ctx.valid()) {
-    const trace::SpanId send = tr->add_complete(
-        "send", trace::Kind::kInternal, trace::Category::kSend, ctx, host_.id(),
-        t_serialized, t_sent);
+  if (const trace::SpanId send =
+          trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
     tr->annotate(send, "path", batchable ? "ud-batched" : "ud");
   }
 
-  rpc::MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(regets));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(msg_len));
-  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
-  ++stats_.calls_sent;
+  rpc::MethodProfile& prof = record_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
 
   // --- Wait. A lost datagram (either direction) is pure silence: the
   // per-attempt timeout fires and the outer retry loop retransmits with
   // the retry flag set; the server's session-keyed retry cache makes the
   // re-execution window exactly-once. ------------------------------------
-  if (const sim::Dur dl = retry_.call_timeout; dl > 0) {
-    const bool completed = co_await pc.done.wait_for(dl);
-    if (!completed) {
-      // Unregister so a late response is dropped by the receive loop.
-      ud->pending.erase(id);
-      throw rpc::RpcTimeoutError("call timed out after " +
-                                 std::to_string(sim::to_ms(dl)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    ud->pending.erase(call_id);  // a late response is dropped by the receive loop
+    throw timeout_error();
   }
   if (pc.transport_error) throw rpc::RpcTransportError(pc.error_msg);
 
   // --- Deserialize from the pooled copy ---------------------------------
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
-  const std::uint8_t status = in.read_u8();
-  const bool is_error = status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess);
   std::string error_msg;
-  if (is_error) {
-    error_msg = in.read_text();
-  } else if (response != nullptr) {
-    response->read_fields(in);
-  }
+  const std::uint8_t status = read_reply(in, response, error_msg);
   co_await host_.compute(in.take_accrued());
-  if (ctx.valid()) {
-    tr->add_complete("deserialize", trace::Kind::kInternal,
-                     trace::Category::kSerialization, ctx, host_.id(), t_deser,
-                     host_.sched().now());
-  }
+  trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
+              host_.sched().now());
   native_.release(pc.resp_buf);
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired)) {
-    throw rpc::SessionExpiredException(error_msg);
+  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+    throw_status(status, error_msg);
   }
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kBusy)) {
-    throw rpc::ServerBusyException(error_msg);
-  }
-  if (is_error) throw rpc::RemoteException(error_msg);
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();
   co_return true;
@@ -807,9 +671,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(net::Address addr,
   // kill fires on the first attempt that touches the link, one-sided
   // READs included. The fallback RPC re-bootstraps and carries the call
   // through the session/retry machinery.
-  if (net::FaultPlan* plan = stack_.fabric().fault_plan();
-      plan != nullptr && plan->kills_enabled() && !conn->broken &&
-      plan->take_kill(host_.id(), addr.host, host_.sched().now())) {
+  if (!conn->broken && take_kill(stack_.fabric(), addr)) {
     teardown_connection(conn, addr, rpc::ReconnectCause::kFaultInjected,
                         "connection killed (injected fault)");
     ++stats_.onesided_fallbacks;
@@ -1009,30 +871,10 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   // --- Serialization: directly into a pooled, registered buffer ---------
   const sim::Time t_ser_start = host_.sched().now();
   RDMAOutputStream out(cm, shadow_, key);
-  const std::uint64_t id = call_id;
-  // Same deadline stamping as the socket client: only with a configured
-  // call timeout, so the default wire format stays byte-identical.
-  const sim::Time deadline =
-      retry_.call_timeout > 0 ? host_.sched().now() + retry_.call_timeout : 0;
   bool pool_exhausted = false;
   try {
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    std::uint64_t wire_id = id;
-    if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-    if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
-    // Mark retried attempts so the server can refuse them (instead of
-    // re-executing) when the session that held the dedup state is gone.
-    if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-    out.write_u64(wire_id);
-    if (ctx.valid()) {
-      // Flagged id announces two extra context words; untraced calls keep
-      // the seed wire format byte-for-byte.
-      out.write_u64(ctx.trace_id);
-      out.write_u64(ctx.span_id);
-    }
-    if (deadline != 0) out.write_u64(deadline);
-    out.write_text(key.protocol);
-    out.write_text(key.method);
+    write_call_header(out, call_id, retried, key, ctx);
     param.write(out);
   } catch (const PoolExhaustedError&) {
     // A mid-serialization re-get was refused by the capped pool: degrade
@@ -1058,10 +900,9 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   }
   co_await host_.compute(out.take_accrued());
   const sim::Time t_serialized = host_.sched().now();
-  if (ctx.valid()) {
-    const trace::SpanId ser = tr->add_complete(
-        "serialize", trace::Kind::kInternal, trace::Category::kSerialization, ctx,
-        host_.id(), t_ser_start, t_serialized);
+  if (const trace::SpanId ser = trace_phase(tr, ctx, "serialize",
+                                            trace::Category::kSerialization, t_ser_start,
+                                            t_serialized)) {
     // Pool acquire (initial lease + one re-get per size-history miss) is
     // the RPCoIB replacement for heap allocation; carve it out of the
     // serialization window so the report shows it separately.
@@ -1078,7 +919,7 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   shadow_.update_history(key, msg_len);
 
   PendingCall pc(host_.sched());
-  conn->pending[id] = &pc;
+  conn->pending[call_id] = &pc;
 
   // --- Hybrid send: coalesced when small, eager below the negotiated
   // threshold, rendezvous above ------------------------------------------
@@ -1107,15 +948,15 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
       // while the rendezvous is in flight.
       pc.rendezvous_buf = buf;
       buf = nullptr;
-      const ControlFrame ctrl = ControlFrame::make(
-          FrameType::kCtrlCall, pc.rendezvous_buf->mr.rkey,
-          static_cast<std::uint64_t>(msg.data() - pc.rendezvous_buf->mr.addr),
-          static_cast<std::uint32_t>(msg_len));
+      const ControlFrame ctrl(
+          Control{FrameType::kCtrlCall, pc.rendezvous_buf->mr.rkey,
+                  static_cast<std::uint64_t>(msg.data() - pc.rendezvous_buf->mr.addr),
+                  static_cast<std::uint32_t>(msg_len)});
       co_await conn->qp->post_send(wr_of(nullptr), ctrl.span());
       // The lease holds until the response arrives (implicit ack).
     }
   } catch (const std::exception& e) {
-    conn->pending.erase(id);
+    conn->pending.erase(call_id);
     if (buf != nullptr) native_.release(buf);
     release_rendezvous(pc);
     if (session_.enabled && !conn->cancelled && !conn->broken) {
@@ -1127,45 +968,27 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
     }
     throw rpc::RpcTransportError(e.what());
   }
-  // Connection-kill fault hook: the request is on the wire, so the server
-  // side may execute it — the retry that follows this teardown is exactly
-  // the duplicate-execution window the session-keyed retry cache closes.
-  if (net::FaultPlan* plan = stack_.fabric().fault_plan();
-      plan != nullptr && plan->kills_enabled() && !conn->broken &&
-      plan->take_kill(host_.id(), addr.host, host_.sched().now())) {
+  if (!conn->broken && take_kill(stack_.fabric(), addr)) {
     teardown_connection(conn, addr, rpc::ReconnectCause::kFaultInjected,
                         "connection killed (injected fault)");
   }
   const sim::Time t_sent = host_.sched().now();
-  if (ctx.valid()) {
-    const trace::SpanId send = tr->add_complete(
-        "send", trace::Kind::kInternal, trace::Category::kSend, ctx, host_.id(),
-        t_serialized, t_sent);
+  if (const trace::SpanId send =
+          trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
     tr->annotate(send, "path",
                  batchable ? "batched"
                            : (msg_len <= conn->eager_threshold ? "eager" : "rendezvous"));
   }
 
-  rpc::MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(regets));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(msg_len));
-  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
-  ++stats_.calls_sent;
+  rpc::MethodProfile& prof = record_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
 
-  if (const sim::Dur deadline = retry_.call_timeout; deadline > 0) {
-    const bool completed = co_await pc.done.wait_for(deadline);
-    if (!completed) {
-      // Unregister so a late response is recycled by the receive loop, and
-      // reclaim the rendezvous source: the peer's READ window is gone.
-      conn->pending.erase(id);
-      release_rendezvous(pc);
-      throw rpc::RpcTimeoutError("call timed out after " +
-                                 std::to_string(sim::to_ms(deadline)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    // Unregister so a late response is recycled by the receive loop, and
+    // reclaim the rendezvous source: the peer's READ window is gone.
+    conn->pending.erase(call_id);
+    release_rendezvous(pc);
+    throw timeout_error();
   }
   release_rendezvous(pc);  // rendezvous source: response doubles as the ack
   if (pc.nacked) {
@@ -1191,34 +1014,15 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   // --- Deserialize in place from the registered buffer ------------------
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
-  const std::uint8_t status = in.read_u8();
-  const bool is_error = status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess);
   std::string error_msg;
-  if (is_error) {
-    error_msg = in.read_text();
-  } else if (response != nullptr) {
-    response->read_fields(in);
-  }
+  const std::uint8_t status = read_reply(in, response, error_msg);
   co_await host_.compute(in.take_accrued());
-  if (ctx.valid()) {
-    tr->add_complete("deserialize", trace::Kind::kInternal,
-                     trace::Category::kSerialization, ctx, host_.id(), t_deser,
-                     host_.sched().now());
+  trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
+              host_.sched().now());
+  repost_recv(conn, pc.resp_buf, pc.resp_is_recv_slot);
+  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+    throw_status(status, error_msg);
   }
-  if (pc.resp_is_recv_slot) {
-    repost_recv(conn, pc.resp_buf);
-  } else {
-    native_.release(pc.resp_buf);
-  }
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired)) {
-    // Terminal: the server could not prove the first attempt never
-    // executed, so the retry loop must not re-send this logical call.
-    throw rpc::SessionExpiredException(error_msg);
-  }
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kBusy)) {
-    throw rpc::ServerBusyException(error_msg);
-  }
-  if (is_error) throw rpc::RemoteException(error_msg);
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();
 }

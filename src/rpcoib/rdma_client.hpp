@@ -69,14 +69,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
                              std::uint64_t call_id, bool retried) override;
 
  private:
-  /// Reconnect recovery state machine (unified with the socket client; see
-  /// DESIGN.md §13). kConnecting while the bootstrap exchange runs,
-  /// kHealthy once the QP is paired and receives are posted, kTornDown
-  /// after a failure (stale QP found on reuse, a post into an errored QP,
-  /// or an injected kill) failed every pending call over to the retry
-  /// loop. Re-bootstrap is the next get_connection(); the durable session
-  /// id carried in the bootstrap blob makes the replay exactly-once.
-  enum class Recovery : std::uint8_t { kConnecting, kHealthy, kTornDown };
   struct PendingCall {
     explicit PendingCall(sim::Scheduler& s) : done(s) {}
     sim::SimEvent done;
@@ -131,7 +123,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // min(local, peer-advertised) from the bootstrap handshake, so an
     // eager SEND always fits the peer's pre-posted receive buffers.
     std::size_t eager_threshold = 0;
-    Recovery recovery = Recovery::kConnecting;
     rpc::Coalescer<RcSink> calls;  // small-call coalescing (BatchConfig)
     std::map<std::uint64_t, PendingCall*> pending;
     // RDMA-READ completions are routed from receive_loop to the fetch
@@ -186,12 +177,14 @@ class RdmaRpcClient final : public rpc::RpcClient {
                             trace::TraceContext ctx);
   void deliver_response(const ConnectionPtr& conn, net::ByteSpan frame, NativeBuffer* buf,
                         bool is_recv_slot);
-  void repost_recv(const ConnectionPtr& conn, NativeBuffer* buf);
+  /// Repost a consumed receive slot, or return the buffer to the pool when
+  /// it is not one (a fetched or split-off copy) or the connection died.
+  void repost_recv(const ConnectionPtr& conn, NativeBuffer* buf, bool is_recv_slot = true);
+  /// Mark `conn` broken and fail its pending calls over to the retry loop.
   void fail_all(Connection& conn, const std::string& why);
+  /// Fail every call in `pending` with a transport error and clear it.
+  void fail_pending(std::map<std::uint64_t, PendingCall*>& pending, const std::string& why);
   void release_rendezvous(PendingCall& pc);
-  /// Count one recovery-FSM activation and emit its kSession trace span.
-  /// No-op with sessions disabled (the knob gates all reconnect rows).
-  void note_reconnect(rpc::ReconnectCause cause);
   /// Full mid-call teardown: reclaim posted receive slots, break the QP,
   /// fail pending calls over to the retry loop and drop the map entry.
   /// The CQ stays OPEN: completions already scheduled (the just-posted

@@ -10,86 +10,12 @@ namespace rpcoib::oib {
 
 namespace {
 
-struct ControlFrame {
-  net::Byte bytes[17];
-  std::size_t len = 0;
-
-  static ControlFrame make(FrameType t, std::uint32_t rkey, std::uint64_t off,
-                           std::uint32_t payload_len) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(t);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    std::memcpy(f.bytes + 5, &off, 8);
-    std::memcpy(f.bytes + 13, &payload_len, 4);
-    f.len = 17;
-    return f;
-  }
-  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
-};
-
-void parse_control(net::ByteSpan frame, std::uint32_t& rkey, std::uint64_t& off,
-                   std::uint32_t& len) {
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  std::memcpy(&off, frame.data() + 5, 8);
-  std::memcpy(&len, frame.data() + 13, 4);
-}
-
-std::uint32_t parse_ack(net::ByteSpan frame) {
-  std::uint32_t rkey = 0;
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  return rkey;
-}
-
-/// 5-byte rendezvous refusal: [u8 kNack][u32 rkey of the refused source].
-ControlFrame make_nack(std::uint32_t rkey) {
-  ControlFrame f;
-  f.bytes[0] = static_cast<net::Byte>(FrameType::kNack);
-  std::memcpy(f.bytes + 1, &rkey, 4);
-  f.len = 5;
-  return f;
-}
-
-/// Header fields of a kCall frame, pre-parsed at admission time so the
-/// gate can shed with a well-formed busy response before a handler ever
-/// sees the call. Bookkeeping only — no cost is charged for this pass.
-struct CallHeader {
-  bool ok = false;
-  std::uint64_t id = 0;
-  bool retried = false;  // kWireRetryFlag: a client retry attempt
-  sim::Time deadline = 0;
-  trace::TraceContext ctx;
-  rpc::MethodKey key;
-};
-
-/// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
-inline constexpr std::size_t kUdHeaderBytes = 9;
-
-/// Read a kCall header from `in` (positioned at the frame type byte),
-/// leaving it at the param bytes.
-CallHeader read_call_header(RDMAInputStream& in) {
-  CallHeader h;
-  try {
-    (void)in.read_u8();  // frame type
-    h.id = in.read_u64();
-    if ((h.id & trace::kWireTraceFlag) != 0) {
-      h.ctx.trace_id = in.read_u64();
-      h.ctx.span_id = in.read_u64();
-    }
-    if ((h.id & trace::kWireDeadlineFlag) != 0) h.deadline = in.read_u64();
-    h.retried = (h.id & trace::kWireRetryFlag) != 0;
-    h.id &= trace::kWireIdMask;
-    h.key.protocol = in.read_text();
-    h.key.method = in.read_text();
-    h.ok = true;
-  } catch (const std::exception&) {
-    // Garbage header (client reused a rendezvous source after timing out).
-  }
-  return h;
-}
-
-CallHeader parse_call_header(const cluster::CostModel& cm, net::ByteSpan frame) {
-  RDMAInputStream in(cm, frame);
-  return read_call_header(in);
+/// Read a kCall frame's header from `in` (positioned at the frame type
+/// byte), leaving it at the param bytes. False on a truncated or malformed
+/// header — e.g. a rendezvous source the client reused after timing out.
+bool read_kcall_header(RDMAInputStream& in, rpc::CallHeader& h) {
+  std::uint8_t type = 0;
+  return in.try_read_u8(type) && rpc::read_call_header(in, h);
 }
 
 /// A status-only response: [kResp][u64 id][u8 status][text msg].
@@ -212,14 +138,9 @@ void RdmaRpcServer::start() {
   listener_ = &sockets_.listen(addr_);
   host_.sched().spawn(listener_loop());
   for (auto& shard : shards_) host_.sched().spawn(reader_loop(*shard));
-  // Handlers split across shards (every shard keeps at least one); with
-  // one shard the ids and spawn order are exactly the unsharded server's.
-  int handler_id = 0;
   for (int i = 0; i < n; ++i) {
-    int mine = cfg_.num_handlers / n + (i < cfg_.num_handlers % n ? 1 : 0);
-    if (mine < 1) mine = 1;
-    for (int h = 0; h < mine; ++h) {
-      host_.sched().spawn(handler_loop(*shards_[static_cast<std::size_t>(i)], handler_id++));
+    for (int h = rpc::handlers_on_shard(cfg_.num_handlers, n, i); h > 0; --h) {
+      host_.sched().spawn(handler_loop(*shards_[static_cast<std::size_t>(i)]));
     }
   }
   if (cfg_.socket_fallback) {
@@ -262,9 +183,7 @@ void RdmaRpcServer::stop() {
   }
   for (auto& shard : shards_) {
     if (shard->srq) {
-      for (std::uint64_t wr : shard->srq->drain_posted_recvs()) {
-        native_.release(reinterpret_cast<NativeBuffer*>(wr));
-      }
+      native_.release_posted(shard->srq->drain_posted_recvs());
       shard->srq->close();  // wakes the refill loop into its ChannelClosed exit
     }
   }
@@ -276,9 +195,7 @@ void RdmaRpcServer::stop() {
           c->responses->batcher().take().size();
     }
     if (c->qp) {
-      for (std::uint64_t wr : c->qp->drain_posted_recvs()) {
-        native_.release(reinterpret_cast<NativeBuffer*>(wr));  // legacy rings
-      }
+      native_.release_posted(c->qp->drain_posted_recvs());  // legacy rings
       c->qp->set_srq(nullptr);
       c->qp->disconnect();
     }
@@ -287,9 +204,7 @@ void RdmaRpcServer::stop() {
   if (ud_cq_) {
     stack_.ud_withdraw(addr_);
     for (auto& ep : ud_eps_) {
-      for (std::uint64_t wr : ep->drain_posted_recvs()) {
-        native_.release(reinterpret_cast<NativeBuffer*>(wr));
-      }
+      native_.release_posted(ep->drain_posted_recvs());
     }
     ud_ring_bytes_ = 0;
     // Close but keep the CQ and endpoints alive (like the fallback
@@ -308,17 +223,7 @@ void RdmaRpcServer::stop() {
   if (fallback_) fallback_->stop();
 }
 
-rpc::RpcStats& RdmaRpcServer::stats() {
-  sync_stats();
-  return stats_;
-}
-
-const rpc::RpcStats& RdmaRpcServer::stats() const {
-  const_cast<RdmaRpcServer*>(this)->sync_stats();
-  return stats_;
-}
-
-void RdmaRpcServer::sync_stats() {
+void RdmaRpcServer::fold_stats() {
   if (shards_.empty()) return;
   const rpc::RpcStats agg = stats_.fold_shards(shards_);
   std::uint64_t ring_peak_sum = 0;
@@ -480,7 +385,6 @@ sim::Task RdmaRpcServer::listener_loop() {
         continue;
       }
       Shard& shard = *shard_p;
-      const std::uint64_t peer_threshold = info.peer_eager_threshold;
       auto conn = std::make_shared<ConnState>();
       conn->qp = std::move(qp);
       conn->id = ++conn_seq_;
@@ -489,22 +393,11 @@ sim::Task RdmaRpcServer::listener_loop() {
       conn->shard = shard.index;
       ++shard.pipeline.counters().conns_assigned;
       conn->last_recv = host_.sched().now();
-      // min(local, peer): an eager SEND must fit buffers sized by *either*
-      // end's knob. Peer 0 means "not advertised" (legacy bootstrap).
-      conn->eager_threshold =
-          peer_threshold == 0
-              ? cfg_.eager_threshold
-              : std::min(cfg_.eager_threshold, static_cast<std::size_t>(peer_threshold));
-      // Ring sizing must follow the *larger* advertised threshold, not the
-      // negotiated min: when our advertisement reads as "not advertised"
-      // (threshold 0 in the legacy blob), the peer falls back to its own
-      // local knob and may legally send eager frames up to that size.
-      conn->recv_buf_size = std::max(
-          cfg_.recv_buf_size,
-          std::max(conn->eager_threshold, static_cast<std::size_t>(peer_threshold)) + 512);
-      if (peer_threshold != 0 && peer_threshold != cfg_.eager_threshold) {
-        ++stats_.threshold_mismatches;
-      }
+      const EagerNegotiation eager =
+          negotiate_eager(cfg_.eager_threshold, info.peer_eager_threshold, cfg_.recv_buf_size);
+      conn->eager_threshold = eager.threshold;
+      conn->recv_buf_size = eager.ring_buf;
+      if (eager.mismatch) ++stats_.threshold_mismatches;
       if (batch_.enabled) conn->responses = std::make_unique<rpc::Coalescer<RespSink>>(batch_);
       // kRecv completions carry the connection id as qp_context — with a
       // shared ring the wr_id names only the buffer, not the sender.
@@ -537,7 +430,7 @@ sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint6
     // The call's trace context is inside the frame we refused to fetch;
     // the client records the overload.nack span with full context.
     ++shard.pipeline.stats().pool_nacks;
-    const ControlFrame nack = make_nack(rkey);
+    const ControlFrame nack(Control{FrameType::kNack, rkey});
     try {
       co_await conn->qp->post_send(0, nack.span());
     } catch (const verbs::VerbsError&) {
@@ -552,11 +445,7 @@ sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint6
     co_await conn->qp->post_rdma_read(token, into, verbs::RemoteBuffer{rkey, off, len});
     co_await read_done.wait();
     shard.read_waiters.erase(token);
-    ServerCall call;
-    call.conn = conn;
-    call.buf = dst;
-    call.frame_len = len;
-    call.recv_start = recv_start;
+    ServerCall call{.conn = conn, .buf = dst, .frame_len = len, .recv_start = recv_start};
     co_await enqueue_call(std::move(call));
   } catch (const std::exception&) {
     shard.read_waiters.erase(token);
@@ -571,11 +460,9 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
       verbs::WorkCompletion wc = co_await shard.cq->wait();
       switch (wc.opcode) {
         case verbs::Opcode::kSend: {
-          // Eager response on the wire: pooled source is reusable.
-          if (auto* b = reinterpret_cast<NativeBuffer*>(wc.wr_id); b != nullptr &&
-              (wc.wr_id & 1) == 0) {
-            native_.release(b);
-          }
+          // Eager response on the wire: pooled source (if any; odd wr_ids
+          // are READ tokens) is reusable.
+          if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
           break;
         }
         case verbs::Opcode::kRdmaRead: {
@@ -601,11 +488,8 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
           if (type == FrameType::kCall) {
             // Hand the pooled buffer to the call; the ring replaces it
             // (SRQ: the low-watermark refill; legacy: an immediate post).
-            ServerCall call;
-            call.conn = conn;
-            call.buf = rb;
-            call.frame_len = wc.byte_len;
-            call.recv_start = host_.sched().now();
+            ServerCall call{
+                .conn = conn, .buf = rb, .frame_len = wc.byte_len, .recv_start = host_.sched().now()};
             co_await enqueue_call(std::move(call));
             if (!shard.srq) {
               post_recv_buffer(shard, conn.get(), native_.acquire(conn->recv_buf_size));
@@ -622,22 +506,19 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
               co_await enqueue_batch(conn, frame, subs, std::nullopt);
             }
             recycle_recv_buffer(shard, conn.get(), rb);  // frame fully copied out
-          } else if (type == FrameType::kCtrlCall) {
-            std::uint32_t rkey = 0, len = 0;
-            std::uint64_t off = 0;
-            parse_control(frame, rkey, off, len);
-            host_.sched().spawn(fetch_call(conn, rkey, off, len));
-            recycle_recv_buffer(shard, conn.get(), rb);
-          } else if (type == FrameType::kAck) {
-            const std::uint32_t rkey = parse_ack(frame);
-            auto it = shard.pending_resp.find(rkey);
-            if (it != shard.pending_resp.end()) {
-              native_.release(it->second);
-              shard.pending_resp.erase(it);
-            }
-            recycle_recv_buffer(shard, conn.get(), rb);
           } else {
-            recycle_recv_buffer(shard, conn.get(), rb);
+            Control c;
+            const bool control = parse_control(frame, c);
+            if (control && c.type == FrameType::kCtrlCall) {
+              host_.sched().spawn(fetch_call(conn, c.rkey, c.off, c.len));
+            } else if (control && c.type == FrameType::kAck) {
+              auto it = shard.pending_resp.find(c.rkey);
+              if (it != shard.pending_resp.end()) {
+                native_.release(it->second);
+                shard.pending_resp.erase(it);
+              }
+            }
+            recycle_recv_buffer(shard, conn.get(), rb);  // an unknown or short frame is dropped
           }
           break;
         }
@@ -657,10 +538,7 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
       verbs::WorkCompletion wc = co_await cq->wait();
       if (wc.opcode == verbs::Opcode::kSend) {
         // Response datagram on the wire: pooled source is reusable.
-        if (auto* b = reinterpret_cast<NativeBuffer*>(wc.wr_id);
-            b != nullptr && (wc.wr_id & 1) == 0) {
-          native_.release(b);
-        }
+        if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
         continue;
       }
       if (wc.opcode != verbs::Opcode::kRecv) continue;
@@ -698,14 +576,11 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
           NativeBuffer* sub = shadow_.acquire_sized(inner.size());
           std::memcpy(sub->span.data(), inner.data(), inner.size());
           ++shard.pipeline.stats().ud_calls_received;
-          ServerCall call;
-          call.conn = conn;
-          call.buf = sub;
-          call.frame_len = static_cast<std::uint32_t>(inner.size());
-          call.recv_start = host_.sched().now();
-          call.via_ud = true;
-          call.ud_peer = peer;
-          call.ud_ep = ep_index;
+          ServerCall call{.conn = conn,
+                          .buf = sub,
+                          .frame_len = static_cast<std::uint32_t>(inner.size()),
+                          .recv_start = host_.sched().now(),
+                          .ud = UdReturn{peer, ep_index}};
           co_await enqueue_call(std::move(call));
         } else if (itype == FrameType::kBatch) {
           // Split per sub-call BEFORE any session logic: each sub-call of
@@ -738,7 +613,8 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
 sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
                                         net::ByteSpan msg) {
   Shard& shard = shard_of(*call.conn);
-  if (!running_ || call.ud_ep >= ud_eps_.size() || !ud_eps_[call.ud_ep]) {
+  const UdReturn& ret = *call.ud;
+  if (!running_ || ret.ep >= ud_eps_.size() || !ud_eps_[ret.ep]) {
     native_.release(buf);
     co_return;
   }
@@ -757,8 +633,7 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     buf = err.take_buffer();
   }
   try {
-    co_await ud_eps_[call.ud_ep]->post_send(reinterpret_cast<std::uint64_t>(buf),
-                                            call.ud_peer, msg);
+    co_await ud_eps_[ret.ep]->post_send(reinterpret_cast<std::uint64_t>(buf), ret.peer, msg);
     // Released by ud_reader_loop at the kSend completion (even wr_id).
     ++shard.pipeline.stats().ud_responses_sent;
   } catch (const verbs::VerbsError&) {
@@ -769,39 +644,20 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
 sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
   Shard& shard = shard_of(*call.conn);
   if (shard.pipeline.admission_enabled()) {
-    const CallHeader hdr = parse_call_header(
-        host_.cost(), net::ByteSpan(call.buf->span.data(), call.frame_len));
-    if (!hdr.ok) {
-      // Garbage header: the client reused the source after timing out.
+    // Pre-parse the header for the per-protocol quota (bookkeeping only,
+    // no cost charged); a garbage header is dropped here.
+    RDMAInputStream in(host_.cost(), call.frame());
+    rpc::CallHeader hdr;
+    if (!read_kcall_header(in, hdr)) {
       native_.release(call.buf);
       co_return;
     }
-    call.admit_protocol = hdr.key.protocol;
-    switch (shard.pipeline.gate(call)) {
-      case rpc::CallPipeline<ServerCall>::Gate::kShedArrival: {
-        const sim::Time start = call.recv_start;
-        co_await shed_call(std::move(call), hdr.id, hdr.ctx, hdr.key.method, start);
-        co_return;
-      }
-      case rpc::CallPipeline<ServerCall>::Gate::kEvictOldest: {
-        ServerCall victim;
-        if (shard.pipeline.evict_oldest(victim)) {
-          const CallHeader vh = parse_call_header(
-              host_.cost(), net::ByteSpan(victim.buf->span.data(), victim.frame_len));
-          const sim::Time vstart =
-              victim.enqueued != 0 ? victim.enqueued : victim.recv_start;
-          co_await shed_call(std::move(victim), vh.id, vh.ctx, vh.key.method, vstart);
-        } else {
-          // Every queued call is already claimed by a waking handler; shed
-          // the arrival instead so the bound holds at every instant.
-          const sim::Time start = call.recv_start;
-          co_await shed_call(std::move(call), hdr.id, hdr.ctx, hdr.key.method, start);
-          co_return;
-        }
-        break;
-      }
-      case rpc::CallPipeline<ServerCall>::Gate::kAdmit:
-        break;
+    call.admit_protocol = std::move(hdr.key.protocol);
+    ServerCall victim;
+    if (ServerCall* busy = shard.pipeline.admit(call, victim)) {
+      const bool arrival = busy == &call;
+      co_await shed_call(std::move(*busy));
+      if (arrival) co_return;
     }
   }
   shard.pipeline.push(std::move(call), host_.sched().now());
@@ -823,19 +679,15 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
     ++st.batched_calls_received;
     if (ud) ++st.ud_calls_received;
     if (!bctx.valid()) {
-      const CallHeader h = parse_call_header(cm, copied);
-      if (h.ok) bctx = h.ctx;
+      RDMAInputStream in(cm, copied);
+      rpc::CallHeader h;
+      if (read_kcall_header(in, h)) bctx = h.ctx;
     }
-    ServerCall call;
-    call.conn = conn;
-    call.buf = sub;
-    call.frame_len = static_cast<std::uint32_t>(copied.size());
-    call.recv_start = recv_start;
-    if (ud) {
-      call.via_ud = true;
-      call.ud_peer = ud->peer;
-      call.ud_ep = ud->ep;
-    }
+    ServerCall call{.conn = conn,
+                    .buf = sub,
+                    .frame_len = static_cast<std::uint32_t>(copied.size()),
+                    .recv_start = recv_start,
+                    .ud = ud};
     co_await enqueue_call(std::move(call));
   }
   if (bctx.valid()) {
@@ -846,19 +698,21 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
   }
 }
 
-sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
-                                       trace::TraceContext ctx, const std::string& method,
-                                       sim::Time start) {
+sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
   shard_of(*call.conn).pipeline.note_shed();
-  trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
+  // Admitted calls passed the header pre-parse, so this one parses too.
+  RDMAInputStream in(host_.cost(), call.frame());
+  rpc::CallHeader hdr;
+  (void)read_kcall_header(in, hdr);
+  trace::TraceCollector* tr = hdr.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
   if (tr != nullptr) {
-    tr->add_complete("overload.shed:" + method, trace::Kind::kServer,
-                     trace::Category::kOverload, ctx, host_.id(), start,
-                     host_.sched().now());
+    tr->add_complete("overload.shed:" + hdr.key.method, trace::Kind::kServer,
+                     trace::Category::kOverload, hdr.ctx, host_.id(),
+                     call.enqueued != 0 ? call.enqueued : call.recv_start, host_.sched().now());
   }
   try {
     RDMAOutputStream busy(host_.cost(), shadow_, rpc::MethodKey{"__overload", "busy"});
-    write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: call queue full");
+    write_status(busy, hdr.id, rpc::RpcStatus::kBusy, "server busy: call queue full");
     co_await respond(call, busy);
   } catch (const verbs::VerbsError&) {
     // Client already gone; nothing to tell it.
@@ -866,23 +720,12 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
   native_.release(call.buf);
 }
 
-sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
+sim::Task RdmaRpcServer::handler_loop(Shard& home) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
       ServerCall call;
-      bool have = false;
-      // Stealing handlers poll rather than park on their own queue: a
-      // blocked recv() would never see a sibling's backlog build up.
-      while (cfg_.steal && shards_.size() > 1 && !have &&
-             !home.pipeline.queue().closed()) {
-        have = rpc::take_or_steal(shards_, home.index, call);
-        if (!have) co_await sim::delay(host_.sched(), rpc::kStealPollInterval);
-      }
-      if (!have) {
-        call = co_await home.pipeline.queue().recv();
-        home.pipeline.note_dequeued(call);
-      }
+      co_await rpc::Dequeue{shards_, home.index, cfg_.steal, host_.sched(), call};
       // All per-call bookkeeping (stats, retry cache, pending responses)
       // stays on the call's home shard even when a sibling stole it.
       Shard& shard = shard_of(*call.conn);
@@ -891,16 +734,16 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
 
       // Deserialize in place from the registered buffer: no per-call heap
       // buffer, no native->heap copy (Section III-B).
-      RDMAInputStream in(cm, net::ByteSpan(call.buf->span.data(), call.frame_len));
-      const CallHeader hdr = read_call_header(in);
-      if (!hdr.ok) {
+      RDMAInputStream in(cm, call.frame());
+      rpc::CallHeader hdr;
+      if (!read_kcall_header(in, hdr)) {
         // Garbage header: a timed-out client may have released (and reused)
         // the rendezvous source before our RDMA-READ fetched it. Drop the
         // frame — the client already gave up on this call.
         native_.release(call.buf);
         continue;
       }
-      const auto& [ok, id, retried, deadline, ctx, key] = hdr;
+      const auto& [id, retried, deadline, ctx, key] = hdr;
       trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
       if (tr != nullptr) {
         // The id was only parsed here, so the receive interval is recorded
@@ -970,32 +813,17 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
                               trace::Category::kHandler, ctx, host_.id());
       in.trace_context = handle.context();
 
-      bool error = false;
-      bool pool_busy = false;
-      std::string error_msg;
       RDMAOutputStream out(cm, shadow_, key);
       out.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
       out.write_u64(id);
       out.write_u8(0);  // status placeholder; rewritten below on error
 
-      const rpc::MethodHandler* handler = dispatcher_.find(key);
-      if (handler == nullptr) {
-        error = true;
-        error_msg = "unknown method " + key.to_string();
-      } else {
-        try {
-          co_await (*handler)(in, out);
-        } catch (const PoolExhaustedError& e) {
-          // The response outgrew a capped-out pool mid-serialization: shed
-          // with a retryable busy status instead of a hard RemoteException,
-          // mirroring the rendezvous NACK's graceful degradation.
-          pool_busy = true;
-          error_msg = e.what();
-        } catch (const std::exception& e) {
-          error = true;
-          error_msg = e.what();
-        }
-      }
+      // A response that outgrew a capped-out pool mid-serialization sheds
+      // with a retryable busy status instead of a hard RemoteException,
+      // mirroring the rendezvous NACK's graceful degradation.
+      rpc::Invocation<PoolExhaustedError> invocation(dispatcher_, key, in, out);
+      const rpc::RpcStatus status = co_await invocation;
+      const std::string& error_msg = invocation.error();
 
       shard.pipeline.stats().recv_alloc_us.add(sim::to_us(in.take_alloc_accrued()) +
                                                RDMAOutputStream::kAcquireUs);
@@ -1015,7 +843,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
         }
       }
       try {
-        if (pool_busy) {
+        if (status == rpc::RpcStatus::kBusy) {
           // Not recorded in the retry cache: the condition is transient
           // and the client's retry must execute fresh once the pool drains.
           shard.pipeline.forget(call.conn->owner, id);
@@ -1023,7 +851,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
           RDMAOutputStream busy(cm, shadow_, rpc::MethodKey{"__overload", "busy"});
           write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
           if (!resp_expired) co_await respond(call, busy);
-        } else if (error) {
+        } else if (status == rpc::RpcStatus::kError) {
           // Rebuild the frame with the error payload.
           RDMAOutputStream err(cm, shadow_, key);
           write_status(err, id, rpc::RpcStatus::kError, error_msg);
@@ -1084,7 +912,7 @@ sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame
 
 sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
                                            net::ByteSpan msg) {
-  if (call.via_ud) {
+  if (call.ud) {
     // One kResp datagram back to the GRH source; no rendezvous (no QP to
     // READ over) — oversize responses bounce inside ud_respond.
     co_await ud_respond(call, buf, msg);
@@ -1097,10 +925,9 @@ sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
       // Released by reader_loop at the kSend completion.
     } else {
       shard.pending_resp[buf->mr.rkey] = buf;
-      const ControlFrame ctrl = ControlFrame::make(
-          FrameType::kCtrlResp, buf->mr.rkey,
-          static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
-          static_cast<std::uint32_t>(msg.size()));
+      const ControlFrame ctrl(Control{FrameType::kCtrlResp, buf->mr.rkey,
+                                      static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
+                                      static_cast<std::uint32_t>(msg.size())});
       co_await call.conn->qp->post_send(0, ctrl.span());
     }
   } catch (const verbs::VerbsError&) {

@@ -80,9 +80,6 @@ class RdmaRpcServer final : public rpc::RpcServer {
   void start() override;
   void stop() override;
 
-  rpc::RpcStats& stats() override;
-  const rpc::RpcStats& stats() const override;
-
   cluster::Host& host() const { return host_; }
   const net::Address& addr() const { return addr_; }
   ShadowPool& pool() { return shadow_; }
@@ -135,6 +132,12 @@ class RdmaRpcServer final : public rpc::RpcServer {
     // Last receive completion; the LRU idle-eviction sweep keys on this.
     sim::Time last_recv = 0;
   };
+  /// Where a UD arrival's response goes: the GRH source address and the
+  /// endpoint that received the call.
+  struct UdReturn {
+    verbs::AddressHandle peer{};
+    std::size_t ep = 0;  // index into the endpoint pool
+  };
   struct ServerCall {
     ConnPtr conn;
     NativeBuffer* buf = nullptr;  // holds the kCall frame (recv slot or fetched)
@@ -143,13 +146,13 @@ class RdmaRpcServer final : public rpc::RpcServer {
     sim::Time enqueued = 0;  // when the call entered the call queue
     // Protocol as pre-parsed at admission (per-protocol quota accounting);
     // only filled while admission control is on.
-    std::string admit_protocol;
+    std::string admit_protocol{};
     // UD arrivals carry a per-datagram pseudo-ConnState (session id, owner,
     // home shard; no QP) plus the GRH return address — the response is one
     // datagram from the endpoint that received the call.
-    bool via_ud = false;
-    verbs::AddressHandle ud_peer{};
-    std::size_t ud_ep = 0;  // index into the endpoint pool
+    std::optional<UdReturn> ud{};
+
+    net::ByteSpan frame() const { return net::ByteSpan(buf->span.data(), frame_len); }
   };
 
   /// One reader shard: a disjoint set of connections with its own CQ, SRQ
@@ -191,7 +194,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Send one kResp datagram back through the receiving endpoint; bounces
   /// over-MTU responses with an error frame (a datagram can't fragment).
   sim::Co<void> ud_respond(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
-  sim::Task handler_loop(Shard& home, int handler_id);
+  sim::Task handler_loop(Shard& home);
   /// Refill one shard's receive stripe whenever it drops below its low
   /// watermark (woken by the SRQ limit event; exits when the SRQ closes).
   sim::Task srq_refill_loop(Shard& shard);
@@ -208,12 +211,6 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Admission gate in front of the home shard's call queue; sheds with a
   /// busy response.
   sim::Co<void> enqueue_call(ServerCall call);
-  /// Where a UD arrival's response goes: the GRH source address and the
-  /// endpoint that received the call.
-  struct UdReturn {
-    verbs::AddressHandle peer{};
-    std::size_t ep = 0;
-  };
   /// Enqueue every sub-call of a split kBatch frame (split_batch views
   /// into `frame`) as its own pooled call, so admission, deadlines and
   /// tracing all stay per call. One copy charge covers the whole frame.
@@ -221,8 +218,8 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Co<void> enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                               const std::vector<net::ByteSpan>& subs,
                               std::optional<UdReturn> ud);
-  sim::Co<void> shed_call(ServerCall call, std::uint64_t id, trace::TraceContext ctx,
-                          const std::string& method, sim::Time start);
+  /// Answer `call` busy (admission shed) and release its frame.
+  sim::Co<void> shed_call(ServerCall call);
   /// Post a pooled buffer as a receive: to `shard`'s SRQ stripe, or to
   /// `conn`'s own ring in legacy (srq_depth == 0) mode. wr_id is the
   /// buffer's address.
@@ -239,7 +236,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
                                      std::shared_ptr<bool> alive);
   /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards)
   /// plus the RPCoIB-only SRQ/UD/one-sided/ring fields.
-  void sync_stats();
+  void fold_stats() override;
 
   cluster::Host& host_;
   net::SocketTable& sockets_;

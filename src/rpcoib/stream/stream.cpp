@@ -904,9 +904,7 @@ void StreamHub::close_conn(const ConnPtr& conn, const char* why) {
   for (auto& [sid, r] : conn->readers) r->on_conn_failed(why);
   for (auto& [tok, pf] : conn->fetches) pf->ev.set();
   if (conn->qp) {
-    for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-      if (NativeBuffer* b = buf_of(wr)) native_.release(b);
-    }
+    native_.release_posted(conn->qp->drain_posted_recvs());
     conn->qp->disconnect();
   }
   conn->cq.close();

@@ -41,11 +41,13 @@
 // in the frame demuxes at the client).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "net/bytes.hpp"
+#include "rpc/protocol.hpp"
 
 namespace rpcoib::oib {
 
@@ -133,6 +135,88 @@ inline std::uint64_t read_be64(const net::Byte* p) {
   return v;
 }
 
+/// What the two ends of an RC connection settle on from the eager
+/// thresholds exchanged at bootstrap (`peer` 0 = not advertised, the
+/// legacy blob).
+struct EagerNegotiation {
+  /// min(local, peer): an eager SEND must fit buffers sized by *either*
+  /// end's knob.
+  std::size_t threshold = 0;
+  /// Receive-ring buffer size: it follows the *larger* advertisement, not
+  /// the negotiated min — when one side reads as "not advertised", the
+  /// other falls back to its own knob and may legally send eager frames up
+  /// to that size, so a smaller buffer would overrun.
+  std::size_t ring_buf = 0;
+  bool mismatch = false;  // both advertised, and they differ
+};
+
+inline EagerNegotiation negotiate_eager(std::size_t local, std::uint64_t peer,
+                                        std::size_t recv_buf_size) {
+  const auto p = static_cast<std::size_t>(peer);
+  const std::size_t threshold = p == 0 ? local : std::min(local, p);
+  return {threshold, std::max(recv_buf_size, std::max(threshold, p) + 512), p != 0 && p != local};
+}
+
+/// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
+inline constexpr std::size_t kUdHeaderBytes = 9;
+
+// ---- Rendezvous control frames ---------------------------------------------
+// kCtrlCall/kCtrlResp [u8][u32 rkey][u64 offset][u32 len] and kAck/kNack
+// [u8][u32 rkey], integers in host order.
+
+/// Encoded size of a control frame of type `t` (0: not a control type).
+inline constexpr std::size_t control_frame_size(FrameType t) {
+  switch (t) {
+    case FrameType::kCtrlCall:
+    case FrameType::kCtrlResp: return 17;
+    case FrameType::kAck:
+    case FrameType::kNack: return 5;
+    default: return 0;
+  }
+}
+
+/// A control frame's fields; `off` and `len` are 0 for kAck/kNack.
+struct Control {
+  FrameType type = FrameType::kAck;
+  std::uint32_t rkey = 0;
+  std::uint64_t off = 0;
+  std::uint32_t len = 0;
+};
+
+/// Fixed-layout control frame, trivially destructible (safe as a co_await
+/// temporary) and copied by post_send at post time.
+struct ControlFrame {
+  net::Byte bytes[17];
+  std::size_t len = 0;
+
+  explicit ControlFrame(const Control& c) : len(control_frame_size(c.type)) {
+    bytes[0] = static_cast<net::Byte>(c.type);
+    std::memcpy(bytes + 1, &c.rkey, 4);
+    if (len == 17) {
+      std::memcpy(bytes + 5, &c.off, 8);
+      std::memcpy(bytes + 13, &c.len, 4);
+    }
+  }
+  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
+};
+
+/// Parse a received control frame. False (with `c` unspecified) when the
+/// frame is not a control type or is shorter than its type's layout.
+inline bool parse_control(net::ByteSpan frame, Control& c) {
+  if (frame.empty()) return false;
+  c.type = static_cast<FrameType>(frame[0]);
+  const std::size_t need = control_frame_size(c.type);
+  if (need == 0 || frame.size() < need) return false;
+  std::memcpy(&c.rkey, frame.data() + 1, 4);
+  c.off = 0;
+  c.len = 0;
+  if (need == 17) {
+    std::memcpy(&c.off, frame.data() + 5, 8);
+    std::memcpy(&c.len, frame.data() + 13, 4);
+  }
+  return true;
+}
+
 // ---- kBatch codec ---------------------------------------------------------
 // [u8 kBatch][u32 count][u32 len_i x count][sub-frame_i ...], integers in
 // host order (both ends of the simulated fabric share one). The one
@@ -159,19 +243,12 @@ inline void encode_batch(const std::vector<net::Bytes>& items, net::Byte* out) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
     std::memcpy(out + kBatchHeaderBytes + 4 * i, &len, 4);
-    std::memcpy(out + off, items[i].data(), items[i].size());
+    std::copy(items[i].begin(), items[i].end(), out + off);  // an empty item copies nothing
     off += items[i].size();
   }
 }
 
-/// Outcome of split_batch. Anything but kOk means the frame is dropped.
-enum class BatchSplit : std::uint8_t {
-  kOk,
-  kTruncated,  // shorter than the fixed header
-  kEmpty,      // count == 0 (never encoded)
-  kBadCount,   // the length table runs past the frame
-  kBadLength,  // the sub-frame lengths disagree with the frame's size
-};
+using rpc::BatchSplit;
 
 /// Split a received kBatch frame (frame[0] == kBatch) into views of its
 /// sub-frames, every bound checked against `frame.size()` — the received

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -129,6 +130,24 @@ class SimEvent {
   };
 
   TimedWaitAwaiter wait_for(Dur timeout) { return TimedWaitAwaiter{*this, timeout}; }
+
+  /// wait_for(timeout) when `timeout` > 0, else an unbounded wait(): for
+  /// callers whose timeout is optional. Resumes with `true` once set.
+  struct BoundedWaitAwaiter {
+    SimEvent& ev;
+    Dur timeout;
+    std::optional<TimedWaitAwaiter> timed;
+
+    bool await_ready() const noexcept { return ev.set_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (timeout <= 0) return ev.wait().await_suspend(h);
+      timed.emplace(ev.wait_for(timeout));
+      timed->await_suspend(h);
+    }
+    bool await_resume() const noexcept { return ev.set_; }
+  };
+
+  BoundedWaitAwaiter wait_up_to(Dur timeout) { return {*this, timeout, std::nullopt}; }
 
   void set() {
     if (set_) return;

@@ -146,7 +146,7 @@ void SharedReceiveQueue::note_stall() {
 
 QueuePair::QueuePair(VerbsStack& stack, cluster::Host& host, CompletionQueue& send_cq,
                      CompletionQueue& recv_cq)
-    : stack_(stack), host_(host), send_cq_(send_cq), recv_cq_(recv_cq) {}
+    : stack_(stack), host_(host), send_cq_(send_cq.sink()), recv_cq_(recv_cq.sink()) {}
 
 QueuePair::~QueuePair() {
   if (srq_ != nullptr) srq_->remove_waiter(this);
@@ -223,7 +223,7 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   co_await host_.compute(p.per_msg_send_cpu);
 
   net::Bytes payload(buf.begin(), buf.end());
-  CompletionQueue* scq = &send_cq_;
+  const CompletionQueue::Sink scq = send_cq_;
   // Size read before the move: argument evaluation order is unspecified.
   const std::size_t wire_bytes = payload.size();
   const sim::Time arrival = fab.deliver_flow(
@@ -231,7 +231,7 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
       [peer, payload = std::move(payload)]() mutable { peer->on_send_arrival(std::move(payload)); });
   // RC send completion after the ACK returns.
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+    scq.push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -248,7 +248,7 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan loca
 
   net::Bytes payload(local.begin(), local.end());
   VerbsStack* stack = &stack_;
-  CompletionQueue* scq = &send_cq_;
+  const CompletionQueue::Sink scq = send_cq_;
   // Size read before the move: argument evaluation order is unspecified.
   const std::size_t wire_bytes = payload.size();
   const sim::Time arrival = fab.deliver_flow(
@@ -263,7 +263,7 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan loca
         }
       });
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = local.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
+    scq.push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -283,7 +283,7 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
       fab.reserve_egress(host_.id(), net::Transport::kIBVerbs, 32) + p.one_way_latency;
   // ...then data flows back, paying wire time on the responder's egress.
   VerbsStack* stack = &stack_;
-  CompletionQueue* scq = &send_cq_;
+  const CompletionQueue::Sink scq = send_cq_;
   cluster::HostId responder = peer->host_.id();
   cluster::HostId requester = host_.id();
   fab.sched().call_at(req_arrival, [&fab, stack, scq, wr_id, local, src, responder,
@@ -298,13 +298,13 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
     } catch (const VerbsError&) {
       WorkCompletion wc{wr_id, Opcode::kRdmaRead, 0, 0};
       wc.status = 1;
-      scq->push(wc);
+      scq.push(wc);
       return;
     }
     fab.deliver(responder, requester, net::Transport::kIBVerbs, local.size(),
                 [scq, wr_id, local, source] {
                   std::memcpy(local.data(), source.data(), local.size());
-                  scq->push(WorkCompletion{wr_id, Opcode::kRdmaRead,
+                  scq.push(WorkCompletion{wr_id, Opcode::kRdmaRead,
                                            static_cast<std::uint32_t>(local.size()), 0});
                 });
     (void)p;
@@ -317,7 +317,7 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
 
 UdEndpoint::UdEndpoint(VerbsStack& stack, cluster::Host& host, CompletionQueue& send_cq,
                        CompletionQueue& recv_cq)
-    : stack_(stack), host_(host), send_cq_(send_cq), recv_cq_(recv_cq) {
+    : stack_(stack), host_(host), send_cq_(send_cq.sink()), recv_cq_(recv_cq.sink()) {
   qpn_ = stack_.ud_register(this);
 }
 
@@ -359,9 +359,9 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
       });
   // UD send completion once the datagram is on the wire — no ACK, so the
   // completion is identical whether or not the datagram ever arrives.
-  CompletionQueue* scq = &send_cq_;
+  const CompletionQueue::Sink scq = send_cq_;
   fab.sched().call_at(arrival - p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+    scq.push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }

@@ -113,23 +113,44 @@ class ProtectionDomain {
 /// polls a single CQ for all client connections).
 class CompletionQueue {
  public:
-  explicit CompletionQueue(sim::Scheduler& sched) : q_(sched) {}
+  /// What a queue pair or UD endpoint holds to complete work into this CQ.
+  /// Most completions land after a modeled wire delay, when the CQ's owner
+  /// (a connection, a stream, a shard) may already be gone. A Sink does not
+  /// keep the CQ alive: a completion that arrives after the CQ was
+  /// destroyed is dropped, as no poller is left to reap it.
+  class Sink {
+   public:
+    void push(const WorkCompletion& wc) const {
+      if (const auto q = q_.lock()) q->push(wc);
+    }
+
+   private:
+    friend class CompletionQueue;
+    explicit Sink(std::weak_ptr<sim::Channel<WorkCompletion>> q) : q_(std::move(q)) {}
+    std::weak_ptr<sim::Channel<WorkCompletion>> q_;
+  };
+
+  explicit CompletionQueue(sim::Scheduler& sched)
+      : q_(std::make_shared<sim::Channel<WorkCompletion>>(sched)) {}
+  CompletionQueue(const CompletionQueue&) = delete;
+  CompletionQueue& operator=(const CompletionQueue&) = delete;
 
   /// Blocking poll (suspends in virtual time until a completion arrives).
   sim::Co<WorkCompletion> wait() {
-    WorkCompletion wc = co_await q_.recv();
+    WorkCompletion wc = co_await q_->recv();
     co_return wc;
   }
 
   /// Non-blocking poll.
-  bool poll(WorkCompletion& wc) { return q_.try_recv(wc); }
+  bool poll(WorkCompletion& wc) { return q_->try_recv(wc); }
 
-  void push(WorkCompletion wc) { q_.push(std::move(wc)); }
-  std::size_t depth() const { return q_.size(); }
-  void close() { q_.close(); }
+  void push(WorkCompletion wc) { q_->push(std::move(wc)); }
+  std::size_t depth() const { return q_->size(); }
+  void close() { q_->close(); }
+  Sink sink() const { return Sink(q_); }
 
  private:
-  sim::Channel<WorkCompletion> q_;
+  std::shared_ptr<sim::Channel<WorkCompletion>> q_;
 };
 
 class QueuePair;
@@ -238,8 +259,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   /// One-sided read from remote registered memory into `local`.
   sim::Co<void> post_rdma_read(std::uint64_t wr_id, net::MutByteSpan local, RemoteBuffer src);
 
-  CompletionQueue& send_cq() const { return send_cq_; }
-  CompletionQueue& recv_cq() const { return recv_cq_; }
   cluster::Host& host() const { return host_; }
   bool connected() const { return !peer_.expired(); }
   cluster::HostId remote_host() const { return remote_host_; }
@@ -268,8 +287,8 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
 
   VerbsStack& stack_;
   cluster::Host& host_;
-  CompletionQueue& send_cq_;
-  CompletionQueue& recv_cq_;
+  CompletionQueue::Sink send_cq_;
+  CompletionQueue::Sink recv_cq_;
   std::weak_ptr<QueuePair> peer_;
   cluster::HostId remote_host_ = -1;
   std::deque<PostedRecv> posted_recvs_;
@@ -343,8 +362,8 @@ class UdEndpoint {
 
   VerbsStack& stack_;
   cluster::Host& host_;
-  CompletionQueue& send_cq_;
-  CompletionQueue& recv_cq_;
+  CompletionQueue::Sink send_cq_;
+  CompletionQueue::Sink recv_cq_;
   std::uint32_t qpn_ = 0;
   std::uint64_t context_ = 0;
   std::deque<PostedRecv> ring_;

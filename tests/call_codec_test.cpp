@@ -1,0 +1,275 @@
+// The wire codecs both transports share, and the totality of their
+// decoders: the call header (rpc/protocol.hpp) over DataInputBuffer and
+// RDMAInputStream, RPCoIB's rendezvous control frames (rpcoib/wire.hpp),
+// the socket batch split, and a socket server that must keep reading after
+// a malformed frame instead of ending its reader.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
+
+#include "net/testbed.hpp"
+#include "rpc/buffers.hpp"
+#include "rpc/protocol.hpp"
+#include "rpc/socket_server.hpp"
+#include "rpcoib/rdma_streams.hpp"
+#include "rpcoib/wire.hpp"
+
+namespace rpcoib {
+namespace {
+
+using rpc::BatchSplit;
+using rpc::CallHeader;
+
+const cluster::CostModel& cost() {
+  static const cluster::CostModel cm;
+  return cm;
+}
+
+const rpc::MethodKey kKey{"test.CodecProtocol", "lookup"};
+
+/// One header per flag combination: bit 0 trace, bit 1 deadline, bit 2 retry.
+net::Bytes encode_header(int flags, std::uint64_t id) {
+  rpc::DataOutputBuffer out(cost());
+  const trace::TraceContext ctx =
+      (flags & 1) != 0 ? trace::TraceContext{0x1111, 0x2222} : trace::TraceContext{};
+  const sim::Time deadline = (flags & 2) != 0 ? sim::millis(7) : 0;
+  rpc::write_call_header(out, id, (flags & 4) != 0, deadline, ctx, kKey);
+  out.write_u32(0xC0FFEE);  // the param bytes that follow the header
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+/// The field costs a throwing read of the same header accrues.
+sim::Dur reference_cost(const net::Bytes& wire, int flags) {
+  rpc::DataInputBuffer in(cost(), wire);
+  (void)in.read_u64();
+  if ((flags & 1) != 0) {
+    (void)in.read_u64();
+    (void)in.read_u64();
+  }
+  if ((flags & 2) != 0) (void)in.read_u64();
+  (void)in.read_text();
+  (void)in.read_text();
+  return in.take_accrued();
+}
+
+template <typename Input>
+void expect_round_trip(int flags) {
+  const std::uint64_t id = 0x0123456789AULL;
+  const net::Bytes wire = encode_header(flags, id);
+  Input in(cost(), wire);
+  CallHeader h;
+  ASSERT_TRUE(rpc::read_call_header(in, h)) << flags;
+  EXPECT_EQ(h.id, id);
+  EXPECT_EQ(h.retried, (flags & 4) != 0);
+  EXPECT_EQ(h.deadline, (flags & 2) != 0 ? sim::millis(7) : 0);
+  EXPECT_EQ(h.ctx.valid(), (flags & 1) != 0);
+  if ((flags & 1) != 0) {
+    EXPECT_EQ(h.ctx.trace_id, 0x1111u);
+    EXPECT_EQ(h.ctx.span_id, 0x2222u);
+  }
+  EXPECT_EQ(h.key, kKey);
+  EXPECT_EQ(in.read_u32(), 0xC0FFEEu);  // left at the param bytes
+  EXPECT_EQ(in.remaining(), 0u);
+  // The total reader charges exactly what the throwing reads did.
+  Input again(cost(), wire);
+  ASSERT_TRUE(rpc::read_call_header(again, h));
+  EXPECT_EQ(again.take_accrued(), reference_cost(wire, flags));
+}
+
+TEST(CallHeader, RoundTripsEveryFlagCombinationOnDataInputBuffer) {
+  for (int flags = 0; flags < 8; ++flags) expect_round_trip<rpc::DataInputBuffer>(flags);
+}
+
+TEST(CallHeader, RoundTripsEveryFlagCombinationOnRdmaInputStream) {
+  for (int flags = 0; flags < 8; ++flags) expect_round_trip<oib::RDMAInputStream>(flags);
+}
+
+TEST(CallHeader, EveryTruncatedPrefixIsMalformedWithoutThrowing) {
+  for (int flags = 0; flags < 8; ++flags) {
+    net::Bytes wire = encode_header(flags, 42);
+    wire.resize(wire.size() - 4);  // the header alone
+    for (std::size_t n = 0; n < wire.size(); ++n) {
+      const net::ByteSpan prefix(wire.data(), n);
+      CallHeader h;
+      rpc::DataInputBuffer a(cost(), prefix);
+      oib::RDMAInputStream b(cost(), prefix);
+      bool ok_a = true, ok_b = true;
+      EXPECT_NO_THROW(ok_a = rpc::read_call_header(a, h)) << flags << " " << n;
+      EXPECT_NO_THROW(ok_b = rpc::read_call_header(b, h)) << flags << " " << n;
+      EXPECT_FALSE(ok_a) << flags << " " << n;
+      EXPECT_FALSE(ok_b) << flags << " " << n;
+    }
+  }
+}
+
+TEST(CallHeader, NegativeTextLengthIsMalformed) {
+  net::Bytes wire = encode_header(0, 42);
+  wire[8] = 0x87;  // vint marker for a negative length
+  rpc::DataInputBuffer in(cost(), wire);
+  CallHeader h;
+  EXPECT_FALSE(rpc::read_call_header(in, h));
+}
+
+// ---- RPCoIB control frames ---------------------------------------------------
+
+TEST(ControlFrame, RoundTripsEveryControlType) {
+  using oib::FrameType;
+  for (const FrameType t :
+       {FrameType::kCtrlCall, FrameType::kCtrlResp, FrameType::kAck, FrameType::kNack}) {
+    const bool rendezvous = t == FrameType::kCtrlCall || t == FrameType::kCtrlResp;
+    const oib::Control sent{t, 0xABCD1234u, rendezvous ? 0x1122334455ULL : 0,
+                            rendezvous ? 4096u : 0u};
+    const oib::ControlFrame frame(sent);
+    EXPECT_EQ(frame.len, rendezvous ? 17u : 5u);
+    oib::Control got;
+    ASSERT_TRUE(oib::parse_control(frame.span(), got));
+    EXPECT_EQ(got.type, t);
+    EXPECT_EQ(got.rkey, sent.rkey);
+    EXPECT_EQ(got.off, sent.off);
+    EXPECT_EQ(got.len, sent.len);
+    for (std::size_t n = 0; n < frame.len; ++n) {
+      EXPECT_FALSE(oib::parse_control(net::ByteSpan(frame.bytes, n), got)) << n;
+    }
+  }
+}
+
+TEST(ControlFrame, NonControlTypesAreRejected) {
+  net::Bytes frame(17, 0);
+  oib::Control got;
+  for (const oib::FrameType t : {oib::FrameType::kCall, oib::FrameType::kResp,
+                                 oib::FrameType::kBatch, oib::FrameType::kUdCall}) {
+    frame[0] = static_cast<net::Byte>(t);
+    EXPECT_FALSE(oib::parse_control(frame, got));
+  }
+}
+
+// ---- Socket batch split --------------------------------------------------------
+
+/// A socket batch payload: [u64 kWireBatchFlag|count][u32 len_i][payload_i].
+net::Bytes wire_batch(std::uint64_t count, const std::vector<std::uint32_t>& lens,
+                      std::size_t payload_bytes) {
+  rpc::DataOutputBuffer out(cost());
+  out.write_u64(trace::kWireBatchFlag | count);
+  for (const std::uint32_t len : lens) out.write_u32(len);
+  for (std::size_t i = 0; i < payload_bytes; ++i) out.write_u8(static_cast<std::uint8_t>(i));
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+BatchSplit split(const net::Bytes& frame, std::vector<net::ByteSpan>& subs) {
+  rpc::DataInputBuffer in(cost(), frame);
+  return rpc::split_wire_batch(in, frame, subs);
+}
+
+TEST(WireBatchSplit, SplitsAWellFormedFrameIntoItsPayloads) {
+  const net::Bytes frame = wire_batch(3, {2, 0, 3}, 5);
+  EXPECT_TRUE(rpc::is_wire_batch(frame));
+  std::vector<net::ByteSpan> subs;
+  ASSERT_EQ(split(frame, subs), BatchSplit::kOk);
+  ASSERT_EQ(subs.size(), 3u);
+  EXPECT_EQ(subs[0].size(), 2u);
+  EXPECT_EQ(subs[1].size(), 0u);
+  EXPECT_EQ(subs[2].size(), 3u);
+  EXPECT_EQ(subs[2][0], 2);
+  EXPECT_EQ(subs[2].data() + 3, frame.data() + frame.size());
+}
+
+TEST(WireBatchSplit, TruncatedLeadingWordIsRejected) {
+  const net::Bytes frame = wire_batch(1, {0}, 0);
+  std::vector<net::ByteSpan> subs;
+  const net::Bytes cut(frame.begin(), frame.begin() + 5);
+  EXPECT_FALSE(rpc::is_wire_batch(cut));
+  EXPECT_EQ(split(cut, subs), BatchSplit::kTruncated);
+}
+
+TEST(WireBatchSplit, ZeroCountIsRejected) {
+  std::vector<net::ByteSpan> subs;
+  EXPECT_EQ(split(wire_batch(0, {}, 0), subs), BatchSplit::kEmpty);
+}
+
+TEST(WireBatchSplit, CountPastTheFrameIsRejected) {
+  std::vector<net::ByteSpan> subs;
+  // Five lengths claimed, room for two.
+  EXPECT_EQ(split(wire_batch(5, {0, 0}, 0), subs), BatchSplit::kBadCount);
+  // The largest count the mask admits, no table at all.
+  EXPECT_EQ(split(wire_batch(0xFFFFFFFFu, {}, 0), subs), BatchSplit::kBadCount);
+}
+
+TEST(WireBatchSplit, SubLengthPastTheEndIsRejected) {
+  std::vector<net::ByteSpan> subs;
+  EXPECT_EQ(split(wire_batch(2, {2, 9}, 4), subs), BatchSplit::kBadLength);
+  EXPECT_EQ(split(wire_batch(1, {0xFFFFFFFFu}, 1), subs), BatchSplit::kBadLength);
+}
+
+TEST(WireBatchSplit, TrailingBytesAreRejected) {
+  std::vector<net::ByteSpan> subs;
+  EXPECT_EQ(split(wire_batch(2, {1, 1}, 3), subs), BatchSplit::kBadLength);
+}
+
+// ---- A socket server survives malformed frames ---------------------------------
+
+constexpr net::Address kServerAddr{1, 9100};
+
+/// [u32 len][payload], as the socket client frames a call.
+net::Bytes framed(const net::Bytes& payload) {
+  rpc::DataOutputBuffer out(cost());
+  out.write_u32(static_cast<std::uint32_t>(payload.size()));
+  out.write_payload(payload);
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+sim::Task raw_client(net::Testbed& tb, std::uint64_t& answered_id, std::int32_t& value) {
+  net::SocketPtr sock =
+      co_await tb.sockets().connect(tb.host(0), kServerAddr, net::Transport::kIPoIB);
+  const net::Byte magic[] = {'h', 'r', 'p', 'c', 4};
+  co_await sock->write(net::ByteSpan(magic, sizeof(magic)));
+
+  // A call whose header stops inside its method name...
+  net::Bytes truncated = encode_header(0, 7);
+  truncated.resize(truncated.size() - 7);
+  const net::Bytes bad_call = framed(truncated);
+  co_await sock->write(bad_call);
+  // ...a batch whose length table lies about its payloads...
+  const net::Bytes bad_batch = framed(wire_batch(2, {4, 400}, 4));
+  co_await sock->write(bad_batch);
+  // ...and then a well-formed call, which must still be answered.
+  rpc::DataOutputBuffer good(cost());
+  rpc::write_call_header(good, 8, false, 0, {}, rpc::MethodKey{"test.Codec", "twice"});
+  good.write_i32(21);
+  const net::Bytes good_call = framed(net::Bytes(good.data().begin(), good.data().end()));
+  co_await sock->write(good_call);
+
+  net::Bytes len_buf(4);
+  co_await sock->read_full(len_buf);
+  rpc::DataInputBuffer len_in(cost(), len_buf);
+  net::Bytes resp(len_in.read_u32());
+  co_await sock->read_full(resp);
+  rpc::DataInputBuffer in(cost(), resp);
+  answered_id = in.read_u64();
+  if (in.read_u8() == 0) value = in.read_i32();
+  sock->close();
+}
+
+TEST(SocketServer, MalformedFramesAreDroppedAndTheReaderKeepsReading) {
+  sim::Scheduler s;
+  net::Testbed tb(s, net::Testbed::cluster_b());
+  rpc::SocketRpcServer server(tb.host(1), tb.sockets(), kServerAddr, 2);
+  server.dispatcher().register_method(
+      "test.Codec", "twice", [](rpc::DataInput& in, rpc::DataOutput& out) -> sim::Co<void> {
+        out.write_i32(2 * in.read_i32());
+        co_return;
+      });
+  server.start();
+  std::uint64_t answered_id = 0;
+  std::int32_t value = 0;
+  s.spawn(raw_client(tb, answered_id, value));
+  s.run_until(sim::seconds(5));
+  EXPECT_EQ(answered_id, 8u);
+  EXPECT_EQ(value, 42);
+  EXPECT_EQ(server.stats().calls_handled, 1u);
+  server.stop();
+  s.run_until(sim::seconds(6));
+}
+
+}  // namespace
+}  // namespace rpcoib

@@ -633,7 +633,7 @@ TEST(Session, BatchedRetryAcrossExpiryBouncesEachSubCall) {
 // --- rx_dropped aggregation: monotonic across stop/start, idempotent syncs --
 //
 // The server folds the previous run's endpoint drop counts into
-// ud_rx_dropped_base_ when start() rebuilds the pool, and sync_stats()
+// ud_rx_dropped_base_ when start() rebuilds the pool, and fold_stats()
 // reports base + the live endpoints' counts as an assignment. Regression
 // gates: a stop/start cycle neither double-counts nor loses drops, and
 // calling stats() repeatedly (each call re-syncs) never inflates the
