@@ -10,8 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace rpcoib::metrics {
@@ -116,34 +114,6 @@ class Histogram {
 
   Summary summary_;
   std::vector<std::uint64_t> buckets_;
-};
-
-/// Named counters/summaries grouped per component instance. A Registry is
-/// plain data — benches create one per configuration and diff them.
-class Registry {
- public:
-  std::uint64_t& counter(const std::string& name) { return counters_[name]; }
-  std::uint64_t counter_value(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  Summary& summary(const std::string& name) { return summaries_[name]; }
-  const Summary* find_summary(const std::string& name) const {
-    auto it = summaries_.find(name);
-    return it == summaries_.end() ? nullptr : &it->second;
-  }
-
-  const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
-  const std::map<std::string, Summary>& summaries() const { return summaries_; }
-
-  void reset() {
-    counters_.clear();
-    summaries_.clear();
-  }
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Summary> summaries_;
 };
 
 }  // namespace rpcoib::metrics

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -137,6 +138,18 @@ enum class BatchSplit : std::uint8_t {
 /// trace::kWireBatchFlag. A peek: no field cost accrues.
 inline bool is_wire_batch(net::ByteSpan frame) {
   return frame.size() >= 8 && (frame[0] & (trace::kWireBatchFlag >> 56)) != 0;
+}
+
+/// Write a socket batch frame
+///   [u32 total][u64 kWireBatchFlag|count][u32 len_i x count][payload_i...]
+/// split_wire_batch decodes it once the u32 length prefix is stripped.
+inline void encode_wire_batch(DataOutput& out, std::span<const net::ByteSpan> payloads) {
+  std::size_t payload_bytes = 0;
+  for (const net::ByteSpan p : payloads) payload_bytes += p.size();
+  out.write_u32(static_cast<std::uint32_t>(8 + 4 * payloads.size() + payload_bytes));
+  out.write_u64(trace::kWireBatchFlag | static_cast<std::uint64_t>(payloads.size()));
+  for (const net::ByteSpan p : payloads) out.write_u32(static_cast<std::uint32_t>(p.size()));
+  for (const net::ByteSpan p : payloads) out.write_payload(p);
 }
 
 /// Split a socket batch frame payload

@@ -187,15 +187,9 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::
   const cluster::CostModel& cm = host.cost();
   const sim::Time t0 = host.sched().now();
 
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
-  // [u32 total][u64 kWireBatchFlag|count][u32 len_i x count][payload_i...]
+  const std::vector<net::ByteSpan> payloads(items.begin(), items.end());
   BufferedOutputStream out(cm);
-  const std::size_t total = 8 + 4 * items.size() + payload_bytes;
-  out.write_u32(static_cast<std::uint32_t>(total));
-  out.write_u64(trace::kWireBatchFlag | static_cast<std::uint64_t>(items.size()));
-  for (const net::Bytes& m : items) out.write_u32(static_cast<std::uint32_t>(m.size()));
-  for (const net::Bytes& m : items) out.write_payload(net::ByteSpan(m));
+  encode_wire_batch(out, payloads);
   out.flush();
   const sim::Dur encode_cost = out.take_accrued();
   net::Bytes wire = out.take_pending();

@@ -90,7 +90,7 @@ void SocketRpcServer::stop() {
 }
 
 void SocketRpcServer::fold_stats() {
-  if (!shards_.empty()) (void)stats_.fold_shards(shards_);
+  if (!shards_.empty()) stats_.fold_shards(shards_);
 }
 
 sim::Task SocketRpcServer::listener_loop() {
@@ -408,17 +408,13 @@ sim::Co<void> SocketRpcServer::write_response_batch(Shard& shard, net::SocketPtr
   const std::size_t n = end - begin;
   // Each queued frame is [u32 len][payload]; the batch strips the per-frame
   // length prefix and re-frames as one wire write.
-  std::size_t payload_bytes = 0;
-  for (std::size_t k = begin; k < end; ++k) payload_bytes += group[k]->data.size() - 4;
+  std::vector<net::ByteSpan> payloads;
+  payloads.reserve(n);
+  for (std::size_t k = begin; k < end; ++k) {
+    payloads.push_back(net::ByteSpan(group[k]->data).subspan(4));
+  }
   BufferedOutputStream out(cm);
-  out.write_u32(static_cast<std::uint32_t>(8 + 4 * n + payload_bytes));
-  out.write_u64(trace::kWireBatchFlag | static_cast<std::uint64_t>(n));
-  for (std::size_t k = begin; k < end; ++k) {
-    out.write_u32(static_cast<std::uint32_t>(group[k]->data.size() - 4));
-  }
-  for (std::size_t k = begin; k < end; ++k) {
-    out.write_payload(net::ByteSpan(group[k]->data).subspan(4));
-  }
+  encode_wire_batch(out, payloads);
   out.flush();
   co_await host_.compute(out.take_accrued());
   net::Bytes wire = out.take_pending();

@@ -7,6 +7,8 @@
 //   Fig. 3  — per-call-type message-size sequences (size locality).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +28,16 @@ struct MethodProfile {
   metrics::Summary msg_bytes;        // serialized request size
   std::vector<std::uint32_t> size_sequence;   // per-call sizes (Fig. 3)
   std::uint64_t sequence_dropped = 0;         // sizes not stored due to the cap
+
+  void merge(const MethodProfile& o) {
+    mem_adjustments.merge(o.mem_adjustments);
+    serialize_us.merge(o.serialize_us);
+    send_us.merge(o.send_us);
+    total_us.merge(o.total_us);
+    msg_bytes.merge(o.msg_bytes);
+    size_sequence.insert(size_sequence.end(), o.size_sequence.begin(), o.size_sequence.end());
+    sequence_dropped += o.sequence_dropped;
+  }
 };
 
 /// Per-shard receive/dispatch counters (server.shards). One block per
@@ -39,6 +51,15 @@ struct ShardCounters {
   std::uint64_t dropped = 0;         // shed + expired + dropped at stop()
   std::uint64_t steals = 0;          // calls this shard's handlers took from siblings
   std::uint64_t stolen = 0;          // calls sibling handlers took from this shard
+
+  void merge(const ShardCounters& o) {
+    conns_assigned += o.conns_assigned;
+    dispatched += o.dispatched;
+    queued_peak = std::max(queued_peak, o.queued_peak);
+    dropped += o.dropped;
+    steals += o.steals;
+    stolen += o.stolen;
+  }
 };
 
 struct RpcStats {
@@ -171,132 +192,158 @@ struct RpcStats {
 
   MethodProfile& method(const MethodKey& key) { return methods[key]; }
 
+  /// Adds `o` into this view: every kCounterRows counter (a sum, or a max
+  /// for a peak), the backoff and receive-path summaries and the per-shard
+  /// blocks. Per-method profiles merge through MethodProfile::merge.
+  void merge(const RpcStats& o);
+
   /// Server-side fold of per-shard blocks into this server-wide view,
   /// shared by both servers. `blocks` is a range of pointers to reader
-  /// shards whose `pipeline` exposes stats() and counters(). Only the
-  /// shard-sourced fields are overwritten, rebuilt from scratch so repeated
-  /// syncs stay idempotent; anything written directly to this view by
-  /// non-shard code (e.g. threshold_mismatches) stays untouched. Returns
-  /// the raw aggregate, with its shard list moved out, for transport-only
-  /// fields.
+  /// shards whose `pipeline` exposes stats() and counters(). Every
+  /// server-section row is rebuilt from scratch, so repeated syncs stay
+  /// idempotent; client-section rows written directly to this view by
+  /// non-shard code (e.g. threshold_mismatches) stay untouched.
   template <typename Shards>
-  RpcStats fold_shards(const Shards& blocks) {
-    RpcStats agg;
-    for (const auto& sh : blocks) {
-      const RpcStats& s = sh->pipeline.stats();
-      agg.merge_resilience(s);
-      agg.calls_handled += s.calls_handled;
-      agg.recv_alloc_us.merge(s.recv_alloc_us);
-      agg.recv_total_us.merge(s.recv_total_us);
-      agg.shards.push_back(sh->pipeline.counters());
-    }
-    calls_handled = agg.calls_handled;
-    calls_shed = agg.calls_shed;
-    calls_expired = agg.calls_expired;
-    responses_expired = agg.responses_expired;
-    dedup_hits = agg.dedup_hits;
-    dedup_in_flight = agg.dedup_in_flight;
-    dropped_on_stop = agg.dropped_on_stop;
-    responses_dropped_on_stop = agg.responses_dropped_on_stop;
-    pool_nacks = agg.pool_nacks;
-    queue_depth_peak = agg.queue_depth_peak;
-    sessions_opened = agg.sessions_opened;
-    sessions_expired = agg.sessions_expired;
-    sessions_evicted = agg.sessions_evicted;
-    sessions_rejected = agg.sessions_rejected;
-    session_table_peak = agg.session_table_peak;
-    batches_received = agg.batches_received;
-    batched_calls_received = agg.batched_calls_received;
-    response_batches = agg.response_batches;
-    batched_responses = agg.batched_responses;
-    recv_alloc_us = agg.recv_alloc_us;
-    recv_total_us = agg.recv_total_us;
-    shards = std::move(agg.shards);
-    return agg;
-  }
-
-  void merge_resilience(const RpcStats& o) {
-    timeouts += o.timeouts;
-    transport_errors += o.transport_errors;
-    retries += o.retries;
-    socket_fallbacks += o.socket_fallbacks;
-    backoff_us.merge(o.backoff_us);
-    busy_rejections += o.busy_rejections;
-    nack_fallbacks += o.nack_fallbacks;
-    calls_shed += o.calls_shed;
-    calls_expired += o.calls_expired;
-    responses_expired += o.responses_expired;
-    dedup_hits += o.dedup_hits;
-    dedup_in_flight += o.dedup_in_flight;
-    dropped_on_stop += o.dropped_on_stop;
-    pool_nacks += o.pool_nacks;
-    if (o.queue_depth_peak > queue_depth_peak) queue_depth_peak = o.queue_depth_peak;
-    batches_sent += o.batches_sent;
-    batched_calls += o.batched_calls;
-    batch_flush_full += o.batch_flush_full;
-    batch_flush_linger += o.batch_flush_linger;
-    batch_flush_immediate += o.batch_flush_immediate;
-    batches_received += o.batches_received;
-    batched_calls_received += o.batched_calls_received;
-    response_batches += o.response_batches;
-    batched_responses += o.batched_responses;
-    connections_opened += o.connections_opened;
-    threshold_mismatches += o.threshold_mismatches;
-    reconnects_peer_closed += o.reconnects_peer_closed;
-    reconnects_qp_error += o.reconnects_qp_error;
-    reconnects_idle_evicted += o.reconnects_idle_evicted;
-    reconnects_fault_injected += o.reconnects_fault_injected;
-    calls_replayed += o.calls_replayed;
-    session_cold_restarts += o.session_cold_restarts;
-    sessions_opened += o.sessions_opened;
-    sessions_expired += o.sessions_expired;
-    sessions_evicted += o.sessions_evicted;
-    sessions_rejected += o.sessions_rejected;
-    if (o.session_table_peak > session_table_peak) {
-      session_table_peak = o.session_table_peak;
-    }
-    srq_posted += o.srq_posted;
-    srq_refills += o.srq_refills;
-    srq_rnr_stalls += o.srq_rnr_stalls;
-    srq_evictions += o.srq_evictions;
-    if (o.recv_ring_bytes_peak > recv_ring_bytes_peak) {
-      recv_ring_bytes_peak = o.recv_ring_bytes_peak;
-    }
-    responses_dropped_on_stop += o.responses_dropped_on_stop;
-    ud_datagrams_sent += o.ud_datagrams_sent;
-    ud_responses_received += o.ud_responses_received;
-    ud_rc_fallbacks += o.ud_rc_fallbacks;
-    ud_calls_received += o.ud_calls_received;
-    ud_responses_sent += o.ud_responses_sent;
-    ud_rx_dropped += o.ud_rx_dropped;
-    ud_resp_oversize += o.ud_resp_oversize;
-    onesided_reads += o.onesided_reads;
-    onesided_misses += o.onesided_misses;
-    onesided_conflict_fallbacks += o.onesided_conflict_fallbacks;
-    onesided_stale_refreshes += o.onesided_stale_refreshes;
-    onesided_fallbacks += o.onesided_fallbacks;
-    onesided_published += o.onesided_published;
-    onesided_reexports += o.onesided_reexports;
-    streams_opened += o.streams_opened;
-    stream_chunks += o.stream_chunks;
-    stream_bytes += o.stream_bytes;
-    stream_credit_stalls += o.stream_credit_stalls;
-    stream_fallbacks += o.stream_fallbacks;
-    stream_pool_denied += o.stream_pool_denied;
-    stream_aborts += o.stream_aborts;
-    stream_deadline_expiries += o.stream_deadline_expiries;
-    if (o.shards.size() > shards.size()) shards.resize(o.shards.size());
-    for (std::size_t i = 0; i < o.shards.size(); ++i) {
-      shards[i].conns_assigned += o.shards[i].conns_assigned;
-      shards[i].dispatched += o.shards[i].dispatched;
-      if (o.shards[i].queued_peak > shards[i].queued_peak) {
-        shards[i].queued_peak = o.shards[i].queued_peak;
-      }
-      shards[i].dropped += o.shards[i].dropped;
-      shards[i].steals += o.shards[i].steals;
-      shards[i].stolen += o.shards[i].stolen;
-    }
-  }
+  void fold_shards(const Shards& blocks);
 };
+
+/// Report group of a counter, in resilience_report's order. kCalls to
+/// kStream form the client section; kServer onward the server section,
+/// which RpcStats::fold_shards rebuilds from the shards.
+enum class CounterGroup : std::uint8_t {
+  kCalls,  // followed by the backoff summary rows
+  kLink,
+  kReconnect,
+  kUdClient,
+  kOneSidedClient,
+  kColdRestart,
+  kStream,  // followed by the fault rows
+  kServer,
+  kUdServer,
+  kOneSidedServer,
+  kSessions,  // followed by the shard rows
+};
+
+/// A gated group prints only when one of its counters is nonzero, so a run
+/// that never touched a default-off plane (or never reconnected) renders
+/// the same report as a build without it.
+constexpr bool gated(CounterGroup g) {
+  return g != CounterGroup::kCalls && g != CounterGroup::kLink &&
+         g != CounterGroup::kStream && g != CounterGroup::kServer;
+}
+
+enum class CounterMerge : bool { kSum, kPeak };
+
+/// One RpcStats counter: its field, report label (nullptr: merged and
+/// folded, never printed), report group, and how two values combine.
+struct CounterRow {
+  std::uint64_t RpcStats::*field;
+  const char* label;
+  CounterGroup group;
+  CounterMerge merge = CounterMerge::kSum;
+};
+
+/// The single list of RpcStats counters, in report order within each
+/// group. merge, fold_shards and resilience_report all loop over it.
+inline constexpr auto kCounterRows = [] {
+  using enum CounterGroup;
+  using enum CounterMerge;
+  using S = RpcStats;
+  return std::to_array<CounterRow>({
+      {&S::calls_sent, "calls sent", kCalls},
+      {&S::timeouts, "timeouts", kCalls},
+      {&S::transport_errors, "transport errors", kCalls},
+      {&S::retries, "retries", kCalls},
+      {&S::socket_fallbacks, "socket fallbacks", kCalls},
+      {&S::busy_rejections, "busy rejections", kCalls},
+      {&S::nack_fallbacks, "nack fallbacks", kCalls},
+      {&S::batches_sent, "batches sent", kLink},
+      {&S::batched_calls, "batched calls", kLink},
+      {&S::batch_flush_full, "batch flushes (full)", kLink},
+      {&S::batch_flush_linger, "batch flushes (linger)", kLink},
+      {&S::batch_flush_immediate, "batch flushes (immediate)", kLink},
+      {&S::connections_opened, "connections opened", kLink},
+      {&S::threshold_mismatches, "threshold mismatches", kLink},
+      {&S::reconnects_peer_closed, "reconnects (peer closed)", kReconnect},
+      {&S::reconnects_qp_error, "reconnects (qp error)", kReconnect},
+      {&S::reconnects_idle_evicted, "reconnects (idle evicted)", kReconnect},
+      {&S::reconnects_fault_injected, "reconnects (fault injected)", kReconnect},
+      {&S::calls_replayed, "calls replayed", kReconnect},
+      {&S::ud_datagrams_sent, "ud datagrams sent", kUdClient},
+      {&S::ud_responses_received, "ud responses received", kUdClient},
+      {&S::ud_rc_fallbacks, "ud rc fallbacks", kUdClient},
+      {&S::onesided_reads, "onesided reads", kOneSidedClient},
+      {&S::onesided_misses, "onesided misses", kOneSidedClient},
+      {&S::onesided_conflict_fallbacks, "onesided conflict fallbacks", kOneSidedClient},
+      {&S::onesided_stale_refreshes, "onesided stale refreshes", kOneSidedClient},
+      {&S::onesided_fallbacks, "onesided fallbacks", kOneSidedClient},
+      {&S::session_cold_restarts, "session cold restarts", kColdRestart},
+      {&S::streams_opened, "streams opened", kStream},
+      {&S::stream_chunks, "stream chunks", kStream},
+      {&S::stream_bytes, "stream bytes", kStream},
+      {&S::stream_credit_stalls, "stream credit stalls", kStream},
+      {&S::stream_fallbacks, "stream fallbacks", kStream},
+      {&S::stream_pool_denied, "stream pool denied", kStream},
+      {&S::stream_aborts, "stream aborts", kStream},
+      {&S::stream_deadline_expiries, "stream deadline expiries", kStream},
+      {&S::calls_handled, nullptr, kServer},
+      {&S::calls_shed, "server calls shed", kServer},
+      {&S::calls_expired, "server calls expired", kServer},
+      {&S::responses_expired, "server responses expired", kServer},
+      {&S::dedup_hits, "server dedup hits", kServer},
+      {&S::dedup_in_flight, "server dedup in-flight", kServer},
+      {&S::dropped_on_stop, "server dropped on stop", kServer},
+      {&S::pool_nacks, "server pool nacks", kServer},
+      {&S::queue_depth_peak, "server queue depth peak", kServer, kPeak},
+      {&S::batches_received, "server batches received", kServer},
+      {&S::batched_calls_received, "server batched calls", kServer},
+      {&S::response_batches, "server response batches", kServer},
+      {&S::batched_responses, "server batched responses", kServer},
+      {&S::srq_posted, "server srq posted", kServer},
+      {&S::srq_refills, "server srq refills", kServer},
+      {&S::srq_rnr_stalls, "server srq rnr stalls", kServer},
+      {&S::srq_evictions, "server srq evictions", kServer},
+      {&S::recv_ring_bytes_peak, "server recv ring bytes peak", kServer, kPeak},
+      {&S::responses_dropped_on_stop, "server responses dropped on stop", kServer},
+      {&S::ud_calls_received, "server ud calls received", kUdServer},
+      {&S::ud_responses_sent, "server ud responses sent", kUdServer},
+      {&S::ud_rx_dropped, "server ud rx dropped", kUdServer},
+      {&S::ud_resp_oversize, "server ud oversize responses", kUdServer},
+      {&S::onesided_published, "server onesided published", kOneSidedServer},
+      {&S::onesided_reexports, "server onesided reexports", kOneSidedServer},
+      {&S::sessions_opened, "server sessions opened", kSessions},
+      {&S::sessions_expired, "server sessions expired", kSessions},
+      {&S::sessions_evicted, "server sessions evicted", kSessions},
+      {&S::sessions_rejected, "server session rejections", kSessions},
+      {&S::session_table_peak, "server session table peak", kSessions, kPeak},
+  });
+}();
+
+inline void RpcStats::merge(const RpcStats& o) {
+  for (const CounterRow& r : kCounterRows) {
+    std::uint64_t& v = this->*r.field;
+    v = r.merge == CounterMerge::kPeak ? std::max(v, o.*r.field) : v + o.*r.field;
+  }
+  backoff_us.merge(o.backoff_us);
+  recv_alloc_us.merge(o.recv_alloc_us);
+  recv_total_us.merge(o.recv_total_us);
+  if (o.shards.size() > shards.size()) shards.resize(o.shards.size());
+  for (std::size_t i = 0; i < o.shards.size(); ++i) shards[i].merge(o.shards[i]);
+}
+
+template <typename Shards>
+void RpcStats::fold_shards(const Shards& blocks) {
+  RpcStats agg;
+  for (const auto& sh : blocks) {
+    agg.merge(sh->pipeline.stats());
+    agg.shards.push_back(sh->pipeline.counters());
+  }
+  for (const CounterRow& r : kCounterRows) {
+    if (r.group >= CounterGroup::kServer) this->*r.field = agg.*r.field;
+  }
+  recv_alloc_us = agg.recv_alloc_us;
+  recv_total_us = agg.recv_total_us;
+  shards = std::move(agg.shards);
+}
 
 }  // namespace rpcoib::rpc

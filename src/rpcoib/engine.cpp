@@ -18,23 +18,6 @@ const char* rpc_mode_name(RpcMode mode) {
 RpcEngine::RpcEngine(net::Testbed& tb, EngineConfig cfg)
     : tb_(tb), cfg_(cfg), verbs_(tb.fabric()) {}
 
-namespace {
-void merge_profiles(std::map<rpc::MethodKey, rpc::MethodProfile>& agg,
-                    const rpc::RpcStats& stats) {
-  for (const auto& [key, prof] : stats.methods) {
-    rpc::MethodProfile& dst = agg[key];
-    dst.mem_adjustments.merge(prof.mem_adjustments);
-    dst.serialize_us.merge(prof.serialize_us);
-    dst.send_us.merge(prof.send_us);
-    dst.total_us.merge(prof.total_us);
-    dst.msg_bytes.merge(prof.msg_bytes);
-    dst.size_sequence.insert(dst.size_sequence.end(), prof.size_sequence.begin(),
-                             prof.size_sequence.end());
-    dst.sequence_dropped += prof.sequence_dropped;
-  }
-}
-}  // namespace
-
 std::unique_ptr<rpc::RpcClient> RpcEngine::make_client(cluster::Host& host) {
   std::unique_ptr<rpc::RpcClient> client = make_client_impl(host);
   client->set_retry_policy(cfg_.retry);
@@ -46,7 +29,7 @@ std::unique_ptr<rpc::RpcClient> RpcEngine::make_client(cluster::Host& host) {
   // Dead clients flush their stats into the engine accumulator so
   // aggregation never touches a dangling pointer.
   client->set_on_destroy([this, raw](const rpc::RpcStats& st) {
-    merge_profiles(retired_profiles_, st);
+    for (const auto& [key, prof] : st.methods) retired_profiles_[key].merge(prof);
     std::erase(clients_, raw);
   });
   return client;
@@ -54,7 +37,9 @@ std::unique_ptr<rpc::RpcClient> RpcEngine::make_client(cluster::Host& host) {
 
 std::map<rpc::MethodKey, rpc::MethodProfile> RpcEngine::aggregated_profiles() const {
   std::map<rpc::MethodKey, rpc::MethodProfile> agg = retired_profiles_;
-  for (const rpc::RpcClient* c : clients_) merge_profiles(agg, c->stats());
+  for (const rpc::RpcClient* c : clients_) {
+    for (const auto& [key, prof] : c->stats().methods) agg[key].merge(prof);
+  }
   return agg;
 }
 

@@ -225,18 +225,11 @@ void RdmaRpcServer::stop() {
 
 void RdmaRpcServer::fold_stats() {
   if (shards_.empty()) return;
-  const rpc::RpcStats agg = stats_.fold_shards(shards_);
+  stats_.fold_shards(shards_);
   std::uint64_t ring_peak_sum = 0;
   for (const auto& shard : shards_) {
     ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
   }
-  stats_.srq_posted = agg.srq_posted;
-  stats_.srq_refills = agg.srq_refills;
-  stats_.srq_rnr_stalls = agg.srq_rnr_stalls;
-  stats_.srq_evictions = agg.srq_evictions;
-  stats_.ud_calls_received = agg.ud_calls_received;
-  stats_.ud_responses_sent = agg.ud_responses_sent;
-  stats_.ud_resp_oversize = agg.ud_resp_oversize;
   std::uint64_t ud_rx = ud_rx_dropped_base_;
   for (const auto& ep : ud_eps_) {
     if (ep) ud_rx += ep->rx_dropped();

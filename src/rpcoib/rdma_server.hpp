@@ -234,8 +234,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// RespSink flush body); `alive` is the server's liveness token.
   sim::Co<void> flush_response_batch(ConnPtr conn, std::vector<net::Bytes> items,
                                      std::shared_ptr<bool> alive);
-  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards)
-  /// plus the RPCoIB-only SRQ/UD/one-sided/ring fields.
+  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards),
+  /// then set the four fields computed outside the shards: UD rx drops,
+  /// one-sided publishes/re-exports and the summed ring-bytes peak.
   void fold_stats() override;
 
   cluster::Host& host_;

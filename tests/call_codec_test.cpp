@@ -206,6 +206,38 @@ TEST(WireBatchSplit, TrailingBytesAreRejected) {
   EXPECT_EQ(split(wire_batch(2, {1, 1}, 3), subs), BatchSplit::kBadLength);
 }
 
+/// Everything a BufferedOutputStream (the socket transports' stream) wrote.
+template <typename Write>
+net::Bytes stream_bytes(Write write) {
+  rpc::BufferedOutputStream out(cost());
+  write(out);
+  out.flush();
+  return out.take_pending();
+}
+
+TEST(WireBatchSplit, EncodeThenSplitRoundTripsByteExact) {
+  const std::vector<net::Bytes> items = {{1, 2}, {}, {3, 4, 5}, net::Bytes(300, 7)};
+  const std::vector<net::ByteSpan> payloads(items.begin(), items.end());
+  const net::Bytes wire =
+      stream_bytes([&](rpc::DataOutput& out) { rpc::encode_wire_batch(out, payloads); });
+  rpc::DataInputBuffer len_in(cost(), wire);
+  ASSERT_EQ(len_in.read_u32(), wire.size() - 4);
+  const net::Bytes frame(wire.begin() + 4, wire.end());
+  // The layout, spelled out: flagged count, length table, payloads.
+  const net::Bytes want = stream_bytes([&](rpc::DataOutput& out) {
+    out.write_u64(trace::kWireBatchFlag | items.size());
+    for (const net::Bytes& m : items) out.write_u32(static_cast<std::uint32_t>(m.size()));
+    for (const net::Bytes& m : items) out.write_payload(m);
+  });
+  EXPECT_EQ(frame, want);
+  std::vector<net::ByteSpan> subs;
+  ASSERT_EQ(split(frame, subs), BatchSplit::kOk);
+  ASSERT_EQ(subs.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(net::Bytes(subs[i].begin(), subs[i].end()), items[i]) << i;
+  }
+}
+
 // ---- A socket server survives malformed frames ---------------------------------
 
 constexpr net::Address kServerAddr{1, 9100};

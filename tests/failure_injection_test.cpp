@@ -505,7 +505,7 @@ TEST(Chaos, SrqServerSurvivesFaultedManyConnectionSweep) {
     if (ec.pool.srq_depth > 0) EXPECT_GT(server->stats().srq_posted, 0u);
 
     rpc::RpcStats merged;
-    for (auto& c : clients) merged.merge_resilience(c->stats());
+    for (auto& c : clients) merged.merge(c->stats());
     std::string report =
         rpc::resilience_report(merged, &plan->counters(), &server->stats());
     report += "\nfinished at " + std::to_string(s.now());

@@ -76,20 +76,6 @@ TEST(Histogram, ResetClears) {
   EXPECT_EQ(h.quantile(0.5), 0.0);
 }
 
-TEST(Registry, CountersAndSummaries) {
-  Registry r;
-  r.counter("x") += 3;
-  r.counter("x") += 2;
-  EXPECT_EQ(r.counter_value("x"), 5u);
-  EXPECT_EQ(r.counter_value("missing"), 0u);
-  r.summary("lat").add(10.0);
-  ASSERT_NE(r.find_summary("lat"), nullptr);
-  EXPECT_EQ(r.find_summary("lat")->count(), 1u);
-  EXPECT_EQ(r.find_summary("nope"), nullptr);
-  r.reset();
-  EXPECT_EQ(r.counter_value("x"), 0u);
-}
-
 TEST(Table, AlignsColumnsAndFormatsNumbers) {
   Table t({"A", "LongHeader"});
   t.row({"xx", Table::num(3.14159, 2)});

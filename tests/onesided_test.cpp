@@ -483,7 +483,7 @@ TEST(Chaos, OneSidedReadsSurviveKillsLossAndReexports) {
     // RC kill schedule has nothing to bite; the loss plan still runs.
     if (chaos_onesided()) EXPECT_GT(plan->counters().kills, 0u);
     rpc::RpcStats merged;
-    for (auto& c : clients) merged.merge_resilience(c->stats());
+    for (auto& c : clients) merged.merge(c->stats());
     if (chaos_onesided()) {
       EXPECT_GT(merged.onesided_reads, 0u);
       EXPECT_GT(merged.onesided_fallbacks, 0u);

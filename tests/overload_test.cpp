@@ -694,7 +694,7 @@ TEST(Overload, StormIsBoundedAndByteIdenticalAcrossRuns) {
       EXPECT_EQ(runs, 3 * 3 * 2);
 
       rpc::RpcStats merged;
-      for (auto& c : clients) merged.merge_resilience(c->stats());
+      for (auto& c : clients) merged.merge(c->stats());
       std::string report =
           rpc::resilience_report(merged, &plan->counters(), &server->stats());
       report += "\nbump runs " + std::to_string(runs);

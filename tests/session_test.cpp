@@ -269,7 +269,7 @@ TEST(Chaos, KillEveryConnectionExactlyOnce) {
       EXPECT_EQ(completed, kConns * kCalls);
       EXPECT_EQ(errors, 0);
       rpc::RpcStats merged;
-      for (auto& c : clients) merged.merge_resilience(c->stats());
+      for (auto& c : clients) merged.merge(c->stats());
       if (!ud) {
         // Every link was killed at least once... (over UD the eager calls
         // are connectionless, so the kill schedule never finds a target —
@@ -711,7 +711,7 @@ TEST(Chaos, SeededKillRunsAreByteIdenticalAcrossShardGeometries) {
         EXPECT_EQ(errors, 0);
         for (const auto& [seq, n] : exec) EXPECT_EQ(n, 1) << "seq " << seq;
         rpc::RpcStats merged;
-        for (auto& c : clients) merged.merge_resilience(c->stats());
+        for (auto& c : clients) merged.merge(c->stats());
         std::string report =
             rpc::resilience_report(merged, &plan->counters(), &server->stats());
         report += "\nfinished at " + std::to_string(s.now());

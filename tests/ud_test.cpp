@@ -263,7 +263,7 @@ TEST(Chaos, UdSeededDatagramLossStaysExactlyOnce) {
     EXPECT_GT(plan->counters().datagram_losses, 0u)
         << "seed produced no loss; the gate proved nothing";
     rpc::RpcStats merged;
-    for (auto& c : clients) merged.merge_resilience(c->stats());
+    for (auto& c : clients) merged.merge(c->stats());
     EXPECT_GT(merged.ud_datagrams_sent, 0u);
     EXPECT_GE(merged.retries, 1u);
     // Losses never push traffic onto RC: sub-MTU retries are datagrams too.
