@@ -137,9 +137,10 @@ sim::Task DataNode::stream_ingest(oib::stream::StreamReaderPtr r, net::Bytes met
     for (std::uint64_t i = 0; i < nchunks; ++i) {
       oib::stream::Chunk c = co_await r->next_chunk();
       const std::size_t pkts =
-          (c.data.size() + cfg_.packet_size - 1) / cfg_.packet_size;
+          (c.payload.size() + cfg_.packet_size - 1) / cfg_.packet_size;
       co_await host_.compute(per_pkt * pkts);
-      if (fwd != nullptr) co_await fwd->write_chunk(c.data);
+      // Relay the chunk as it landed: a pattern keeps its own seed.
+      if (fwd != nullptr) co_await fwd->write_chunk(c.payload);
       co_await r->release_chunk(c.seq);
     }
     std::uint8_t status = 0;

@@ -62,7 +62,8 @@ class DataOutputBuffer final : public DataOutput {
       buf_ = std::move(new_buf);
       stats_.mem_adjustments++;
     }
-    std::memcpy(buf_.data() + count_, bs.data(), bs.size());  // (3) copy new data
+    // (3) copy new data; an empty span may carry a null pointer.
+    if (!bs.empty()) std::memcpy(buf_.data() + count_, bs.data(), bs.size());
     accrue(cost_model().heap_copy(bs.size()));
     stats_.bytes_copied += bs.size();
     count_ = new_count;

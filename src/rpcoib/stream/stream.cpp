@@ -144,6 +144,17 @@ struct StreamConn {
 };
 
 // ---------------------------------------------------------------------------
+// Chunk
+
+net::ByteSpan Chunk::bytes() const {
+  if (payload.is_pattern() && !in_slot_) {
+    payload.copy_to(slot_);
+    in_slot_ = true;
+  }
+  return slot_;
+}
+
+// ---------------------------------------------------------------------------
 // StreamReader
 
 StreamReader::StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
@@ -171,12 +182,15 @@ void StreamReader::bump(std::uint64_t rpc::RpcStats::* counter) {
   if (*hub_alive_) ++(stats_->*counter);
 }
 
-void StreamReader::on_chunk(std::uint64_t seq16, std::uint32_t len) {
-  // The immediate carries only the low 16 bits; RC in-order delivery makes
-  // the arrival counter the authoritative sequence number.
-  (void)seq16;
+void StreamReader::on_chunk(const verbs::WorkCompletion& wc) {
+  // The immediate carries only the low 16 bits of the sequence number; RC
+  // in-order delivery makes the arrival counter the authoritative one.
   if (closed_) return;
-  arrivals_.emplace_back(arrived_++, len);
+  const std::uint64_t seq = arrived_++;
+  const net::MutByteSpan slot = ring_[seq % ring_.size()]->span.first(wc.byte_len);
+  const net::Payload landed =
+      wc.pattern ? net::Payload::pattern(wc.byte_len, wc.pattern_seed) : net::Payload(slot);
+  arrivals_.push_back(Chunk(seq, landed, slot));
   arrival_.signal();
 }
 
@@ -224,10 +238,9 @@ sim::Co<Chunk> StreamReader::next_chunk() {
       throw StreamAbortedError(why);
     }
   }
-  const auto [seq, len] = arrivals_.front();
+  const Chunk c = arrivals_.front();
   arrivals_.pop_front();
-  NativeBuffer* slot = ring_[seq % ring_.size()];
-  co_return Chunk{seq, net::ByteSpan(slot->span.data(), len)};
+  co_return c;
 }
 
 sim::Co<void> StreamReader::release_chunk(std::uint64_t seq) {
@@ -369,7 +382,7 @@ void StreamWriter::release_staging() {
 
 void StreamWriter::unregister() { conn_->writers.erase(sid_); }
 
-sim::Co<void> StreamWriter::write_chunk(net::ByteSpan payload) {
+sim::Co<void> StreamWriter::write_chunk(net::Payload payload) {
   if (closed_) throw StreamAbortedError("stream closed");
   if (payload.empty() || payload.size() > chunk_size_) {
     throw StreamAbortedError("chunk size out of range");
@@ -385,7 +398,12 @@ sim::Co<void> StreamWriter::write_chunk(net::ByteSpan payload) {
     // the previous chunk's wire time runs under this compute.
     co_await host_->compute(host_->cost().direct_copy(payload.size()) +
                             host_->cost().jni_call());
-    std::memcpy(stag->span.data(), payload.data(), payload.size());
+    if (!payload.is_pattern()) {
+      // The WRITE reads real bytes from staging; a pattern moves as its
+      // descriptor, so its serialization copy is modelled time only.
+      payload.copy_to(stag->span);
+      payload = net::ByteSpan(stag->span.data(), payload.size());
+    }
     bool stalled = false;
     ok = co_await credit_gate_.take(deadline_, &stalled);
     if (stalled) bump(&rpc::RpcStats::stream_credit_stalls);
@@ -403,8 +421,7 @@ sim::Co<void> StreamWriter::write_chunk(net::ByteSpan payload) {
                             static_cast<std::uint32_t>(seq & 0xffffu);
   bool post_failed = false;
   try {
-    co_await conn_->qp->post_rdma_write(
-        sid_, net::ByteSpan(stag->span.data(), payload.size()), slot, imm);
+    co_await conn_->qp->post_rdma_write(sid_, payload, slot, imm);
   } catch (const verbs::VerbsError& e) {
     on_conn_failed(e.what());
     post_failed = true;
@@ -421,16 +438,12 @@ sim::Co<void> StreamWriter::write_chunk(net::ByteSpan payload) {
 sim::Co<void> StreamWriter::write_all() {
   trace::TraceCollector* tr = trace::active(host_->tracer());
   const sim::Time t0 = host_->sched().now();
-  net::Bytes payload(chunk_size_);
   std::uint64_t remaining = total_;
   std::uint64_t k = next_seq_;
   while (remaining > 0) {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(remaining, chunk_size_));
-    for (std::size_t j = 0; j < n; ++j) {
-      payload[j] = static_cast<net::Byte>((k * 131 + j) & 0xff);
-    }
-    co_await write_chunk(net::ByteSpan(payload.data(), n));
+    co_await write_chunk(net::Payload::pattern(n, k));
     remaining -= n;
     ++k;
   }
@@ -648,7 +661,7 @@ sim::Task StreamHub::conn_loop(ConnPtr conn) {
           const std::uint32_t sid16 = wc.imm_data >> 16;
           for (auto& [sid, r] : conn->readers) {
             if ((sid & 0xffffu) == sid16) {
-              r->on_chunk(wc.imm_data & 0xffffu, wc.byte_len);
+              r->on_chunk(wc);
               break;
             }
           }

@@ -21,6 +21,11 @@
 //                                                   to open a stream back
 //   chunk data:   RDMA WRITE, imm = (sid & 0xffff) << 16 | (seq & 0xffff)
 //
+// Chunk data is a net::Payload: real bytes, or {length, seed} for
+// write_all's pattern. A pattern is charged every modelled copy but moves
+// as its descriptor, through staging, the WRITE and the receive ring; it
+// becomes bytes only in Chunk::bytes(), and a relay forwards it unread.
+//
 // Fallback matrix (the writer degrades to the legacy one-shot path, the
 // caller keeps working): payload below min_stream_bytes; staging
 // try_acquire denied (PoolConfig::demand_alloc_cap); receiver ring
@@ -147,11 +152,28 @@ class StreamHub;
 struct StreamConn;
 using StreamConnPtr = std::shared_ptr<StreamConn>;
 
-/// One inbound chunk, viewed in place in its registered ring slot. Valid
-/// until release_chunk(seq) returns the slot to the wire.
-struct Chunk {
+/// One inbound chunk as it landed in its registered ring slot. `payload`
+/// is what the writer sent: a view of the landed bytes, or a pattern that
+/// travelled as {length, seed} and so left the slot's old bytes in place.
+/// Forward `payload` as-is to relay the chunk; read its content through
+/// bytes(), never the slot. Valid until release_chunk(seq) returns the slot
+/// to the wire.
+class Chunk {
+ public:
   std::uint64_t seq = 0;
-  net::ByteSpan data{};
+  net::Payload payload;
+
+  /// The chunk's content, in its ring slot. The first call writes a
+  /// pattern payload into the slot; later calls return the same bytes.
+  net::ByteSpan bytes() const;
+
+ private:
+  friend class StreamReader;
+  Chunk(std::uint64_t s, net::Payload p, net::MutByteSpan slot)
+      : seq(s), payload(p), slot_(slot) {}
+
+  net::MutByteSpan slot_;  // the first payload.size() bytes of the ring slot
+  mutable bool in_slot_ = false;
 };
 
 /// Receiving half: advertises the ring, consumes chunks in order, posts a
@@ -193,7 +215,7 @@ class StreamReader {
   StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
                std::uint64_t total, std::size_t chunk_size);
 
-  void on_chunk(std::uint64_t seq, std::uint32_t len);
+  void on_chunk(const verbs::WorkCompletion& wc);
   void on_writer_abort(const std::string& reason);
   void on_conn_failed(const std::string& why);
   void release_ring();
@@ -213,7 +235,7 @@ class StreamReader {
   std::uint64_t total_ = 0;
   std::size_t chunk_size_ = 0;
   std::vector<NativeBuffer*> ring_;
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> arrivals_;  // (seq, len)
+  std::deque<Chunk> arrivals_;
   std::uint64_t arrived_ = 0;
   Notify arrival_;
   Notify echo_;          // writer's abort echo after a reader-initiated abort
@@ -240,11 +262,13 @@ class StreamWriter {
 
   /// Send the next chunk (payload.size() <= chunk_size). Charges the
   /// serialization copy + doorbell, then returns at the doorbell — wire
-  /// time overlaps the caller's next serialization.
-  sim::Co<void> write_chunk(net::ByteSpan payload);
+  /// time overlaps the caller's next serialization. Real bytes are copied
+  /// into staging; a pattern is charged the same copy but moves as its
+  /// descriptor.
+  sim::Co<void> write_chunk(net::Payload payload);
 
-  /// Send all `total_bytes()` as pattern-filled chunks (byte j of chunk k
-  /// is (k * 131 + j) & 0xff — integrity-checkable at the reader).
+  /// Send all `total_bytes()` as pattern chunks: chunk k is
+  /// net::Payload::pattern(len, k), integrity-checkable at the reader.
   sim::Co<void> write_all();
 
   /// Wait for the receiver's kStreamDone (deadline-bounded), drain send

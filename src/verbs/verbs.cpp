@@ -236,7 +236,7 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   co_return;
 }
 
-sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan local,
+sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::Payload local,
                                          RemoteBuffer dst, std::optional<std::uint32_t> imm) {
   QueuePairPtr peer = peer_.lock();
   if (!peer) throw VerbsError("QP not connected");
@@ -246,23 +246,27 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan loca
 
   co_await host_.compute(p.per_msg_send_cpu);
 
-  net::Bytes payload(local.begin(), local.end());
+  // The HCA reads real bytes at post; a pattern needs no snapshot.
+  net::Bytes snapshot(local.bytes().begin(), local.bytes().end());
   VerbsStack* stack = &stack_;
   const CompletionQueue::Sink scq = send_cq_;
-  // Size read before the move: argument evaluation order is unspecified.
-  const std::size_t wire_bytes = payload.size();
+  const std::size_t n = local.size();
+  const bool pattern = local.is_pattern();
+  const std::uint64_t seed = local.seed();
   const sim::Time arrival = fab.deliver_flow(
-      host_.id(), peer->host_.id(), net::Transport::kIBVerbs, wire_bytes, send_clock_,
-      [stack, peer, dst, imm, payload = std::move(payload)]() mutable {
-        net::MutByteSpan target = stack->resolve(dst.rkey, dst.offset, payload.size());
-        std::memcpy(target.data(), payload.data(), payload.size());
+      host_.id(), peer->host_.id(), net::Transport::kIBVerbs, n, send_clock_,
+      [stack, peer, dst, imm, n, pattern, seed, snapshot = std::move(snapshot)] {
+        net::MutByteSpan target = stack->resolve(dst.rkey, dst.offset, n);
+        if (!snapshot.empty()) std::memcpy(target.data(), snapshot.data(), n);
         if (imm) {
           // WRITE_WITH_IMM surfaces at the peer as a receive-type completion.
-          peer->recv_cq_.push(WorkCompletion{0, Opcode::kRecvRdmaWithImm,
-                                             static_cast<std::uint32_t>(payload.size()), *imm});
+          WorkCompletion wc{0, Opcode::kRecvRdmaWithImm, static_cast<std::uint32_t>(n), *imm};
+          wc.pattern = pattern;
+          wc.pattern_seed = seed;
+          peer->recv_cq_.push(wc);
         }
       });
-  fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = local.size()] {
+  fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n] {
     scq.push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
   });
   co_return;

@@ -15,7 +15,9 @@
 //
 // Payload bytes are really copied between the registered buffers (they
 // live in this process), so data integrity is testable end to end; only
-// wire timing is modeled, through net::Fabric's IB-verbs parameters.
+// wire timing is modeled, through net::Fabric's IB-verbs parameters. The
+// one exception is an RDMA WRITE of a net::Payload pattern: only its
+// {length, seed} descriptor travels, and the target bytes stay untouched.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +64,10 @@ struct WorkCompletion {
   /// a non-zero status and an untouched local buffer instead of crashing
   /// the requester — the remote-access-error path real HCAs report.
   std::uint32_t status = 0;
+  /// For kRecvRdmaWithImm: the WRITE carried a net::Payload pattern. Its
+  /// descriptor is {byte_len, pattern_seed}; no byte reached the target.
+  bool pattern = false;
+  std::uint64_t pattern_seed = 0;
 };
 
 /// A registered memory region. `lkey`/`rkey` identify it locally/remotely;
@@ -252,8 +258,12 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   sim::Co<void> post_send(std::uint64_t wr_id, net::ByteSpan buf);
 
   /// One-sided write into remote registered memory. Optional immediate
-  /// data raises a kRecvRdmaWithImm completion at the peer.
-  sim::Co<void> post_rdma_write(std::uint64_t wr_id, net::ByteSpan local, RemoteBuffer dst,
+  /// data raises a kRecvRdmaWithImm completion at the peer. Real bytes are
+  /// snapshotted at post and land in the target; a pattern payload moves
+  /// as its descriptor only, which the completion carries. Either way the
+  /// length is checked against `dst` at post and the rkey and bounds are
+  /// resolved at arrival.
+  sim::Co<void> post_rdma_write(std::uint64_t wr_id, net::Payload local, RemoteBuffer dst,
                                 std::optional<std::uint32_t> imm = std::nullopt);
 
   /// One-sided read from remote registered memory into `local`.

@@ -238,6 +238,36 @@ TEST(WireBatchSplit, EncodeThenSplitRoundTripsByteExact) {
   }
 }
 
+TEST(WireBatchSplit, EmptyItemsRoundTripThroughDataOutputBuffer) {
+  // Empty items hand write_raw an empty span whose data() is null.
+  const std::vector<net::Bytes> items = {{}, {1, 2}, {}};
+  const std::vector<net::ByteSpan> payloads(items.begin(), items.end());
+  rpc::DataOutputBuffer out(cost());
+  rpc::encode_wire_batch(out, payloads);
+  const net::Bytes wire(out.data().begin(), out.data().end());
+  EXPECT_EQ(wire, stream_bytes([&](rpc::DataOutput& o) { rpc::encode_wire_batch(o, payloads); }));
+  const net::Bytes frame(wire.begin() + 4, wire.end());
+  std::vector<net::ByteSpan> subs;
+  ASSERT_EQ(split(frame, subs), BatchSplit::kOk);
+  ASSERT_EQ(subs.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(net::Bytes(subs[i].begin(), subs[i].end()), items[i]) << i;
+  }
+}
+
+TEST(DataOutputBuffer, EmptyWriteKeepsItsCountersAndCopyCharge) {
+  rpc::DataOutputBuffer out(cost());
+  out.write_u32(7);
+  const rpc::BufferStats before = out.stats();
+  const sim::Dur accrued = out.accrued();
+  out.write_raw(net::ByteSpan{});
+  EXPECT_EQ(out.length(), 4u);
+  EXPECT_EQ(out.stats().bytes_copied, before.bytes_copied);
+  EXPECT_EQ(out.stats().allocations, before.allocations);
+  EXPECT_EQ(out.stats().mem_adjustments, before.mem_adjustments);
+  EXPECT_EQ(out.accrued(), accrued + cost().heap_copy(0));
+}
+
 // ---- A socket server survives malformed frames ---------------------------------
 
 constexpr net::Address kServerAddr{1, 9100};

@@ -1,7 +1,9 @@
 // Stream subsystem tests: pipelined chunk transfer integrity, the fallback
 // matrix (threshold, capped pools, grant refusal), edge geometries (payload
 // an exact multiple of chunk_size, sub-chunk payload, ring_depth=1),
-// per-chunk deadline expiry, and pool-balance invariants after teardown.
+// per-chunk deadline expiry, pool-balance invariants after teardown, and
+// chunk payloads (a relay forwarding them as landed, real and pattern chunks
+// in one stream, pattern chunks landing over a slot's stale bytes).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,7 +70,7 @@ Task consume(Scheduler& s, StreamReaderPtr r, net::Bytes meta, Received* out,
     for (std::uint64_t i = 0; i < n; ++i) {
       if (i == stall_at) co_await sim::delay(s, stall_for);
       Chunk c = co_await r->next_chunk();
-      out->chunks.emplace_back(c.data.begin(), c.data.end());
+      out->chunks.emplace_back(c.bytes().begin(), c.bytes().end());
       if (hold > 0) co_await sim::delay(s, hold);
       co_await r->release_chunk(c.seq);
     }
@@ -404,7 +406,7 @@ Task fetch_consume(StreamHub& hub, std::vector<net::Bytes>& chunks, bool& finish
     const std::uint64_t n = r->num_chunks();
     for (std::uint64_t i = 0; i < n; ++i) {
       Chunk c = co_await r->next_chunk();
-      chunks.emplace_back(c.data.begin(), c.data.end());
+      chunks.emplace_back(c.bytes().begin(), c.bytes().end());
       co_await r->release_chunk(c.seq);
     }
     co_await r->finish(0);
@@ -441,6 +443,209 @@ TEST(Stream, FetchRoleFlip) {
   s.run_until(sim::seconds(31));
   expect_balanced(f.a);
   expect_balanced(f.b);
+}
+
+// ---- Payloads: relay, mixed streams, stale ring slots --------------------------
+
+/// The pattern chunk with seed k, spelled as pattern_ok spells it.
+net::Bytes pattern_chunk(std::uint64_t k, std::size_t n) {
+  net::Bytes c(n);
+  for (std::size_t j = 0; j < n; ++j) c[j] = static_cast<net::Byte>((k * 131 + j) & 0xff);
+  return c;
+}
+
+/// A DataNode-style relay: open the next leg, forward each chunk's payload
+/// exactly as it landed, never reading it.
+Task relay(StreamHub& hub, net::Address next, StreamReaderPtr r, std::vector<bool>* patterns,
+           bool* done) {
+  StreamWriterPtr fwd = co_await hub.open(next, {}, r->total_bytes());
+  bool ok = false;  // co_await is not allowed inside a handler
+  std::string why = "relay refused";
+  if (fwd != nullptr) {
+    try {
+      for (std::uint64_t i = 0; i < r->num_chunks(); ++i) {
+        Chunk c = co_await r->next_chunk();
+        patterns->push_back(c.payload.is_pattern());
+        co_await fwd->write_chunk(c.payload);
+        co_await r->release_chunk(c.seq);
+      }
+      const std::uint8_t status = co_await fwd->close();
+      co_await r->finish(status);
+      ok = true;
+    } catch (const StreamAbortedError& e) {
+      why = e.what();
+    }
+  }
+  if (!ok) {
+    if (fwd != nullptr) co_await fwd->abort(why);
+    co_await r->abort(why);
+  }
+  *done = ok;
+}
+
+/// Three hubs in a line, A -> B -> C, as a client and two DataNodes.
+struct Pipeline3 {
+  explicit Pipeline3(Scheduler& s)
+      : tb(s, Testbed::cluster_a(3)),
+        stack(tb.fabric()),
+        a(tb.host(0), tb.sockets(), stack, stream_cfg(), PoolConfig{}),
+        b(tb.host(1), tb.sockets(), stack, stream_cfg(), PoolConfig{}),
+        c(tb.host(2), tb.sockets(), stack, stream_cfg(), PoolConfig{}) {}
+  ~Pipeline3() { tb.sched().drain_tasks(); }
+
+  Testbed tb;
+  verbs::VerbsStack stack;
+  StreamHub a, b, c;
+};
+
+TEST(StreamPayload, RelayForwardsPatternPayloadsThatHoldAtTheLastHop) {
+  Scheduler s;
+  Pipeline3 p(s);
+  StreamHub& a = p.a;
+  StreamHub& b = p.b;
+  StreamHub& c = p.c;
+  constexpr net::Address kHopC{2, kHdfsStreamPort};
+  std::vector<bool> patterns;
+  bool relayed = false;
+  b.listen(kDst, [&](StreamReaderPtr r, net::Bytes) {
+    return relay(b, kHopC, std::move(r), &patterns, &relayed);
+  });
+  Received rx;
+  c.listen(kHopC, consumer(s, &rx));
+  WriteResult wr;
+  const std::uint64_t nbytes = 3 * 64 * 1024 + 4096;  // three full chunks and a tail
+  s.spawn(write_task(a, kDst, {}, nbytes, &wr));
+  s.run_until(sim::seconds(30));
+
+  EXPECT_EQ(wr.status, 0) << wr.error;
+  EXPECT_TRUE(relayed);
+  EXPECT_TRUE(rx.finished) << rx.error;
+  ASSERT_EQ(rx.chunks.size(), 4u);
+  EXPECT_TRUE(pattern_ok(rx.chunks, nbytes, 64 * 1024));
+  EXPECT_EQ(patterns, std::vector<bool>(4, true));
+  EXPECT_EQ(b.stats().stream_bytes, nbytes);
+
+  a.stop();
+  b.stop();
+  c.stop();
+  s.run_until(sim::seconds(31));
+  expect_balanced(a);
+  expect_balanced(b);
+  expect_balanced(c);
+}
+
+/// Offset between a mixed stream's pattern seeds and their sequence
+/// numbers, so a seed derived from the sequence number would show.
+constexpr std::uint64_t kSeedBase = 100;
+
+/// Write `chunks` in order: an empty entry k is sent as a pattern with
+/// seed kSeedBase + k, any other entry as its real bytes.
+Task write_mixed(StreamHub& hub, std::vector<net::Bytes> chunks, std::uint64_t nbytes,
+                 WriteResult* out) {
+  StreamWriterPtr w = co_await hub.open(kDst, {}, nbytes);
+  if (w == nullptr) {
+    out->status = -2;
+    co_return;
+  }
+  try {
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+      if (chunks[k].empty()) {
+        co_await w->write_chunk(net::Payload::pattern(w->chunk_size(), kSeedBase + k));
+      } else {
+        co_await w->write_chunk(chunks[k]);
+      }
+    }
+    out->status = co_await w->close();
+  } catch (const StreamAbortedError& e) {
+    out->status = -3;
+    out->error = e.what();
+  }
+}
+
+TEST(StreamPayload, MixedRealAndPatternChunksArriveExactly) {
+  Scheduler s;
+  Fixture f(s);
+  Received rx;
+  f.b.listen(kDst, consumer(s, &rx));
+  constexpr std::size_t kChunk = 64 * 1024;
+  net::Bytes head(kChunk, net::Byte{0xEE});
+  net::Bytes tail(kChunk);
+  for (std::size_t j = 0; j < kChunk; ++j) tail[j] = static_cast<net::Byte>(j * 7 + 3);
+  // Real bytes, two patterns, real bytes again.
+  const std::vector<net::Bytes> sent = {head, {}, {}, tail};
+  WriteResult wr;
+  s.spawn(write_mixed(f.a, sent, 4 * kChunk, &wr));
+  s.run_until(sim::seconds(30));
+
+  EXPECT_EQ(wr.status, 0) << wr.error;
+  EXPECT_TRUE(rx.finished) << rx.error;
+  ASSERT_EQ(rx.chunks.size(), 4u);
+  EXPECT_EQ(rx.chunks[0], head);
+  EXPECT_EQ(rx.chunks[1], pattern_chunk(kSeedBase + 1, kChunk));
+  EXPECT_EQ(rx.chunks[2], pattern_chunk(kSeedBase + 2, kChunk));
+  EXPECT_EQ(rx.chunks[3], tail);
+}
+
+struct SlotReads {
+  std::vector<net::Bytes> chunks;
+  bool idempotent = true;  // every second bytes() call returned the same view
+  bool stable = true;      // the view held its bytes until release_chunk
+  bool finished = false;
+};
+
+/// Read each chunk twice through bytes(), hold it across a delay, check it
+/// again, then release it.
+Task read_slots(Scheduler& s, StreamReaderPtr r, SlotReads* out) {
+  bool ok = false;  // co_await is not allowed inside a handler
+  std::string why;
+  try {
+    for (std::uint64_t i = 0; i < r->num_chunks(); ++i) {
+      Chunk c = co_await r->next_chunk();
+      const net::ByteSpan first = c.bytes();
+      const net::Bytes copy(first.begin(), first.end());
+      const net::ByteSpan again = c.bytes();
+      out->idempotent = out->idempotent && again.data() == first.data() &&
+                        again.size() == first.size() &&
+                        net::Bytes(again.begin(), again.end()) == copy;
+      co_await sim::delay(s, sim::millis(1));
+      out->stable = out->stable && net::Bytes(first.begin(), first.end()) == copy;
+      out->chunks.push_back(copy);
+      co_await r->release_chunk(c.seq);
+    }
+    co_await r->finish(0);
+    ok = true;
+  } catch (const StreamAbortedError& e) {
+    why = e.what();
+  }
+  if (!ok) co_await r->abort(why);
+  out->finished = ok;
+}
+
+TEST(StreamPayload, PatternChunkNeverShowsTheStaleBytesOfItsSlot) {
+  Scheduler s;
+  Fixture f(s, stream_cfg(64 * 1024, 1));  // depth 1: chunk k+1 lands in chunk k's slot
+  SlotReads rx;
+  f.b.listen(kDst, [&s, &rx](StreamReaderPtr r, net::Bytes) {
+    return read_slots(s, std::move(r), &rx);
+  });
+  constexpr std::size_t kChunk = 64 * 1024;
+  const net::Bytes real(kChunk, net::Byte{0xEE});
+  // Real bytes fill the slot, then patterns land over them (the first
+  // pattern onto real bytes, the next onto a read pattern), then real again.
+  const std::vector<net::Bytes> sent = {real, {}, {}, real};
+  WriteResult wr;
+  s.spawn(write_mixed(f.a, sent, 4 * kChunk, &wr));
+  s.run_until(sim::seconds(30));
+
+  EXPECT_EQ(wr.status, 0) << wr.error;
+  EXPECT_TRUE(rx.finished);
+  EXPECT_TRUE(rx.idempotent);
+  EXPECT_TRUE(rx.stable);
+  ASSERT_EQ(rx.chunks.size(), 4u);
+  EXPECT_EQ(rx.chunks[0], real);
+  EXPECT_EQ(rx.chunks[1], pattern_chunk(kSeedBase + 1, kChunk));
+  EXPECT_EQ(rx.chunks[2], pattern_chunk(kSeedBase + 2, kChunk));
+  EXPECT_EQ(rx.chunks[3], real);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for the simulated verbs layer: registration, send/recv matching,
-// RDMA read/write data integrity, completion ordering, error paths.
+// RDMA read/write data integrity, pattern-payload WRITEs, completion
+// ordering, error paths.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "net/testbed.hpp"
 #include "verbs/verbs.hpp"
@@ -159,6 +161,99 @@ TEST(QueuePair, RdmaWritePlacesBytesAndRaisesImm) {
   EXPECT_EQ(wc.imm_data, 0xBEEFu);
   ASSERT_TRUE(p.client_scq.poll(wc));
   EXPECT_EQ(wc.opcode, Opcode::kRdmaWrite);
+}
+
+Task do_pattern_write(QueuePairPtr qp, std::size_t n, std::uint64_t seed, RemoteBuffer dst) {
+  co_await qp->post_rdma_write(5, net::Payload::pattern(n, seed), dst, 0xCAFE);
+}
+
+TEST(QueuePair, PatternRdmaWriteMovesOnlyItsDescriptor) {
+  Scheduler s;
+  VerbsFixture f(s);
+  ConnectedPair p(s, f);
+
+  ProtectionDomain server_pd(f.stack, f.tb.host(1));
+  Bytes target(256, Byte{0x5A});
+  MemoryRegion mr = server_pd.register_mr_untimed(target);
+
+  s.spawn(do_pattern_write(p.client_qp, 200, 77, RemoteBuffer{mr.rkey, 16, 240}));
+  s.run();
+
+  EXPECT_EQ(target, Bytes(256, Byte{0x5A}));
+  WorkCompletion wc;
+  ASSERT_TRUE(p.server_rcq.poll(wc));
+  EXPECT_EQ(wc.opcode, Opcode::kRecvRdmaWithImm);
+  EXPECT_EQ(wc.imm_data, 0xCAFEu);
+  EXPECT_EQ(wc.byte_len, 200u);
+  EXPECT_TRUE(wc.pattern);
+  EXPECT_EQ(wc.pattern_seed, 77u);
+  ASSERT_TRUE(p.client_scq.poll(wc));
+  EXPECT_EQ(wc.opcode, Opcode::kRdmaWrite);
+  EXPECT_EQ(wc.byte_len, 200u);
+}
+
+TEST(QueuePair, BytesRdmaWriteCompletionIsNotAPattern) {
+  Scheduler s;
+  VerbsFixture f(s);
+  ConnectedPair p(s, f);
+
+  ProtectionDomain server_pd(f.stack, f.tb.host(1));
+  Bytes target(64, Byte{0});
+  MemoryRegion mr = server_pd.register_mr_untimed(target);
+  s.spawn(do_write(p.client_qp, Bytes(32, Byte{9}), RemoteBuffer{mr.rkey, 0, 64}, 1));
+  s.run();
+
+  WorkCompletion wc;
+  ASSERT_TRUE(p.server_rcq.poll(wc));
+  EXPECT_EQ(wc.byte_len, 32u);
+  EXPECT_FALSE(wc.pattern);
+}
+
+/// How one RDMA WRITE of `n` bytes to `dst` ends: "ok", "post: <why>" if
+/// post_rdma_write threw, or "arrival: <why>" if the write failed where it
+/// landed. `pattern` picks a pattern payload over real bytes.
+std::string write_outcome(bool pattern, std::size_t n, RemoteBuffer dst) {
+  Scheduler s;
+  VerbsFixture f(s);
+  ConnectedPair p(s, f);
+  ProtectionDomain server_pd(f.stack, f.tb.host(1));
+  Bytes target(256, Byte{0});
+  const MemoryRegion mr = server_pd.register_mr_untimed(target);
+  if (dst.rkey == 0) dst.rkey = mr.rkey;
+  const Bytes bytes(n, Byte{1});
+  std::string outcome = "ok";
+  s.spawn([](QueuePairPtr qp, net::Payload payload, RemoteBuffer dst,
+             std::string& outcome) -> Task {
+    try {
+      co_await qp->post_rdma_write(5, payload, dst, 1);
+    } catch (const VerbsError& e) {
+      outcome = std::string("post: ") + e.what();
+    }
+  }(p.client_qp, pattern ? net::Payload::pattern(n, 3) : net::Payload(bytes), dst, outcome));
+  try {
+    s.run();
+  } catch (const VerbsError& e) {
+    outcome = std::string("arrival: ") + e.what();
+  }
+  return outcome;
+}
+
+TEST(QueuePair, PatternRdmaWriteFailsExactlyAsABytesWrite) {
+  struct Case {
+    std::size_t n;
+    RemoteBuffer dst;  // rkey 0: the registered region's
+    const char* expect;
+  };
+  const Case cases[] = {
+      {64, RemoteBuffer{0, 0, 64}, "ok"},
+      {65, RemoteBuffer{0, 0, 64}, "post: RDMA write larger than remote buffer"},
+      {64, RemoteBuffer{0xDEAD, 0, 64}, "arrival: unknown rkey"},
+      {64, RemoteBuffer{0, 224, 64}, "arrival: remote access out of bounds"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(write_outcome(false, c.n, c.dst), c.expect);
+    EXPECT_EQ(write_outcome(true, c.n, c.dst), c.expect);
+  }
 }
 
 Task do_read(QueuePairPtr qp, net::MutByteSpan local, RemoteBuffer src) {
