@@ -20,6 +20,7 @@ fi
 build_a=$(cd "$1" && pwd)
 build_b=$(cd "$2" && pwd)
 work=$(mktemp -d)
+diff_lines=200  # per differing output
 trap 'rm -rf "$work"' EXIT
 
 # The oracle set: one line per bench invocation, "<name> <bench> [args]".
@@ -49,6 +50,11 @@ run_set() {
   done
 }
 
+# A non-empty file grep -I refuses to read as text.
+is_binary() {
+  [ -s "$1" ] && ! grep -qI '' "$1"
+}
+
 echo "running oracle set from $build_a"
 run_set "$build_a" "$work/a"
 echo "running oracle set from $build_b"
@@ -69,7 +75,13 @@ for f in $files_a; do
     echo "same  $f"
   else
     echo "DIFF  $f"
-    diff <(head -c 4000 "$work/a/$f") <(head -c 4000 "$work/b/$f") | head -20 || true
+    # The whole unified diff of a text output, capped, so an intended
+    # change can be reviewed from the log.
+    if ! is_binary "$work/a/$f" && ! is_binary "$work/b/$f"; then
+      diff -u --label "a/$f" --label "b/$f" "$work/a/$f" "$work/b/$f" | head -n "$diff_lines" || true
+    else
+      echo "  (binary output; not shown)"
+    fi
     status=1
   fi
 done

@@ -8,13 +8,20 @@
 // CallPipeline over its own call queue, its own AdmissionController/
 // RetryCache/SessionTable and its own stats block, so shards never share
 // mutable state — the single-writer discipline the shard.* counters
-// document. The transport keeps what is genuinely transport-specific:
-// frame parsing, busy/expired/replay frame encoding, trace-span emission
-// and buffer ownership.
+// document.
 //
-// `Call` must expose a `sim::Time enqueued` member; the protocol string
-// used for per-protocol admission quotas is extracted through the functor
-// passed at construction (the two transports store it differently).
+// The pipeline also runs the dequeue gate and the admission-shed answer
+// (leave_queue, pass_gate, shed) with their trace spans, written over a
+// two-call channel each server implements:
+//   send_status(call, id, status, msg) — a status-only response;
+//   send_frame(call, frame)            — an already-framed response.
+// The transport keeps what is genuinely transport-specific: frame
+// parsing, response framing, invocation and buffer ownership.
+//
+// `Call` must expose `sim::Time enqueued` and `sim::Time recv_start`
+// members; the protocol string used for per-protocol admission quotas is
+// extracted through the functor passed at construction (the two
+// transports store it differently).
 #pragma once
 
 #include <algorithm>
@@ -26,11 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/host.hpp"
 #include "rpc/overload.hpp"
+#include "rpc/protocol.hpp"
 #include "rpc/session.hpp"
 #include "rpc/stats.hpp"
 #include "sim/channel.hpp"
-#include "sim/random.hpp"
+#include "sim/task.hpp"
+#include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
 
@@ -52,13 +62,12 @@ class CallPipeline {
   };
 
   CallPipeline(sim::Scheduler& sched, std::uint32_t shard_id, const OverloadConfig& cfg,
-               const SessionConfig& session, ProtocolFn protocol_of, std::uint64_t seed)
+               const SessionConfig& session, ProtocolFn protocol_of)
       : shard_id_(shard_id),
         queue_(std::make_unique<sim::Channel<Call>>(sched)),
         protocol_of_(std::move(protocol_of)),
         sessions_enabled_(session.enabled),
-        sessions_(session),
-        rng_(seed) {
+        sessions_(session) {
     if (cfg.admission_enabled()) admission_ = std::make_unique<AdmissionController>(cfg);
     if (cfg.cache_enabled()) {
       retry_cache_ = std::make_unique<RetryCache>(cfg.retry_cache_entries);
@@ -71,9 +80,21 @@ class CallPipeline {
   /// skip admission-only work like header pre-parsing otherwise).
   bool admission_enabled() const { return admission_ != nullptr; }
 
-  /// The shard's call queue. Handlers block on queue().recv() directly
-  /// (no extra coroutine layer) and pair it with note_dequeued().
-  sim::Channel<Call>& queue() { return *queue_; }
+  /// The handler's dequeue step, awaited directly (no coroutine frame per
+  /// call): the queue's recv() paired with note_dequeued(). Throws
+  /// sim::ChannelClosed like recv().
+  struct Dequeue {
+    CallPipeline& pipeline;
+    typename sim::Channel<Call>::RecvAwaiter recv;
+    bool await_ready() { return recv.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { recv.await_suspend(h); }
+    Call await_resume() {
+      Call call = recv.await_resume();
+      pipeline.note_dequeued(call);
+      return call;
+    }
+  };
+  Dequeue dequeue() { return {*this, queue_->recv()}; }
 
   /// The admission step for one arrival: the admission policy's decision,
   /// then the eviction it may ask for. Returns the call the transport must
@@ -118,8 +139,7 @@ class CallPipeline {
     if (admission_) admission_->on_dequeue(protocol_of_(call));
   }
 
-  /// Non-blocking dequeue with the same pairing — the work-stealing path
-  /// (a sibling shard's idle handler) and opportunistic local pops.
+  /// Non-blocking dequeue with the same pairing (the evict-oldest path).
   bool try_take(Call& out) {
     if (!queue_->try_recv(out)) return false;
     if (admission_) admission_->on_dequeue(protocol_of_(out));
@@ -248,20 +268,91 @@ class CallPipeline {
     if (retry_cache_) retry_cache_->forget(owner, call_id);
   }
 
-  /// This shard's stats block. Only this shard's loops write scalars here
-  /// (plus the stealing exception, which the counters record explicitly);
+  /// The dequeue gate, first half, run on every popped call: a call whose
+  /// deadline passed while it was queued is dropped with a
+  /// deadline.expired span (the caller gave up; nobody reads an answer),
+  /// else its queue span is recorded. False means drop. `t_dequeue` is
+  /// when the call left the queue; the deadline is judged at now().
+  bool leave_queue(cluster::Host& host, const CallHeader& hdr, sim::Time enqueued,
+                   sim::Time t_dequeue) {
+    trace::TraceCollector* tr = tracer(host, hdr);
+    const sim::Time now = host.sched().now();
+    if (expired_at_dequeue(hdr.deadline, now)) {
+      if (tr != nullptr) {
+        tr->add_complete("deadline.expired:" + hdr.key.method, trace::Kind::kServer,
+                         trace::Category::kOverload, hdr.ctx, host.id(), enqueued, now);
+      }
+      return false;
+    }
+    if (tr != nullptr) {
+      tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, hdr.ctx,
+                       host.id(), enqueued, t_dequeue);
+    }
+    return true;
+  }
+
+  /// The dequeue gate, second half: decide() and the answer to each
+  /// verdict but execute — a session.rejected span and a terminal
+  /// kSessionExpired status, an overload.dedup span and the cached frame,
+  /// or nothing for an in-flight duplicate. True means run the handler.
+  /// `owner` and `sid` are the call's retry-cache key and session id.
+  template <typename Channel>
+  sim::Co<bool> pass_gate(cluster::Host& host, Channel& ch, Call& call, const CallHeader& hdr,
+                          std::uint64_t owner, std::uint64_t sid, sim::Time t_dequeue) {
+    const Verdict verdict = decide(owner, sid, hdr.id, hdr.retried, t_dequeue);
+    trace::TraceCollector* tr = tracer(host, hdr);
+    if (verdict.kind == Verdict::kRejectSession) {
+      if (tr != nullptr) {
+        tr->add_complete("session.rejected:" + hdr.key.method, trace::Kind::kServer,
+                         trace::Category::kSession, hdr.ctx, host.id(), t_dequeue,
+                         host.sched().now());
+      }
+      const std::string msg = "session expired: retry cannot be deduplicated";
+      co_await ch.send_status(call, hdr.id, RpcStatus::kSessionExpired, msg);
+      co_return false;
+    }
+    if (verdict.kind == Verdict::kReplay) {
+      if (tr != nullptr) {
+        tr->add_complete("overload.dedup:" + hdr.key.method, trace::Kind::kServer,
+                         trace::Category::kOverload, hdr.ctx, host.id(), t_dequeue,
+                         host.sched().now());
+      }
+      co_await ch.send_frame(call, *verdict.frame);
+      co_return false;
+    }
+    co_return verdict.kind == Verdict::kExecute;
+  }
+
+  /// The answer to a call admit() picked: counted as shed, an
+  /// overload.shed span from its enqueue (or arrival) to now, and a
+  /// retryable kBusy status.
+  template <typename Channel>
+  sim::Co<void> shed(cluster::Host& host, Channel& ch, Call& call, const CallHeader& hdr) {
+    note_shed();
+    if (trace::TraceCollector* tr = tracer(host, hdr)) {
+      tr->add_complete("overload.shed:" + hdr.key.method, trace::Kind::kServer,
+                       trace::Category::kOverload, hdr.ctx, host.id(),
+                       call.enqueued != 0 ? call.enqueued : call.recv_start,
+                       host.sched().now());
+    }
+    const std::string msg = "server busy: call queue full";
+    co_await ch.send_status(call, hdr.id, RpcStatus::kBusy, msg);
+  }
+
+  /// This shard's stats block. Only this shard's loops write scalars here;
   /// the server's stats() override folds the blocks into one view.
   RpcStats& stats() { return stats_; }
   const RpcStats& stats() const { return stats_; }
   ShardCounters& counters() { return counters_; }
   const ShardCounters& counters() const { return counters_; }
 
-  /// Deterministic per-shard stream (seeded per shard at construction) for
-  /// tie-breaking decisions like the steal-scan start, so shard counts
-  /// never perturb a sibling's draws and seeded runs stay byte-identical.
-  sim::Rng& rng() { return rng_; }
-
  private:
+  /// The host's collector when tracing is live and the call carries a
+  /// context, else nullptr.
+  static trace::TraceCollector* tracer(cluster::Host& host, const CallHeader& hdr) {
+    return hdr.ctx.valid() ? trace::active(host.tracer()) : nullptr;
+  }
+
   std::uint32_t shard_id_;
   std::unique_ptr<sim::Channel<Call>> queue_;
   ProtocolFn protocol_of_;
@@ -271,97 +362,13 @@ class CallPipeline {
   SessionTable sessions_;  // durable-session leases (home shard only)
   RpcStats stats_;
   ShardCounters counters_;
-  sim::Rng rng_;
 };
-
-/// How often a stealing handler with nothing queued anywhere re-scans the
-/// sibling shards. Stealing handlers poll instead of parking on their own
-/// queue (a blocked recv never sees a sibling's backlog build), so this
-/// bounds both the steal latency and the idle event rate.
-inline constexpr sim::Dur kStealPollInterval = sim::micros(100);
-
-/// One work-stealing poll for a handler homed on shard `home`: take the
-/// home queue's head, else a sibling's, scanning from a per-shard seeded
-/// start so thieves spread over victims. `shards` is a range of pointers
-/// to shards with a `pipeline`. Counts steals/stolen; false when every
-/// queue is empty.
-template <typename Shards, typename Call>
-bool take_or_steal(const Shards& shards, std::size_t home, Call& out) {
-  auto& mine = shards[home]->pipeline;
-  if (mine.try_take(out)) return true;
-  const std::size_t start = static_cast<std::size_t>(mine.rng().next_below(shards.size()));
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    const std::size_t v = (start + k) % shards.size();
-    if (v == home) continue;
-    if (shards[v]->pipeline.try_take(out)) {
-      ++mine.counters().steals;
-      ++shards[v]->pipeline.counters().stolen;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// The dequeue step for a handler homed on shard `home`, awaited directly
-/// (no coroutine frame per call); the call lands in `out`. Without
-/// stealing it is the home queue's recv() paired with note_dequeued().
-/// Stealing handlers (steal on, more than one shard) poll instead of
-/// parking — a blocked recv() would never see a sibling's backlog build —
-/// with take_or_steal() now and every kStealPollInterval after, until a
-/// call turns up or the home queue closes; then they fall back to recv()
-/// for the drain. Throws sim::ChannelClosed like recv().
-template <typename Shards, typename Call>
-struct Dequeue {
-  const Shards& shards;
-  std::size_t home;
-  bool steal;
-  sim::Scheduler& sched;
-  Call& out;
-  bool polling = false;
-
-  bool await_ready() { return advance(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    if (!polling) return queue().recv().await_suspend(h);
-    sched.call_after(kStealPollInterval, [this, h] {
-      if (advance()) {
-        h.resume();
-      } else {
-        await_suspend(h);
-      }
-    });
-  }
-  void await_resume() {
-    if (polling) return;  // a steal poll took it, already paired
-    out = queue().recv().await_resume();
-    shards[home]->pipeline.note_dequeued(out);
-  }
-
-  sim::Channel<Call>& queue() const { return shards[home]->pipeline.queue(); }
-  /// One poll: true when `out` holds a stolen (or local) call, or recv()
-  /// can complete without suspending.
-  bool advance() {
-    polling = steal && shards.size() > 1 && !queue().closed();
-    return polling ? take_or_steal(shards, home, out) : queue().recv().await_ready();
-  }
-};
-template <typename Shards, typename Call>
-Dequeue(const Shards&, std::size_t, bool, sim::Scheduler&, Call&) -> Dequeue<Shards, Call>;
 
 /// Handlers on shard `i` when `total` are split across `shards`: an even
 /// split, the remainder to the low shards, at least one each. With one
 /// shard that is every handler, in the unsharded server's spawn order.
 inline int handlers_on_shard(int total, int shards, int i) {
   return std::max(1, total / shards + (i < total % shards ? 1 : 0));
-}
-
-/// Per-shard seed derivation shared by both transports: a splitmix64-style
-/// mix of the server's base seed and the shard index, so every shard owns
-/// an independent deterministic stream.
-inline std::uint64_t shard_seed(std::uint64_t base, std::uint32_t shard_id) {
-  std::uint64_t z = base + 0x9E3779B97F4A7C15ULL * (shard_id + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace rpcoib::rpc

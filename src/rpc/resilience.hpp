@@ -65,8 +65,6 @@ inline std::string resilience_report(const RpcStats& stats,
         t.row({p + "dispatched", std::to_string(sc.dispatched)});
         t.row({p + "queue peak", std::to_string(sc.queued_peak)});
         t.row({p + "dropped", std::to_string(sc.dropped)});
-        t.row({p + "steals", std::to_string(sc.steals)});
-        t.row({p + "stolen", std::to_string(sc.stolen)});
         max_disp = std::max(max_disp, sc.dispatched);
         min_disp = std::min(min_disp, sc.dispatched);
       }

@@ -24,15 +24,12 @@ class ReaderSlotGuard {
 }  // namespace
 
 SocketRpcServer::SocketRpcServer(cluster::Host& host, net::SocketTable& sockets,
-                                 net::Address addr, int num_handlers, int num_readers,
-                                 int num_shards, bool steal)
+                                 net::Address addr, int num_handlers, int num_shards)
     : host_(host),
       sockets_(sockets),
       addr_(addr),
       num_handlers_(num_handlers),
-      num_readers_(num_readers),
-      num_shards_(num_shards < 1 ? 1 : num_shards),
-      steal_(steal) {}
+      num_shards_(num_shards < 1 ? 1 : num_shards) {}
 
 SocketRpcServer::~SocketRpcServer() { stop(); }
 
@@ -41,9 +38,8 @@ void SocketRpcServer::start() {
   running_ = true;
   shards_.clear();
   for (int i = 0; i < num_shards_; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        host_.sched(), static_cast<std::uint32_t>(i), overload_, num_readers_,
-        shard_seed(host_.id(), static_cast<std::uint32_t>(i)), session_));
+    shards_.push_back(
+        std::make_unique<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_));
   }
   listener_ = &sockets_.listen(addr_);
   host_.sched().spawn(listener_loop());
@@ -141,19 +137,17 @@ net::Bytes SocketRpcServer::response_frame(std::uint64_t id, RpcStatus status,
   return frame.take_pending();
 }
 
-void SocketRpcServer::shed(Shard& shard, const ServerCall& call) {
-  shard.pipeline.note_shed();
-  if (call.hdr.ctx.valid()) {
-    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("overload.shed:" + call.hdr.key.method, trace::Kind::kServer,
-                       trace::Category::kOverload, call.hdr.ctx, host_.id(),
-                       call.enqueued != 0 ? call.enqueued : call.recv_start,
-                       host_.sched().now());
-    }
-  }
-  // Shedding is meant to be cheap: no CPU is modeled for the tiny frame.
-  shard.response_queue.push(Response{
-      call.conn, response_frame(call.hdr.id, RpcStatus::kBusy, "server busy: call queue full")});
+sim::Co<void> SocketRpcServer::send_status(ServerCall& call, std::uint64_t id, RpcStatus status,
+                                           const std::string& msg) {
+  // Status answers are meant to be cheap: no CPU is modeled for the frame.
+  shards_[call.shard]->response_queue.push(Response{call.conn, response_frame(id, status, msg)});
+  co_return;
+}
+
+sim::Co<void> SocketRpcServer::send_frame(ServerCall& call, net::ByteSpan frame) {
+  shards_[call.shard]->response_queue.push(
+      Response{call.conn, net::Bytes(frame.begin(), frame.end())});
+  co_return;
 }
 
 sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
@@ -293,68 +287,27 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   // still cheap — before it costs a handler.
   ServerCall victim;
   if (ServerCall* busy = shard.pipeline.admit(call, victim)) {
-    shed(shard, *busy);
+    co_await shard.pipeline.shed(host_, *this, *busy, busy->hdr);
     if (busy == &call) co_return ctx;
   }
   shard.pipeline.push(std::move(call), host_.sched().now());
   co_return ctx;
 }
 
-sim::Task SocketRpcServer::handler_loop(Shard& home) {
+sim::Task SocketRpcServer::handler_loop(Shard& shard) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
-      ServerCall call;
-      co_await Dequeue{shards_, home.index, steal_, host_.sched(), call};
+      ServerCall call = co_await shard.pipeline.dequeue();
       const CallHeader& hdr = call.hdr;
-      // All per-call bookkeeping (stats, retry cache, responder) stays on
-      // the call's home shard even when a sibling handler stole it.
-      Shard& shard = *shards_[call.shard];
       const sim::Time t_dequeue = host_.sched().now();
+      // The dequeue gate (the session was renewed at arrival).
+      if (!shard.pipeline.leave_queue(host_, hdr, call.enqueued, t_dequeue)) continue;
+      const bool run = co_await shard.pipeline.pass_gate(host_, *this, call, hdr, call.owner,
+                                                         call.session_id, t_dequeue);
+      if (!run) continue;
+
       trace::TraceCollector* tr = hdr.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-
-      // Deadline check at dequeue: the caller already gave up, so don't
-      // burn a handler on it (and nobody is waiting for a response).
-      if (shard.pipeline.expired_at_dequeue(hdr.deadline, t_dequeue)) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.expired:" + hdr.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, hdr.ctx, host_.id(), call.enqueued,
-                           t_dequeue);
-        }
-        continue;
-      }
-      if (tr != nullptr) {
-        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, hdr.ctx,
-                         host_.id(), call.enqueued, t_dequeue);
-      }
-
-      // The exactly-once gate (CallPipeline::decide): a refused retry gets
-      // a terminal session-expired status, a completed one its recorded
-      // response, an in-flight duplicate nothing.
-      const auto verdict =
-          shard.pipeline.decide(call.owner, call.session_id, hdr.id, hdr.retried, t_dequeue);
-      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kRejectSession) {
-        if (tr != nullptr) {
-          tr->add_complete("session.rejected:" + hdr.key.method, trace::Kind::kServer,
-                           trace::Category::kSession, hdr.ctx, host_.id(), t_dequeue,
-                           host_.sched().now());
-        }
-        shard.response_queue.push(Response{
-            call.conn, response_frame(hdr.id, RpcStatus::kSessionExpired,
-                                      "session expired: retry cannot be deduplicated")});
-        continue;
-      }
-      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kReplay) {
-        if (tr != nullptr) {
-          tr->add_complete("overload.dedup:" + hdr.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, hdr.ctx, host_.id(), t_dequeue,
-                           host_.sched().now());
-        }
-        shard.response_queue.push(Response{call.conn, *verdict.frame});
-        continue;
-      }
-      if (verdict.kind == CallPipeline<ServerCall>::Verdict::kDropInFlight) continue;
-
       trace::SpanScope handle(tr, "handle:" + hdr.key.method, trace::Kind::kServer,
                               trace::Category::kHandler, hdr.ctx, host_.id());
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());

@@ -38,16 +38,15 @@ namespace rpcoib::rpc {
 
 class SocketRpcServer final : public RpcServer {
  public:
-  /// `num_readers` models Hadoop's Reader thread count (default 1, as in
-  /// Hadoop 1.0.3): all of a shard's connections serialize their receive
-  /// processing through this many threads, which is what caps socket-RPC
-  /// throughput. `num_shards` replicates the whole Reader/queue/Handler/
-  /// Responder chain; `steal` lets an idle shard's handlers take queued
-  /// calls from siblings (off by default — stealing trades the strict
-  /// per-shard ordering for utilization).
+  /// Hadoop 1.0.3's single Reader thread per shard: all of a shard's
+  /// connections serialize their receive processing through it, which is
+  /// what caps socket-RPC throughput.
+  static constexpr int kReaderThreads = 1;
+
+  /// `num_shards` replicates the whole Reader/queue/Handler/Responder
+  /// chain.
   SocketRpcServer(cluster::Host& host, net::SocketTable& sockets, net::Address addr,
-                  int num_handlers, int num_readers = 1, int num_shards = 1,
-                  bool steal = false);
+                  int num_handlers, int num_shards = 1);
   ~SocketRpcServer() override;
 
   void start() override;
@@ -80,13 +79,12 @@ class SocketRpcServer final : public RpcServer {
   /// slots, pipeline (queue/admission/cache/stats), and Responder.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const OverloadConfig& cfg,
-          int readers, std::uint64_t seed, const SessionConfig& session)
+          const SessionConfig& session)
         : index(index),
           pipeline(sched, index, cfg, session,
-                   [](const ServerCall& c) -> const std::string& { return c.hdr.key.protocol; },
-                   seed),
+                   [](const ServerCall& c) -> const std::string& { return c.hdr.key.protocol; }),
           response_queue(sched),
-          reader_slots(sched, readers) {}
+          reader_slots(sched, kReaderThreads) {}
 
     std::uint32_t index;
     CallPipeline<ServerCall> pipeline;
@@ -102,7 +100,7 @@ class SocketRpcServer final : public RpcServer {
   /// the preamble, so a reconnect lands on the shard holding its dedup
   /// state.
   sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id, Shard* home);
-  sim::Task handler_loop(Shard& home);
+  sim::Task handler_loop(Shard& shard);
   sim::Task responder_loop(Shard& shard);
 
   /// One call's receive-side processing (header parse, admission,
@@ -125,7 +123,12 @@ class SocketRpcServer final : public RpcServer {
   /// (busy, session expired) are meant to be cheap and model none.
   net::Bytes response_frame(std::uint64_t id, RpcStatus status, const std::string& msg,
                             net::ByteSpan value = {}, sim::Dur* cost = nullptr) const;
-  void shed(Shard& shard, const ServerCall& call);
+  /// The channel CallPipeline's gate and shed answer through: queue a
+  /// status-only or an already-framed response on the call's Responder.
+  friend class CallPipeline<ServerCall>;
+  sim::Co<void> send_status(ServerCall& call, std::uint64_t id, RpcStatus status,
+                            const std::string& msg);
+  sim::Co<void> send_frame(ServerCall& call, net::ByteSpan frame);
   /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards).
   void fold_stats() override;
 
@@ -133,9 +136,7 @@ class SocketRpcServer final : public RpcServer {
   net::SocketTable& sockets_;
   net::Address addr_;
   int num_handlers_;
-  int num_readers_;
   int num_shards_;
-  bool steal_;
   net::Listener* listener_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Sessions only: sockets accepted but still parked on the preamble /

@@ -49,16 +49,12 @@ struct ShardCounters {
   std::uint64_t dispatched = 0;      // calls admitted into the shard queue
   std::uint64_t queued_peak = 0;     // shard call-queue high-water mark
   std::uint64_t dropped = 0;         // shed + expired + dropped at stop()
-  std::uint64_t steals = 0;          // calls this shard's handlers took from siblings
-  std::uint64_t stolen = 0;          // calls sibling handlers took from this shard
 
   void merge(const ShardCounters& o) {
     conns_assigned += o.conns_assigned;
     dispatched += o.dispatched;
     queued_peak = std::max(queued_peak, o.queued_peak);
     dropped += o.dropped;
-    steals += o.steals;
-    stolen += o.stolen;
   }
 };
 
@@ -95,7 +91,7 @@ struct RpcStats {
   std::uint64_t timeouts = 0;          // attempts that hit call_timeout
   std::uint64_t transport_errors = 0;  // attempts that died on the transport
   std::uint64_t retries = 0;           // re-issued attempts
-  std::uint64_t socket_fallbacks = 0;  // RPCoIB calls rerouted to socket mode
+  std::uint64_t socket_reroutes = 0;   // RPCoIB calls rerouted to socket mode
   metrics::Summary backoff_us;         // backoff waits between attempts
 
   // Overload-protection counters. Client side:
@@ -254,7 +250,7 @@ inline constexpr auto kCounterRows = [] {
       {&S::timeouts, "timeouts", kCalls},
       {&S::transport_errors, "transport errors", kCalls},
       {&S::retries, "retries", kCalls},
-      {&S::socket_fallbacks, "socket fallbacks", kCalls},
+      {&S::socket_reroutes, "socket fallbacks", kCalls},
       {&S::busy_rejections, "busy rejections", kCalls},
       {&S::nack_fallbacks, "nack fallbacks", kCalls},
       {&S::batches_sent, "batches sent", kLink},

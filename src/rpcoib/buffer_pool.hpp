@@ -114,6 +114,9 @@ class NativeBufferPool {
 
   /// Size of the class that would serve `size`.
   std::size_t class_size_for(std::size_t size) const;
+  /// The largest size a lease can serve (the top class); acquire() throws
+  /// above it.
+  std::size_t max_lease() const { return class_sizes_.back(); }
 
   const PoolStats& stats() const { return stats_; }
   PoolStats& stats() { return stats_; }

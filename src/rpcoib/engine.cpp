@@ -58,7 +58,6 @@ std::unique_ptr<rpc::RpcClient> RpcEngine::make_client_impl(cluster::Host& host)
       RdmaClientConfig rc;
       rc.eager_threshold = cfg_.eager_threshold;
       rc.pool = cfg_.pool;
-      rc.fallback_to_socket = cfg_.socket_fallback;
       rc.ud = cfg_.ud;
       rc.onesided = cfg_.onesided;
       return std::make_unique<RdmaRpcClient>(host, tb_.sockets(), verbs_, rc);
@@ -75,17 +74,14 @@ std::unique_ptr<rpc::RpcServer> RpcEngine::make_server(cluster::Host& host,
     case RpcMode::kSocket10GigE:
     case RpcMode::kSocketIPoIB:
       server = std::make_unique<rpc::SocketRpcServer>(host, tb_.sockets(), addr,
-                                                      cfg_.server_handlers, 1,
-                                                      cfg_.server_shards, cfg_.shard_steal);
+                                                      cfg_.server_handlers, cfg_.server_shards);
       break;
     case RpcMode::kRpcoIB: {
       RdmaServerConfig sc;
       sc.num_handlers = cfg_.server_handlers;
       sc.shards = cfg_.server_shards;
-      sc.steal = cfg_.shard_steal;
       sc.eager_threshold = cfg_.eager_threshold;
       sc.pool = cfg_.pool;
-      sc.socket_fallback = cfg_.socket_fallback;
       sc.ud = cfg_.ud;
       sc.onesided = cfg_.onesided;
       server = std::make_unique<RdmaRpcServer>(host, tb_.sockets(), verbs_, addr, sc);

@@ -37,9 +37,6 @@ struct EngineConfig {
   /// set of connections with its own receive loop, call queue and handler
   /// subset on both transports. Default 1: the unsharded legacy server.
   int server_shards = 1;
-  /// Let idle shard handlers take queued calls from sibling shards
-  /// (bookkeeping stays on the home shard). Off by default.
-  bool shard_steal = false;
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
   PoolConfig pool{};
   /// Timeout/retry/backoff applied to every client this engine creates.
@@ -59,9 +56,6 @@ struct EngineConfig {
   /// bytes change, no new report rows — byte-identical to a sessionless
   /// build.
   rpc::SessionConfig session{};
-  /// RPCoIB only: reroute to the companion socket listener when the QP
-  /// bootstrap exchange fails (and run that listener server-side).
-  bool socket_fallback = true;
   /// Pipelined bulk streaming for the HDFS block pipeline and the shuffle
   /// fetch path (stream.* knobs). Default-disabled: both data paths stay
   /// byte-identical to the seed.

@@ -843,13 +843,12 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   bool bootstrap_failed = false;  // co_await is not allowed inside a handler
   try {
     conn = co_await get_connection(addr);
-  } catch (const verbs::VerbsError& e) {
-    if (!cfg_.fallback_to_socket) throw rpc::RpcTransportError(e.what());
+  } catch (const verbs::VerbsError&) {
     // Bootstrap exchange failed at the verbs layer: this address drops to
     // socket mode for the rest of the session (Section III-D's escape
     // hatch), starting with this very call.
     fallback_addrs_.insert(addr);
-    ++stats_.socket_fallbacks;
+    ++stats_.socket_reroutes;
     if (tr != nullptr) {
       tr->add_complete("fault.bootstrap:" + key.method, trace::Kind::kClient,
                        trace::Category::kFault, ctx, host_.id(), t_start,
@@ -891,9 +890,6 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
                        host_.sched().now());
     }
     rpc.end();
-    if (!cfg_.fallback_to_socket) {
-      throw rpc::ServerBusyException("client buffer pool exhausted");
-    }
     trace::activate(tr, t_parent);
     co_await call_via_fallback(addr, key, param, response);
     co_return;
@@ -1002,9 +998,6 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
                        host_.sched().now());
     }
     rpc.end();
-    if (!cfg_.fallback_to_socket) {
-      throw rpc::ServerBusyException("rendezvous NACK: server buffer pool exhausted");
-    }
     trace::activate(tr, t_parent);
     co_await call_via_fallback(addr, key, param, response);
     co_return;

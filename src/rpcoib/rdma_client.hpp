@@ -32,11 +32,6 @@ struct RdmaClientConfig {
   std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
   int recv_depth = WireDefaults::kRecvDepth;
   PoolConfig pool{};
-  /// When the QP bootstrap exchange fails (a verbs-level error, not a dead
-  /// server), permanently reroute that address to plain socket RPC on the
-  /// server's companion listener — the paper's `rpc.ib.enabled` escape
-  /// hatch, preserving Java-socket error semantics.
-  bool fallback_to_socket = true;
   /// UD datagram eager path (default off): sub-MTU eager calls ride
   /// connectionless datagrams into the server's fixed UD endpoint pool;
   /// RC QPs are bootstrapped only for rendezvous-sized calls. UD is

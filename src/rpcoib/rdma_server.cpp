@@ -27,6 +27,12 @@ void write_status(RDMAOutputStream& out, std::uint64_t id, rpc::RpcStatus status
   out.write_text(msg);
 }
 
+/// The pool-history key a status-only answer is sized under.
+rpc::MethodKey status_key(rpc::RpcStatus status) {
+  return status == rpc::RpcStatus::kBusy ? rpc::MethodKey{"__overload", "busy"}
+                                         : rpc::MethodKey{"__session", "rejected"};
+}
+
 }  // namespace
 
 RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
@@ -58,9 +64,8 @@ void RdmaRpcServer::start() {
   shards_.clear();
   const int n = cfg_.shards;
   for (int i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>(
-        host_.sched(), static_cast<std::uint32_t>(i), overload_,
-        rpc::shard_seed(host_.id(), static_cast<std::uint32_t>(i)), session_);
+    auto shard =
+        std::make_unique<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_);
     if (cfg_.pool.srq_depth > 0) {
       // Stripe the shared ring: each shard owns srq_depth / n slots (the
       // remainder spread over the low shards, never below one) and refills
@@ -143,25 +148,23 @@ void RdmaRpcServer::start() {
       host_.sched().spawn(handler_loop(*shards_[static_cast<std::size_t>(i)]));
     }
   }
-  if (cfg_.socket_fallback) {
-    // A previous run's listener is retired, not destroyed: its stopped
-    // loops still resume once on their closed queues (see stop()).
-    if (fallback_) retired_fallbacks_.push_back(std::move(fallback_));
-    fallback_ = std::make_unique<rpc::SocketRpcServer>(
-        host_, sockets_,
-        net::Address{addr_.host,
-                     static_cast<std::uint16_t>(addr_.port + kSocketFallbackPortOffset)},
-        cfg_.num_handlers, 1, cfg_.shards, cfg_.steal);
-    for (const auto& [key, handler] : dispatcher_.all()) {
-      fallback_->dispatcher().register_method(key.protocol, key.method, handler);
-    }
-    // The fallback path must shed under the same policy as the RDMA path,
-    // or overload would simply migrate to the companion listener.
-    fallback_->set_overload(overload_);
-    fallback_->set_batch(batch_);
-    fallback_->set_session(session_);
-    fallback_->start();
+  // The companion socket listener for clients whose QP bootstrap fails. A
+  // previous run's listener is retired, not destroyed: its stopped loops
+  // still resume once on their closed queues (see stop()).
+  if (fallback_) retired_fallbacks_.push_back(std::move(fallback_));
+  fallback_ = std::make_unique<rpc::SocketRpcServer>(
+      host_, sockets_,
+      net::Address{addr_.host, static_cast<std::uint16_t>(addr_.port + kSocketFallbackPortOffset)},
+      cfg_.num_handlers, cfg_.shards);
+  for (const auto& [key, handler] : dispatcher_.all()) {
+    fallback_->dispatcher().register_method(key.protocol, key.method, handler);
   }
+  // The fallback path must shed under the same policy as the RDMA path,
+  // or overload would simply migrate to the companion listener.
+  fallback_->set_overload(overload_);
+  fallback_->set_batch(batch_);
+  fallback_->set_session(session_);
+  fallback_->start();
 }
 
 void RdmaRpcServer::stop() {
@@ -692,36 +695,19 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
 }
 
 sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
-  shard_of(*call.conn).pipeline.note_shed();
   // Admitted calls passed the header pre-parse, so this one parses too.
   RDMAInputStream in(host_.cost(), call.frame());
   rpc::CallHeader hdr;
   (void)read_kcall_header(in, hdr);
-  trace::TraceCollector* tr = hdr.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-  if (tr != nullptr) {
-    tr->add_complete("overload.shed:" + hdr.key.method, trace::Kind::kServer,
-                     trace::Category::kOverload, hdr.ctx, host_.id(),
-                     call.enqueued != 0 ? call.enqueued : call.recv_start, host_.sched().now());
-  }
-  try {
-    RDMAOutputStream busy(host_.cost(), shadow_, rpc::MethodKey{"__overload", "busy"});
-    write_status(busy, hdr.id, rpc::RpcStatus::kBusy, "server busy: call queue full");
-    co_await respond(call, busy);
-  } catch (const verbs::VerbsError&) {
-    // Client already gone; nothing to tell it.
-  }
+  co_await shard_of(*call.conn).pipeline.shed(host_, *this, call, hdr);
   native_.release(call.buf);
 }
 
-sim::Task RdmaRpcServer::handler_loop(Shard& home) {
+sim::Task RdmaRpcServer::handler_loop(Shard& shard) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
-      ServerCall call;
-      co_await rpc::Dequeue{shards_, home.index, cfg_.steal, host_.sched(), call};
-      // All per-call bookkeeping (stats, retry cache, pending responses)
-      // stays on the call's home shard even when a sibling stole it.
-      Shard& shard = shard_of(*call.conn);
+      ServerCall call = co_await shard.pipeline.dequeue();
       const sim::Time t_dequeue = host_.sched().now();
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 
@@ -745,60 +731,17 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home) {
                          trace::Category::kRecv, ctx, host_.id(), call.recv_start,
                          call.enqueued);
       }
-      // The caller's deadline already passed while this call sat in the
-      // queue: executing it would waste a handler on a response nobody
-      // will read (the client has timed out and may be retrying).
-      if (shard.pipeline.expired_at_dequeue(deadline, host_.sched().now())) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.expired:" + key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, ctx, host_.id(), call.enqueued,
-                           host_.sched().now());
-        }
+      // The dequeue gate, with the session lease renewed between its two
+      // halves (the socket server renews at arrival).
+      if (!shard.pipeline.leave_queue(host_, hdr, call.enqueued, t_dequeue)) {
         native_.release(call.buf);
         continue;
       }
-      if (tr != nullptr) {
-        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, ctx,
-                         host_.id(), call.enqueued, t_dequeue);
-      }
-      // Session lease bookkeeping at dequeue (the socket server renews at
-      // arrival), then the exactly-once gate (CallPipeline::decide): a
-      // refused retry gets a terminal session-expired error, a completed
-      // one its recorded response, an in-flight duplicate nothing.
       const std::uint64_t sid = call.conn->session_id;
       shard.pipeline.touch_session(sid, retried, id, host_.sched().now());
-      const auto verdict = shard.pipeline.decide(call.conn->owner, sid, id, retried, t_dequeue);
-      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kRejectSession) {
-        if (tr != nullptr) {
-          tr->add_complete("session.rejected:" + key.method, trace::Kind::kServer,
-                           trace::Category::kSession, ctx, host_.id(), t_dequeue,
-                           host_.sched().now());
-        }
-        try {
-          RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
-          write_status(expired, id, rpc::RpcStatus::kSessionExpired,
-                       "session expired: retry cannot be deduplicated");
-          co_await respond(call, expired);
-        } catch (const verbs::VerbsError&) {
-          // Client already gone; nothing to tell it.
-        }
-        native_.release(call.buf);
-        continue;
-      }
-      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kReplay) {
-        if (tr != nullptr) {
-          tr->add_complete("overload.dedup:" + key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, ctx, host_.id(), t_dequeue,
-                           host_.sched().now());
-        }
-        try {
-          co_await respond_frame(call, *verdict.frame);
-        } catch (const verbs::VerbsError&) {
-        }
-        native_.release(call.buf);
-        continue;
-      }
-      if (verdict.kind == rpc::CallPipeline<ServerCall>::Verdict::kDropInFlight) {
+      const bool run = co_await shard.pipeline.pass_gate(host_, *this, call, hdr,
+                                                         call.conn->owner, sid, t_dequeue);
+      if (!run) {
         native_.release(call.buf);
         continue;
       }
@@ -841,7 +784,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home) {
           // and the client's retry must execute fresh once the pool drains.
           shard.pipeline.forget(call.conn->owner, id);
           shard.pipeline.note_shed();
-          RDMAOutputStream busy(cm, shadow_, rpc::MethodKey{"__overload", "busy"});
+          RDMAOutputStream busy(cm, shadow_, status_key(rpc::RpcStatus::kBusy));
           write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
           if (!resp_expired) co_await respond(call, busy);
         } else if (status == rpc::RpcStatus::kError) {
@@ -895,12 +838,25 @@ sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
   co_await send_response(call, buf, msg);
 }
 
-sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame) {
+sim::Co<void> RdmaRpcServer::send_status(ServerCall& call, std::uint64_t id,
+                                         rpc::RpcStatus status, const std::string& msg) {
+  try {
+    RDMAOutputStream out(host_.cost(), shadow_, status_key(status));
+    write_status(out, id, status, msg);
+    co_await respond(call, out);
+  } catch (const verbs::VerbsError&) {
+  }
+}
+
+sim::Co<void> RdmaRpcServer::send_frame(ServerCall& call, net::ByteSpan frame) {
   const cluster::CostModel& cm = host_.cost();
   NativeBuffer* buf = shadow_.acquire_sized(frame.size());
   std::memcpy(buf->span.data(), frame.data(), frame.size());
-  co_await host_.compute(cm.direct_copy(frame.size()) + cm.jni_call() + cm.rpc_framework());
-  co_await send_response(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+  try {
+    co_await host_.compute(cm.direct_copy(frame.size()) + cm.jni_call() + cm.rpc_framework());
+    co_await send_response(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+  } catch (const verbs::VerbsError&) {
+  }
 }
 
 sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,

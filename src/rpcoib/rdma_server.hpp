@@ -40,10 +40,6 @@ struct RdmaServerConfig {
   /// Reader shards (server.shards). Each shard owns a disjoint set of
   /// connections end to end: CQ, SRQ stripe, call queue, handlers.
   int shards = 1;
-  /// Let an idle shard's handlers take queued calls from sibling shards
-  /// (per-call bookkeeping stays on the call's home shard). Off by
-  /// default: stealing trades strict per-shard ordering for utilization.
-  bool steal = false;
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
   std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
   /// Per-connection receive-ring depth — only used in legacy mode
@@ -56,10 +52,6 @@ struct RdmaServerConfig {
   /// runs at half the threshold). The client re-bootstraps transparently
   /// on its next call. 0 = never evict.
   sim::Dur srq_idle_evict = 0;
-  /// Also run a plain socket RPC listener at `addr.port +
-  /// kSocketFallbackPortOffset` mirroring this server's dispatcher, so
-  /// clients whose QP bootstrap fails can reroute (socket-mode fallback).
-  bool socket_fallback = true;
   /// UD datagram eager path (default off): a small fixed pool of
   /// connectionless endpoints serves every client's sub-MTU eager calls,
   /// so per-client server state (QPs, rings) stays flat at any client
@@ -160,13 +152,11 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// completion can touch lives here, so shards share no mutable state.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const rpc::OverloadConfig& cfg,
-          std::uint64_t seed, const rpc::SessionConfig& session)
+          const rpc::SessionConfig& session)
         : index(index),
           cq(std::make_unique<verbs::CompletionQueue>(sched)),
-          pipeline(
-              sched, index, cfg, session,
-              [](const ServerCall& c) -> const std::string& { return c.admit_protocol; },
-              seed) {}
+          pipeline(sched, index, cfg, session,
+                   [](const ServerCall& c) -> const std::string& { return c.admit_protocol; }) {}
 
     std::uint32_t index;
     std::unique_ptr<verbs::CompletionQueue> cq;
@@ -194,7 +184,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Send one kResp datagram back through the receiving endpoint; bounces
   /// over-MTU responses with an error frame (a datagram can't fragment).
   sim::Co<void> ud_respond(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
-  sim::Task handler_loop(Shard& home);
+  sim::Task handler_loop(Shard& shard);
   /// Refill one shard's receive stripe whenever it drops below its low
   /// watermark (woken by the SRQ limit event; exits when the SRQ closes).
   sim::Task srq_refill_loop(Shard& shard);
@@ -203,8 +193,13 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Task fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint64_t off,
                        std::uint32_t len);
   sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
-  /// Send an already-framed response verbatim (retry-cache dedup hits).
-  sim::Co<void> respond_frame(ServerCall& call, net::ByteSpan frame);
+  /// The channel CallPipeline's gate and shed answer through: a
+  /// status-only response, or an already-framed one sent verbatim
+  /// (retry-cache replays). A client already gone is not an error.
+  friend class rpc::CallPipeline<ServerCall>;
+  sim::Co<void> send_status(ServerCall& call, std::uint64_t id, rpc::RpcStatus status,
+                            const std::string& msg);
+  sim::Co<void> send_frame(ServerCall& call, net::ByteSpan frame);
   /// Post a framed response held in pooled `buf`: one datagram for UD
   /// arrivals, else eager SEND or a rendezvous kCtrlResp by size.
   sim::Co<void> send_response(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);

@@ -16,6 +16,8 @@ namespace {
 // them all.
 constexpr std::size_t kCtrlBufSize = 2048;
 constexpr int kCtrlRecvDepth = 16;
+// A grant carries its slot count in one byte.
+constexpr std::size_t kMaxRingDepth = 255;
 
 std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
@@ -113,7 +115,7 @@ net::Bytes encode_fetch(std::uint64_t token, const net::Bytes& meta) {
 
 StreamConfig clamp_cfg(StreamConfig cfg, const PoolConfig& pool) {
   cfg.chunk_size = std::clamp(cfg.chunk_size, pool.min_class, pool.max_class);
-  cfg.ring_depth = std::clamp<std::size_t>(cfg.ring_depth, 1, 255);
+  cfg.ring_depth = std::clamp<std::size_t>(cfg.ring_depth, 1, kMaxRingDepth);
   return cfg;
 }
 
@@ -690,7 +692,7 @@ void StreamHub::handle_frame(const ConnPtr& conn, net::ByteSpan f) {
       const std::uint32_t chunk = get_u32(f, 17);
       const std::uint32_t depth = get_u32(f, 21);
       const std::uint32_t mlen = get_u32(f, 25);
-      if (f.size() < 29 + mlen) return;
+      if (f.size() < std::size_t{29} + mlen) return;
       net::Bytes meta(f.data() + 29, f.data() + 29 + mlen);
       host_.sched().spawn(handle_open(conn, sid, total, chunk, depth, std::move(meta)));
       break;
@@ -749,7 +751,8 @@ void StreamHub::handle_frame(const ConnPtr& conn, net::ByteSpan f) {
       if (f.size() < 13) return;
       const std::uint64_t token = get_u64(f, 1);
       const std::uint32_t mlen = get_u32(f, 9);
-      if (f.size() < 13 + mlen || !on_fetch_) break;  // no server: fetcher times out
+      // No server: the fetcher times out.
+      if (f.size() < std::size_t{13} + mlen || !on_fetch_) break;
       net::Bytes meta(f.data() + 13, f.data() + 13 + mlen);
       host_.sched().spawn(on_fetch_(conn, token, std::move(meta)));
       break;
@@ -763,6 +766,12 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
                                  std::uint32_t chunk_size, std::uint32_t depth,
                                  net::Bytes meta) {
   const std::shared_ptr<bool> alive = alive_;
+  // A chunk the pool cannot lease or a ring the grant cannot describe is
+  // refused like any other grant failure. Judged before the first
+  // suspension: GCC 12.2 at -O3 accepted depth 256 when this chain ran
+  // after the co_await below.
+  const bool geometry_ok = chunk_size > 0 && chunk_size <= native_.max_lease() && depth >= 1 &&
+                           depth <= kMaxRingDepth;
   co_await pool_ready_.wait();
   if (!*alive || conn->cancelled) co_return;
   // Meta routing byte: 0x01 = response to our own fetch token, 0x00 = an
@@ -775,14 +784,13 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
     auto it = conn->fetches.find(token);
     if (it != conn->fetches.end()) pf = it->second;
   }
-  bool accept = running_ && !conn->broken && chunk_size > 0 &&
+  bool accept = running_ && !conn->broken && geometry_ok &&
                 (fetch_resp ? pf != nullptr : static_cast<bool>(on_open_));
   std::vector<NativeBuffer*> ring;
   if (accept) {
     // try_acquire honors PoolConfig::demand_alloc_cap: a capped endpoint
     // refuses the grant and the writer degrades to its legacy path.
-    const std::size_t want = std::max<std::uint32_t>(depth, 1);
-    for (std::size_t i = 0; i < want; ++i) {
+    for (std::uint32_t i = 0; i < depth; ++i) {
       NativeBuffer* b = native_.try_acquire(chunk_size);
       if (b == nullptr) {
         ++stats_.stream_pool_denied;

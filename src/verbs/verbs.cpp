@@ -199,7 +199,8 @@ void QueuePair::match_inbound() {
     InboundMsg msg = std::move(inbound_.front());
     inbound_.pop_front();
     if (msg.data.size() > pr.buf.size()) throw VerbsError("recv buffer too small for SEND");
-    std::memcpy(pr.buf.data(), msg.data.data(), msg.data.size());
+    // A zero-byte SEND has no source buffer to copy from.
+    if (!msg.data.empty()) std::memcpy(pr.buf.data(), msg.data.data(), msg.data.size());
     recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
                                  static_cast<std::uint32_t>(msg.data.size()), 0, context_});
   }

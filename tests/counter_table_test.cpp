@@ -26,7 +26,7 @@ using rpc::ShardCounters;
 /// table, in declaration order.
 constexpr std::uint64_t RpcStats::*kAllCounters[] = {
     &RpcStats::calls_sent, &RpcStats::calls_handled, &RpcStats::timeouts,
-    &RpcStats::transport_errors, &RpcStats::retries, &RpcStats::socket_fallbacks,
+    &RpcStats::transport_errors, &RpcStats::retries, &RpcStats::socket_reroutes,
     &RpcStats::busy_rejections, &RpcStats::nack_fallbacks, &RpcStats::calls_shed,
     &RpcStats::calls_expired, &RpcStats::responses_expired, &RpcStats::dedup_hits,
     &RpcStats::dedup_in_flight, &RpcStats::dropped_on_stop, &RpcStats::pool_nacks,
@@ -65,7 +65,7 @@ RpcStats filled(std::uint64_t base) {
 }
 
 ShardCounters shard(std::uint64_t base) {
-  return ShardCounters{base, base + 1, base + 2, base + 3, base + 4, base + 5};
+  return ShardCounters{base, base + 1, base + 2, base + 3};
 }
 
 /// Zero stats with one counter set.
@@ -187,20 +187,14 @@ constexpr const char* kFull = R"(| Counter                          | Value |
 | shard 0 dispatched               | 202   | 
 | shard 0 queue peak               | 203   | 
 | shard 0 dropped                  | 204   | 
-| shard 0 steals                   | 205   | 
-| shard 0 stolen                   | 206   | 
 | shard 1 conns                    | 211   | 
 | shard 1 dispatched               | 212   | 
 | shard 1 queue peak               | 213   | 
 | shard 1 dropped                  | 214   | 
-| shard 1 steals                   | 215   | 
-| shard 1 stolen                   | 216   | 
 | shard 2 conns                    | 227   | 
 | shard 2 dispatched               | 228   | 
 | shard 2 queue peak               | 229   | 
 | shard 2 dropped                  | 230   | 
-| shard 2 steals                   | 231   | 
-| shard 2 stolen                   | 232   | 
 | shard dispatch spread (max-min)  | 26    | 
 )";
 

@@ -403,7 +403,7 @@ TEST(Chaos, BootstrapFailureFallsBackToSocketMode) {
   s.run_until(sim::seconds(30));
   EXPECT_EQ(out, 42);
   EXPECT_FALSE(err);
-  EXPECT_EQ(client->stats().socket_fallbacks, 1u);
+  EXPECT_EQ(client->stats().socket_reroutes, 1u);
   auto* rdma = dynamic_cast<oib::RdmaRpcClient*>(client.get());
   ASSERT_NE(rdma, nullptr);
   EXPECT_EQ(rdma->fallback_address_count(), 1u);

@@ -84,8 +84,7 @@ TEST_P(DecideTable, VerdictAndCounters) {
   scfg.lease = kLease;
   scfg.table_cap = 1;
   static const std::string kProto = "p";
-  Pipeline p(sched, 0, ocfg, scfg, [](const FakeCall&) -> const std::string& { return kProto; },
-             1);
+  Pipeline p(sched, 0, ocfg, scfg, [](const FakeCall&) -> const std::string& { return kProto; });
 
   // Session state first (touches purge the cache of dropped sessions).
   std::uint64_t sid = kSid;
@@ -176,7 +175,7 @@ TEST(CallPipeline, FreshExecutionThenDuplicateThenReplay) {
   ocfg.retry_cache_entries = 8;
   static const std::string kProto = "p";
   Pipeline p(sched, 0, ocfg, rpc::SessionConfig{},
-             [](const FakeCall&) -> const std::string& { return kProto; }, 1);
+             [](const FakeCall&) -> const std::string& { return kProto; });
   EXPECT_EQ(p.decide(kConnId, 0, 1, false, 0).kind, Verdict::kExecute);
   EXPECT_EQ(p.decide(kConnId, 0, 1, true, 0).kind, Verdict::kDropInFlight);
   p.complete(kConnId, 1, net::Bytes{9});
@@ -195,7 +194,7 @@ TEST(CallPipeline, SessionsDisabledNeverTouchOrReject) {
   sim::Scheduler sched;
   static const std::string kProto = "p";
   Pipeline p(sched, 0, rpc::OverloadConfig{}, rpc::SessionConfig{},
-             [](const FakeCall&) -> const std::string& { return kProto; }, 1);
+             [](const FakeCall&) -> const std::string& { return kProto; });
   p.touch_session(kSid, false, 1, 0);
   EXPECT_EQ(p.stats().sessions_opened, 0u);
   EXPECT_EQ(p.decide(kSid, kSid, 1, true, sim::seconds(3600)).kind, Verdict::kExecute);

@@ -121,7 +121,7 @@ TEST(RpcoIB, MismatchedEagerThresholdsNegotiateToMin) {
   EXPECT_EQ(f.server.stats().threshold_mismatches, 1u);
   // No socket-mode escape hatch was needed: the RDMA path itself carried
   // the call (rendezvous under the negotiated threshold).
-  EXPECT_EQ(f.client.stats().socket_fallbacks, 0u);
+  EXPECT_EQ(f.client.stats().socket_reroutes, 0u);
   EXPECT_EQ(f.client.fallback_address_count(), 0u);
   f.client.close_connections();
   f.server.stop();

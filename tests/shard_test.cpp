@@ -1,6 +1,6 @@
 // Sharded server receive/dispatch (server.shards): connection-to-shard
 // affinity, per-shard admission/deadline/retry-cache behavior, response
-// batching staying within a shard, work stealing, stop()-drain across
+// batching staying within a shard, stop()-drain across
 // every shard, and the idempotent cross-shard stats aggregation — on both
 // transports.
 //
@@ -289,48 +289,6 @@ TEST(Shard, ResponseBatchingStaysWithinEachShard) {
     ASSERT_EQ(st.shards.size(), 2u);
     EXPECT_EQ(st.shards[0].dispatched, 8u);
     EXPECT_EQ(st.shards[1].dispatched, 8u);
-    server->stop();
-    s.drain_tasks();
-  }
-}
-
-// --- Work stealing ----------------------------------------------------------
-
-// With stealing on, the idle sibling shard's handler drains the loaded
-// shard's backlog: steals on the thief match stolen on the victim, and
-// every call still completes (bookkeeping stays on the home shard).
-TEST(Shard, StealingDrainsSiblingBacklog) {
-  for (RpcMode mode : {RpcMode::kSocketIPoIB, RpcMode::kRpcoIB}) {
-    SCOPED_TRACE(oib::rpc_mode_name(mode));
-    Scheduler s;
-    Testbed tb(s, Testbed::cluster_b());
-    RpcEngine engine(tb, EngineConfig{.mode = mode,
-                                      .server_handlers = 2,
-                                      .server_shards = 2,
-                                      .shard_steal = true});
-    auto server = engine.make_server(tb.host(1), kAddr);
-    register_suite(*server, tb.host(1), nullptr, sim::millis(100));
-    server->start();
-    std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
-
-    // 8 concurrent 100 ms calls over one connection (home shard 0); the
-    // shard-1 handler has nothing local and must steal to stay busy.
-    std::vector<int> outcomes(8, 0);
-    for (int& o : outcomes) s.spawn(slow_expect_error(*client, o));
-    s.run_until(sim::seconds(5));
-
-    for (int o : outcomes) EXPECT_EQ(o, 1);
-    const rpc::RpcStats& st = server->stats();
-    ASSERT_EQ(st.shards.size(), 2u);
-    std::uint64_t steals = 0, stolen = 0;
-    for (const rpc::ShardCounters& sc : st.shards) {
-      steals += sc.steals;
-      stolen += sc.stolen;
-    }
-    EXPECT_EQ(steals, stolen);
-    EXPECT_GT(st.shards[1].steals, 0u);  // the idle shard helped
-    EXPECT_GT(st.shards[0].stolen, 0u);
-    EXPECT_EQ(st.calls_handled, 8u);
     server->stop();
     s.drain_tasks();
   }

@@ -648,5 +648,159 @@ TEST(StreamPayload, PatternChunkNeverShowsTheStaleBytesOfItsSlot) {
   EXPECT_EQ(rx.chunks[3], real);
 }
 
+// ---- Control-frame decoder totality ------------------------------------------
+
+/// Appends `v`'s low `width` bytes in host (little-endian) order, as the
+/// hub's codec writes its fields.
+void put(net::Bytes& f, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) f.push_back(static_cast<net::Byte>(v >> (8 * i)));
+}
+
+constexpr std::uint64_t kFuzzSid = 77;
+
+net::Bytes frame_of(FrameType t) { return {static_cast<net::Byte>(t)}; }
+
+net::Bytes open_frame(std::uint64_t chunk, std::uint64_t depth, std::uint64_t mlen,
+                      const net::Bytes& meta) {
+  net::Bytes f = frame_of(FrameType::kStreamOpen);
+  put(f, kFuzzSid, 8);
+  put(f, 1 << 20, 8);
+  put(f, chunk, 4);
+  put(f, depth, 4);
+  put(f, mlen, 4);
+  f.insert(f.end(), meta.begin(), meta.end());
+  return f;
+}
+
+/// A well-formed frame of each control type, [kStreamOpen, kStreamFetch].
+std::vector<net::Bytes> control_frames() {
+  std::vector<net::Bytes> out;
+  out.push_back(open_frame(64 * 1024, 4, 3, {net::Byte{0}, net::Byte{1}, net::Byte{2}}));
+  net::Bytes grant = frame_of(FrameType::kStreamGrant);
+  put(grant, kFuzzSid, 8);
+  put(grant, 1, 1);
+  put(grant, 2, 1);
+  for (int i = 0; i < 2; ++i) {
+    put(grant, 5, 4);
+    put(grant, 0, 8);
+    put(grant, 64 * 1024, 4);
+  }
+  out.push_back(grant);
+  net::Bytes credit = frame_of(FrameType::kStreamCredit);
+  put(credit, kFuzzSid, 8);
+  put(credit, 3, 4);
+  out.push_back(credit);
+  net::Bytes done = frame_of(FrameType::kStreamDone);
+  put(done, kFuzzSid, 8);
+  put(done, 0, 1);
+  out.push_back(done);
+  net::Bytes abort = frame_of(FrameType::kStreamAbort);
+  put(abort, kFuzzSid, 8);
+  put(abort, 4, 4);
+  for (char c : std::string("oops")) abort.push_back(static_cast<net::Byte>(c));
+  out.push_back(abort);
+  net::Bytes fetch = frame_of(FrameType::kStreamFetch);
+  put(fetch, kFuzzSid, 8);
+  put(fetch, 3, 4);
+  put(fetch, 0x010203, 3);
+  out.push_back(fetch);
+  return out;
+}
+
+/// Bootstraps a raw QP to the hub at `addr`, sends `frames` one by one
+/// (spaced so the hub reposts its control receives) and collects the
+/// grants the hub answers with.
+Task raw_peer(Scheduler& s, Testbed& tb, verbs::VerbsStack& stack, net::Address addr,
+              const std::vector<net::Bytes>& frames, std::vector<net::Bytes>* grants) {
+  verbs::ConnectionManager cm(stack, tb.sockets());
+  verbs::CompletionQueue cq(s);
+  verbs::QueuePairPtr qp = co_await cm.connect(tb.host(0), addr, cq, cq);
+  std::vector<net::Bytes> slots(16, net::Bytes(4096));
+  for (std::size_t i = 0; i < slots.size(); ++i) qp->post_recv(i, slots[i]);
+  for (const net::Bytes& f : frames) {
+    co_await qp->post_send(0, f);
+    co_await sim::delay(s, sim::micros(50));
+  }
+  co_await sim::delay(s, sim::millis(10));
+  verbs::WorkCompletion wc;
+  while (cq.poll(wc)) {
+    if (wc.opcode != verbs::Opcode::kRecv) continue;
+    const net::Bytes& b = slots[wc.wr_id];
+    grants->emplace_back(b.begin(), b.begin() + wc.byte_len);
+  }
+  qp->disconnect();
+}
+
+// Every truncated prefix of each control frame type, lengths that wrap a
+// 32-bit bounds check, an abort reason longer than its frame, a chunk no
+// pool class can lease and ring depths a one-byte grant cannot describe:
+// each frame is dropped or answered with a refused grant. Nothing throws,
+// no stream opens, no handler runs and the pool stays balanced.
+TEST(StreamControl, MalformedFramesAreDroppedOrRefused) {
+  Scheduler s;
+  Fixture f(s);
+  int opens = 0, fetches = 0;
+  f.b.listen(
+      kDst,
+      [&opens](StreamReaderPtr, net::Bytes) -> Task {
+        ++opens;
+        co_return;
+      },
+      [&fetches](StreamHub::ConnPtr, std::uint64_t, net::Bytes) -> Task {
+        ++fetches;
+        co_return;
+      });
+  s.run_until(sim::seconds(1));  // the hub registers its pool first
+
+  std::vector<net::Bytes> frames;
+  for (const net::Bytes& whole : control_frames()) {
+    for (std::size_t n = 0; n < whole.size(); ++n) {
+      frames.emplace_back(whole.begin(), whole.begin() + n);
+    }
+  }
+  // 29 + mlen and 13 + mlen wrap to 0 and to 28/12 in 32 bits.
+  for (std::uint64_t mlen : {0x1'0000'0000ULL - 29, 0xffff'ffffULL}) {
+    frames.push_back(open_frame(64 * 1024, 4, mlen, {}));
+  }
+  for (std::uint64_t mlen : {0x1'0000'0000ULL - 13, 0xffff'ffffULL}) {
+    net::Bytes fetch = frame_of(FrameType::kStreamFetch);
+    put(fetch, kFuzzSid, 8);
+    put(fetch, mlen, 4);
+    frames.push_back(fetch);
+  }
+  net::Bytes abort = frame_of(FrameType::kStreamAbort);
+  put(abort, kFuzzSid, 8);
+  put(abort, 0xffff'ffffULL, 4);
+  abort.push_back(net::Byte{'x'});
+  frames.push_back(abort);
+  // Refused at the grant: a chunk above the pool's top class, depth 256
+  // (the grant's u8 slot count) and depth 0.
+  const std::size_t refusals_from = frames.size();
+  frames.push_back(open_frame(f.b.pool().max_lease() + 1, 4, 1, {net::Byte{0}}));
+  frames.push_back(open_frame(64 * 1024, 256, 1, {net::Byte{0}}));
+  frames.push_back(open_frame(64 * 1024, 0, 1, {net::Byte{0}}));
+  const std::size_t refusals = frames.size() - refusals_from;
+
+  std::vector<net::Bytes> grants;
+  s.spawn(raw_peer(s, f.tb, f.stack, kDst, frames, &grants));
+  EXPECT_NO_THROW(s.run_until(sim::seconds(5)));
+
+  ASSERT_EQ(grants.size(), refusals);
+  for (const net::Bytes& g : grants) {
+    ASSERT_GE(g.size(), 11u);
+    EXPECT_EQ(g[0], static_cast<net::Byte>(FrameType::kStreamGrant));
+    EXPECT_EQ(g[9], net::Byte{0}) << "grant accepted";
+    EXPECT_EQ(g[10], net::Byte{0}) << "refused grant carries slots";
+  }
+  EXPECT_EQ(opens, 0);
+  EXPECT_EQ(fetches, 0);
+  EXPECT_EQ(f.b.stats().streams_opened, 0u);
+
+  f.a.stop();
+  f.b.stop();
+  EXPECT_NO_THROW(s.run_until(sim::seconds(6)));
+  expect_balanced(f.b);
+}
+
 }  // namespace
 }  // namespace rpcoib::oib::stream
