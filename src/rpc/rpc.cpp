@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "net/fault.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
@@ -128,7 +127,7 @@ sim::Co<void> RpcClient::call(net::Address addr, const MethodKey& key, const Wri
     if (expired_cold) fresh_attempt = attempt + 1;
     // A retry after a transport failure is a replay of an in-flight call
     // through the reconnect recovery machine (the next attempt's
-    // get_connection re-bootstraps the torn-down peer). Gated on the
+    // adopt-or-dial re-bootstraps the torn-down peer). Gated on the
     // session knob like note_reconnect, so sessionless seeded reports
     // grow no reconnect rows and stay byte-identical.
     if (!busy && !timed_out && !expired_cold && session_.enabled) ++stats_.calls_replayed;
@@ -206,12 +205,6 @@ void RpcClient::note_reconnect(ReconnectCause cause) {
     tr->add_complete(std::string("reconnect.") + reconnect_cause_name(cause),
                      trace::Kind::kClient, trace::Category::kSession, {}, h.id(), now, now);
   }
-}
-
-bool RpcClient::take_kill(net::Fabric& fabric, net::Address addr) {
-  net::FaultPlan* plan = fabric.fault_plan();
-  return plan != nullptr && plan->kills_enabled() &&
-         plan->take_kill(host().id(), addr.host, host().sched().now());
 }
 
 }  // namespace rpcoib::rpc

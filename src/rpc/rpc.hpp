@@ -143,25 +143,10 @@ class RpcClient {
 
   /// Count one reconnect — a failure detected and the connection torn down
   /// for the next call to re-bootstrap — and emit its kSession span. The
-  /// reconnect state itself is the connection's ready/broken/cancelled
-  /// flags. No-op with sessions off, so sessionless seeded reports grow no
+  /// reconnect state itself is the connection core's (client_core.hpp).
+  /// No-op with sessions off, so sessionless seeded reports grow no
   /// reconnect rows.
   void note_reconnect(ReconnectCause cause);
-
-  /// The FaultPlan connection-kill hook, run right after a request went on
-  /// the wire to `addr` (so the server may still execute it — the case the
-  /// session-keyed retry cache makes exactly-once). True when a kill is due
-  /// now; the kill is consumed.
-  bool take_kill(net::Fabric& fabric, net::Address addr);
-
-  /// Drop `conn` from a connection table unless `addr` already maps to a
-  /// replacement another caller installed while this one was suspended —
-  /// erasing that would orphan its receiver and strand its pending calls.
-  template <typename Table, typename Ptr>
-  static void erase_if_current(Table& table, net::Address addr, const Ptr& conn) {
-    auto it = table.find(addr);
-    if (it != table.end() && it->second == conn) table.erase(it);
-  }
 
   /// The client's stable session id, minted on first use from the host's
   /// seeded RNG (top bit set so it can never collide with a dense

@@ -1,6 +1,7 @@
 #include "rpc/socket_client.hpp"
 
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,82 +26,32 @@ SocketRpcClient::SocketRpcClient(cluster::Host& host, net::SocketTable& sockets,
 
 SocketRpcClient::~SocketRpcClient() { close_connections(); }
 
-void SocketRpcClient::close_connections() {
-  for (auto& [addr, conn] : connections_) {
-    // Cancel before closing: the receiver may be suspended mid-read and
-    // resume after this client is gone — it must observe `cancelled` and
-    // bail instead of touching half-destroyed state. Pending batch flush
-    // timers stand down the same way.
-    conn->cancelled = true;
-    if (conn->sock) conn->sock->close();
-    fail_all(*conn, "client shutdown");
-  }
-  connections_.clear();
-}
-
-void SocketRpcClient::fail_all(Connection& conn, const std::string& why) {
-  conn.broken = true;
-  for (auto& [id, pc] : conn.pending) {
-    pc->status = static_cast<std::uint8_t>(RpcStatus::kError);
-    pc->error_msg = why;
-    pc->done.set();
-  }
-  conn.pending.clear();
-}
-
-sim::Co<SocketRpcClient::ConnectionPtr> SocketRpcClient::get_connection(net::Address addr) {
-  for (;;) {
-    auto it = connections_.find(addr);
-    if (it == connections_.end()) break;
-    ConnectionPtr conn = it->second;
-    if (conn->broken) {
-      connections_.erase(it);
-      break;
-    }
-    co_await conn->ready.wait();  // another caller may still be handshaking
-    if (!conn->broken) co_return conn;
-    // Woke up on a broken connection: drop it unless a replacement already
-    // took its place, then loop to adopt (or dial) the current one.
-    erase_if_current(connections_, addr, conn);
-  }
-
-  auto raw = std::make_shared<Connection>(host_.sched(), batch_);
-  connections_[addr] = raw;
+sim::Co<void> SocketRpcClient::dial(const ConnectionPtr& conn, net::Address addr) {
   try {
-    raw->sock = co_await sockets_.connect(host_, addr, transport_);
+    conn->sock = co_await sockets_.connect(host_, addr, transport_);
     if (const std::uint64_t sid = session_id(host_); sid != 0) {
       // Session handshake: v5 magic + the durable session id. The server
       // keys retry-cache state by it, so dedup survives this connection.
       net::Bytes pre(sizeof(kRpcMagicSession) + sizeof(sid));
       std::memcpy(pre.data(), kRpcMagicSession, sizeof(kRpcMagicSession));
       std::memcpy(pre.data() + sizeof(kRpcMagicSession), &sid, sizeof(sid));
-      co_await raw->sock->write(pre);
+      co_await conn->sock->write(pre);
     } else {
-      co_await raw->sock->write(net::ByteSpan(kRpcMagic, sizeof(kRpcMagic)));
+      co_await conn->sock->write(net::ByteSpan(kRpcMagic, sizeof(kRpcMagic)));
     }
   } catch (const net::SocketError& e) {
-    raw->ready.set();
-    fail_all(*raw, e.what());
-    erase_if_current(connections_, addr, raw);
     throw RpcTransportError(e.what());
   }
-  raw->receiver = host_.sched().spawn(receive_loop(raw));
-  raw->ready.set();
-  ++stats_.connections_opened;
-  co_return raw;
+  host_.sched().spawn(receive_loop(conn));
 }
 
-void SocketRpcClient::kill_connection(const ConnectionPtr& conn, net::Address addr) {
-  // FaultPlan connection kill: forced close with the request already on
-  // the wire — the server may still execute and respond into the void,
-  // which is exactly the duplicate-execution window the session-keyed
-  // retry cache must close. Cancel first so the receiver stands down
-  // instead of double-failing the pending map.
-  conn->cancelled = true;
-  if (conn->sock) conn->sock->close();
-  fail_all(*conn, "connection killed (injected fault)");
-  note_reconnect(ReconnectCause::kFaultInjected);
-  erase_if_current(connections_, addr, conn);
+void SocketRpcClient::break_link(Connection& conn) {
+  // A FaultPlan kill closes with the request already on the wire: the
+  // server may still execute and respond into the void, which is exactly
+  // the duplicate-execution window the session-keyed retry cache must
+  // close.
+  conn.cancelled = true;
+  if (conn.sock) conn.sock->close();
 }
 
 sim::Co<void> SocketRpcClient::deliver_one(cluster::Host& host, Connection& conn,
@@ -111,18 +62,22 @@ sim::Co<void> SocketRpcClient::deliver_one(cluster::Host& host, Connection& conn
   std::uint8_t status = 0;
   // A malformed payload is dropped; its call times out like a lost reply.
   if (!in.try_read_u64(id) || !in.try_read_u8(status)) co_return;
-  auto it = conn.pending.find(id);
-  if (it == conn.pending.end()) co_return;  // call raced a timeout; drop
-  PendingCall* pc = it->second;
+  if (!conn.pending.contains(id)) co_return;  // call raced a timeout; drop
   const bool ok = status == static_cast<std::uint8_t>(RpcStatus::kSuccess);
-  if (!ok && !in.try_read_text(pc->error_msg)) co_return;
-  conn.pending.erase(it);
+  std::string error_msg;
+  if (!ok && !in.try_read_text(error_msg)) co_return;
+  co_await host.compute(in.take_accrued() + cm.thread_wakeup() + cm.rpc_framework());
+  // The reply is matched only now, as RPCoIB matches after its receive
+  // charge: a call that timed out meanwhile has unregistered itself (its
+  // record is gone), and one that fail_all failed over keeps that outcome.
+  Pending* pc = conn.take(id);
+  if (pc == nullptr) co_return;
   pc->status = status;
+  pc->error_msg = std::move(error_msg);
   if (ok) {
     pc->value.assign(payload.begin() + static_cast<std::ptrdiff_t>(in.position()),
                      payload.end());
   }
-  co_await host.compute(in.take_accrued() + cm.thread_wakeup() + cm.rpc_framework());
   pc->done.set();
 }
 
@@ -173,7 +128,7 @@ sim::Task SocketRpcClient::receive_loop(ConnectionPtr conn) {
     // destructor) sets it before this loop can resume, so touching the
     // client's stats here is safe when it is still false.
     if (!conn->cancelled) {
-      fail_all(*conn, e.what());
+      conn->fail_all(e.what());
       note_reconnect(ReconnectCause::kPeerClosed);
     }
   }
@@ -204,7 +159,7 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::
   try {
     co_await conn->sock->write(wire);
   } catch (const net::SocketError& e) {
-    if (!conn->cancelled) fail_all(*conn, e.what());
+    if (!conn->cancelled) conn->fail_all(e.what());
     co_return;
   }
   if (conn->cancelled) co_return;
@@ -224,7 +179,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   trace::SpanScope rpc(tr, "rpc:" + key.method, trace::Kind::kClient,
                        trace::Category::kWire, t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
-  ConnectionPtr conn = co_await get_connection(addr);
+  ConnectionPtr conn = co_await core_.get(addr);
   // Shared Hadoop RPC framework cost (call table, synchronization).
   co_await host_.compute(cm.rpc_framework());
 
@@ -237,7 +192,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   const sim::Time t_serialized = host_.sched().now();
   trace_phase(tr, ctx, "serialize", trace::Category::kSerialization, t_ser_start, t_serialized);
 
-  PendingCall pc(host_.sched());
+  Pending pc(host_.sched());
   if (!batch_.batchable(d.length())) {
     // --- Sending (Listing 1, lines 9-13) ------------------------------
     BufferedOutputStream out(cm);
@@ -246,7 +201,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
     out.flush();
     co_await host_.compute(out.take_accrued());
 
-    conn->pending[call_id] = &pc;
+    conn->file(call_id, pc);
     {
       co_await conn->send_mu.lock();
       sim::SimLockGuard guard(conn->send_mu);
@@ -257,8 +212,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   } else {
     // Coalescing path: buffer the payload (one heap copy) and let the
     // batcher decide when the connection's next multi-call frame goes out.
-    if (conn->broken) throw RpcTransportError("connection broken");
-    conn->pending[call_id] = &pc;
+    conn->file(call_id, pc);
     net::Bytes payload(d.data().begin(), d.data().end());
     co_await host_.compute(cm.heap_copy(d.length()));
     const CallSink sink{this, conn};
@@ -267,25 +221,14 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   const sim::Time t_sent = host_.sched().now();
   trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent);
 
-  if (!conn->broken && take_kill(sockets_.fabric(), addr)) kill_connection(conn, addr);
+  core_.kill_if_due(conn, addr, sockets_.fabric());
   MethodProfile& prof =
       record_sent(key, d.stats().mem_adjustments, d.length(), t_start, t_serialized, t_sent);
 
   const bool replied = co_await await_reply(pc.done);
-  if (!replied) {
-    // Unregister so a late reply is dropped by the receive loop instead
-    // of touching this (about to be destroyed) PendingCall.
-    conn->pending.erase(call_id);
-    throw timeout_error();
-  }
+  if (!replied) throw timeout_error();  // pc unregisters: a late reply is dropped
+  if (pc.transport_error) throw RpcTransportError(pc.error_msg);
   if (pc.status != static_cast<std::uint8_t>(RpcStatus::kSuccess)) {
-    conn->pending.erase(call_id);
-    // A session-expired verdict outranks a later connection failure: the
-    // server has ruled the logical call undedupable, so it must surface
-    // terminally, not as a retryable transport error.
-    if (conn->broken && pc.status != static_cast<std::uint8_t>(RpcStatus::kSessionExpired)) {
-      throw RpcTransportError(pc.error_msg);
-    }
     throw_status(pc.status, pc.error_msg);
   }
   if (response != nullptr) {

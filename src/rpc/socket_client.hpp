@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "rpc/batch.hpp"
+#include "rpc/client_core.hpp"
 #include "rpc/rpc.hpp"
 #include "sim/sync.hpp"
 
@@ -36,7 +36,7 @@ class SocketRpcClient final : public RpcClient {
   net::Transport transport() const { return transport_; }
 
   /// Drop all cached connections (peers observe EOF).
-  void close_connections();
+  void close_connections() { core_.close_all(); }
 
  protected:
   sim::Co<void> call_attempt(net::Address addr, const MethodKey& key, const Writable& param,
@@ -44,14 +44,10 @@ class SocketRpcClient final : public RpcClient {
                              bool retried) override;
 
  private:
-  struct PendingCall {
-    explicit PendingCall(sim::Scheduler& s) : done(s) {}
-    sim::SimEvent done;
+  struct Pending : PendingCall<Pending> {
+    explicit Pending(sim::Scheduler& s) : PendingCall(s) {}
     net::Bytes value;
-    // The reply's RpcStatus byte; kError with the connection broken when
-    // fail_all() failed the call over to the retry loop.
-    std::uint8_t status = 0;
-    std::string error_msg;
+    std::uint8_t status = 0;  // the reply's RpcStatus byte
   };
 
   struct Connection;
@@ -59,39 +55,27 @@ class SocketRpcClient final : public RpcClient {
   // and in-flight calls must outlive close_connections().
   using ConnectionPtr = std::shared_ptr<Connection>;
 
-  /// Coalescer sink for one connection's small calls: socket frames carry
-  /// any length, so only BatchConfig's limits apply (kUnboundedBatch); the
-  /// full adaptive linger; flush reasons counted in the client's stats.
-  struct CallSink {
-    SocketRpcClient* self;
-    ConnectionPtr conn;
-    sim::Scheduler& sched() const { return self->host_.sched(); }
-    std::size_t limit() const { return kUnboundedBatch; }
-    sim::Dur linger_cap() const { return kUncappedLinger; }
-    bool stopped() const { return conn->cancelled || conn->broken; }
-    RpcStats* flush_stats() const { return &self->stats_; }
-    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
-      return self->flush_batch(conn, std::move(items), ctx);
-    }
-  };
+  using CallSink = ConnectionSink<SocketRpcClient, Connection>;
+  friend CallSink;
+  /// Socket frames carry any length, so only BatchConfig's limits apply.
+  static std::size_t batch_limit(const Connection&) { return kUnboundedBatch; }
 
-  struct Connection {
+  struct Connection : ClientConnection<Pending> {
     Connection(sim::Scheduler& s, const BatchConfig& batch)
-        : send_mu(s), ready(s), calls(batch) {}
+        : ClientConnection(s), send_mu(s), calls(batch) {}
     net::SocketPtr sock;
     sim::SimMutex send_mu;
-    sim::SimEvent ready;  // set once the socket handshake completed
-    bool broken = false;
-    // Set by close_connections() before the sockets close: the receive
-    // loop and flush timers check it after every resumption instead of
-    // touching the (possibly destroyed) client.
-    bool cancelled = false;
-    std::map<std::uint64_t, PendingCall*> pending;
     Coalescer<CallSink> calls;  // small-call coalescing (BatchConfig)
-    sim::JoinHandle receiver;
   };
 
-  sim::Co<ConnectionPtr> get_connection(net::Address addr);
+  // The transport's half of the connection core (client_core.hpp).
+  friend class ClientCore<SocketRpcClient, Connection>;
+  /// Connect, write the preamble and spawn the receive loop.
+  sim::Co<void> dial(const ConnectionPtr& conn, net::Address addr);
+  /// Cancel and close: the receive loop stands down at its next resumption.
+  static void break_link(Connection& conn);
+  static const char* link_lost(const Connection&) { return nullptr; }
+
   sim::Task receive_loop(ConnectionPtr conn);
   /// Complete one response payload ([u64 id][u8 status][rest]) — the unit
   /// shared by the single-frame path and each sub-response of a batch.
@@ -102,14 +86,11 @@ class SocketRpcClient final : public RpcClient {
   /// CallSink flush body).
   sim::Co<void> flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
                             trace::TraceContext ctx);
-  static void fail_all(Connection& conn, const std::string& why);
-  /// Forced mid-call teardown: the FaultPlan connection-kill hook.
-  void kill_connection(const ConnectionPtr& conn, net::Address addr);
 
   cluster::Host& host_;
   net::SocketTable& sockets_;
   net::Transport transport_;
-  std::map<net::Address, std::shared_ptr<Connection>> connections_;
+  ClientCore<SocketRpcClient, Connection> core_{*this};
 };
 
 }  // namespace rpcoib::rpc

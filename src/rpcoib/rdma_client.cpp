@@ -54,29 +54,9 @@ sim::Task RdmaRpcClient::init_pool_task() {
 RdmaRpcClient::~RdmaRpcClient() { close_connections(); }
 
 void RdmaRpcClient::close_connections() {
-  for (auto& [addr, conn] : connections_) {
-    // Cancel before tearing anything down: loops suspended mid-completion
-    // resume later and must bail instead of touching the dead client/pool.
-    conn->cancelled = true;
-    if (conn->qp) {
-      // Pre-posted receive slots still hold pooled buffers; reclaim them
-      // before the QP goes away or the pool leaks a slot per recv.
-      native_.release_posted(conn->qp->drain_posted_recvs());
-      conn->qp->disconnect();
-    }
-    conn->cq.close();
-    fail_all(*conn, "client shutdown");
-  }
-  connections_.clear();
+  core_.close_all();
   if (ud_) {
-    ud_->cancelled = true;
-    if (ud_->ep) {
-      // Posted ring slots hold pooled buffers; reclaim before the
-      // endpoint dies or the pool leaks one slot per posted recv.
-      native_.release_posted(ud_->ep->drain_posted_recvs());
-    }
-    ud_->cq.close();
-    fail_pending(ud_->pending, "client shutdown");
+    core_.shut(*ud_, "client shutdown");
     ud_.reset();
   }
   ud_dests_.clear();
@@ -84,62 +64,7 @@ void RdmaRpcClient::close_connections() {
   if (fallback_) fallback_->close_connections();
 }
 
-void RdmaRpcClient::release_rendezvous(PendingCall& pc) {
-  if (pc.rendezvous_buf != nullptr) {
-    native_.release(pc.rendezvous_buf);
-    pc.rendezvous_buf = nullptr;
-  }
-}
-
-void RdmaRpcClient::fail_all(Connection& conn, const std::string& why) {
-  conn.broken = true;
-  fail_pending(conn.pending, why);
-}
-
-void RdmaRpcClient::fail_pending(std::map<std::uint64_t, PendingCall*>& pending,
-                                 const std::string& why) {
-  for (auto& [id, pc] : pending) {
-    // Return in-flight rendezvous sources to the pool before waking the
-    // caller: a drained scheduler may never resume the call coroutine, so
-    // the release cannot be left to it.
-    release_rendezvous(*pc);
-    pc->transport_error = true;
-    pc->error_msg = why;
-    pc->done.set();
-  }
-  pending.clear();
-}
-
-sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address addr) {
-  co_await pool_ready_.wait();
-  for (;;) {
-    auto it = connections_.find(addr);
-    if (it == connections_.end()) break;
-    ConnectionPtr conn = it->second;
-    if (conn->broken) {
-      connections_.erase(it);
-      break;
-    }
-    co_await conn->ready.wait();
-    if (!conn->broken && conn->qp && !conn->qp->connected()) {
-      // The server tore the QP down under us (idle-connection eviction):
-      // reclaim the pre-posted receive buffers, close the CQ so the old
-      // receive loop exits, fail anything still parked on the connection,
-      // and fall through to bootstrap a fresh one transparently.
-      conn->cancelled = true;
-      native_.release_posted(conn->qp->drain_posted_recvs());
-      conn->cq.close();
-      fail_all(*conn, "QP closed by peer");
-      note_reconnect(rpc::ReconnectCause::kIdleEvicted);
-    }
-    if (!conn->broken) co_return conn;
-    // Woke up on a broken connection: drop it unless a replacement already
-    // took its place, then loop to adopt (or bootstrap) the current one.
-    erase_if_current(connections_, addr, conn);
-  }
-
-  auto raw = std::make_shared<Connection>(host_.sched(), batch_);
-  connections_[addr] = raw;
+sim::Co<void> RdmaRpcClient::dial(const ConnectionPtr& conn, net::Address addr) {
   try {
     // Bootstrap over the server's socket address (Section III-D),
     // exchanging eager thresholds in the endpoint-info blob, then
@@ -147,56 +72,43 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
     // The durable session id (0 when sessions are off) rides the same
     // endpoint-info blob, so a reconnect re-announces it for free.
     std::uint64_t peer_threshold = 0;
-    raw->qp = co_await cm_.connect(host_, addr, raw->cq, raw->cq,
-                                   net::Transport::kIPoIB,
-                                   static_cast<std::uint64_t>(cfg_.eager_threshold),
-                                   &peer_threshold, session_id(host_));
+    conn->qp = co_await cm_.connect(host_, addr, conn->cq, conn->cq,
+                                    net::Transport::kIPoIB,
+                                    static_cast<std::uint64_t>(cfg_.eager_threshold),
+                                    &peer_threshold, session_id(host_));
     // Ring sizing follows the negotiated handshake, not the construction
     // clamp (which only saw the local knob).
     const EagerNegotiation eager =
         negotiate_eager(cfg_.eager_threshold, peer_threshold, cfg_.recv_buf_size);
-    raw->eager_threshold = eager.threshold;
+    conn->eager_threshold = eager.threshold;
     if (eager.mismatch) ++stats_.threshold_mismatches;
     for (int i = 0; i < cfg_.recv_depth; ++i) {
       NativeBuffer* rb = native_.acquire(eager.ring_buf);
-      raw->qp->post_recv(wr_of(rb), rb->span);
+      conn->qp->post_recv(wr_of(rb), rb->span);
     }
-  } catch (const verbs::VerbsError& e) {
-    // A verbs-level bootstrap failure (exchange went wrong, not a dead
-    // server): surface it unchanged so call_attempt can fall back to
-    // socket mode.
-    raw->ready.set();
-    fail_all(*raw, e.what());
-    erase_if_current(connections_, addr, raw);
-    throw;
+  } catch (const verbs::VerbsError&) {
+    throw;  // the exchange went wrong, not a dead server
   } catch (const std::exception& e) {
-    raw->ready.set();
-    fail_all(*raw, e.what());
-    erase_if_current(connections_, addr, raw);
     throw rpc::RpcTransportError(e.what());
   }
-  host_.sched().spawn(receive_loop(raw));
-  raw->ready.set();
-  ++stats_.connections_opened;
-  co_return raw;
+  host_.sched().spawn(receive_loop(conn));
 }
 
-void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address addr,
-                                        rpc::ReconnectCause cause, const std::string& why) {
-  if (conn->qp) {
+void RdmaRpcClient::break_link(Connection& conn) {
+  if (conn.qp) {
     // Still-posted receive slots hold pooled buffers; reclaim them before
     // the QP breaks or the pool leaks a slot per pre-posted recv.
-    native_.release_posted(conn->qp->drain_posted_recvs());
-    conn->qp->disconnect();
+    native_.release_posted(conn.qp->drain_posted_recvs());
+    conn.qp->disconnect();
   }
-  // NOT cancelled and the CQ stays open: completions already scheduled
-  // (the in-flight kSend, READ completions, stale responses) still land,
-  // and the still-running receive loop recycles their pooled buffers —
-  // the pool balance survives the teardown. The loop parks harmlessly on
-  // the open CQ afterwards.
-  fail_all(*conn, why);
-  note_reconnect(cause);
-  erase_if_current(connections_, addr, conn);
+  if (conn.cancelled) conn.cq.close();
+}
+
+void RdmaRpcClient::break_link(UdState& ud) {
+  // Posted ring slots hold pooled buffers; reclaim before the endpoint
+  // dies or the pool leaks one slot per posted recv.
+  if (ud.ep) native_.release_posted(ud.ep->drain_posted_recvs());
+  ud.cq.close();
 }
 
 void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf,
@@ -211,14 +123,11 @@ void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf,
 void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan frame,
                                      NativeBuffer* buf, bool is_recv_slot) {
   // frame = [u8 kResp][u64 id][u8 status][...]; a shorter one is dropped.
-  auto it = frame.size() < 10 ? conn->pending.end()
-                              : conn->pending.find(read_be64(frame.data() + 1));
-  if (it == conn->pending.end()) {
+  Pending* pc = frame.size() < 10 ? nullptr : conn->take(read_be64(frame.data() + 1));
+  if (pc == nullptr) {
     repost_recv(conn, buf, is_recv_slot);  // stale (or malformed): recycle the buffer
     return;
   }
-  PendingCall* pc = it->second;
-  conn->pending.erase(it);
   pc->resp = frame;
   pc->resp_buf = buf;
   pc->resp_is_recv_slot = is_recv_slot;
@@ -247,7 +156,7 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
     conn->read_waiters.erase(token);
     if (conn->cancelled) co_return;
     native_.release(dst);
-    fail_all(*conn, e.what());
+    conn->fail_all(e.what());
   }
 }
 
@@ -310,7 +219,7 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
               // pool hit the demand-allocation cap). Wake the call, which
               // retries over the socket path.
               for (auto it = conn->pending.begin(); it != conn->pending.end(); ++it) {
-                PendingCall* pc = it->second;
+                Pending* pc = it->second;
                 if (pc->rendezvous_buf != nullptr && pc->rendezvous_buf->mr.rkey == c.rkey) {
                   conn->pending.erase(it);
                   pc->nacked = true;
@@ -331,10 +240,8 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
     // Shutdown path.
   } catch (const verbs::VerbsError& e) {
     const bool was_broken = conn->broken;
-    fail_all(*conn, e.what());
-    if (!conn->cancelled && !was_broken) {
-      note_reconnect(rpc::ReconnectCause::kQpError);
-    }
+    conn->fail_all(e.what());
+    if (!conn->cancelled && !was_broken) note_reconnect(rpc::ReconnectCause::kQpError);
   }
 }
 
@@ -366,7 +273,7 @@ sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::By
   } catch (const std::exception& e) {
     if (conn->cancelled) co_return;
     native_.release(fb);
-    fail_all(*conn, e.what());
+    conn->fail_all(e.what());
     co_return;
   }
   if (conn->cancelled) co_return;
@@ -428,11 +335,7 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
       if (wc.byte_len > grh + 9) {
         net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
         if (static_cast<FrameType>(frame[0]) == FrameType::kResp) {
-          const std::uint64_t id = read_be64(frame.data() + 1);
-          auto it = ud->pending.find(id);
-          if (it != ud->pending.end()) {
-            PendingCall* pc = it->second;
-            ud->pending.erase(it);
+          if (Pending* pc = ud->take(read_be64(frame.data() + 1))) {
             // Copy into a pooled buffer so the ring slot reposts
             // immediately; the caller releases the copy after
             // deserialization (never a recv slot on the UD path).
@@ -508,31 +411,25 @@ sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes>
   note_batch_sent(ctx, t0);
 }
 
-sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdService& svc,
-                                             const rpc::MethodKey& key,
-                                             const rpc::Writable& param,
-                                             rpc::Writable* response,
-                                             std::uint64_t call_id, bool retried,
-                                             trace::TraceCollector* tr,
-                                             const trace::TraceContext& t_parent) {
+sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdService& svc) {
   co_await pool_ready_.wait();
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc.ud:" + key.method, trace::Kind::kClient,
-                       trace::Category::kWire, t_parent, host_.id());
+  trace::SpanScope rpc(a.tr, "rpc.ud:" + a.key.method, trace::Kind::kClient,
+                       trace::Category::kWire, a.t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   co_await host_.compute(cm.rpc_framework());
 
   // --- Serialize the whole datagram: wrapper + a complete kCall frame ---
   const std::uint64_t sid = session_id(host_);
   const sim::Time t_ser_start = host_.sched().now();
-  RDMAOutputStream out(cm, shadow_, key);
+  RDMAOutputStream out(cm, shadow_, a.key);
   try {
     out.write_u8(static_cast<std::uint8_t>(FrameType::kUdCall));
     out.write_u64(sid);
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    write_call_header(out, call_id, retried, key, ctx);
-    param.write(out);
+    write_call_header(out, a.call_id, a.retried, a.key, ctx);
+    a.param.write(out);
   } catch (const PoolExhaustedError&) {
     // Let the RC path re-serialize and run its pool-exhaustion degrade
     // (socket fallback); the stream destructor returns the partial lease.
@@ -552,14 +449,14 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
     rpc.end();
     co_return false;
   }
-  trace_phase(tr, ctx, "serialize", trace::Category::kSerialization, t_ser_start, t_serialized);
+  trace_phase(a.tr, ctx, "serialize", trace::Category::kSerialization, t_ser_start, t_serialized);
   const net::ByteSpan dg = out.data();
   NativeBuffer* buf = out.take_buffer();
-  shadow_.update_history(key, dg_len);
+  shadow_.update_history(a.key, dg_len);
 
   UdStatePtr ud = ud_state();
-  PendingCall pc(host_.sched());
-  ud->pending[call_id] = &pc;
+  Pending pc(host_.sched(), native_);
+  ud->file(a.call_id, pc);
 
   // --- Send: coalesced when small, else one datagram ---------------------
   const bool batchable = batch_.batchable(msg_len) && msg_len <= ud_batch_limit();
@@ -571,47 +468,43 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
       native_.release(buf);
       buf = nullptr;
       co_await host_.compute(cm.direct_copy(msg_len));
-      std::shared_ptr<rpc::Coalescer<UdSink>>& dest = ud_dests_[addr];
+      std::shared_ptr<rpc::Coalescer<UdSink>>& dest = ud_dests_[a.addr];
       if (!dest) dest = std::make_shared<rpc::Coalescer<UdSink>>(batch_);
-      const UdSink sink{this, ud, dest, addr};
+      const UdSink sink{this, ud, dest, a.addr};
       co_await dest->append(sink, std::move(payload), ctx);
     } else {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
-      co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, call_id), dg);
+      co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, a.call_id), dg);
       buf = nullptr;  // released by ud_receive_loop at the kSend completion
       ++stats_.ud_datagrams_sent;
     }
   } catch (const std::exception& e) {
-    ud->pending.erase(call_id);
     if (buf != nullptr) native_.release(buf);
     throw rpc::RpcTransportError(e.what());
   }
   const sim::Time t_sent = host_.sched().now();
   if (const trace::SpanId send =
-          trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
-    tr->annotate(send, "path", batchable ? "ud-batched" : "ud");
+          trace_phase(a.tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
+    a.tr->annotate(send, "path", batchable ? "ud-batched" : "ud");
   }
 
-  rpc::MethodProfile& prof = record_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
+  rpc::MethodProfile& prof = record_sent(a.key, regets, msg_len, t_start, t_serialized, t_sent);
 
   // --- Wait. A lost datagram (either direction) is pure silence: the
   // per-attempt timeout fires and the outer retry loop retransmits with
   // the retry flag set; the server's session-keyed retry cache makes the
   // re-execution window exactly-once. ------------------------------------
   const bool replied = co_await await_reply(pc.done);
-  if (!replied) {
-    ud->pending.erase(call_id);  // a late response is dropped by the receive loop
-    throw timeout_error();
-  }
+  if (!replied) throw timeout_error();  // pc unregisters: a late response is dropped
   if (pc.transport_error) throw rpc::RpcTransportError(pc.error_msg);
 
   // --- Deserialize from the pooled copy ---------------------------------
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
   std::string error_msg;
-  const std::uint8_t status = read_reply(in, response, error_msg);
+  const std::uint8_t status = read_reply(in, a.response, error_msg);
   co_await host_.compute(in.take_accrued());
-  trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
+  trace_phase(a.tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
               host_.sched().now());
   native_.release(pc.resp_buf);
   if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
@@ -622,9 +515,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
   co_return true;
 }
 
-sim::Co<void> RdmaRpcClient::call_via_fallback(net::Address addr, const rpc::MethodKey& key,
-                                               const rpc::Writable& param,
-                                               rpc::Writable* response) {
+sim::Co<void> RdmaRpcClient::call_via_fallback(const Attempt& a) {
   if (!fallback_) {
     fallback_ = std::make_unique<rpc::SocketRpcClient>(host_, sockets_,
                                                        net::Transport::kIPoIB);
@@ -638,32 +529,29 @@ sim::Co<void> RdmaRpcClient::call_via_fallback(net::Address addr, const rpc::Met
     // session id; it only needs the same knob so its calls stay dedupable.
     fallback_->set_session(session_);
   }
-  const net::Address companion{addr.host,
-                               static_cast<std::uint16_t>(addr.port + kSocketFallbackPortOffset)};
-  co_await fallback_->call(companion, key, param, response);
+  const net::Address companion{
+      a.addr.host, static_cast<std::uint16_t>(a.addr.port + kSocketFallbackPortOffset)};
+  trace::activate(a.tr, a.t_parent);
+  co_await fallback_->call(companion, a.key, a.param, a.response);
 }
 
-sim::Co<bool> RdmaRpcClient::call_attempt_onesided(net::Address addr,
-                                                   const rpc::MethodKey& key,
-                                                   const rpc::Writable& param,
-                                                   rpc::Writable* response,
-                                                   trace::TraceCollector* tr,
-                                                   const trace::TraceContext& t_parent) {
-  const std::optional<std::string> entity = param.onesided_key(key.protocol, key.method);
+sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
+  const std::optional<std::string> entity = a.param.onesided_key(a.key.protocol, a.key.method);
   if (!entity) co_return false;
-  auto cached = onesided_cache_.find(addr);
+  auto cached = onesided_cache_.find(a.addr);
   if (cached == onesided_cache_.end()) {
-    const verbs::OneSidedService* adv = stack_.onesided_service(addr);
+    const verbs::OneSidedService* adv = stack_.onesided_service(a.addr);
     if (adv == nullptr) co_return false;  // server exports no region
-    cached = onesided_cache_.emplace(addr, *adv).first;
+    cached = onesided_cache_.emplace(a.addr, *adv).first;
   }
   verbs::OneSidedService svc = cached->second;
   constexpr std::size_t kMeta =
       OneSidedRegion::kHeaderBytes + OneSidedRegion::kTrailerBytes;
   if (svc.slots == 0 || svc.slot_bytes <= kMeta) co_return false;
+  co_await pool_ready_.wait();
   ConnectionPtr conn;
   try {
-    conn = co_await get_connection(addr);
+    conn = co_await core_.get(a.addr);
   } catch (const verbs::VerbsError&) {
     co_return false;  // the RPC path owns bootstrap-failure fallback
   }
@@ -671,16 +559,14 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(net::Address addr,
   // kill fires on the first attempt that touches the link, one-sided
   // READs included. The fallback RPC re-bootstraps and carries the call
   // through the session/retry machinery.
-  if (!conn->broken && take_kill(stack_.fabric(), addr)) {
-    teardown_connection(conn, addr, rpc::ReconnectCause::kFaultInjected,
-                        "connection killed (injected fault)");
+  if (core_.kill_if_due(conn, a.addr, stack_.fabric())) {
     ++stats_.onesided_fallbacks;
     co_return false;
   }
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
   const std::uint64_t h =
-      OneSidedRegion::hash_key(rpc::onesided_entry_key(key.protocol, key.method, *entity));
+      OneSidedRegion::hash_key(rpc::onesided_entry_key(a.key.protocol, a.key.method, *entity));
 
   NativeBuffer* dst = shadow_.try_acquire_sized(svc.slot_bytes);
   if (dst == nullptr) {
@@ -747,12 +633,12 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(net::Address addr,
     if (gen != svc.generation) {
       // Stale advertisement (the server re-exported; retired slots carry
       // generation 0) — refresh once, then degrade.
-      const verbs::OneSidedService* fresh = stack_.onesided_service(addr);
+      const verbs::OneSidedService* fresh = stack_.onesided_service(a.addr);
       if (!refreshed && fresh != nullptr && fresh->generation != svc.generation &&
           fresh->slots != 0 && fresh->slot_bytes > kMeta) {
         refreshed = true;
         ++stats_.onesided_stale_refreshes;
-        onesided_cache_[addr] = *fresh;
+        onesided_cache_[a.addr] = *fresh;
         svc = *fresh;
         if (svc.slot_bytes > dst->span.size()) {
           native_.release(dst);
@@ -776,22 +662,22 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(net::Address addr,
     // Consistent snapshot: deserialize the published response in place.
     ++stats_.onesided_reads;
     RDMAInputStream in(cm, net::ByteSpan(s + OneSidedRegion::kHeaderBytes, len));
-    if (response != nullptr) response->read_fields(in);
+    if (a.response != nullptr) a.response->read_fields(in);
     co_await host_.compute(in.take_accrued());
     native_.release(dst);
-    if (tr != nullptr) {
-      tr->add_complete("onesided:" + key.method, trace::Kind::kClient,
-                       trace::Category::kOneSided, t_parent, host_.id(), t_start,
-                       host_.sched().now());
+    if (a.tr != nullptr) {
+      a.tr->add_complete("onesided:" + a.key.method, trace::Kind::kClient,
+                         trace::Category::kOneSided, a.t_parent, host_.id(), t_start,
+                         host_.sched().now());
     }
     co_return true;
   }
   native_.release(dst);
   ++stats_.onesided_fallbacks;
-  if (tr != nullptr) {
-    tr->add_complete("onesided.fallback:" + key.method, trace::Kind::kClient,
-                     trace::Category::kOneSided, t_parent, host_.id(), t_start,
-                     host_.sched().now());
+  if (a.tr != nullptr) {
+    a.tr->add_complete("onesided.fallback:" + a.key.method, trace::Kind::kClient,
+                       trace::Category::kOneSided, a.t_parent, host_.id(), t_start,
+                       host_.sched().now());
   }
   co_return false;
 }
@@ -805,62 +691,57 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   trace::TraceCollector* tr = trace::active(host_.tracer());
   const trace::TraceContext t_parent =
       tr != nullptr ? tr->take_ambient() : trace::TraceContext{};
-  if (fallback_addrs_.count(addr) != 0) {
-    trace::activate(tr, t_parent);
-    co_await call_via_fallback(addr, key, param, response);
-    co_return;
-  }
-  // One-sided fast path (onesided.enabled): eligible read-mostly lookups
-  // resolve against the server's exported seqlock region with a single
-  // RDMA READ, bypassing its admission/handler chain entirely. A false
-  // return (miss, conflict budget spent, stale generation, staging lease
-  // refused) degrades to the normal RPC path below.
-  if (cfg_.onesided.enabled) {
-    const bool handled =
-        co_await call_attempt_onesided(addr, key, param, response, tr, t_parent);
-    if (handled) co_return;
-  }
-  // UD eager path (ud.enabled): sub-MTU calls ride connectionless
-  // datagrams to the server's advertised UD endpoint pool — no RC
-  // bootstrap, no per-connection server state. A false return means the
-  // call did not fit the datagram budget (or the pool refused the lease)
-  // and falls through to the RC path below.
-  if (cfg_.ud.enabled) {
-    if (const verbs::UdService* svc = stack_.ud_service(addr);
-        svc != nullptr && !svc->qpns.empty()) {
-      const bool handled = co_await call_attempt_ud(addr, *svc, key, param, response,
-                                                    call_id, retried, tr, t_parent);
-      if (handled) co_return;
-      ++stats_.ud_rc_fallbacks;
+  // The plane ladder: each plane returns whether it served the call, and
+  // a call no plane served leaves by the one socket exit below. An address
+  // whose bootstrap failed skips every plane (the sticky reroute).
+  const Attempt a{addr, key, param, response, call_id, retried, tr, t_parent};
+  bool served = false;
+  if (fallback_addrs_.count(addr) == 0) {
+    // One-sided fast path (onesided.enabled): eligible read-mostly lookups
+    // resolve against the server's exported seqlock region with a single
+    // RDMA READ, bypassing its admission/handler chain entirely. A miss,
+    // a spent conflict budget, a stale generation or a refused staging
+    // lease degrades to the planes below.
+    if (cfg_.onesided.enabled) served = co_await call_attempt_onesided(a);
+    // UD eager path (ud.enabled): sub-MTU calls ride connectionless
+    // datagrams to the server's advertised UD endpoint pool — no RC
+    // bootstrap, no per-connection server state. A call too big for the
+    // datagram budget (or refused a lease) falls through to RC.
+    if (!served && cfg_.ud.enabled) {
+      if (const verbs::UdService* svc = stack_.ud_service(addr);
+          svc != nullptr && !svc->qpns.empty()) {
+        served = co_await call_attempt_ud(a, *svc);
+        if (!served) ++stats_.ud_rc_fallbacks;
+      }
     }
+    if (!served) served = co_await call_attempt_rc(a);
   }
+  if (!served) co_await call_via_fallback(a);
+}
+
+sim::Co<bool> RdmaRpcClient::call_attempt_rc(const Attempt& a) {
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc:" + key.method, trace::Kind::kClient,
-                       trace::Category::kWire, t_parent, host_.id());
+  trace::SpanScope rpc(a.tr, "rpc:" + a.key.method, trace::Kind::kClient,
+                       trace::Category::kWire, a.t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
+  co_await pool_ready_.wait();
   ConnectionPtr conn;
-  bool bootstrap_failed = false;  // co_await is not allowed inside a handler
   try {
-    conn = co_await get_connection(addr);
+    conn = co_await core_.get(a.addr);
   } catch (const verbs::VerbsError&) {
     // Bootstrap exchange failed at the verbs layer: this address drops to
     // socket mode for the rest of the session (Section III-D's escape
     // hatch), starting with this very call.
-    fallback_addrs_.insert(addr);
+    fallback_addrs_.insert(a.addr);
     ++stats_.socket_reroutes;
-    if (tr != nullptr) {
-      tr->add_complete("fault.bootstrap:" + key.method, trace::Kind::kClient,
-                       trace::Category::kFault, ctx, host_.id(), t_start,
-                       host_.sched().now());
+    if (a.tr != nullptr) {
+      a.tr->add_complete("fault.bootstrap:" + a.key.method, trace::Kind::kClient,
+                         trace::Category::kFault, ctx, host_.id(), t_start,
+                         host_.sched().now());
     }
-    bootstrap_failed = true;
-  }
-  if (bootstrap_failed) {
     rpc.end();
-    trace::activate(tr, t_parent);
-    co_await call_via_fallback(addr, key, param, response);
-    co_return;
+    co_return false;
   }
   // Shared Hadoop RPC framework cost (call table, synchronization) — the
   // same charge the socket path pays; RPCoIB only removes buffer and
@@ -869,34 +750,28 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
 
   // --- Serialization: directly into a pooled, registered buffer ---------
   const sim::Time t_ser_start = host_.sched().now();
-  RDMAOutputStream out(cm, shadow_, key);
-  bool pool_exhausted = false;
+  RDMAOutputStream out(cm, shadow_, a.key);
   try {
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    write_call_header(out, call_id, retried, key, ctx);
-    param.write(out);
+    write_call_header(out, a.call_id, a.retried, a.key, ctx);
+    a.param.write(out);
   } catch (const PoolExhaustedError&) {
     // A mid-serialization re-get was refused by the capped pool: degrade
     // to the socket path for this one call, exactly like a rendezvous
     // NACK (non-sticky — the next call tries RDMA again). The stream's
     // destructor returns the partial buffer.
-    pool_exhausted = true;
-  }
-  if (pool_exhausted) {
     ++stats_.nack_fallbacks;
-    if (tr != nullptr) {
-      tr->add_complete("overload.pool:" + key.method, trace::Kind::kClient,
-                       trace::Category::kOverload, ctx, host_.id(), t_ser_start,
-                       host_.sched().now());
+    if (a.tr != nullptr) {
+      a.tr->add_complete("overload.pool:" + a.key.method, trace::Kind::kClient,
+                         trace::Category::kOverload, ctx, host_.id(), t_ser_start,
+                         host_.sched().now());
     }
     rpc.end();
-    trace::activate(tr, t_parent);
-    co_await call_via_fallback(addr, key, param, response);
-    co_return;
+    co_return false;
   }
   co_await host_.compute(out.take_accrued());
   const sim::Time t_serialized = host_.sched().now();
-  if (const trace::SpanId ser = trace_phase(tr, ctx, "serialize",
+  if (const trace::SpanId ser = trace_phase(a.tr, ctx, "serialize",
                                             trace::Category::kSerialization, t_ser_start,
                                             t_serialized)) {
     // Pool acquire (initial lease + one re-get per size-history miss) is
@@ -904,26 +779,25 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
     // serialization window so the report shows it separately.
     sim::Dur acq = sim::from_us(RDMAOutputStream::kAcquireUs) * (1 + out.regets());
     acq = std::min<sim::Dur>(acq, t_serialized - t_ser_start);
-    tr->add_complete("pool.acquire", trace::Kind::kInternal, trace::Category::kBuffer,
-                     tr->context_of(ser), host_.id(), t_ser_start, t_ser_start + acq);
+    a.tr->add_complete("pool.acquire", trace::Kind::kInternal, trace::Category::kBuffer,
+                       a.tr->context_of(ser), host_.id(), t_ser_start, t_ser_start + acq);
   }
 
   const std::uint64_t regets = out.regets();
   const std::size_t msg_len = out.length();
   const net::ByteSpan msg = out.data();
   NativeBuffer* buf = out.take_buffer();
-  shadow_.update_history(key, msg_len);
+  shadow_.update_history(a.key, msg_len);
 
-  PendingCall pc(host_.sched());
-  conn->pending[call_id] = &pc;
+  Pending pc(host_.sched(), native_);
 
   // --- Hybrid send: coalesced when small, eager below the negotiated
   // threshold, rendezvous above ------------------------------------------
   const bool batchable =
       batch_.batchable(msg_len) && msg_len <= RcSink{this, conn}.limit();
   try {
+    conn->file(a.call_id, pc);
     if (batchable) {
-      if (conn->broken) throw rpc::RpcTransportError("connection broken");
       // Coalescing copies the serialized frame out of the pooled buffer so
       // the lease returns immediately; the batch amortizes the per-call
       // doorbell + JNI crossing that the copy replaces.
@@ -952,55 +826,46 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
       // The lease holds until the response arrives (implicit ack).
     }
   } catch (const std::exception& e) {
-    conn->pending.erase(call_id);
     if (buf != nullptr) native_.release(buf);
-    release_rendezvous(pc);
+    pc.release_leases();
     if (session_.enabled && !conn->cancelled && !conn->broken) {
       // The post failed with the QP in error state mid-call: tear the
       // connection down now so the retry re-bootstraps instead of landing
       // on the dead QP again. (Sessionless builds keep the lazy detection
-      // at the next get_connection, byte-identical to the old behavior.)
-      teardown_connection(conn, addr, rpc::ReconnectCause::kQpError, e.what());
+      // at the next adopt, byte-identical to the old behavior.)
+      core_.kill(conn, a.addr, rpc::ReconnectCause::kQpError, e.what());
     }
     throw rpc::RpcTransportError(e.what());
   }
-  if (!conn->broken && take_kill(stack_.fabric(), addr)) {
-    teardown_connection(conn, addr, rpc::ReconnectCause::kFaultInjected,
-                        "connection killed (injected fault)");
-  }
+  core_.kill_if_due(conn, a.addr, stack_.fabric());
   const sim::Time t_sent = host_.sched().now();
   if (const trace::SpanId send =
-          trace_phase(tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
-    tr->annotate(send, "path",
-                 batchable ? "batched"
-                           : (msg_len <= conn->eager_threshold ? "eager" : "rendezvous"));
+          trace_phase(a.tr, ctx, "send", trace::Category::kSend, t_serialized, t_sent)) {
+    a.tr->annotate(send, "path",
+                   batchable ? "batched"
+                             : (msg_len <= conn->eager_threshold ? "eager" : "rendezvous"));
   }
 
-  rpc::MethodProfile& prof = record_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
+  rpc::MethodProfile& prof = record_sent(a.key, regets, msg_len, t_start, t_serialized, t_sent);
 
   const bool replied = co_await await_reply(pc.done);
-  if (!replied) {
-    // Unregister so a late response is recycled by the receive loop, and
-    // reclaim the rendezvous source: the peer's READ window is gone.
-    conn->pending.erase(call_id);
-    release_rendezvous(pc);
-    throw timeout_error();
-  }
-  release_rendezvous(pc);  // rendezvous source: response doubles as the ack
+  // The rendezvous source is done with either way: the response doubles
+  // as the ack, and after a timeout the peer's READ window is gone (pc
+  // unregisters, so a late response is recycled by the receive loop).
+  pc.release_leases();
+  if (!replied) throw timeout_error();
   if (pc.nacked) {
     // Graceful degradation: the server's registered-buffer pool is capped
     // out, so this call transparently reroutes to the companion socket
     // listener (non-sticky — the next call tries RDMA again).
     ++stats_.nack_fallbacks;
-    if (tr != nullptr) {
-      tr->add_complete("overload.nack:" + key.method, trace::Kind::kClient,
-                       trace::Category::kOverload, ctx, host_.id(), t_sent,
-                       host_.sched().now());
+    if (a.tr != nullptr) {
+      a.tr->add_complete("overload.nack:" + a.key.method, trace::Kind::kClient,
+                         trace::Category::kOverload, ctx, host_.id(), t_sent,
+                         host_.sched().now());
     }
     rpc.end();
-    trace::activate(tr, t_parent);
-    co_await call_via_fallback(addr, key, param, response);
-    co_return;
+    co_return false;
   }
   if (pc.transport_error) throw rpc::RpcTransportError(pc.error_msg);
 
@@ -1008,9 +873,9 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
   std::string error_msg;
-  const std::uint8_t status = read_reply(in, response, error_msg);
+  const std::uint8_t status = read_reply(in, a.response, error_msg);
   co_await host_.compute(in.take_accrued());
-  trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
+  trace_phase(a.tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
               host_.sched().now());
   repost_recv(conn, pc.resp_buf, pc.resp_is_recv_slot);
   if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
@@ -1018,6 +883,7 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   }
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();
+  co_return true;
 }
 
 }  // namespace rpcoib::oib

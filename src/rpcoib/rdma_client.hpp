@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "rpc/batch.hpp"
+#include "rpc/client_core.hpp"
 #include "rpc/rpc.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpcoib/buffer_pool.hpp"
@@ -64,9 +65,18 @@ class RdmaRpcClient final : public rpc::RpcClient {
                              std::uint64_t call_id, bool retried) override;
 
  private:
-  struct PendingCall {
-    explicit PendingCall(sim::Scheduler& s) : done(s) {}
-    sim::SimEvent done;
+  struct Pending : rpc::PendingCall<Pending> {
+    Pending(sim::Scheduler& s, NativeBufferPool& pool) : PendingCall(s), pool(pool) {}
+    /// Return the leased rendezvous source to the pool. fail_all runs it
+    /// before waking the call: a drained scheduler may never resume the
+    /// call coroutine, so the release cannot be left to it.
+    void release_leases() {
+      if (rendezvous_buf != nullptr) {
+        pool.release(rendezvous_buf);
+        rendezvous_buf = nullptr;
+      }
+    }
+    NativeBufferPool& pool;
     net::ByteSpan resp;          // full kResp frame
     NativeBuffer* resp_buf = nullptr;
     bool resp_is_recv_slot = false;  // repost vs release-to-pool
@@ -74,8 +84,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
     /// so fail_all() can return it to the pool on connection teardown.
     NativeBuffer* rendezvous_buf = nullptr;
     bool nacked = false;  // server refused the rendezvous (pool exhausted)
-    bool transport_error = false;
-    std::string error_msg;
   };
 
   struct Connection;
@@ -84,42 +92,25 @@ class RdmaRpcClient final : public rpc::RpcClient {
   // map without freeing state that already-posted wakeups still touch.
   using ConnectionPtr = std::shared_ptr<Connection>;
 
-  /// Coalescer sink for one RC connection's small kCall frames: batch
-  /// frames ride the eager path, so the byte limit clamps to the
-  /// negotiated eager threshold (the frame must fit the peer's pre-posted
-  /// receive buffers); flush reasons counted in the client's stats.
-  struct RcSink {
-    RdmaRpcClient* self;
-    ConnectionPtr conn;
-    sim::Scheduler& sched() const { return self->host_.sched(); }
-    std::size_t limit() const {
-      return std::min(self->batch_.max_bytes, conn->eager_threshold);
-    }
-    sim::Dur linger_cap() const { return rpc::kUncappedLinger; }
-    bool stopped() const { return conn->cancelled || conn->broken; }
-    rpc::RpcStats* flush_stats() const { return &self->stats_; }
-    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
-      return self->flush_batch(conn, std::move(items), ctx);
-    }
-  };
+  using RcSink = rpc::ConnectionSink<RdmaRpcClient, Connection>;
+  friend RcSink;
+  /// Batch frames ride the eager path, so the byte limit clamps to the
+  /// negotiated eager threshold: the frame must fit the peer's pre-posted
+  /// receive buffers.
+  std::size_t batch_limit(const Connection& conn) const {
+    return std::min(batch_.max_bytes, conn.eager_threshold);
+  }
 
-  struct Connection {
+  struct Connection : rpc::ClientConnection<Pending> {
     Connection(sim::Scheduler& s, const rpc::BatchConfig& batch)
-        : cq(s), ready(s), calls(batch) {}
+        : ClientConnection(s), cq(s), calls(batch) {}
     verbs::QueuePairPtr qp;
     verbs::CompletionQueue cq;  // shared send+recv CQ for this connection
-    sim::SimEvent ready;
-    bool broken = false;
-    // Set by close_connections() before the CQ closes: the receive loop,
-    // fetch tasks and flush timers check it after every resumption instead
-    // of touching the (possibly destroyed) client or its pool.
-    bool cancelled = false;
     // Negotiated per-connection eager/rendezvous switch point:
     // min(local, peer-advertised) from the bootstrap handshake, so an
     // eager SEND always fits the peer's pre-posted receive buffers.
     std::size_t eager_threshold = 0;
     rpc::Coalescer<RcSink> calls;  // small-call coalescing (BatchConfig)
-    std::map<std::uint64_t, PendingCall*> pending;
     // RDMA-READ completions are routed from receive_loop to the fetch
     // task that posted them, keyed by an odd wr_id token (buffer-pointer
     // wr_ids are even addresses, so the spaces can't collide).
@@ -131,15 +122,15 @@ class RdmaRpcClient final : public rpc::RpcClient {
   };
 
   /// Connectionless UD state, shared across every server address: one
-  /// endpoint + CQ, a receive loop, and the call-id -> waiter map (call
-  /// ids are client-unique, so no per-destination demux is needed).
+  /// endpoint + CQ, a receive loop, and the call-id -> waiter table (call
+  /// ids are client-unique, so no per-destination demux is needed). It
+  /// reuses the connection record for that table, its register step and
+  /// fail_all; nothing dials it, so its `ready` is never waited on.
   /// Shared-owned like Connection so the loop outlives close_connections.
-  struct UdState {
-    explicit UdState(sim::Scheduler& s) : cq(s) {}
+  struct UdState : rpc::ClientConnection<Pending> {
+    explicit UdState(sim::Scheduler& s) : ClientConnection(s), cq(s) {}
     verbs::CompletionQueue cq;
     std::unique_ptr<verbs::UdEndpoint> ep;
-    bool cancelled = false;
-    std::map<std::uint64_t, PendingCall*> pending;
   };
   using UdStatePtr = std::shared_ptr<UdState>;
   /// Coalescer sink for one destination's UD calls: kBatch frames ride UD
@@ -161,7 +152,28 @@ class RdmaRpcClient final : public rpc::RpcClient {
     }
   };
 
-  sim::Co<ConnectionPtr> get_connection(net::Address addr);
+  // The transport's half of the connection core (client_core.hpp).
+  friend class rpc::ClientCore<RdmaRpcClient, Connection>;
+  /// Bootstrap over the server's socket address, pre-post the receive
+  /// ring and spawn the receive loop. A verbs-level failure passes through
+  /// unchanged (call_attempt_rc reroutes the address to sockets); any
+  /// other becomes RpcTransportError.
+  sim::Co<void> dial(const ConnectionPtr& conn, net::Address addr);
+  /// Reclaim the posted receive slots and break the QP. A kill leaves the
+  /// CQ OPEN and the connection uncancelled: completions already
+  /// scheduled (the just-posted kSend, in-flight READs, stale responses)
+  /// must still be reaped by the receive loop so their pooled buffers go
+  /// back — the pool stays balanced across a kill. A cancelled connection
+  /// (shutdown, stale QP) closes its CQ so the loop exits.
+  void break_link(Connection& conn);
+  /// The UD endpoint's shutdown (it has no link to break): reclaim the
+  /// posted ring and close the CQ.
+  void break_link(UdState& ud);
+  /// The server tore the QP down under us (idle-connection eviction).
+  static const char* link_lost(const Connection& conn) {
+    return conn.qp && !conn.qp->connected() ? "QP closed by peer" : nullptr;
+  }
+
   sim::Task receive_loop(ConnectionPtr conn);
   sim::Task fetch_response(ConnectionPtr conn, std::uint32_t rkey, std::uint64_t off,
                            std::uint32_t len);
@@ -175,32 +187,36 @@ class RdmaRpcClient final : public rpc::RpcClient {
   /// Repost a consumed receive slot, or return the buffer to the pool when
   /// it is not one (a fetched or split-off copy) or the connection died.
   void repost_recv(const ConnectionPtr& conn, NativeBuffer* buf, bool is_recv_slot = true);
-  /// Mark `conn` broken and fail its pending calls over to the retry loop.
-  void fail_all(Connection& conn, const std::string& why);
-  /// Fail every call in `pending` with a transport error and clear it.
-  void fail_pending(std::map<std::uint64_t, PendingCall*>& pending, const std::string& why);
-  void release_rendezvous(PendingCall& pc);
-  /// Full mid-call teardown: reclaim posted receive slots, break the QP,
-  /// fail pending calls over to the retry loop and drop the map entry.
-  /// The CQ stays OPEN: completions already scheduled (the just-posted
-  /// kSend, in-flight READs, stale responses) must still be reaped by the
-  /// receive loop so their pooled buffers go back — the pool stays
-  /// balanced across a kill.
-  void teardown_connection(const ConnectionPtr& conn, net::Address addr,
-                           rpc::ReconnectCause cause, const std::string& why);
-  sim::Co<void> call_via_fallback(net::Address addr, const rpc::MethodKey& key,
-                                  const rpc::Writable& param, rpc::Writable* response);
+
+  /// One attempt of a call, as each plane of the ladder sees it.
+  struct Attempt {
+    net::Address addr;
+    const rpc::MethodKey& key;
+    const rpc::Writable& param;
+    rpc::Writable* response;
+    std::uint64_t call_id;
+    bool retried;
+    trace::TraceCollector* tr;
+    trace::TraceContext t_parent;
+  };
+
+  /// The one socket exit: the call goes to the server's companion socket
+  /// listener through the fallback client, under the call's trace parent.
+  sim::Co<void> call_via_fallback(const Attempt& a);
+
+  /// One attempt over the RC plane. Returns false, having sent nothing the
+  /// call still waits on, for each of its three reroutes to the socket
+  /// path: a verbs-level bootstrap failure (sticky for the address), the
+  /// pool refusing a re-get mid-serialize, and a server NACK of the
+  /// rendezvous fetch (both for this call only).
+  sim::Co<bool> call_attempt_rc(const Attempt& a);
 
   /// One attempt over the one-sided read plane. Returns true iff the call
   /// was fully served by an RDMA READ (seqlock-consistent, generation
   /// fresh, key present); false degrades to the normal RPC path. Every
   /// false return has released its staging lease — the pool stays
   /// balanced across all fallback causes.
-  sim::Co<bool> call_attempt_onesided(net::Address addr, const rpc::MethodKey& key,
-                                      const rpc::Writable& param,
-                                      rpc::Writable* response,
-                                      trace::TraceCollector* tr,
-                                      const trace::TraceContext& t_parent);
+  sim::Co<bool> call_attempt_onesided(const Attempt& a);
 
   /// Lazily create the client UD endpoint (+ ring + receive loop).
   UdStatePtr ud_state();
@@ -215,11 +231,7 @@ class RdmaRpcClient final : public rpc::RpcClient {
   /// One attempt over the UD path. Returns false (nothing sent) when the
   /// call exceeds the datagram budget or the pool refused the
   /// serialization lease — the caller falls through to the RC path.
-  sim::Co<bool> call_attempt_ud(net::Address addr, const verbs::UdService& svc,
-                                const rpc::MethodKey& key, const rpc::Writable& param,
-                                rpc::Writable* response, std::uint64_t call_id,
-                                bool retried, trace::TraceCollector* tr,
-                                const trace::TraceContext& t_parent);
+  sim::Co<bool> call_attempt_ud(const Attempt& a, const verbs::UdService& svc);
   /// Byte limit for a UD batch: the whole kUdCall datagram must fit the
   /// MTU, so wrapper + batch headers (9 + 5 + 4*count) fit in the slack.
   std::size_t ud_batch_limit() const;
@@ -238,7 +250,7 @@ class RdmaRpcClient final : public rpc::RpcClient {
   NativeBufferPool native_;
   ShadowPool shadow_;
   sim::SimEvent pool_ready_;
-  std::map<net::Address, std::shared_ptr<Connection>> connections_;
+  rpc::ClientCore<RdmaRpcClient, Connection> core_{*this};
   UdStatePtr ud_;
   // Per-destination UD call coalescers (shared with their linger timers).
   std::map<net::Address, std::shared_ptr<rpc::Coalescer<UdSink>>> ud_dests_;

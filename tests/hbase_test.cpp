@@ -54,6 +54,7 @@ struct Fixture {
   ~Fixture() {
     hbase_cluster.stop();
     hdfs_cluster.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   RpcEngine hadoop_engine;

@@ -29,6 +29,7 @@ struct Fixture {
         cluster(engine, /*nn_host=*/0, dn_hosts(dns), data_mode, cfg) {
     cluster.start();
   }
+  ~Fixture() { tb.sched().drain_tasks(); }
   static std::vector<cluster::HostId> dn_hosts(int n) {
     std::vector<cluster::HostId> out;
     for (int i = 0; i < n; ++i) out.push_back(2 + i);

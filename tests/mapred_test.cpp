@@ -46,6 +46,7 @@ struct Fixture {
   ~Fixture() {
     mr.stop();
     hdfs_cluster.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   RpcEngine engine;

@@ -2,6 +2,7 @@
 // concurrent calls, exceptions, multiple clients, stats capture.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +80,7 @@ struct Fixture {
   ~Fixture() {
     client.close_connections();
     server.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   SocketRpcServer server;
@@ -350,6 +352,145 @@ TEST(SocketRpc, DestroyClientWithParkedReceiverIsSafe) {
   // reader, which resumes exactly once more after the client is gone.
   server.stop();
   s.run_until(sim::seconds(2));
+}
+
+/// Run `fn` at virtual time `at`.
+Task run_at(Scheduler& s, sim::Time at, std::function<void()> fn) {
+  co_await sim::delay(s, at - s.now());
+  fn();
+}
+
+/// One add call started at virtual time `at`; records the transport
+/// error's message, if any.
+Task add_at(Scheduler& s, SocketRpcClient& c, sim::Time at, std::string& error) {
+  co_await sim::delay(s, at - s.now());
+  AddParam p;
+  IntWritable r;
+  try {
+    co_await c.call(kServerAddr, kAdd, p, &r);
+  } catch (const RpcTransportError& e) {
+    error = e.what();
+  }
+}
+
+// Regression (use-after-free): a call that adopted a live connection must
+// not register on it once the peer's EOF has broken it. Pre-fix the
+// unbatched path filed its pending record before checking `broken`, threw
+// on the check, and left a dangling pointer in a connection that stays in
+// the table; close_connections() then failed the dead record (an ASan
+// heap-use-after-free). The call's start is swept across the window
+// around the server stop, so a cost-model change cannot move the window
+// out of the test unnoticed: at least one start must meet the broken
+// connection.
+TEST(SocketRpc, CallRacingPeerCloseLeavesNoDanglingRecord) {
+  int broken_hits = 0;
+  for (sim::Dur lead = 0; lead <= 3000; lead += 50) {
+    Scheduler s;
+    Testbed tb(s, Testbed::cluster_b());
+    SocketRpcServer server(tb.host(1), tb.sockets(), kServerAddr, 4);
+    register_test_protocol(server);
+    server.start();
+    SocketRpcClient client(tb.host(0), tb.sockets(), Transport::kIPoIB);
+    std::string warm_error, error;
+    s.spawn(add_at(s, client, 0, warm_error));
+    const sim::Time t0 = sim::seconds(1);
+    s.spawn(run_at(s, t0, [&server] { server.stop(); }));
+    s.spawn(add_at(s, client, t0 - lead, error));
+    s.run_until(sim::seconds(2));
+    EXPECT_TRUE(warm_error.empty());
+    if (error == "connection broken") ++broken_hits;
+    client.close_connections();
+    s.drain_tasks();
+  }
+  EXPECT_GT(broken_hits, 0);
+}
+
+// Regression: an error reply is never turned into a transport error by a
+// teardown racing its delivery. Pre-fix the receive loop unregistered the
+// call before charging its delivery and woke it after; a teardown in
+// between left the caller reading `broken` next to a non-success status,
+// and it threw RpcTransportError("deliberate failure"), which the retry
+// loop would re-send although the handler had run. Now a reply is matched
+// after the charge: before that the teardown fails the call over ("client
+// shutdown"), after it the call gets its RemoteException. The teardown is
+// swept across the reply's arrival and must land on both sides.
+TEST(SocketRpc, ErrorReplyRacingTeardownStaysRemoteException) {
+  int remote = 0, shutdown = 0;
+  for (sim::Dur delta = sim::micros(60); delta <= sim::micros(80); delta += 100) {
+    Scheduler s;
+    Testbed tb(s, Testbed::cluster_b());
+    SocketRpcServer server(tb.host(1), tb.sockets(), kServerAddr, 4);
+    register_test_protocol(server);
+    server.start();
+    SocketRpcClient client(tb.host(0), tb.sockets(), Transport::kIPoIB);
+    std::string warm_error;
+    s.spawn(add_at(s, client, 0, warm_error));
+    const sim::Time t0 = sim::seconds(1);
+    std::string outcome;
+    s.spawn([](Scheduler& sc, SocketRpcClient& c, sim::Time at, std::string& out) -> Task {
+      co_await sim::delay(sc, at - sc.now());
+      NullWritable arg;
+      try {
+        co_await c.call(kServerAddr, kFail, arg, nullptr);
+        out = "ok";
+      } catch (const RemoteException&) {
+        out = "remote";
+      } catch (const RpcTransportError& e) {
+        out = std::string("transport: ") + e.what();
+      }
+    }(s, client, t0, outcome));
+    s.spawn(run_at(s, t0 + delta, [&client] { client.close_connections(); }));
+    s.run_until(sim::seconds(2));
+    EXPECT_TRUE(warm_error.empty());
+    if (outcome == "remote") {
+      ++remote;
+    } else {
+      EXPECT_EQ(outcome, "transport: client shutdown") << "teardown at +" << delta << " ns";
+      ++shutdown;
+    }
+    server.stop();
+    s.drain_tasks();
+  }
+  EXPECT_GT(remote, 0);
+  EXPECT_GT(shutdown, 0);
+}
+
+// Regression (use-after-free): a reply whose call times out while the
+// receive loop is charging its delivery is dropped. Pre-fix the loop had
+// already unregistered the call and woke it after the charge, writing
+// into the record the timed-out caller had destroyed (an ASan
+// heap-use-after-free). The deadline is swept across the reply's arrival
+// and must land on both sides of it.
+TEST(SocketRpc, ReplyRacingCallTimeoutIsDropped) {
+  int ok = 0, timed_out = 0;
+  for (sim::Dur timeout = sim::micros(60); timeout <= sim::micros(80); timeout += 50) {
+    Scheduler s;
+    Testbed tb(s, Testbed::cluster_b());
+    SocketRpcServer server(tb.host(1), tb.sockets(), kServerAddr, 4);
+    register_test_protocol(server);
+    server.start();
+    SocketRpcClient client(tb.host(0), tb.sockets(), Transport::kIPoIB);
+    std::string warm_error, error;
+    s.spawn(add_at(s, client, 0, warm_error));
+    s.run_until(sim::millis(500));
+    RpcRetryPolicy policy;
+    policy.call_timeout = timeout;
+    client.set_retry_policy(policy);
+    s.spawn(add_at(s, client, sim::seconds(1), error));
+    s.run_until(sim::seconds(2));
+    EXPECT_TRUE(warm_error.empty());
+    if (error.empty()) {
+      ++ok;
+    } else {
+      EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+      ++timed_out;
+    }
+    client.close_connections();
+    server.stop();
+    s.drain_tasks();
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(timed_out, 0);
 }
 
 TEST(SocketRpc, LatencyOrderingAcrossTransports) {

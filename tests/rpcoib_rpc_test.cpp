@@ -55,6 +55,7 @@ struct Fixture {
   ~Fixture() {
     client.close_connections();
     server.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   verbs::VerbsStack stack;
@@ -212,6 +213,7 @@ TEST(RpcoIB, LatencyBeatsSocketBaselines) {
     EXPECT_TRUE(ok);
     client.close_connections();
     server.stop();
+    s.drain_tasks();
     return warm;
   };
   for (std::size_t n : {std::size_t{1}, std::size_t{1024}, std::size_t{4096}}) {
@@ -238,6 +240,7 @@ TEST(RpcEngine, ModesProduceWorkingPairs) {
     s.run_until(sim::seconds(10));
     EXPECT_TRUE(ok) << rpc_mode_name(mode);
     server->stop();
+    s.drain_tasks();
   }
 }
 
@@ -256,6 +259,57 @@ TEST(RpcoIB, ThresholdSweepStillCorrect) {
     EXPECT_TRUE(ok1) << threshold;
     EXPECT_TRUE(ok2) << threshold;
   }
+}
+
+Task echo_catching(RdmaRpcClient& client, bool& ok, bool& failed) {
+  rpc::BytesWritable req(net::Bytes(64, 0x2a));
+  rpc::BytesWritable resp;
+  try {
+    co_await client.call(kAddr, kEcho, req, &resp);
+    ok = resp.value == req.value;
+  } catch (const rpc::RpcTransportError&) {
+    failed = true;
+  }
+}
+
+Task start_rdma_server_after_failure(Scheduler& s, RdmaRpcServer& server, const bool& failed) {
+  // Same 1 us poll as the socket twin: the listener comes up while the
+  // first waiter's replacement bootstrap is still in flight.
+  while (!failed) co_await sim::delay(s, sim::micros(1));
+  server.start();
+}
+
+// The RC twin of SocketRpc.ReconnectRaceAdoptsReplacementConnection: the
+// first caller's bootstrap fails (no listener yet), two callers parked on
+// its `ready` wake on the broken connection, and exactly one replacement
+// is dialled — the other waiter adopts it instead of dialling its own.
+TEST(RpcoIB, ReconnectRaceAdoptsReplacementConnection) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  verbs::VerbsStack stack(tb.fabric());
+  RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr);
+  register_echo(server);
+  RdmaRpcClient client(tb.host(0), tb.sockets(), stack);
+  bool ok_a = false, ok_b = false, ok_c = false;
+  bool failed_a = false, failed_b = false, failed_c = false;
+  s.spawn(echo_catching(client, ok_a, failed_a));  // installs, fails
+  s.spawn(echo_catching(client, ok_b, failed_b));  // waits on ready
+  s.spawn(echo_catching(client, ok_c, failed_c));  // waits on ready
+  s.spawn(start_rdma_server_after_failure(s, server, failed_a));
+  s.run_until(sim::seconds(10));
+
+  EXPECT_TRUE(failed_a);  // no listener at its bootstrap
+  EXPECT_FALSE(failed_b);
+  EXPECT_FALSE(failed_c);
+  EXPECT_TRUE(ok_b);
+  EXPECT_TRUE(ok_c);
+  EXPECT_EQ(client.stats().connections_opened, 1u);
+  // A refused bootstrap is a transport failure, not a verbs one: no
+  // socket reroute.
+  EXPECT_EQ(client.fallback_address_count(), 0u);
+  client.close_connections();
+  server.stop();
+  s.drain_tasks();
 }
 
 }  // namespace
