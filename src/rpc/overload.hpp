@@ -2,17 +2,12 @@
 //
 // Production Hadoop treats overload as a first-class failure mode
 // (ipc.server.max.callqueue lineage): a server drowning in calls must shed
-// load early and cheaply, not queue without bound. Three cooperating
-// pieces live here:
+// load early and cheaply, not queue without bound. Two pieces live here:
 //
-//   OverloadConfig / AdmissionPolicy — a bound on the server call queue
-//   with a pluggable shedding policy. Shed calls are answered with a
-//   "busy" status the client maps to ServerBusyException, which is always
-//   retryable (the handler never ran).
-//
-//   AdmissionController — the per-server book-keeping both transports
-//   share: queue-depth checks plus queued-calls-per-protocol counts for
-//   the quota policy.
+//   OverloadConfig — one bound on each server call queue. An arrival at a
+//   full queue is shed with a "busy" status the client maps to
+//   ServerBusyException, which is always retryable (the handler never
+//   ran).
 //
 //   RetryCache — a bounded LRU keyed by <connection id, call id>. Clients
 //   keep one call id across attempts of the same logical call, so the
@@ -25,80 +20,20 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <string>
 #include <utility>
 
 #include "net/bytes.hpp"
 
 namespace rpcoib::rpc {
 
-/// What to do when a call arrives at a full queue.
-enum class AdmissionPolicy : std::uint8_t {
-  kRejectNewest = 0,  // shed the arriving call (Hadoop's default)
-  kRejectOldest,      // admit the arrival, shed the longest-queued call
-  kProtocolQuota,     // additionally cap queued calls per protocol
-};
-
 struct OverloadConfig {
-  /// Upper bound on queued (accepted, not yet executing) calls;
-  /// 0 = unbounded (the seed behavior).
+  /// Upper bound on queued (accepted, not yet executing) calls; an arrival
+  /// at a full queue is shed busy. 0 = unbounded (the seed behavior).
   std::size_t max_call_queue = 0;
-  AdmissionPolicy policy = AdmissionPolicy::kRejectNewest;
-  /// kProtocolQuota only: max queued calls per protocol name; 0 = off.
-  std::size_t protocol_quota = 0;
   /// Retry-cache capacity in entries; 0 disables the cache.
   std::size_t retry_cache_entries = 0;
 
-  bool admission_enabled() const {
-    return max_call_queue > 0 ||
-           (policy == AdmissionPolicy::kProtocolQuota && protocol_quota > 0);
-  }
   bool cache_enabled() const { return retry_cache_entries > 0; }
-};
-
-/// Admission book-keeping shared by the socket and RPCoIB servers.
-class AdmissionController {
- public:
-  enum class Decision {
-    kAdmit,
-    kShedNewest,  // reject the arriving call with "busy"
-    kShedOldest,  // admit the arrival, evict the queue head with "busy"
-  };
-
-  explicit AdmissionController(const OverloadConfig& cfg) : cfg_(cfg) {}
-
-  /// Fate of a call arriving while `queue_depth` calls are queued.
-  Decision decide(std::size_t queue_depth, const std::string& protocol) const {
-    if (cfg_.policy == AdmissionPolicy::kProtocolQuota && cfg_.protocol_quota > 0) {
-      auto it = queued_.find(protocol);
-      if (it != queued_.end() && it->second >= cfg_.protocol_quota) {
-        return Decision::kShedNewest;
-      }
-    }
-    if (cfg_.max_call_queue > 0 && queue_depth >= cfg_.max_call_queue) {
-      return cfg_.policy == AdmissionPolicy::kRejectOldest ? Decision::kShedOldest
-                                                           : Decision::kShedNewest;
-    }
-    return Decision::kAdmit;
-  }
-
-  // Per-protocol counts back the quota policy; a server must pair every
-  // admitted enqueue with exactly one on_dequeue (execute, expire, evict,
-  // or drain-on-stop).
-  void on_enqueue(const std::string& protocol) {
-    if (cfg_.policy == AdmissionPolicy::kProtocolQuota) ++queued_[protocol];
-  }
-  void on_dequeue(const std::string& protocol) {
-    if (cfg_.policy != AdmissionPolicy::kProtocolQuota) return;
-    auto it = queued_.find(protocol);
-    if (it != queued_.end() && it->second > 0) --it->second;
-  }
-
-  const OverloadConfig& config() const { return cfg_; }
-
- private:
-  OverloadConfig cfg_;
-  std::map<std::string, std::size_t> queued_;
 };
 
 /// Bounded LRU of executed calls, keyed by <owner id, call id>.

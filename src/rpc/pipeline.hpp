@@ -1,16 +1,19 @@
 // Transport-independent per-shard call pipeline.
 //
 // Both servers used to carry a private copy of the same receive-side
-// chain: admission gate (decide / shed-newest / evict-oldest), enqueue
-// accounting, dequeue pairing, deadline bookkeeping, session leases, the
-// exactly-once gate for retried attempts and stop()-time drain. With the
-// server sharded (server.shards), each reader shard instantiates one
-// CallPipeline over its own call queue, its own AdmissionController/
+// chain: the call-queue bound, enqueue accounting, deadline bookkeeping,
+// session leases, the exactly-once gate for retried attempts and
+// stop()-time drain. With the server sharded (server.shards), each reader
+// shard instantiates one CallPipeline over its own call queue, its own
 // RetryCache/SessionTable and its own stats block, so shards never share
 // mutable state — the single-writer discipline the shard.* counters
 // document.
 //
-// The pipeline also runs the dequeue gate and the admission-shed answer
+// Admission is one number, OverloadConfig::max_call_queue: an arrival
+// that finds full() true is shed (Hadoop's bounded call queue drops the
+// newest call), everything else is push()ed.
+//
+// The pipeline also runs the dequeue gate and the shed answer
 // (leave_queue, pass_gate, shed) with their trace spans, written over a
 // two-call channel each server implements:
 //   send_status(call, id, status, msg) — a status-only response;
@@ -19,15 +22,11 @@
 // parsing, response framing, invocation and buffer ownership.
 //
 // `Call` must expose `sim::Time enqueued` and `sim::Time recv_start`
-// members; the protocol string used for per-protocol admission quotas is
-// extracted through the functor passed at construction (the two
-// transports store it differently).
+// members.
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -47,8 +46,6 @@ namespace rpcoib::rpc {
 template <typename Call>
 class CallPipeline {
  public:
-  using ProtocolFn = std::function<const std::string&(const Call&)>;
-
   /// Exactly-once verdict for a dequeued call (see decide()).
   struct Verdict {
     enum Kind {
@@ -62,13 +59,12 @@ class CallPipeline {
   };
 
   CallPipeline(sim::Scheduler& sched, std::uint32_t shard_id, const OverloadConfig& cfg,
-               const SessionConfig& session, ProtocolFn protocol_of)
+               const SessionConfig& session)
       : shard_id_(shard_id),
         queue_(std::make_unique<sim::Channel<Call>>(sched)),
-        protocol_of_(std::move(protocol_of)),
+        max_call_queue_(cfg.max_call_queue),
         sessions_enabled_(session.enabled),
         sessions_(session) {
-    if (cfg.admission_enabled()) admission_ = std::make_unique<AdmissionController>(cfg);
     if (cfg.cache_enabled()) {
       retry_cache_ = std::make_unique<RetryCache>(cfg.retry_cache_entries);
     }
@@ -76,54 +72,22 @@ class CallPipeline {
 
   std::uint32_t shard_id() const { return shard_id_; }
 
-  /// True when the OverloadConfig turned the admission gate on (transports
-  /// skip admission-only work like header pre-parsing otherwise).
-  bool admission_enabled() const { return admission_ != nullptr; }
+  /// True when the call queue has a bound (transports skip bound-only
+  /// work like header pre-parsing otherwise).
+  bool bounded() const { return max_call_queue_ > 0; }
+
+  /// True when an arrival must be shed: the queue holds max_call_queue
+  /// calls already.
+  bool full() const { return bounded() && queue_->size() >= max_call_queue_; }
 
   /// The handler's dequeue step, awaited directly (no coroutine frame per
-  /// call): the queue's recv() paired with note_dequeued(). Throws
-  /// sim::ChannelClosed like recv().
-  struct Dequeue {
-    CallPipeline& pipeline;
-    typename sim::Channel<Call>::RecvAwaiter recv;
-    bool await_ready() { return recv.await_ready(); }
-    void await_suspend(std::coroutine_handle<> h) { recv.await_suspend(h); }
-    Call await_resume() {
-      Call call = recv.await_resume();
-      pipeline.note_dequeued(call);
-      return call;
-    }
-  };
-  Dequeue dequeue() { return {*this, queue_->recv()}; }
+  /// call). Throws sim::ChannelClosed like recv().
+  typename sim::Channel<Call>::RecvAwaiter dequeue() { return queue_->recv(); }
 
-  /// The admission step for one arrival: the admission policy's decision,
-  /// then the eviction it may ask for. Returns the call the transport must
-  /// answer busy before anything else, or nullptr:
-  ///  * `&call` — the arrival is shed; drop it after answering;
-  ///  * `&victim` — the queue head was evicted into `victim` (the policy
-  ///    keeps the bound at every instant); answer it, then push() `call`;
-  ///  * nullptr — push() `call`.
-  /// The transport answers and pushes itself, so its own busy-response
-  /// work (and any suspension in it) keeps its place before the push.
-  Call* admit(Call& call, Call& victim) {
-    if (!admission_) return nullptr;
-    switch (admission_->decide(queue_->size(), protocol_of_(call))) {
-      case AdmissionController::Decision::kShedNewest: return &call;
-      case AdmissionController::Decision::kShedOldest:
-        // The eviction can only miss when every queued call is already
-        // claimed by a waking handler; then the arrival is shed instead.
-        if (!try_take(victim)) return &call;
-        return &victim;
-      case AdmissionController::Decision::kAdmit: break;
-    }
-    return nullptr;
-  }
-
-  /// Admit `call` into the shard queue: stamps `enqueued`, pairs the
-  /// admission accounting and tracks the depth high-water mark.
+  /// Admit `call` into the shard queue: stamps `enqueued` and tracks the
+  /// depth high-water mark.
   void push(Call call, sim::Time now) {
     call.enqueued = now;
-    if (admission_) admission_->on_enqueue(protocol_of_(call));
     queue_->push(std::move(call));
     ++counters_.dispatched;
     if (queue_->size() > stats_.queue_depth_peak) {
@@ -134,19 +98,7 @@ class CallPipeline {
     }
   }
 
-  /// Pair a blocking queue().recv() with the admission accounting.
-  void note_dequeued(const Call& call) {
-    if (admission_) admission_->on_dequeue(protocol_of_(call));
-  }
-
-  /// Non-blocking dequeue with the same pairing (the evict-oldest path).
-  bool try_take(Call& out) {
-    if (!queue_->try_recv(out)) return false;
-    if (admission_) admission_->on_dequeue(protocol_of_(out));
-    return true;
-  }
-
-  /// One call answered busy (admission shed or a capped-out pool).
+  /// One call answered busy (a full queue or a capped-out pool).
   void note_shed() {
     ++stats_.calls_shed;
     ++counters_.dropped;
@@ -170,16 +122,13 @@ class CallPipeline {
     return true;
   }
 
-  /// Drain every queued-but-unexecuted call at stop() with admission
-  /// pairing and drop accounting; returned so the transport can release
-  /// owned resources (pooled buffers) before closing the queue.
+  /// Drain every queued-but-unexecuted call at stop() with drop
+  /// accounting; returned so the transport can release owned resources
+  /// (pooled buffers) before closing the queue.
   std::vector<Call> drain() {
     std::vector<Call> out;
     Call call;
-    while (queue_->try_recv(call)) {
-      if (admission_) admission_->on_dequeue(protocol_of_(call));
-      out.push_back(std::move(call));
-    }
+    while (queue_->try_recv(call)) out.push_back(std::move(call));
     stats_.dropped_on_stop += out.size();
     counters_.dropped += out.size();
     return out;
@@ -323,17 +272,16 @@ class CallPipeline {
     co_return verdict.kind == Verdict::kExecute;
   }
 
-  /// The answer to a call admit() picked: counted as shed, an
-  /// overload.shed span from its enqueue (or arrival) to now, and a
-  /// retryable kBusy status.
+  /// The answer to an arrival that found the queue full(): counted as
+  /// shed, an overload.shed span from its arrival to now, and a retryable
+  /// kBusy status.
   template <typename Channel>
   sim::Co<void> shed(cluster::Host& host, Channel& ch, Call& call, const CallHeader& hdr) {
     note_shed();
     if (trace::TraceCollector* tr = tracer(host, hdr)) {
       tr->add_complete("overload.shed:" + hdr.key.method, trace::Kind::kServer,
                        trace::Category::kOverload, hdr.ctx, host.id(),
-                       call.enqueued != 0 ? call.enqueued : call.recv_start,
-                       host.sched().now());
+                       call.recv_start, host.sched().now());
     }
     const std::string msg = "server busy: call queue full";
     co_await ch.send_status(call, hdr.id, RpcStatus::kBusy, msg);
@@ -355,8 +303,7 @@ class CallPipeline {
 
   std::uint32_t shard_id_;
   std::unique_ptr<sim::Channel<Call>> queue_;
-  ProtocolFn protocol_of_;
-  std::unique_ptr<AdmissionController> admission_;
+  std::size_t max_call_queue_;  // 0 = unbounded
   std::unique_ptr<RetryCache> retry_cache_;
   bool sessions_enabled_;
   SessionTable sessions_;  // durable-session leases (home shard only)

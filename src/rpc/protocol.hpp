@@ -49,10 +49,10 @@ class RpcTransportError : public std::runtime_error {
 };
 
 /// Raised at the caller when the server shed the call before executing it
-/// (bounded call queue / admission policy, or a NACKed rendezvous under a
-/// dry buffer pool). Always safe to retry — even for non-idempotent
-/// methods — because the handler never ran. A subtype of RpcTransportError
-/// so legacy catch sites keep treating it as a transient failure.
+/// (a full call queue, or a NACKed rendezvous under a dry buffer pool).
+/// Always safe to retry — even for non-idempotent methods — because the
+/// handler never ran. A subtype of RpcTransportError so legacy catch sites
+/// keep treating it as a transient failure.
 class ServerBusyException : public RpcTransportError {
  public:
   explicit ServerBusyException(const std::string& what) : RpcTransportError(what) {}

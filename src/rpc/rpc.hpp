@@ -198,9 +198,8 @@ class RpcServer {
   }
   const RpcStats& stats() const { return const_cast<RpcServer*>(this)->stats(); }
 
-  /// Overload-protection knobs (bounded queue, admission policy, retry
-  /// cache). Set before start(); the default keeps the seed's unbounded
-  /// behavior.
+  /// Overload-protection knobs (call-queue bound, retry cache). Set
+  /// before start(); the default keeps the seed's unbounded behavior.
   void set_overload(OverloadConfig cfg) { overload_ = cfg; }
   const OverloadConfig& overload() const { return overload_; }
 

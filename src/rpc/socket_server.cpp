@@ -39,12 +39,12 @@ void SocketRpcServer::start() {
   shards_.clear();
   for (int i = 0; i < num_shards_; ++i) {
     shards_.push_back(
-        std::make_unique<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_));
+        std::make_shared<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_));
   }
   listener_ = &sockets_.listen(addr_);
   host_.sched().spawn(listener_loop());
   for (int i = 0; i < num_shards_; ++i) {
-    Shard& shard = *shards_[static_cast<std::size_t>(i)];
+    const std::shared_ptr<Shard>& shard = shards_[static_cast<std::size_t>(i)];
     for (int h = handlers_on_shard(num_handlers_, num_shards_, i); h > 0; --h) {
       host_.sched().spawn(handler_loop(shard));
     }
@@ -101,9 +101,9 @@ sim::Task SocketRpcServer::listener_loop() {
       // session id carried in the preamble, so the reader picks it after
       // the handshake — a reconnecting client must land on the shard that
       // holds its session lease and retry-cache entries.
-      Shard* home = nullptr;
+      std::shared_ptr<Shard> home;
       if (!session_.enabled) {
-        home = shards_[(conn_id - 1) % shards_.size()].get();
+        home = shards_[(conn_id - 1) % shards_.size()];
         ++home->pipeline.counters().conns_assigned;
         home->conns.push_back(conn);
       } else {
@@ -111,7 +111,7 @@ sim::Task SocketRpcServer::listener_loop() {
         // the socket where stop() can still find and close it.
         pending_conns_.push_back(conn);
       }
-      host_.sched().spawn(reader_loop(std::move(conn), conn_id, home));
+      host_.sched().spawn(reader_loop(std::move(conn), conn_id, std::move(home)));
     }
   } catch (const sim::ChannelClosed&) {
     // stop() shut the listener down.
@@ -140,18 +140,17 @@ net::Bytes SocketRpcServer::response_frame(std::uint64_t id, RpcStatus status,
 sim::Co<void> SocketRpcServer::send_status(ServerCall& call, std::uint64_t id, RpcStatus status,
                                            const std::string& msg) {
   // Status answers are meant to be cheap: no CPU is modeled for the frame.
-  shards_[call.shard]->response_queue.push(Response{call.conn, response_frame(id, status, msg)});
+  call.shard->response_queue.push(Response{call.conn, response_frame(id, status, msg)});
   co_return;
 }
 
 sim::Co<void> SocketRpcServer::send_frame(ServerCall& call, net::ByteSpan frame) {
-  shards_[call.shard]->response_queue.push(
-      Response{call.conn, net::Bytes(frame.begin(), frame.end())});
+  call.shard->response_queue.push(Response{call.conn, net::Bytes(frame.begin(), frame.end())});
   co_return;
 }
 
 sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
-                                       Shard* home) {
+                                       std::shared_ptr<Shard> home) {
   const cluster::CostModel& cm = host_.cost();
   try {
     // The connection's receive CPU is paid inside the Reader critical
@@ -176,7 +175,7 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
       const std::size_t pick = session_id != 0
                                    ? static_cast<std::size_t>(session_id % shards_.size())
                                    : static_cast<std::size_t>((conn_id - 1) % shards_.size());
-      home = shards_[pick].get();
+      home = shards_[pick];
       ++home->pipeline.counters().conns_assigned;
       home->conns.push_back(conn);
       std::erase(pending_conns_, conn);  // homed: the shard's conns list owns closing it now
@@ -278,23 +277,23 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   call.conn_id = conn_id;
   call.session_id = session_id;
   call.owner = session_id != 0 ? session_id : conn_id;
-  call.shard = shard.index;
+  call.shard = &shard;
   call.frame = std::move(frame);
   // Sessions renew at arrival here (RPCoIB renews at dequeue).
   shard.pipeline.touch_session(session_id, call.hdr.retried, call.hdr.id, host_.sched().now());
 
-  // Admission control: shed beyond the configured bound while the call is
-  // still cheap — before it costs a handler.
-  ServerCall victim;
-  if (ServerCall* busy = shard.pipeline.admit(call, victim)) {
-    co_await shard.pipeline.shed(host_, *this, *busy, busy->hdr);
-    if (busy == &call) co_return ctx;
+  // A full queue sheds the arrival while it is still cheap — before it
+  // costs a handler.
+  if (shard.pipeline.full()) {
+    co_await shard.pipeline.shed(host_, *this, call, call.hdr);
+    co_return ctx;
   }
   shard.pipeline.push(std::move(call), host_.sched().now());
   co_return ctx;
 }
 
-sim::Task SocketRpcServer::handler_loop(Shard& shard) {
+sim::Task SocketRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
+  Shard& shard = *owned;
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
@@ -380,7 +379,8 @@ sim::Co<void> SocketRpcServer::write_response_batch(Shard& shard, net::SocketPtr
   }
 }
 
-sim::Task SocketRpcServer::responder_loop(Shard& shard) {
+sim::Task SocketRpcServer::responder_loop(std::shared_ptr<Shard> owned) {
+  Shard& shard = *owned;
   try {
     for (;;) {
       Response r = co_await shard.response_queue.recv();

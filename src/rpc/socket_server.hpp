@@ -10,15 +10,15 @@
 //   Responder  — writes responses back on the right connection.
 //
 // With coalescing enabled (BatchConfig) the Reader splits client batch
-// frames into individual calls (admission, deadlines and tracing all stay
-// per call) and the Responder merges queued small responses per
+// frames into individual calls (the queue bound, deadlines and tracing
+// all stay per call) and the Responder merges queued small responses per
 // connection into one wire write. Batch frames are always *parsed*;
 // the knob only gates emission.
 //
 // `num_shards` > 1 breaks the serial-Reader ceiling: connections are
 // assigned round-robin (by dense connection id) to independent shards,
-// each owning its own Reader slot pool, CallPipeline (call queue +
-// admission + retry cache), handler subset and Responder — so no receive,
+// each owning its own Reader slot pool, CallPipeline (bounded call queue
+// + retry cache), handler subset and Responder — so no receive,
 // dispatch or response work ever contends across shards. The default of 1
 // keeps the server operation-for-operation identical to the unsharded
 // code.
@@ -57,12 +57,13 @@ class SocketRpcServer final : public RpcServer {
   int num_shards() const { return num_shards_; }
 
  private:
+  struct Shard;
   struct ServerCall {
     net::SocketPtr conn;
     std::uint64_t conn_id = 0;  // dense per-server connection sequence number
     std::uint64_t session_id = 0;  // durable session id (0 = sessionless)
     std::uint64_t owner = 0;       // retry-cache key: session_id, else conn_id
-    std::uint32_t shard = 0;    // home shard (== conn_id's shard)
+    Shard* shard = nullptr;     // home shard (== conn_id's shard)
     CallHeader hdr;             // id, retry flag, deadline, trace context, method
     net::Bytes frame;        // full received frame
     std::size_t param_off = 0;  // offset of the param bytes within frame
@@ -76,13 +77,14 @@ class SocketRpcServer final : public RpcServer {
   };
 
   /// One reader shard: a disjoint set of connections with its own Reader
-  /// slots, pipeline (queue/admission/cache/stats), and Responder.
+  /// slots, pipeline (queue/cache/stats), and Responder. The loops serving
+  /// a shard hold a reference to it, so a stop() then start() can replace
+  /// shards_ while the old loops still unwind off the closed channels.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const OverloadConfig& cfg,
           const SessionConfig& session)
         : index(index),
-          pipeline(sched, index, cfg, session,
-                   [](const ServerCall& c) -> const std::string& { return c.hdr.key.protocol; }),
+          pipeline(sched, index, cfg, session),
           response_queue(sched),
           reader_slots(sched, kReaderThreads) {}
 
@@ -99,11 +101,12 @@ class SocketRpcServer final : public RpcServer {
   /// enabled it is null: the reader picks the shard session-affinely after
   /// the preamble, so a reconnect lands on the shard holding its dedup
   /// state.
-  sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id, Shard* home);
-  sim::Task handler_loop(Shard& shard);
-  sim::Task responder_loop(Shard& shard);
+  sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
+                        std::shared_ptr<Shard> home);
+  sim::Task handler_loop(std::shared_ptr<Shard> shard);
+  sim::Task responder_loop(std::shared_ptr<Shard> shard);
 
-  /// One call's receive-side processing (header parse, admission,
+  /// One call's receive-side processing (header parse, queue bound,
   /// enqueue) — the unit shared by the single-frame path and each
   /// sub-call of a batch frame. Returns the call's trace context so the
   /// batch path can parent its batch.parse span.
@@ -138,7 +141,7 @@ class SocketRpcServer final : public RpcServer {
   int num_handlers_;
   int num_shards_;
   net::Listener* listener_ = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::shared_ptr<Shard>> shards_;
   /// Sessions only: sockets accepted but still parked on the preamble /
   /// session-id read, so homed in no shard's conns list yet. The reader
   /// moves a conn out once it picks the session-affine shard; stop()

@@ -98,7 +98,7 @@ struct RpcStats {
   std::uint64_t busy_rejections = 0;  // attempts shed by the server (busy status)
   std::uint64_t nack_fallbacks = 0;   // rendezvous NACKed -> retried on socket path
   // Server side:
-  std::uint64_t calls_shed = 0;         // admission control rejected the call
+  std::uint64_t calls_shed = 0;         // answered busy: full call queue or pool
   std::uint64_t calls_expired = 0;      // dropped at dequeue: deadline already passed
   std::uint64_t responses_expired = 0;  // executed, but the deadline passed before send
   std::uint64_t dedup_hits = 0;         // retry cache answered with a stored response

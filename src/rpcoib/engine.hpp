@@ -42,7 +42,7 @@ struct EngineConfig {
   /// Timeout/retry/backoff applied to every client this engine creates.
   /// Default-disabled: zero timeout, zero retries — legacy behavior.
   rpc::RpcRetryPolicy retry{};
-  /// Admission control / retry cache applied to every server this engine
+  /// Call-queue bound / retry cache applied to every server this engine
   /// creates. Default-disabled: unbounded queue, no cache — legacy behavior.
   rpc::OverloadConfig overload{};
   /// Small-message coalescing applied to every client (call batching) and

@@ -639,21 +639,19 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
 
 sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
   Shard& shard = shard_of(*call.conn);
-  if (shard.pipeline.admission_enabled()) {
-    // Pre-parse the header for the per-protocol quota (bookkeeping only,
-    // no cost charged); a garbage header is dropped here.
+  if (shard.pipeline.bounded()) {
+    // Pre-parse the header (bookkeeping only, no cost charged): a garbage
+    // header is dropped here, and a shed call is answered by its id.
     RDMAInputStream in(host_.cost(), call.frame());
     rpc::CallHeader hdr;
     if (!read_kcall_header(in, hdr)) {
       native_.release(call.buf);
       co_return;
     }
-    call.admit_protocol = std::move(hdr.key.protocol);
-    ServerCall victim;
-    if (ServerCall* busy = shard.pipeline.admit(call, victim)) {
-      const bool arrival = busy == &call;
-      co_await shed_call(std::move(*busy));
-      if (arrival) co_return;
+    if (shard.pipeline.full()) {
+      co_await shard.pipeline.shed(host_, *this, call, hdr);
+      native_.release(call.buf);
+      co_return;
     }
   }
   shard.pipeline.push(std::move(call), host_.sched().now());
@@ -692,15 +690,6 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                        host_.id(), recv_start, host_.sched().now());
     }
   }
-}
-
-sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
-  // Admitted calls passed the header pre-parse, so this one parses too.
-  RDMAInputStream in(host_.cost(), call.frame());
-  rpc::CallHeader hdr;
-  (void)read_kcall_header(in, hdr);
-  co_await shard_of(*call.conn).pipeline.shed(host_, *this, call, hdr);
-  native_.release(call.buf);
 }
 
 sim::Task RdmaRpcServer::handler_loop(Shard& shard) {

@@ -10,8 +10,8 @@
 // `shards` > 1 replicates the whole receive/dispatch chain: connections
 // are assigned round-robin (by dense connection id) to independent shards,
 // each with its own completion queue, its own SRQ stripe of the shared
-// receive ring, its own CallPipeline (call queue + admission + retry
-// cache) and its own handler subset — so CQ polling, admission and
+// receive ring, its own CallPipeline (bounded call queue + retry cache)
+// and its own handler subset — so CQ polling, the queue bound and
 // dispatch never contend across shards. The default of 1 keeps the server
 // operation-for-operation identical to the unsharded code.
 #pragma once
@@ -136,9 +136,6 @@ class RdmaRpcServer final : public rpc::RpcServer {
     std::uint32_t frame_len = 0;
     sim::Time recv_start = 0;
     sim::Time enqueued = 0;  // when the call entered the call queue
-    // Protocol as pre-parsed at admission (per-protocol quota accounting);
-    // only filled while admission control is on.
-    std::string admit_protocol{};
     // UD arrivals carry a per-datagram pseudo-ConnState (session id, owner,
     // home shard; no QP) plus the GRH return address — the response is one
     // datagram from the endpoint that received the call.
@@ -148,15 +145,14 @@ class RdmaRpcServer final : public rpc::RpcServer {
   };
 
   /// One reader shard: a disjoint set of connections with its own CQ, SRQ
-  /// stripe and pipeline (queue/admission/cache/stats). Everything a
+  /// stripe and pipeline (queue/cache/stats). Everything a
   /// completion can touch lives here, so shards share no mutable state.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const rpc::OverloadConfig& cfg,
           const rpc::SessionConfig& session)
         : index(index),
           cq(std::make_unique<verbs::CompletionQueue>(sched)),
-          pipeline(sched, index, cfg, session,
-                   [](const ServerCall& c) -> const std::string& { return c.admit_protocol; }) {}
+          pipeline(sched, index, cfg, session) {}
 
     std::uint32_t index;
     std::unique_ptr<verbs::CompletionQueue> cq;
@@ -203,18 +199,17 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Post a framed response held in pooled `buf`: one datagram for UD
   /// arrivals, else eager SEND or a rendezvous kCtrlResp by size.
   sim::Co<void> send_response(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
-  /// Admission gate in front of the home shard's call queue; sheds with a
-  /// busy response.
+  /// The home shard's queue bound: with a bound set, a call whose header
+  /// does not parse is dropped and an arrival at a full queue is answered
+  /// busy; everything else is queued.
   sim::Co<void> enqueue_call(ServerCall call);
   /// Enqueue every sub-call of a split kBatch frame (split_batch views
-  /// into `frame`) as its own pooled call, so admission, deadlines and
-  /// tracing all stay per call. One copy charge covers the whole frame.
+  /// into `frame`) as its own pooled call, so the queue bound, deadlines
+  /// and tracing all stay per call. One copy charge covers the whole frame.
   /// `ud` is set for frames that arrived in a kUdCall datagram.
   sim::Co<void> enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                               const std::vector<net::ByteSpan>& subs,
                               std::optional<UdReturn> ud);
-  /// Answer `call` busy (admission shed) and release its frame.
-  sim::Co<void> shed_call(ServerCall call);
   /// Post a pooled buffer as a receive: to `shard`'s SRQ stripe, or to
   /// `conn`'s own ring in legacy (srq_depth == 0) mode. wr_id is the
   /// buffer's address.

@@ -1,5 +1,6 @@
 #include "verbs/verbs.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -392,7 +393,8 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
   const std::uint32_t sh = static_cast<std::uint32_t>(src_host);
   std::memcpy(pr.buf.data(), &sh, sizeof(sh));
   std::memcpy(pr.buf.data() + 4, &src_qpn, sizeof(src_qpn));
-  std::memcpy(pr.buf.data() + kGrhBytes, data.data(), data.size());
+  // A zero-length datagram is legal; std::copy also takes its empty range.
+  std::copy(data.begin(), data.end(), pr.buf.begin() + kGrhBytes);
   recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
                                static_cast<std::uint32_t>(kGrhBytes + data.size()), 0,
                                context_});

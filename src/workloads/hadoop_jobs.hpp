@@ -31,7 +31,7 @@ struct SortResult {
 struct ChaosConfig {
   std::shared_ptr<net::FaultPlan> fault;  // installed on the testbed fabric
   rpc::RpcRetryPolicy retry;              // applied to every RPC client
-  rpc::OverloadConfig overload;           // admission + retry cache, every server
+  rpc::OverloadConfig overload;           // queue bound + retry cache, every server
   rpc::SessionConfig session;             // durable sessions + reconnect recovery
   oib::UdConfig ud;                       // datagram eager path (RPCoIB only)
   sim::Dur tracker_expiry = 0;            // JobTracker task re-execution

@@ -17,6 +17,7 @@
 #include "rpc/socket_client.hpp"
 #include "rpc/socket_server.hpp"
 #include "rpcoib/engine.hpp"
+#include "sim/random.hpp"
 #include "workloads/hadoop_jobs.hpp"
 #include "workloads/pingpong.hpp"
 
@@ -313,6 +314,24 @@ TEST(Chaos, RetryCarriesCallThroughLinkFlap) {
     EXPECT_GT(plan->counters().outage_hits, 0u);
     server->stop();
     s.drain_tasks();
+  }
+}
+
+// retry.backoff_cap bounds the doubling: attempt k waits backoff_base * 2^k
+// until that passes the cap, then the cap, each plus at most half of it in
+// seeded jitter.
+TEST(Retry, BackoffDoublesUpToTheCapPlusJitter) {
+  rpc::RpcRetryPolicy p;
+  p.backoff_base = sim::millis(20);
+  p.backoff_cap = sim::millis(100);
+  sim::Rng rng(7);
+  const sim::Dur floors[] = {sim::millis(20),  sim::millis(40),  sim::millis(80),
+                             sim::millis(100), sim::millis(100), sim::millis(100)};
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    const sim::Dur floor = floors[attempt];
+    const sim::Dur d = p.backoff(attempt, rng);
+    EXPECT_GE(d, floor) << attempt;
+    EXPECT_LE(d, floor + floor / 2) << attempt;
   }
 }
 

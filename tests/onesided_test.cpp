@@ -253,6 +253,43 @@ TEST(OneSided, PublishedEntryServedByRdmaReadWithoutHandler) {
   s.drain_tasks();
 }
 
+// onesided.slots sizes the direct-mapped region. With one slot every key
+// maps to it, so a second publish displaces the first: the displaced key
+// reads as a miss (its hash tag no longer matches) and falls back to RPC
+// with its own value, never the other key's bytes.
+TEST(OneSided, OneSlotRegionServesOnlyTheLastPublishedKey) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig ec{.mode = RpcMode::kRpcoIB, .server_shards = chaos_shards()};
+  ec.onesided = onesided_on();
+  ec.onesided.slots = 1;
+  RpcEngine engine(tb, ec);
+  KvServer kvs(engine, tb.host(1), tb.host(1).cost());
+  kvs.server->start();
+  kvs.kv["a"] = 1;
+  kvs.publish(tb.host(1).cost(), "a");
+  kvs.kv["b"] = 2;
+  kvs.publish(tb.host(1).cost(), "b");
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int a = -1, b = -1;
+  bool err = false;
+  s.spawn([](rpc::RpcClient& c, int& a_out, int& b_out, bool& e) -> Task {
+    co_await one_get(c, "b", b_out, e);
+    co_await one_get(c, "a", a_out, e);
+  }(*client, a, b, err));
+  s.run_until(sim::seconds(5));
+  EXPECT_FALSE(err);
+  EXPECT_EQ(b, 2);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(client->stats().onesided_reads, 1u);
+  EXPECT_EQ(client->stats().onesided_misses, 1u);
+  EXPECT_EQ(kvs.get_handler_calls, 1u);
+  kvs.server->stop();
+  expect_pools_balanced(*client, *kvs.server);
+  s.drain_tasks();
+}
+
 // --- Default-off discipline --------------------------------------------------
 TEST(OneSided, DisabledAdvertisesNothingAndKeepsReportsClean) {
   Scheduler s;

@@ -83,8 +83,7 @@ TEST_P(DecideTable, VerdictAndCounters) {
   scfg.enabled = true;
   scfg.lease = kLease;
   scfg.table_cap = 1;
-  static const std::string kProto = "p";
-  Pipeline p(sched, 0, ocfg, scfg, [](const FakeCall&) -> const std::string& { return kProto; });
+  Pipeline p(sched, 0, ocfg, scfg);
 
   // Session state first (touches purge the cache of dropped sessions).
   std::uint64_t sid = kSid;
@@ -173,9 +172,7 @@ TEST(CallPipeline, FreshExecutionThenDuplicateThenReplay) {
   sim::Scheduler sched;
   rpc::OverloadConfig ocfg;
   ocfg.retry_cache_entries = 8;
-  static const std::string kProto = "p";
-  Pipeline p(sched, 0, ocfg, rpc::SessionConfig{},
-             [](const FakeCall&) -> const std::string& { return kProto; });
+  Pipeline p(sched, 0, ocfg, rpc::SessionConfig{});
   EXPECT_EQ(p.decide(kConnId, 0, 1, false, 0).kind, Verdict::kExecute);
   EXPECT_EQ(p.decide(kConnId, 0, 1, true, 0).kind, Verdict::kDropInFlight);
   p.complete(kConnId, 1, net::Bytes{9});
@@ -192,9 +189,7 @@ TEST(CallPipeline, FreshExecutionThenDuplicateThenReplay) {
 // rejections, whatever the lease would have said.
 TEST(CallPipeline, SessionsDisabledNeverTouchOrReject) {
   sim::Scheduler sched;
-  static const std::string kProto = "p";
-  Pipeline p(sched, 0, rpc::OverloadConfig{}, rpc::SessionConfig{},
-             [](const FakeCall&) -> const std::string& { return kProto; });
+  Pipeline p(sched, 0, rpc::OverloadConfig{}, rpc::SessionConfig{});
   p.touch_session(kSid, false, 1, 0);
   EXPECT_EQ(p.stats().sessions_opened, 0u);
   EXPECT_EQ(p.decide(kSid, kSid, 1, true, sim::seconds(3600)).kind, Verdict::kExecute);

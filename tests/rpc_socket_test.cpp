@@ -493,6 +493,29 @@ TEST(SocketRpc, ReplyRacingCallTimeoutIsDropped) {
   EXPECT_GT(timed_out, 0);
 }
 
+// Regression (use-after-free): stop() then start() with no scheduler step
+// between them. stop() closes every shard's call and response queues, but
+// the handler and responder loops parked on them only see the close when
+// they next run; start() meanwhile replaces the shards. Pre-fix the old
+// shards died in start(), and each woken loop read its freed channel (an
+// ASan heap-use-after-free in Channel::RecvAwaiter::await_resume). The
+// loops now own the shard they serve and unwind off the closed one.
+TEST(SocketRpc, BackToBackStopStartServesAgain) {
+  Scheduler s;
+  Fixture f(s);
+  std::int32_t before = 0, after = 0;
+  s.spawn(call_add(f, 20, 22, before));
+  s.run_until(sim::seconds(1));
+  ASSERT_EQ(before, 42);
+
+  f.server.stop();
+  f.server.start();
+  s.run_until(sim::seconds(2));
+  s.spawn(call_add(f, 40, 2, after));
+  s.run_until(sim::seconds(3));
+  EXPECT_EQ(after, 42);
+}
+
 TEST(SocketRpc, LatencyOrderingAcrossTransports) {
   auto latency = [](Transport t) {
     Scheduler s;

@@ -9,7 +9,9 @@
 // RPCOIB_CHAOS_SEED / RPCOIB_SHARDS like the rest of the chaos suite.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,8 +19,13 @@
 
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
+#include "rpc/buffers.hpp"
 #include "rpc/resilience.hpp"
 #include "rpcoib/engine.hpp"
+#include "rpcoib/rdma_client.hpp"
+#include "rpcoib/rdma_server.hpp"
+#include "rpcoib/wire.hpp"
+#include "sim/random.hpp"
 #include "verbs/verbs.hpp"
 
 namespace rpcoib {
@@ -707,6 +714,315 @@ TEST(Ud, RxDroppedAggregationSurvivesRestartWithoutDoubleCount) {
   // A final stop does not fold (only start() does) — the live endpoints
   // still carry their counts, so the report stays stable.
   EXPECT_EQ(server->stats().ud_rx_dropped, d2);
+  s.drain_tasks();
+}
+
+// --- Hand-built datagrams: both UD decoders are total -----------------------
+
+const rpc::MethodKey kTouch{"test.UdProtocol", "touch"};
+const rpc::MethodKey kHold{"test.UdProtocol", "hold"};
+constexpr std::size_t kGrh = verbs::UdEndpoint::kGrhBytes;
+
+/// A bare UD endpoint standing in for a peer the RPC layer does not
+/// control: it sends hand-built datagrams and keeps what it is sent.
+struct RawUd {
+  RawUd(Scheduler& s, verbs::VerbsStack& stack, cluster::Host& host)
+      : cq(s), ep(stack, host, cq, cq), slots(64, net::Bytes(kGrh + verbs::UdEndpoint::kMtu)) {
+    for (std::size_t i = 0; i < slots.size(); ++i) ep.post_recv(i, slots[i]);
+  }
+  /// The datagrams received since the last call, GRH first; every slot
+  /// polled is reposted.
+  std::vector<net::Bytes> received() {
+    std::vector<net::Bytes> out;
+    verbs::WorkCompletion wc;
+    while (cq.poll(wc)) {
+      if (wc.opcode != verbs::Opcode::kRecv) continue;
+      const net::Bytes& b = slots[wc.wr_id];
+      out.emplace_back(b.begin(), b.begin() + wc.byte_len);
+      ep.post_recv(wc.wr_id, slots[wc.wr_id]);
+    }
+    return out;
+  }
+  verbs::CompletionQueue cq;
+  verbs::UdEndpoint ep;
+  std::vector<net::Bytes> slots;
+};
+
+/// Sends `frames` one per `gap`, so the receiving loop handles each one
+/// before the next lands.
+Task send_all(Scheduler& s, RawUd& raw, verbs::AddressHandle to,
+              const std::vector<net::Bytes>& frames, sim::Dur gap) {
+  for (const net::Bytes& f : frames) {
+    co_await raw.ep.post_send(0, to, f);
+    co_await sim::delay(s, gap);
+  }
+}
+
+/// [u8 kUdCall][u64 sid 0][u8 kCall][call header]: a whole call datagram
+/// with no param bytes, so every strict prefix cuts the header.
+net::Bytes call_datagram(const cluster::CostModel& cm, std::uint64_t call_id,
+                         const rpc::MethodKey& key) {
+  rpc::DataOutputBuffer out(cm);
+  out.write_u8(static_cast<std::uint8_t>(oib::FrameType::kUdCall));
+  out.write_u64(0);
+  out.write_u8(static_cast<std::uint8_t>(oib::FrameType::kCall));
+  rpc::write_call_header(out, call_id, false, 0, trace::TraceContext{}, key);
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+/// Every strict prefix of `whole`.
+void add_prefixes(const net::Bytes& whole, std::vector<net::Bytes>& frames) {
+  for (std::size_t n = 0; n < whole.size(); ++n) {
+    frames.emplace_back(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+}
+
+/// `whole` with the byte at `at` set to every value but `keep`.
+void add_type_swaps(const net::Bytes& whole, std::size_t at, oib::FrameType keep,
+                    std::vector<net::Bytes>& frames) {
+  for (int t = 0; t < 256; ++t) {
+    if (t == static_cast<int>(keep)) continue;
+    net::Bytes f = whole;
+    f[at] = static_cast<net::Byte>(t);
+    frames.push_back(std::move(f));
+  }
+}
+
+/// `n` seeded random datagrams of 0-255 bytes, behind `head` when given.
+void add_random(sim::Rng& rng, int n, const net::Bytes& head,
+                std::vector<net::Bytes>& frames) {
+  for (int i = 0; i < n; ++i) {
+    net::Bytes f = head;
+    for (std::uint64_t k = rng.next_below(256); k > 0; --k) {
+      f.push_back(static_cast<net::Byte>(rng.next_u64()));
+    }
+    frames.push_back(std::move(f));
+  }
+}
+
+/// Releases every pooled buffer the client still holds, then checks both
+/// pools balance.
+void expect_pools_balanced(rpc::RpcClient& client, rpc::RpcServer* server) {
+  auto* rc = dynamic_cast<oib::RdmaRpcClient*>(&client);
+  ASSERT_NE(rc, nullptr);
+  rc->close_connections();
+  EXPECT_EQ(rc->pool().native().stats().acquires, rc->pool().native().stats().releases);
+  if (server == nullptr) return;
+  auto* rs = dynamic_cast<oib::RdmaRpcServer*>(server);
+  ASSERT_NE(rs, nullptr);
+  EXPECT_EQ(rs->pool().native().stats().acquires, rs->pool().native().stats().releases);
+}
+
+// The server's UD reader (length check, then the kUdCall/kCall/kBatch
+// demux) fed every truncated prefix of a call datagram, the outer and the
+// inner type byte set to every wrong value, and seeded random bytes, bare
+// or behind a valid kUdCall/kCall head: nothing throws, no handler runs,
+// only a random header naming an unknown method is answered (with an
+// error), and a one-endpoint, two-slot ring drops nothing, so every slot
+// was reposted. A real call then still rides the same ring.
+TEST(UdDecoder, MalformedCallDatagramsRunNoHandler) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig ec{.mode = RpcMode::kRpcoIB, .server_shards = chaos_shards()};
+  ec.ud = ud_on();
+  ec.ud.server_endpoints = 1;
+  ec.ud.recv_depth = 2;
+  RpcEngine engine(tb, ec);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  std::map<int, int> exec;
+  register_ud_methods(*server, exec);
+  int touched = 0;
+  server->dispatcher().register_method(
+      kTouch.protocol, kTouch.method, [&touched](rpc::DataInput&, rpc::DataOutput&) -> Co<void> {
+        ++touched;
+        co_return;
+      });
+  server->start();
+  s.run_until(sim::millis(10));
+
+  const net::Bytes whole = call_datagram(tb.host(0).cost(), 7, kTouch);
+  std::vector<net::Bytes> frames;
+  add_prefixes(whole, frames);
+  add_type_swaps(whole, 0, oib::FrameType::kUdCall, frames);
+  add_type_swaps(whole, oib::kUdHeaderBytes, oib::FrameType::kCall, frames);
+  sim::Rng rng(chaos_seed());
+  add_random(rng, 64, {}, frames);
+  add_random(rng, 64, net::Bytes(whole.begin(), whole.begin() + oib::kUdHeaderBytes + 1), frames);
+
+  RawUd peer(s, engine.verbs(), tb.host(0));
+  const verbs::UdService* svc = engine.verbs().ud_service(kAddr);
+  ASSERT_NE(svc, nullptr);
+  ASSERT_EQ(svc->qpns.size(), 1u);
+  s.spawn(send_all(s, peer, verbs::AddressHandle{svc->host, svc->qpns[0]}, frames,
+                   sim::micros(100)));
+  EXPECT_NO_THROW(s.run_until(s.now() + sim::seconds(1)));
+
+  EXPECT_EQ(touched, 0);
+  EXPECT_TRUE(exec.empty());
+  // Random bytes behind a valid head can still spell a whole header; such
+  // a call names no registered method and is answered with an error.
+  const std::vector<net::Bytes> answers = peer.received();
+  EXPECT_EQ(answers.size(), server->stats().calls_handled);
+  for (const net::Bytes& a : answers) {
+    ASSERT_GT(a.size(), kGrh + 9);
+    EXPECT_EQ(a[kGrh], static_cast<net::Byte>(oib::FrameType::kResp));
+    EXPECT_EQ(a[kGrh + 9], static_cast<net::Byte>(rpc::RpcStatus::kError));
+    const std::string text(reinterpret_cast<const char*>(a.data()) + kGrh + 10,
+                           a.size() - kGrh - 10);
+    EXPECT_NE(text.find("unknown method"), std::string::npos) << text;
+  }
+  EXPECT_EQ(server->stats().ud_rx_dropped, 0u) << "a ring slot was not reposted";
+
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(2));
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 5, out, err));
+  EXPECT_NO_THROW(s.run_until(s.now() + sim::seconds(1)));
+  EXPECT_FALSE(err);
+  EXPECT_EQ(out, 5);
+  EXPECT_EQ(server->stats().ud_rx_dropped, 0u);
+
+  server->stop();
+  expect_pools_balanced(*client, server.get());
+  s.drain_tasks();
+}
+
+// The client's UD receive loop (length check, kResp type, pending-call
+// lookup) fed, while one UD call waits: every truncated prefix of a
+// response for an unknown call id, the waiting call's own response with
+// its type byte set to every wrong value, and seeded random bytes.
+// Nothing throws and no call wakes; the client's two-slot ring must have
+// reposted every slot, because the real response sent last still lands
+// and completes the call. No RPC server runs: a raw endpoint advertises
+// itself as the UD service and answers by hand.
+TEST(UdDecoder, MalformedResponseDatagramsWakeNoCall) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  rpc::RpcRetryPolicy retry;
+  retry.call_timeout = sim::seconds(2);
+  EngineConfig ec{.mode = RpcMode::kRpcoIB, .retry = retry};
+  ec.ud = ud_on();
+  ec.ud.client_recv_depth = 2;
+  RpcEngine engine(tb, ec);
+  RawUd peer(s, engine.verbs(), tb.host(1));
+  engine.verbs().ud_advertise(kAddr, verbs::UdService{1, {peer.ep.qpn()}});
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 41, out, err));
+  s.run_until(sim::millis(100));
+  const std::vector<net::Bytes> calls = peer.received();
+  ASSERT_EQ(calls.size(), 1u);
+  const net::Bytes& call = calls[0];
+  ASSERT_GT(call.size(), kGrh + oib::kUdHeaderBytes + 9);
+  std::uint32_t host = 0, qpn = 0;
+  std::memcpy(&host, call.data(), 4);
+  std::memcpy(&qpn, call.data() + 4, 4);
+  const std::uint64_t id =
+      oib::read_be64(call.data() + kGrh + oib::kUdHeaderBytes + 1) & trace::kWireIdMask;
+  const verbs::AddressHandle back{static_cast<cluster::HostId>(host), qpn};
+
+  // [u8 kResp][u64 id][u8 status 0][IntWritable]
+  const auto response = [&tb](std::uint64_t call_id, int value) {
+    rpc::DataOutputBuffer o(tb.host(1).cost());
+    o.write_u8(static_cast<std::uint8_t>(oib::FrameType::kResp));
+    o.write_u64(call_id);
+    o.write_u8(0);
+    rpc::IntWritable(value).write(o);
+    return net::Bytes(o.data().begin(), o.data().end());
+  };
+  const net::Bytes real = response(id, 41);
+  std::vector<net::Bytes> frames;
+  const net::Bytes stranger = response(id + 1, 41);
+  add_prefixes(stranger, frames);
+  frames.push_back(stranger);
+  add_type_swaps(real, 0, oib::FrameType::kResp, frames);
+  sim::Rng rng(chaos_seed());
+  add_random(rng, 64, {}, frames);
+  s.spawn(send_all(s, peer, back, frames, sim::micros(100)));
+  EXPECT_NO_THROW(s.run_until(s.now() + sim::millis(500)));
+  EXPECT_EQ(out, -1) << "a malformed datagram woke the call";
+  EXPECT_FALSE(err);
+  EXPECT_EQ(client->stats().ud_responses_received, 0u);
+
+  const std::vector<net::Bytes> last{real};
+  s.spawn(send_all(s, peer, back, last, sim::micros(100)));
+  EXPECT_NO_THROW(s.run_until(s.now() + sim::millis(100)));
+  EXPECT_FALSE(err);
+  EXPECT_EQ(out, 41);
+  EXPECT_EQ(client->stats().ud_responses_received, 1u);
+  EXPECT_EQ(client->stats().timeouts, 0u);
+
+  expect_pools_balanced(*client, nullptr);
+  engine.verbs().ud_withdraw(kAddr);
+  s.drain_tasks();
+}
+
+// With a call-queue bound set, the RPCoIB server parses each arrival's
+// header before queueing it. A kCall whose header is cut short is dropped
+// right there: it takes no queue slot, gets no busy answer and leaves
+// calls_shed at zero. One handler held by a slow call and a bound of one
+// prove it: the echo that follows the truncated calls still finds the
+// slot free and is queued, not shed.
+TEST(UdDecoder, TruncatedCallHeaderIsDroppedAtArrivalUnderQueueBound) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig ec{.mode = RpcMode::kRpcoIB, .server_handlers = 1};
+  ec.overload.max_call_queue = 1;
+  ec.ud = ud_on();
+  RpcEngine engine(tb, ec);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  std::map<int, int> exec;
+  register_ud_methods(*server, exec);
+  server->dispatcher().register_method(
+      kHold.protocol, kHold.method, [&s](rpc::DataInput&, rpc::DataOutput& o) -> Co<void> {
+        co_await sim::delay(s, sim::seconds(1));
+        rpc::BooleanWritable(true).write(o);
+      });
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  bool held = false;
+  s.spawn([](rpc::RpcClient& c, bool& ok) -> Task {
+    rpc::NullWritable arg;
+    rpc::BooleanWritable resp;
+    co_await c.call(kAddr, kHold, arg, &resp);
+    ok = resp.value;
+  }(*client, held));
+  s.run_until(sim::millis(100));  // the hold call is executing
+
+  // Every cut that keeps the kCall type byte and at least one header byte
+  // passes the UD length check and reaches enqueue_call; none parses.
+  const net::Bytes whole = call_datagram(tb.host(2).cost(), 7, kEcho);
+  std::vector<net::Bytes> frames;
+  for (std::size_t n = oib::kUdHeaderBytes + 2; n < whole.size(); ++n) {
+    frames.emplace_back(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  RawUd peer(s, engine.verbs(), tb.host(2));
+  const verbs::UdService* svc = engine.verbs().ud_service(kAddr);
+  ASSERT_NE(svc, nullptr);
+  for (const std::uint32_t qpn : svc->qpns) {
+    s.spawn(send_all(s, peer, verbs::AddressHandle{svc->host, qpn}, frames, sim::micros(100)));
+  }
+  s.run_until(sim::millis(300));
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 9, out, err));
+  s.run_until(sim::seconds(3));
+
+  EXPECT_TRUE(held);
+  EXPECT_FALSE(err);
+  EXPECT_EQ(out, 9);
+  EXPECT_EQ(server->stats().calls_shed, 0u);
+  EXPECT_EQ(client->stats().busy_rejections, 0u);
+  EXPECT_EQ(server->stats().queue_depth_peak, 1u);
+  EXPECT_EQ(server->stats().calls_handled, 2u);
+  EXPECT_TRUE(peer.received().empty()) << "a truncated call was answered";
+
+  server->stop();
+  expect_pools_balanced(*client, server.get());
   s.drain_tasks();
 }
 
