@@ -91,45 +91,18 @@ sim::Co<void> Socket::read_full(MutByteSpan out) {
   }
 }
 
-sim::Co<Bytes> Socket::read_chunk() {
-  try {
-    co_await fill();
-  } catch (const sim::ChannelClosed&) {
-    throw SocketError("connection closed by peer");
-  }
-  Bytes out(pending_.begin() + static_cast<std::ptrdiff_t>(pending_off_), pending_.end());
-  pending_.clear();
-  pending_off_ = 0;
-  co_return out;
-}
-
 SocketTable::SocketTable(Fabric& fab, std::vector<cluster::Host*> hosts)
     : fab_(fab), hosts_(std::move(hosts)) {}
 
-Listener& SocketTable::listen(Address addr) {
-  reap_retired();
-  auto [it, inserted] =
-      listeners_.emplace(addr, std::make_unique<Listener>(fab_.sched(), addr));
+std::shared_ptr<Listener> SocketTable::listen(Address addr) {
+  auto [it, inserted] = listeners_.emplace(addr, std::make_shared<Listener>(fab_.sched()));
   if (!inserted) throw SocketError("address already in use");
-  return *it->second;
+  return it->second;
 }
 
 void SocketTable::unlisten(Address addr) {
-  reap_retired();
-  auto it = listeners_.find(addr);
-  if (it != listeners_.end()) {
-    it->second->shutdown();
-    // shutdown() posts the suspended acceptor to the scheduler; it still
-    // reads the accept channel when it resumes (to observe the close), so
-    // the Listener must outlive that resumption. Park it instead of
-    // destroying it here.
-    if (!it->second->idle()) retired_.push_back(std::move(it->second));
-    listeners_.erase(it);
-  }
-}
-
-void SocketTable::reap_retired() {
-  std::erase_if(retired_, [](const std::unique_ptr<Listener>& l) { return l->idle(); });
+  auto node = listeners_.extract(addr);
+  if (!node.empty()) node.mapped()->shutdown();
 }
 
 sim::Co<SocketPtr> SocketTable::connect(cluster::Host& src, Address dst, Transport t) {

@@ -5,6 +5,11 @@
 // copies charged per message, ChannelClosed surfacing as EOF. The RPC layer
 // above does its own (instrumented) buffering — exactly the layering the
 // paper analyzes.
+//
+// A listening port is a shared-owned Listener: the SocketTable holds it
+// while it is bound and each acceptor loop holds its own copy, so
+// unlisten() only shuts it down and the same address can be bound again
+// at once while the old acceptor still unwinds.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +76,6 @@ class Socket : public std::enable_shared_from_this<Socket> {
   /// SocketError on EOF before completion.
   sim::Co<void> read_full(MutByteSpan out);
 
-  /// Read whatever chunk arrives next (at most one chunk). Empty result
-  /// never happens; EOF throws SocketError.
-  sim::Co<Bytes> read_chunk();
-
   /// Half-close: peer reads EOF after draining. Idempotent.
   void close();
 
@@ -91,7 +92,6 @@ class Socket : public std::enable_shared_from_this<Socket> {
   cluster::Host& local() const { return local_; }
   cluster::HostId remote() const { return remote_; }
   Transport transport() const { return transport_; }
-  bool closed() const { return closed_; }
 
  private:
   sim::Channel<Bytes>& rx() const {
@@ -117,28 +117,29 @@ class Socket : public std::enable_shared_from_this<Socket> {
   sim::Dur rx_charge_ = 0;
 };
 
-/// Accept queue for a listening port.
+/// Accept queue for a listening port. Shared-owned: the SocketTable holds
+/// it while bound, and each acceptor coroutine holds it for as long as it
+/// may still wait on it, so unlisten() never frees it under an acceptor.
 class Listener {
  public:
-  Listener(sim::Scheduler& sched, Address addr) : addr_(addr), accepted_(sched) {}
+  explicit Listener(sim::Scheduler& sched) : accepted_(sched) {}
 
-  /// Wait for the next inbound connection. Throws sim::ChannelClosed when
-  /// the listener is shut down.
-  sim::Co<SocketPtr> accept() {
-    SocketPtr s = co_await accepted_.recv();
-    co_return s;
+  /// Wait for the next inbound connection, awaited directly. Throws
+  /// sim::ChannelClosed once the listener is shut down.
+  sim::Channel<SocketPtr>::RecvAwaiter accept() { return accepted_.recv(); }
+
+  /// Close the accept queue. Connections not yet claimed by an acceptor
+  /// are refused (their server ends close), as a closed listening socket
+  /// drops its backlog.
+  void shutdown() {
+    accepted_.close();
+    SocketPtr backlog;
+    while (accepted_.try_recv(backlog)) backlog->close();
   }
-
-  void shutdown() { accepted_.close(); }
-  const Address& addr() const { return addr_; }
-
-  /// True once no acceptor coroutine can still touch the accept channel —
-  /// the point at which this Listener is safe to destroy.
-  bool idle() const { return !accepted_.has_waiters(); }
+  bool closed() const { return accepted_.closed(); }
 
  private:
   friend class SocketTable;
-  Address addr_;
   sim::Channel<SocketPtr> accepted_;
 };
 
@@ -147,8 +148,9 @@ class SocketTable {
  public:
   SocketTable(Fabric& fab, std::vector<cluster::Host*> hosts);
 
-  /// Bind a listener. Throws if the address is taken.
-  Listener& listen(Address addr);
+  /// Bind a listener. Throws if the address is taken. The caller's
+  /// acceptor takes the returned pointer; unlisten() only shuts it down.
+  std::shared_ptr<Listener> listen(Address addr);
   void unlisten(Address addr);
 
   /// Establish a connection (one round trip of handshake). Throws
@@ -159,16 +161,9 @@ class SocketTable {
   Fabric& fabric() { return fab_; }
 
  private:
-  void reap_retired();
-
   Fabric& fab_;
   std::vector<cluster::Host*> hosts_;
-  std::map<Address, std::unique_ptr<Listener>> listeners_;
-  // Unlistened but not-yet-idle listeners: closing the accept channel only
-  // *schedules* the suspended acceptor, which still dereferences the
-  // channel when it resumes. Parked here until idle (reaped on the next
-  // listen/unlisten) instead of being destroyed under the acceptor.
-  std::vector<std::unique_ptr<Listener>> retired_;
+  std::map<Address, std::shared_ptr<Listener>> listeners_;
 };
 
 }  // namespace rpcoib::net

@@ -162,6 +162,9 @@ class ClientCore {
       if (it == table_.end()) break;
       ConnPtr conn = it->second;
       if (conn->broken) {
+        // Broken under a call (a failed post or fetch): shut what is left
+        // of it, its receive ring and loop included, and dial afresh.
+        if (!conn->cancelled) shut(*conn, "connection broken");
         table_.erase(it);
         break;
       }

@@ -209,10 +209,6 @@ class Dispatcher {
     return it == handlers_.end() ? nullptr : &it->second;
   }
 
-  /// Full registry view, for mirroring handlers onto a companion server
-  /// (the RPCoIB socket-fallback listener shares its primary's methods).
-  const std::map<MethodKey, MethodHandler>& all() const { return handlers_; }
-
   std::size_t size() const { return handlers_.size(); }
 
  private:

@@ -234,7 +234,11 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   if (response != nullptr) {
     const sim::Time t_deser = host_.sched().now();
     DataInputBuffer in(cm, pc.value);
-    response->read_fields(in);
+    try {
+      response->read_fields(in);
+    } catch (const SerializationError&) {
+      throw RpcTransportError("short reply body");
+    }
     co_await host_.compute(in.take_accrued());
     trace_phase(tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
                 host_.sched().now());

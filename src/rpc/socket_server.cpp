@@ -41,8 +41,7 @@ void SocketRpcServer::start() {
     shards_.push_back(
         std::make_shared<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_));
   }
-  listener_ = &sockets_.listen(addr_);
-  host_.sched().spawn(listener_loop());
+  host_.sched().spawn(listener_loop(sockets_.listen(addr_)));
   for (int i = 0; i < num_shards_; ++i) {
     const std::shared_ptr<Shard>& shard = shards_[static_cast<std::size_t>(i)];
     for (int h = handlers_on_shard(num_handlers_, num_shards_, i); h > 0; --h) {
@@ -56,7 +55,6 @@ void SocketRpcServer::stop() {
   if (!running_) return;
   running_ = false;
   sockets_.unlisten(addr_);
-  listener_ = nullptr;
   // Queued-but-unexecuted calls must not vanish silently: every shard
   // drains with accounting. Their callers observe a transport error when
   // the connections close below, so every dropped call is surfaced.
@@ -89,8 +87,7 @@ void SocketRpcServer::fold_stats() {
   if (!shards_.empty()) stats_.fold_shards(shards_);
 }
 
-sim::Task SocketRpcServer::listener_loop() {
-  net::Listener* l = listener_;
+sim::Task SocketRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
   try {
     for (;;) {
       net::SocketPtr conn = co_await l->accept();

@@ -53,8 +53,6 @@ class SocketRpcServer final : public RpcServer {
   void stop() override;
 
   cluster::Host& host() const { return host_; }
-  const net::Address& addr() const { return addr_; }
-  int num_shards() const { return num_shards_; }
 
  private:
   struct Shard;
@@ -96,7 +94,7 @@ class SocketRpcServer final : public RpcServer {
     LingerEstimator resp_gaps;  // responder-side adaptive-linger estimator
   };
 
-  sim::Task listener_loop();
+  sim::Task listener_loop(std::shared_ptr<net::Listener> l);
   /// `home` is the listener-chosen shard (sessionless path). With sessions
   /// enabled it is null: the reader picks the shard session-affinely after
   /// the preamble, so a reconnect lands on the shard holding its dedup
@@ -140,7 +138,6 @@ class SocketRpcServer final : public RpcServer {
   net::Address addr_;
   int num_handlers_;
   int num_shards_;
-  net::Listener* listener_ = nullptr;
   std::vector<std::shared_ptr<Shard>> shards_;
   /// Sessions only: sockets accepted but still parked on the preamble /
   /// session-id read, so homed in no shard's conns list yet. The reader

@@ -118,6 +118,12 @@ void NativeBufferPool::release(NativeBuffer* buf) {
   free_[buf->cls].push_back(buf);
 }
 
+void NativeBufferPool::release_revoked(NativeBuffer* buf) {
+  pd_.deregister(buf->mr);
+  buf->mr = pd_.register_mr_untimed(buf->span);
+  release(buf);
+}
+
 NativeBuffer* ShadowPool::acquire_for(const rpc::MethodKey& key) {
   auto it = history_.find(key);
   const std::size_t want = it == history_.end() ? native_.config().min_class : it->second;

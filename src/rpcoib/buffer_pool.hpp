@@ -105,6 +105,10 @@ class NativeBufferPool {
   NativeBuffer* try_acquire(std::size_t size);
 
   void release(NativeBuffer* buf);
+  /// Release a buffer whose rkey a peer may still hold (an unacked
+  /// rendezvous source): it is re-keyed first, so a late remote READ fails
+  /// instead of reaching the buffer's next lease.
+  void release_revoked(NativeBuffer* buf);
 
   /// Return the buffers behind a drained receive ring's wr_ids (each one a
   /// NativeBuffer pointer, 0 for none) — teardown of posted receives.

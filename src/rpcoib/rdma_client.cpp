@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "rpcoib/onesided.hpp"
@@ -16,15 +17,21 @@ std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b)
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
 
 /// A kResp body read in place (past [type][id]): the status byte, then the
-/// error text or the response's fields. Returns the status.
-std::uint8_t read_reply(RDMAInputStream& in, rpc::Writable* response, std::string& error_msg) {
-  const std::uint8_t status = in.read_u8();
-  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
-    error_msg = in.read_text();
-  } else if (response != nullptr) {
-    response->read_fields(in);
+/// error text or the response's fields. Returns the status, or nothing when
+/// the body is too short for them.
+std::optional<std::uint8_t> read_reply(RDMAInputStream& in, rpc::Writable* response,
+                                       std::string& error_msg) {
+  try {
+    const std::uint8_t status = in.read_u8();
+    if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+      error_msg = in.read_text();
+    } else if (response != nullptr) {
+      response->read_fields(in);
+    }
+    return status;
+  } catch (const rpc::SerializationError&) {
+    return std::nullopt;
   }
-  return status;
 }
 
 }  // namespace
@@ -51,7 +58,7 @@ sim::Task RdmaRpcClient::init_pool_task() {
   pool_ready_.set();
 }
 
-RdmaRpcClient::~RdmaRpcClient() { close_connections(); }
+RdmaRpcClient::~RdmaRpcClient() { close_connections(); *alive_ = false; }
 
 void RdmaRpcClient::close_connections() {
   core_.close_all();
@@ -65,6 +72,7 @@ void RdmaRpcClient::close_connections() {
 }
 
 sim::Co<void> RdmaRpcClient::dial(const ConnectionPtr& conn, net::Address addr) {
+  conn->alive = alive_;
   try {
     // Bootstrap over the server's socket address (Section III-D),
     // exchanging eager thresholds in the endpoint-info blob, then
@@ -146,15 +154,16 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
     co_await read_done.wait();  // receive_loop routes the completion here
     conn->read_waiters.erase(token);
     // Client torn down while the READ was in flight: the pool died with
-    // it, so the lease cannot be returned — just stop.
-    if (conn->cancelled) co_return;
+    // it, so the lease cannot be returned — just stop. A shut connection
+    // refuses the ack below, which returns the lease.
+    if (!*conn->alive) co_return;
     const ControlFrame ack(Control{FrameType::kAck, rkey});
     co_await conn->qp->post_send(wr_of(nullptr), ack.span());
-    if (conn->cancelled) co_return;
+    if (!*conn->alive) co_return;
     deliver_response(conn, net::ByteSpan(dst->span.data(), len), dst, /*is_recv_slot=*/false);
   } catch (const std::exception& e) {
     conn->read_waiters.erase(token);
-    if (conn->cancelled) co_return;
+    if (!*conn->alive) co_return;
     native_.release(dst);
     conn->fail_all(e.what());
   }
@@ -162,13 +171,15 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
 
 sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
   // Hoisted: this loop may outlive the client object; after a suspension
-  // it re-checks conn->cancelled before touching client members.
+  // it re-checks conn->alive before touching client members. A shut
+  // connection's loop keeps reaping its CQ until nothing is owed to it,
+  // returning each buffer to the pool.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   try {
     for (;;) {
       verbs::WorkCompletion wc = co_await conn->cq.wait();
-      if (conn->cancelled) co_return;
+      if (!*conn->alive) co_return;
       switch (wc.opcode) {
         case verbs::Opcode::kSend: {
           // Eager frame is on the wire; pooled source (if any) is reusable.
@@ -187,7 +198,7 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
           NativeBuffer* rb = buf_of(wc.wr_id);
           net::ByteSpan frame(rb->span.data(), wc.byte_len);
           co_await host.compute(cm.cq_poll() + cm.thread_wakeup() + cm.rpc_framework());
-          if (conn->cancelled) co_return;
+          if (!*conn->alive) co_return;
           const auto type = static_cast<FrameType>(frame[0]);
           if (type == FrameType::kResp) {
             deliver_response(conn, frame, rb, /*is_recv_slot=*/true);
@@ -200,7 +211,7 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
             std::vector<net::ByteSpan> subs;
             if (split_batch(frame, subs) == BatchSplit::kOk) {
               co_await host.compute(cm.direct_copy(wc.byte_len));
-              if (conn->cancelled) co_return;
+              if (!*conn->alive) co_return;
               for (const net::ByteSpan sub_frame : subs) {
                 NativeBuffer* sub = shadow_.acquire_sized(sub_frame.size());
                 std::memcpy(sub->span.data(), sub_frame.data(), sub_frame.size());
@@ -241,7 +252,9 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
   } catch (const verbs::VerbsError& e) {
     const bool was_broken = conn->broken;
     conn->fail_all(e.what());
-    if (!conn->cancelled && !was_broken) note_reconnect(rpc::ReconnectCause::kQpError);
+    if (*conn->alive && !conn->cancelled && !was_broken) {
+      note_reconnect(rpc::ReconnectCause::kQpError);
+    }
   }
 }
 
@@ -261,7 +274,7 @@ sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::By
   co_await host.compute(encode_cost);
   // Client torn down while we computed: the pool died with it, so the
   // lease cannot be returned — just stop.
-  if (conn->cancelled) co_return;
+  if (!*conn->alive) co_return;
   if (conn->broken) {
     native_.release(fb);
     co_return;
@@ -271,12 +284,12 @@ sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::By
     co_await conn->qp->post_send(wr_of(fb), wire);
     // fb is released by receive_loop at the kSend completion.
   } catch (const std::exception& e) {
-    if (conn->cancelled) co_return;
+    if (!*conn->alive) co_return;
     native_.release(fb);
     conn->fail_all(e.what());
     co_return;
   }
-  if (conn->cancelled) co_return;
+  if (!*conn->alive || conn->cancelled) co_return;
   note_batch_sent(ctx, t0);
 }
 
@@ -502,13 +515,14 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdSe
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
   std::string error_msg;
-  const std::uint8_t status = read_reply(in, a.response, error_msg);
+  const std::optional<std::uint8_t> status = read_reply(in, a.response, error_msg);
   co_await host_.compute(in.take_accrued());
   trace_phase(a.tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
               host_.sched().now());
   native_.release(pc.resp_buf);
-  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
-    throw_status(status, error_msg);
+  if (!status) throw rpc::RpcTransportError("short reply body");
+  if (*status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+    throw_status(*status, error_msg);
   }
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();
@@ -708,9 +722,12 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
     // bootstrap, no per-connection server state. A call too big for the
     // datagram budget (or refused a lease) falls through to RC.
     if (!served && cfg_.ud.enabled) {
-      if (const verbs::UdService* svc = stack_.ud_service(addr);
-          svc != nullptr && !svc->qpns.empty()) {
-        served = co_await call_attempt_ud(a, *svc);
+      const verbs::UdService* adv = stack_.ud_service(addr);
+      if (adv != nullptr && !adv->qpns.empty()) {
+        // A copy: a server stop() withdraws (frees) the advertisement
+        // while the attempt is suspended.
+        const verbs::UdService svc = *adv;
+        served = co_await call_attempt_ud(a, svc);
         if (!served) ++stats_.ud_rc_fallbacks;
       }
     }
@@ -873,13 +890,14 @@ sim::Co<bool> RdmaRpcClient::call_attempt_rc(const Attempt& a) {
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
   std::string error_msg;
-  const std::uint8_t status = read_reply(in, a.response, error_msg);
+  const std::optional<std::uint8_t> status = read_reply(in, a.response, error_msg);
   co_await host_.compute(in.take_accrued());
   trace_phase(a.tr, ctx, "deserialize", trace::Category::kSerialization, t_deser,
               host_.sched().now());
   repost_recv(conn, pc.resp_buf, pc.resp_is_recv_slot);
-  if (status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
-    throw_status(status, error_msg);
+  if (!status) throw rpc::RpcTransportError("short reply body");
+  if (*status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess)) {
+    throw_status(*status, error_msg);
   }
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();

@@ -104,6 +104,10 @@ class RdmaRpcClient final : public rpc::RpcClient {
   struct Connection : rpc::ClientConnection<Pending> {
     Connection(sim::Scheduler& s, const rpc::BatchConfig& batch)
         : ClientConnection(s), cq(s), calls(batch) {}
+    // The client's liveness token: the connection's loops outlive a shut
+    // (they still reap its owed completions into the pool), but touch the
+    // client only while this holds.
+    std::shared_ptr<const bool> alive;
     verbs::QueuePairPtr qp;
     verbs::CompletionQueue cq;  // shared send+recv CQ for this connection
     // Negotiated per-connection eager/rendezvous switch point:
@@ -262,6 +266,7 @@ class RdmaRpcClient final : public rpc::RpcClient {
   // address until close_connections()).
   std::set<net::Address> fallback_addrs_;
   std::unique_ptr<rpc::SocketRpcClient> fallback_;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);  // cleared by the destructor
 };
 
 }  // namespace rpcoib::oib

@@ -45,7 +45,12 @@ RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
       addr_(addr),
       cfg_(cfg),
       native_(host, stack, cfg.pool),
-      shadow_(native_) {
+      shadow_(native_),
+      ud_(std::make_shared<UdPlane>(host.sched())),
+      fallback_(host, sockets,
+                net::Address{addr.host,
+                             static_cast<std::uint16_t>(addr.port + kSocketFallbackPortOffset)},
+                cfg.num_handlers, cfg.shards) {
   // Pre-posted receive buffers must hold any eager frame plus headers.
   cfg_.recv_buf_size = std::max(cfg_.recv_buf_size, cfg_.eager_threshold + 512);
   if (cfg_.shards < 1) cfg_.shards = 1;
@@ -57,15 +62,13 @@ void RdmaRpcServer::start() {
   if (running_) return;
   running_ = true;
   alive_ = std::make_shared<bool>(true);
-  // Retire (never destroy) the previous run's shards: their reader and
-  // handler loops are still suspended on the closed channels and exit only
-  // when the scheduler runs the wakes stop() posted.
-  for (auto& shard : shards_) retired_shards_.push_back(std::move(shard));
+  // A fresh set of shards: the previous run's loops own theirs and unwind
+  // off them.
   shards_.clear();
   const int n = cfg_.shards;
   for (int i = 0; i < n; ++i) {
     auto shard =
-        std::make_unique<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_);
+        std::make_shared<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_);
     if (cfg_.pool.srq_depth > 0) {
       // Stripe the shared ring: each shard owns srq_depth / n slots (the
       // remainder spread over the low shards, never below one) and refills
@@ -86,30 +89,26 @@ void RdmaRpcServer::start() {
       shard->srq = std::make_unique<verbs::SharedReceiveQueue>(host_.sched());
       shard->srq->set_stall_counter(&shard->pipeline.stats().srq_rnr_stalls);
     }
+    if (shard->srq) host_.sched().spawn(srq_refill_loop(shard));
     shards_.push_back(std::move(shard));
-    if (shards_.back()->srq) host_.sched().spawn(srq_refill_loop(*shards_.back()));
   }
-  if (cfg_.srq_idle_evict > 0) host_.sched().spawn(idle_evict_loop());
+  if (cfg_.srq_idle_evict > 0) host_.sched().spawn(idle_evict_loop(alive_));
   if (cfg_.ud.enabled) {
-    // Rebuild the fixed UD endpoint pool. Endpoints from a previous run
-    // fold their drop counts into the base first so ud_rx_dropped stays
+    // A fresh UD endpoint pool per run. The previous run's endpoints fold
+    // their drop counts into the base first so ud_rx_dropped stays
     // monotonic across restarts.
-    for (const auto& ep : ud_eps_) {
-      if (ep) ud_rx_dropped_base_ += ep->rx_dropped();
-    }
-    ud_eps_.clear();
-    if (ud_cq_) retired_ud_cqs_.push_back(std::move(ud_cq_));
-    ud_cq_ = std::make_unique<verbs::CompletionQueue>(host_.sched());
+    for (const auto& ep : ud_->eps) ud_rx_dropped_base_ += ep->rx_dropped();
+    ud_ = std::make_shared<UdPlane>(host_.sched());
     verbs::UdService svc;
     svc.host = host_.id();
     const int n_eps = std::max(1, cfg_.ud.server_endpoints);
     for (int i = 0; i < n_eps; ++i) {
-      auto ep = std::make_unique<verbs::UdEndpoint>(stack_, host_, *ud_cq_, *ud_cq_);
+      auto ep = std::make_unique<verbs::UdEndpoint>(stack_, host_, ud_->cq, ud_->cq);
       // kRecv completions name the endpoint, so the responder can reply
       // from the QPN the client targeted.
       ep->set_context(static_cast<std::uint64_t>(i));
       svc.qpns.push_back(ep->qpn());
-      ud_eps_.push_back(std::move(ep));
+      ud_->eps.push_back(std::move(ep));
     }
     // Fill the rings BEFORE advertising: UD has no bootstrap handshake to
     // order a client's first datagram after the server's buffer setup (RC
@@ -120,7 +119,7 @@ void RdmaRpcServer::start() {
     // arrival overrunning the ring drops silently (no RNR on UD); the
     // client's session/retry layer re-sends it.
     const std::size_t slot = verbs::UdEndpoint::kGrhBytes + verbs::UdEndpoint::kMtu;
-    for (auto& ep : ud_eps_) {
+    for (auto& ep : ud_->eps) {
       for (int i = 0; i < cfg_.ud.recv_depth; ++i) {
         NativeBuffer* b = native_.acquire(slot);
         ep->post_recv(reinterpret_cast<std::uint64_t>(b), b->span);
@@ -129,7 +128,7 @@ void RdmaRpcServer::start() {
     }
     if (ud_ring_bytes_ > ud_ring_bytes_peak_) ud_ring_bytes_peak_ = ud_ring_bytes_;
     stack_.ud_advertise(addr_, std::move(svc));
-    host_.sched().spawn(ud_reader_loop());
+    host_.sched().spawn(ud_reader_loop(ud_));
   }
   if (cfg_.onesided.enabled) {
     // The region (and everything published into it) survives restarts;
@@ -140,31 +139,21 @@ void RdmaRpcServer::start() {
     }
     onesided_region_->advertise();
   }
-  listener_ = &sockets_.listen(addr_);
-  host_.sched().spawn(listener_loop());
-  for (auto& shard : shards_) host_.sched().spawn(reader_loop(*shard));
+  host_.sched().spawn(listener_loop(sockets_.listen(addr_)));
+  for (const auto& shard : shards_) host_.sched().spawn(reader_loop(shard));
   for (int i = 0; i < n; ++i) {
     for (int h = rpc::handlers_on_shard(cfg_.num_handlers, n, i); h > 0; --h) {
-      host_.sched().spawn(handler_loop(*shards_[static_cast<std::size_t>(i)]));
+      host_.sched().spawn(handler_loop(shards_[static_cast<std::size_t>(i)]));
     }
   }
-  // The companion socket listener for clients whose QP bootstrap fails. A
-  // previous run's listener is retired, not destroyed: its stopped loops
-  // still resume once on their closed queues (see stop()).
-  if (fallback_) retired_fallbacks_.push_back(std::move(fallback_));
-  fallback_ = std::make_unique<rpc::SocketRpcServer>(
-      host_, sockets_,
-      net::Address{addr_.host, static_cast<std::uint16_t>(addr_.port + kSocketFallbackPortOffset)},
-      cfg_.num_handlers, cfg_.shards);
-  for (const auto& [key, handler] : dispatcher_.all()) {
-    fallback_->dispatcher().register_method(key.protocol, key.method, handler);
-  }
-  // The fallback path must shed under the same policy as the RDMA path,
-  // or overload would simply migrate to the companion listener.
-  fallback_->set_overload(overload_);
-  fallback_->set_batch(batch_);
-  fallback_->set_session(session_);
-  fallback_->start();
+  // The companion socket listener for clients whose QP bootstrap fails
+  // serves this server's methods, and must shed under the same policy as
+  // the RDMA path, or overload would simply migrate to it.
+  fallback_.dispatcher() = dispatcher_;
+  fallback_.set_overload(overload_);
+  fallback_.set_batch(batch_);
+  fallback_.set_session(session_);
+  fallback_.start();
 }
 
 void RdmaRpcServer::stop() {
@@ -172,19 +161,15 @@ void RdmaRpcServer::stop() {
   running_ = false;
   if (alive_) *alive_ = false;  // detached flush timers stand down
   sockets_.unlisten(addr_);
-  listener_ = nullptr;
   // Return every pooled buffer the data path still holds — queued call
   // frames, unacked rendezvous response sources, and pre-posted receive
   // slots — so acquires and releases balance across a stop. The dropped
   // calls' clients observe a transport error when the QPs disconnect.
   for (auto& shard : shards_) {
     for (ServerCall& call : shard->pipeline.drain()) native_.release(call.buf);
-  }
-  for (auto& shard : shards_) {
-    for (auto& [rkey, buf] : shard->pending_resp) native_.release(buf);
+    for (auto& [rkey, buf] : shard->pending_resp) native_.release_revoked(buf);
     shard->pending_resp.clear();
-  }
-  for (auto& shard : shards_) {
+    shard->ring_bytes = 0;
     if (shard->srq) {
       native_.release_posted(shard->srq->drain_posted_recvs());
       shard->srq->close();  // wakes the refill loop into its ChannelClosed exit
@@ -194,7 +179,7 @@ void RdmaRpcServer::stop() {
     if (c->responses && !c->responses->batcher().empty()) {
       // Finished responses still lingering in the coalescer die with the
       // server; account for them so teardown losses are never silent.
-      shard_of(*c).pipeline.stats().responses_dropped_on_stop +=
+      shard_of(*c)->pipeline.stats().responses_dropped_on_stop +=
           c->responses->batcher().take().size();
     }
     if (c->qp) {
@@ -203,27 +188,23 @@ void RdmaRpcServer::stop() {
       c->qp->disconnect();
     }
   }
-  for (auto& shard : shards_) shard->ring_bytes = 0;
-  if (ud_cq_) {
+  // Like an idle eviction: once nothing else holds a connection its QP
+  // goes, and the client re-bootstraps onto the next run.
+  conns_.clear();
+  if (cfg_.ud.enabled) {
     stack_.ud_withdraw(addr_);
-    for (auto& ep : ud_eps_) {
-      native_.release_posted(ep->drain_posted_recvs());
-    }
+    for (auto& ep : ud_->eps) native_.release_posted(ep->drain_posted_recvs());
     ud_ring_bytes_ = 0;
-    // Close but keep the CQ and endpoints alive (like the fallback
-    // listener): kSend completions for datagrams already in flight still
-    // land here when they fire, on a closed-but-live queue.
-    ud_cq_->close();
+    ud_->stopped = true;
+    ud_->cq.close();
   }
   if (onesided_region_) onesided_region_->withdraw();
   for (auto& shard : shards_) {
-    if (shard->cq) shard->cq->close();
+    shard->stopped = true;
+    shard->cq.close();
   }
   for (auto& shard : shards_) shard->pipeline.close();
-  // Stop but do not destroy the fallback listener: closing its queues only
-  // *schedules* the suspended handler loops, which still read the queues
-  // when they resume. The object lives until this server is destroyed.
-  if (fallback_) fallback_->stop();
+  fallback_.stop();
 }
 
 void RdmaRpcServer::fold_stats() {
@@ -234,9 +215,7 @@ void RdmaRpcServer::fold_stats() {
     ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
   }
   std::uint64_t ud_rx = ud_rx_dropped_base_;
-  for (const auto& ep : ud_eps_) {
-    if (ep) ud_rx += ep->rx_dropped();
-  }
+  for (const auto& ep : ud_->eps) ud_rx += ep->rx_dropped();
   stats_.ud_rx_dropped = ud_rx;
   // Region counters are assignments (not +=) so repeated syncs stay
   // idempotent like the shard-sourced fields.
@@ -266,7 +245,9 @@ void RdmaRpcServer::post_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer
 }
 
 void RdmaRpcServer::recycle_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer* buf) {
-  if (shard.srq) {
+  if (shard.stopped) {
+    native_.release(buf);
+  } else if (shard.srq) {
     // The shared stripe tops back up here on the hot path; the refill loop
     // only covers buffers consumed by calls still in flight.
     if (shard.srq->posted() < shard.srq_depth) {
@@ -281,25 +262,23 @@ void RdmaRpcServer::recycle_recv_buffer(Shard& shard, ConnState* conn, NativeBuf
   }
 }
 
-sim::Task RdmaRpcServer::srq_refill_loop(Shard& shard) {
-  const std::shared_ptr<bool> alive = alive_;
-  verbs::SharedReceiveQueue* srq = shard.srq.get();
+sim::Task RdmaRpcServer::srq_refill_loop(std::shared_ptr<Shard> shard) {
+  verbs::SharedReceiveQueue* srq = shard->srq.get();
   try {
     for (;;) {
       co_await srq->wait_limit();
-      if (!*alive) co_return;
-      ++shard.pipeline.stats().srq_refills;
-      while (srq->posted() < shard.srq_depth) {
-        post_recv_buffer(shard, nullptr, native_.acquire(cfg_.recv_buf_size));
+      if (shard->stopped) co_return;
+      ++shard->pipeline.stats().srq_refills;
+      while (srq->posted() < shard->srq_depth) {
+        post_recv_buffer(*shard, nullptr, native_.acquire(cfg_.recv_buf_size));
       }
-      srq->arm_limit(shard.srq_low_watermark);
+      srq->arm_limit(shard->srq_low_watermark);
     }
   } catch (const sim::ChannelClosed&) {
   }
 }
 
-sim::Task RdmaRpcServer::idle_evict_loop() {
-  const std::shared_ptr<bool> alive = alive_;
+sim::Task RdmaRpcServer::idle_evict_loop(std::shared_ptr<bool> alive) {
   const sim::Dur idle = cfg_.srq_idle_evict;
   const sim::Dur sweep = std::max<sim::Dur>(idle / 2, 1);
   try {
@@ -320,7 +299,7 @@ sim::Task RdmaRpcServer::idle_evict_loop() {
         auto it = conns_.find(id);
         if (it == conns_.end()) continue;
         ConnPtr c = it->second;
-        Shard& shard = shard_of(*c);
+        Shard& shard = *shard_of(*c);
         for (std::uint64_t wr : c->qp->drain_posted_recvs()) {  // legacy ring
           auto* b = reinterpret_cast<NativeBuffer*>(wr);
           shard.ring_bytes -= std::min(shard.ring_bytes, b->span.size());
@@ -338,8 +317,7 @@ sim::Task RdmaRpcServer::idle_evict_loop() {
   }
 }
 
-sim::Task RdmaRpcServer::listener_loop() {
-  net::Listener* l = listener_;
+sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
   try {
     // Library-load-time pool registration (amortized across all calls). In
     // SRQ mode every stripe's buffers are provisioned here too, so the
@@ -347,6 +325,7 @@ sim::Task RdmaRpcServer::listener_loop() {
     std::size_t total_srq = 0;
     for (const auto& shard : shards_) total_srq += shard->srq_depth;
     co_await native_.initialize(total_srq > 0 ? cfg_.recv_buf_size : 0, total_srq);
+    if (l->closed()) co_return;  // stopped during registration: no run to fill
     for (auto& shard : shards_) {
       if (!shard->srq) continue;
       // One pre-registered receive stripe per shard, filled once: from
@@ -367,20 +346,23 @@ sim::Task RdmaRpcServer::listener_loop() {
       // the pre-session behavior.
       verbs::QueuePairPtr qp;
       verbs::ConnectionManager::BootstrapInfo info;
-      Shard* shard_p = nullptr;
+      std::shared_ptr<Shard> home;
       try {
         info = co_await cm_.read_bootstrap(boot);
         const std::uint64_t sid = session_.enabled ? info.session_id : 0;
-        shard_p = sid != 0 ? shards_[sid % shards_.size()].get()
-                           : shards_[conn_seq_ % shards_.size()].get();
-        qp = co_await cm_.accept(boot, info, *shard_p->cq, *shard_p->cq,
+        home = shards_[(sid != 0 ? sid : conn_seq_) % shards_.size()];
+        qp = co_await cm_.accept(boot, info, home->cq, home->cq,
                                  static_cast<std::uint64_t>(cfg_.eager_threshold));
       } catch (const verbs::VerbsError&) {
         continue;  // malformed bootstrap (e.g. a socket client); drop it
       } catch (const net::SocketError&) {
         continue;
       }
-      Shard& shard = *shard_p;
+      if (l->closed()) {
+        qp->disconnect();  // stopped mid-handshake: the run takes no more connections
+        continue;
+      }
+      Shard& shard = *home;
       auto conn = std::make_shared<ConnState>();
       conn->qp = std::move(qp);
       conn->id = ++conn_seq_;
@@ -413,9 +395,8 @@ sim::Task RdmaRpcServer::listener_loop() {
   }
 }
 
-sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint64_t off,
-                                    std::uint32_t len) {
-  Shard& shard = shard_of(*conn);
+sim::Task RdmaRpcServer::fetch_call(std::shared_ptr<Shard> shard, ConnPtr conn,
+                                    std::uint32_t rkey, std::uint64_t off, std::uint32_t len) {
   const sim::Time recv_start = host_.sched().now();
   // Graceful degradation: when the registered pool is dry and the demand-
   // allocation cap is reached, refuse the rendezvous instead of growing
@@ -425,7 +406,7 @@ sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint6
   if (dst == nullptr) {
     // The call's trace context is inside the frame we refused to fetch;
     // the client records the overload.nack span with full context.
-    ++shard.pipeline.stats().pool_nacks;
+    ++shard->pipeline.stats().pool_nacks;
     const ControlFrame nack(Control{FrameType::kNack, rkey});
     try {
       co_await conn->qp->post_send(0, nack.span());
@@ -433,27 +414,28 @@ sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint6
     }
     co_return;
   }
-  const std::uint64_t token = (shard.next_read_token++ << 1) | 1;
+  const std::uint64_t token = (shard->next_read_token++ << 1) | 1;
   sim::SimEvent read_done(host_.sched());
-  shard.read_waiters[token] = &read_done;
+  shard->read_waiters[token] = &read_done;
   try {
     net::MutByteSpan into(dst->span.data(), len);
     co_await conn->qp->post_rdma_read(token, into, verbs::RemoteBuffer{rkey, off, len});
     co_await read_done.wait();
-    shard.read_waiters.erase(token);
+    shard->read_waiters.erase(token);
     ServerCall call{.conn = conn, .buf = dst, .frame_len = len, .recv_start = recv_start};
     co_await enqueue_call(std::move(call));
   } catch (const std::exception&) {
-    shard.read_waiters.erase(token);
+    shard->read_waiters.erase(token);
     native_.release(dst);
   }
 }
 
-sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
+sim::Task RdmaRpcServer::reader_loop(std::shared_ptr<Shard> owned) {
+  Shard& shard = *owned;
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
-      verbs::WorkCompletion wc = co_await shard.cq->wait();
+      verbs::WorkCompletion wc = co_await shard.cq.wait();
       switch (wc.opcode) {
         case verbs::Opcode::kSend: {
           // Eager response on the wire: pooled source (if any; odd wr_ids
@@ -470,9 +452,9 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
           auto* rb = reinterpret_cast<NativeBuffer*>(wc.wr_id);
           shard.ring_bytes -= std::min(shard.ring_bytes, rb->span.size());
           auto cit = conns_.find(wc.qp_context);
-          if (cit == conns_.end()) {
-            // Completion raced an eviction: the frame has no connection to
-            // answer on anymore; just recycle the shared buffer.
+          if (cit == conns_.end() || shard.stopped) {
+            // Completion raced an eviction or a stop: the frame has no
+            // connection to answer on anymore; just recycle the buffer.
             recycle_recv_buffer(shard, nullptr, rb);
             break;
           }
@@ -487,7 +469,7 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
             ServerCall call{
                 .conn = conn, .buf = rb, .frame_len = wc.byte_len, .recv_start = host_.sched().now()};
             co_await enqueue_call(std::move(call));
-            if (!shard.srq) {
+            if (!shard.srq && !shard.stopped) {
               post_recv_buffer(shard, conn.get(), native_.acquire(conn->recv_buf_size));
             }
           } else if (type == FrameType::kBatch) {
@@ -506,7 +488,7 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
             Control c;
             const bool control = parse_control(frame, c);
             if (control && c.type == FrameType::kCtrlCall) {
-              host_.sched().spawn(fetch_call(conn, c.rkey, c.off, c.len));
+              host_.sched().spawn(fetch_call(owned, conn, c.rkey, c.off, c.len));
             } else if (control && c.type == FrameType::kAck) {
               auto it = shard.pending_resp.find(c.rkey);
               if (it != shard.pending_resp.end()) {
@@ -526,12 +508,11 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
   }
 }
 
-sim::Task RdmaRpcServer::ud_reader_loop() {
+sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
   const cluster::CostModel& cm = host_.cost();
-  verbs::CompletionQueue* cq = ud_cq_.get();
   try {
     for (;;) {
-      verbs::WorkCompletion wc = co_await cq->wait();
+      verbs::WorkCompletion wc = co_await plane->cq.wait();
       if (wc.opcode == verbs::Opcode::kSend) {
         // Response datagram on the wire: pooled source is reusable.
         if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
@@ -541,10 +522,9 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
       auto* rb = reinterpret_cast<NativeBuffer*>(wc.wr_id);
       const std::size_t ep_index = static_cast<std::size_t>(wc.qp_context);
       constexpr std::size_t grh = verbs::UdEndpoint::kGrhBytes;
-      if (running_ && wc.byte_len > grh + kUdHeaderBytes &&
+      if (!plane->stopped && wc.byte_len > grh + kUdHeaderBytes &&
           static_cast<FrameType>(rb->span.data()[grh]) == FrameType::kUdCall) {
         const net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
-        co_await host_.compute(cm.cq_poll() + cm.thread_wakeup());
         std::uint32_t src_host = 0, src_qpn = 0;
         std::memcpy(&src_host, rb->span.data(), 4);
         std::memcpy(&src_qpn, rb->span.data() + 4, 4);
@@ -555,15 +535,19 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
         // never entered into conns_. Owner and shard homing follow the
         // session id exactly like a reconnecting RC client, so a retry
         // that switches transport still deduplicates on the home shard.
+        // The datagram belongs to the run whose plane reaped it: its home
+        // shard is held from here on.
         auto conn = std::make_shared<ConnState>();
         conn->session_id = sid;
         conn->owner = sid != 0 ? sid : ((std::uint64_t{1} << 62) | src_host);
         conn->shard = static_cast<std::uint32_t>(
             sid != 0 ? sid % shards_.size() : src_host % shards_.size());
         conn->eager_threshold = cfg_.eager_threshold;
-        conn->last_recv = host_.sched().now();
-        const verbs::AddressHandle peer{static_cast<cluster::HostId>(src_host), src_qpn};
-        Shard& shard = shard_of(*conn);
+        const std::optional<UdReturn> ret = UdReturn{
+            plane, verbs::AddressHandle{static_cast<cluster::HostId>(src_host), src_qpn},
+            ep_index};
+        const std::shared_ptr<Shard> shard = shard_of(*conn);
+        co_await host_.compute(cm.cq_poll() + cm.thread_wakeup());
         const net::ByteSpan inner(frame.data() + kUdHeaderBytes,
                                   frame.size() - kUdHeaderBytes);
         const auto itype = static_cast<FrameType>(inner[0]);
@@ -571,12 +555,12 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
           co_await host_.compute(cm.direct_copy(inner.size()));
           NativeBuffer* sub = shadow_.acquire_sized(inner.size());
           std::memcpy(sub->span.data(), inner.data(), inner.size());
-          ++shard.pipeline.stats().ud_calls_received;
+          ++shard->pipeline.stats().ud_calls_received;
           ServerCall call{.conn = conn,
                           .buf = sub,
                           .frame_len = static_cast<std::uint32_t>(inner.size()),
                           .recv_start = host_.sched().now(),
-                          .ud = UdReturn{peer, ep_index}};
+                          .ud = ret};
           co_await enqueue_call(std::move(call));
         } else if (itype == FrameType::kBatch) {
           // Split per sub-call BEFORE any session logic: each sub-call of
@@ -586,18 +570,15 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
           // the frame as one retryable unit.
           std::vector<net::ByteSpan> subs;
           if (split_batch(inner, subs) == BatchSplit::kOk) {
-            co_await enqueue_batch(conn, inner, subs, UdReturn{peer, ep_index});
+            co_await enqueue_batch(conn, inner, subs, ret);
           }
         }
       }
       // The ring slot is fully copied out (or the datagram was garbage):
-      // repost it immediately so the fixed footprint holds. The CQ identity
-      // check keeps a retired run's loop (draining its last completions
-      // across a restart) from injecting its buffer into the new pool's
-      // rings.
-      if (running_ && cq == ud_cq_.get() && ep_index < ud_eps_.size() &&
-          ud_eps_[ep_index]) {
-        ud_eps_[ep_index]->post_recv(wc.wr_id, rb->span);
+      // repost it immediately so the fixed footprint holds, unless the
+      // plane stopped.
+      if (!plane->stopped) {
+        plane->eps[ep_index]->post_recv(wc.wr_id, rb->span);
       } else {
         native_.release(rb);
       }
@@ -608,18 +589,14 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
 
 sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
                                         net::ByteSpan msg) {
-  Shard& shard = shard_of(*call.conn);
-  const UdReturn& ret = *call.ud;
-  if (!running_ || ret.ep >= ud_eps_.size() || !ud_eps_[ret.ep]) {
-    native_.release(buf);
-    co_return;
-  }
+  const std::shared_ptr<Shard> shard = shard_of(*call.conn);
+  UdPlane& plane = *call.ud->plane;  // owned by the call
   if (msg.size() > verbs::UdEndpoint::kMtu) {
     // A datagram cannot fragment: bounce with an error frame naming the
     // limit instead of throwing at the HCA. Responses this size belong on
     // the RC path (the client's budget keeps *requests* off UD, but a
     // small request may still produce a huge response).
-    ++shard.pipeline.stats().ud_resp_oversize;
+    ++shard->pipeline.stats().ud_resp_oversize;
     const std::uint64_t id = read_be64(msg.data() + 1);
     native_.release(buf);
     RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
@@ -628,18 +605,27 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     msg = err.data();
     buf = err.take_buffer();
   }
+  if (plane.stopped) {  // a reply whose plane was stopped goes unsent
+    native_.release(buf);
+    co_return;
+  }
   try {
-    co_await ud_eps_[ret.ep]->post_send(reinterpret_cast<std::uint64_t>(buf), ret.peer, msg);
+    co_await plane.eps[call.ud->ep]->post_send(reinterpret_cast<std::uint64_t>(buf),
+                                               call.ud->peer, msg);
     // Released by ud_reader_loop at the kSend completion (even wr_id).
-    ++shard.pipeline.stats().ud_responses_sent;
+    ++shard->pipeline.stats().ud_responses_sent;
   } catch (const verbs::VerbsError&) {
     native_.release(buf);
   }
 }
 
 sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
-  Shard& shard = shard_of(*call.conn);
-  if (shard.pipeline.bounded()) {
+  const std::shared_ptr<Shard> shard = shard_of(*call.conn);
+  if (shard->stopped) {
+    native_.release(call.buf);
+    co_return;
+  }
+  if (shard->pipeline.bounded()) {
     // Pre-parse the header (bookkeeping only, no cost charged): a garbage
     // header is dropped here, and a shed call is answered by its id.
     RDMAInputStream in(host_.cost(), call.frame());
@@ -648,20 +634,21 @@ sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
       native_.release(call.buf);
       co_return;
     }
-    if (shard.pipeline.full()) {
-      co_await shard.pipeline.shed(host_, *this, call, hdr);
+    if (shard->pipeline.full()) {
+      co_await shard->pipeline.shed(host_, *this, call, hdr);
       native_.release(call.buf);
       co_return;
     }
   }
-  shard.pipeline.push(std::move(call), host_.sched().now());
+  shard->pipeline.push(std::move(call), host_.sched().now());
 }
 
 sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                                            const std::vector<net::ByteSpan>& subs,
                                            std::optional<UdReturn> ud) {
   const cluster::CostModel& cm = host_.cost();
-  rpc::RpcStats& st = shard_of(*conn).pipeline.stats();
+  const std::shared_ptr<Shard> shard = shard_of(*conn);
+  rpc::RpcStats& st = shard->pipeline.stats();
   ++st.batches_received;
   co_await host_.compute(cm.direct_copy(frame.size()));
   const sim::Time recv_start = host_.sched().now();
@@ -692,7 +679,8 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
   }
 }
 
-sim::Task RdmaRpcServer::handler_loop(Shard& shard) {
+sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
+  Shard& shard = *owned;
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
@@ -856,20 +844,20 @@ sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
     co_await ud_respond(call, buf, msg);
     co_return;
   }
-  Shard& shard = shard_of(*call.conn);
+  const std::shared_ptr<Shard> shard = shard_of(*call.conn);
   try {
     if (msg.size() <= call.conn->eager_threshold) {
       co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
       // Released by reader_loop at the kSend completion.
     } else {
-      shard.pending_resp[buf->mr.rkey] = buf;
+      shard->pending_resp[buf->mr.rkey] = buf;
       const ControlFrame ctrl(Control{FrameType::kCtrlResp, buf->mr.rkey,
                                       static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
                                       static_cast<std::uint32_t>(msg.size())});
       co_await call.conn->qp->post_send(0, ctrl.span());
     }
   } catch (const verbs::VerbsError&) {
-    shard.pending_resp.erase(buf->mr.rkey);
+    shard->pending_resp.erase(buf->mr.rkey);
     native_.release(buf);
     throw;
   }
@@ -906,7 +894,7 @@ sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn, std::vector<net:
     co_return;
   }
   if (!*alive) co_return;
-  Shard& shard = shard_of(*conn);
+  Shard& shard = *shard_of(*conn);
   ++shard.pipeline.stats().response_batches;
   shard.pipeline.stats().batched_responses += items.size();
 }

@@ -14,6 +14,15 @@
 // and its own handler subset — so CQ polling, the queue bound and
 // dispatch never contend across shards. The default of 1 keeps the server
 // operation-for-operation identical to the unsharded code.
+//
+// Lifetime: a coroutine owns what it touches after a suspension. The
+// listener loop owns its Listener, every shard loop (and each fetch,
+// enqueue and response coroutine) its Shard, and the UD reader and every
+// UD call their UdPlane. stop() closes them and never frees one, and
+// start() builds a fresh set, so a back-to-back stop(); start() leaves
+// the old run's loops to unwind off objects they still own. A closed
+// completion queue still delivers the completions of work posted before
+// the close, so each posted buffer still returns to the pool.
 #pragma once
 
 #include <cstdint>
@@ -73,14 +82,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
   void stop() override;
 
   cluster::Host& host() const { return host_; }
-  const net::Address& addr() const { return addr_; }
   ShadowPool& pool() { return shadow_; }
-  int num_shards() const { return cfg_.shards; }
 
   /// Publish sink for application servers; nullptr with onesided off.
   rpc::OneSidedPublisher* onesided() override { return onesided_region_.get(); }
-  /// The exported region itself — exposed for tests/benches.
-  OneSidedRegion* onesided_region() { return onesided_region_.get(); }
 
  private:
   struct ConnState;
@@ -124,11 +129,20 @@ class RdmaRpcServer final : public rpc::RpcServer {
     // Last receive completion; the LRU idle-eviction sweep keys on this.
     sim::Time last_recv = 0;
   };
-  /// Where a UD arrival's response goes: the GRH source address and the
-  /// endpoint that received the call.
+  /// One run's UD endpoint pool: the shared CQ and the endpoints on it.
+  struct UdPlane {
+    explicit UdPlane(sim::Scheduler& sched) : cq(sched) {}
+    verbs::CompletionQueue cq;
+    std::vector<std::unique_ptr<verbs::UdEndpoint>> eps;
+    bool stopped = false;
+  };
+  /// Where a UD arrival's response goes: the plane and endpoint that
+  /// received the call, and the GRH source address. A reply whose plane
+  /// was stopped is released unsent.
   struct UdReturn {
+    std::shared_ptr<UdPlane> plane;
     verbs::AddressHandle peer{};
-    std::size_t ep = 0;  // index into the endpoint pool
+    std::size_t ep = 0;  // index into plane->eps
   };
   struct ServerCall {
     ConnPtr conn;
@@ -147,16 +161,16 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// One reader shard: a disjoint set of connections with its own CQ, SRQ
   /// stripe and pipeline (queue/cache/stats). Everything a
   /// completion can touch lives here, so shards share no mutable state.
+  /// A stopped shard takes no calls and reposts no receive buffer.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const rpc::OverloadConfig& cfg,
           const rpc::SessionConfig& session)
-        : index(index),
-          cq(std::make_unique<verbs::CompletionQueue>(sched)),
-          pipeline(sched, index, cfg, session) {}
+        : index(index), cq(sched), pipeline(sched, index, cfg, session) {}
 
     std::uint32_t index;
-    std::unique_ptr<verbs::CompletionQueue> cq;
+    verbs::CompletionQueue cq;
     rpc::CallPipeline<ServerCall> pipeline;
+    bool stopped = false;
     // This shard's stripe of the shared receive ring (null in legacy mode).
     std::unique_ptr<verbs::SharedReceiveQueue> srq;
     std::size_t srq_depth = 0;          // stripe depth
@@ -171,23 +185,24 @@ class RdmaRpcServer final : public rpc::RpcServer {
     std::uint64_t next_read_token = 1;
   };
 
-  sim::Task listener_loop();
-  sim::Task reader_loop(Shard& shard);
-  /// Drain the shared UD CQ: unwrap kUdCall datagrams (splitting kBatch
+  sim::Task listener_loop(std::shared_ptr<net::Listener> l);
+  sim::Task reader_loop(std::shared_ptr<Shard> shard);
+  /// Drain the plane's UD CQ: unwrap kUdCall datagrams (splitting kBatch
   /// frames per sub-call *before* any session logic) and feed the same
   /// handler pipeline as RC traffic, homed by session id.
-  sim::Task ud_reader_loop();
+  sim::Task ud_reader_loop(std::shared_ptr<UdPlane> plane);
   /// Send one kResp datagram back through the receiving endpoint; bounces
   /// over-MTU responses with an error frame (a datagram can't fragment).
   sim::Co<void> ud_respond(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
-  sim::Task handler_loop(Shard& shard);
+  sim::Task handler_loop(std::shared_ptr<Shard> owned);
   /// Refill one shard's receive stripe whenever it drops below its low
   /// watermark (woken by the SRQ limit event; exits when the SRQ closes).
-  sim::Task srq_refill_loop(Shard& shard);
-  /// Periodic LRU sweep evicting connections idle past srq_idle_evict.
-  sim::Task idle_evict_loop();
-  sim::Task fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint64_t off,
-                       std::uint32_t len);
+  sim::Task srq_refill_loop(std::shared_ptr<Shard> shard);
+  /// Periodic LRU sweep evicting connections idle past srq_idle_evict;
+  /// exits once the run's liveness token `alive` flips.
+  sim::Task idle_evict_loop(std::shared_ptr<bool> alive);
+  sim::Task fetch_call(std::shared_ptr<Shard> shard, ConnPtr conn, std::uint32_t rkey,
+                       std::uint64_t off, std::uint32_t len);
   sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
   /// The channel CallPipeline's gate and shed answer through: a
   /// status-only response, or an already-framed one sent verbatim
@@ -218,8 +233,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// stripe is full / the connection is gone).
   void recycle_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer* buf);
   void note_ring_bytes(Shard& shard, std::size_t n);
-  /// The home shard of a connection (CQ, pipeline, pending_resp...).
-  Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
+  /// The current run's home shard of a connection (CQ, pipeline,
+  /// pending_resp...). A coroutine that keeps it across a suspension
+  /// holds a copy.
+  const std::shared_ptr<Shard>& shard_of(const ConnState& conn) { return shards_[conn.shard]; }
   /// Post coalesced kResp frames for `conn` as one kBatch SEND (the
   /// RespSink flush body); `alive` is the server's liveness token.
   sim::Co<void> flush_response_batch(ConnPtr conn, std::vector<net::Bytes> items,
@@ -238,21 +255,11 @@ class RdmaRpcServer final : public rpc::RpcServer {
   NativeBufferPool native_;
   ShadowPool shadow_;
 
-  net::Listener* listener_ = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Restart graveyard: a stopped run's CQs and shard pipelines still have
-  // wakes posted to their suspended reader/handler loops (Channel::close
-  // defers them to the scheduler), so a back-to-back stop()/start() must
-  // retire the old objects here instead of destroying them — the loops
-  // dereference their channels once more while exiting. Freed with the
-  // server.
-  std::vector<std::unique_ptr<Shard>> retired_shards_;
-  std::vector<std::unique_ptr<verbs::CompletionQueue>> retired_ud_cqs_;
-  // Fixed UD endpoint pool (cfg_.ud): shared CQ + reader; kept alive
-  // across stop() (like the fallback listener) so late completions land
-  // on a closed-but-live queue, and rebuilt by the next start().
-  std::unique_ptr<verbs::CompletionQueue> ud_cq_;
-  std::vector<std::unique_ptr<verbs::UdEndpoint>> ud_eps_;
+  // The current run's shards and UD plane (cfg_.ud; an empty plane until
+  // the first start()), replaced by start(). The plane stays readable
+  // after stop() for its endpoints' drop counts.
+  std::vector<std::shared_ptr<Shard>> shards_;
+  std::shared_ptr<UdPlane> ud_;
   std::size_t ud_ring_bytes_ = 0;
   std::uint64_t ud_ring_bytes_peak_ = 0;
   std::uint64_t ud_rx_dropped_base_ = 0;  // drops from endpoints of past runs
@@ -265,10 +272,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   // completions, which is how SRQ-mode completions map back to their
   // connection (the wr_id names only the shared buffer).
   std::map<std::uint64_t, ConnPtr> conns_;
-  // Companion socket listener for bootstrap-failure fallback clients, and
-  // the stopped listeners of earlier runs (freed with the server).
-  std::unique_ptr<rpc::SocketRpcServer> fallback_;
-  std::vector<std::unique_ptr<rpc::SocketRpcServer>> retired_fallbacks_;
+  // Companion socket listener for bootstrap-failure fallback clients,
+  // restarted in place with this server.
+  rpc::SocketRpcServer fallback_;
   // Liveness token for detached flush timers: ConnState objects survive
   // stop() but the pool and stats must not be touched after it. Timers
   // hold a copy and stand down once *alive_ flips to false.

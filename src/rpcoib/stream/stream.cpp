@@ -544,8 +544,7 @@ void StreamHub::listen(net::Address addr, OpenHandler on_open, FetchHandler on_f
   on_open_ = std::move(on_open);
   on_fetch_ = std::move(on_fetch);
   listen_addr_ = addr;
-  listener_ = &sockets_.listen(addr);
-  host_.sched().spawn(listener_loop());
+  host_.sched().spawn(listener_loop(sockets_.listen(addr)));
 }
 
 bool StreamHub::should_stream(std::uint64_t nbytes) const {
@@ -555,8 +554,7 @@ bool StreamHub::should_stream(std::uint64_t nbytes) const {
   return chunks <= 0xffffu;  // imm seq bits
 }
 
-sim::Task StreamHub::listener_loop() {
-  net::Listener* l = listener_;
+sim::Task StreamHub::listener_loop(std::shared_ptr<net::Listener> l) {
   try {
     co_await pool_ready_.wait();
     for (;;) {
@@ -934,10 +932,7 @@ void StreamHub::close_conn(const ConnPtr& conn, const char* why) {
 void StreamHub::stop() {
   if (!running_) return;
   running_ = false;
-  if (listener_ != nullptr) {
-    sockets_.unlisten(listen_addr_);
-    listener_ = nullptr;
-  }
+  if (listen_addr_) sockets_.unlisten(*listen_addr_);
   for (auto& [addr, c] : conns_) close_conn(c);
   for (const ConnPtr& c : accepted_) close_conn(c);
   conns_.clear();

@@ -38,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -257,8 +258,6 @@ class StreamWriter {
   std::uint64_t id() const { return sid_; }
   std::uint64_t total_bytes() const { return total_; }
   std::size_t chunk_size() const { return chunk_size_; }
-  /// Ring depth the receiver actually granted (may be below the ask).
-  std::size_t granted_depth() const { return slots_.size(); }
 
   /// Send the next chunk (payload.size() <= chunk_size). Charges the
   /// serialization copy + doorbell, then returns at the doorbell — wire
@@ -384,7 +383,7 @@ class StreamHub {
   friend class StreamWriter;
 
   sim::Task init_pool_task();
-  sim::Task listener_loop();
+  sim::Task listener_loop(std::shared_ptr<net::Listener> l);
   sim::Task conn_loop(ConnPtr conn);
   sim::Co<ConnPtr> get_connection(net::Address addr);
   void close_conn(const ConnPtr& conn, const char* why = "stream hub stopped");
@@ -403,8 +402,7 @@ class StreamHub {
   NativeBufferPool native_;
   sim::SimEvent pool_ready_;
   rpc::RpcStats stats_;
-  net::Listener* listener_ = nullptr;
-  net::Address listen_addr_{};
+  std::optional<net::Address> listen_addr_;
   OpenHandler on_open_;
   FetchHandler on_fetch_;
   std::map<net::Address, ConnPtr> conns_;  // outbound, cached by peer address

@@ -52,11 +52,6 @@ class Channel {
   bool empty() const { return items_.empty(); }
   std::size_t size() const { return items_.size(); }
 
-  /// True while any receiver is suspended on (or scheduled to resume from)
-  /// this channel. While true the channel must stay alive: a posted waiter
-  /// still dereferences it inside await_resume().
-  bool has_waiters() const { return !waiters_.empty() || reserved_ > 0; }
-
   struct RecvAwaiter {
     Channel& ch;
     bool await_ready() const noexcept {

@@ -220,6 +220,7 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   if (!peer) throw VerbsError("QP not connected");
   net::Fabric& fab = stack_.fabric();
   const net::NetParams& p = fab.params(net::Transport::kIBVerbs);
+  send_cq_.owe();
 
   // Doorbell: the posting thread writes the WQE and rings the HCA.
   co_await host_.compute(p.per_msg_send_cpu);
@@ -233,7 +234,7 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
       [peer, payload = std::move(payload)]() mutable { peer->on_send_arrival(std::move(payload)); });
   // RC send completion after the ACK returns.
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq.push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+    scq.complete(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -245,6 +246,7 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::Payload local
   if (local.size() > dst.length) throw VerbsError("RDMA write larger than remote buffer");
   net::Fabric& fab = stack_.fabric();
   const net::NetParams& p = fab.params(net::Transport::kIBVerbs);
+  send_cq_.owe();
 
   co_await host_.compute(p.per_msg_send_cpu);
 
@@ -269,7 +271,7 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::Payload local
         }
       });
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n] {
-    scq.push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
+    scq.complete(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -281,6 +283,7 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
   if (src.length < local.size()) throw VerbsError("RDMA read larger than remote buffer");
   net::Fabric& fab = stack_.fabric();
   const net::NetParams& p = fab.params(net::Transport::kIBVerbs);
+  send_cq_.owe();
 
   co_await host_.compute(p.per_msg_send_cpu);
 
@@ -294,23 +297,29 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
   cluster::HostId requester = host_.id();
   fab.sched().call_at(req_arrival, [&fab, stack, scq, wr_id, local, src, responder,
                                     requester, p] {
-    // The rkey resolves when the request *arrives* at the responder. A
-    // region deregistered while the request was in flight is a remote
-    // access error: the requester gets a failed completion (status != 0)
-    // with an untouched buffer, never a crash or a read of freed memory.
-    net::MutByteSpan source;
+    // The rkey resolves when the request *arrives* at the responder, and
+    // again as the bytes land: a region deregistered before or while the
+    // READ is in flight is a remote access error. The requester gets a
+    // failed completion (status != 0) with an untouched buffer, never a
+    // crash or a read of freed or reused memory.
+    const WorkCompletion failed{wr_id, Opcode::kRdmaRead, 0, 0, 0, /*status=*/1};
     try {
-      source = stack->resolve(src.rkey, src.offset, local.size());
+      (void)stack->resolve(src.rkey, src.offset, local.size());
     } catch (const VerbsError&) {
-      WorkCompletion wc{wr_id, Opcode::kRdmaRead, 0, 0};
-      wc.status = 1;
-      scq.push(wc);
+      scq.complete(failed);
       return;
     }
     fab.deliver(responder, requester, net::Transport::kIBVerbs, local.size(),
-                [scq, wr_id, local, source] {
+                [stack, scq, wr_id, local, src, failed] {
+                  net::MutByteSpan source;
+                  try {
+                    source = stack->resolve(src.rkey, src.offset, local.size());
+                  } catch (const VerbsError&) {
+                    scq.complete(failed);
+                    return;
+                  }
                   std::memcpy(local.data(), source.data(), local.size());
-                  scq.push(WorkCompletion{wr_id, Opcode::kRdmaRead,
+                  scq.complete(WorkCompletion{wr_id, Opcode::kRdmaRead,
                                            static_cast<std::uint32_t>(local.size()), 0});
                 });
     (void)p;
@@ -346,6 +355,7 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
   if (buf.size() > kMtu) throw VerbsError("UD send exceeds path MTU");
   net::Fabric& fab = stack_.fabric();
   const net::NetParams& p = fab.params(net::Transport::kIBVerbs);
+  send_cq_.owe();
 
   // Doorbell: same WQE cost as an RC send.
   co_await host_.compute(p.per_msg_send_cpu);
@@ -367,7 +377,7 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
   // completion is identical whether or not the datagram ever arrives.
   const CompletionQueue::Sink scq = send_cq_;
   fab.sched().call_at(arrival - p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq.push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+    scq.complete(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }

@@ -118,6 +118,12 @@ class ProtectionDomain {
 /// Completion queue. One CQ may serve any number of QPs (the RPCoIB server
 /// polls a single CQ for all client connections).
 class CompletionQueue {
+  struct State : sim::Channel<WorkCompletion> {
+    using Channel::Channel;
+    std::size_t owed = 0;  // posted work requests whose completion is due here
+    bool closing = false;
+  };
+
  public:
   /// What a queue pair or UD endpoint holds to complete work into this CQ.
   /// Most completions land after a modeled wire delay, when the CQ's owner
@@ -127,36 +133,48 @@ class CompletionQueue {
   class Sink {
    public:
     void push(const WorkCompletion& wc) const {
-      if (const auto q = q_.lock()) q->push(wc);
+      if (const auto st = st_.lock()) st->push(wc);
+    }
+    /// A work request was posted: its completion is owed to this CQ.
+    void owe() const {
+      if (const auto st = st_.lock()) ++st->owed;
+    }
+    /// The owed completion of a posted work request.
+    void complete(const WorkCompletion& wc) const {
+      if (const auto st = st_.lock()) {
+        st->push(wc);
+        if (--st->owed == 0 && st->closing) st->close();
+      }
     }
 
    private:
     friend class CompletionQueue;
-    explicit Sink(std::weak_ptr<sim::Channel<WorkCompletion>> q) : q_(std::move(q)) {}
-    std::weak_ptr<sim::Channel<WorkCompletion>> q_;
+    explicit Sink(std::weak_ptr<State> st) : st_(std::move(st)) {}
+    std::weak_ptr<State> st_;
   };
 
-  explicit CompletionQueue(sim::Scheduler& sched)
-      : q_(std::make_shared<sim::Channel<WorkCompletion>>(sched)) {}
+  explicit CompletionQueue(sim::Scheduler& sched) : st_(std::make_shared<State>(sched)) {}
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Blocking poll (suspends in virtual time until a completion arrives).
-  sim::Co<WorkCompletion> wait() {
-    WorkCompletion wc = co_await q_->recv();
-    co_return wc;
-  }
+  /// Blocking poll, awaited directly (suspends in virtual time until a
+  /// completion arrives). Throws sim::ChannelClosed once closed and empty.
+  sim::Channel<WorkCompletion>::RecvAwaiter wait() { return st_->recv(); }
 
   /// Non-blocking poll.
-  bool poll(WorkCompletion& wc) { return q_->try_recv(wc); }
+  bool poll(WorkCompletion& wc) { return st_->try_recv(wc); }
 
-  void push(WorkCompletion wc) { q_->push(std::move(wc)); }
-  std::size_t depth() const { return q_->size(); }
-  void close() { q_->close(); }
-  Sink sink() const { return Sink(q_); }
+  /// Close the queue. Work already posted still completes into it: the
+  /// poller's wait() throws sim::ChannelClosed only once every completion
+  /// owed has landed and been reaped, so the buffers behind them come back.
+  void close() {
+    st_->closing = true;
+    if (st_->owed == 0) st_->close();
+  }
+  Sink sink() const { return Sink(st_); }
 
  private:
-  std::shared_ptr<sim::Channel<WorkCompletion>> q_;
+  std::shared_ptr<State> st_;
 };
 
 class QueuePair;

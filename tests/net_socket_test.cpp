@@ -65,7 +65,7 @@ TEST(Socket, EchoRoundTripOnEveryTransport) {
                       Transport::kIBVerbs}) {
     Scheduler s;
     Testbed tb(s, Testbed::cluster_b());
-    Listener& l = tb.sockets().listen({1, 9000});
+    Listener& l = *tb.sockets().listen({1, 9000});
     std::string got;
     sim::Time rtt = 0;
     s.spawn(echo_server(tb, l));
@@ -80,7 +80,7 @@ TEST(Socket, FasterTransportsHaveLowerRtt) {
   auto rtt_of = [](Transport t) {
     Scheduler s;
     Testbed tb(s, Testbed::cluster_b());
-    Listener& l = tb.sockets().listen({1, 9000});
+    Listener& l = *tb.sockets().listen({1, 9000});
     std::string got;
     sim::Time rtt = 0;
     s.spawn(echo_server(tb, l));
@@ -114,7 +114,7 @@ Task frag_client(Testbed& tb, Address addr) {
 TEST(Socket, ReadFullAssemblesAcrossChunks) {
   Scheduler s;
   Testbed tb(s, Testbed::cluster_b());
-  Listener& l = tb.sockets().listen({2, 9001});
+  Listener& l = *tb.sockets().listen({2, 9001});
   Bytes assembled;
   s.spawn(frag_server(tb, l, assembled));
   s.spawn(frag_client(tb, {2, 9001}));
@@ -145,7 +145,7 @@ Task eof_client(Testbed& tb, Address addr) {
 TEST(Socket, PeerCloseSurfacesAsEofError) {
   Scheduler s;
   Testbed tb(s, Testbed::cluster_b());
-  Listener& l = tb.sockets().listen({3, 9002});
+  Listener& l = *tb.sockets().listen({3, 9002});
   bool got_eof = false;
   s.spawn(eof_server(tb, l, got_eof));
   s.spawn(eof_client(tb, {3, 9002}));
@@ -177,6 +177,38 @@ TEST(SocketTable, DuplicateBindThrows) {
   EXPECT_THROW(tb.sockets().listen({1, 9000}), SocketError);
   tb.sockets().unlisten({1, 9000});
   EXPECT_NO_THROW(tb.sockets().listen({1, 9000}));
+}
+
+Task accept_once(std::shared_ptr<Listener> l, bool& closed, SocketPtr& got) {
+  try {
+    got = co_await l->accept();
+  } catch (const sim::ChannelClosed&) {
+    closed = true;
+  }
+}
+
+// unlisten() then listen() again on the same address, with no scheduler
+// step between them: the old acceptor (parked on the accept queue, or
+// spawned but not yet run) owns the old Listener, so it wakes on a live,
+// closed queue and unwinds, while a new connection reaches only the new
+// listener's acceptor.
+TEST(SocketTable, RelistenWithNoStepBetweenLeavesOldAcceptorClosed) {
+  for (const bool parked : {true, false}) {
+    Scheduler s;
+    Testbed tb(s, Testbed::cluster_b());
+    bool old_closed = false, new_closed = false;
+    SocketPtr old_got, new_got;
+    s.spawn(accept_once(tb.sockets().listen({1, 9000}), old_closed, old_got));
+    if (parked) s.run();
+    tb.sockets().unlisten({1, 9000});
+    s.spawn(accept_once(tb.sockets().listen({1, 9000}), new_closed, new_got));
+    s.spawn(frag_client(tb, {1, 9000}));
+    s.run();
+    EXPECT_TRUE(old_closed) << parked;
+    EXPECT_EQ(old_got, nullptr) << parked;
+    EXPECT_FALSE(new_closed) << parked;
+    EXPECT_NE(new_got, nullptr) << parked;
+  }
 }
 
 TEST(Testbed, ClusterShapesMatchPaper) {

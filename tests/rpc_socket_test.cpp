@@ -516,6 +516,56 @@ TEST(SocketRpc, BackToBackStopStartServesAgain) {
   EXPECT_EQ(after, 42);
 }
 
+/// A raw server that answers the first call with a reply whose body is
+/// too short for an IntWritable: [u32 9][u64 id][u8 kSuccess], no value.
+Task short_reply_server(Testbed& tb, std::shared_ptr<net::Listener> l) {
+  const cluster::CostModel& cm = tb.host(1).cost();
+  net::SocketPtr conn = co_await l->accept();
+  net::Bytes magic(5);
+  co_await conn->read_full(magic);
+  net::Bytes len_buf(4);
+  co_await conn->read_full(len_buf);
+  DataInputBuffer len_in(cm, len_buf);
+  net::Bytes frame(len_in.read_u32());
+  co_await conn->read_full(frame);
+  DataInputBuffer in(cm, frame);
+  CallHeader hdr;
+  EXPECT_TRUE(read_call_header(in, hdr));
+  DataOutputBuffer body(cm);
+  body.write_u64(hdr.id);
+  body.write_u8(static_cast<std::uint8_t>(RpcStatus::kSuccess));
+  BufferedOutputStream out(cm);
+  out.write_u32(static_cast<std::uint32_t>(body.length()));
+  out.write_payload(body.data());
+  out.flush();
+  const net::Bytes wire = out.take_pending();
+  co_await conn->write(wire);
+}
+
+// A reply with a valid header but a body too short for the response's
+// Writable fails the attempt as a transport error instead of throwing a
+// SerializationError past the retry loop and out of Scheduler::run.
+TEST(SocketRpc, ShortReplyBodyIsATransportError) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  SocketRpcClient client(tb.host(0), tb.sockets(), Transport::kIPoIB);
+  s.spawn(short_reply_server(tb, tb.sockets().listen(kServerAddr)));
+  std::string error;
+  s.spawn([](SocketRpcClient& c, std::string& err) -> Task {
+    AddParam p;
+    IntWritable sum;
+    try {
+      co_await c.call(kServerAddr, kAdd, p, &sum);
+    } catch (const RpcTransportError& e) {
+      err = e.what();
+    }
+  }(client, error));
+  EXPECT_NO_THROW(s.run_until(sim::seconds(1)));
+  EXPECT_NE(error.find("short reply"), std::string::npos) << error;
+  client.close_connections();
+  s.drain_tasks();
+}
+
 TEST(SocketRpc, LatencyOrderingAcrossTransports) {
   auto latency = [](Transport t) {
     Scheduler s;

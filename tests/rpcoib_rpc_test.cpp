@@ -3,6 +3,8 @@
 // engine-mode switching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -311,6 +313,161 @@ TEST(RpcoIB, ReconnectRaceAdoptsReplacementConnection) {
   server.stop();
   s.drain_tasks();
 }
+
+// --- Restart sweep ------------------------------------------------------------
+//
+// A back-to-back stop(); start() swept across the first burst of traffic,
+// one instant per microsecond from t = 0 (start(); stop() before any loop
+// has run, then a stop during pool registration) to the burst's end.
+// Each loop of the stopped run owns what it still touches, so at every
+// instant each call ends with its value, a transport error or a timeout,
+// one more echo succeeds, both pools balance, and once everything is
+// stopped no task is left. Two cases: the UD plane, and RC with batching
+// at RPCOIB_SHARDS shards (default 2) mixing batched, eager and
+// rendezvous-sized calls, so a rendezvous fetch is in flight at some
+// instants. Small pools keep registration, and with it the sweep, short.
+
+enum Outcome : int { kPending = 0, kValue, kTransportError, kWrongValue };
+
+struct RestartRig {
+  static constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4};
+  static constexpr int kLanes = 2;        // concurrent callers per client
+  static constexpr int kCallsPerLane = 4;
+
+  static PoolConfig small_pool() {
+    PoolConfig pool;
+    pool.buffers_per_class = 2;
+    pool.prealloc_max_class = 4096;
+    pool.srq_depth = 8;
+    pool.srq_low_watermark = 2;
+    return pool;
+  }
+
+  RestartRig(Scheduler& s, bool ud, int shards)
+      : tb(s, Testbed::cluster_b()),
+        stack(tb.fabric()),
+        server(tb.host(1), tb.sockets(), stack, kAddr, server_cfg(ud, shards)),
+        outcomes(std::size(kClientHosts) * kLanes * kCallsPerLane, kPending) {
+    register_echo(server);
+    rpc::BatchConfig batch;
+    batch.enabled = !ud;
+    server.set_batch(batch);
+    server.start();
+    rpc::RpcRetryPolicy retry;
+    retry.call_timeout = sim::millis(2);
+    retry.max_retries = 2;
+    retry.backoff_base = sim::micros(200);
+    RdmaClientConfig ccfg;
+    ccfg.pool = small_pool();
+    ccfg.ud.enabled = ud;
+    for (const cluster::HostId h : kClientHosts) {
+      clients.push_back(std::make_unique<RdmaRpcClient>(tb.host(h), tb.sockets(), stack, ccfg));
+      clients.back()->set_retry_policy(retry);
+      clients.back()->set_batch(batch);
+    }
+    // UD calls stay sub-MTU; the RC case adds rendezvous-sized ones.
+    const std::vector<std::size_t> sizes =
+        ud ? std::vector<std::size_t>{16, 256, 2000} : std::vector<std::size_t>{64, 2000, 16384};
+    std::size_t slot = 0;
+    for (auto& c : clients) {
+      for (int lane = 0; lane < kLanes; ++lane) {
+        std::vector<std::size_t> mine;
+        for (int i = 0; i < kCallsPerLane; ++i) mine.push_back(sizes[(slot + i) % sizes.size()]);
+        s.spawn(echo_lane(*c, mine, &outcomes[slot], &last_end));
+        slot += kCallsPerLane;
+      }
+    }
+  }
+  ~RestartRig() {
+    for (auto& c : clients) c->close_connections();
+    server.stop();
+    tb.sched().drain_tasks();
+  }
+
+  static RdmaServerConfig server_cfg(bool ud, int shards) {
+    RdmaServerConfig cfg;
+    cfg.shards = shards;
+    cfg.pool = small_pool();
+    cfg.ud.enabled = ud;
+    cfg.ud.server_endpoints = 2;
+    cfg.ud.recv_depth = 8;
+    return cfg;
+  }
+
+  static Task echo_lane(rpc::RpcClient& c, std::vector<std::size_t> sizes, int* outcomes,
+                        sim::Time* last_end) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      net::Bytes payload(sizes[i]);
+      for (std::size_t b = 0; b < payload.size(); ++b) {
+        payload[b] = static_cast<net::Byte>(b * 7 + i);
+      }
+      rpc::BytesWritable req(payload);
+      rpc::BytesWritable resp;
+      try {
+        co_await c.call(kAddr, kEcho, req, &resp);
+        outcomes[i] = resp.value == payload ? kValue : kWrongValue;
+      } catch (const rpc::RpcTransportError&) {
+        outcomes[i] = kTransportError;
+      }
+      *last_end = std::max(*last_end, c.host().sched().now());
+    }
+  }
+
+  Testbed tb;
+  verbs::VerbsStack stack;
+  RdmaRpcServer server;
+  std::vector<std::unique_ptr<RdmaRpcClient>> clients;
+  std::vector<int> outcomes;
+  sim::Time last_end = 0;
+};
+
+void restart_sweep(bool ud, int shards) {
+  // The burst's end, from a run without a restart.
+  sim::Time burst_end = 0;
+  {
+    Scheduler s;
+    RestartRig rig(s, ud, shards);
+    s.run_until(sim::millis(50));
+    for (const int o : rig.outcomes) ASSERT_EQ(o, kValue);
+    burst_end = rig.last_end;
+  }
+  ASSERT_GT(burst_end, 0u);
+  for (sim::Time t = 0; t <= burst_end; t += sim::micros(1)) {
+    SCOPED_TRACE("restart at " + std::to_string(sim::to_us(t)) + " us");
+    Scheduler s;
+    RestartRig rig(s, ud, shards);
+    s.run_until(t);
+    rig.server.stop();
+    rig.server.start();
+    s.run_until(t + sim::millis(50));
+    for (const int o : rig.outcomes) {
+      ASSERT_TRUE(o == kValue || o == kTransportError) << "outcome " << o;
+    }
+    bool ok = false;
+    s.spawn(call_echo(*rig.clients.front(), 512, ok));
+    s.run_until(s.now() + sim::millis(50));
+    ASSERT_TRUE(ok);
+
+    for (auto& c : rig.clients) c->close_connections();
+    rig.server.stop();
+    s.run_until(s.now() + sim::millis(50));
+    for (auto& c : rig.clients) {
+      ASSERT_EQ(c->pool().native().stats().acquires, c->pool().native().stats().releases);
+    }
+    const PoolStats& sp = rig.server.pool().native().stats();
+    ASSERT_EQ(sp.acquires, sp.releases);
+    ASSERT_EQ(s.live_task_count(), 0u);
+  }
+}
+
+int restart_shards(int fallback) {
+  const char* env = std::getenv("RPCOIB_SHARDS");
+  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : fallback;
+}
+
+TEST(RpcoIB, RestartMidTrafficServesAgainUd) { restart_sweep(true, restart_shards(1)); }
+
+TEST(RpcoIB, RestartMidTrafficServesAgainRcBatched) { restart_sweep(false, restart_shards(2)); }
 
 }  // namespace
 }  // namespace rpcoib::oib

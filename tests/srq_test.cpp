@@ -40,7 +40,7 @@ struct SrqFixture {
         srq(s),
         server_scq(s),
         server_rcq(s) {
-    net::Listener& l = tb.sockets().listen({1, 7100});
+    net::Listener& l = *tb.sockets().listen({1, 7100});
     for (int i = 0; i < n; ++i) {
       client_scq.push_back(std::make_unique<verbs::CompletionQueue>(s));
       client_rcq.push_back(std::make_unique<verbs::CompletionQueue>(s));

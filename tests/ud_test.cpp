@@ -959,6 +959,56 @@ TEST(UdDecoder, MalformedResponseDatagramsWakeNoCall) {
   s.drain_tasks();
 }
 
+// A kResp with a valid header but a body too short for the response's
+// Writable (11 bytes: type, id, status and one byte of an IntWritable's
+// four), sent for the live UD call from a raw endpoint. The attempt fails
+// as a transport error, so nothing escapes Scheduler::run, and the client
+// returns the pooled copy of the reply: its pool balances.
+TEST(UdDecoder, ShortReplyBodyFailsTheAttemptAndReturnsTheBuffer) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  rpc::RpcRetryPolicy retry;
+  retry.call_timeout = sim::seconds(2);
+  EngineConfig ec{.mode = RpcMode::kRpcoIB, .retry = retry};
+  ec.ud = ud_on();
+  RpcEngine engine(tb, ec);
+  RawUd peer(s, engine.verbs(), tb.host(1));
+  engine.verbs().ud_advertise(kAddr, verbs::UdService{1, {peer.ep.qpn()}});
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 41, out, err));
+  s.run_until(sim::millis(100));
+  const std::vector<net::Bytes> calls = peer.received();
+  ASSERT_EQ(calls.size(), 1u);
+  const net::Bytes& call = calls[0];
+  ASSERT_GT(call.size(), kGrh + oib::kUdHeaderBytes + 9);
+  std::uint32_t host = 0, qpn = 0;
+  std::memcpy(&host, call.data(), 4);
+  std::memcpy(&qpn, call.data() + 4, 4);
+  const std::uint64_t id =
+      oib::read_be64(call.data() + kGrh + oib::kUdHeaderBytes + 1) & trace::kWireIdMask;
+
+  rpc::DataOutputBuffer o(tb.host(1).cost());
+  o.write_u8(static_cast<std::uint8_t>(oib::FrameType::kResp));
+  o.write_u64(id);
+  o.write_u8(0);  // kSuccess
+  o.write_u8(0);  // the first of the IntWritable's four bytes
+  const std::vector<net::Bytes> frames{net::Bytes(o.data().begin(), o.data().end())};
+  ASSERT_EQ(frames[0].size(), 11u);
+  s.spawn(send_all(s, peer, verbs::AddressHandle{static_cast<cluster::HostId>(host), qpn},
+                   frames, sim::micros(100)));
+  EXPECT_NO_THROW(s.run_until(s.now() + sim::millis(100)));
+  EXPECT_TRUE(err);
+  EXPECT_EQ(out, -1);
+  EXPECT_EQ(client->stats().ud_responses_received, 1u);
+
+  expect_pools_balanced(*client, nullptr);
+  engine.verbs().ud_withdraw(kAddr);
+  s.drain_tasks();
+}
+
 // With a call-queue bound set, the RPCoIB server parses each arrival's
 // header before queueing it. A kCall whose header is cut short is dropped
 // right there: it takes no queue slot, gets no busy answer and leaves

@@ -61,7 +61,7 @@ Task client_side(VerbsFixture& f, net::Address addr, CompletionQueue& scq,
 struct ConnectedPair {
   ConnectedPair(Scheduler& s, VerbsFixture& f)
       : client_scq(s), client_rcq(s), server_scq(s), server_rcq(s) {
-    net::Listener& l = f.tb.sockets().listen({1, 7000});
+    net::Listener& l = *f.tb.sockets().listen({1, 7000});
     s.spawn(server_side(f, l, server_scq, server_rcq, server_qp));
     s.spawn(client_side(f, {1, 7000}, client_scq, client_rcq, client_qp));
     s.run();
