@@ -52,15 +52,9 @@ class Host {
 
   /// Occupy one CPU core for `d` of virtual time (queueing if all cores
   /// are busy). Zero-duration charges return immediately without touching
-  /// the core semaphore.
-  sim::Co<void> compute(sim::Dur d) {
-    if (d > 0) {
-      co_await cores_.acquire();
-      co_await sim::delay(sched_, d);
-      cores_.release();
-    }
-    co_return;
-  }
+  /// the core semaphore. An awaiter, not a coroutine: a charge allocates
+  /// no frame.
+  sim::Semaphore::HoldAwaiter compute(sim::Dur d) { return cores_.hold(d); }
 
   /// Simulated disk: sequential bandwidth of the testbed's single HDD.
   sim::Dur disk_time(std::size_t bytes) const {

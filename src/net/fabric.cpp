@@ -53,7 +53,7 @@ sim::Time Fabric::reserve_egress(cluster::HostId src, Transport t, std::size_t b
 }
 
 sim::Time Fabric::deliver(cluster::HostId src, cluster::HostId dst, Transport t,
-                          std::size_t bytes, std::function<void()> on_arrival) {
+                          std::size_t bytes, sim::Callback on_arrival) {
   (void)dst;  // ingress contention is not modeled; see header comment
   const NetParams& p = params(t);
   const sim::Time egress_done = reserve_egress(src, t, bytes);
@@ -66,7 +66,7 @@ sim::Time Fabric::deliver(cluster::HostId src, cluster::HostId dst, Transport t,
 }
 
 sim::Time Fabric::deliver_datagram(cluster::HostId src, cluster::HostId dst, Transport t,
-                                   std::size_t bytes, std::function<void()> on_arrival) {
+                                   std::size_t bytes, sim::Callback on_arrival) {
   (void)dst;
   const NetParams& p = params(t);
   const sim::Time egress_done = reserve_egress(src, t, bytes);
@@ -79,7 +79,7 @@ sim::Time Fabric::deliver_datagram(cluster::HostId src, cluster::HostId dst, Tra
 
 sim::Time Fabric::deliver_flow(cluster::HostId src, cluster::HostId dst, Transport t,
                                std::size_t bytes, sim::Time& flow_clock,
-                               std::function<void()> on_arrival) {
+                               sim::Callback on_arrival) {
   (void)dst;
   const NetParams& p = params(t);
   const sim::Time egress_done = reserve_egress(src, t, bytes);

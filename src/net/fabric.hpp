@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -42,7 +41,7 @@ class Fabric {
   /// time. The payload is whatever the callback captured — the fabric only
   /// does timing.
   sim::Time deliver(cluster::HostId src, cluster::HostId dst, Transport t, std::size_t bytes,
-                    std::function<void()> on_arrival);
+                    sim::Callback on_arrival);
 
   /// Unreliable datagram delivery (IB UD): the loss decision comes from
   /// the fault plan's dedicated datagram stream only — the drop/spike,
@@ -50,7 +49,7 @@ class Fabric {
   /// stay byte-identical when UD traffic is added. A lost datagram's
   /// callback never fires.
   sim::Time deliver_datagram(cluster::HostId src, cluster::HostId dst, Transport t,
-                             std::size_t bytes, std::function<void()> on_arrival);
+                             std::size_t bytes, sim::Callback on_arrival);
 
   /// Like deliver(), but never reorders within a flow: the arrival is
   /// clamped to `flow_clock` (the flow's previous arrival), which is then
@@ -58,7 +57,7 @@ class Fabric {
   /// reservations on the shared egress.
   sim::Time deliver_flow(cluster::HostId src, cluster::HostId dst, Transport t,
                          std::size_t bytes, sim::Time& flow_clock,
-                         std::function<void()> on_arrival);
+                         sim::Callback on_arrival);
 
   /// Time-only bulk transfer: suspends the caller until the data would have
   /// arrived. Used for modeled data paths (HDFS blocks, shuffle) where no

@@ -80,28 +80,35 @@ inline constexpr std::uint16_t kHdfsStreamPort = 50010;
 inline constexpr std::uint16_t kShuffleStreamPort = 50062;
 
 /// Multi-shot wakeup: signal() releases every current waiter; wait()
-/// resumes true on signal, false on timeout. Built from one-shot SimEvents
-/// swapped on each signal (SimEvent has no reset).
+/// resumes true on signal, false on timeout. A signal allocates nothing:
+/// it wakes the waiter list in place and cancels each waiter's timer.
 class Notify {
  public:
-  explicit Notify(sim::Scheduler& sched)
-      : sched_(sched), ev_(std::make_shared<sim::SimEvent>(sched)) {}
+  explicit Notify(sim::Scheduler& sched) : waiters_(sched) {}
 
   void signal() {
-    std::shared_ptr<sim::SimEvent> ev = std::move(ev_);
-    ev_ = std::make_shared<sim::SimEvent>(sched_);
-    ev->set();
+    ++signals_;
+    waiters_.wake_all();
   }
 
-  sim::Co<bool> wait(sim::Dur timeout) {
-    std::shared_ptr<sim::SimEvent> ev = ev_;  // pin: signal() swaps the slot
-    const bool ok = co_await ev->wait_for(timeout);
-    co_return ok;
-  }
+  struct WaitAwaiter {
+    Notify& n;
+    sim::Dur timeout;
+    std::uint64_t seen = 0;  // signals_ when the wait began
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      seen = n.signals_;
+      n.waiters_.add(h, timeout);
+    }
+    bool await_resume() const noexcept { return n.signals_ != seen; }
+  };
+
+  WaitAwaiter wait(sim::Dur timeout) { return WaitAwaiter{*this, timeout}; }
 
  private:
-  sim::Scheduler& sched_;
-  std::shared_ptr<sim::SimEvent> ev_;
+  sim::TimedWaiters waiters_;
+  std::uint64_t signals_ = 0;
 };
 
 /// Counting gate with timed acquisition and permanent failure: the

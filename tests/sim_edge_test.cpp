@@ -8,6 +8,7 @@
 #include "cluster/host.hpp"
 #include "net/testbed.hpp"
 #include "sim/channel.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -194,6 +195,76 @@ TEST(HostEdge, ComputeBoundedByCoreCount) {
   // compute (the counter brackets compute, so peak counts waiters too —
   // assert the makespan instead).
   EXPECT_EQ(s.now(), micros(300));
+}
+
+// Reference CPU charge: the acquire/delay/release coroutine that
+// Host::compute replaced.
+Co<void> reference_compute(Scheduler& s, Semaphore& cores, Dur d) {
+  if (d > 0) {
+    co_await cores.acquire();
+    co_await delay(s, d);
+    cores.release();
+  }
+  co_return;
+}
+
+struct ResumeRecord {
+  int worker;
+  int step;
+  Time at;
+  bool operator==(const ResumeRecord&) const = default;
+};
+
+// A seeded mix of charges (some zero; whole multiples of 10 us, so charges
+// end together) and same-time yields; every resume is logged with its
+// virtual time.
+template <typename Charge>
+Task charge_worker(Scheduler& s, Charge charge, int id, std::vector<ResumeRecord>& log) {
+  Rng rng(1000 + id);
+  for (int i = 0; i < 40; ++i) {
+    const Dur d = micros(10 * rng.next_below(4));
+    co_await charge(d);
+    log.push_back({id, 2 * i, s.now()});
+    if (rng.next_below(3) == 0) {
+      co_await yield(s);
+      log.push_back({id, 2 * i + 1, s.now()});
+    }
+  }
+}
+
+struct ChargeRun {
+  std::vector<ResumeRecord> log;
+  Time end = 0;
+  std::uint64_t events = 0;
+};
+
+template <typename MakeCharge>
+ChargeRun run_charges(MakeCharge make_charge) {
+  Scheduler s;
+  net::TestbedConfig cfg = net::Testbed::cluster_b();
+  cfg.cores_per_node = 2;
+  net::Testbed tb(s, cfg);
+  Semaphore ref_cores(s, 2);
+  ChargeRun r;
+  auto charge = make_charge(s, tb.host(0), ref_cores);
+  for (int id = 0; id < 6; ++id) s.spawn(charge_worker(s, charge, id, r.log));
+  s.run();
+  r.end = s.now();
+  r.events = s.events_processed();
+  return r;
+}
+
+TEST(HostEdge, ComputeMatchesAcquireDelayReleaseCoroutine) {
+  const ChargeRun host = run_charges([](Scheduler&, cluster::Host& h, Semaphore&) {
+    return [&h](Dur d) { return h.compute(d); };
+  });
+  const ChargeRun ref = run_charges([](Scheduler& s, cluster::Host&, Semaphore& cores) {
+    return [&s, &cores](Dur d) { return reference_compute(s, cores, d); };
+  });
+  ASSERT_GT(host.log.size(), 240u);
+  EXPECT_EQ(host.log, ref.log);
+  EXPECT_EQ(host.end, ref.end);
+  EXPECT_EQ(host.events, ref.events);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -222,6 +223,122 @@ TEST(SimEvent, WakesAllWaitersAtSetTime) {
   s.run();
   EXPECT_EQ(w1, micros(33));
   EXPECT_EQ(w2, micros(33));
+}
+
+Task timed_waiter(Scheduler& s, SimEvent& ev, Dur timeout, int& resumes, bool& ok,
+                  bool& idle_at_wake) {
+  ok = co_await ev.wait_for(timeout);
+  ++resumes;
+  idle_at_wake = s.idle();
+}
+
+TEST(SimEvent, SatisfiedTimedWaitLeavesNothingQueued) {
+  Scheduler s;
+  SimEvent ev(s);
+  int resumes = 0;
+  bool ok = false, idle_at_wake = false;
+  s.spawn(timed_waiter(s, ev, seconds(5), resumes, ok, idle_at_wake));
+  s.spawn(event_setter(s, ev));
+  s.run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_TRUE(idle_at_wake);  // the 5 s timer left with the wait
+  EXPECT_EQ(s.queued(), 0u);
+  // Two spawns, the setter's delay, the waiter's wakeup; no timer event,
+  // and the clock stops at the set, not at the dead deadline.
+  EXPECT_EQ(s.events_processed(), 4u);
+  EXPECT_EQ(s.now(), micros(33));
+}
+
+TEST(SimEvent, TimerFiringFirstResumesExactlyOnce) {
+  Scheduler s;
+  SimEvent ev(s);
+  int resumes = 0;
+  bool ok = true, idle_at_wake = false;
+  s.spawn(timed_waiter(s, ev, micros(5), resumes, ok, idle_at_wake));
+  s.spawn(event_setter(s, ev));  // sets at 33 us, after the deadline
+  s.run();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(resumes, 1);
+  EXPECT_TRUE(ev.is_set());
+  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.now(), micros(33));
+}
+
+Task timed_wait_loop(Scheduler& s, int rounds, int& satisfied, std::size_t& peak_queued) {
+  for (int i = 0; i < rounds; ++i) {
+    SimEvent ev(s);
+    s.call_after(micros(1), [&ev] { ev.set(); });
+    const bool ok = co_await ev.wait_for(seconds(5));
+    if (ok) ++satisfied;
+    peak_queued = std::max(peak_queued, s.queued());
+  }
+}
+
+TEST(SimEvent, SatisfiedTimedWaitsKeepQueueBounded) {
+  constexpr int kRounds = 100'000;
+  Scheduler s;
+  int satisfied = 0;
+  std::size_t peak_queued = 0;
+  s.spawn(timed_wait_loop(s, kRounds, satisfied, peak_queued));
+  s.run();
+  EXPECT_EQ(satisfied, kRounds);
+  EXPECT_LE(peak_queued, 2u);  // a constant, not one dead timer per round
+  EXPECT_EQ(s.queued(), 0u);
+  EXPECT_EQ(s.events_processed(), 2u * kRounds + 1);  // spawn, then set + wakeup per round
+  EXPECT_EQ(s.now(), micros(kRounds));
+}
+
+TEST(Scheduler, FifoTieBreakAcrossKindsCancelAndSlotReuse) {
+  Scheduler s;
+  std::vector<int> log;
+  s.call_at(micros(10), [&] { log.push_back(0); });
+  const TimerId dead = s.call_at(micros(10), [&] { log.push_back(-1); });
+  // Its resume_at(10 us) is scheduled when the task first runs at 0, so
+  // it queues behind every call_at made before run().
+  s.spawn(sleeper(s, micros(10), log, 1));
+  s.call_at(micros(10), [&] { log.push_back(2); });
+  s.cancel(dead);
+  s.cancel(dead);  // a second cancel is a no-op
+  s.call_at(micros(10), [&] { log.push_back(3); });
+  s.call_at(micros(1), [&] {
+    // This callback's slot is free while it runs: the next call_at reuses
+    // it, and its later seq still queues it behind every earlier 10 us event.
+    s.call_at(micros(10), [&] { log.push_back(4); });
+    const TimerId gone = s.call_at(micros(10), [&] { log.push_back(-2); });
+    s.cancel(gone);
+    s.call_at(micros(10), [&] { log.push_back(5); });
+  });
+  s.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 2, 3, 1, 4, 5}));
+  // The spawn, the 1 us callback and six live 10 us events; no cancelled one.
+  EXPECT_EQ(s.events_processed(), 8u);
+  EXPECT_EQ(s.now(), micros(10));
+  EXPECT_TRUE(s.idle());
+}
+
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& o) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+};
+
+TEST(Scheduler, ClosuresRunOnceWithoutCopies) {
+  Scheduler s;
+  int copies = 0, small_runs = 0, large_runs = 0;
+  s.call_after(micros(1), [c = CopyCounter(&copies), &small_runs] { ++small_runs; });
+  // Past the inline buffer: parked on the heap, still never copied.
+  std::array<char, 2 * Callback::kInline> pad{};
+  s.call_after(micros(2), [c = CopyCounter(&copies), pad, &large_runs] {
+    large_runs += 1 + pad[0];
+  });
+  s.run();
+  EXPECT_EQ(small_runs, 1);
+  EXPECT_EQ(large_runs, 1);
+  EXPECT_EQ(copies, 0);
 }
 
 Task wg_member(Scheduler& s, WaitGroup& wg, Dur d) {
