@@ -2,6 +2,12 @@
 
 namespace rpcoib::net {
 
+namespace {
+/// Delay a reliable path pays per dropped chunk (a TCP RTO / IB RC
+/// retransmit timeout).
+constexpr sim::Dur kRetransmitDelay = sim::millis(200);
+}  // namespace
+
 const LinkFaults& FaultPlan::faults_for(cluster::HostId src, cluster::HostId dst) const {
   for (const LinkOverride& o : overrides_) {
     if ((o.src < 0 || o.src == src) && (o.dst < 0 || o.dst == dst)) return o.faults;
@@ -44,7 +50,7 @@ FaultDecision FaultPlan::decide(cluster::HostId src, cluster::HostId dst, sim::T
     }
     // A reliable stream stalls through the outage and resumes one
     // retransmit timeout after the link comes back.
-    d.extra = (clear - now) + rto_;
+    d.extra = (clear - now) + kRetransmitDelay;
   }
 
   const LinkFaults& f = faults_for(src, dst);
@@ -59,7 +65,7 @@ FaultDecision FaultPlan::decide(cluster::HostId src, cluster::HostId dst, sim::T
         d.lost = true;
         return d;
       }
-      d.extra += rto_;
+      d.extra += kRetransmitDelay;
     }
   }
   if (f.spike_prob > 0.0 && rng_.next_double() < f.spike_prob) {

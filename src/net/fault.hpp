@@ -102,11 +102,6 @@ class FaultPlan {
     windows_.push_back(FaultWindow{b, a, start, start + length});
   }
 
-  /// Delay a reliable path pays per dropped chunk (a TCP RTO / IB RC
-  /// retransmit timeout).
-  void set_retransmit_delay(sim::Dur d) { rto_ = d; }
-  sim::Dur retransmit_delay() const { return rto_; }
-
   /// Schedule a deterministic connection kill: the first in-flight RPC
   /// attempt on src -> dst at or after `at` has its connection forcibly
   /// torn down (socket closed / QP to error) after the request is on the
@@ -192,7 +187,6 @@ class FaultPlan {
   std::vector<KillEntry> kills_;
   double kill_prob_ = 0.0;
   double datagram_loss_prob_ = 0.0;
-  sim::Dur rto_ = sim::millis(200);
   FaultCounters counters_;
 };
 

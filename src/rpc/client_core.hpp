@@ -1,4 +1,5 @@
-// The client connection core both RPC clients run on.
+// The client connection core every outbound connection runs on: both RPC
+// clients' and the stream plane's (StreamHub).
 //
 // Hadoop's ipc.Client keeps its Connection and call table and swaps only
 // the channel beneath them (paper Section III-D). Here that split is:
@@ -8,9 +9,11 @@
 //    fail_all;
 //  * ClientCore: the connection table, its adopt-or-dial loop, the kill
 //    and the shutdown.
-// A transport supplies only what differs: how it dials, how it breaks its
-// link, and (RPCoIB) a stale-link check on adopt and a per-call cleanup
-// on failure.
+// A transport supplies only what differs: how it builds a connection, how
+// it dials, how it breaks its link, and (RPCoIB, streams) a stale-link
+// check on adopt and (RPCoIB) a per-call cleanup on failure. The stream
+// plane has no call table: its connection keeps only the three flags and
+// a fail_all of its own.
 #pragma once
 
 #include <cstdint>
@@ -137,15 +140,17 @@ struct ConnectionSink {
 };
 
 /// One connection per server address, adopted by every call to it until
-/// it breaks. `Client` supplies the transport's half as members this core
-/// is a friend of:
+/// it breaks. `Conn` is constructed from the client (`Conn(Client&)`) and
+/// has `ready`, `broken`, `cancelled` and `fail_all(why)`. `Client`
+/// supplies the transport's half as members this core is a friend of:
 ///  * `sim::Co<void> dial(const std::shared_ptr<Conn>&, net::Address)`:
 ///    connect, handshake and spawn the receive loop. Throws
 ///    RpcTransportError, or an error the transport passes to its caller
 ///    unchanged.
 ///  * `void break_link(Conn&)`: cut the link under a kill or a shutdown.
 ///  * `const char* link_lost(const Conn&)`: why a healthy-looking
-///    connection must not be adopted, or nullptr.
+///    connection must not be adopted, or nullptr;
+///  * `void note_reconnect(ReconnectCause)`: count a reconnect.
 template <typename Client, typename Conn>
 class ClientCore {
  public:
@@ -180,10 +185,17 @@ class ClientCore {
       // took its place, then loop to adopt (or dial) the current one.
       erase_if_current(addr, conn);
     }
-    auto conn = std::make_shared<Conn>(client_.host().sched(), client_.batch());
+    auto conn = std::make_shared<Conn>(client_);
     table_[addr] = conn;
     try {
       co_await client_.dial(conn, addr);
+      if (conn->cancelled) {
+        // Shut while dialling: the shut found no link to break and the dial
+        // went on to build one (its receive ring posted, its loop spawned)
+        // that no table holds. Break that one too.
+        client_.break_link(*conn);
+        throw RpcTransportError("connection shut while dialling");
+      }
     } catch (const std::exception& e) {
       conn->ready.set();
       conn->fail_all(e.what());

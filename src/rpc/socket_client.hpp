@@ -61,8 +61,8 @@ class SocketRpcClient final : public RpcClient {
   static std::size_t batch_limit(const Connection&) { return kUnboundedBatch; }
 
   struct Connection : ClientConnection<Pending> {
-    Connection(sim::Scheduler& s, const BatchConfig& batch)
-        : ClientConnection(s), send_mu(s), calls(batch) {}
+    explicit Connection(const SocketRpcClient& c)
+        : ClientConnection(c.host_.sched()), send_mu(c.host_.sched()), calls(c.batch()) {}
     net::SocketPtr sock;
     sim::SimMutex send_mu;
     Coalescer<CallSink> calls;  // small-call coalescing (BatchConfig)

@@ -16,6 +16,10 @@ namespace {
 std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
 
+/// Seqlock conflict retries before a one-sided READ degrades the call to
+/// RPC (onesided_conflict_fallbacks): bounds the spin on write-hot keys.
+constexpr int kMaxVersionRetries = 2;
+
 /// A kResp body read in place (past [type][id]): the status byte, then the
 /// error text or the response's fields. Returns the status, or nothing when
 /// the body is too short for them.
@@ -638,7 +642,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
     if (v1 != v2 || (v1 & 1) != 0) {
       // Seqlock write window observed: retry within the budget, then
       // degrade — a write-hot entry must not spin.
-      if (++conflicts > cfg_.onesided.max_version_retries) {
+      if (++conflicts > kMaxVersionRetries) {
         ++stats_.onesided_conflict_fallbacks;
         break;
       }

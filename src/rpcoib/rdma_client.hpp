@@ -102,8 +102,8 @@ class RdmaRpcClient final : public rpc::RpcClient {
   }
 
   struct Connection : rpc::ClientConnection<Pending> {
-    Connection(sim::Scheduler& s, const rpc::BatchConfig& batch)
-        : ClientConnection(s), cq(s), calls(batch) {}
+    explicit Connection(const RdmaRpcClient& c)
+        : ClientConnection(c.host_.sched()), cq(c.host_.sched()), calls(c.batch()) {}
     // The client's liveness token: the connection's loops outlive a shut
     // (they still reap its owed completions into the pool), but touch the
     // client only while this holds.

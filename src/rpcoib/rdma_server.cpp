@@ -385,7 +385,8 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
       if (shard.srq) {
         raw->qp->set_srq(shard.srq.get());
       } else {
-        for (int i = 0; i < cfg_.recv_depth; ++i) {
+        // Legacy per-connection ring (pool.srq_depth == 0).
+        for (int i = 0; i < WireDefaults::kRecvDepth; ++i) {
           post_recv_buffer(shard, raw, native_.acquire(raw->recv_buf_size));
         }
       }

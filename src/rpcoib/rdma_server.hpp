@@ -51,11 +51,6 @@ struct RdmaServerConfig {
   int shards = 1;
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
   std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
-  /// Per-connection receive-ring depth — only used in legacy mode
-  /// (pool.srq_depth == 0). With the SRQ the server-wide ring is sized by
-  /// pool.srq_depth / pool.srq_low_watermark instead (split into
-  /// per-shard stripes when shards > 1).
-  int recv_depth = WireDefaults::kRecvDepth;
   PoolConfig pool{};
   /// Evict connections with no receive activity for this long (LRU sweep,
   /// runs at half the threshold). The client re-bootstraps transparently

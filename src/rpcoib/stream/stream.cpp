@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/host.hpp"
@@ -125,12 +126,44 @@ StreamConfig clamp_cfg(StreamConfig cfg, const PoolConfig& pool) {
 /// socket, one CQ for both directions, and the registries that route
 /// control frames / chunk completions to their stream objects.
 struct StreamConn {
-  explicit StreamConn(sim::Scheduler& sched) : cq(sched), ready(sched) {}
+  explicit StreamConn(StreamHub& hub) : cq(hub.host().sched()), ready(hub.host().sched()) {}
+
+  /// The connection core's teardown notification: fail every stream on
+  /// the connection and wake its pending fetches (they fall back).
+  void fail_all(const std::string& why) {
+    broken = true;
+    for (auto& [sid, w] : writers) w->on_conn_failed(why);
+    for (auto& [sid, r] : readers) r->on_conn_failed(why);
+    for (auto& [tok, pf] : fetches) pf->ev.set();
+  }
+
+  /// Pre-post the control-frame receive ring.
+  void post_ctrl_recvs(NativeBufferPool& pool) {
+    for (int i = 0; i < kCtrlRecvDepth; ++i) {
+      NativeBuffer* b = pool.acquire(kCtrlBufSize);
+      qp->post_recv(wr_of(b), b->span);
+    }
+  }
+
+  /// Post one control frame while the link is up; a failed post breaks
+  /// the connection. True when the frame went out.
+  sim::Co<bool> post(const net::Bytes& frame) {
+    if (!qp || !qp->connected() || broken) co_return false;
+    try {
+      co_await qp->post_send(0, net::ByteSpan(frame.data(), frame.size()));
+      co_return true;
+    } catch (const verbs::VerbsError&) {
+      broken = true;
+    }
+    co_return false;
+  }
 
   verbs::QueuePairPtr qp;
   verbs::CompletionQueue cq;
-  sim::SimEvent ready;  // outbound bootstrap finished (qp set, or broken)
-  net::Address peer{};
+  // The connection core's state flags (client_core.hpp): `ready` once an
+  // outbound dial finished either way, `broken` once the link failed,
+  // `cancelled` once the hub shut the connection.
+  sim::SimEvent ready;
   bool broken = false;
   bool cancelled = false;
   std::map<std::uint64_t, StreamWriter*> writers;  // by sid (our outbound)
@@ -157,9 +190,10 @@ net::ByteSpan Chunk::bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// StreamReader
+// StreamEnd
 
-StreamReader::StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
+template <typename Self>
+StreamEnd<Self>::StreamEnd(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
                            std::uint64_t total, std::size_t chunk_size)
     : host_(&hub.host_),
       pool_(&hub.native_),
@@ -169,27 +203,50 @@ StreamReader::StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid
       conn_(std::move(conn)),
       sid_(sid),
       total_(total),
-      chunk_size_(chunk_size),
-      arrival_(host_->sched()),
-      echo_(host_->sched()) {}
+      chunk_size_(chunk_size) {}
 
-StreamReader::~StreamReader() {
-  if (!closed_) {
-    release_ring();
-    unregister();
-  }
+template <typename Self>
+StreamEnd<Self>::~StreamEnd() {
+  if (!closed_) close_out();
 }
 
-void StreamReader::bump(std::uint64_t rpc::RpcStats::* counter) {
+template <typename Self>
+void StreamEnd<Self>::bump(std::uint64_t rpc::RpcStats::* counter) {
   if (*hub_alive_) ++(stats_->*counter);
 }
+
+template <typename Self>
+void StreamEnd<Self>::close_out() {
+  if (*hub_alive_) {
+    for (NativeBuffer* b : buffers_) pool_->release(b);
+  }
+  buffers_.clear();
+  if constexpr (std::is_same_v<Self, StreamReader>) {
+    conn_->readers.erase(sid_);
+  } else {
+    conn_->writers.erase(sid_);
+  }
+  closed_ = true;
+}
+
+template class StreamEnd<StreamReader>;
+template class StreamEnd<StreamWriter>;
+
+// ---------------------------------------------------------------------------
+// StreamReader
+
+StreamReader::StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
+                           std::uint64_t total, std::size_t chunk_size)
+    : StreamEnd(hub, std::move(conn), sid, total, chunk_size),
+      arrival_(host_->sched()),
+      echo_(host_->sched()) {}
 
 void StreamReader::on_chunk(const verbs::WorkCompletion& wc) {
   // The immediate carries only the low 16 bits of the sequence number; RC
   // in-order delivery makes the arrival counter the authoritative one.
   if (closed_) return;
   const std::uint64_t seq = arrived_++;
-  const net::MutByteSpan slot = ring_[seq % ring_.size()]->span.first(wc.byte_len);
+  const net::MutByteSpan slot = buffers_[seq % buffers_.size()]->span.first(wc.byte_len);
   const net::Payload landed =
       wc.pattern ? net::Payload::pattern(wc.byte_len, wc.pattern_seed) : net::Payload(slot);
   arrivals_.push_back(Chunk(seq, landed, slot));
@@ -213,20 +270,10 @@ void StreamReader::on_conn_failed(const std::string& why) {
     failed_ = true;
     fail_reason_ = why;
   }
-  conn_->broken = true;
   echo_seen_ = true;
   echo_.signal();
   arrival_.signal();
 }
-
-void StreamReader::release_ring() {
-  if (*hub_alive_) {
-    for (NativeBuffer* b : ring_) pool_->release(b);
-  }
-  ring_.clear();
-}
-
-void StreamReader::unregister() { conn_->readers.erase(sid_); }
 
 sim::Co<Chunk> StreamReader::next_chunk() {
   while (arrivals_.empty()) {
@@ -247,29 +294,13 @@ sim::Co<Chunk> StreamReader::next_chunk() {
 
 sim::Co<void> StreamReader::release_chunk(std::uint64_t seq) {
   if (closed_ || failed_) co_return;
-  const net::Bytes f = encode_credit(sid_, static_cast<std::uint32_t>(seq));
-  try {
-    if (conn_->qp && conn_->qp->connected() && !conn_->broken) {
-      co_await conn_->qp->post_send(0, net::ByteSpan(f.data(), f.size()));
-    }
-  } catch (const verbs::VerbsError&) {
-    conn_->broken = true;
-  }
+  co_await conn_->post(encode_credit(sid_, static_cast<std::uint32_t>(seq)));
 }
 
 sim::Co<void> StreamReader::finish(std::uint8_t status) {
   if (closed_) co_return;
-  const net::Bytes f = encode_done(sid_, status);
-  try {
-    if (conn_->qp && conn_->qp->connected() && !conn_->broken) {
-      co_await conn_->qp->post_send(0, net::ByteSpan(f.data(), f.size()));
-    }
-  } catch (const verbs::VerbsError&) {
-    conn_->broken = true;
-  }
-  release_ring();
-  unregister();
-  closed_ = true;
+  co_await conn_->post(encode_done(sid_, status));
+  close_out();
 }
 
 sim::Co<void> StreamReader::abort(const std::string& reason) {
@@ -277,16 +308,7 @@ sim::Co<void> StreamReader::abort(const std::string& reason) {
   bump(&rpc::RpcStats::stream_aborts);
   if (!failed_) {
     fail_reason_ = reason;
-    const net::Bytes f = encode_abort(sid_, reason);
-    bool sent = false;
-    try {
-      if (conn_->qp && conn_->qp->connected() && !conn_->broken) {
-        co_await conn_->qp->post_send(0, net::ByteSpan(f.data(), f.size()));
-        sent = true;
-      }
-    } catch (const verbs::VerbsError&) {
-      conn_->broken = true;
-    }
+    const bool sent = co_await conn_->post(encode_abort(sid_, reason));
     // Hold the ring until the writer's echoed abort: RC orders the echo
     // after its last in-flight WRITE, so no recycled slot gets written.
     if (sent && !echo_seen_) {
@@ -294,9 +316,7 @@ sim::Co<void> StreamReader::abort(const std::string& reason) {
       (void)echoed;
     }
   }
-  release_ring();
-  unregister();
-  closed_ = true;
+  close_out();
 }
 
 // ---------------------------------------------------------------------------
@@ -304,31 +324,12 @@ sim::Co<void> StreamReader::abort(const std::string& reason) {
 
 StreamWriter::StreamWriter(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
                            std::uint64_t total, std::size_t chunk_size)
-    : host_(&hub.host_),
-      pool_(&hub.native_),
-      stats_(&hub.stats_),
-      hub_alive_(hub.alive_),
-      deadline_(hub.cfg_.chunk_deadline),
-      conn_(std::move(conn)),
-      sid_(sid),
-      total_(total),
-      chunk_size_(chunk_size),
+    : StreamEnd(hub, std::move(conn), sid, total, chunk_size),
       staging_gate_(host_->sched(), 0),
       credit_gate_(host_->sched(), 0),
       grant_ev_(host_->sched()),
       done_ev_(host_->sched()),
       completions_(host_->sched()) {}
-
-StreamWriter::~StreamWriter() {
-  if (!closed_) {
-    release_staging();
-    unregister();
-  }
-}
-
-void StreamWriter::bump(std::uint64_t rpc::RpcStats::* counter) {
-  if (*hub_alive_) ++(stats_->*counter);
-}
 
 void StreamWriter::on_grant(bool accepted, std::vector<verbs::RemoteBuffer> slots) {
   grant_accepted_ = accepted && !slots.empty();
@@ -375,15 +376,6 @@ void StreamWriter::on_conn_failed(const std::string& why) {
   completions_.signal();
 }
 
-void StreamWriter::release_staging() {
-  if (*hub_alive_) {
-    for (NativeBuffer* b : staging_) pool_->release(b);
-  }
-  staging_.clear();
-}
-
-void StreamWriter::unregister() { conn_->writers.erase(sid_); }
-
 sim::Co<void> StreamWriter::write_chunk(net::Payload payload) {
   if (closed_) throw StreamAbortedError("stream closed");
   if (payload.empty() || payload.size() > chunk_size_) {
@@ -395,7 +387,7 @@ sim::Co<void> StreamWriter::write_chunk(net::Payload payload) {
     ok = co_await staging_gate_.take(deadline_);
   }
   if (ok) {
-    stag = staging_[next_seq_ % staging_.size()];
+    stag = buffers_[next_seq_ % buffers_.size()];
     // Serialization into registered staging (copy + JNI doorbell prep);
     // the previous chunk's wire time runs under this compute.
     co_await host_->compute(host_->cost().direct_copy(payload.size()) +
@@ -487,14 +479,7 @@ sim::Co<void> StreamWriter::abort(const std::string& reason) {
   if (local) {
     // RC orders this abort after every WRITE already posted, so the reader
     // can recycle its ring the moment it arrives.
-    const net::Bytes f = encode_abort(sid_, reason);
-    try {
-      if (conn_->qp && conn_->qp->connected() && !conn_->broken) {
-        co_await conn_->qp->post_send(0, net::ByteSpan(f.data(), f.size()));
-      }
-    } catch (const verbs::VerbsError&) {
-      conn_->broken = true;
-    }
+    co_await conn_->post(encode_abort(sid_, reason));
   }
   co_await drain_and_release();
 }
@@ -508,9 +493,7 @@ sim::Co<void> StreamWriter::drain_and_release() {
     const bool woke = co_await completions_.wait(deadline_);
     if (!woke) break;
   }
-  release_staging();
-  unregister();
-  closed_ = true;
+  close_out();
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +543,7 @@ sim::Task StreamHub::listener_loop(std::shared_ptr<net::Listener> l) {
     for (;;) {
       net::SocketPtr boot = co_await l->accept();
       if (!running_) co_return;
-      auto conn = std::make_shared<StreamConn>(host_.sched());
+      auto conn = std::make_shared<StreamConn>(*this);
       try {
         conn->qp = co_await cm_.accept(std::move(boot), conn->cq, conn->cq);
       } catch (const verbs::VerbsError&) {
@@ -568,10 +551,11 @@ sim::Task StreamHub::listener_loop(std::shared_ptr<net::Listener> l) {
       } catch (const net::SocketError&) {
         continue;
       }
-      for (int i = 0; i < kCtrlRecvDepth; ++i) {
-        NativeBuffer* b = native_.acquire(kCtrlBufSize);
-        conn->qp->post_recv(wr_of(b), b->span);
+      if (l->closed()) {
+        conn->qp->disconnect();  // stopped mid-handshake: take no more connections
+        continue;
       }
+      conn->post_ctrl_recvs(native_);
       conn->ready.set();
       accepted_.push_back(conn);
       host_.sched().spawn(conn_loop(conn));
@@ -581,53 +565,37 @@ sim::Task StreamHub::listener_loop(std::shared_ptr<net::Listener> l) {
   }
 }
 
-sim::Co<StreamConnPtr> StreamHub::get_connection(net::Address addr) {
+sim::Co<void> StreamHub::dial(const ConnPtr& conn, net::Address addr) {
+  if (!running_) throw rpc::RpcTransportError("stream hub stopped");
+  conn->qp = co_await cm_.connect(host_, addr, conn->cq, conn->cq);
+  conn->post_ctrl_recvs(native_);
+  host_.sched().spawn(conn_loop(conn));
+}
+
+void StreamHub::break_link(StreamConn& conn) {
+  if (conn.qp) {
+    // Posted control receives will never complete once the link is gone:
+    // reclaim them here.
+    native_.release_posted(conn.qp->drain_posted_recvs());
+    conn.qp->disconnect();
+  }
+  conn.cq.close();
+}
+
+const char* StreamHub::link_lost(const StreamConn& conn) {
+  return conn.qp && !conn.qp->connected() ? "stream peer lost" : nullptr;
+}
+
+sim::Co<StreamConnPtr> StreamHub::outbound(net::Address addr) {
   co_await pool_ready_.wait();
-  if (!running_) co_return nullptr;
-  auto it = conns_.find(addr);
-  if (it != conns_.end()) {
-    ConnPtr c = it->second;
-    co_await c->ready.wait();
-    if (!c->broken && c->qp && c->qp->connected()) co_return c;
-    // Evict the dead entry unless a racer already replaced it; in that
-    // case adopt the replacement (whatever state it lands in). Tear the
-    // evicted connection down fully — its posted ctrl recvs will never
-    // complete once the peer is gone, so they must be reclaimed here
-    // (stop() only drains connections still in the maps).
-    auto again = conns_.find(addr);
-    if (again != conns_.end()) {
-      if (again->second == c) {
-        close_conn(c, "stream peer lost");
-        conns_.erase(again);
-      } else {
-        ConnPtr r = again->second;
-        co_await r->ready.wait();
-        if (!r->broken && r->qp && r->qp->connected()) co_return r;
-        co_return nullptr;
-      }
+  if (running_) {
+    try {
+      co_return co_await core_.get(addr);
+    } catch (const std::exception&) {
     }
   }
-  auto conn = std::make_shared<StreamConn>(host_.sched());
-  conn->peer = addr;
-  conns_[addr] = conn;
-  try {
-    conn->qp = co_await cm_.connect(host_, addr, conn->cq, conn->cq);
-  } catch (const std::exception&) {
-    // No stream listener / bootstrap failure: signal fallback, not error.
-    conn->broken = true;
-    conn->ready.set();
-    auto cur = conns_.find(addr);
-    if (cur != conns_.end() && cur->second == conn) conns_.erase(cur);
-    co_return nullptr;
-  }
-  for (int i = 0; i < kCtrlRecvDepth; ++i) {
-    NativeBuffer* b = native_.acquire(kCtrlBufSize);
-    conn->qp->post_recv(wr_of(b), b->span);
-  }
-  conn->ready.set();
-  ++stats_.connections_opened;
-  host_.sched().spawn(conn_loop(conn));
-  co_return conn;
+  ++stats_.stream_fallbacks;
+  co_return nullptr;
 }
 
 sim::Task StreamHub::conn_loop(ConnPtr conn) {
@@ -805,11 +773,11 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
     co_return;
   }
   StreamReaderPtr r(new StreamReader(*this, conn, sid, total, chunk_size));
-  r->ring_ = std::move(ring);
+  r->buffers_ = std::move(ring);
   conn->readers[sid] = r.get();
   std::vector<verbs::RemoteBuffer> slots;
-  slots.reserve(r->ring_.size());
-  for (NativeBuffer* b : r->ring_) {
+  slots.reserve(r->buffers_.size());
+  for (NativeBuffer* b : r->buffers_) {
     slots.push_back({b->mr.rkey, 0, chunk_size});
   }
   host_.sched().spawn(send_frame(conn, encode_grant(sid, true, slots)));
@@ -824,22 +792,13 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
 }
 
 sim::Task StreamHub::send_frame(ConnPtr conn, net::Bytes frame) {
-  try {
-    if (conn->qp && conn->qp->connected() && !conn->broken && !conn->cancelled) {
-      co_await conn->qp->post_send(0, net::ByteSpan(frame.data(), frame.size()));
-    }
-  } catch (const verbs::VerbsError&) {
-    conn->broken = true;
-  }
+  co_await conn->post(frame);
 }
 
 sim::Co<StreamWriterPtr> StreamHub::open(net::Address addr, net::Bytes meta,
                                          std::uint64_t total_bytes) {
-  ConnPtr conn = co_await get_connection(addr);
-  if (conn == nullptr) {
-    ++stats_.stream_fallbacks;
-    co_return nullptr;
-  }
+  ConnPtr conn = co_await outbound(addr);
+  if (conn == nullptr) co_return nullptr;
   net::Bytes routed;
   routed.reserve(meta.size() + 1);
   routed.push_back(0);
@@ -879,8 +838,8 @@ sim::Co<StreamWriterPtr> StreamHub::open_impl(ConnPtr conn, net::Bytes routed_me
   }
   const std::uint64_t sid = next_sid_++;
   StreamWriterPtr w(new StreamWriter(*this, conn, sid, total_bytes, cfg_.chunk_size));
-  w->staging_ = std::move(staging);
-  w->staging_gate_.add(static_cast<std::int64_t>(w->staging_.size()));
+  w->buffers_ = std::move(staging);
+  w->staging_gate_.add(static_cast<std::int64_t>(w->buffers_.size()));
   conn->writers[sid] = w.get();
   host_.sched().spawn(send_frame(
       conn, encode_open(sid, total_bytes, static_cast<std::uint32_t>(cfg_.chunk_size),
@@ -888,9 +847,7 @@ sim::Co<StreamWriterPtr> StreamHub::open_impl(ConnPtr conn, net::Bytes routed_me
   const bool granted = co_await w->grant_ev_.wait_for(cfg_.chunk_deadline);
   if (!granted || !w->grant_accepted_ || w->failed_) {
     ++stats_.stream_fallbacks;
-    w->release_staging();
-    w->unregister();
-    w->closed_ = true;
+    w->close_out();
     co_return nullptr;
   }
   ++stats_.streams_opened;
@@ -898,11 +855,8 @@ sim::Co<StreamWriterPtr> StreamHub::open_impl(ConnPtr conn, net::Bytes routed_me
 }
 
 sim::Co<StreamReaderPtr> StreamHub::fetch(net::Address addr, net::Bytes meta) {
-  ConnPtr conn = co_await get_connection(addr);
-  if (conn == nullptr) {
-    ++stats_.stream_fallbacks;
-    co_return nullptr;
-  }
+  ConnPtr conn = co_await outbound(addr);
+  if (conn == nullptr) co_return nullptr;
   const std::uint64_t token = next_token_++;
   StreamConn::PendingFetch pf(host_.sched());
   conn->fetches[token] = &pf;
@@ -916,26 +870,12 @@ sim::Co<StreamReaderPtr> StreamHub::fetch(net::Address addr, net::Bytes meta) {
   co_return std::move(pf.reader);
 }
 
-void StreamHub::close_conn(const ConnPtr& conn, const char* why) {
-  conn->cancelled = true;
-  conn->broken = true;
-  for (auto& [sid, w] : conn->writers) w->on_conn_failed(why);
-  for (auto& [sid, r] : conn->readers) r->on_conn_failed(why);
-  for (auto& [tok, pf] : conn->fetches) pf->ev.set();
-  if (conn->qp) {
-    native_.release_posted(conn->qp->drain_posted_recvs());
-    conn->qp->disconnect();
-  }
-  conn->cq.close();
-}
-
 void StreamHub::stop() {
   if (!running_) return;
   running_ = false;
   if (listen_addr_) sockets_.unlisten(*listen_addr_);
-  for (auto& [addr, c] : conns_) close_conn(c);
-  for (const ConnPtr& c : accepted_) close_conn(c);
-  conns_.clear();
+  core_.close_all();
+  for (const ConnPtr& c : accepted_) core_.shut(*c, "stream hub stopped");
   accepted_.clear();
 }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "net/socket.hpp"
+#include "rpc/client_core.hpp"
 #include "rpc/stats.hpp"
 #include "rpcoib/buffer_pool.hpp"
 #include "rpcoib/wire.hpp"
@@ -184,17 +185,54 @@ class Chunk {
   mutable bool in_slot_ = false;
 };
 
-/// Receiving half: advertises the ring, consumes chunks in order, posts a
-/// credit per released slot, acks completion with kStreamDone.
-class StreamReader {
+/// What both ends of a stream hold: the hub's pool and stats, the
+/// connection, the stream's geometry, its close and failure state, and the
+/// registered buffers it returns when it closes (a reader's ring, a
+/// writer's staging). `Self` is the end itself: closing drops it from its
+/// side's registry on the connection.
+template <typename Self>
+class StreamEnd {
  public:
-  ~StreamReader();
-  StreamReader(const StreamReader&) = delete;
-  StreamReader& operator=(const StreamReader&) = delete;
+  StreamEnd(const StreamEnd&) = delete;
+  StreamEnd& operator=(const StreamEnd&) = delete;
 
   std::uint64_t id() const { return sid_; }
   std::uint64_t total_bytes() const { return total_; }
   std::size_t chunk_size() const { return chunk_size_; }
+
+ protected:
+  StreamEnd(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid, std::uint64_t total,
+            std::size_t chunk_size);
+  /// Closes the end unless finish, abort or close already did.
+  ~StreamEnd();
+
+  void bump(std::uint64_t rpc::RpcStats::* counter);
+  /// Return the buffers to the pool, drop the end from its connection's
+  /// registry, and mark it closed.
+  void close_out();
+
+  // The owning hub can die before a detached handler finishes with this
+  // end: pool/stats access is gated on the hub's liveness token, and
+  // everything else needed post-construction is copied or shared here.
+  cluster::Host* host_;
+  NativeBufferPool* pool_;
+  rpc::RpcStats* stats_;
+  std::shared_ptr<bool> hub_alive_;
+  sim::Dur deadline_;
+  StreamConnPtr conn_;
+  std::uint64_t sid_;
+  std::uint64_t total_;
+  std::size_t chunk_size_;
+  std::vector<NativeBuffer*> buffers_;  // reader: ring slots; writer: staging
+  bool failed_ = false;  // reader: upstream failure; writer: abort or conn loss
+  bool closed_ = false;  // buffers released, unregistered
+  std::string fail_reason_;
+};
+
+/// Receiving half: advertises the ring, consumes chunks in order, posts a
+/// credit per released slot, acks completion with kStreamDone.
+class StreamReader : public StreamEnd<StreamReader> {
+ public:
   std::uint64_t num_chunks() const {
     return chunk_size_ == 0 ? 0 : (total_ + chunk_size_ - 1) / chunk_size_;
   }
@@ -220,52 +258,26 @@ class StreamReader {
 
  private:
   friend class StreamHub;
+  friend struct StreamConn;
   StreamReader(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
                std::uint64_t total, std::size_t chunk_size);
 
   void on_chunk(const verbs::WorkCompletion& wc);
   void on_writer_abort(const std::string& reason);
   void on_conn_failed(const std::string& why);
-  void release_ring();
-  void unregister();
-  void bump(std::uint64_t rpc::RpcStats::* counter);
 
-  // The owning hub can die before a detached handler finishes with this
-  // reader: pool/stats access is gated on the hub's liveness token, and
-  // everything else needed post-construction is copied or shared here.
-  cluster::Host* host_ = nullptr;
-  NativeBufferPool* pool_ = nullptr;
-  rpc::RpcStats* stats_ = nullptr;
-  std::shared_ptr<bool> hub_alive_;
-  sim::Dur deadline_ = 0;
-  StreamConnPtr conn_;
-  std::uint64_t sid_ = 0;
-  std::uint64_t total_ = 0;
-  std::size_t chunk_size_ = 0;
-  std::vector<NativeBuffer*> ring_;
   std::deque<Chunk> arrivals_;
   std::uint64_t arrived_ = 0;
   Notify arrival_;
-  Notify echo_;          // writer's abort echo after a reader-initiated abort
-  bool failed_ = false;  // upstream failure observed
+  Notify echo_;  // writer's abort echo after a reader-initiated abort
   bool echo_seen_ = false;
-  bool closed_ = false;  // finished/aborted; ring released, unregistered
-  std::string fail_reason_;
 };
 
 /// Sending half: serializes chunk k+1 into registered staging while chunk
 /// k is on the wire, gated by send completions (staging reuse) and peer
 /// credits (ring reuse).
-class StreamWriter {
+class StreamWriter : public StreamEnd<StreamWriter> {
  public:
-  ~StreamWriter();
-  StreamWriter(const StreamWriter&) = delete;
-  StreamWriter& operator=(const StreamWriter&) = delete;
-
-  std::uint64_t id() const { return sid_; }
-  std::uint64_t total_bytes() const { return total_; }
-  std::size_t chunk_size() const { return chunk_size_; }
-
   /// Send the next chunk (payload.size() <= chunk_size). Charges the
   /// serialization copy + doorbell, then returns at the doorbell — wire
   /// time overlaps the caller's next serialization. Real bytes are copied
@@ -288,6 +300,7 @@ class StreamWriter {
 
  private:
   friend class StreamHub;
+  friend struct StreamConn;
   StreamWriter(StreamHub& hub, StreamConnPtr conn, std::uint64_t sid,
                std::uint64_t total, std::size_t chunk_size);
 
@@ -298,21 +311,7 @@ class StreamWriter {
   void on_send_complete();
   void on_conn_failed(const std::string& why);
   sim::Co<void> drain_and_release();
-  void release_staging();
-  void unregister();
-  void bump(std::uint64_t rpc::RpcStats::* counter);
 
-  // Same hub-liveness discipline as StreamReader.
-  cluster::Host* host_ = nullptr;
-  NativeBufferPool* pool_ = nullptr;
-  rpc::RpcStats* stats_ = nullptr;
-  std::shared_ptr<bool> hub_alive_;
-  sim::Dur deadline_ = 0;
-  StreamConnPtr conn_;
-  std::uint64_t sid_ = 0;
-  std::uint64_t total_ = 0;
-  std::size_t chunk_size_ = 0;
-  std::vector<NativeBuffer*> staging_;
   std::vector<verbs::RemoteBuffer> slots_;
   Gate staging_gate_;
   Gate credit_gate_;
@@ -321,19 +320,20 @@ class StreamWriter {
   Notify completions_;
   bool grant_accepted_ = false;
   std::uint8_t done_status_ = 0;
-  bool failed_ = false;  // peer abort / conn loss / local abort
-  bool closed_ = false;  // staging released, unregistered
   std::uint64_t next_seq_ = 0;
   std::uint64_t posted_ = 0;
   std::uint64_t completed_ = 0;
-  std::string fail_reason_;
 };
+
+extern template class StreamEnd<StreamReader>;
+extern template class StreamEnd<StreamWriter>;
 
 using StreamReaderPtr = std::shared_ptr<StreamReader>;
 using StreamWriterPtr = std::shared_ptr<StreamWriter>;
 
 /// Per-role endpoint: owns the registered buffer pool, the stream QPs (one
-/// per peer, cached), their completion loops, and the optional listener.
+/// per peer, on the shared client connection core), their completion
+/// loops, and the optional listener.
 /// DFSClient, DataNode, and TaskTracker each hold one when streaming is
 /// enabled; everything here is inert when it is not constructed.
 class StreamHub {
@@ -386,14 +386,29 @@ class StreamHub {
   NativeBufferPool& pool() { return native_; }
 
  private:
-  friend class StreamReader;
-  friend class StreamWriter;
+  template <typename Self>
+  friend class StreamEnd;
+
+  // The transport's half of the connection core (client_core.hpp).
+  friend class rpc::ClientCore<StreamHub, StreamConn>;
+  /// Bootstrap the QP over the peer's socket address, post the control
+  /// receives and spawn the completion loop. Refused once stopped.
+  sim::Co<void> dial(const ConnPtr& conn, net::Address addr);
+  /// Reclaim the posted control receives, disconnect, close the CQ.
+  void break_link(StreamConn& conn);
+  /// The peer went away under an idle connection.
+  static const char* link_lost(const StreamConn& conn);
+  /// The plane has no sessions, so it counts no reconnects.
+  static void note_reconnect(rpc::ReconnectCause) {}
+
+  /// The connection to `addr`, adopted or dialled by the core; null
+  /// (counted as a fallback) once stopped or when the dial fails (no
+  /// stream listener, a failed bootstrap).
+  sim::Co<ConnPtr> outbound(net::Address addr);
 
   sim::Task init_pool_task();
   sim::Task listener_loop(std::shared_ptr<net::Listener> l);
   sim::Task conn_loop(ConnPtr conn);
-  sim::Co<ConnPtr> get_connection(net::Address addr);
-  void close_conn(const ConnPtr& conn, const char* why = "stream hub stopped");
   void handle_frame(const ConnPtr& conn, net::ByteSpan frame);
   sim::Task handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t total,
                         std::uint32_t chunk_size, std::uint32_t depth, net::Bytes meta);
@@ -412,8 +427,8 @@ class StreamHub {
   std::optional<net::Address> listen_addr_;
   OpenHandler on_open_;
   FetchHandler on_fetch_;
-  std::map<net::Address, ConnPtr> conns_;  // outbound, cached by peer address
-  std::vector<ConnPtr> accepted_;          // inbound
+  rpc::ClientCore<StreamHub, StreamConn> core_{*this};  // outbound
+  std::vector<ConnPtr> accepted_;                       // inbound
   std::uint64_t next_sid_ = 1;
   std::uint64_t next_token_ = 1;
   bool running_ = true;

@@ -117,9 +117,6 @@ struct OneSidedConfig {
   /// it triggers a region re-export at double the capacity (new rkey,
   /// bumped generation; stale READs fail closed on the generation word).
   int slot_payload = 512;
-  /// Seqlock conflict retries before the client degrades the call to RPC
-  /// (onesided_conflict_fallbacks) — bounds the spin on write-hot keys.
-  int max_version_retries = 2;
   /// Publisher write-window, in microseconds: the span a slot stays
   /// odd-versioned while the server copies the new payload in. Models the
   /// store not being atomic; concurrent READs observing the window see an

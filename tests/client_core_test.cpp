@@ -22,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
@@ -320,6 +321,72 @@ PinRun run_rdma_scenario() {
   }
   s.drain_tasks();
   return run;
+}
+
+// ---- A shut that lands while a connection is being dialled -----------------
+
+constexpr Address kDialAddr{1, 9800};
+constexpr sim::Time kDialAt = sim::millis(10);
+
+/// One echo call dialled at kDialAt, the client's close_connections()
+/// `offset` later and again once the call is over, then the run left to go
+/// dry. Returns the tasks still live then, the server's included; an RPCoIB
+/// client's pool must balance too.
+template <typename Client>
+std::size_t live_after_close_during_dial(sim::Dur offset) {
+  constexpr bool kRdma = std::is_same_v<Client, oib::RdmaRpcClient>;
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  verbs::VerbsStack stack(tb.fabric());
+  std::unique_ptr<rpc::RpcServer> server;
+  std::unique_ptr<Client> client;
+  if constexpr (kRdma) {
+    server = std::make_unique<oib::RdmaRpcServer>(tb.host(1), tb.sockets(), stack, kDialAddr,
+                                                  oib::RdmaServerConfig{});
+    client = std::make_unique<Client>(tb.host(0), tb.sockets(), stack, oib::RdmaClientConfig{});
+  } else {
+    server = std::make_unique<rpc::SocketRpcServer>(tb.host(1), tb.sockets(), kDialAddr, 4);
+    client = std::make_unique<Client>(tb.host(0), tb.sockets(), net::Transport::kIPoIB);
+  }
+  register_methods(*server, s);
+  server->start();
+  s.spawn(call_at(s, *client, kDialAt, kDialAddr, kEcho, 64));
+  s.spawn(run_at(s, kDialAt + offset, [&] { client->close_connections(); }));
+  s.run_until(sim::seconds(1));
+  client->close_connections();
+  s.run_until(sim::seconds(2));
+  if constexpr (kRdma) {
+    const auto& ps = client->pool().native().stats();
+    EXPECT_EQ(ps.acquires, ps.releases) << "close at +" << offset << " ns";
+  }
+  const std::size_t live = s.live_task_count();
+  server->stop();
+  s.drain_tasks();
+  return live;
+}
+
+/// close_connections() at every 2 µs across the first call's dial and on
+/// into the call: a connection shut while it dials must not keep the
+/// receive ring the dial posted, nor the receive loop it spawned (with, on
+/// sockets, the server's reader at the other end). The reference closes
+/// long after the call. A socket client's receive loop outlives its close
+/// until the next bytes arrive, so a close that lands under the call, whose
+/// response wakes the loop, may leave fewer tasks live, never more.
+template <typename Client>
+void sweep_close_across_dial() {
+  const std::size_t settled = live_after_close_during_dial<Client>(sim::millis(500));
+  for (sim::Dur offset = 0; offset <= sim::micros(60); offset += sim::micros(2)) {
+    EXPECT_LE(live_after_close_during_dial<Client>(offset), settled)
+        << "close at +" << offset << " ns";
+  }
+}
+
+TEST(ClientCore, SocketCloseDuringDialLeavesNoReceiveLoop) {
+  sweep_close_across_dial<rpc::SocketRpcClient>();
+}
+
+TEST(ClientCore, RdmaCloseDuringDialLeavesNoRingOrReceiveLoop) {
+  sweep_close_across_dial<oib::RdmaRpcClient>();
 }
 
 // ---- Goldens (rendered before the clients moved onto one core) -----------

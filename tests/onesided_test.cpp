@@ -326,9 +326,9 @@ TEST(OneSided, DisabledAdvertisesNothingAndKeepsReportsClean) {
 // --- Satellite 2: seqlock conflicts fall back, bounded, pools balanced -------
 //
 // A write-hot slot keeps its seqlock window open most of the time; readers
-// must burn at most max_version_retries on it, degrade to RPC, and return
-// the staging lease every single time — the pool-balance assert at the end
-// is the regression gate for the leak this satellite fixes.
+// must burn at most the client's conflict budget on it, degrade to RPC,
+// and return the staging lease every single time — the pool-balance assert
+// at the end is the regression gate for a staging-lease leak.
 TEST(OneSided, ConflictFallbackIsBoundedAndReleasesStaging) {
   Scheduler s;
   Testbed tb(s, Testbed::cluster_b());

@@ -802,5 +802,99 @@ TEST(StreamControl, MalformedFramesAreDroppedOrRefused) {
   expect_balanced(f.b);
 }
 
+// ---- Connections: redial, and a stop that lands in the handshake -------------
+
+TEST(StreamConnections, RedialsWhenThePeerHubIsReplaced) {
+  Scheduler s;
+  Fixture f(s);
+  const std::uint64_t nbytes = 512 * 1024;
+  Received rx1;
+  f.b.listen(kDst, consumer(s, &rx1));
+  WriteResult wr1;
+  s.spawn(write_task(f.a, kDst, {}, nbytes, &wr1));
+  s.run_until(sim::seconds(1));
+  EXPECT_EQ(wr1.status, 0) << wr1.error;
+
+  // The listening hub goes away and a new one takes its address: the
+  // opener's cached connection is found lost on adopt and dialled afresh.
+  f.b.stop();
+  StreamHub c(f.tb.host(1), f.tb.sockets(), f.stack, stream_cfg(), PoolConfig{});
+  Received rx2;
+  c.listen(kDst, consumer(s, &rx2));
+  WriteResult wr2;
+  s.spawn(write_task(f.a, kDst, {}, nbytes, &wr2));
+  s.run_until(sim::seconds(2));
+
+  EXPECT_EQ(wr2.status, 0) << wr2.error;
+  EXPECT_TRUE(rx2.finished) << rx2.error;
+  EXPECT_TRUE(pattern_ok(rx2.chunks, nbytes, 64 * 1024));
+  EXPECT_EQ(f.a.stats().connections_opened, 2u);
+
+  f.a.stop();
+  c.stop();
+  s.run_until(sim::seconds(3));
+  expect_balanced(f.a);
+  expect_balanced(f.b);
+  expect_balanced(c);
+  s.drain_tasks();
+}
+
+/// The first microsecond at which `side`'s pool has leased a buffer during
+/// a 512 KB open from a to b: the moment that hub posts its control ring,
+/// which ends its half of the handshake.
+sim::Time ring_posted_at(StreamHub Fixture::* side) {
+  Scheduler s;
+  Fixture f(s);
+  Received rx;
+  f.b.listen(kDst, consumer(s, &rx));
+  WriteResult wr;
+  s.spawn(write_task(f.a, kDst, {}, 512 * 1024, &wr));
+  sim::Time t = 0;
+  while ((f.*side).pool().stats().acquires == 0 && t < sim::seconds(1)) {
+    t += sim::micros(1);
+    s.run_until(t);
+  }
+  return t;
+}
+
+Task stop_at(Scheduler& s, sim::Time at, StreamHub& hub) {
+  co_await sim::delay(s, at - s.now());
+  hub.stop();
+}
+
+/// stop() on `side` at every microsecond of the 100 before its control
+/// ring is posted, which covers its half of the handshake, with two opens
+/// sharing the one dial: once the run is over, neither pool holds a buffer.
+void sweep_stop_across_handshake(StreamHub Fixture::* side) {
+  const sim::Time posted = ring_posted_at(side);
+  ASSERT_LT(posted, sim::seconds(1));
+  for (sim::Time at = posted - sim::micros(100); at <= posted; at += sim::micros(1)) {
+    Scheduler s;
+    Fixture f(s);
+    Received rx;
+    f.b.listen(kDst, consumer(s, &rx));
+    WriteResult wr1, wr2;
+    s.spawn(write_task(f.a, kDst, {}, 512 * 1024, &wr1));
+    s.spawn(write_task(f.a, kDst, {}, 512 * 1024, &wr2));
+    s.spawn(stop_at(s, at, f.*side));
+    s.run_until(sim::seconds(10));  // past the grant deadline
+    f.a.stop();
+    f.b.stop();
+    s.run_until(sim::seconds(11));
+    const PoolStats& pa = f.a.pool().stats();
+    const PoolStats& pb = f.b.pool().stats();
+    EXPECT_EQ(pa.acquires, pa.releases) << "opener, stop at " << at << " ns";
+    EXPECT_EQ(pb.acquires, pb.releases) << "listener, stop at " << at << " ns";
+  }
+}
+
+TEST(StreamConnections, ListenerStoppedInTheHandshakeKeepsNoConnection) {
+  sweep_stop_across_handshake(&Fixture::b);
+}
+
+TEST(StreamConnections, OpenerStoppedInItsDialKeepsNoConnection) {
+  sweep_stop_across_handshake(&Fixture::a);
+}
+
 }  // namespace
 }  // namespace rpcoib::oib::stream
