@@ -13,8 +13,9 @@
 // that finds full() true is shed (Hadoop's bounded call queue drops the
 // newest call), everything else is push()ed.
 //
-// The pipeline also runs the dequeue gate and the shed answer
-// (leave_queue, pass_gate, shed) with their trace spans, written over a
+// The pipeline also runs the dequeue gate, the shed answer and the
+// handler's answer bookkeeping (leave_queue, pass_gate, shed, finish) with
+// their trace spans; the gate and the shed answer are written over a
 // two-call channel each server implements:
 //   send_status(call, id, status, msg) — a status-only response;
 //   send_frame(call, frame)            — an already-framed response.
@@ -25,7 +26,6 @@
 // members.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -110,15 +110,6 @@ class CallPipeline {
     if (deadline == 0 || now < deadline) return false;
     ++stats_.calls_expired;
     ++counters_.dropped;
-    return true;
-  }
-
-  /// Deadline check before sending: true means the handler ran but the
-  /// response would be ignored. Counts responses_expired (the call itself
-  /// still executed, so it is not a drop).
-  bool expired_before_response(sim::Time deadline, sim::Time now) {
-    if (deadline == 0 || now < deadline) return false;
-    ++stats_.responses_expired;
     return true;
   }
 
@@ -217,6 +208,29 @@ class CallPipeline {
     if (retry_cache_) retry_cache_->forget(owner, call_id);
   }
 
+  /// The handler's answer bookkeeping once the method ran. A busy status
+  /// (a capped-out pool) forgets the call, so the client's retry executes
+  /// fresh, and counts a shed; any other outcome is recorded for replay
+  /// with its response `frame`. Then the deadline check: when the caller
+  /// already gave up, a deadline.response span marks the unsent response.
+  /// True means send the response.
+  bool finish(cluster::Host& host, const CallHeader& hdr, std::uint64_t owner, RpcStatus status,
+              net::ByteSpan frame) {
+    if (status == RpcStatus::kBusy) {
+      forget(owner, hdr.id);
+      note_shed();
+    } else {
+      complete(owner, hdr.id, frame);
+    }
+    const sim::Time now = host.sched().now();
+    if (!expired_before_response(hdr.deadline, now)) return true;
+    if (trace::TraceCollector* tr = tracer(host, hdr)) {
+      tr->add_complete("deadline.response:" + hdr.key.method, trace::Kind::kServer,
+                       trace::Category::kOverload, hdr.ctx, host.id(), now, now);
+    }
+    return false;
+  }
+
   /// The dequeue gate, first half, run on every popped call: a call whose
   /// deadline passed while it was queued is dropped with a
   /// deadline.expired span (the caller gave up; nobody reads an answer),
@@ -295,6 +309,15 @@ class CallPipeline {
   const ShardCounters& counters() const { return counters_; }
 
  private:
+  /// Deadline check before sending: true means the handler ran but the
+  /// response would be ignored. Counts responses_expired (the call itself
+  /// still executed, so it is not a drop).
+  bool expired_before_response(sim::Time deadline, sim::Time now) {
+    if (deadline == 0 || now < deadline) return false;
+    ++stats_.responses_expired;
+    return true;
+  }
+
   /// The host's collector when tracing is live and the call carries a
   /// context, else nullptr.
   static trace::TraceCollector* tracer(cluster::Host& host, const CallHeader& hdr) {
@@ -311,11 +334,16 @@ class CallPipeline {
   ShardCounters counters_;
 };
 
-/// Handlers on shard `i` when `total` are split across `shards`: an even
-/// split, the remainder to the low shards, at least one each. With one
-/// shard that is every handler, in the unsharded server's spawn order.
-inline int handlers_on_shard(int total, int shards, int i) {
-  return std::max(1, total / shards + (i < total % shards ? 1 : 0));
+/// A server receive span named `prefix` + `method` on `ctx`, when tracing
+/// is on and the context is valid (the name is built only then): a call's
+/// recv:<method> interval, or the batch.parse of a split batch frame.
+inline void recv_span(cluster::Host& host, const char* prefix, const std::string& method,
+                      const trace::TraceContext& ctx, sim::Time start, sim::Time end) {
+  if (!ctx.valid()) return;
+  if (trace::TraceCollector* tr = trace::active(host.tracer())) {
+    tr->add_complete(prefix + method, trace::Kind::kServer, trace::Category::kRecv, ctx,
+                     host.id(), start, end);
+  }
 }
 
 }  // namespace rpcoib::rpc

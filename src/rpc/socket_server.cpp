@@ -29,26 +29,17 @@ SocketRpcServer::SocketRpcServer(cluster::Host& host, net::SocketTable& sockets,
       sockets_(sockets),
       addr_(addr),
       num_handlers_(num_handlers),
-      num_shards_(num_shards < 1 ? 1 : num_shards) {}
+      core_(host.sched(), num_shards) {}
 
 SocketRpcServer::~SocketRpcServer() { stop(); }
 
 void SocketRpcServer::start() {
   if (running_) return;
   running_ = true;
-  shards_.clear();
-  for (int i = 0; i < num_shards_; ++i) {
-    shards_.push_back(
-        std::make_shared<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_));
-  }
+  core_.build(overload_, session_);
   host_.sched().spawn(listener_loop(sockets_.listen(addr_)));
-  for (int i = 0; i < num_shards_; ++i) {
-    const std::shared_ptr<Shard>& shard = shards_[static_cast<std::size_t>(i)];
-    for (int h = handlers_on_shard(num_handlers_, num_shards_, i); h > 0; --h) {
-      host_.sched().spawn(handler_loop(shard));
-    }
-    host_.sched().spawn(responder_loop(shard));
-  }
+  core_.spawn_handlers(num_handlers_, [this](auto s) { return handler_loop(s); });
+  for (const auto& shard : core_.shards()) host_.sched().spawn(responder_loop(shard));
 }
 
 void SocketRpcServer::stop() {
@@ -58,23 +49,13 @@ void SocketRpcServer::stop() {
   // Queued-but-unexecuted calls must not vanish silently: every shard
   // drains with accounting. Their callers observe a transport error when
   // the connections close below, so every dropped call is surfaced.
-  for (auto& sh : shards_) {
-    (void)sh->pipeline.drain();
-    sh->pipeline.close();
-  }
-  for (auto& sh : shards_) {
-    for (net::SocketPtr& c : sh->conns) c->close();
-    sh->conns.clear();
-  }
-  // Accepted connections still parked on the preamble (sessions route to
-  // a shard only after the handshake) live in no shard's list yet; close
-  // them too so their reader tasks unwind instead of pending forever.
-  for (net::SocketPtr& c : pending_conns_) c->close();
-  pending_conns_.clear();
+  core_.drain([](ServerCall&) {});
+  for (net::SocketPtr& c : conns_) c->close();
+  conns_.clear();
   // Executed-but-unsent responses are equally accounted: the handler ran,
   // but the responder never wrote the frame (callers see the closed
   // connection as a transport error and may retry via the retry cache).
-  for (auto& sh : shards_) {
+  for (const auto& sh : core_.shards()) {
     Response resp;
     while (sh->response_queue.try_recv(resp)) {
       ++sh->pipeline.stats().responses_dropped_on_stop;
@@ -83,32 +64,13 @@ void SocketRpcServer::stop() {
   }
 }
 
-void SocketRpcServer::fold_stats() {
-  if (!shards_.empty()) stats_.fold_shards(shards_);
-}
-
 sim::Task SocketRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
   try {
     for (;;) {
       net::SocketPtr conn = co_await l->accept();
       const std::uint64_t conn_id = ++conn_seq_;
-      // Stable affinity: a connection's shard is a pure function of its
-      // dense id, so reconnects and seeded replays land deterministically.
-      // With sessions enabled the shard is instead a function of the
-      // session id carried in the preamble, so the reader picks it after
-      // the handshake — a reconnecting client must land on the shard that
-      // holds its session lease and retry-cache entries.
-      std::shared_ptr<Shard> home;
-      if (!session_.enabled) {
-        home = shards_[(conn_id - 1) % shards_.size()];
-        ++home->pipeline.counters().conns_assigned;
-        home->conns.push_back(conn);
-      } else {
-        // Until the preamble names the session (and thus the shard), park
-        // the socket where stop() can still find and close it.
-        pending_conns_.push_back(conn);
-      }
-      host_.sched().spawn(reader_loop(std::move(conn), conn_id, std::move(home)));
+      conns_.push_back(conn);
+      host_.sched().spawn(reader_loop(std::move(conn), conn_id));
     }
   } catch (const sim::ChannelClosed&) {
     // stop() shut the listener down.
@@ -146,8 +108,7 @@ sim::Co<void> SocketRpcServer::send_frame(ServerCall& call, net::ByteSpan frame)
   co_return;
 }
 
-sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
-                                       std::shared_ptr<Shard> home) {
+sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_id) {
   const cluster::CostModel& cm = host_.cost();
   try {
     // The connection's receive CPU is paid inside the Reader critical
@@ -166,17 +127,12 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
     // Ignore an advertised session when the feature is off locally: the
     // call path stays byte-identical to a sessionless build.
     if (!session_.enabled) session_id = 0;
-    if (home == nullptr) {
-      // Session-affine shard choice (sessionless connections keep the
-      // dense-id mapping, so mixed workloads stay deterministic).
-      const std::size_t pick = session_id != 0
-                                   ? static_cast<std::size_t>(session_id % shards_.size())
-                                   : static_cast<std::size_t>((conn_id - 1) % shards_.size());
-      home = shards_[pick];
-      ++home->pipeline.counters().conns_assigned;
-      home->conns.push_back(conn);
-      std::erase(pending_conns_, conn);  // homed: the shard's conns list owns closing it now
-    }
+    // Stable affinity: a reconnecting session lands on the shard holding
+    // its lease and retry-cache entries; a sessionless connection's shard
+    // is a pure function of its dense id, so seeded replays land
+    // deterministically.
+    const std::shared_ptr<Shard> home = core_.home(session_id, conn_id - 1);
+    ++home->pipeline.counters().conns_assigned;
     Shard& shard = *home;
 
     for (;;) {
@@ -229,25 +185,19 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
                                      t_recv_start, alloc_cost + sub_alloc);
           if (!first_ctx.valid()) first_ctx = ctx;
         }
-        if (first_ctx.valid()) {
-          if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-            tr->add_complete("batch.parse", trace::Kind::kServer, trace::Category::kRecv,
-                             first_ctx, host_.id(), t_recv_start, host_.sched().now());
-          }
-        }
+        recv_span(host_, "batch.parse", {}, first_ctx, t_recv_start, host_.sched().now());
       } else {
         co_await process_frame(conn, conn_id, session_id, shard, std::move(frame),
                                t_recv_start, alloc_cost);
       }
     }
   } catch (const net::SocketError&) {
-    // Peer went away; connection reader exits. A conn that died during
-    // the preamble is still on the pending list — drop it (no-op once
-    // homed).
-    std::erase(pending_conns_, conn);
   } catch (const sim::ChannelClosed&) {
-    std::erase(pending_conns_, conn);
   }
+  // The peer went away (or stop() closed the connection): close this end
+  // too, which wakes the peer's receive loop, and drop it.
+  conn->close();
+  std::erase(conns_, conn);
 }
 
 sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
@@ -263,15 +213,8 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   call.param_off = in.position();
   co_await host_.compute(in.take_accrued());
   const trace::TraceContext ctx = call.hdr.ctx;
-  if (ctx.valid()) {
-    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("recv:" + call.hdr.key.method, trace::Kind::kServer,
-                       trace::Category::kRecv, ctx, host_.id(), t_recv_start,
-                       host_.sched().now());
-    }
-  }
+  recv_span(host_, "recv:", call.hdr.key.method, ctx, t_recv_start, host_.sched().now());
   call.conn = std::move(conn);
-  call.conn_id = conn_id;
   call.session_id = session_id;
   call.owner = session_id != 0 ? session_id : conn_id;
   call.shard = &shard;
@@ -330,18 +273,9 @@ sim::Task SocketRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
                                        &frame_cost);
       co_await host_.compute(frame_cost + cm.rpc_framework());
       handle.end();
-      // The executed outcome must survive even when the response is
-      // dropped below: the caller's retry is answered from the cache.
-      shard.pipeline.complete(call.owner, hdr.id, wire);
-      if (shard.pipeline.expired_before_response(hdr.deadline, host_.sched().now())) {
-        // Executed past the caller's deadline: the response would be
-        // ignored, so don't spend the Responder + wire on it.
-        if (tr != nullptr) {
-          tr->add_complete("deadline.response:" + hdr.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, hdr.ctx, host_.id(),
-                           host_.sched().now(), host_.sched().now());
-        }
-      } else {
+      // Executed past the caller's deadline, the response would be ignored:
+      // don't spend the Responder + wire on it.
+      if (shard.pipeline.finish(host_, hdr, call.owner, status, wire)) {
         shard.response_queue.push(Response{call.conn, std::move(wire)});
       }
       ++shard.pipeline.stats().calls_handled;

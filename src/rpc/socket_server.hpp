@@ -15,13 +15,13 @@
 // connection into one wire write. Batch frames are always *parsed*;
 // the knob only gates emission.
 //
-// `num_shards` > 1 breaks the serial-Reader ceiling: connections are
-// assigned round-robin (by dense connection id) to independent shards,
-// each owning its own Reader slot pool, CallPipeline (bounded call queue
-// + retry cache), handler subset and Responder — so no receive,
-// dispatch or response work ever contends across shards. The default of 1
-// keeps the server operation-for-operation identical to the unsharded
-// code.
+// `num_shards` > 1 breaks the serial-Reader ceiling: each connection is
+// homed on one of the ServerCore's independent shards after its preamble
+// (by session id, else round-robin by dense connection id), each shard
+// owning its own Reader slot pool, CallPipeline (bounded call queue +
+// retry cache), handler subset and Responder — so no receive, dispatch or
+// response work ever contends across shards. The default of 1 keeps the
+// server operation-for-operation identical to the unsharded code.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,7 @@
 
 #include "rpc/pipeline.hpp"
 #include "rpc/rpc.hpp"
+#include "rpc/server_core.hpp"
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
 #include "trace/context.hpp"
@@ -58,10 +59,9 @@ class SocketRpcServer final : public RpcServer {
   struct Shard;
   struct ServerCall {
     net::SocketPtr conn;
-    std::uint64_t conn_id = 0;  // dense per-server connection sequence number
     std::uint64_t session_id = 0;  // durable session id (0 = sessionless)
-    std::uint64_t owner = 0;       // retry-cache key: session_id, else conn_id
-    Shard* shard = nullptr;     // home shard (== conn_id's shard)
+    std::uint64_t owner = 0;       // retry-cache key: session_id, else the dense conn id
+    Shard* shard = nullptr;        // home shard
     CallHeader hdr;             // id, retry flag, deadline, trace context, method
     net::Bytes frame;        // full received frame
     std::size_t param_off = 0;  // offset of the param bytes within frame
@@ -75,32 +75,25 @@ class SocketRpcServer final : public RpcServer {
   };
 
   /// One reader shard: a disjoint set of connections with its own Reader
-  /// slots, pipeline (queue/cache/stats), and Responder. The loops serving
-  /// a shard hold a reference to it, so a stop() then start() can replace
-  /// shards_ while the old loops still unwind off the closed channels.
+  /// slots, pipeline (queue/cache/stats), and Responder.
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const OverloadConfig& cfg,
           const SessionConfig& session)
-        : index(index),
-          pipeline(sched, index, cfg, session),
+        : pipeline(sched, index, cfg, session),
           response_queue(sched),
           reader_slots(sched, kReaderThreads) {}
 
-    std::uint32_t index;
     CallPipeline<ServerCall> pipeline;
     sim::Channel<Response> response_queue;
     sim::Semaphore reader_slots;
-    std::vector<net::SocketPtr> conns;
     LingerEstimator resp_gaps;  // responder-side adaptive-linger estimator
   };
 
   sim::Task listener_loop(std::shared_ptr<net::Listener> l);
-  /// `home` is the listener-chosen shard (sessionless path). With sessions
-  /// enabled it is null: the reader picks the shard session-affinely after
-  /// the preamble, so a reconnect lands on the shard holding its dedup
-  /// state.
-  sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id,
-                        std::shared_ptr<Shard> home);
+  /// Homes the connection after its preamble (the session id it names
+  /// picks the shard), then reads its calls; closes and drops it when the
+  /// peer goes away.
+  sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id);
   sim::Task handler_loop(std::shared_ptr<Shard> shard);
   sim::Task responder_loop(std::shared_ptr<Shard> shard);
 
@@ -130,21 +123,16 @@ class SocketRpcServer final : public RpcServer {
   sim::Co<void> send_status(ServerCall& call, std::uint64_t id, RpcStatus status,
                             const std::string& msg);
   sim::Co<void> send_frame(ServerCall& call, net::ByteSpan frame);
-  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards).
-  void fold_stats() override;
+  void fold_stats() override { core_.fold(stats_); }
 
   cluster::Host& host_;
   net::SocketTable& sockets_;
   net::Address addr_;
   int num_handlers_;
-  int num_shards_;
-  std::vector<std::shared_ptr<Shard>> shards_;
-  /// Sessions only: sockets accepted but still parked on the preamble /
-  /// session-id read, so homed in no shard's conns list yet. The reader
-  /// moves a conn out once it picks the session-affine shard; stop()
-  /// closes whatever is still in limbo here so no reader task is left
-  /// pending on read_full.
-  std::vector<net::SocketPtr> pending_conns_;
+  ServerCore<Shard> core_;
+  /// Every open accepted connection, homed or still on its preamble:
+  /// stop() closes them all, so no reader is left pending on read_full.
+  std::vector<net::SocketPtr> conns_;
   std::uint64_t conn_seq_ = 0;
   bool running_ = false;
 };

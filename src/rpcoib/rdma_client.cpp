@@ -149,14 +149,13 @@ void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan fr
 sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
                                         std::uint64_t off, std::uint32_t len) {
   NativeBuffer* dst = shadow_.acquire_sized(len);
-  const std::uint64_t token = (conn->next_read_token++ << 1) | 1;
-  sim::SimEvent read_done(host_.sched());
-  conn->read_waiters[token] = &read_done;
   try {
-    net::MutByteSpan into(dst->span.data(), len);
-    co_await conn->qp->post_rdma_read(token, into, verbs::RemoteBuffer{rkey, off, len});
-    co_await read_done.wait();  // receive_loop routes the completion here
-    conn->read_waiters.erase(token);
+    // receive_loop routes the completion here. A failed READ left `dst`
+    // untouched: it takes the thrown READ's exit.
+    const net::MutByteSpan into(dst->span.data(), len);
+    if (co_await conn->reads.read(host_.sched(), *conn->qp, into, {rkey, off, len}) != 0) {
+      throw verbs::VerbsError("rendezvous read failed");
+    }
     // Client torn down while the READ was in flight: the pool died with
     // it, so the lease cannot be returned — just stop. A shut connection
     // refuses the ack below, which returns the lease.
@@ -166,7 +165,6 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
     if (!*conn->alive) co_return;
     deliver_response(conn, net::ByteSpan(dst->span.data(), len), dst, /*is_recv_slot=*/false);
   } catch (const std::exception& e) {
-    conn->read_waiters.erase(token);
     if (!*conn->alive) co_return;
     native_.release(dst);
     conn->fail_all(e.what());
@@ -190,14 +188,9 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
           if (NativeBuffer* b = buf_of(wc.wr_id); b != nullptr) native_.release(b);
           break;
         }
-        case verbs::Opcode::kRdmaRead: {
-          auto it = conn->read_waiters.find(wc.wr_id);
-          if (it != conn->read_waiters.end()) {
-            if (wc.status != 0) conn->read_errors.insert(wc.wr_id);
-            it->second->set();
-          }
+        case verbs::Opcode::kRdmaRead:
+          conn->reads.complete(wc);
           break;
-        }
         case verbs::Opcode::kRecv: {
           NativeBuffer* rb = buf_of(wc.wr_id);
           net::ByteSpan frame(rb->span.data(), wc.byte_len);
@@ -599,30 +592,22 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
   int conflicts = 0;
   for (;;) {
     const std::size_t slot = static_cast<std::size_t>(h % svc.slots);
-    const std::uint64_t token = (conn->next_read_token++ << 1) | 1;
-    sim::SimEvent read_done(host_.sched());
-    conn->read_waiters[token] = &read_done;
-    bool read_failed = false;
+    std::uint32_t read_status = 0;
     try {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
-      net::MutByteSpan into(dst->span.data(), svc.slot_bytes);
-      co_await conn->qp->post_rdma_read(
-          token, into,
-          verbs::RemoteBuffer{svc.rkey,
-                              static_cast<std::uint64_t>(slot) * svc.slot_bytes,
-                              svc.slot_bytes});
-      co_await read_done.wait();  // receive_loop routes the completion here
-      conn->read_waiters.erase(token);
+      const net::MutByteSpan into(dst->span.data(), svc.slot_bytes);
+      const verbs::RemoteBuffer from{
+          svc.rkey, static_cast<std::uint64_t>(slot) * svc.slot_bytes, svc.slot_bytes};
+      // receive_loop routes the completion here.
+      read_status = co_await conn->reads.read(host_.sched(), *conn->qp, into, from);
       if (conn->cancelled) {
         throw rpc::RpcTransportError("client closed during one-sided read");
       }
-      read_failed = conn->read_errors.erase(token) > 0;
     } catch (const rpc::RpcTransportError&) {
       throw;
     } catch (const std::exception&) {
       // QP dead (kill/teardown raced the post): let the RPC path
       // re-bootstrap and carry the call.
-      conn->read_waiters.erase(token);
       if (!conn->cancelled) {
         native_.release(dst);
         ++stats_.onesided_fallbacks;
@@ -630,7 +615,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
       }
       throw rpc::RpcTransportError("client closed during one-sided read");
     }
-    if (read_failed) break;  // remote region gone at the verbs layer
+    if (read_status != 0) break;  // remote region gone at the verbs layer
     const net::Byte* s = dst->span.data();
     std::uint64_t v1 = 0, gen = 0, slot_hash = 0, v2 = 0;
     std::uint32_t len = 0;

@@ -22,6 +22,7 @@
 #include "rpc/socket_client.hpp"
 #include "rpcoib/buffer_pool.hpp"
 #include "rpcoib/rdma_streams.hpp"
+#include "rpcoib/read_waiters.hpp"
 #include "rpcoib/wire.hpp"
 #include "sim/sync.hpp"
 #include "verbs/verbs.hpp"
@@ -115,14 +116,9 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // eager SEND always fits the peer's pre-posted receive buffers.
     std::size_t eager_threshold = 0;
     rpc::Coalescer<RcSink> calls;  // small-call coalescing (BatchConfig)
-    // RDMA-READ completions are routed from receive_loop to the fetch
-    // task that posted them, keyed by an odd wr_id token (buffer-pointer
-    // wr_ids are even addresses, so the spaces can't collide).
-    std::map<std::uint64_t, sim::SimEvent*> read_waiters;
-    std::uint64_t next_read_token = 1;
-    // Tokens whose READ completed with a non-zero status (remote region
-    // torn down mid-flight); the waiter checks-and-erases after waking.
-    std::set<std::uint64_t> read_errors;
+    // RDMA-READ completions routed from receive_loop to the fetch task
+    // that posted them.
+    ReadWaiters reads;
   };
 
   /// Connectionless UD state, shared across every server address: one

@@ -46,6 +46,7 @@ RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
       cfg_(cfg),
       native_(host, stack, cfg.pool),
       shadow_(native_),
+      core_(host.sched(), cfg.shards),
       ud_(std::make_shared<UdPlane>(host.sched())),
       fallback_(host, sockets,
                 net::Address{addr.host,
@@ -53,7 +54,6 @@ RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
                 cfg.num_handlers, cfg.shards) {
   // Pre-posted receive buffers must hold any eager frame plus headers.
   cfg_.recv_buf_size = std::max(cfg_.recv_buf_size, cfg_.eager_threshold + 512);
-  if (cfg_.shards < 1) cfg_.shards = 1;
 }
 
 RdmaRpcServer::~RdmaRpcServer() { stop(); }
@@ -62,35 +62,29 @@ void RdmaRpcServer::start() {
   if (running_) return;
   running_ = true;
   alive_ = std::make_shared<bool>(true);
-  // A fresh set of shards: the previous run's loops own theirs and unwind
-  // off them.
-  shards_.clear();
-  const int n = cfg_.shards;
-  for (int i = 0; i < n; ++i) {
-    auto shard =
-        std::make_shared<Shard>(host_.sched(), static_cast<std::uint32_t>(i), overload_, session_);
-    if (cfg_.pool.srq_depth > 0) {
-      // Stripe the shared ring: each shard owns srq_depth / n slots (the
-      // remainder spread over the low shards, never below one) and refills
-      // at a proportionally scaled watermark. One shard keeps the exact
-      // configured geometry.
-      if (n == 1) {
-        shard->srq_depth = cfg_.pool.srq_depth;
-        shard->srq_low_watermark = cfg_.pool.srq_low_watermark;
-      } else {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        shard->srq_depth = std::max<std::size_t>(
-            1, cfg_.pool.srq_depth / n + (ui < cfg_.pool.srq_depth % n ? 1 : 0));
-        shard->srq_low_watermark = std::min(
-            shard->srq_depth,
-            std::max<std::size_t>(1, cfg_.pool.srq_low_watermark / n +
-                                         (ui < cfg_.pool.srq_low_watermark % n ? 1 : 0)));
-      }
-      shard->srq = std::make_unique<verbs::SharedReceiveQueue>(host_.sched());
-      shard->srq->set_stall_counter(&shard->pipeline.stats().srq_rnr_stalls);
+  core_.build(overload_, session_);
+  const std::size_t n = core_.shards().size();
+  for (const std::shared_ptr<Shard>& shard : core_.shards()) {
+    if (cfg_.pool.srq_depth == 0) break;  // legacy per-connection rings
+    // Stripe the shared ring: each shard owns srq_depth / n slots (the
+    // remainder spread over the low shards, never below one) and refills
+    // at a proportionally scaled watermark. One shard keeps the exact
+    // configured geometry.
+    if (n == 1) {
+      shard->srq_depth = cfg_.pool.srq_depth;
+      shard->srq_low_watermark = cfg_.pool.srq_low_watermark;
+    } else {
+      const std::size_t ui = shard->pipeline.shard_id();
+      shard->srq_depth = std::max<std::size_t>(
+          1, cfg_.pool.srq_depth / n + (ui < cfg_.pool.srq_depth % n ? 1 : 0));
+      shard->srq_low_watermark = std::min(
+          shard->srq_depth,
+          std::max<std::size_t>(1, cfg_.pool.srq_low_watermark / n +
+                                       (ui < cfg_.pool.srq_low_watermark % n ? 1 : 0)));
     }
-    if (shard->srq) host_.sched().spawn(srq_refill_loop(shard));
-    shards_.push_back(std::move(shard));
+    shard->srq = std::make_unique<verbs::SharedReceiveQueue>(host_.sched());
+    shard->srq->set_stall_counter(&shard->pipeline.stats().srq_rnr_stalls);
+    host_.sched().spawn(srq_refill_loop(shard));
   }
   if (cfg_.srq_idle_evict > 0) host_.sched().spawn(idle_evict_loop(alive_));
   if (cfg_.ud.enabled) {
@@ -140,12 +134,8 @@ void RdmaRpcServer::start() {
     onesided_region_->advertise();
   }
   host_.sched().spawn(listener_loop(sockets_.listen(addr_)));
-  for (const auto& shard : shards_) host_.sched().spawn(reader_loop(shard));
-  for (int i = 0; i < n; ++i) {
-    for (int h = rpc::handlers_on_shard(cfg_.num_handlers, n, i); h > 0; --h) {
-      host_.sched().spawn(handler_loop(shards_[static_cast<std::size_t>(i)]));
-    }
-  }
+  for (const auto& shard : core_.shards()) host_.sched().spawn(reader_loop(shard));
+  core_.spawn_handlers(cfg_.num_handlers, [this](auto s) { return handler_loop(s); });
   // The companion socket listener for clients whose QP bootstrap fails
   // serves this server's methods, and must shed under the same policy as
   // the RDMA path, or overload would simply migrate to it.
@@ -165,8 +155,8 @@ void RdmaRpcServer::stop() {
   // frames, unacked rendezvous response sources, and pre-posted receive
   // slots — so acquires and releases balance across a stop. The dropped
   // calls' clients observe a transport error when the QPs disconnect.
-  for (auto& shard : shards_) {
-    for (ServerCall& call : shard->pipeline.drain()) native_.release(call.buf);
+  core_.drain([this](ServerCall& call) { native_.release(call.buf); });
+  for (const auto& shard : core_.shards()) {
     for (auto& [rkey, buf] : shard->pending_resp) native_.release_revoked(buf);
     shard->pending_resp.clear();
     shard->ring_bytes = 0;
@@ -199,24 +189,17 @@ void RdmaRpcServer::stop() {
     ud_->cq.close();
   }
   if (onesided_region_) onesided_region_->withdraw();
-  for (auto& shard : shards_) {
+  for (const auto& shard : core_.shards()) {
     shard->stopped = true;
     shard->cq.close();
   }
-  for (auto& shard : shards_) shard->pipeline.close();
   fallback_.stop();
 }
 
 void RdmaRpcServer::fold_stats() {
-  if (shards_.empty()) return;
-  stats_.fold_shards(shards_);
-  std::uint64_t ring_peak_sum = 0;
-  for (const auto& shard : shards_) {
-    ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
-  }
-  std::uint64_t ud_rx = ud_rx_dropped_base_;
-  for (const auto& ep : ud_->eps) ud_rx += ep->rx_dropped();
-  stats_.ud_rx_dropped = ud_rx;
+  core_.fold(stats_);
+  stats_.ud_rx_dropped = ud_rx_dropped_base_;
+  for (const auto& ep : ud_->eps) stats_.ud_rx_dropped += ep->rx_dropped();
   // Region counters are assignments (not +=) so repeated syncs stay
   // idempotent like the shard-sourced fields.
   stats_.onesided_published = onesided_region_ ? onesided_region_->published() : 0;
@@ -224,7 +207,10 @@ void RdmaRpcServer::fold_stats() {
   // The stripes post independently, so the server-wide registered-memory
   // footprint is the sum of the per-stripe peaks (exact at one shard).
   // The UD rings are one more fixed stripe on top.
-  stats_.recv_ring_bytes_peak = ring_peak_sum + ud_ring_bytes_peak_;
+  stats_.recv_ring_bytes_peak = ud_ring_bytes_peak_;
+  for (const auto& shard : core_.shards()) {
+    stats_.recv_ring_bytes_peak += shard->pipeline.stats().recv_ring_bytes_peak;
+  }
 }
 
 void RdmaRpcServer::note_ring_bytes(Shard& shard, std::size_t n) {
@@ -323,10 +309,10 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
     // SRQ mode every stripe's buffers are provisioned here too, so the
     // fills below are pure freelist pops, not demand allocations.
     std::size_t total_srq = 0;
-    for (const auto& shard : shards_) total_srq += shard->srq_depth;
+    for (const auto& shard : core_.shards()) total_srq += shard->srq_depth;
     co_await native_.initialize(total_srq > 0 ? cfg_.recv_buf_size : 0, total_srq);
     if (l->closed()) co_return;  // stopped during registration: no run to fill
-    for (auto& shard : shards_) {
+    for (const auto& shard : core_.shards()) {
       if (!shard->srq) continue;
       // One pre-registered receive stripe per shard, filled once: from
       // here on, registered receive memory is a function of srq_depth
@@ -350,7 +336,7 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
       try {
         info = co_await cm_.read_bootstrap(boot);
         const std::uint64_t sid = session_.enabled ? info.session_id : 0;
-        home = shards_[(sid != 0 ? sid : conn_seq_) % shards_.size()];
+        home = core_.home(sid, conn_seq_);  // conn_seq_ is the next id - 1
         qp = co_await cm_.accept(boot, info, home->cq, home->cq,
                                  static_cast<std::uint64_t>(cfg_.eager_threshold));
       } catch (const verbs::VerbsError&) {
@@ -368,7 +354,7 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
       conn->id = ++conn_seq_;
       conn->session_id = session_.enabled ? info.session_id : 0;
       conn->owner = conn->session_id != 0 ? conn->session_id : conn->id;
-      conn->shard = shard.index;
+      conn->shard = shard.pipeline.shard_id();
       ++shard.pipeline.counters().conns_assigned;
       conn->last_recv = host_.sched().now();
       const EagerNegotiation eager =
@@ -415,20 +401,20 @@ sim::Task RdmaRpcServer::fetch_call(std::shared_ptr<Shard> shard, ConnPtr conn,
     }
     co_return;
   }
-  const std::uint64_t token = (shard->next_read_token++ << 1) | 1;
-  sim::SimEvent read_done(host_.sched());
-  shard->read_waiters[token] = &read_done;
+  // A failed READ (the client's source is gone, or the QP died) leaves
+  // `dst` holding no frame, so nothing runs.
+  bool fetched = false;
   try {
-    net::MutByteSpan into(dst->span.data(), len);
-    co_await conn->qp->post_rdma_read(token, into, verbs::RemoteBuffer{rkey, off, len});
-    co_await read_done.wait();
-    shard->read_waiters.erase(token);
-    ServerCall call{.conn = conn, .buf = dst, .frame_len = len, .recv_start = recv_start};
-    co_await enqueue_call(std::move(call));
+    const net::MutByteSpan into(dst->span.data(), len);
+    fetched = co_await shard->reads.read(host_.sched(), *conn->qp, into, {rkey, off, len}) == 0;
   } catch (const std::exception&) {
-    shard->read_waiters.erase(token);
-    native_.release(dst);
   }
+  if (!fetched) {
+    native_.release(dst);
+    co_return;
+  }
+  ServerCall call{.conn = conn, .buf = dst, .frame_len = len, .recv_start = recv_start};
+  co_await enqueue_call(std::move(call));
 }
 
 sim::Task RdmaRpcServer::reader_loop(std::shared_ptr<Shard> owned) {
@@ -444,11 +430,9 @@ sim::Task RdmaRpcServer::reader_loop(std::shared_ptr<Shard> owned) {
           if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
           break;
         }
-        case verbs::Opcode::kRdmaRead: {
-          auto it = shard.read_waiters.find(wc.wr_id);
-          if (it != shard.read_waiters.end()) it->second->set();
+        case verbs::Opcode::kRdmaRead:
+          shard.reads.complete(wc);
           break;
-        }
         case verbs::Opcode::kRecv: {
           auto* rb = reinterpret_cast<NativeBuffer*>(wc.wr_id);
           shard.ring_bytes -= std::min(shard.ring_bytes, rb->span.size());
@@ -541,13 +525,12 @@ sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
         auto conn = std::make_shared<ConnState>();
         conn->session_id = sid;
         conn->owner = sid != 0 ? sid : ((std::uint64_t{1} << 62) | src_host);
-        conn->shard = static_cast<std::uint32_t>(
-            sid != 0 ? sid % shards_.size() : src_host % shards_.size());
+        const std::shared_ptr<Shard> shard = core_.home(sid, src_host);
+        conn->shard = shard->pipeline.shard_id();
         conn->eager_threshold = cfg_.eager_threshold;
         const std::optional<UdReturn> ret = UdReturn{
             plane, verbs::AddressHandle{static_cast<cluster::HostId>(src_host), src_qpn},
             ep_index};
-        const std::shared_ptr<Shard> shard = shard_of(*conn);
         co_await host_.compute(cm.cq_poll() + cm.thread_wakeup());
         const net::ByteSpan inner(frame.data() + kUdHeaderBytes,
                                   frame.size() - kUdHeaderBytes);
@@ -672,12 +655,7 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                     .ud = ud};
     co_await enqueue_call(std::move(call));
   }
-  if (bctx.valid()) {
-    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("batch.parse", trace::Kind::kServer, trace::Category::kRecv, bctx,
-                       host_.id(), recv_start, host_.sched().now());
-    }
-  }
+  rpc::recv_span(host_, "batch.parse", {}, bctx, recv_start, host_.sched().now());
 }
 
 sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
@@ -701,14 +679,9 @@ sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
         continue;
       }
       const auto& [id, retried, deadline, ctx, key] = hdr;
-      trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-      if (tr != nullptr) {
-        // The id was only parsed here, so the receive interval is recorded
-        // retroactively now that the context is known.
-        tr->add_complete("recv:" + key.method, trace::Kind::kServer,
-                         trace::Category::kRecv, ctx, host_.id(), call.recv_start,
-                         call.enqueued);
-      }
+      // The id was only parsed here, so the receive interval is recorded
+      // retroactively now that the context is known.
+      rpc::recv_span(host_, "recv:", key.method, ctx, call.recv_start, call.enqueued);
       // The dequeue gate, with the session lease renewed between its two
       // halves (the socket server renews at arrival).
       if (!shard.pipeline.leave_queue(host_, hdr, call.enqueued, t_dequeue)) {
@@ -723,6 +696,7 @@ sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
         native_.release(call.buf);
         continue;
       }
+      trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
       trace::SpanScope handle(tr, "handle:" + key.method, trace::Kind::kServer,
                               trace::Category::kHandler, ctx, host_.id());
       in.trace_context = handle.context();
@@ -744,37 +718,23 @@ sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
       shard.pipeline.stats().recv_total_us.add(
           sim::to_us(host_.sched().now() - call.recv_start));
 
-      // The deadline may also pass *during* execution; then the response
-      // is dropped unsent — but still recorded in the retry cache, because
-      // the executed outcome must answer the retry already on its way.
-      const bool resp_expired =
-          shard.pipeline.expired_before_response(deadline, host_.sched().now());
-      if (resp_expired) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.response:" + key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, ctx, host_.id(),
-                           host_.sched().now(), host_.sched().now());
-        }
-      }
+      // An error rebuilds the frame with its payload. A response the
+      // deadline overtook during execution is dropped unsent (its pooled
+      // buffer returns with the stream); a busy one goes out status-only.
       try {
-        if (status == rpc::RpcStatus::kBusy) {
-          // Not recorded in the retry cache: the condition is transient
-          // and the client's retry must execute fresh once the pool drains.
-          shard.pipeline.forget(call.conn->owner, id);
-          shard.pipeline.note_shed();
-          RDMAOutputStream busy(cm, shadow_, status_key(rpc::RpcStatus::kBusy));
-          write_status(busy, id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
-          if (!resp_expired) co_await respond(call, busy);
-        } else if (status == rpc::RpcStatus::kError) {
-          // Rebuild the frame with the error payload.
+        if (status == rpc::RpcStatus::kError) {
           RDMAOutputStream err(cm, shadow_, key);
           write_status(err, id, rpc::RpcStatus::kError, error_msg);
-          shard.pipeline.complete(call.conn->owner, id, err.data());
-          if (!resp_expired) co_await respond(call, err);
-          // On expiry the stream destructor returns the pooled buffer.
-        } else {
-          shard.pipeline.complete(call.conn->owner, id, out.data());
-          if (!resp_expired) co_await respond(call, out);
+          if (shard.pipeline.finish(host_, hdr, call.conn->owner, status, err.data())) {
+            co_await respond(call, err);
+          }
+        } else if (shard.pipeline.finish(host_, hdr, call.conn->owner, status, out.data())) {
+          if (status == rpc::RpcStatus::kBusy) {
+            const std::string busy = "server busy: " + error_msg;
+            co_await send_status(call, id, status, busy);
+          } else {
+            co_await respond(call, out);
+          }
         }
       } catch (const verbs::VerbsError&) {
         // Client disconnected between handling and responding; drop it.

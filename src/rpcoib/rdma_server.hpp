@@ -8,11 +8,12 @@
 // pooled registered buffers whose size comes from per-method history.
 //
 // `shards` > 1 replicates the whole receive/dispatch chain: connections
-// are assigned round-robin (by dense connection id) to independent shards,
-// each with its own completion queue, its own SRQ stripe of the shared
-// receive ring, its own CallPipeline (bounded call queue + retry cache)
-// and its own handler subset — so CQ polling, the queue bound and
-// dispatch never contend across shards. The default of 1 keeps the server
+// are homed on the ServerCore's independent shards (by session id, else
+// round-robin by dense connection id), each with its own completion
+// queue, its own SRQ stripe of the shared receive ring, its own
+// CallPipeline (bounded call queue + retry cache) and its own handler
+// subset — so CQ polling, the queue bound and dispatch never contend
+// across shards. The default of 1 keeps the server
 // operation-for-operation identical to the unsharded code.
 //
 // Lifetime: a coroutine owns what it touches after a suspension. The
@@ -34,10 +35,12 @@
 #include "rpc/batch.hpp"
 #include "rpc/pipeline.hpp"
 #include "rpc/rpc.hpp"
+#include "rpc/server_core.hpp"
 #include "rpc/socket_server.hpp"
 #include "rpcoib/buffer_pool.hpp"
 #include "rpcoib/onesided.hpp"
 #include "rpcoib/rdma_streams.hpp"
+#include "rpcoib/read_waiters.hpp"
 #include "rpcoib/wire.hpp"
 #include "sim/channel.hpp"
 #include "verbs/verbs.hpp"
@@ -160,9 +163,8 @@ class RdmaRpcServer final : public rpc::RpcServer {
   struct Shard {
     Shard(sim::Scheduler& sched, std::uint32_t index, const rpc::OverloadConfig& cfg,
           const rpc::SessionConfig& session)
-        : index(index), cq(sched), pipeline(sched, index, cfg, session) {}
+        : cq(sched), pipeline(sched, index, cfg, session) {}
 
-    std::uint32_t index;
     verbs::CompletionQueue cq;
     rpc::CallPipeline<ServerCall> pipeline;
     bool stopped = false;
@@ -175,9 +177,8 @@ class RdmaRpcServer final : public rpc::RpcServer {
     std::size_t ring_bytes = 0;
     // Rendezvous response sources awaiting the client's ack, keyed by rkey.
     std::map<std::uint32_t, NativeBuffer*> pending_resp;
-    // RDMA-READ fetches in flight on this shard's CQ, keyed by odd wr_id.
-    std::map<std::uint64_t, sim::SimEvent*> read_waiters;
-    std::uint64_t next_read_token = 1;
+    // RDMA-READ call fetches in flight on this shard's CQ.
+    ReadWaiters reads;
   };
 
   sim::Task listener_loop(std::shared_ptr<net::Listener> l);
@@ -231,13 +232,13 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// The current run's home shard of a connection (CQ, pipeline,
   /// pending_resp...). A coroutine that keeps it across a suspension
   /// holds a copy.
-  const std::shared_ptr<Shard>& shard_of(const ConnState& conn) { return shards_[conn.shard]; }
+  const std::shared_ptr<Shard>& shard_of(const ConnState& c) { return core_.shards()[c.shard]; }
   /// Post coalesced kResp frames for `conn` as one kBatch SEND (the
   /// RespSink flush body); `alive` is the server's liveness token.
   sim::Co<void> flush_response_batch(ConnPtr conn, std::vector<net::Bytes> items,
                                      std::shared_ptr<bool> alive);
-  /// Fold the per-shard stat blocks into stats_ (RpcStats::fold_shards),
-  /// then set the four fields computed outside the shards: UD rx drops,
+  /// Fold the per-shard stat blocks into stats_ (ServerCore::fold), then
+  /// set the four fields computed outside the shards: UD rx drops,
   /// one-sided publishes/re-exports and the summed ring-bytes peak.
   void fold_stats() override;
 
@@ -253,7 +254,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
   // The current run's shards and UD plane (cfg_.ud; an empty plane until
   // the first start()), replaced by start(). The plane stays readable
   // after stop() for its endpoints' drop counts.
-  std::vector<std::shared_ptr<Shard>> shards_;
+  rpc::ServerCore<Shard> core_;
   std::shared_ptr<UdPlane> ud_;
   std::size_t ud_ring_bytes_ = 0;
   std::uint64_t ud_ring_bytes_peak_ = 0;

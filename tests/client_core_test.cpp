@@ -370,8 +370,8 @@ std::size_t live_after_close_during_dial(sim::Dur offset) {
 /// receive ring the dial posted, nor the receive loop it spawned (with, on
 /// sockets, the server's reader at the other end). The reference closes
 /// long after the call. A socket client's receive loop outlives its close
-/// until the next bytes arrive, so a close that lands under the call, whose
-/// response wakes the loop, may leave fewer tasks live, never more.
+/// until the server's reader, seeing the EOF, closes its end, so no close
+/// may leave more tasks live than the reference.
 template <typename Client>
 void sweep_close_across_dial() {
   const std::size_t settled = live_after_close_during_dial<Client>(sim::millis(500));

@@ -2,7 +2,10 @@
 // concurrent calls, exceptions, multiple clients, stats capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -514,6 +517,156 @@ TEST(SocketRpc, BackToBackStopStartServesAgain) {
   s.spawn(call_add(f, 40, 2, after));
   s.run_until(sim::seconds(3));
   EXPECT_EQ(after, 42);
+}
+
+// Closing a client's connections leaves nothing of them behind: the
+// server's reader sees the EOF, closes its end, which wakes the client's
+// parked receive loop, and drops the connection. The live tasks return to
+// their count from before the client connected.
+TEST(SocketRpc, ClientCloseLeavesNoServerConnection) {
+  Scheduler s;
+  Fixture f(s);
+  s.run_until(sim::millis(1));
+  const std::size_t before = s.live_task_count();
+  std::int32_t out = 0;
+  s.spawn(call_add(f, 1, 2, out));
+  s.run_until(sim::seconds(1));
+  ASSERT_EQ(out, 3);
+  f.client.close_connections();
+  s.run_until(sim::seconds(2));
+  EXPECT_EQ(s.live_task_count(), before);
+}
+
+// --- Restart sweep ------------------------------------------------------------
+//
+// The socket twin of RpcoIB.RestartMidTrafficServesAgain*: a back-to-back
+// stop(); start() at every microsecond of the first burst, with sessions
+// off and on, at RPCOIB_SHARDS shards (default 2). At every instant each
+// call ends with its value or a transport error (a timeout included), one
+// more call succeeds, and once every client and the server are closed no
+// task is left.
+
+enum Outcome : int { kPending = 0, kValue, kTransportError, kWrongValue };
+
+struct RestartRig {
+  static constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4};
+  static constexpr int kLanes = 2;  // concurrent callers per client
+  static constexpr int kCallsPerLane = 4;
+
+  RestartRig(Scheduler& s, bool sessions, int shards)
+      : tb(s, Testbed::cluster_b()),
+        server(tb.host(1), tb.sockets(), kServerAddr, 4, shards),
+        outcomes(std::size(kClientHosts) * kLanes * kCallsPerLane, kPending) {
+    register_test_protocol(server);
+    SessionConfig session;
+    session.enabled = sessions;
+    server.set_session(session);
+    server.start();
+    RpcRetryPolicy retry;
+    retry.call_timeout = sim::millis(2);
+    retry.max_retries = 2;
+    retry.backoff_base = sim::micros(200);
+    for (const cluster::HostId h : kClientHosts) {
+      clients.push_back(
+          std::make_unique<SocketRpcClient>(tb.host(h), tb.sockets(), Transport::kIPoIB));
+      clients.back()->set_retry_policy(retry);
+      clients.back()->set_session(session);
+    }
+    const std::size_t sizes[] = {64, 2000, 16384};
+    std::size_t slot = 0;
+    for (auto& c : clients) {
+      for (int lane = 0; lane < kLanes; ++lane) {
+        std::vector<std::size_t> mine;
+        for (int i = 0; i < kCallsPerLane; ++i) mine.push_back(sizes[(slot + i) % 3]);
+        s.spawn(echo_lane(*c, mine, &outcomes[slot], &last_end));
+        slot += kCallsPerLane;
+      }
+    }
+  }
+  ~RestartRig() {
+    for (auto& c : clients) c->close_connections();
+    server.stop();
+    tb.sched().drain_tasks();
+  }
+
+  static Task echo_lane(RpcClient& c, std::vector<std::size_t> sizes, int* outcomes,
+                        sim::Time* last_end) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      net::Bytes payload(sizes[i]);
+      for (std::size_t b = 0; b < payload.size(); ++b) {
+        payload[b] = static_cast<net::Byte>(b * 7 + i);
+      }
+      BytesWritable req(payload);
+      BytesWritable resp;
+      try {
+        co_await c.call(kServerAddr, kEcho, req, &resp);
+        outcomes[i] = resp.value == payload ? kValue : kWrongValue;
+      } catch (const RpcTransportError&) {
+        outcomes[i] = kTransportError;
+      }
+      *last_end = std::max(*last_end, c.host().sched().now());
+    }
+  }
+
+  Testbed tb;
+  SocketRpcServer server;
+  std::vector<std::unique_ptr<SocketRpcClient>> clients;
+  std::vector<int> outcomes;
+  sim::Time last_end = 0;
+};
+
+Task echo_once(RpcClient& c, bool& ok) {
+  net::Bytes payload(512, net::Byte{9});
+  BytesWritable req(payload);
+  BytesWritable resp;
+  co_await c.call(kServerAddr, kEcho, req, &resp);
+  ok = resp.value == payload;
+}
+
+void restart_sweep(bool sessions, int shards) {
+  // The burst's end, from a run without a restart.
+  sim::Time burst_end = 0;
+  {
+    Scheduler s;
+    RestartRig rig(s, sessions, shards);
+    s.run_until(sim::millis(50));
+    for (const int o : rig.outcomes) ASSERT_EQ(o, kValue);
+    burst_end = rig.last_end;
+  }
+  ASSERT_GT(burst_end, 0u);
+  for (sim::Time t = 0; t <= burst_end; t += sim::micros(1)) {
+    SCOPED_TRACE("restart at " + std::to_string(sim::to_us(t)) + " us");
+    Scheduler s;
+    RestartRig rig(s, sessions, shards);
+    s.run_until(t);
+    rig.server.stop();
+    rig.server.start();
+    s.run_until(t + sim::millis(50));
+    for (const int o : rig.outcomes) {
+      ASSERT_TRUE(o == kValue || o == kTransportError) << "outcome " << o;
+    }
+    bool ok = false;
+    s.spawn(echo_once(*rig.clients.front(), ok));
+    s.run_until(s.now() + sim::millis(50));
+    ASSERT_TRUE(ok);
+
+    for (auto& c : rig.clients) c->close_connections();
+    rig.server.stop();
+    s.run_until(s.now() + sim::millis(50));
+    ASSERT_EQ(s.live_task_count(), 0u);
+  }
+}
+
+int restart_shards(int fallback) {
+  const char* env = std::getenv("RPCOIB_SHARDS");
+  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : fallback;
+}
+
+TEST(SocketRpc, RestartMidTrafficServesAgain) {
+  for (const bool sessions : {false, true}) {
+    SCOPED_TRACE(sessions ? "sessions on" : "sessions off");
+    restart_sweep(sessions, restart_shards(2));
+  }
 }
 
 /// A raw server that answers the first call with a reply whose body is

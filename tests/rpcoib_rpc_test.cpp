@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/testbed.hpp"
+#include "rpc/buffers.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpc/socket_server.hpp"
 #include "rpcoib/engine.hpp"
@@ -311,6 +312,89 @@ TEST(RpcoIB, ReconnectRaceAdoptsReplacementConnection) {
   EXPECT_EQ(client.fallback_address_count(), 0u);
   client.close_connections();
   server.stop();
+  s.drain_tasks();
+}
+
+// --- A failed rendezvous READ --------------------------------------------------
+//
+// A kCtrlCall whose RDMA READ fails (the rkey it names no longer resolves:
+// the caller's source is gone) runs no handler. The failed READ leaves the
+// fetched buffer untouched, and the pool's LIFO freelist hands the next
+// same-sized fetch the buffer the last one used, so enqueuing it would run
+// the previous call again. A raw RC peer sends one real kCtrlCall, waits
+// for its answer, then a same-length kCtrlCall naming a deregistered
+// region.
+
+const rpc::MethodKey kCount{"test.EchoProtocol", "count"};
+
+/// A kCall frame as the RPCoIB client serializes it, with a `n`-byte
+/// BytesWritable param: large enough to sit in another pool class than
+/// the response.
+net::Bytes count_call_frame(const cluster::CostModel& cm, std::size_t n) {
+  rpc::DataOutputBuffer out(cm);
+  out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
+  rpc::write_call_header(out, 1, false, 0, {}, kCount);
+  rpc::BytesWritable(net::Bytes(n, net::Byte{5})).write(out);
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+struct RawRcPeer {
+  RawRcPeer(Testbed& tb, verbs::VerbsStack& stack)
+      : cm(stack, tb.sockets()), cq(tb.sched()), pd(stack, tb.host(0)), ring(4096) {}
+  verbs::ConnectionManager cm;
+  verbs::CompletionQueue cq;
+  verbs::ProtectionDomain pd;
+  verbs::QueuePairPtr qp;
+  net::Bytes ring;  // the one receive slot, for the first call's kResp
+};
+
+Task rendezvous_calls(Testbed& tb, RawRcPeer& peer, net::Bytes& live, net::Bytes& gone,
+                      bool& answered) {
+  peer.qp = co_await peer.cm.connect(tb.host(0), kAddr, peer.cq, peer.cq);
+  peer.qp->post_recv(2, peer.ring);
+  const auto len = static_cast<std::uint32_t>(live.size());
+  const verbs::MemoryRegion live_mr = peer.pd.register_mr_untimed(live);
+  const ControlFrame first(Control{FrameType::kCtrlCall, live_mr.rkey, 0, len});
+  co_await peer.qp->post_send(0, first.span());
+  for (;;) {
+    const verbs::WorkCompletion wc = co_await peer.cq.wait();
+    if (wc.opcode == verbs::Opcode::kRecv) break;
+  }
+  answered = true;
+  const verbs::MemoryRegion gone_mr = peer.pd.register_mr_untimed(gone);
+  peer.pd.deregister(gone_mr);
+  const ControlFrame second(Control{FrameType::kCtrlCall, gone_mr.rkey, 0, len});
+  co_await peer.qp->post_send(0, second.span());
+}
+
+TEST(RpcoIB, FailedRendezvousReadRunsNoHandler) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  verbs::VerbsStack stack(tb.fabric());
+  RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr);
+  int runs = 0;
+  server.dispatcher().register_method(
+      "test.EchoProtocol", "count", [&runs](rpc::DataInput& in, rpc::DataOutput&) -> Co<void> {
+        rpc::BytesWritable payload;
+        payload.read_fields(in);
+        ++runs;
+        co_return;
+      });
+  server.start();
+  RawRcPeer peer(tb, stack);
+  net::Bytes live = count_call_frame(tb.host(0).cost(), 2000);
+  net::Bytes gone(live.size());
+  bool answered = false;
+  s.spawn(rendezvous_calls(tb, peer, live, gone, answered));
+  s.run_until(sim::seconds(1));
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(server.stats().calls_handled, 1u);
+
+  server.stop();
+  s.run_until(sim::seconds(2));
+  const PoolStats& sp = server.pool().native().stats();
+  EXPECT_EQ(sp.acquires, sp.releases);
   s.drain_tasks();
 }
 
