@@ -3,22 +3,14 @@
 // regime where Hadoop's RPC congestion collapses into per-call syscalls.
 // Compares batching off (seed behavior) vs on (adaptive coalescing) on the
 // socket transport and on RPCoIB.
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "workloads/pingpong.hpp"
 
 namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
 struct Row {
   const char* transport;
   double plain_kops;
@@ -30,6 +22,7 @@ struct Row {
 int main(int argc, char** argv) {
   using namespace rpcoib;
   using oib::RpcMode;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   constexpr int kCallers = 16;
   constexpr int kSharedClients = 2;
@@ -57,29 +50,16 @@ int main(int argc, char** argv) {
   };
 
   metrics::Table t({"Transport", "Plain", "Batched", "Batched/Plain"});
+  bench::Json json("fig5_batched");
   for (const Row& r : rows) {
     t.row({r.transport, metrics::Table::num(r.plain_kops, 1),
            metrics::Table::num(r.batched_kops, 1), metrics::Table::num(r.ratio(), 2)});
+    json.row({{"transport", r.transport}, {"plain_kops", r.plain_kops},
+              {"batched_kops", r.batched_kops}, {"ratio", r.ratio()}});
   }
   t.print(std::cout);
   std::cout << "\nCoalescing amortizes per-message framing/syscall cost across the calls\n"
                "queued behind a shared connection; off-by-default, wire-identical when off.\n";
 
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig5_batched\",\n  \"rows\": [\n";
-    for (int i = 0; i < 2; ++i) {
-      const Row& r = rows[i];
-      js << "    {\"transport\": \"" << r.transport << "\", \"plain_kops\": " << r.plain_kops
-         << ", \"batched_kops\": " << r.batched_kops << ", \"ratio\": " << r.ratio() << "}"
-         << (i == 0 ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

@@ -5,29 +5,18 @@
 // RPC-10GigE and 46-50% below RPC-IPoIB across the sweep; 1.42-2.48x
 // speedup over RPC-1GigE (1GigE shown here for completeness although the
 // paper omits it from the figure).
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/critical_path.hpp"
 #include "workloads/pingpong.hpp"
-
-namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rpcoib;
   using oib::RpcMode;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut | bench::kTraceOut);
 
   const std::vector<std::size_t> payloads = {1, 4, 16, 64, 256, 1024, 4096};
 
@@ -44,6 +33,9 @@ int main(int argc, char** argv) {
 
   metrics::Table t({"Payload (B)", "RPC-1GigE", "RPC-10GigE", "RPC-IPoIB(32Gbps)",
                     "RPCoIB(32Gbps)", "vs 10GigE", "vs IPoIB", "vs 1GigE"});
+  // --json-out=FILE: machine-readable copy of the table for the CI
+  // benchmark-regression gate (ci/check_bench.py).
+  bench::Json json("fig5_latency");
   for (std::size_t i = 0; i < payloads.size(); ++i) {
     const double g1 = gige[i].avg_us;
     const double g10 = tengige[i].avg_us;
@@ -54,53 +46,23 @@ int main(int argc, char** argv) {
            metrics::Table::pct((1.0 - rdm / g10) * 100.0),
            metrics::Table::pct((1.0 - rdm / ipo) * 100.0),
            metrics::Table::num(g1 / rdm, 2) + "x"});
+    json.row({{"bytes", payloads[i]}, {"gige_us", g1}, {"tengige_us", g10},
+              {"ipoib_us", ipo}, {"rpcoib_us", rdm}});
   }
   t.print(std::cout);
 
   std::cout << "\nPaper: RPCoIB 39us @1B, ~52us @4KB; 42-49% vs 10GigE; 46-50% vs IPoIB;\n"
                "       1.42-2.48x speedup vs 1GigE.\n";
 
-  // --json-out=FILE: machine-readable copy of the table for the CI
-  // benchmark-regression gate (ci/check_bench.py).
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig5_latency\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      js << "    {\"bytes\": " << payloads[i] << ", \"gige_us\": " << gige[i].avg_us
-         << ", \"tengige_us\": " << tengige[i].avg_us
-         << ", \"ipoib_us\": " << ipoib[i].avg_us
-         << ", \"rpcoib_us\": " << rpcoib[i].avg_us << "}"
-         << (i + 1 < payloads.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!bench::write_out(args.json_out, json.str())) return 1;
 
-  // --trace-out=FILE: re-run the IPoIB and RPCoIB sweeps with tracing on,
-  // export chrome://tracing JSON per transport, and print where each
-  // ping-pong spends its time. (Separate runs: traced calls carry a trace
-  // context on the wire, so the table above stays untouched.)
-  const std::string trace_path = trace::trace_out_arg(argc, argv);
-  if (!trace_path.empty()) {
-    struct { RpcMode mode; const char* tag; } traced[] = {
-        {RpcMode::kSocketIPoIB, "ipoib"}, {RpcMode::kRpcoIB, "rpcoib"}};
-    for (const auto& tc : traced) {
-      trace::TraceCollector col;
-      col.set_enabled(true);
-      workloads::run_latency(tc.mode, payloads, 4, 16, 1, &col);
-      const std::string out = trace::path_with_tag(trace_path, tc.tag);
-      if (trace::write_chrome_trace_file(out, col)) {
-        std::cout << "\nwrote " << out << " (" << col.spans().size() << " spans)\n";
-      } else {
-        std::cerr << "error: could not write trace file " << out << "\n";
-      }
-      std::cout << "critical path, " << tc.tag << " (longest RPC):\n";
-      trace::print_critical_path(std::cout, col);
-    }
+  // --trace-out=FILE: re-run the IPoIB and RPCoIB sweeps with tracing on
+  // and print where each ping-pong spends its time.
+  if (!args.trace_out.empty()) {
+    std::cout << "\n";
+    bench::traced_runs(args.trace_out, "RPC", [&](RpcMode mode, trace::TraceCollector& col) {
+      workloads::run_latency(mode, payloads, 4, 16, 1, &col);
+    });
   }
   return 0;
 }

@@ -4,34 +4,18 @@
 // Paper endpoints: RPCoIB peak ~135.22 Kops/sec, +82% over RPC-10GigE and
 // +64% over RPC-IPoIB at the peak.
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "workloads/pingpong.hpp"
-
-namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-std::string report_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--report-out=", 13) == 0) return argv[i] + 13;
-  }
-  return "";
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rpcoib;
   using oib::RpcMode;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut | bench::kReportOut);
 
   const std::vector<int> clients = {8, 16, 24, 32, 40, 48, 56, 64};
 
@@ -47,10 +31,15 @@ int main(int argc, char** argv) {
       workloads::run_throughput(RpcMode::kRpcoIB, clients, 8, 512, kWindowMs);
 
   metrics::Table t({"Clients", "RPC-10GigE", "RPC-IPoIB(32Gbps)", "RPCoIB(32Gbps)"});
+  // --json-out=FILE: machine-readable copy of both tables for the CI
+  // benchmark-regression gate (ci/check_bench.py).
+  bench::Json json("fig5_throughput");
   double peak_10ge = 0, peak_ipoib = 0, peak_rdma = 0;
   for (std::size_t i = 0; i < clients.size(); ++i) {
     t.row({std::to_string(clients[i]), metrics::Table::num(tengige[i].kops, 1),
            metrics::Table::num(ipoib[i].kops, 1), metrics::Table::num(rpcoib[i].kops, 1)});
+    json.row({{"clients", clients[i]}, {"tengige_kops", tengige[i].kops},
+              {"ipoib_kops", ipoib[i].kops}, {"rpcoib_kops", rpcoib[i].kops}});
     peak_10ge = std::max(peak_10ge, tengige[i].kops);
     peak_ipoib = std::max(peak_ipoib, ipoib[i].kops);
     peak_rdma = std::max(peak_rdma, rpcoib[i].kops);
@@ -71,7 +60,7 @@ int main(int argc, char** argv) {
   const std::vector<int> shard_clients = {32, 64};
   metrics::print_banner(std::cout, "Shard scaling: peak Kops/sec vs server.shards");
   metrics::Table st({"Shards", "RPC-IPoIB(32Gbps)", "RPCoIB(32Gbps)"});
-  std::vector<double> shard_peak_ipoib, shard_peak_rpcoib;
+  std::vector<double> shard_peak_rpcoib;
   std::string shard_report;  // 4-shard RPCoIB resilience report (artifact)
   for (int shards : shard_counts) {
     std::string* report = shards == 4 ? &shard_report : nullptr;
@@ -82,8 +71,8 @@ int main(int argc, char** argv) {
     double pi = 0, pr = 0;
     for (const auto& r : si) pi = std::max(pi, r.kops);
     for (const auto& r : sr) pr = std::max(pr, r.kops);
-    shard_peak_ipoib.push_back(pi);
     shard_peak_rpcoib.push_back(pr);
+    json.row({{"shards", shards}, {"ipoib_kops", pi}, {"rpcoib_kops", pr}}, "shard_rows");
     st.row({std::to_string(shards), metrics::Table::num(pi, 1), metrics::Table::num(pr, 1)});
   }
   st.print(std::cout);
@@ -92,39 +81,6 @@ int main(int argc, char** argv) {
 
   // --report-out=FILE: the 4-shard RPCoIB resilience report with the
   // per-shard shard.* counter rows (uploaded as a CI artifact).
-  if (const std::string report_path = report_out_arg(argc, argv); !report_path.empty()) {
-    std::ofstream rf(report_path);
-    if (!rf) {
-      std::cerr << "error: could not write " << report_path << "\n";
-      return 1;
-    }
-    rf << shard_report;
-    std::cout << "wrote " << report_path << "\n";
-  }
-
-  // --json-out=FILE: machine-readable copy of the table for the CI
-  // benchmark-regression gate (ci/check_bench.py).
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig5_throughput\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      js << "    {\"clients\": " << clients[i] << ", \"tengige_kops\": " << tengige[i].kops
-         << ", \"ipoib_kops\": " << ipoib[i].kops << ", \"rpcoib_kops\": " << rpcoib[i].kops
-         << "}" << (i + 1 < clients.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"shard_rows\": [\n";
-    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      js << "    {\"shards\": " << shard_counts[i]
-         << ", \"ipoib_kops\": " << shard_peak_ipoib[i]
-         << ", \"rpcoib_kops\": " << shard_peak_rpcoib[i] << "}"
-         << (i + 1 < shard_counts.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  if (!bench::write_out(args.report_out, shard_report)) return 1;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

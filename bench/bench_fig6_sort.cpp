@@ -4,69 +4,38 @@
 // node, data sizes 32 / 64 / 128 GB. Paper result: RPCoIB improves
 // RandomWriter by 9.1% (64 GB) / 12% (128 GB) and Sort by 12.3% / 15.2%.
 //
-// Pass a scale factor (default 1 = the full 64-slave, up-to-128 GB sweep;
-// e.g. 4 runs 16 slaves with 8-32 GB for a quick look). With
+// Pass a scale factor from 1 to 64 (default 1 = the full 64-slave,
+// up-to-128 GB sweep; e.g. 4 runs 16 slaves with 8-32 GB for a quick look). With
 // --trace-out=FILE, a traced RandomWriter+Sort run per transport is
 // exported as chrome://tracing JSON (FILE gets an .ipoib/.rpcoib tag) and
 // a critical-path breakdown of the Sort job span is printed.
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/critical_path.hpp"
 #include "workloads/hadoop_jobs.hpp"
 
 int main(int argc, char** argv) {
   using namespace rpcoib;
-  // Reject unknown --flags (a typo like `--trace-out sort.json` must not
-  // silently fall through to the full 64-slave sweep).
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_path = argv[i] + 11;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--", 2) == 0 &&
-        std::strncmp(argv[i], "--trace-out=", 12) != 0) {
-      std::cerr << "error: unknown option " << argv[i]
-                << " (usage: bench_fig6_sort [scale] [--trace-out=FILE]"
-                " [--json-out=FILE])\n";
-      return 2;
-    }
-  }
-  const bool explicit_scale = argc > 1 && std::strncmp(argv[1], "--", 2) != 0;
-  const int scale = explicit_scale ? std::atoi(argv[1]) : 1;
-  const int slaves = 64 / scale;
+  constexpr int kSlaves = 64;  // the paper's cluster; a scale leaves at least one
+  const bench::Args args =
+      bench::parse_args(argc, argv, bench::kJsonOut | bench::kTraceOut, kSlaves);
+  const int scale = args.scale > 0 ? args.scale : 1;
+  const int slaves = kSlaves / scale;
   const std::vector<std::uint64_t> sizes = {32ULL << 30, 64ULL << 30, 128ULL << 30};
 
   // Tracing mode: run a mini RandomWriter+Sort (8 slaves, 2 GB) per
   // transport with the collector attached, export, and attribute the
   // longest job span. Without an explicit scale argument this replaces the
   // full sweep (a traced 128 GB / 64-slave run is needlessly slow).
-  const std::string trace_path = trace::trace_out_arg(argc, argv);
-  if (!trace_path.empty()) {
-    struct { oib::RpcMode mode; const char* tag; } traced[] = {
-        {oib::RpcMode::kSocketIPoIB, "ipoib"}, {oib::RpcMode::kRpcoIB, "rpcoib"}};
-    for (const auto& tc : traced) {
-      trace::TraceCollector col;
-      col.set_enabled(true);
-      workloads::run_randomwriter_sort(tc.mode, 8, 2ULL << 30, 7, &col);
-      const std::string out = trace::path_with_tag(trace_path, tc.tag);
-      if (trace::write_chrome_trace_file(out, col)) {
-        std::cout << "wrote " << out << " (" << col.spans().size() << " spans)\n";
-      } else {
-        std::cerr << "error: could not write trace file " << out << "\n";
-      }
-      std::cout << "critical path, " << tc.tag << " (longest job):\n";
-      trace::print_critical_path(std::cout, col);
-      std::cout << "\n";
-    }
-    if (!explicit_scale) return 0;
+  if (!args.trace_out.empty()) {
+    bench::traced_runs(args.trace_out, "job", [](oib::RpcMode mode, trace::TraceCollector& col) {
+      workloads::run_randomwriter_sort(mode, 8, 2ULL << 30, 7, &col);
+    });
+    std::cout << "\n";
+    if (args.scale == 0) return 0;
   }
 
   metrics::print_banner(std::cout, "Figure 6(a): RandomWriter and Sort, " +
@@ -74,18 +43,20 @@ int main(int argc, char** argv) {
 
   metrics::Table t({"Data Size (GB)", "RandomWriter IPoIB (s)", "RandomWriter RPCoIB (s)",
                     "RW gain", "Sort IPoIB (s)", "Sort RPCoIB (s)", "Sort gain"});
-  struct JsonRow {
-    std::uint64_t gb;
-    workloads::SortResult ipoib, rpcoib;
-  };
-  std::vector<JsonRow> json_rows;
+  // --json-out=FILE: machine-readable copy of the table for the CI
+  // benchmark-regression gate (ci/check_bench.py).
+  bench::Json json("fig6_sort");
+  json.scalar({"scale", scale});
+  json.scalar({"slaves", slaves});
   for (std::uint64_t size : sizes) {
     const std::uint64_t scaled = size / static_cast<std::uint64_t>(scale);
     workloads::SortResult ipoib =
         workloads::run_randomwriter_sort(oib::RpcMode::kSocketIPoIB, slaves, scaled);
     workloads::SortResult rdma =
         workloads::run_randomwriter_sort(oib::RpcMode::kRpcoIB, slaves, scaled);
-    json_rows.push_back({size >> 30, ipoib, rdma});
+    json.row({{"gb", size >> 30}, {"rw_ipoib_s", ipoib.randomwriter_secs},
+              {"rw_rpcoib_s", rdma.randomwriter_secs}, {"sort_ipoib_s", ipoib.sort_secs},
+              {"sort_rpcoib_s", rdma.sort_secs}});
     t.row({std::to_string(size >> 30), metrics::Table::num(ipoib.randomwriter_secs, 1),
            metrics::Table::num(rdma.randomwriter_secs, 1),
            metrics::Table::pct(
@@ -99,26 +70,5 @@ int main(int argc, char** argv) {
                "NOTE: this reproduction accounts RPC latency mechanistically; see\n"
                "EXPERIMENTS.md for the expected magnitude difference.\n";
 
-  // --json-out=FILE: machine-readable copy of the table for the CI
-  // benchmark-regression gate (ci/check_bench.py).
-  if (!json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig6_sort\",\n  \"scale\": " << scale
-       << ",\n  \"slaves\": " << slaves << ",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& r = json_rows[i];
-      js << "    {\"gb\": " << r.gb << ", \"rw_ipoib_s\": " << r.ipoib.randomwriter_secs
-         << ", \"rw_rpcoib_s\": " << r.rpcoib.randomwriter_secs
-         << ", \"sort_ipoib_s\": " << r.ipoib.sort_secs
-         << ", \"sort_rpcoib_s\": " << r.rpcoib.sort_secs << "}"
-         << (i + 1 < json_rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

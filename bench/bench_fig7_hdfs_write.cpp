@@ -6,28 +6,19 @@
 //
 // Paper: HDFSoIB-RPCoIB ~10% below HDFSoIB-RPC(IPoIB); socket data paths
 // ordered 1GigE >> IPoIB > HDFSoIB.
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "workloads/hadoop_jobs.hpp"
-
-namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rpcoib;
   using hdfs::DataMode;
   using oib::RpcMode;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   struct Config {
     DataMode data;
@@ -55,12 +46,9 @@ int main(int argc, char** argv) {
   for (int gb = 1; gb <= 5; ++gb) header.push_back(std::to_string(gb) + " GB");
   metrics::Table t(header);
 
-  struct JsonRow {
-    const char* config;
-    int gb;
-    double secs;
-  };
-  std::vector<JsonRow> json_rows;
+  // --json-out=FILE: machine-readable copy of the table for the CI
+  // benchmark-regression gate (ci/check_bench.py).
+  bench::Json json("fig7_hdfs_write");
 
   double oib_ipoib_5g = 0, oib_rdma_5g = 0, oib_stream_5g = 0;
   for (const Config& c : configs) {
@@ -71,7 +59,7 @@ int main(int argc, char** argv) {
       const double secs = workloads::run_hdfs_write(
           c.data, c.rpc, static_cast<std::uint64_t>(gb) << 30, setup);
       row.push_back(metrics::Table::num(secs, 2));
-      json_rows.push_back({c.label, gb, secs});
+      json.row({{"config", c.label}, {"gb", gb}, {"secs", secs}});
       if (gb == 5 && c.data == DataMode::kRdma) {
         if (c.rpc == RpcMode::kSocketIPoIB) oib_ipoib_5g = secs;
         if (c.rpc == RpcMode::kRpcoIB && !c.streamed) oib_rdma_5g = secs;
@@ -92,23 +80,5 @@ int main(int argc, char** argv) {
               << metrics::Table::num(oib_rdma_5g / oib_stream_5g, 2) << "x faster\n";
   }
 
-  // --json-out=FILE: machine-readable copy of the table for the CI
-  // benchmark-regression gate (ci/check_bench.py).
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig7_hdfs_write\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& r = json_rows[i];
-      js << "    {\"config\": \"" << r.config << "\", \"gb\": " << r.gb
-         << ", \"secs\": " << r.secs << "}" << (i + 1 < json_rows.size() ? "," : "")
-         << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

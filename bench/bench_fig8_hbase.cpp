@@ -7,42 +7,22 @@
 // scaled identically so per-operation flush/WAL rates match. Paper:
 // HBaseoIB-RPCoIB beats HBaseoIB-RPC(IPoIB) by +16% (Put), +6% (Get),
 // +24% (mix).
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "workloads/hadoop_jobs.hpp"
-
-namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-// First non-flag argument is the scale divisor (default 10).
-std::uint64_t scale_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      const std::uint64_t s = std::strtoull(argv[i], nullptr, 10);
-      return s > 0 ? s : 10;
-    }
-  }
-  return 10;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rpcoib;
   using hbase::HBaseMode;
   using oib::RpcMode;
-
-  const std::uint64_t scale = scale_arg(argc, argv);
+  // The scale divisor (default 10) divides the paper's operation and
+  // record counts; the largest leaves one record in the smallest table.
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut, /*max_scale=*/100000);
+  const std::uint64_t scale = args.scale > 0 ? static_cast<std::uint64_t>(args.scale) : 10;
   const std::uint64_t ops = 640000 / scale;
 
   struct Config {
@@ -69,13 +49,10 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> record_counts = {100000 / scale, 200000 / scale,
                                                     300000 / scale};
 
-  struct JsonRow {
-    const char* mix;
-    const char* config;
-    std::uint64_t records;
-    double kops;
-  };
-  std::vector<JsonRow> json_rows;
+  // --json-out=FILE: machine-readable copy of the tables for the CI
+  // benchmark-regression gate (ci/check_bench.py).
+  bench::Json json("fig8_hbase");
+  json.scalar({"scale", scale});
 
   for (const Mix& mix : mixes) {
     metrics::print_banner(std::cout, std::string("Figure 8: YCSB ") + mix.name +
@@ -91,7 +68,8 @@ int main(int argc, char** argv) {
         const workloads::HBaseRunResult r =
             workloads::run_hbase_ycsb(c.hbase, c.rpc, rc, ops, mix.read_prop);
         row.push_back(metrics::Table::num(r.throughput_kops, 1));
-        json_rows.push_back({mix.slug, c.label, rc, r.throughput_kops});
+        json.row({{"mix", mix.slug}, {"config", c.label}, {"records", rc},
+                  {"kops", r.throughput_kops}});
         if (rc == record_counts.back()) {
           if (c.hbase == HBaseMode::kRdma && c.rpc == RpcMode::kSocketIPoIB) {
             base = r.throughput_kops;
@@ -111,23 +89,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --json-out=FILE: machine-readable copy of the tables for the CI
-  // benchmark-regression gate (ci/check_bench.py).
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"fig8_hbase\",\n  \"scale\": " << scale << ",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& r = json_rows[i];
-      js << "    {\"mix\": \"" << r.mix << "\", \"config\": \"" << r.config
-         << "\", \"records\": " << r.records << ", \"kops\": " << r.kops << "}"
-         << (i + 1 < json_rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

@@ -11,7 +11,6 @@
 // still returns a version that was actually published or authoritative.
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
@@ -45,13 +45,6 @@ const rpc::MethodKey kGet{kProto, "get"};
 constexpr int kKeys = 64;
 constexpr int kPublished = 16;  // hottest ranks exported one-sided
 constexpr int kClients = 8;
-
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
 
 std::string key_name(int id) { return "key-" + std::to_string(id); }
 
@@ -216,6 +209,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using rpcoib::metrics::Table;
+  namespace bench = rpcoib::bench;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   rpcoib::metrics::print_banner(
       std::cout,
@@ -241,11 +236,19 @@ int main(int argc, char** argv) {
 
   Table t({"Skew", "Load", "Mode", "Ops", "Ops/s", "Mean us", "1s reads",
            "Conflict fb", "Correct"});
+  bench::Json json("onesided");
+  bool ok = true;
   for (const Row& r : rows) {
-    t.row({r.cfg.skew, r.cfg.write_hot ? "write-hot" : r.cfg.load, r.cfg.mode,
-           std::to_string(r.res.ops), Table::num(r.res.throughput(), 0),
-           Table::num(r.res.mean_us, 1), std::to_string(r.res.onesided_reads),
-           std::to_string(r.res.conflict_fallbacks), r.res.correct ? "yes" : "NO"});
+    const char* load = r.cfg.write_hot ? "write-hot" : r.cfg.load;
+    t.row({r.cfg.skew, load, r.cfg.mode, std::to_string(r.res.ops),
+           Table::num(r.res.throughput(), 0), Table::num(r.res.mean_us, 1),
+           std::to_string(r.res.onesided_reads), std::to_string(r.res.conflict_fallbacks),
+           r.res.correct ? "yes" : "NO"});
+    json.row({{"skew", r.cfg.skew}, {"load", load}, {"mode", r.cfg.mode}, {"ops", r.res.ops},
+              {"ops_per_sec", r.res.throughput()}, {"mean_us", r.res.mean_us},
+              {"onesided_reads", r.res.onesided_reads},
+              {"conflict_fallbacks", r.res.conflict_fallbacks}, {"correct", r.res.correct}});
+    ok = ok && r.res.correct && r.res.ops > 0;
   }
   t.print(std::cout);
 
@@ -266,30 +269,6 @@ int main(int argc, char** argv) {
                "crossover grows with handler CPU and key skew; the write-hot leg\n"
                "shows the seqlock degrading to RPC without serving torn state.\n";
 
-  bool ok = true;
-  for (const Row& r : rows) ok = ok && r.res.correct && r.res.ops > 0;
-
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"onesided\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      js << "    {\"skew\": \"" << r.cfg.skew << "\", \"load\": \""
-         << (r.cfg.write_hot ? "write-hot" : r.cfg.load) << "\", \"mode\": \""
-         << r.cfg.mode << "\", \"ops\": " << r.res.ops
-         << ", \"ops_per_sec\": " << r.res.throughput()
-         << ", \"mean_us\": " << r.res.mean_us
-         << ", \"onesided_reads\": " << r.res.onesided_reads
-         << ", \"conflict_fallbacks\": " << r.res.conflict_fallbacks
-         << ", \"correct\": " << (r.res.correct ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!bench::write_out(args.json_out, json.str())) return 1;
   return ok ? 0 : 1;
 }

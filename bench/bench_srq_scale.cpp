@@ -4,13 +4,12 @@
 // O(connections) registered memory; the SRQ pins one server-wide ring and
 // must stay flat across the sweep at equal latency.
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "net/testbed.hpp"
 #include "rpcoib/rdma_client.hpp"
@@ -21,7 +20,6 @@ namespace {
 using rpcoib::net::Address;
 using rpcoib::net::Testbed;
 using rpcoib::sim::Scheduler;
-using rpcoib::sim::Task;
 namespace oib = rpcoib::oib;
 namespace rpc = rpcoib::rpc;
 namespace sim = rpcoib::sim;
@@ -31,47 +29,6 @@ namespace verbs = rpcoib::verbs;
 
 constexpr Address kAddr{1, 9600};
 const rpc::MethodKey kEcho{"bench.SrqProtocol", "echo"};
-
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-void register_echo(rpc::RpcServer& server) {
-  server.dispatcher().register_method(
-      kEcho.protocol, kEcho.method,
-      [](rpc::DataInput& in, rpc::DataOutput& out) -> sim::Co<void> {
-        rpc::BytesWritable payload;
-        payload.read_fields(in);
-        rpc::BytesWritable(std::move(payload.value)).write(out);
-        co_return;
-      });
-}
-
-Task driver(Scheduler& s, rpc::RpcClient& client, sim::Dur start, int calls,
-            double& total_us, int& done) {
-  // Staggered starts keep the in-flight call count (buffers held from ring
-  // pop to handler dispatch) roughly constant across the sweep, so the
-  // ring-bytes peak isolates *posted receive memory* — the quantity that
-  // scales with connections under per-QP rings and must not under the SRQ.
-  co_await sim::delay(s, start);
-  rpc::BytesWritable req(net::Bytes(64, net::Byte{0x5a}));
-  {
-    // One uncounted warmup absorbs connection bootstrap and the SRQ's
-    // one-time initial ring fill, so the mean reflects steady state.
-    rpc::BytesWritable resp;
-    co_await client.call(kAddr, kEcho, req, &resp);
-  }
-  for (int i = 0; i < calls; ++i) {
-    rpc::BytesWritable resp;
-    const sim::Time t0 = s.now();
-    co_await client.call(kAddr, kEcho, req, &resp);
-    total_us += sim::to_us(s.now() - t0);
-    ++done;
-  }
-}
 
 struct Result {
   std::uint64_t ring_bytes_peak = 0;
@@ -86,7 +43,7 @@ Result run_one(std::size_t srq_depth, int conns, int calls_per_conn) {
   oib::RdmaServerConfig scfg;
   scfg.pool.srq_depth = srq_depth;  // 0 selects the legacy per-QP rings
   oib::RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr, scfg);
-  register_echo(server);
+  rpcoib::bench::register_echo(server, kEcho);
   server.start();
 
   oib::RdmaClientConfig ccfg;
@@ -99,7 +56,8 @@ Result run_one(std::size_t srq_depth, int conns, int calls_per_conn) {
   for (int i = 0; i < conns; ++i) {
     clients.push_back(std::make_unique<oib::RdmaRpcClient>(
         tb.host(kClientHosts[i % 8]), tb.sockets(), stack, ccfg));
-    s.spawn(driver(s, *clients.back(), sim::micros(200) * i, calls_per_conn, total_us, done));
+    s.spawn(rpcoib::bench::echo_client(s, *clients.back(), kAddr, kEcho, sim::micros(200) * i,
+                                       calls_per_conn, total_us, done));
   }
   s.run_until(sim::seconds(600));
 
@@ -123,6 +81,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using rpcoib::metrics::Table;
+  namespace bench = rpcoib::bench;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   constexpr int kCallsPerConn = 4;
   const int kConns[] = {4, 16, 64, 256};
@@ -139,35 +99,21 @@ int main(int argc, char** argv) {
   }
 
   Table t({"Mode", "Conns", "RingPeak(KB)", "Mean us", "Complete"});
+  bench::Json json("srq_scale");
+  bool ok = true;
   for (const Row& r : rows) {
     t.row({r.mode, std::to_string(r.conns),
            Table::num(static_cast<double>(r.res.ring_bytes_peak) / 1024.0, 0),
            Table::num(r.res.mean_us, 1), r.res.complete ? "yes" : "NO"});
+    json.row({{"mode", r.mode}, {"conns", r.conns}, {"ring_bytes_peak", r.res.ring_bytes_peak},
+              {"mean_us", r.res.mean_us}});
+    ok = ok && r.res.complete;
   }
   t.print(std::cout);
   std::cout << "\nThe SRQ posts one server-wide ring refilled at a low watermark, so its\n"
                "registered receive memory is flat in the connection count; per-QP rings\n"
                "pin a full ring per accepted connection.\n";
 
-  bool ok = true;
-  for (const Row& r : rows) ok = ok && r.res.complete;
-
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"srq_scale\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      js << "    {\"mode\": \"" << r.mode << "\", \"conns\": " << r.conns
-         << ", \"ring_bytes_peak\": " << r.res.ring_bytes_peak
-         << ", \"mean_us\": " << r.res.mean_us << "}" << (i + 1 < rows.size() ? "," : "")
-         << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!bench::write_out(args.json_out, json.str())) return 1;
   return ok ? 0 : 1;
 }

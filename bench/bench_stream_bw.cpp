@@ -11,23 +11,15 @@
 // Expected: streamed beats one-shot by >=1.3x at the default geometry
 // (256 KB chunks, ring depth 4); depth 1 serializes the ring and gives
 // most of the win back.
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "workloads/hadoop_jobs.hpp"
 
 namespace {
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
 constexpr std::uint64_t kFileBytes = 64ULL << 20;
 constexpr std::uint64_t kBlockBytes = 4ULL << 20;
 
@@ -40,6 +32,7 @@ int main(int argc, char** argv) {
   using namespace rpcoib;
   using hdfs::DataMode;
   using oib::RpcMode;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   workloads::HdfsWriteSetup setup;
   setup.datanodes = 3;
@@ -54,13 +47,11 @@ int main(int argc, char** argv) {
   std::cout << "one-shot rendezvous: " << metrics::Table::num(oneshot, 3) << " s ("
             << metrics::Table::num(mib_per_sec(oneshot), 1) << " MiB/s)\n\n";
 
-  struct Row {
-    std::size_t chunk_kb;
-    std::size_t depth;
-    double secs;
-    double speedup;
-  };
-  std::vector<Row> rows;
+  // --json-out=FILE: machine-readable copy for the CI benchmark-regression
+  // gate (ci/check_bench.py): bandwidth floor + pipeline-overlap ratio.
+  bench::Json json("stream_bw");
+  json.scalar({"payload_mb", kBlockBytes >> 20});
+  json.scalar({"oneshot_secs", oneshot});
 
   metrics::Table t({"Chunk", "Depth", "Time (s)", "MiB/s", "vs one-shot"});
   for (std::size_t chunk_kb : {64, 256, 1024}) {
@@ -71,7 +62,8 @@ int main(int argc, char** argv) {
       const double secs = workloads::run_hdfs_write(DataMode::kRdma, RpcMode::kRpcoIB,
                                                     kFileBytes, setup);
       const double speedup = secs > 0 ? oneshot / secs : 0;
-      rows.push_back({chunk_kb, depth, secs, speedup});
+      json.row({{"chunk_kb", chunk_kb}, {"depth", depth}, {"secs", secs},
+                {"mib_s", mib_per_sec(secs)}, {"speedup", speedup}});
       t.row({std::to_string(chunk_kb) + " KB", std::to_string(depth),
              metrics::Table::num(secs, 3), metrics::Table::num(mib_per_sec(secs), 1),
              metrics::Table::num(speedup, 2) + "x"});
@@ -79,25 +71,5 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // --json-out=FILE: machine-readable copy for the CI benchmark-regression
-  // gate (ci/check_bench.py): bandwidth floor + pipeline-overlap ratio.
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"stream_bw\",\n  \"payload_mb\": " << (kBlockBytes >> 20)
-       << ",\n  \"oneshot_secs\": " << oneshot << ",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      js << "    {\"chunk_kb\": " << r.chunk_kb << ", \"depth\": " << r.depth
-         << ", \"secs\": " << r.secs << ", \"mib_s\": " << mib_per_sec(r.secs)
-         << ", \"speedup\": " << r.speedup << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return 0;
+  return bench::write_out(args.json_out, json.str()) ? 0 : 1;
 }

@@ -6,13 +6,12 @@
 // registered receive memory must stay flat across the whole sweep at
 // comparable small-call latency (paper Section V scalability argument).
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "metrics/table.hpp"
 #include "net/testbed.hpp"
 #include "rpcoib/rdma_client.hpp"
@@ -23,7 +22,6 @@ namespace {
 using rpcoib::net::Address;
 using rpcoib::net::Testbed;
 using rpcoib::sim::Scheduler;
-using rpcoib::sim::Task;
 namespace oib = rpcoib::oib;
 namespace rpc = rpcoib::rpc;
 namespace sim = rpcoib::sim;
@@ -33,47 +31,6 @@ namespace verbs = rpcoib::verbs;
 
 constexpr Address kAddr{1, 9700};
 const rpc::MethodKey kEcho{"bench.UdProtocol", "echo"};
-
-std::string json_out_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return "";
-}
-
-void register_echo(rpc::RpcServer& server) {
-  server.dispatcher().register_method(
-      kEcho.protocol, kEcho.method,
-      [](rpc::DataInput& in, rpc::DataOutput& out) -> sim::Co<void> {
-        rpc::BytesWritable payload;
-        payload.read_fields(in);
-        rpc::BytesWritable(std::move(payload.value)).write(out);
-        co_return;
-      });
-}
-
-Task driver(Scheduler& s, rpc::RpcClient& client, sim::Dur start, int calls,
-            double& total_us, int& done) {
-  // Staggered starts keep the instantaneous in-flight count roughly
-  // constant across the sweep, so the ring-bytes peak isolates *posted
-  // receive memory* — per-connection state under RC, a fixed endpoint
-  // pool under UD — rather than burst depth.
-  co_await sim::delay(s, start);
-  rpc::BytesWritable req(net::Bytes(64, net::Byte{0x5a}));
-  {
-    // One uncounted warmup absorbs pool bootstrap (and, on the RC
-    // baseline, connection setup), so the mean reflects steady state.
-    rpc::BytesWritable resp;
-    co_await client.call(kAddr, kEcho, req, &resp);
-  }
-  for (int i = 0; i < calls; ++i) {
-    rpc::BytesWritable resp;
-    const sim::Time t0 = s.now();
-    co_await client.call(kAddr, kEcho, req, &resp);
-    total_us += sim::to_us(s.now() - t0);
-    ++done;
-  }
-}
 
 struct Result {
   std::uint64_t ring_bytes_peak = 0;
@@ -96,10 +53,12 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
   session.table_cap = 32768;
 
   // The datagram path is lossy even on a fault-free fabric: a burst that
-  // overruns the fixed endpoint rings is silently dropped, and exactly-once
-  // comes from the session + retry-cache plane, not the wire. Every client
-  // therefore runs the retry policy; the RC baseline gets the same policy
-  // so the latency comparison is apples-to-apples (it never fires there).
+  // overruns the fixed endpoint rings is silently dropped, and the client's
+  // retry resends it. The server runs no retry cache (no set_overload), so
+  // a retried call may run its handler twice; the echo is idempotent, so
+  // that is safe. Every client therefore runs the retry policy; the RC
+  // baseline gets the same policy so the latency comparison is
+  // apples-to-apples (it never fires there).
   rpc::RpcRetryPolicy retry;
   retry.call_timeout = sim::millis(200);
   retry.max_retries = 10;
@@ -114,7 +73,7 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
   scfg.ud.recv_depth = 256;
   oib::RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr, scfg);
   server.set_session(session);
-  register_echo(server);
+  rpcoib::bench::register_echo(server, kEcho);
   server.start();
 
   oib::RdmaClientConfig ccfg;
@@ -136,7 +95,8 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
         tb.host(kClientHosts[i % 8]), tb.sockets(), stack, ccfg));
     clients.back()->set_session(session);
     clients.back()->set_retry_policy(retry);
-    s.spawn(driver(s, *clients.back(), sim::micros(50) * i, calls_per_conn, total_us, done));
+    s.spawn(rpcoib::bench::echo_client(s, *clients.back(), kAddr, kEcho, sim::micros(50) * i,
+                                       calls_per_conn, total_us, done));
   }
   s.run_until(sim::seconds(3600));
 
@@ -161,6 +121,8 @@ struct Row {
 
 int main(int argc, char** argv) {
   using rpcoib::metrics::Table;
+  namespace bench = rpcoib::bench;
+  const bench::Args args = bench::parse_args(argc, argv, bench::kJsonOut);
 
   constexpr int kCallsPerConn = 4;
   const int kConns[] = {4, 64, 1024, 4096, 16384};
@@ -178,11 +140,16 @@ int main(int argc, char** argv) {
   }
 
   Table t({"Mode", "Conns", "RingPeak(KB)", "B/conn", "Mean us", "Complete"});
+  bench::Json json("ud_scale");
+  bool ok = true;
   for (const Row& r : rows) {
     t.row({r.mode, std::to_string(r.conns),
            Table::num(static_cast<double>(r.res.ring_bytes_peak) / 1024.0, 0),
            Table::num(static_cast<double>(r.res.ring_bytes_peak) / r.conns, 0),
            Table::num(r.res.mean_us, 1), r.res.complete ? "yes" : "NO"});
+    json.row({{"mode", r.mode}, {"conns", r.conns}, {"ring_bytes_peak", r.res.ring_bytes_peak},
+              {"ud_datagrams", r.res.ud_datagrams}, {"mean_us", r.res.mean_us}});
+    ok = ok && r.res.complete;
   }
   t.print(std::cout);
   std::cout << "\nThe UD path serves every client from a fixed pool of datagram endpoints\n"
@@ -190,26 +157,6 @@ int main(int argc, char** argv) {
                "receive memory must stay flat from 4 to 16384 clients. The RC baseline\n"
                "shares one SRQ ring but still pins a QP per accepted connection.\n";
 
-  bool ok = true;
-  for (const Row& r : rows) ok = ok && r.res.complete;
-
-  if (const std::string json_path = json_out_arg(argc, argv); !json_path.empty()) {
-    std::ofstream js(json_path);
-    if (!js) {
-      std::cerr << "error: could not write " << json_path << "\n";
-      return 1;
-    }
-    js << "{\n  \"bench\": \"ud_scale\",\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      js << "    {\"mode\": \"" << r.mode << "\", \"conns\": " << r.conns
-         << ", \"ring_bytes_peak\": " << r.res.ring_bytes_peak
-         << ", \"ud_datagrams\": " << r.res.ud_datagrams
-         << ", \"mean_us\": " << r.res.mean_us << "}" << (i + 1 < rows.size() ? "," : "")
-         << "\n";
-    }
-    js << "  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
+  if (!bench::write_out(args.json_out, json.str())) return 1;
   return ok ? 0 : 1;
 }

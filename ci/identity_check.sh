@@ -31,7 +31,7 @@ oracles=(
   "onesided       bench_onesided       --json-out=onesided.json"
   "srq_scale      bench_srq_scale      --json-out=srq_scale.json"
   "fig5_tput      bench_fig5_throughput --json-out=fig5_tput.json --report-out=fig5_tput_report.txt"
-  "fig5_latency   bench_fig5_latency   --trace-out=fig5_latency.trace.json"
+  "fig5_latency   bench_fig5_latency   --trace-out=fig5_latency.trace.json --json-out=fig5_latency.json"
   "stream_bw      bench_stream_bw      --json-out=stream_bw.json"
   # stdout only: the per-method call profile (Table I) and the receive-path
   # allocation and message-size statistics (Fig. 1, Fig. 3).

@@ -1,7 +1,6 @@
 #include "trace/chrome_export.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 
@@ -91,24 +90,6 @@ bool write_chrome_trace_file(const std::string& path, const TraceCollector& coll
   if (!f) return false;
   write_chrome_trace(f, collector);
   return f.good();
-}
-
-std::string trace_out_arg(int argc, char** argv) {
-  constexpr const char* kPrefix = "--trace-out=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      return std::string(argv[i] + std::strlen(kPrefix));
-    }
-  }
-  return "";
-}
-
-std::string path_with_tag(const std::string& path, const std::string& tag) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos) {
-    return path + "." + tag;
-  }
-  return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
 }  // namespace rpcoib::trace

@@ -19,10 +19,4 @@ void write_chrome_trace(std::ostream& os, const TraceCollector& collector);
 /// Writes to `path`; returns false (and prints nothing) on I/O failure.
 bool write_chrome_trace_file(const std::string& path, const TraceCollector& collector);
 
-/// Scans argv for `--trace-out=PATH`; returns "" when absent.
-std::string trace_out_arg(int argc, char** argv);
-
-/// "sort.json" + "ipoib" -> "sort.ipoib.json" (tag before the extension).
-std::string path_with_tag(const std::string& path, const std::string& tag);
-
 }  // namespace rpcoib::trace
