@@ -1,10 +1,18 @@
 #include "rpcoib/buffer_pool.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "trace/trace.hpp"
 
 namespace rpcoib::oib {
+namespace {
+
+#ifndef NDEBUG
+constexpr net::Byte kUnwrittenByte = 0xA5;
+#endif
+
+}  // namespace
 
 NativeBufferPool::NativeBufferPool(cluster::Host& host, verbs::VerbsStack& stack,
                                    PoolConfig cfg)
@@ -34,17 +42,31 @@ std::size_t NativeBufferPool::class_size_for(std::size_t size) const {
 std::unique_ptr<NativeBuffer> NativeBufferPool::make_buffer(std::size_t cls_index) {
   auto buf = std::make_unique<NativeBuffer>();
   buf->cls = cls_index;
-  // Backing storage lives in a Bytes the NativeBuffer's span points into;
-  // keep it alive by storing it adjacent. Simplest: allocate raw and wrap.
-  backing_.push_back(net::Bytes(class_sizes_[cls_index]));
-  buf->span = net::MutByteSpan(backing_.back());
+  // Left uninitialised, as native memory is: neither making nor registering
+  // a buffer writes it, so a ring buffer that only ever carries pattern
+  // payloads is never touched. Debug builds fill it with a fixed non-zero
+  // byte instead, so a read of bytes nobody wrote moves a golden.
+  const std::size_t size = class_sizes_[cls_index];
+  buf->storage = std::make_unique_for_overwrite<net::Byte[]>(size);
+#ifndef NDEBUG
+  std::memset(buf->storage.get(), kUnwrittenByte, size);
+#endif
+  buf->span = net::MutByteSpan(buf->storage.get(), size);
   return buf;
 }
 
-sim::Co<void> NativeBufferPool::initialize(std::size_t extra_size,
-                                           std::size_t extra_count) {
+sim::Co<void> NativeBufferPool::initialize(std::size_t extra_size, std::size_t extra_count,
+                                           const bool& owner_alive) {
   if (initialized_) co_return;
   initialized_ = true;
+  // What to register: buffers_per_class of every pre-populated class, then
+  // the extra buffers.
+  std::vector<std::pair<std::size_t, std::size_t>> plan;  // {class, count}
+  for (std::size_t c = 0; c < class_sizes_.size(); ++c) {
+    if (class_sizes_[c] > cfg_.prealloc_max_class) break;
+    plan.emplace_back(c, cfg_.buffers_per_class);
+  }
+  if (extra_size > 0) plan.emplace_back(class_index_for(extra_size), extra_count);
   // Registration happens once at library load; its span is a root of its
   // own trace (no RPC is in flight yet) so the cost stays visible even
   // though it is off every call's critical path.
@@ -52,22 +74,13 @@ sim::Co<void> NativeBufferPool::initialize(std::size_t extra_size,
                        trace::Kind::kInternal, trace::Category::kBuffer,
                        trace::TraceContext{}, host_.id());
   std::size_t registered = 0;
-  for (std::size_t c = 0; c < class_sizes_.size(); ++c) {
-    if (class_sizes_[c] > cfg_.prealloc_max_class) break;
-    for (std::size_t i = 0; i < cfg_.buffers_per_class; ++i) {
+  for (const auto& [c, count] : plan) {
+    for (std::size_t i = 0; i < count; ++i) {
+      // Charge the pinning, then register only if the owner outlived it.
+      co_await host_.compute(pd_.registration_cost(class_sizes_[c]));
+      if (!owner_alive) co_return;
       std::unique_ptr<NativeBuffer> buf = make_buffer(c);
-      buf->mr = co_await pd_.register_mr(buf->span);
-      stats_.registered_bytes += buf->span.size();
-      free_[c].push_back(buf.get());
-      owned_.push_back(std::move(buf));
-      ++registered;
-    }
-  }
-  if (extra_size > 0) {
-    const std::size_t c = class_index_for(extra_size);
-    for (std::size_t i = 0; i < extra_count; ++i) {
-      std::unique_ptr<NativeBuffer> buf = make_buffer(c);
-      buf->mr = co_await pd_.register_mr(buf->span);
+      buf->mr = pd_.register_mr_untimed(buf->span);
       stats_.registered_bytes += buf->span.size();
       free_[c].push_back(buf.get());
       owned_.push_back(std::move(buf));

@@ -38,6 +38,7 @@ class PoolExhaustedError : public std::runtime_error {
 
 /// One pooled, registered native buffer.
 struct NativeBuffer {
+  std::unique_ptr<net::Byte[]> storage;  // not value-initialised (see make_buffer)
   net::MutByteSpan span;     // full usable extent
   verbs::MemoryRegion mr;    // pre-registered region covering span
   std::size_t cls = 0;       // size-class index in the owning pool
@@ -91,7 +92,12 @@ class NativeBufferPool {
   /// of the class serving `extra_size` — the RPCoIB server passes its SRQ
   /// ring dimensions so the initial fill is covered by load-time
   /// registration instead of counting as demand allocations.
-  sim::Co<void> initialize(std::size_t extra_size = 0, std::size_t extra_count = 0);
+  /// `owner_alive` is the liveness flag of the object holding this pool; it
+  /// must outlive the call (the awaiting task holds a token). Once it reads
+  /// false, registration stops at its next resume without touching the
+  /// pool, which died with its owner.
+  sim::Co<void> initialize(std::size_t extra_size = 0, std::size_t extra_count = 0,
+                           const bool& owner_alive = kNoOwner);
 
   /// Smallest-class buffer with capacity >= size. O(1) freelist pop on the
   /// warm path; falls back to demand allocation (charged) if the class ran
@@ -129,6 +135,8 @@ class NativeBufferPool {
   const PoolConfig& config() const { return cfg_; }
 
  private:
+  static constexpr bool kNoOwner = true;  // a pool nobody else can destroy mid-call
+
   std::size_t class_index_for(std::size_t size) const;
   std::unique_ptr<NativeBuffer> make_buffer(std::size_t cls_index);
 
@@ -137,9 +145,6 @@ class NativeBufferPool {
   PoolConfig cfg_;
   std::vector<std::size_t> class_sizes_;
   // Owned buffers (stable addresses) and per-class freelists of raw ptrs.
-  // Backing byte blocks: moving the vector moves the Bytes objects but not
-  // their heap storage, so spans stay valid.
-  std::vector<net::Bytes> backing_;
   std::vector<std::unique_ptr<NativeBuffer>> owned_;
   std::vector<std::vector<NativeBuffer*>> free_;
   PoolStats stats_;

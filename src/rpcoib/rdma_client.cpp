@@ -54,12 +54,13 @@ RdmaRpcClient::RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets,
   cfg_.recv_buf_size = std::max(cfg_.recv_buf_size, cfg_.eager_threshold + 512);
   // Register the pool at construction ("library load" in the paper) so
   // the cost is off every call's critical path.
-  host_.sched().spawn(init_pool_task());
+  host_.sched().spawn(init_pool_task(alive_));
 }
 
-sim::Task RdmaRpcClient::init_pool_task() {
-  co_await native_.initialize();
-  pool_ready_.set();
+sim::Task RdmaRpcClient::init_pool_task(std::shared_ptr<bool> alive) {
+  if (!*alive) co_return;  // destroyed before the task first ran
+  co_await native_.initialize(0, 0, *alive);
+  if (*alive) pool_ready_.set();
 }
 
 RdmaRpcClient::~RdmaRpcClient() { close_connections(); *alive_ = false; }

@@ -240,7 +240,9 @@ class RdmaRpcClient final : public rpc::RpcClient {
   sim::Co<void> ud_flush_batch(UdSink sink, std::vector<net::Bytes> items,
                                trace::TraceContext ctx);
 
-  sim::Task init_pool_task();
+  /// Registers the pool. `alive` is the client's token, taken at spawn so
+  /// that a client destroyed before or during registration is never touched.
+  sim::Task init_pool_task(std::shared_ptr<bool> alive);
 
   cluster::Host& host_;
   net::SocketTable& sockets_;

@@ -508,7 +508,7 @@ StreamHub::StreamHub(cluster::Host& host, net::SocketTable& sockets,
       cfg_(clamp_cfg(cfg, pool_cfg)),
       native_(host, stack, pool_cfg),
       pool_ready_(host.sched()) {
-  host_.sched().spawn(init_pool_task());
+  host_.sched().spawn(init_pool_task(alive_));
 }
 
 StreamHub::~StreamHub() {
@@ -516,11 +516,10 @@ StreamHub::~StreamHub() {
   *alive_ = false;
 }
 
-sim::Task StreamHub::init_pool_task() {
-  const std::shared_ptr<bool> alive = alive_;
-  co_await native_.initialize();
-  if (!*alive) co_return;
-  pool_ready_.set();
+sim::Task StreamHub::init_pool_task(std::shared_ptr<bool> alive) {
+  if (!*alive) co_return;  // destroyed before the task first ran
+  co_await native_.initialize(0, 0, *alive);
+  if (*alive) pool_ready_.set();
 }
 
 void StreamHub::listen(net::Address addr, OpenHandler on_open, FetchHandler on_fetch) {

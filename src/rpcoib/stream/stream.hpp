@@ -406,7 +406,9 @@ class StreamHub {
   /// stream listener, a failed bootstrap).
   sim::Co<ConnPtr> outbound(net::Address addr);
 
-  sim::Task init_pool_task();
+  /// Registers the pool; `alive` is the hub's token, taken at spawn (see
+  /// RdmaRpcClient::init_pool_task).
+  sim::Task init_pool_task(std::shared_ptr<bool> alive);
   sim::Task listener_loop(std::shared_ptr<net::Listener> l);
   sim::Task conn_loop(ConnPtr conn);
   void handle_frame(const ConnPtr& conn, net::ByteSpan frame);

@@ -113,14 +113,12 @@ void Scheduler::report_failure(std::exception_ptr ex) {
 
 void Scheduler::drain_tasks() {
   terminated_ = true;
-  // Destroying a task frame may spawn-complete nested frames and
-  // unregister entries, so iterate over a snapshot.
-  std::vector<void*> snapshot(live_tasks_.begin(), live_tasks_.end());
-  for (void* frame : snapshot) {
-    if (live_tasks_.contains(frame)) {
-      live_tasks_.erase(frame);
-      std::coroutine_handle<>::from_address(frame).destroy();
-    }
+  // Destroying a frame may spawn tasks (appended, so destroyed in turn) or
+  // finish others (unlinked), so always take the current first one.
+  while (tasks_.next != &tasks_) {
+    TaskLink& t = *tasks_.next;
+    unregister_task(t);
+    t.frame.destroy();
   }
   heap_.clear();
   dead_ = 0;

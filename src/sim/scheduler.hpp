@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <new>
-#include <set>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -99,6 +98,15 @@ class Callback {
   const Ops* ops_ = nullptr;
 };
 
+/// A live top-level task's place in its scheduler's spawn-order list. It
+/// is embedded in the Task promise, so registering a task allocates
+/// nothing.
+struct TaskLink {
+  TaskLink* prev = nullptr;
+  TaskLink* next = nullptr;
+  std::coroutine_handle<> frame;
+};
+
 /// Names one call_at() callback so it can be cancelled before it runs.
 /// Stale ids (the callback already ran or was cancelled) cancel nothing.
 struct TimerId {
@@ -169,8 +177,9 @@ class Scheduler {
   void report_failure(std::exception_ptr ex);
 
   /// Terminal teardown: destroy the frames of all still-suspended
-  /// top-level tasks (e.g. server loops blocked on an accept channel),
-  /// drop queued events, and put the scheduler in a terminated state in
+  /// top-level tasks (e.g. server loops blocked on an accept channel) in
+  /// spawn order, tasks spawned by those destructors included, drop
+  /// queued events, and put the scheduler in a terminated state in
   /// which further scheduling is ignored — destructors running afterwards
   /// may still try to wake waiters whose frames are now gone. Call only
   /// when the simulation is finished, while the objects those tasks
@@ -180,9 +189,19 @@ class Scheduler {
   bool terminated() const { return terminated_; }
 
   // Task-frame registry (managed by Task/spawn machinery).
-  void register_task(void* frame) { live_tasks_.insert(frame); }
-  void unregister_task(void* frame) { live_tasks_.erase(frame); }
-  std::size_t live_task_count() const { return live_tasks_.size(); }
+  void register_task(TaskLink& t) {
+    t.prev = tasks_.prev;
+    t.next = &tasks_;
+    tasks_.prev->next = &t;
+    tasks_.prev = &t;
+    ++live_tasks_;
+  }
+  void unregister_task(TaskLink& t) {
+    t.prev->next = t.next;
+    t.next->prev = t.prev;
+    --live_tasks_;
+  }
+  std::size_t live_task_count() const { return live_tasks_; }
 
  private:
   // A heap entry is plain data: the coroutine to resume, or (frame null)
@@ -228,7 +247,8 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::exception_ptr failure_;
-  std::set<void*> live_tasks_;
+  TaskLink tasks_{&tasks_, &tasks_, {}};  // sentinel of the live tasks, in spawn order
+  std::size_t live_tasks_ = 0;
   bool terminated_ = false;
 };
 

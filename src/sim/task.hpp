@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/frame_pool.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rpcoib::sim {
@@ -86,8 +87,9 @@ class JoinHandle {
 /// Scheduler on spawn.
 class Task {
  public:
-  struct promise_type {
+  struct promise_type : detail::RecycledFrame {
     std::shared_ptr<detail::TaskState> st = std::make_shared<detail::TaskState>();
+    TaskLink link;
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -99,7 +101,7 @@ class Task {
       void await_suspend(std::coroutine_handle<promise_type> h) const noexcept {
         // Grab the shared state before the frame dies.
         std::shared_ptr<detail::TaskState> st = h.promise().st;
-        st->sched->unregister_task(h.address());
+        st->sched->unregister_task(h.promise().link);
         h.destroy();
         st->done = true;
         for (std::coroutine_handle<> w : st->waiters) st->sched->post(w);
@@ -137,7 +139,8 @@ class Task {
 
   std::coroutine_handle<promise_type> release(Scheduler& sched) {
     h_.promise().st->sched = &sched;
-    sched.register_task(h_.address());
+    h_.promise().link.frame = h_;
+    sched.register_task(h_.promise().link);
     return std::exchange(h_, nullptr);
   }
 
@@ -161,7 +164,7 @@ inline JoinHandle Scheduler::spawn_after(Dur d, Task task) {
 namespace detail {
 
 template <typename T>
-struct CoPromiseBase {
+struct CoPromiseBase : RecycledFrame {
   std::coroutine_handle<> cont;
   std::exception_ptr ex;
   std::optional<T> value;
@@ -178,7 +181,7 @@ struct CoPromiseBase {
 };
 
 template <>
-struct CoPromiseBase<void> {
+struct CoPromiseBase<void> : RecycledFrame {
   std::coroutine_handle<> cont;
   std::exception_ptr ex;
 

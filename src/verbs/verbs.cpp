@@ -27,9 +27,8 @@ MemoryRegion ProtectionDomain::register_mr_untimed(net::MutByteSpan buf) {
   return mr;
 }
 
-sim::Co<MemoryRegion> ProtectionDomain::register_mr(net::MutByteSpan buf) {
-  co_await host_.compute(stack_.registration_cost(buf.size()));
-  co_return register_mr_untimed(buf);
+sim::Dur ProtectionDomain::registration_cost(std::size_t bytes) const {
+  return stack_.registration_cost(bytes);
 }
 
 void ProtectionDomain::deregister(const MemoryRegion& mr) {

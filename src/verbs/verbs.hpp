@@ -98,11 +98,12 @@ class ProtectionDomain {
   ProtectionDomain(const ProtectionDomain&) = delete;
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
 
-  /// Register memory; charges pinning cost to the host (page pinning +
-  /// HCA table update). RPCoIB calls this once per pool chunk at load.
-  sim::Co<MemoryRegion> register_mr(net::MutByteSpan buf);
+  /// What registering `bytes` costs the host (page pinning + HCA table
+  /// update). RPCoIB charges it once per pool buffer at load, then
+  /// registers the buffer with register_mr_untimed.
+  sim::Dur registration_cost(std::size_t bytes) const;
 
-  /// Registration without the timing charge, for tests/setup fast paths.
+  /// Register memory without a timing charge.
   MemoryRegion register_mr_untimed(net::MutByteSpan buf);
 
   void deregister(const MemoryRegion& mr);

@@ -3,6 +3,7 @@
 // size locality), stream re-gets, zero-copy reads.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -10,7 +11,9 @@
 #include "rpc/buffers.hpp"
 #include "rpcoib/buffer_pool.hpp"
 #include "rpcoib/engine.hpp"
+#include "rpcoib/rdma_client.hpp"
 #include "rpcoib/rdma_streams.hpp"
+#include "rpcoib/stream/stream.hpp"
 
 namespace rpcoib::oib {
 namespace {
@@ -363,6 +366,48 @@ TEST(RdmaStream, AbandonedStreamReturnsBufferToPool) {
     // no take_buffer: destructor must release
   }
   EXPECT_EQ(f.pool.stats().releases, releases_before + 1);
+}
+
+// RdmaRpcClient and StreamHub register their pools from a task their
+// constructors spawn. An owner destroyed before that task first runs, or
+// between two of its registrations, must leave the task touching nothing of
+// it: the task ends and no frame is left (clean under ASan/LSan).
+template <typename Owner>
+void destroy_owner_during_pool_init(
+    const std::function<std::unique_ptr<Owner>(Testbed&, verbs::VerbsStack&)>& make,
+    const std::function<NativeBufferPool&(Owner&)>& pool_of) {
+  for (const bool mid_registration : {false, true}) {
+    SCOPED_TRACE(mid_registration ? "between registrations" : "before the first run");
+    Scheduler s;
+    Testbed tb(s, Testbed::cluster_b());
+    verbs::VerbsStack stack(tb.fabric());
+    std::unique_ptr<Owner> owner = make(tb, stack);
+    EXPECT_EQ(s.live_task_count(), 1u);
+    if (mid_registration) {
+      while (pool_of(*owner).stats().registered_bytes == 0) ASSERT_TRUE(s.step());
+      ASSERT_EQ(pool_of(*owner).stats().registered_bytes, PoolConfig{}.min_class);
+    }
+    owner.reset();
+    s.run();
+    EXPECT_EQ(s.live_task_count(), 0u);
+  }
+}
+
+TEST(PoolInit, ClientDestroyedBeforeOrDuringRegistration) {
+  destroy_owner_during_pool_init<RdmaRpcClient>(
+      [](Testbed& tb, verbs::VerbsStack& stack) {
+        return std::make_unique<RdmaRpcClient>(tb.host(0), tb.sockets(), stack);
+      },
+      [](RdmaRpcClient& c) -> NativeBufferPool& { return c.pool().native(); });
+}
+
+TEST(PoolInit, StreamHubDestroyedBeforeOrDuringRegistration) {
+  destroy_owner_during_pool_init<stream::StreamHub>(
+      [](Testbed& tb, verbs::VerbsStack& stack) {
+        return std::make_unique<stream::StreamHub>(tb.host(0), tb.sockets(), stack,
+                                                   stream::StreamConfig{}, PoolConfig{});
+      },
+      [](stream::StreamHub& h) -> NativeBufferPool& { return h.pool(); });
 }
 
 }  // namespace

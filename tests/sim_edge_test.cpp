@@ -1,8 +1,12 @@
 // Edge-case tests for the simulation core: run_until boundaries, channel
 // close with queued items, semaphore fairness under churn, wait-group
-// reuse, drain semantics, scheduler termination, and host resources.
+// reuse, drain semantics and order, scheduler termination, host resources,
+// and the coroutine frame recycler.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <coroutine>
+#include <numeric>
 #include <vector>
 
 #include "cluster/host.hpp"
@@ -60,6 +64,43 @@ TEST(SchedulerEdge, DrainDestroysSuspendedTasks) {
   s.drain_tasks();
   EXPECT_EQ(s.live_task_count(), 0u);
   EXPECT_FALSE(got);
+}
+
+// Logs its id when the frame holding it is destroyed; id 1 also spawns a
+// task from its destructor.
+struct DrainMarker {
+  Scheduler* sched;
+  std::vector<int>* log;
+  int id;
+  ~DrainMarker();
+};
+
+Task parked(Scheduler& s, std::vector<int>& log, int id) {
+  DrainMarker m{&s, &log, id};
+  co_await std::suspend_always{};
+}
+
+DrainMarker::~DrainMarker() {
+  log->push_back(id);
+  if (id == 1) sched->spawn(parked(*sched, *log, 9));
+}
+
+TEST(SchedulerEdge, DrainDestroysTasksInSpawnOrder) {
+  Scheduler s;
+  std::vector<int> log;
+  // Free a few unspawned frames first, so that (with frames recycled LIFO)
+  // the spawned tasks do not sit at ascending addresses.
+  for (int i = 0; i < 3; ++i) {
+    Task unspawned = parked(s, log, -1);
+  }
+  for (const int id : {0, 1, 2, 3, 4}) s.spawn(parked(s, log, id));
+  s.run();
+  ASSERT_TRUE(log.empty());  // the unspawned frames never started: no marker
+  EXPECT_EQ(s.live_task_count(), 5u);
+  s.drain_tasks();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4}));
+  // The task spawned during the drain never started, and was destroyed too.
+  EXPECT_EQ(s.live_task_count(), 0u);
 }
 
 Task drain_consumer(Channel<int>& ch, std::vector<int>& got) {
@@ -265,6 +306,76 @@ TEST(HostEdge, ComputeMatchesAcquireDelayReleaseCoroutine) {
   EXPECT_EQ(host.log, ref.log);
   EXPECT_EQ(host.end, ref.end);
   EXPECT_EQ(host.events, ref.events);
+}
+
+// --- Frame recycler (compiled out under ASan, where these skip) ---
+
+Co<int> leaf(int x) { co_return x + 1; }
+
+Co<int> nested(Scheduler& s, int x) {
+  co_await delay(s, micros(1));
+  const int a = co_await leaf(x);
+  const int b = co_await leaf(a);
+  co_return b;
+}
+
+Task burst(Scheduler& s, int calls, int& sum) {
+  for (int i = 0; i < calls; ++i) sum += co_await nested(s, i);
+}
+
+TEST(FrameRecycler, SecondIdenticalBurstTakesNoFrameFromTheHeap) {
+  if (!kFrameRecycling) GTEST_SKIP() << "frame recycling is compiled out under ASan";
+  Scheduler s;
+  int sum = 0;
+  // Four tasks in flight at once, so several frames of each size are live.
+  const auto run_burst = [&] {
+    for (int t = 0; t < 4; ++t) s.spawn(burst(s, 8, sum));
+    s.run();
+  };
+  run_burst();
+  const FrameStats first = frame_stats();
+  run_burst();
+  EXPECT_EQ(frame_stats().fresh, first.fresh);
+  EXPECT_EQ(frame_stats().cached, first.cached);
+  EXPECT_EQ(sum, 2 * 4 * (8 * 2 + 28));  // each call returns i + 2
+}
+
+Co<int> big_frame(Scheduler& s, int seed) {
+  std::array<unsigned char, 2 * kMaxRecycledFrame> scratch;
+  scratch.fill(static_cast<unsigned char>(seed));
+  co_await delay(s, micros(1));  // scratch lives across it, so in the frame
+  co_return std::accumulate(scratch.begin(), scratch.end(), 0);
+}
+
+Task call_big(Scheduler& s, int& out) { out = co_await big_frame(s, 1); }
+
+TEST(FrameRecycler, FrameOverTheLargestClassGoesToTheHeap) {
+  if (!kFrameRecycling) GTEST_SKIP() << "frame recycling is compiled out under ASan";
+  Scheduler s;
+  int out = 0;
+  const FrameStats before = frame_stats();
+  s.spawn(call_big(s, out));
+  s.run();
+  EXPECT_EQ(out, static_cast<int>(2 * kMaxRecycledFrame));
+  const FrameStats after = frame_stats();
+  EXPECT_EQ(after.oversize, before.oversize + 1);
+  // The oversize frame went back to the heap; only the task's frame is kept.
+  EXPECT_LE(after.cached, before.cached + 1);
+  s.spawn(call_big(s, out));
+  s.run();
+  EXPECT_EQ(frame_stats().oversize, before.oversize + 2);
+}
+
+Task suspend_forever() { co_await std::suspend_always{}; }
+
+TEST(FrameRecycler, TaskDestroyedByDrainReturnsItsFrame) {
+  if (!kFrameRecycling) GTEST_SKIP() << "frame recycling is compiled out under ASan";
+  Scheduler s;
+  s.spawn(suspend_forever());
+  s.run();
+  const FrameStats before = frame_stats();
+  s.drain_tasks();
+  EXPECT_EQ(frame_stats().cached, before.cached + 1);
 }
 
 }  // namespace
