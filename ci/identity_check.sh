@@ -7,7 +7,7 @@
 # so any difference is a behaviour change, never noise.
 #
 # Usage: ci/identity_check.sh BUILD_A BUILD_B
-#   BUILD_A, BUILD_B: CMake build trees holding bench/bench_* binaries
+#   BUILD_A, BUILD_B: CMake build trees holding the binaries below
 #   (e.g. the merge base and the change under review).
 # Exits 0 when every pair is byte-identical, 1 otherwise.
 set -euo pipefail
@@ -23,30 +23,35 @@ work=$(mktemp -d)
 diff_lines=200  # per differing output
 trap 'rm -rf "$work"' EXIT
 
-# The oracle set: one line per bench invocation, "<name> <bench> [args]".
-# Output paths are relative to a per-build working directory.
+# The oracle set: one line per invocation, "<name> <binary> [args]", the
+# binary's path relative to the build tree. Output paths are relative to a
+# per-build working directory.
 oracles=(
-  "fig5_batched   bench_fig5_batched   --json-out=fig5_batched.json"
-  "ud_scale       bench_ud_scale       --json-out=ud_scale.json"
-  "onesided       bench_onesided       --json-out=onesided.json"
-  "srq_scale      bench_srq_scale      --json-out=srq_scale.json"
-  "fig5_tput      bench_fig5_throughput --json-out=fig5_tput.json --report-out=fig5_tput_report.txt"
-  "fig5_latency   bench_fig5_latency   --trace-out=fig5_latency.trace.json --json-out=fig5_latency.json"
-  "stream_bw      bench_stream_bw      --json-out=stream_bw.json"
+  "fig5_batched   bench/bench_fig5_batched   --json-out=fig5_batched.json"
+  "ud_scale       bench/bench_ud_scale       --json-out=ud_scale.json"
+  "onesided       bench/bench_onesided       --json-out=onesided.json"
+  "srq_scale      bench/bench_srq_scale      --json-out=srq_scale.json"
+  "fig5_tput      bench/bench_fig5_throughput --json-out=fig5_tput.json --report-out=fig5_tput_report.txt"
+  "fig5_latency   bench/bench_fig5_latency   --trace-out=fig5_latency.trace.json --json-out=fig5_latency.json"
+  "stream_bw      bench/bench_stream_bw      --json-out=stream_bw.json"
   # stdout only: the per-method call profile (Table I) and the receive-path
   # allocation and message-size statistics (Fig. 1, Fig. 3).
-  "table1_profile bench_table1_rpc_profile"
-  "fig1_alloc     bench_fig1_alloc_ratio"
-  "fig3_sizes     bench_fig3_size_locality"
+  "table1_profile bench/bench_table1_rpc_profile"
+  "fig1_alloc     bench/bench_fig1_alloc_ratio"
+  "fig3_sizes     bench/bench_fig3_size_locality"
+  # stdout only: the HDFS and HBase protocol messages end to end (the
+  # wordstore prints per-method message sizes).
+  "hdfs_wordstore examples/hdfs_wordstore"
+  "hbase_kv_demo  examples/hbase_kv_demo"
 )
 
 run_set() {
   local build=$1 dir=$2
   mkdir -p "$dir"
   for line in "${oracles[@]}"; do
-    read -r name bench args <<<"$line"
+    read -r name bin args <<<"$line"
     # shellcheck disable=SC2086  # args is a deliberate word list
-    (cd "$dir" && "$build/bench/$bench" $args >"$name.stdout")
+    (cd "$dir" && "$build/$bin" $args >"$name.stdout")
   done
 }
 

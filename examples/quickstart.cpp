@@ -12,11 +12,15 @@ using namespace rpcoib;
 
 namespace {
 
-// 1. Parameters and results are Writables, exactly like Hadoop's.
-struct GreetParam final : rpc::Writable {
+// 1. Parameters and results are Writables, exactly like Hadoop's. A
+// Message states its wire layout once, as a field list that both write()
+// and read_fields() run.
+struct GreetParam final : rpc::Message<GreetParam> {
   std::string name;
-  void write(rpc::DataOutput& out) const override { out.write_text(name); }
-  void read_fields(rpc::DataInput& in) override { name = in.read_text(); }
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(name);
+  }
 };
 
 const rpc::MethodKey kGreet{"example.GreeterProtocol", "greet"};

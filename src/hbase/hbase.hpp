@@ -62,23 +62,21 @@ struct HBaseConfig {
   std::uint16_t rs_port = 60020;
 };
 
-struct PutParam final : rpc::Writable {
+struct PutParam final : rpc::Message<PutParam> {
   std::string key;
   net::Bytes value;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(key);
-    out.write_bytes(value);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    key = in.read_text();
-    value = in.read_bytes();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(key).bytes(value);
   }
 };
 
-struct GetParam final : rpc::Writable {
+struct GetParam final : rpc::Message<GetParam> {
   std::string key;
-  void write(rpc::DataOutput& out) const override { out.write_text(key); }
-  void read_fields(rpc::DataInput& in) override { key = in.read_text(); }
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(key);
+  }
   /// Point gets are the region server's hot read path (YCSB zipfian):
   /// eligible for the one-sided read plane, keyed by row key.
   std::optional<std::string> onesided_key(const std::string& protocol,
@@ -88,16 +86,13 @@ struct GetParam final : rpc::Writable {
   }
 };
 
-struct GetResult final : rpc::Writable {
+struct GetResult final : rpc::Message<GetResult> {
   bool found = false;
   net::Bytes value;
-  void write(rpc::DataOutput& out) const override {
-    out.write_bool(found);
-    if (found) out.write_bytes(value);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    found = in.read_bool();
-    if (found) value = in.read_bytes();
+  template <typename IO>
+  void fields(IO& io) {
+    io.boolean(found);
+    if (found) io.bytes(value);
   }
 };
 

@@ -23,37 +23,29 @@ struct RegionLocation {
   std::int32_t host = -1;
   std::uint16_t port = 0;
 
-  void write(rpc::DataOutput& out) const {
-    out.write_vi32(index);
-    out.write_vi32(host);
-    out.write_u16(port);
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(index).vi32(host).u16(port);
   }
-  void read_fields(rpc::DataInput& in) {
-    index = in.read_vi32();
-    host = in.read_vi32();
-    port = in.read_u16();
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
-struct RegionServerStartupParam final : rpc::Writable {
+struct RegionServerStartupParam final : rpc::Message<RegionServerStartupParam> {
   RegionLocation location;
-  void write(rpc::DataOutput& out) const override { location.write(out); }
-  void read_fields(rpc::DataInput& in) override { location.read_fields(in); }
+  template <typename IO>
+  void fields(IO& io) {
+    io.nested(location);
+  }
 };
 
-struct RegionLocationsResult final : rpc::Writable {
+struct RegionLocationsResult final : rpc::Message<RegionLocationsResult> {
   bool complete = false;  // all expected region servers have reported
   std::vector<RegionLocation> regions;
 
-  void write(rpc::DataOutput& out) const override {
-    out.write_bool(complete);
-    out.write_vi32(static_cast<std::int32_t>(regions.size()));
-    for (const RegionLocation& r : regions) r.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    complete = in.read_bool();
-    regions.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (RegionLocation& r : regions) r.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.boolean(complete).list(regions);
   }
 };
 

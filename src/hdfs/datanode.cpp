@@ -96,17 +96,7 @@ sim::Task DataNode::replicate_block(LocatedBlock cmd) {
   if (peer_lookup_ == nullptr || cmd.locations.empty()) co_return;
   DataNode* target = peer_lookup_(cmd.locations.front());
   if (target == nullptr || !blocks_.contains(cmd.block.id)) co_return;
-  // Sender-side read + stream, then the wire, then the target's normal
-  // block-ingest path (receive costs + blockReceived to the NameNode).
-  const std::size_t packets =
-      (cmd.block.num_bytes + cfg_.packet_size - 1) / cfg_.packet_size;
-  co_await host_.compute(
-      data_packet_send_cost(host_.cost(), DataMode::kSocketIPoIB, cfg_.packet_size) *
-      packets);
-  co_await engine_.testbed().fabric().transfer(host_.id(), target->host().id(),
-                                               net::Transport::kIPoIB,
-                                               cmd.block.num_bytes);
-  co_await target->store_block(cmd.block, DataMode::kSocketIPoIB);
+  co_await send_block(cmd.block, *target);
 }
 
 sim::Task DataNode::stream_ingest(oib::stream::StreamReaderPtr r, net::Bytes meta) {
@@ -150,7 +140,7 @@ sim::Task DataNode::stream_ingest(oib::stream::StreamReaderPtr r, net::Bytes met
     } else if (!m.downstream.empty()) {
       co_await forward_block_legacy(m.block, m.downstream);
     }
-    if (status == 0) co_await finish_streamed_block(m.block);
+    if (status == 0) co_await land_block(m.block);
     co_await r->finish(status);
     ok = true;
   } catch (const std::exception& e) {
@@ -178,19 +168,23 @@ sim::Co<void> DataNode::forward_block_legacy(Block b, std::vector<DatanodeId> ta
       }
       continue;  // legacy: under-replicate silently
     }
-    const std::size_t packets = (b.num_bytes + cfg_.packet_size - 1) / cfg_.packet_size;
-    co_await host_.compute(
-        data_packet_send_cost(host_.cost(), DataMode::kSocketIPoIB, cfg_.packet_size) *
-        packets);
-    co_await engine_.testbed().fabric().transfer(host_.id(), peer->host().id(),
-                                                 net::Transport::kIPoIB, b.num_bytes);
-    co_await peer->store_block(b, DataMode::kSocketIPoIB);
+    co_await send_block(b, *peer);
   }
 }
 
-sim::Co<void> DataNode::finish_streamed_block(Block b) {
-  // The per-chunk ingest loop already charged receive CPU; only the disk
-  // write, the catalog update, and blockReceived remain.
+sim::Co<void> DataNode::send_block(Block b, DataNode& peer) {
+  // Sender-side read + stream, then the wire, then the peer's normal
+  // block-ingest path (receive costs + blockReceived to the NameNode).
+  const std::size_t packets = (b.num_bytes + cfg_.packet_size - 1) / cfg_.packet_size;
+  co_await host_.compute(
+      data_packet_send_cost(host_.cost(), DataMode::kSocketIPoIB, cfg_.packet_size) *
+      packets);
+  co_await engine_.testbed().fabric().transfer(host_.id(), peer.host().id(),
+                                               net::Transport::kIPoIB, b.num_bytes);
+  co_await peer.store_block(b, DataMode::kSocketIPoIB);
+}
+
+sim::Co<void> DataNode::land_block(Block b) {
   if (cfg_.datanode_disk_writes) co_await host_.disk_io(b.num_bytes);
   blocks_[b.id] = b.num_bytes;
   used_ += b.num_bytes;
@@ -208,16 +202,7 @@ sim::Co<void> DataNode::store_block(Block b, DataMode mode) {
       (b.num_bytes + cfg_.packet_size - 1) / cfg_.packet_size;
   const sim::Dur per_pkt = data_packet_recv_cost(host_.cost(), mode, cfg_.packet_size);
   co_await host_.compute(per_pkt * packets);
-  if (cfg_.datanode_disk_writes) co_await host_.disk_io(b.num_bytes);
-
-  blocks_[b.id] = b.num_bytes;
-  used_ += b.num_bytes;
-
-  BlockReceivedParam p;
-  p.id = id();
-  p.block = b;
-  rpc::BooleanWritable ok;
-  co_await rpc_->call(nn_addr_, kBlockReceived, p, &ok);
+  co_await land_block(b);
 }
 
 }  // namespace rpcoib::hdfs

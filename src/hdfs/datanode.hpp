@@ -65,9 +65,13 @@ class DataNode {
   /// One-shot forward to the remaining pipeline members when the next hop
   /// refused or cannot take a stream.
   sim::Co<void> forward_block_legacy(Block b, std::vector<DatanodeId> targets);
-  /// Tail of a streamed ingest: disk write + catalog + blockReceived (the
-  /// per-chunk loop already charged receive CPU).
-  sim::Co<void> finish_streamed_block(Block b);
+  /// Socket-path send of a local block to `peer`: send CPU, the wire, then
+  /// the peer's store_block.
+  sim::Co<void> send_block(Block b, DataNode& peer);
+  /// Tail of every block ingest once receive CPU is charged (by
+  /// store_block, or per chunk by a streamed ingest): disk write + catalog
+  /// + blockReceived.
+  sim::Co<void> land_block(Block b);
 
   cluster::Host& host_;
   oib::RpcEngine& engine_;

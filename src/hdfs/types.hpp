@@ -58,14 +58,12 @@ struct Block {
   BlockId id = 0;
   std::uint64_t num_bytes = 0;
 
-  void write(rpc::DataOutput& out) const {
-    out.write_u64(id);
-    out.write_u64(num_bytes);
+  template <typename IO>
+  void fields(IO& io) {
+    io.u64(id).u64(num_bytes);
   }
-  void read_fields(rpc::DataInput& in) {
-    id = in.read_u64();
-    num_bytes = in.read_u64();
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
 /// A block plus the datanodes holding it.
@@ -73,16 +71,12 @@ struct LocatedBlock {
   Block block;
   std::vector<DatanodeId> locations;
 
-  void write(rpc::DataOutput& out) const {
-    block.write(out);
-    out.write_vi32(static_cast<std::int32_t>(locations.size()));
-    for (DatanodeId d : locations) out.write_vi32(d);
+  template <typename IO>
+  void fields(IO& io) {
+    io.nested(block).list(locations, [](auto& io, auto& d) { io.vi32(d); });
   }
-  void read_fields(rpc::DataInput& in) {
-    block.read_fields(in);
-    locations.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (DatanodeId& d : locations) d = in.read_vi32();
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
 struct FileStatus {
@@ -93,39 +87,26 @@ struct FileStatus {
   std::uint64_t block_size = 0;
   std::uint64_t modification_time = 0;
 
-  void write(rpc::DataOutput& out) const {
-    out.write_text(path);
-    out.write_bool(is_dir);
-    out.write_u64(length);
-    out.write_u16(replication);
-    out.write_u64(block_size);
-    out.write_u64(modification_time);
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).boolean(is_dir).u64(length).u16(replication).u64(block_size);
+    io.u64(modification_time);
   }
-  void read_fields(rpc::DataInput& in) {
-    path = in.read_text();
-    is_dir = in.read_bool();
-    length = in.read_u64();
-    replication = in.read_u16();
-    block_size = in.read_u64();
-    modification_time = in.read_u64();
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
 // --- Protocol payloads -----------------------------------------------------
 
 /// Generic single-path request (getFileInfo, mkdirs, delete, getListing...).
-struct PathParam final : rpc::Writable {
+struct PathParam final : rpc::Message<PathParam> {
   std::string path;
   std::string client;
   PathParam() = default;
   PathParam(std::string p, std::string c) : path(std::move(p)), client(std::move(c)) {}
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(path);
-    out.write_text(client);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    path = in.read_text();
-    client = in.read_text();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).text(client);
   }
   /// getFileInfo is the NameNode's hot read-mostly lookup: eligible for the
   /// one-sided read plane, keyed by path. Every other PathParam method
@@ -137,53 +118,33 @@ struct PathParam final : rpc::Writable {
   }
 };
 
-struct RenameParam final : rpc::Writable {
+struct RenameParam final : rpc::Message<RenameParam> {
   std::string src, dst;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(src);
-    out.write_text(dst);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    src = in.read_text();
-    dst = in.read_text();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(src).text(dst);
   }
 };
 
-struct CreateParam final : rpc::Writable {
+struct CreateParam final : rpc::Message<CreateParam> {
   std::string path;
   std::string client;
   bool overwrite = true;
   std::uint16_t replication = 3;
   std::uint64_t block_size = 64ULL << 20;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(path);
-    out.write_text(client);
-    out.write_bool(overwrite);
-    out.write_u16(replication);
-    out.write_u64(block_size);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    path = in.read_text();
-    client = in.read_text();
-    overwrite = in.read_bool();
-    replication = in.read_u16();
-    block_size = in.read_u64();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).text(client).boolean(overwrite).u16(replication).u64(block_size);
   }
 };
 
-struct GetBlockLocationsParam final : rpc::Writable {
+struct GetBlockLocationsParam final : rpc::Message<GetBlockLocationsParam> {
   std::string path;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(path);
-    out.write_u64(offset);
-    out.write_u64(length);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    path = in.read_text();
-    offset = in.read_u64();
-    length = in.read_u64();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).u64(offset).u64(length);
   }
   /// Whole-file location lookups (the DFSClient read path asks for
   /// [0, ~0)) are what the NameNode exports; ranged queries vary by
@@ -198,157 +159,111 @@ struct GetBlockLocationsParam final : rpc::Writable {
   }
 };
 
-struct LocatedBlocksResult final : rpc::Writable {
+struct LocatedBlocksResult final : rpc::Message<LocatedBlocksResult> {
   std::uint64_t file_length = 0;
   std::vector<LocatedBlock> blocks;
-  void write(rpc::DataOutput& out) const override {
-    out.write_u64(file_length);
-    out.write_vi32(static_cast<std::int32_t>(blocks.size()));
-    for (const LocatedBlock& b : blocks) b.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    file_length = in.read_u64();
-    blocks.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (LocatedBlock& b : blocks) b.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.u64(file_length).list(blocks);
   }
 };
 
-struct LocatedBlockResult final : rpc::Writable {
+struct LocatedBlockResult final : rpc::Message<LocatedBlockResult> {
   LocatedBlock located;
-  void write(rpc::DataOutput& out) const override { located.write(out); }
-  void read_fields(rpc::DataInput& in) override { located.read_fields(in); }
+  template <typename IO>
+  void fields(IO& io) {
+    io.nested(located);
+  }
 };
 
-struct FileStatusResult final : rpc::Writable {
+struct FileStatusResult final : rpc::Message<FileStatusResult> {
   bool exists = false;
   FileStatus status;
-  void write(rpc::DataOutput& out) const override {
-    out.write_bool(exists);
-    if (exists) status.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    exists = in.read_bool();
-    if (exists) status.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.boolean(exists);
+    if (exists) io.nested(status);
   }
 };
 
-struct ListingResult final : rpc::Writable {
+struct ListingResult final : rpc::Message<ListingResult> {
   std::vector<FileStatus> entries;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(static_cast<std::int32_t>(entries.size()));
-    for (const FileStatus& e : entries) e.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    entries.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (FileStatus& e : entries) e.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.list(entries);
   }
 };
 
 // --- DatanodeProtocol payloads ----------------------------------------------
 
-struct DatanodeRegistration final : rpc::Writable {
+struct DatanodeRegistration final : rpc::Message<DatanodeRegistration> {
   DatanodeId id = -1;
   std::uint64_t capacity_bytes = 0;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(id);
-    out.write_u64(capacity_bytes);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    id = in.read_vi32();
-    capacity_bytes = in.read_u64();
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(id).u64(capacity_bytes);
   }
 };
 
-struct HeartbeatParam final : rpc::Writable {
+struct HeartbeatParam final : rpc::Message<HeartbeatParam> {
   DatanodeId id = -1;
   std::uint64_t used_bytes = 0;
   std::uint64_t remaining_bytes = 0;
   std::uint32_t xceiver_count = 0;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(id);
-    out.write_u64(used_bytes);
-    out.write_u64(remaining_bytes);
-    out.write_u32(xceiver_count);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    id = in.read_vi32();
-    used_bytes = in.read_u64();
-    remaining_bytes = in.read_u64();
-    xceiver_count = in.read_u32();
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(id).u64(used_bytes).u64(remaining_bytes).u32(xceiver_count);
   }
 };
 
 /// Heartbeat response can carry commands (e.g. replicate block).
-struct HeartbeatResult final : rpc::Writable {
+struct HeartbeatResult final : rpc::Message<HeartbeatResult> {
   // command 0 = none, 1 = replicate
   std::uint8_t command = 0;
   LocatedBlock replicate_target;
-  void write(rpc::DataOutput& out) const override {
-    out.write_u8(command);
-    if (command == 1) replicate_target.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    command = in.read_u8();
-    if (command == 1) replicate_target.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.u8(command);
+    if (command == 1) io.nested(replicate_target);
   }
 };
 
-struct BlockReceivedParam final : rpc::Writable {
+struct BlockReceivedParam final : rpc::Message<BlockReceivedParam> {
   DatanodeId id = -1;
   Block block;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(id);
-    block.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    id = in.read_vi32();
-    block.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(id).nested(block);
   }
 };
 
-struct BlockReportParam final : rpc::Writable {
+struct BlockReportParam final : rpc::Message<BlockReportParam> {
   DatanodeId id = -1;
   std::vector<Block> blocks;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(id);
-    out.write_vi32(static_cast<std::int32_t>(blocks.size()));
-    for (const Block& b : blocks) b.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    id = in.read_vi32();
-    blocks.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (Block& b : blocks) b.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(id).list(blocks);
   }
 };
 
-struct AddBlockParam final : rpc::Writable {
+struct AddBlockParam final : rpc::Message<AddBlockParam> {
   std::string path;
   std::string client;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(path);
-    out.write_text(client);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    path = in.read_text();
-    client = in.read_text();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).text(client);
   }
 };
 
 /// abandonBlock: drop a block whose pipeline failed so the file can
 /// complete once its remaining blocks are reported.
-struct AbandonBlockParam final : rpc::Writable {
+struct AbandonBlockParam final : rpc::Message<AbandonBlockParam> {
   std::string path;
   std::string client;
   BlockId block = 0;
-  void write(rpc::DataOutput& out) const override {
-    out.write_text(path);
-    out.write_text(client);
-    out.write_u64(block);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    path = in.read_text();
-    client = in.read_text();
-    block = in.read_u64();
+  template <typename IO>
+  void fields(IO& io) {
+    io.text(path).text(client).u64(block);
   }
 };
 

@@ -62,7 +62,7 @@ struct JobStatus {
 
 /// Job submission carries the full job configuration (the job.xml
 /// contents, in effect), so the JobTracker can hand specs to trackers.
-struct JobSubmission final : rpc::Writable {
+struct JobSubmission final : rpc::Message<JobSubmission> {
   JobId id = -1;
   JobSpec spec;
   // Job-scoped trace context (vi64-encoded: one byte each when untraced),
@@ -76,43 +76,13 @@ struct JobSubmission final : rpc::Writable {
     span_id = c.span_id;
   }
 
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(id);
-    out.write_vi64(static_cast<std::int64_t>(trace_id));
-    out.write_vi64(static_cast<std::int64_t>(span_id));
-    out.write_text(spec.name);
-    out.write_vi32(spec.num_maps);
-    out.write_vi32(spec.num_reduces);
-    out.write_u64(spec.input_bytes);
-    out.write_f64(spec.map_output_ratio);
-    out.write_f64(spec.reduce_output_ratio);
-    out.write_u64(spec.map_direct_output_bytes);
-    out.write_bool(spec.map_only);
-    out.write_f64(spec.map_cpu_us_per_mb);
-    out.write_f64(spec.reduce_cpu_us_per_mb);
-    out.write_u64(spec.task_startup);
-    out.write_vi32(spec.localization_nn_calls);
-    out.write_text(spec.output_path);
-    out.write_vi32(spec.inject_map_failures);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    id = in.read_vi32();
-    trace_id = static_cast<std::uint64_t>(in.read_vi64());
-    span_id = static_cast<std::uint64_t>(in.read_vi64());
-    spec.name = in.read_text();
-    spec.num_maps = in.read_vi32();
-    spec.num_reduces = in.read_vi32();
-    spec.input_bytes = in.read_u64();
-    spec.map_output_ratio = in.read_f64();
-    spec.reduce_output_ratio = in.read_f64();
-    spec.map_direct_output_bytes = in.read_u64();
-    spec.map_only = in.read_bool();
-    spec.map_cpu_us_per_mb = in.read_f64();
-    spec.reduce_cpu_us_per_mb = in.read_f64();
-    spec.task_startup = in.read_u64();
-    spec.localization_nn_calls = in.read_vi32();
-    spec.output_path = in.read_text();
-    spec.inject_map_failures = in.read_vi32();
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(id).vi64(trace_id).vi64(span_id).text(spec.name).vi32(spec.num_maps);
+    io.vi32(spec.num_reduces).u64(spec.input_bytes).f64(spec.map_output_ratio);
+    io.f64(spec.reduce_output_ratio).u64(spec.map_direct_output_bytes).boolean(spec.map_only);
+    io.f64(spec.map_cpu_us_per_mb).f64(spec.reduce_cpu_us_per_mb).u64(spec.task_startup);
+    io.vi32(spec.localization_nn_calls).text(spec.output_path).vi32(spec.inject_map_failures);
   }
 };
 
@@ -132,20 +102,12 @@ struct TaskAssignment {
     span_id = c.span_id;
   }
 
-  void write(rpc::DataOutput& out) const {
-    out.write_vi32(job);
-    out.write_vi32(task);
-    out.write_u8(static_cast<std::uint8_t>(type));
-    out.write_vi64(static_cast<std::int64_t>(trace_id));
-    out.write_vi64(static_cast<std::int64_t>(span_id));
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(job).vi32(task).u8(type).vi64(trace_id).vi64(span_id);
   }
-  void read_fields(rpc::DataInput& in) {
-    job = in.read_vi32();
-    task = in.read_vi32();
-    type = static_cast<TaskType>(in.read_u8());
-    trace_id = static_cast<std::uint64_t>(in.read_vi64());
-    span_id = static_cast<std::uint64_t>(in.read_vi64());
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
 /// Per-running-task status carried inside every TaskTracker heartbeat —
@@ -180,31 +142,16 @@ struct TaskReport {
     };
   }
 
-  void write(rpc::DataOutput& out) const {
-    out.write_vi32(job);
-    out.write_vi32(task);
-    out.write_u8(static_cast<std::uint8_t>(type));
-    out.write_f64(progress);
-    out.write_vi32(static_cast<std::int32_t>(counters.size()));
-    for (const auto& [name, c] : counters) {
-      out.write_text(name);
-      out.write_vi64(c);
-    }
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(job).vi32(task).u8(type).f64(progress);
+    io.list(counters, [](auto& io, auto& c) { io.text(c.first).vi64(c.second); });
   }
-  void read_fields(rpc::DataInput& in) {
-    job = in.read_vi32();
-    task = in.read_vi32();
-    type = static_cast<TaskType>(in.read_u8());
-    progress = static_cast<float>(in.read_f64());
-    counters.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (auto& [name, c] : counters) {
-      name = in.read_text();
-      c = in.read_vi64();
-    }
-  }
+  void write(rpc::DataOutput& out) const { rpc::FieldWriter(out).nested(*this); }
+  void read_fields(rpc::DataInput& in) { rpc::FieldReader(in).nested(*this); }
 };
 
-struct HeartbeatRequest final : rpc::Writable {
+struct HeartbeatRequest final : rpc::Message<HeartbeatRequest> {
   std::int32_t tracker = -1;
   std::int32_t free_map_slots = 0;
   std::int32_t free_reduce_slots = 0;
@@ -212,108 +159,63 @@ struct HeartbeatRequest final : rpc::Writable {
   std::vector<TaskAssignment> completed;
   std::vector<TaskAssignment> failed;  // the JobTracker reschedules these
 
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(tracker);
-    out.write_vi32(free_map_slots);
-    out.write_vi32(free_reduce_slots);
-    out.write_vi32(static_cast<std::int32_t>(running.size()));
-    for (const TaskReport& r : running) r.write(out);
-    out.write_vi32(static_cast<std::int32_t>(completed.size()));
-    for (const TaskAssignment& c : completed) c.write(out);
-    out.write_vi32(static_cast<std::int32_t>(failed.size()));
-    for (const TaskAssignment& f : failed) f.write(out);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    tracker = in.read_vi32();
-    free_map_slots = in.read_vi32();
-    free_reduce_slots = in.read_vi32();
-    running.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (TaskReport& r : running) r.read_fields(in);
-    completed.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (TaskAssignment& c : completed) c.read_fields(in);
-    failed.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (TaskAssignment& f : failed) f.read_fields(in);
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(tracker).vi32(free_map_slots).vi32(free_reduce_slots);
+    io.list(running).list(completed).list(failed);
   }
 };
 
-struct HeartbeatResponse final : rpc::Writable {
+struct HeartbeatResponse final : rpc::Message<HeartbeatResponse> {
   std::vector<TaskAssignment> new_tasks;
   bool job_complete = false;
 
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(static_cast<std::int32_t>(new_tasks.size()));
-    for (const TaskAssignment& t : new_tasks) t.write(out);
-    out.write_bool(job_complete);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    new_tasks.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (TaskAssignment& t : new_tasks) t.read_fields(in);
-    job_complete = in.read_bool();
+  template <typename IO>
+  void fields(IO& io) {
+    io.list(new_tasks).boolean(job_complete);
   }
 };
 
 /// Umbilical statusUpdate: the most adjustment-heavy call in Table I
 /// (avg 5 memory adjustments) because the full TaskStatus + counters go
 /// through a fresh 32-byte DataOutputBuffer every time.
-struct StatusUpdateParam final : rpc::Writable {
+struct StatusUpdateParam final : rpc::Message<StatusUpdateParam> {
   TaskReport report;
   std::string state_string;  // Hadoop ships a free-text state, too
 
-  void write(rpc::DataOutput& out) const override {
-    report.write(out);
-    out.write_text(state_string);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    report.read_fields(in);
-    state_string = in.read_text();
+  template <typename IO>
+  void fields(IO& io) {
+    io.nested(report).text(state_string);
   }
 };
 
-struct TaskIdParam final : rpc::Writable {
+struct TaskIdParam final : rpc::Message<TaskIdParam> {
   JobId job = -1;
   TaskId task = -1;
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(job);
-    out.write_vi32(task);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    job = in.read_vi32();
-    task = in.read_vi32();
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(job).vi32(task);
   }
 };
 
-struct MapCompletionEventsResult final : rpc::Writable {
+struct MapCompletionEventsResult final : rpc::Message<MapCompletionEventsResult> {
   std::int32_t total_maps = 0;
   std::vector<std::int32_t> completed_map_hosts;  // host of each completed map
 
-  void write(rpc::DataOutput& out) const override {
-    out.write_vi32(total_maps);
-    out.write_vi32(static_cast<std::int32_t>(completed_map_hosts.size()));
-    for (std::int32_t h : completed_map_hosts) out.write_vi32(h);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    total_maps = in.read_vi32();
-    completed_map_hosts.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (std::int32_t& h : completed_map_hosts) h = in.read_vi32();
+  template <typename IO>
+  void fields(IO& io) {
+    io.vi32(total_maps).list(completed_map_hosts, [](auto& io, auto& h) { io.vi32(h); });
   }
 };
 
-struct JobStatusResult final : rpc::Writable {
+struct JobStatusResult final : rpc::Message<JobStatusResult> {
   bool exists = false;
   bool complete = false;
   std::int32_t maps_done = 0;
   std::int32_t reduces_done = 0;
-  void write(rpc::DataOutput& out) const override {
-    out.write_bool(exists);
-    out.write_bool(complete);
-    out.write_vi32(maps_done);
-    out.write_vi32(reduces_done);
-  }
-  void read_fields(rpc::DataInput& in) override {
-    exists = in.read_bool();
-    complete = in.read_bool();
-    maps_done = in.read_vi32();
-    reduces_done = in.read_vi32();
+  template <typename IO>
+  void fields(IO& io) {
+    io.boolean(exists).boolean(complete).vi32(maps_done).vi32(reduces_done);
   }
 };
 

@@ -17,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cluster/cost_model.hpp"
 #include "net/bytes.hpp"
@@ -172,6 +173,124 @@ class Writable {
     (void)method;
     return std::nullopt;
   }
+};
+
+// --- Field lists -------------------------------------------------------------
+//
+// A message states its wire layout once, as a member template
+//
+//   template <typename IO> void fields(IO& io) { io.text(path).u64(offset); }
+//
+// and both directions run that list: FieldWriter turns each op into the
+// DataOutput write_* call, FieldReader into the matching DataInput read_*,
+// so a list accrues exactly what hand-written write()/read_fields() bodies
+// do. The reader assigns each field as it goes, so a field that is present
+// only under a flag (`io.boolean(found); if (found) io.bytes(value);`)
+// reads the flag before its `if`.
+
+/// The default per-element op of list(): the element is a nested message.
+struct NestedField {
+  template <typename IO, typename M>
+  void operator()(IO& io, M& m) const {
+    io.nested(m);
+  }
+};
+
+class FieldWriter {
+ public:
+  explicit FieldWriter(DataOutput& out) : out_(out) {}
+
+  template <typename T>  // std::uint8_t or an enum over it
+  FieldWriter& u8(const T& v) { return put(v, &DataOutput::write_u8); }
+  FieldWriter& boolean(bool v) { return put(v, &DataOutput::write_bool); }
+  FieldWriter& u16(std::uint16_t v) { return put(v, &DataOutput::write_u16); }
+  FieldWriter& u32(std::uint32_t v) { return put(v, &DataOutput::write_u32); }
+  FieldWriter& u64(std::uint64_t v) { return put(v, &DataOutput::write_u64); }
+  template <typename T>  // double, or a float widened on the wire
+  FieldWriter& f64(const T& v) { return put(v, &DataOutput::write_f64); }
+  FieldWriter& vi32(std::int32_t v) { return put(v, &DataOutput::write_vi32); }
+  template <typename T>  // std::int64_t, or a std::uint64_t id sent as a vlong
+  FieldWriter& vi64(const T& v) { return put(v, &DataOutput::write_vi64); }
+  FieldWriter& text(const std::string& s) { return put(s, &DataOutput::write_text); }
+  FieldWriter& bytes(const net::Bytes& b) { return put(b, &DataOutput::write_bytes); }
+  template <typename M>
+  FieldWriter& nested(const M& m) {
+    // fields() is one template for both directions, so it is non-const;
+    // the writer only reads what it is handed.
+    const_cast<M&>(m).fields(*this);
+    return *this;
+  }
+  /// A vi32 element count, then `each(io, element)` per element.
+  template <typename T, typename Each = NestedField>
+  FieldWriter& list(const std::vector<T>& v, Each each = {}) {
+    out_.write_vi32(static_cast<std::int32_t>(v.size()));
+    for (const T& e : v) each(*this, e);
+    return *this;
+  }
+
+ private:
+  template <typename T, typename Wire>
+  FieldWriter& put(const T& v, void (DataOutput::*write)(Wire)) {
+    (out_.*write)(static_cast<Wire>(v));
+    return *this;
+  }
+
+  DataOutput& out_;
+};
+
+class FieldReader {
+ public:
+  explicit FieldReader(DataInput& in) : in_(in) {}
+
+  template <typename T>
+  FieldReader& u8(T& v) { return get(v, &DataInput::read_u8); }
+  FieldReader& boolean(bool& v) { return get(v, &DataInput::read_bool); }
+  FieldReader& u16(std::uint16_t& v) { return get(v, &DataInput::read_u16); }
+  FieldReader& u32(std::uint32_t& v) { return get(v, &DataInput::read_u32); }
+  FieldReader& u64(std::uint64_t& v) { return get(v, &DataInput::read_u64); }
+  template <typename T>
+  FieldReader& f64(T& v) { return get(v, &DataInput::read_f64); }
+  FieldReader& vi32(std::int32_t& v) { return get(v, &DataInput::read_vi32); }
+  template <typename T>
+  FieldReader& vi64(T& v) { return get(v, &DataInput::read_vi64); }
+  FieldReader& text(std::string& s) { return get(s, &DataInput::read_text); }
+  FieldReader& bytes(net::Bytes& b) { return get(b, &DataInput::read_bytes); }
+  template <typename M>
+  FieldReader& nested(M& m) {
+    m.fields(*this);
+    return *this;
+  }
+  /// Every element takes at least one byte, so a count that is negative or
+  /// above the bytes left is refused before anything is allocated.
+  template <typename T, typename Each = NestedField>
+  FieldReader& list(std::vector<T>& v, Each each = {}) {
+    const std::int32_t n = in_.read_vi32();
+    if (n < 0 || static_cast<std::size_t>(n) > in_.remaining()) {
+      throw SerializationError("list count " + std::to_string(n) + " exceeds input");
+    }
+    v.resize(static_cast<std::size_t>(n));
+    for (T& e : v) each(*this, e);
+    return *this;
+  }
+
+ private:
+  template <typename T, typename Wire>
+  FieldReader& get(T& v, Wire (DataInput::*read)()) {
+    v = static_cast<T>((in_.*read)());
+    return *this;
+  }
+
+  DataInput& in_;
+};
+
+/// A Writable whose write() and read_fields() both run Derived::fields.
+template <typename Derived>
+class Message : public Writable {
+ public:
+  void write(DataOutput& out) const override {
+    FieldWriter(out).nested(static_cast<const Derived&>(*this));
+  }
+  void read_fields(DataInput& in) override { FieldReader(in).nested(static_cast<Derived&>(*this)); }
 };
 
 // --- Primitive writables ---------------------------------------------------

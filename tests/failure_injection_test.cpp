@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "hdfs/hdfs_cluster.hpp"
 #include "mapred/mr_cluster.hpp"
 #include "net/fault.hpp"
@@ -208,11 +209,6 @@ TEST(Determinism, HdfsWriteTimesAreSeedStable) {
 // (same seed => byte-identical behavior; different seeds => different but
 // still deterministic failure schedules).
 
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
 /// RPCOIB_BATCHING=1 turns small-message coalescing on for the chaos
 /// engines, so the seed sweep also exercises the batch framing/parsing
 /// path under fault injection (retries resubmitting into open batches,
@@ -223,33 +219,11 @@ rpc::BatchConfig chaos_batch() {
   return b;
 }
 
-/// RPCOIB_SRQ_DEPTH resizes the RPCoIB server's shared receive ring for
-/// the chaos engines (tiny rings force the RNR/refill path under faults;
-/// 0 selects the legacy per-connection rings). The watermark scales along.
-oib::PoolConfig chaos_pool() {
-  oib::PoolConfig p;
-  if (const char* env = std::getenv("RPCOIB_SRQ_DEPTH")) {
-    p.srq_depth = std::strtoull(env, nullptr, 10);
-    p.srq_low_watermark = std::max<std::size_t>(1, p.srq_depth / 4);
-  }
-  return p;
-}
-
 /// RPCOIB_CHAOS_CONNS sizes the many-connection chaos sweep (CI runs a
 /// 64-connection seed; the default keeps local runs quick).
 int chaos_conns() {
   const char* env = std::getenv("RPCOIB_CHAOS_CONNS");
   return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 6;
-}
-
-/// RPCOIB_SHARDS shards every chaos server's receive/dispatch chain
-/// (server.shards) on both transports. CI runs the matrix at 1 (default)
-/// and 4, plus a striped-SRQ geometry (RPCOIB_SHARDS=4 RPCOIB_SRQ_DEPTH=8
-/// RPCOIB_CHAOS_CONNS=64); the byte-identical-per-seed assertions then
-/// cover the sharded pipelines too.
-int chaos_shards() {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 1;
 }
 
 /// RPCOIB_STREAM_CHUNK_KB / RPCOIB_STREAM_DEPTH reshape the bulk-stream

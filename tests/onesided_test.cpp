@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "hbase/hbase.hpp"
 #include "hdfs/dfs_client.hpp"
 #include "hdfs/hdfs_cluster.hpp"
@@ -46,16 +47,6 @@ constexpr Address kAddr{1, 9600};
 constexpr const char* kProto = "test.OneSidedProtocol";
 const rpc::MethodKey kGet{kProto, "get"};
 const rpc::MethodKey kPut{kProto, "put"};
-
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
-int chaos_shards() {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 1;
-}
 
 // RPCOIB_ONESIDED=0 runs the chaos leg with the one-sided plane off: the
 // same kills/loss/re-publish workload rides plain RPC end to end and the

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
 #include "rpc/overload.hpp"
@@ -37,11 +38,6 @@ const rpc::MethodKey kEcho{"test.SlowProtocol", "echo"};
 const rpc::MethodKey kSlow{"test.SlowProtocol", "slow"};
 const rpc::MethodKey kBump{"test.SlowProtocol", "bump"};
 const rpc::MethodKey kPut{"test.BulkProtocol", "put"};
-
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 /// echo: IntWritable roundtrip. slow: sleep `slow_for`, return true.
 /// bump: non-idempotent — increments *runs, sleeps `bump_for`, returns the

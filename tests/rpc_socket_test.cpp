@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
 #include "rpc/socket_client.hpp"
@@ -657,15 +658,10 @@ void restart_sweep(bool sessions, int shards) {
   }
 }
 
-int restart_shards(int fallback) {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : fallback;
-}
-
 TEST(SocketRpc, RestartMidTrafficServesAgain) {
   for (const bool sessions : {false, true}) {
     SCOPED_TRACE(sessions ? "sessions on" : "sessions off");
-    restart_sweep(sessions, restart_shards(2));
+    restart_sweep(sessions, chaos_shards(2));
   }
 }
 

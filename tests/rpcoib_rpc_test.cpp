@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
 #include "rpc/socket_client.hpp"
@@ -544,14 +545,9 @@ void restart_sweep(bool ud, int shards) {
   }
 }
 
-int restart_shards(int fallback) {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : fallback;
-}
+TEST(RpcoIB, RestartMidTrafficServesAgainUd) { restart_sweep(true, chaos_shards(1)); }
 
-TEST(RpcoIB, RestartMidTrafficServesAgainUd) { restart_sweep(true, restart_shards(1)); }
-
-TEST(RpcoIB, RestartMidTrafficServesAgainRcBatched) { restart_sweep(false, restart_shards(2)); }
+TEST(RpcoIB, RestartMidTrafficServesAgainRcBatched) { restart_sweep(false, chaos_shards(2)); }
 
 }  // namespace
 }  // namespace rpcoib::oib

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
 #include "rpc/resilience.hpp"
@@ -35,25 +36,6 @@ using sim::Task;
 constexpr Address kAddr{1, 9400};
 const rpc::MethodKey kBump{"test.SessionProtocol", "bump"};
 const rpc::MethodKey kEcho{"test.SessionProtocol", "echo"};
-
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
-int chaos_shards() {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 1;
-}
-
-oib::PoolConfig chaos_pool() {
-  oib::PoolConfig p;
-  if (const char* env = std::getenv("RPCOIB_SRQ_DEPTH")) {
-    p.srq_depth = std::strtoull(env, nullptr, 10);
-    p.srq_low_watermark = std::max<std::size_t>(1, p.srq_depth / 4);
-  }
-  return p;
-}
 
 /// RPCOIB_UD=1 reroutes the RPCoIB legs' eager traffic over the UD
 /// datagram path (the CI chaos-matrix leg). Datagrams are connectionless,

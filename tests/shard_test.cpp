@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/testbed.hpp"
 #include "rpc/overload.hpp"
 #include "rpc/resilience.hpp"
@@ -39,11 +40,6 @@ const rpc::MethodKey kBump{"test.ShardProtocol", "bump"};
 
 // Client hosts distinct from the server's host 1 (cluster_b has 9 hosts).
 constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4, 5, 6, 7, 8};
-
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
 
 /// echo: IntWritable roundtrip. slow: sleep `slow_for`, return true.
 /// bump: non-idempotent — increments *runs, sleeps 2 s, returns the count.

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_env.hpp"
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
@@ -45,16 +46,6 @@ const rpc::MethodKey kEcho{"test.UdProtocol", "echo"};
 const rpc::MethodKey kBump{"test.UdProtocol", "bump"};
 const rpc::MethodKey kBlob{"test.UdProtocol", "blob"};
 const rpc::MethodKey kSink{"test.UdProtocol", "sink"};
-
-std::uint64_t chaos_seed() {
-  const char* env = std::getenv("RPCOIB_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
-}
-
-int chaos_shards() {
-  const char* env = std::getenv("RPCOIB_SHARDS");
-  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 1;
-}
 
 oib::UdConfig ud_on() {
   oib::UdConfig u;

@@ -151,6 +151,19 @@ TEST(MapredWritables, HeartbeatWithRunningTasks) {
             mapred::TaskReport::default_counters().size());
 }
 
+TEST(MapredWritables, HostileListCountIsRefusedBeforeAllocating) {
+  // tracker 1, free slots 2 and 3, then a running-task count and nothing
+  // else: 100,000 (a four-byte vint), or -1 (followed by three stray bytes).
+  const std::vector<net::Bytes> bodies = {{0x01, 0x02, 0x03, 0x8D, 0x01, 0x86, 0xA0},
+                                          {0x01, 0x02, 0x03, 0xFF, 0x00, 0x00, 0x00}};
+  for (const net::Bytes& body : bodies) {
+    rpc::DataInputBuffer in(kCm, body);
+    mapred::HeartbeatRequest req;
+    EXPECT_THROW(req.read_fields(in), rpc::SerializationError);
+    EXPECT_TRUE(req.running.empty());
+  }
+}
+
 TEST(MapredWritables, StatusUpdateIsAdjustmentHeavy) {
   mapred::StatusUpdateParam p;
   p.report.job = 1;
