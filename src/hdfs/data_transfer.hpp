@@ -13,6 +13,7 @@
 
 #include "cluster/cost_model.hpp"
 #include "net/bytes.hpp"
+#include "net/frame.hpp"
 #include "net/params.hpp"
 #include "hdfs/types.hpp"
 
@@ -68,42 +69,18 @@ inline sim::Dur data_packet_recv_cost(const cluster::CostModel& cm, DataMode m,
 /// takes the streamed data path: the block being written plus the replicas
 /// that still need it after the receiving datanode (which forwards chunk k
 /// downstream while chunk k+1 is arriving).
-/// Layout: [u64 block_id][u64 num_bytes][u8 ndownstream][u64 datanode_id]*
+/// Layout: [u64 block_id][u64 num_bytes][u8 ndownstream][u64 datanode_id]*,
+/// little-endian; a datanode id is its u32 zero-extended.
 struct StreamBlockMeta {
   Block block{};
   std::vector<DatanodeId> downstream;
-};
 
-inline net::Bytes encode_stream_block_meta(const StreamBlockMeta& m) {
-  net::Bytes out;
-  out.reserve(17 + 8 * m.downstream.size());
-  auto put_u64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<net::Byte>((v >> (8 * i)) & 0xff));
-  };
-  put_u64(m.block.id);
-  put_u64(m.block.num_bytes);
-  out.push_back(static_cast<net::Byte>(m.downstream.size() & 0xff));
-  for (DatanodeId d : m.downstream) put_u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(d)));
-  return out;
-}
-
-inline bool decode_stream_block_meta(net::ByteSpan b, StreamBlockMeta* out) {
-  auto get_u64 = [&b](std::size_t off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
-    return v;
-  };
-  if (b.size() < 17) return false;
-  out->block.id = get_u64(0);
-  out->block.num_bytes = get_u64(8);
-  const std::size_t n = static_cast<std::size_t>(b[16]);
-  if (b.size() < 17 + 8 * n) return false;
-  out->downstream.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    out->downstream.push_back(
-        static_cast<DatanodeId>(static_cast<std::uint32_t>(get_u64(17 + 8 * i))));
+  template <typename IO>
+  void fields(IO& io) {
+    io.u64(block.id).u64(block.num_bytes).list8(downstream, [](IO& e, DatanodeId& d) {
+      e.u32(d).pad(4);
+    });
   }
-  return true;
-}
+};
 
 }  // namespace rpcoib::hdfs

@@ -101,7 +101,7 @@ sim::Task DataNode::replicate_block(LocatedBlock cmd) {
 
 sim::Task DataNode::stream_ingest(oib::stream::StreamReaderPtr r, net::Bytes meta) {
   StreamBlockMeta m;
-  if (!decode_stream_block_meta(net::ByteSpan(meta.data(), meta.size()), &m)) {
+  if (!net::decode_frame(meta, m)) {
     const std::string why = "bad stream meta";
     co_await r->abort(why);
     co_return;
@@ -116,7 +116,7 @@ sim::Task DataNode::stream_ingest(oib::stream::StreamReaderPtr r, net::Bytes met
     dm.downstream.assign(m.downstream.begin() + 1, m.downstream.end());
     fwd = co_await stream_hub_->open(
         {m.downstream.front(), oib::stream::kHdfsStreamPort},
-        encode_stream_block_meta(dm), m.block.num_bytes);
+        net::encode_frame(dm), m.block.num_bytes);
   }
   bool ok = false;  // co_await is not allowed inside a handler
   std::string why;

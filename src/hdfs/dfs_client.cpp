@@ -250,7 +250,7 @@ sim::Co<bool> DFSClient::write_block_streamed(const LocatedBlock& located,
   meta.downstream.assign(located.locations.begin() + 1, located.locations.end());
   oib::stream::StreamWriterPtr w = co_await stream_hub_->open(
       {located.locations.front(), oib::stream::kHdfsStreamPort},
-      encode_stream_block_meta(meta), located.block.num_bytes);
+      net::encode_frame(meta), located.block.num_bytes);
   if (w == nullptr) co_return false;  // fall back to the legacy path
   trace::TraceCollector* tr = trace::active(host_.tracer());
   const sim::Time t0 = host_.sched().now();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/frame.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::mapred {
@@ -22,26 +23,6 @@ const rpc::MethodKey kGetMapCompletionEvents{kTaskUmbilicalProtocol,
                                              "getMapCompletionEvents"};
 const rpc::MethodKey kGetFileInfo{hdfs::kClientProtocol, "getFileInfo"};
 
-// Shuffle fetch metadata: the segment size the server should stream back.
-// (Job/task ids would select the real spill file; the simulator only needs
-// the byte count.)
-net::Bytes encode_shuffle_meta(std::uint64_t seg_bytes) {
-  net::Bytes out(8);
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<net::Byte>((seg_bytes >> (8 * i)) & 0xff);
-  }
-  return out;
-}
-
-bool decode_shuffle_meta(net::ByteSpan meta, std::uint64_t* seg_bytes) {
-  if (meta.size() != 8) return false;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(meta[i])) << (8 * i);
-  }
-  *seg_bytes = v;
-  return true;
-}
 }  // namespace
 
 TaskTracker::TaskTracker(cluster::Host& host, oib::RpcEngine& engine, net::Address jt_addr,
@@ -258,9 +239,8 @@ sim::Co<MapCompletionEventsResult> TaskTracker::umbilical_completion_events(JobI
 
 sim::Co<bool> TaskTracker::fetch_segment_streamed(cluster::HostId src,
                                                   std::uint64_t seg_bytes) {
-  net::Bytes meta = encode_shuffle_meta(seg_bytes);
-  oib::stream::StreamReaderPtr r =
-      co_await stream_hub_->fetch({src, oib::stream::kShuffleStreamPort}, meta);
+  oib::stream::StreamReaderPtr r = co_await stream_hub_->fetch(
+      {src, oib::stream::kShuffleStreamPort}, net::encode_frame(ShuffleMeta{seg_bytes}));
   if (r == nullptr) co_return false;  // no listener at the peer / refused / timed out
   bool ok = false;  // co_await is not allowed inside a handler
   try {
@@ -282,12 +262,12 @@ sim::Co<bool> TaskTracker::fetch_segment_streamed(cluster::HostId src,
 
 sim::Task TaskTracker::serve_shuffle(oib::stream::StreamHub::ConnPtr conn,
                                      std::uint64_t token, net::Bytes meta) {
-  std::uint64_t seg_bytes = 0;
-  if (!decode_shuffle_meta(net::ByteSpan(meta.data(), meta.size()), &seg_bytes) ||
-      seg_bytes == 0 || stream_hub_ == nullptr) {
+  ShuffleMeta m;
+  if (meta.size() != net::frame_size(m) || !net::decode_frame(meta, m) || m.seg_bytes == 0 ||
+      stream_hub_ == nullptr) {
     co_return;  // the fetcher times out and takes its legacy path
   }
-  oib::stream::StreamWriterPtr w = co_await stream_hub_->open_on(conn, token, seg_bytes);
+  oib::stream::StreamWriterPtr w = co_await stream_hub_->open_on(conn, token, m.seg_bytes);
   if (w == nullptr) co_return;  // capped pool / no grant: same fetcher timeout
   bool ok = false;  // co_await is not allowed inside a handler
   std::string why;

@@ -19,6 +19,14 @@
 
 namespace rpcoib::mapred {
 
+/// Shuffle fetch metadata riding kStreamFetch: the segment size the server
+/// streams back, exactly 8 bytes. (Job/task ids would select the real spill
+/// file; the simulator only needs the byte count.)
+struct ShuffleMeta {
+  std::uint64_t seg_bytes = 0;
+  template <typename IO> void fields(IO& io) { io.u64(seg_bytes); }
+};
+
 struct TaskTrackerConfig {
   int map_slots = 8;
   int reduce_slots = 4;

@@ -105,6 +105,19 @@ class DataInputBuffer final : public DataInput {
   std::size_t pos_ = 0;
 };
 
+/// Writes into a borrowed fixed byte range; a write past its end throws.
+class SpanOutput final : public DataOutput {
+ public:
+  SpanOutput(const cluster::CostModel& cm, net::MutByteSpan out) : DataOutput(cm), room_(out) {}
+  void write_raw(net::ByteSpan bs) override {
+    if (bs.size() > room_.size()) throw SerializationError("write past end of buffer");
+    room_ = net::MutByteSpan(std::copy(bs.begin(), bs.end(), room_.begin()), room_.end());
+  }
+
+ private:
+  net::MutByteSpan room_;  // what is left of the range
+};
+
 /// java.io.BufferedOutputStream: accumulates into a heap buffer; the flush
 /// callback receives completed chunks (the socket write path). Copy costs
 /// accrue here; the *send* itself is performed by the owning coroutine via

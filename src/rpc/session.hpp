@@ -31,6 +31,7 @@
 #include <map>
 #include <vector>
 
+#include "net/bytes.hpp"
 #include "sim/time.hpp"
 
 namespace rpcoib::rpc {
@@ -45,6 +46,26 @@ struct SessionConfig {
   /// Per-shard session cap; the least-recently-active session is evicted
   /// when exceeded. 0 = unbounded.
   std::size_t table_cap = 1024;
+};
+
+/// The socket connection preamble, written once per connection like
+/// Hadoop's: "hrpc" and a version byte. Version 5 announces a durable
+/// session and appends its id; a sessionless client sends version 4. The
+/// server reads the first kHeadBytes, then the id only for version 5; it
+/// does not check the magic.
+struct Preamble {
+  static constexpr std::size_t kHeadBytes = 5, kMaxBytes = 13;
+  static constexpr std::uint8_t kVersion = 4, kSessionVersion = 5;
+  static constexpr net::Byte kMagic[] = {'h', 'r', 'p', 'c'};
+  std::uint8_t version = kVersion;
+  std::uint64_t session_id = 0;  // kSessionVersion only
+
+  template <typename IO>
+  void fields(IO& io) {
+    net::ByteSpan magic(kMagic);
+    io.raw(magic, sizeof(kMagic)).u8(version);
+    if (version == kSessionVersion) io.u64(session_id);
+  }
 };
 
 /// Why a client tore a connection down and re-bootstrapped. Drives the

@@ -1,24 +1,14 @@
 #include "rpc/socket_client.hpp"
 
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "net/frame.hpp"
 #include "rpc/buffers.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
-
-namespace {
-// Connection header written once per connection, like Hadoop's
-// "hrpc" + version preamble.
-constexpr net::Byte kRpcMagic[] = {'h', 'r', 'p', 'c', 4};
-// Version-5 preamble announces a durable session: the magic is followed
-// by the client's 64-bit session id. Only sent with sessions enabled, so
-// the default handshake stays byte-identical to version 4.
-constexpr net::Byte kRpcMagicSession[] = {'h', 'r', 'p', 'c', 5};
-}  // namespace
 
 SocketRpcClient::SocketRpcClient(cluster::Host& host, net::SocketTable& sockets,
                                  net::Transport transport)
@@ -29,16 +19,11 @@ SocketRpcClient::~SocketRpcClient() { close_connections(); }
 sim::Co<void> SocketRpcClient::dial(const ConnectionPtr& conn, net::Address addr) {
   try {
     conn->sock = co_await sockets_.connect(host_, addr, transport_);
-    if (const std::uint64_t sid = session_id(host_); sid != 0) {
-      // Session handshake: v5 magic + the durable session id. The server
-      // keys retry-cache state by it, so dedup survives this connection.
-      net::Bytes pre(sizeof(kRpcMagicSession) + sizeof(sid));
-      std::memcpy(pre.data(), kRpcMagicSession, sizeof(kRpcMagicSession));
-      std::memcpy(pre.data() + sizeof(kRpcMagicSession), &sid, sizeof(sid));
-      co_await conn->sock->write(pre);
-    } else {
-      co_await conn->sock->write(net::ByteSpan(kRpcMagic, sizeof(kRpcMagic)));
-    }
+    // A session handshake carries the durable session id: the server keys
+    // retry-cache state by it, so dedup survives this connection.
+    const std::uint64_t sid = session_id(host_);
+    co_await conn->sock->write(net::encode_frame(
+        Preamble{sid != 0 ? Preamble::kSessionVersion : Preamble::kVersion, sid}));
   } catch (const net::SocketError& e) {
     throw RpcTransportError(e.what());
   }

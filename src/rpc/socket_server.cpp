@@ -1,9 +1,9 @@
 #include "rpc/socket_server.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "net/frame.hpp"
 #include "rpc/buffers.hpp"
 #include "trace/trace.hpp"
 
@@ -114,16 +114,18 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
     // The connection's receive CPU is paid inside the Reader critical
     // section below, as on a real selector-driven Reader thread.
     conn->set_deferred_rx_charge(true);
-    // Connection preamble ("hrpc" + version). Version 5 appends the
-    // client's 64-bit durable session id; version 4 is sessionless.
-    net::Bytes magic(5);
-    co_await conn->read_full(magic);
-    std::uint64_t session_id = 0;
-    if (magic[4] == net::Byte{5}) {
-      net::Bytes sid_buf(8);
-      co_await conn->read_full(sid_buf);
-      std::memcpy(&session_id, sid_buf.data(), sizeof(session_id));
+    // Connection preamble: the magic and version, then a version-5
+    // client's durable session id.
+    net::Bytes pre(Preamble::kMaxBytes);
+    const net::MutByteSpan head = net::MutByteSpan(pre).first(Preamble::kHeadBytes);
+    co_await conn->read_full(head);
+    Preamble preamble;
+    net::decode_frame(head, preamble);
+    if (preamble.version == Preamble::kSessionVersion) {
+      co_await conn->read_full(net::MutByteSpan(pre).subspan(Preamble::kHeadBytes));
+      net::decode_frame(pre, preamble);
     }
+    std::uint64_t session_id = preamble.session_id;
     // Ignore an advertised session when the feature is off locally: the
     // call path stays byte-identical to a sessionless build.
     if (!session_.enabled) session_id = 0;

@@ -1,17 +1,10 @@
 #include "rpcoib/onesided.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "sim/time.hpp"
 
 namespace rpcoib::oib {
-
-namespace {
-
-void put_u64(net::Byte* p, std::uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
-void put_u32(net::Byte* p, std::uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
-
-}  // namespace
 
 OneSidedRegion::OneSidedRegion(verbs::VerbsStack& stack, verbs::ProtectionDomain& pd,
                                net::Address addr, OneSidedConfig cfg)
@@ -43,20 +36,17 @@ std::uint64_t OneSidedRegion::hash_key(const std::string& key) {
   return h == 0 ? 1 : h;
 }
 
-net::Byte* OneSidedRegion::slot_ptr(std::size_t idx) {
-  return retired_.back().backing.data() + idx * slot_stride();
+net::MutByteSpan OneSidedRegion::slot(std::size_t idx) {
+  return net::MutByteSpan(retired_.back().backing).subspan(idx * slot_stride(), slot_stride());
 }
 
 void OneSidedRegion::fill_slot(std::size_t idx, std::uint64_t hash, net::ByteSpan payload,
                                std::uint64_t version) {
-  net::Byte* s = slot_ptr(idx);
-  put_u64(s, version);                        // v1
-  put_u64(s + 8, generation_);                // generation
-  put_u64(s + 16, hash);                      // key hash (0 = empty)
-  put_u32(s + 24, static_cast<std::uint32_t>(payload.size()));
-  put_u32(s + 28, 0);                         // reserved
-  if (!payload.empty()) std::memcpy(s + kHeaderBytes, payload.data(), payload.size());
-  put_u64(s + kHeaderBytes + payload_cap_, version);  // v2
+  const net::MutByteSpan s = slot(idx);
+  net::write_frame(s, SlotHeader{version, generation_, hash,
+                                 static_cast<std::uint32_t>(payload.size())});
+  std::copy(payload.begin(), payload.end(), s.begin() + kHeaderBytes);
+  net::write_frame(s.last(kTrailerBytes), SlotTrailer{version});
 }
 
 void OneSidedRegion::export_region(std::size_t payload_cap) {
@@ -66,8 +56,8 @@ void OneSidedRegion::export_region(std::size_t payload_cap) {
   if (!retired_.empty()) {
     Export& old = retired_.back();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-      net::Byte* s = old.backing.data() + i * old.slot_bytes;
-      put_u64(s + 8, 0);
+      edit_header(net::MutByteSpan(old.backing).subspan(i * old.slot_bytes, old.slot_bytes),
+                  [](SlotHeader& h) { h.generation = 0; });
     }
     ++reexports_;
   }
@@ -136,7 +126,7 @@ void OneSidedRegion::publish(const std::string& key, net::ByteSpan payload) {
   // snapshotting in between sees the odd/unequal pair and retries.
   st.window_open = true;
   st.version += 1;
-  put_u64(slot_ptr(idx), st.version);
+  edit_header(slot(idx), [&st](SlotHeader& h) { h.version = st.version; });
   stack_.fabric().sched().call_at(
       stack_.fabric().sched().now() + sim::from_us(cfg_.write_window_us),
       [this, idx, gen = generation_, alive = alive_] {

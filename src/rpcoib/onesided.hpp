@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "net/bytes.hpp"
+#include "net/frame.hpp"
 #include "rpc/rpc.hpp"
 #include "rpcoib/wire.hpp"
 #include "verbs/verbs.hpp"
@@ -45,10 +46,26 @@ namespace rpcoib::oib {
 
 class OneSidedRegion final : public rpc::OneSidedPublisher {
  public:
-  /// Bytes of slot metadata before the payload (v1, generation, key hash,
-  /// length + reserved) and after it (v2).
+  /// Bytes of slot metadata before the payload (SlotHeader) and after its
+  /// capacity (SlotTrailer).
   static constexpr std::size_t kHeaderBytes = 32;
   static constexpr std::size_t kTrailerBytes = 8;
+
+  /// A slot's words ahead of the payload, little-endian: v1, the
+  /// generation (0 in a retired export), the key hash (0 = empty), the
+  /// payload length and a reserved zero word.
+  struct SlotHeader {
+    std::uint64_t version = 0, generation = 0, hash = 0;
+    std::uint32_t len = 0;
+    template <typename IO>
+    void fields(IO& io) { io.u64(version).u64(generation).u64(hash).u32(len).pad(4); }
+  };
+  /// v2, the slot's last word: a READ whose v1 and v2 differ (or are odd)
+  /// overlapped a publish.
+  struct SlotTrailer {
+    std::uint64_t version = 0;
+    template <typename IO> void fields(IO& io) { io.u64(version); }
+  };
 
   OneSidedRegion(verbs::VerbsStack& stack, verbs::ProtectionDomain& pd,
                  net::Address addr, OneSidedConfig cfg);
@@ -89,7 +106,15 @@ class OneSidedRegion final : public rpc::OneSidedPublisher {
   };
 
   std::size_t slot_stride() const { return kHeaderBytes + payload_cap_ + kTrailerBytes; }
-  net::Byte* slot_ptr(std::size_t idx);
+  net::MutByteSpan slot(std::size_t idx);
+  /// Rewrite one slot's header through `edit`, leaving the payload be.
+  template <typename Edit>
+  static void edit_header(net::MutByteSpan slot, Edit edit) {
+    SlotHeader h;
+    net::decode_frame(slot, h);
+    edit(h);
+    net::write_frame(slot, h);
+  }
   /// Allocate + register a fresh buffer of `payload_cap` slots, fill it
   /// from entries_, poison the retired export, bump the generation.
   void export_region(std::size_t payload_cap);

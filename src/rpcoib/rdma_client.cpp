@@ -390,12 +390,9 @@ sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes>
   const std::uint64_t sid = session_id(host_);
   const std::size_t total = kUdHeaderBytes + batch_frame_size(items);
   NativeBuffer* fb = shadow_.acquire_sized(total);
-  net::Byte* p = fb->span.data();
-  p[0] = static_cast<net::Byte>(FrameType::kUdCall);
-  for (int i = 0; i < 8; ++i) {
-    p[1 + i] = static_cast<net::Byte>((sid >> (8 * (7 - i))) & 0xff);
-  }
-  encode_batch(items, p + kUdHeaderBytes);
+  rpc::SpanOutput header(cm, fb->span.first(kUdHeaderBytes));
+  write_ud_header(header, sid);  // charged with the whole frame's copy below
+  encode_batch(items, fb->span.data() + kUdHeaderBytes);
   co_await host.compute(cm.direct_copy(total) + cm.jni_call());
   if (ud->cancelled) co_return;
   const verbs::UdService* svc = stack_.ud_service(sink.addr);
@@ -436,8 +433,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdSe
   const sim::Time t_ser_start = host_.sched().now();
   RDMAOutputStream out(cm, shadow_, a.key);
   try {
-    out.write_u8(static_cast<std::uint8_t>(FrameType::kUdCall));
-    out.write_u64(sid);
+    write_ud_header(out, sid);
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
     write_call_header(out, a.call_id, a.retried, a.key, ctx);
     a.param.write(out);
@@ -617,15 +613,12 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
       throw rpc::RpcTransportError("client closed during one-sided read");
     }
     if (read_status != 0) break;  // remote region gone at the verbs layer
-    const net::Byte* s = dst->span.data();
-    std::uint64_t v1 = 0, gen = 0, slot_hash = 0, v2 = 0;
-    std::uint32_t len = 0;
-    std::memcpy(&v1, s, 8);
-    std::memcpy(&gen, s + 8, 8);
-    std::memcpy(&slot_hash, s + 16, 8);
-    std::memcpy(&len, s + 24, 4);
-    std::memcpy(&v2, s + svc.slot_bytes - 8, 8);
-    if (v1 != v2 || (v1 & 1) != 0) {
+    const net::ByteSpan s = dst->span.first(svc.slot_bytes);
+    OneSidedRegion::SlotHeader head;
+    OneSidedRegion::SlotTrailer tail;
+    net::decode_frame(s, head);
+    net::decode_frame(s.last(OneSidedRegion::kTrailerBytes), tail);
+    if (head.version != tail.version || (head.version & 1) != 0) {
       // Seqlock write window observed: retry within the budget, then
       // degrade — a write-hot entry must not spin.
       if (++conflicts > kMaxVersionRetries) {
@@ -634,7 +627,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
       }
       continue;
     }
-    if (gen != svc.generation) {
+    if (head.generation != svc.generation) {
       // Stale advertisement (the server re-exported; retired slots carry
       // generation 0) — refresh once, then degrade.
       const verbs::OneSidedService* fresh = stack_.onesided_service(a.addr);
@@ -656,8 +649,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
       }
       break;
     }
-    if (slot_hash != h || len == 0 ||
-        len > svc.slot_bytes - kMeta) {
+    if (head.hash != h || head.len == 0 || head.len > svc.slot_bytes - kMeta) {
       // Empty slot, tombstone, or a direct-map collision with another key:
       // the entry is not published — fall back.
       ++stats_.onesided_misses;
@@ -665,7 +657,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_onesided(const Attempt& a) {
     }
     // Consistent snapshot: deserialize the published response in place.
     ++stats_.onesided_reads;
-    RDMAInputStream in(cm, net::ByteSpan(s + OneSidedRegion::kHeaderBytes, len));
+    RDMAInputStream in(cm, s.subspan(OneSidedRegion::kHeaderBytes, head.len));
     if (a.response != nullptr) a.response->read_fields(in);
     co_await host_.compute(in.take_accrued());
     native_.release(dst);

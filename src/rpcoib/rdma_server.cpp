@@ -510,9 +510,8 @@ sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
       if (!plane->stopped && wc.byte_len > grh + kUdHeaderBytes &&
           static_cast<FrameType>(rb->span.data()[grh]) == FrameType::kUdCall) {
         const net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
-        std::uint32_t src_host = 0, src_qpn = 0;
-        std::memcpy(&src_host, rb->span.data(), 4);
-        std::memcpy(&src_qpn, rb->span.data() + 4, 4);
+        verbs::UdEndpoint::Grh src;
+        net::decode_frame(rb->span, src);
         const std::uint64_t sid = session_.enabled ? read_be64(frame.data() + 1) : 0;
         // One pseudo-connection per datagram: the handler pipeline keys
         // sessions, fences, dedup and the response path off the ConnState,
@@ -524,12 +523,12 @@ sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
         // shard is held from here on.
         auto conn = std::make_shared<ConnState>();
         conn->session_id = sid;
-        conn->owner = sid != 0 ? sid : ((std::uint64_t{1} << 62) | src_host);
-        const std::shared_ptr<Shard> shard = core_.home(sid, src_host);
+        conn->owner = sid != 0 ? sid : ((std::uint64_t{1} << 62) | src.host);
+        const std::shared_ptr<Shard> shard = core_.home(sid, src.host);
         conn->shard = shard->pipeline.shard_id();
         conn->eager_threshold = cfg_.eager_threshold;
         const std::optional<UdReturn> ret = UdReturn{
-            plane, verbs::AddressHandle{static_cast<cluster::HostId>(src_host), src_qpn},
+            plane, verbs::AddressHandle{static_cast<cluster::HostId>(src.host), src.qpn},
             ep_index};
         co_await host_.compute(cm.cq_poll() + cm.thread_wakeup());
         const net::ByteSpan inner(frame.data() + kUdHeaderBytes,

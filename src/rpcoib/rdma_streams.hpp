@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "rpc/buffers.hpp"
 #include "rpc/writable.hpp"
 #include "rpcoib/buffer_pool.hpp"
 
@@ -92,24 +93,8 @@ class RDMAOutputStream final : public rpc::DataOutput {
 
 /// Reads directly from a registered native buffer — the receive side of
 /// Fig. 2. No per-call heap allocation, no native->heap copy: the paper's
-/// Section II-B bottleneck is structurally absent.
-class RDMAInputStream final : public rpc::DataInput {
- public:
-  RDMAInputStream(const cluster::CostModel& cm, net::ByteSpan data)
-      : rpc::DataInput(cm), data_(data) {}
-
-  void read_raw(net::MutByteSpan out) override {
-    if (out.size() > remaining()) throw rpc::SerializationError("read past end of RDMA buffer");
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
-    pos_ += out.size();
-  }
-
-  std::size_t remaining() const override { return data_.size() - pos_; }
-  std::size_t position() const { return pos_; }
-
- private:
-  net::ByteSpan data_;
-  std::size_t pos_ = 0;
-};
+/// Section II-B bottleneck is structurally absent. The reader itself is
+/// Hadoop's DataInputBuffer over the buffer's bytes.
+using RDMAInputStream = rpc::DataInputBuffer;
 
 }  // namespace rpcoib::oib

@@ -1,7 +1,6 @@
 #include "rpcoib/stream/stream.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -22,97 +21,6 @@ constexpr std::size_t kMaxRingDepth = 255;
 
 std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
-
-void put_u8(net::Bytes& b, std::uint8_t v) { b.push_back(static_cast<net::Byte>(v)); }
-void put_u32(net::Bytes& b, std::uint32_t v) {
-  const std::size_t at = b.size();
-  b.resize(at + 4);
-  std::memcpy(b.data() + at, &v, 4);
-}
-void put_u64(net::Bytes& b, std::uint64_t v) {
-  const std::size_t at = b.size();
-  b.resize(at + 8);
-  std::memcpy(b.data() + at, &v, 8);
-}
-std::uint32_t get_u32(net::ByteSpan f, std::size_t off) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, f.data() + off, 4);
-  return v;
-}
-std::uint64_t get_u64(net::ByteSpan f, std::size_t off) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, f.data() + off, 8);
-  return v;
-}
-
-net::Bytes encode_open(std::uint64_t sid, std::uint64_t total, std::uint32_t chunk,
-                       std::uint32_t depth, const net::Bytes& meta) {
-  net::Bytes f;
-  f.reserve(29 + meta.size());
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamOpen));
-  put_u64(f, sid);
-  put_u64(f, total);
-  put_u32(f, chunk);
-  put_u32(f, depth);
-  put_u32(f, static_cast<std::uint32_t>(meta.size()));
-  f.insert(f.end(), meta.begin(), meta.end());
-  return f;
-}
-
-net::Bytes encode_grant(std::uint64_t sid, bool accepted,
-                        const std::vector<verbs::RemoteBuffer>& slots) {
-  net::Bytes f;
-  f.reserve(11 + 16 * slots.size());
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamGrant));
-  put_u64(f, sid);
-  put_u8(f, accepted ? 1 : 0);
-  put_u8(f, static_cast<std::uint8_t>(slots.size()));
-  for (const verbs::RemoteBuffer& s : slots) {
-    put_u32(f, s.rkey);
-    put_u64(f, s.offset);
-    put_u32(f, s.length);
-  }
-  return f;
-}
-
-net::Bytes encode_credit(std::uint64_t sid, std::uint32_t seq) {
-  net::Bytes f;
-  f.reserve(13);
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamCredit));
-  put_u64(f, sid);
-  put_u32(f, seq);
-  return f;
-}
-
-net::Bytes encode_done(std::uint64_t sid, std::uint8_t status) {
-  net::Bytes f;
-  f.reserve(10);
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamDone));
-  put_u64(f, sid);
-  put_u8(f, status);
-  return f;
-}
-
-net::Bytes encode_abort(std::uint64_t sid, const std::string& reason) {
-  net::Bytes f;
-  f.reserve(13 + reason.size());
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamAbort));
-  put_u64(f, sid);
-  put_u32(f, static_cast<std::uint32_t>(reason.size()));
-  f.insert(f.end(), reinterpret_cast<const net::Byte*>(reason.data()),
-           reinterpret_cast<const net::Byte*>(reason.data()) + reason.size());
-  return f;
-}
-
-net::Bytes encode_fetch(std::uint64_t token, const net::Bytes& meta) {
-  net::Bytes f;
-  f.reserve(13 + meta.size());
-  put_u8(f, static_cast<std::uint8_t>(FrameType::kStreamFetch));
-  put_u64(f, token);
-  put_u32(f, static_cast<std::uint32_t>(meta.size()));
-  f.insert(f.end(), meta.begin(), meta.end());
-  return f;
-}
 
 StreamConfig clamp_cfg(StreamConfig cfg, const PoolConfig& pool) {
   cfg.chunk_size = std::clamp(cfg.chunk_size, pool.min_class, pool.max_class);
@@ -294,12 +202,13 @@ sim::Co<Chunk> StreamReader::next_chunk() {
 
 sim::Co<void> StreamReader::release_chunk(std::uint64_t seq) {
   if (closed_ || failed_) co_return;
-  co_await conn_->post(encode_credit(sid_, static_cast<std::uint32_t>(seq)));
+  co_await conn_->post(
+      net::encode_frame(StreamCreditFrame{sid_, static_cast<std::uint32_t>(seq)}));
 }
 
 sim::Co<void> StreamReader::finish(std::uint8_t status) {
   if (closed_) co_return;
-  co_await conn_->post(encode_done(sid_, status));
+  co_await conn_->post(net::encode_frame(StreamDoneFrame{sid_, status}));
   close_out();
 }
 
@@ -308,7 +217,8 @@ sim::Co<void> StreamReader::abort(const std::string& reason) {
   bump(&rpc::RpcStats::stream_aborts);
   if (!failed_) {
     fail_reason_ = reason;
-    const bool sent = co_await conn_->post(encode_abort(sid_, reason));
+    const bool sent =
+        co_await conn_->post(net::encode_frame(StreamAbortFrame{sid_, net::byte_view(reason)}));
     // Hold the ring until the writer's echoed abort: RC orders the echo
     // after its last in-flight WRITE, so no recycled slot gets written.
     if (sent && !echo_seen_) {
@@ -479,7 +389,7 @@ sim::Co<void> StreamWriter::abort(const std::string& reason) {
   if (local) {
     // RC orders this abort after every WRITE already posted, so the reader
     // can recycle its ring the moment it arrives.
-    co_await conn_->post(encode_abort(sid_, reason));
+    co_await conn_->post(net::encode_frame(StreamAbortFrame{sid_, net::byte_view(reason)}));
   }
   co_await drain_and_release();
 }
@@ -649,77 +559,61 @@ sim::Task StreamHub::conn_loop(ConnPtr conn) {
 
 void StreamHub::handle_frame(const ConnPtr& conn, net::ByteSpan f) {
   if (f.empty()) return;
+  auto writer = [&conn](std::uint64_t sid) {
+    auto it = conn->writers.find(sid);
+    return it == conn->writers.end() ? nullptr : it->second;
+  };
   switch (static_cast<FrameType>(f[0])) {
     case FrameType::kStreamOpen: {
-      if (f.size() < 29) return;
-      const std::uint64_t sid = get_u64(f, 1);
-      const std::uint64_t total = get_u64(f, 9);
-      const std::uint32_t chunk = get_u32(f, 17);
-      const std::uint32_t depth = get_u32(f, 21);
-      const std::uint32_t mlen = get_u32(f, 25);
-      if (f.size() < std::size_t{29} + mlen) return;
-      net::Bytes meta(f.data() + 29, f.data() + 29 + mlen);
-      host_.sched().spawn(handle_open(conn, sid, total, chunk, depth, std::move(meta)));
+      StreamOpenFrame m;
+      if (!net::decode_frame(f, m)) return;
+      host_.sched().spawn(handle_open(conn, m.sid, m.total, m.chunk, m.depth,
+                                      net::Bytes(m.meta.begin(), m.meta.end())));
       break;
     }
     case FrameType::kStreamGrant: {
-      if (f.size() < 11) return;
-      const std::uint64_t sid = get_u64(f, 1);
-      const bool accepted = f[9] != 0;
-      const std::size_t n = f[10];
-      if (f.size() < 11 + 16 * n) return;
-      std::vector<verbs::RemoteBuffer> slots;
-      slots.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t at = 11 + i * 16;
-        slots.push_back({get_u32(f, at), get_u64(f, at + 4), get_u32(f, at + 12)});
-      }
-      auto it = conn->writers.find(sid);
-      if (it != conn->writers.end()) it->second->on_grant(accepted, std::move(slots));
+      StreamGrantFrame m;
+      if (!net::decode_frame(f, m)) return;
+      if (StreamWriter* w = writer(m.sid)) w->on_grant(m.accepted, std::move(m.slots));
       break;
     }
     case FrameType::kStreamCredit: {
-      if (f.size() < 13) return;
-      auto it = conn->writers.find(get_u64(f, 1));
-      if (it != conn->writers.end()) it->second->on_credit();
+      StreamCreditFrame m;
+      if (!net::decode_frame(f, m)) return;
+      if (StreamWriter* w = writer(m.sid)) w->on_credit();
       break;
     }
     case FrameType::kStreamDone: {
-      if (f.size() < 10) return;
-      auto it = conn->writers.find(get_u64(f, 1));
-      if (it != conn->writers.end()) it->second->on_done(f[9]);
+      StreamDoneFrame m;
+      if (!net::decode_frame(f, m)) return;
+      if (StreamWriter* w = writer(m.sid)) w->on_done(m.status);
       break;
     }
     case FrameType::kStreamAbort: {
-      if (f.size() < 13) return;
-      const std::uint64_t sid = get_u64(f, 1);
-      const std::size_t rlen =
-          std::min<std::size_t>(get_u32(f, 9), f.size() - 13);
-      std::string reason(reinterpret_cast<const char*>(f.data()) + 13, rlen);
-      auto wit = conn->writers.find(sid);
-      if (wit != conn->writers.end()) {
-        StreamWriter* w = wit->second;
+      StreamAbortFrame m;
+      if (!net::decode_frame(f, m)) return;
+      const std::string reason(m.reason.begin(), m.reason.end());
+      if (StreamWriter* w = writer(m.sid)) {
         const bool first = !w->failed_;
         w->on_peer_abort(reason);
         if (first) {
           // Echo, so the aborting reader knows our last WRITE is behind it
           // and can recycle its ring.
-          host_.sched().spawn(send_frame(conn, encode_abort(sid, "echo: " + reason)));
+          const std::string echo = "echo: " + reason;
+          host_.sched().spawn(
+              send_frame(conn, net::encode_frame(StreamAbortFrame{m.sid, net::byte_view(echo)})));
         }
         break;
       }
-      auto rit = conn->readers.find(sid);
+      auto rit = conn->readers.find(m.sid);
       if (rit != conn->readers.end()) rit->second->on_writer_abort(reason);
       break;
     }
     case FrameType::kStreamFetch: {
-      if (f.size() < 13) return;
-      const std::uint64_t token = get_u64(f, 1);
-      const std::uint32_t mlen = get_u32(f, 9);
+      StreamFetchFrame m;
       // No server: the fetcher times out.
-      if (f.size() < std::size_t{13} + mlen || !on_fetch_) break;
-      net::Bytes meta(f.data() + 13, f.data() + 13 + mlen);
-      host_.sched().spawn(on_fetch_(conn, token, std::move(meta)));
+      if (!net::decode_frame(f, m) || !on_fetch_) break;
+      host_.sched().spawn(on_fetch_(conn, m.token, net::Bytes(m.meta.begin(), m.meta.end())));
       break;
     }
     default:
@@ -739,14 +633,13 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
                            depth <= kMaxRingDepth;
   co_await pool_ready_.wait();
   if (!*alive || conn->cancelled) co_return;
-  // Meta routing byte: 0x01 = response to our own fetch token, 0x00 = an
-  // application open for the listen() handler.
-  const bool fetch_resp = !meta.empty() && meta[0] == 1;
+  // An empty meta reads as an application open with no meta.
+  StreamRoute route;
+  const bool routed = net::decode_frame(meta, route);
+  const bool fetch_resp = route.route == StreamRoute::kFetch;
   StreamConn::PendingFetch* pf = nullptr;
-  if (fetch_resp && meta.size() >= 9) {
-    std::uint64_t token = 0;
-    std::memcpy(&token, meta.data() + 1, 8);
-    auto it = conn->fetches.find(token);
+  if (fetch_resp && routed) {
+    auto it = conn->fetches.find(route.token);
     if (it != conn->fetches.end()) pf = it->second;
   }
   bool accept = running_ && !conn->broken && geometry_ok &&
@@ -767,26 +660,25 @@ sim::Task StreamHub::handle_open(ConnPtr conn, std::uint64_t sid, std::uint64_t 
   }
   if (!accept) {
     for (NativeBuffer* b : ring) native_.release(b);
-    host_.sched().spawn(send_frame(conn, encode_grant(sid, false, {})));
+    host_.sched().spawn(send_frame(conn, net::encode_frame(StreamGrantFrame{sid, false, {}})));
     if (pf != nullptr) pf->ev.set();  // null reader: fetcher falls back now
     co_return;
   }
   StreamReaderPtr r(new StreamReader(*this, conn, sid, total, chunk_size));
   r->buffers_ = std::move(ring);
   conn->readers[sid] = r.get();
-  std::vector<verbs::RemoteBuffer> slots;
-  slots.reserve(r->buffers_.size());
+  StreamGrantFrame grant{sid, true, {}};
+  grant.slots.reserve(r->buffers_.size());
   for (NativeBuffer* b : r->buffers_) {
-    slots.push_back({b->mr.rkey, 0, chunk_size});
+    grant.slots.push_back({b->mr.rkey, 0, chunk_size});
   }
-  host_.sched().spawn(send_frame(conn, encode_grant(sid, true, slots)));
+  host_.sched().spawn(send_frame(conn, net::encode_frame(grant)));
   ++stats_.streams_opened;
   if (pf != nullptr) {
     pf->reader = std::move(r);
     pf->ev.set();
   } else {
-    net::Bytes app_meta(meta.begin() + (meta.empty() ? 0 : 1), meta.end());
-    host_.sched().spawn(on_open_(std::move(r), std::move(app_meta)));
+    host_.sched().spawn(on_open_(std::move(r), net::Bytes(route.app.begin(), route.app.end())));
   }
 }
 
@@ -798,11 +690,9 @@ sim::Co<StreamWriterPtr> StreamHub::open(net::Address addr, net::Bytes meta,
                                          std::uint64_t total_bytes) {
   ConnPtr conn = co_await outbound(addr);
   if (conn == nullptr) co_return nullptr;
-  net::Bytes routed;
-  routed.reserve(meta.size() + 1);
-  routed.push_back(0);
-  routed.insert(routed.end(), meta.begin(), meta.end());
-  co_return co_await open_impl(std::move(conn), std::move(routed), total_bytes);
+  co_return co_await open_impl(std::move(conn),
+                               net::encode_frame(StreamRoute{StreamRoute::kApp, 0, meta}),
+                               total_bytes);
 }
 
 sim::Co<StreamWriterPtr> StreamHub::open_on(ConnPtr conn, std::uint64_t token,
@@ -812,10 +702,9 @@ sim::Co<StreamWriterPtr> StreamHub::open_on(ConnPtr conn, std::uint64_t token,
     co_return nullptr;
   }
   co_await pool_ready_.wait();
-  net::Bytes routed(9);
-  routed[0] = 1;
-  std::memcpy(routed.data() + 1, &token, 8);
-  co_return co_await open_impl(std::move(conn), std::move(routed), total_bytes);
+  co_return co_await open_impl(std::move(conn),
+                               net::encode_frame(StreamRoute{StreamRoute::kFetch, token, {}}),
+                               total_bytes);
 }
 
 sim::Co<StreamWriterPtr> StreamHub::open_impl(ConnPtr conn, net::Bytes routed_meta,
@@ -841,8 +730,10 @@ sim::Co<StreamWriterPtr> StreamHub::open_impl(ConnPtr conn, net::Bytes routed_me
   w->staging_gate_.add(static_cast<std::int64_t>(w->buffers_.size()));
   conn->writers[sid] = w.get();
   host_.sched().spawn(send_frame(
-      conn, encode_open(sid, total_bytes, static_cast<std::uint32_t>(cfg_.chunk_size),
-                        static_cast<std::uint32_t>(cfg_.ring_depth), routed_meta)));
+      conn, net::encode_frame(StreamOpenFrame{sid, total_bytes,
+                                              static_cast<std::uint32_t>(cfg_.chunk_size),
+                                              static_cast<std::uint32_t>(cfg_.ring_depth),
+                                              routed_meta})));
   const bool granted = co_await w->grant_ev_.wait_for(cfg_.chunk_deadline);
   if (!granted || !w->grant_accepted_ || w->failed_) {
     ++stats_.stream_fallbacks;
@@ -859,7 +750,7 @@ sim::Co<StreamReaderPtr> StreamHub::fetch(net::Address addr, net::Bytes meta) {
   const std::uint64_t token = next_token_++;
   StreamConn::PendingFetch pf(host_.sched());
   conn->fetches[token] = &pf;
-  host_.sched().spawn(send_frame(conn, encode_fetch(token, meta)));
+  host_.sched().spawn(send_frame(conn, net::encode_frame(StreamFetchFrame{token, meta})));
   const bool ok = co_await pf.ev.wait_for(cfg_.chunk_deadline);
   conn->fetches.erase(token);
   if (!ok || pf.reader == nullptr) {

@@ -10,16 +10,11 @@
 // is still on the wire, the way MPICH2's pipelined rendezvous keeps the
 // NIC busy between registration and send.
 //
-// Wire protocol (control frames ride two-sided SEND on a dedicated QP;
-// chunk data is one-sided RDMA WRITE with immediate):
-//   kStreamOpen   [u8][u64 sid][u64 total][u32 chunk][u32 depth][u32 mlen][meta]
-//   kStreamGrant  [u8][u64 sid][u8 accepted][u8 nslots][(u32 rkey)(u64 off)(u32 len)]*
-//   kStreamCredit [u8][u64 sid][u32 seq]     - receiver done with chunk seq
-//   kStreamDone   [u8][u64 sid][u8 status]   - receiver consumed the stream
-//   kStreamAbort  [u8][u64 sid][u32 rlen][reason]
-//   kStreamFetch  [u8][u64 token][u32 mlen][meta] - role flip: ask the peer
-//                                                   to open a stream back
-//   chunk data:   RDMA WRITE, imm = (sid & 0xffff) << 16 | (seq & 0xffff)
+// Wire protocol: control frames (kStreamOpen/Grant/Credit/Done/Abort/Fetch,
+// laid out in rpcoib/wire.hpp) ride two-sided SEND on a dedicated QP; a
+// credit says the receiver is done with a chunk, done that it consumed the
+// stream, and a fetch (role flip) asks the peer to open a stream back. Chunk
+// data is one-sided RDMA WRITE, imm = (sid & 0xffff) << 16 | (seq & 0xffff).
 //
 // Chunk data is a net::Payload: real bytes, or {length, seed} for
 // write_all's pattern. A pattern is charged every modelled copy but moves

@@ -5,7 +5,10 @@
 // larger messages stay in the sender's registered buffer and a small
 // control message tells the peer to RDMA-READ them (rendezvous).
 //
-// Buffer-content layouts (first byte is the frame type):
+// Buffer-content layouts (first byte is the frame type). kCall, kResp and
+// the kUdCall header are Java order, written by rpc::DataOutput; every other
+// frame is little-endian, its layout stated once as fields() below and run
+// by net/frame.hpp.
 //   kCall     [u8][u64 id][text protocol][text method][param bytes]
 //   kResp     [u8][u64 id][u8 status][value bytes | error text]
 //   kCtrlCall [u8][u32 rkey][u64 offset][u32 len]   - fetch a kCall
@@ -23,10 +26,11 @@
 // Bulk-streaming control frames (src/rpcoib/stream; ride their own QP,
 // chunk data moves by RDMA WRITE with immediate):
 //   kStreamOpen   [u8][u64 sid][u64 total][u32 chunk][u32 depth][u32 mlen][meta]
+//                 meta: [u8 1][u64 fetch token] | [u8 route != 1][app meta ...]
 //   kStreamGrant  [u8][u64 sid][u8 accepted][u8 nslots][(u32 rkey)(u64 off)(u32 len)]*
 //   kStreamCredit [u8][u64 sid][u32 seq]
 //   kStreamDone   [u8][u64 sid][u8 status]
-//   kStreamAbort  [u8][u64 sid][u32 rlen][reason]
+//   kStreamAbort  [u8][u64 sid][u32 rlen][reason]   - rlen clamped to the bytes present
 //   kStreamFetch  [u8][u64 token][u32 mlen][meta]
 //
 // UD datagram eager path (ud.* knobs; default off):
@@ -43,11 +47,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "net/bytes.hpp"
+#include "net/frame.hpp"
 #include "rpc/protocol.hpp"
+#include "verbs/verbs.hpp"
 
 namespace rpcoib::oib {
 
@@ -125,10 +130,10 @@ struct OneSidedConfig {
 };
 
 /// Big-endian u64 at `p`: the call id of a kCall/kResp frame and the
-/// kUdCall session id, as the stream writers lay them out.
+/// kUdCall session id, as rpc::DataOutput lays them out.
 inline std::uint64_t read_be64(const net::Byte* p) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  net::FrameReader(net::ByteSpan(p, 8)).be64(v);
   return v;
 }
 
@@ -157,118 +162,168 @@ inline EagerNegotiation negotiate_eager(std::size_t local, std::uint64_t peer,
 /// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
 inline constexpr std::size_t kUdHeaderBytes = 9;
 
-// ---- Rendezvous control frames ---------------------------------------------
-// kCtrlCall/kCtrlResp [u8][u32 rkey][u64 offset][u32 len] and kAck/kNack
-// [u8][u32 rkey], integers in host order.
-
-/// Encoded size of a control frame of type `t` (0: not a control type).
-inline constexpr std::size_t control_frame_size(FrameType t) {
-  switch (t) {
-    case FrameType::kCtrlCall:
-    case FrameType::kCtrlResp: return 17;
-    case FrameType::kAck:
-    case FrameType::kNack: return 5;
-    default: return 0;
-  }
+/// Write the kUdCall header through `out`: the type byte and the session
+/// id, one DataOutput field write each. Both UD send paths call this.
+inline void write_ud_header(rpc::DataOutput& out, std::uint64_t session) {
+  out.write_u8(static_cast<std::uint8_t>(FrameType::kUdCall));
+  out.write_u64(session);
 }
 
-/// A control frame's fields; `off` and `len` are 0 for kAck/kNack.
+// ---- Frame layouts --------------------------------------------------------
+// Each frame below states its layout once, as fields(); net::FrameWriter
+// encodes it and net::FrameReader decodes it (little-endian, total). The
+// table at the top of this file is the same layouts, for reading.
+
+/// A rendezvous control frame; `off` and `len` are 0 for kAck/kNack.
 struct Control {
   FrameType type = FrameType::kAck;
   std::uint32_t rkey = 0;
   std::uint64_t off = 0;
   std::uint32_t len = 0;
+  template <typename IO>
+  void fields(IO& io) {
+    io.u8(type).u32(rkey);
+    if (type == FrameType::kCtrlCall || type == FrameType::kCtrlResp) io.u64(off).u32(len);
+  }
 };
 
 /// Fixed-layout control frame, trivially destructible (safe as a co_await
 /// temporary) and copied by post_send at post time.
 struct ControlFrame {
   net::Byte bytes[17];
-  std::size_t len = 0;
-
-  explicit ControlFrame(const Control& c) : len(control_frame_size(c.type)) {
-    bytes[0] = static_cast<net::Byte>(c.type);
-    std::memcpy(bytes + 1, &c.rkey, 4);
-    if (len == 17) {
-      std::memcpy(bytes + 5, &c.off, 8);
-      std::memcpy(bytes + 13, &c.len, 4);
-    }
-  }
+  std::size_t len;
+  explicit ControlFrame(const Control& c) : len(net::write_frame(bytes, c)) {}
   net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
 };
 
 /// Parse a received control frame. False (with `c` unspecified) when the
-/// frame is not a control type or is shorter than its type's layout.
+/// frame is not a control type or is shorter than its type's layout;
+/// trailing bytes are ignored.
 inline bool parse_control(net::ByteSpan frame, Control& c) {
-  if (frame.empty()) return false;
-  c.type = static_cast<FrameType>(frame[0]);
-  const std::size_t need = control_frame_size(c.type);
-  if (need == 0 || frame.size() < need) return false;
-  std::memcpy(&c.rkey, frame.data() + 1, 4);
-  c.off = 0;
-  c.len = 0;
-  if (need == 17) {
-    std::memcpy(&c.off, frame.data() + 5, 8);
-    std::memcpy(&c.len, frame.data() + 13, 4);
-  }
-  return true;
+  c = Control{};
+  return net::decode_frame(frame, c) && c.type >= FrameType::kCtrlCall &&
+         c.type <= FrameType::kNack;
 }
 
-// ---- kBatch codec ---------------------------------------------------------
-// [u8 kBatch][u32 count][u32 len_i x count][sub-frame_i ...], integers in
-// host order (both ends of the simulated fabric share one). The one
-// encoder serves client calls (RC and, behind the kUdCall header, UD) and
+// kBatch serves client calls (RC and, behind the kUdCall header, UD) and
 // server responses; the one splitter serves every receive path.
 
 /// Fixed kBatch header: type byte + count word.
 inline constexpr std::size_t kBatchHeaderBytes = 5;
 
+using rpc::BatchSplit;
+
+/// The kBatch layout, run by both directions over `items`: the sub-frames
+/// being encoded (net::Bytes), or the views a split fills (net::ByteSpan).
+/// Every bound is checked against the bytes the reader holds, never the
+/// wire's own claims; the verdict is only meaningful when reading.
+template <typename IO, typename Items>
+BatchSplit batch_fields(IO& io, Items& items) {
+  auto count = static_cast<std::uint32_t>(items.size());
+  if (!io.tag(FrameType::kBatch).u32(count).ok()) return BatchSplit::kTruncated;
+  if (count == 0) return BatchSplit::kEmpty;
+  IO lens = io;  // the length table; `io` moves on to the sub-frames
+  if (!io.pad(4 * std::size_t{count}).ok()) return BatchSplit::kBadCount;
+  lens.resize(items, count);
+  for (auto& item : items) {
+    auto len = static_cast<std::uint32_t>(item.size());
+    lens.u32(len);
+    if (!io.raw(item, len).ok()) return BatchSplit::kBadLength;
+  }
+  return io.remaining() == 0 ? BatchSplit::kOk : BatchSplit::kBadLength;
+}
+
 /// Encoded size of a kBatch frame carrying `items`.
 inline std::size_t batch_frame_size(const std::vector<net::Bytes>& items) {
-  std::size_t n = kBatchHeaderBytes + 4 * items.size();
-  for (const net::Bytes& m : items) n += m.size();
-  return n;
+  net::FrameWriter size;
+  batch_fields(size, items);
+  return size.size();
 }
 
 /// Encode a kBatch frame carrying `items` into `out`, which must hold
 /// batch_frame_size(items) bytes.
 inline void encode_batch(const std::vector<net::Bytes>& items, net::Byte* out) {
-  out[0] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(out + 1, &count, 4);
-  std::size_t off = kBatchHeaderBytes + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(out + kBatchHeaderBytes + 4 * i, &len, 4);
-    std::copy(items[i].begin(), items[i].end(), out + off);  // an empty item copies nothing
-    off += items[i].size();
-  }
+  net::FrameWriter w(net::MutByteSpan(out, batch_frame_size(items)));
+  batch_fields(w, items);
 }
-
-using rpc::BatchSplit;
 
 /// Split a received kBatch frame (frame[0] == kBatch) into views of its
-/// sub-frames, every bound checked against `frame.size()` — the received
-/// byte count, never the wire's own claims. `subs` is cleared first and
-/// is only meaningful on kOk.
+/// sub-frames. `subs` is cleared first and is only meaningful on kOk.
 inline BatchSplit split_batch(net::ByteSpan frame, std::vector<net::ByteSpan>& subs) {
   subs.clear();
-  if (frame.size() < kBatchHeaderBytes) return BatchSplit::kTruncated;
-  std::uint32_t count = 0;
-  std::memcpy(&count, frame.data() + 1, 4);
-  if (count == 0) return BatchSplit::kEmpty;
-  if (count > (frame.size() - kBatchHeaderBytes) / 4) return BatchSplit::kBadCount;
-  std::size_t off = kBatchHeaderBytes + 4 * static_cast<std::size_t>(count);
-  subs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, frame.data() + kBatchHeaderBytes + 4 * static_cast<std::size_t>(i), 4);
-    if (len > frame.size() - off) return BatchSplit::kBadLength;
-    subs.push_back(frame.subspan(off, len));
-    off += len;
-  }
-  return off == frame.size() ? BatchSplit::kOk : BatchSplit::kBadLength;
+  net::FrameReader r(frame);
+  return batch_fields(r, subs);
 }
+
+// ---- Bulk-streaming control frames (src/rpcoib/stream) ---------------------
+
+struct StreamOpenFrame {
+  std::uint64_t sid = 0, total = 0;
+  std::uint32_t chunk = 0, depth = 0;
+  net::ByteSpan meta;  // a StreamRoute
+  template <typename IO>
+  void fields(IO& io) {
+    io.tag(FrameType::kStreamOpen).u64(sid).u64(total).u32(chunk).u32(depth).blob(meta);
+  }
+};
+
+/// The open's meta, routed by its first byte: a stream opened back to a
+/// fetcher carries the fetch token; any other route is an application open
+/// whose meta (for the listen() handler) runs to the end.
+struct StreamRoute {
+  static constexpr std::uint8_t kApp = 0, kFetch = 1;
+  std::uint8_t route = kApp;
+  std::uint64_t token = 0;  // kFetch
+  net::ByteSpan app;        // otherwise
+  template <typename IO>
+  void fields(IO& io) {
+    io.u8(route);
+    if (route == kFetch) io.u64(token);
+    if (route != kFetch) io.raw(app, io.remaining());
+  }
+};
+
+struct StreamGrantFrame {
+  std::uint64_t sid = 0;
+  bool accepted = false;
+  std::vector<verbs::RemoteBuffer> slots;  // at most 255
+  template <typename IO>
+  void fields(IO& io) {
+    io.tag(FrameType::kStreamGrant).u64(sid).u8(accepted).list8(
+        slots, [](IO& e, verbs::RemoteBuffer& s) { e.u32(s.rkey).u64(s.offset).u32(s.length); });
+  }
+};
+
+struct StreamCreditFrame {
+  std::uint64_t sid = 0;
+  std::uint32_t seq = 0;
+  template <typename IO> void fields(IO& io) { io.tag(FrameType::kStreamCredit).u64(sid).u32(seq); }
+};
+
+struct StreamDoneFrame {
+  std::uint64_t sid = 0;
+  std::uint8_t status = 0;
+  template <typename IO> void fields(IO& io) { io.tag(FrameType::kStreamDone).u64(sid).u8(status); }
+};
+
+/// A reason longer than the frame is cut to the bytes present.
+struct StreamAbortFrame {
+  std::uint64_t sid = 0;
+  net::ByteSpan reason;
+  template <typename IO>
+  void fields(IO& io) {
+    auto len = static_cast<std::uint32_t>(reason.size());
+    io.tag(FrameType::kStreamAbort).u64(sid).u32(len);
+    io.raw(reason, std::min<std::size_t>(len, io.remaining()));
+  }
+};
+
+struct StreamFetchFrame {
+  std::uint64_t token = 0;
+  net::ByteSpan meta;
+  template <typename IO>
+  void fields(IO& io) { io.tag(FrameType::kStreamFetch).u64(token).blob(meta); }
+};
 
 /// Every RdmaRpcServer also listens for plain socket RPC at
 /// `addr.port + kSocketFallbackPortOffset`; clients whose QP bootstrap

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "net/frame.hpp"
+
 namespace rpcoib::verbs {
 
 // ---------------------------------------------------------------------------
@@ -398,10 +400,7 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
   }
   // GRH-style source addressing: the first kGrhBytes of the receive buffer
   // name the sender, so the receiver can reply with zero per-sender state.
-  std::memset(pr.buf.data(), 0, kGrhBytes);
-  const std::uint32_t sh = static_cast<std::uint32_t>(src_host);
-  std::memcpy(pr.buf.data(), &sh, sizeof(sh));
-  std::memcpy(pr.buf.data() + 4, &src_qpn, sizeof(src_qpn));
+  net::write_frame(pr.buf, Grh{static_cast<std::uint32_t>(src_host), src_qpn});
   // A zero-length datagram is legal; std::copy also takes its empty range.
   std::copy(data.begin(), data.end(), pr.buf.begin() + kGrhBytes);
   recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
@@ -411,11 +410,6 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
 
 // ---------------------------------------------------------------------------
 // ConnectionManager
-
-namespace {
-// QP bootstrap messages are tiny fixed-size blobs (LID/QPN/PSN in real IB).
-constexpr std::size_t kEndpointInfoBytes = 72;
-}  // namespace
 
 sim::Co<QueuePairPtr> ConnectionManager::connect(cluster::Host& src, net::Address addr,
                                                  CompletionQueue& send_cq,
@@ -439,37 +433,30 @@ sim::Co<QueuePairPtr> ConnectionManager::connect(cluster::Host& src, net::Addres
   // cookie carried in the payload; since both ends live in one process we
   // pass the pointer through the socket payload's identity instead — the
   // accept() side pairs on the same socket.
-  net::Bytes info(kEndpointInfoBytes, 0);
+  // Our eager threshold (0 = not advertised) and durable session id (0 =
+  // sessionless) ride the blob; both words were zero before, so an
+  // unadvertised blob stays wire-identical.
   const std::uintptr_t cookie = reinterpret_cast<std::uintptr_t>(qp.get());
-  std::memcpy(info.data(), &cookie, sizeof(cookie));
-  // Bytes 8..15: our eager threshold (0 = not advertised). Bytes 16..23:
-  // our durable session id (0 = sessionless). The blob was all-zero in
-  // both ranges before, so unadvertised stays wire-identical.
-  std::memcpy(info.data() + 8, &local_eager_threshold, sizeof(local_eager_threshold));
-  std::memcpy(info.data() + 16, &session_id, sizeof(session_id));
   stack_.cm_register(cookie, qp);
-  co_await sock->write(info);
+  co_await sock->write(net::encode_frame(BootstrapInfo{cookie, local_eager_threshold, session_id}));
 
-  net::Bytes reply(kEndpointInfoBytes);
+  net::Bytes reply(BootstrapInfo::kBytes);
   co_await sock->read_full(reply);
   stack_.cm_erase(cookie);
   if (!qp->connected()) throw VerbsError("connection manager: pairing failed");
-  if (peer_eager_threshold != nullptr) {
-    std::memcpy(peer_eager_threshold, reply.data() + 8, sizeof(*peer_eager_threshold));
-  }
+  BootstrapInfo peer;
+  net::decode_frame(reply, peer);
+  if (peer_eager_threshold != nullptr) *peer_eager_threshold = peer.peer_eager_threshold;
   sock->close();
   co_return qp;
 }
 
 sim::Co<ConnectionManager::BootstrapInfo> ConnectionManager::read_bootstrap(
     net::SocketPtr bootstrap) {
-  net::Bytes info(kEndpointInfoBytes);
+  net::Bytes info(BootstrapInfo::kBytes);
   co_await bootstrap->read_full(info);
   BootstrapInfo out;
-  std::memcpy(&out.cookie, info.data(), sizeof(out.cookie));
-  std::memcpy(&out.peer_eager_threshold, info.data() + 8,
-              sizeof(out.peer_eager_threshold));
-  std::memcpy(&out.session_id, info.data() + 16, sizeof(out.session_id));
+  net::decode_frame(info, out);
   co_return out;
 }
 
@@ -485,9 +472,7 @@ sim::Co<QueuePairPtr> ConnectionManager::accept(net::SocketPtr bootstrap,
   qp->connect_to(client_qp);
   client_qp->connect_to(qp);
 
-  net::Bytes reply(kEndpointInfoBytes, 0);
-  std::memcpy(reply.data() + 8, &local_eager_threshold, sizeof(local_eager_threshold));
-  co_await bootstrap->write(reply);
+  co_await bootstrap->write(net::encode_frame(BootstrapInfo{0, local_eager_threshold, 0}));
   co_return qp;
 }
 

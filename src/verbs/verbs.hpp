@@ -348,10 +348,15 @@ class UdEndpoint {
   /// UD path MTU: a post_send larger than this throws (real UD QPs bounce
   /// oversized sends at the HCA).
   static constexpr std::size_t kMtu = 4096;
-  /// GRH prefix length on every delivered datagram: bytes 0..3 carry the
-  /// source host id, 4..7 the source QPN (both little-endian u32); the
-  /// remaining bytes are zero, as real receivers ignore them.
+  /// GRH prefix length on every delivered datagram.
   static constexpr std::size_t kGrhBytes = 40;
+
+  /// The GRH prefix: the source host id and QPN (little-endian u32s), then
+  /// zeros, as real receivers ignore the rest.
+  struct Grh {
+    std::uint32_t host = 0, qpn = 0;
+    template <typename IO> void fields(IO& io) { io.u32(host).u32(qpn).pad(kGrhBytes - 8); }
+  };
 
   UdEndpoint(VerbsStack& stack, cluster::Host& host, CompletionQueue& send_cq,
              CompletionQueue& recv_cq);
@@ -544,10 +549,21 @@ class ConnectionManager {
   /// lets a sharded server pick the owning shard — and with it the CQ and
   /// SRQ the connection lands on — from the session id, so a reconnecting
   /// session finds its retry-cache state on the same shard.
+  /// The same blob carries the sender's side both ways: connect() sends
+  /// its cookie, eager threshold and session id; accept() replies with its
+  /// threshold alone.
   struct BootstrapInfo {
+    /// Fixed blob size (LID/QPN/PSN in real IB): the three words, then
+    /// zeros.
+    static constexpr std::size_t kBytes = 72;
     std::uintptr_t cookie = 0;
     std::uint64_t peer_eager_threshold = 0;
     std::uint64_t session_id = 0;  // 0 = sessionless peer
+
+    template <typename IO>
+    void fields(IO& io) {
+      io.u64(cookie).u64(peer_eager_threshold).u64(session_id).pad(kBytes - 24);
+    }
   };
 
   /// Phase one of the server-side handshake: read the client's blob.
