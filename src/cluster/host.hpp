@@ -60,7 +60,6 @@ class Host {
   sim::Dur disk_time(std::size_t bytes) const {
     return sim::from_us(static_cast<double>(bytes) / disk_bw_gbps_ / 1000.0);
   }
-  void set_disk_bw_gbps(double v) { disk_bw_gbps_ = v; }
 
   /// Serialized disk access: reads and writes share the single spindle,
   /// so concurrent tasks' I/O queues (the dominant contention in the

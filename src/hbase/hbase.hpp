@@ -15,9 +15,9 @@
 // are configured independently, exactly like the paper's config matrix.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hbase/hmaster.hpp"
@@ -132,8 +132,9 @@ class RegionServer {
   std::unique_ptr<rpc::RpcServer> server_;
   std::unique_ptr<hdfs::DFSClient> dfs_;
 
-  std::map<std::string, std::uint32_t> memstore_;  // key -> value size
-  std::map<std::string, std::uint32_t> store_;     // flushed keys ("HFiles")
+  // Looked up by key only, never walked in order: hashed.
+  std::unordered_map<std::string, std::uint32_t> memstore_;  // key -> value size
+  std::unordered_map<std::string, std::uint32_t> store_;     // flushed keys ("HFiles")
   std::uint64_t memstore_bytes_ = 0;
   std::uint64_t wal_pending_puts_ = 0;
   std::uint64_t wal_block_fill_ = 0;

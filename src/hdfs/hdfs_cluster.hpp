@@ -35,7 +35,6 @@ class HdfsCluster : public DatanodeResolver {
   const net::Address& nn_addr() const { return nn_addr_; }
   DataMode data_mode() const { return data_mode_; }
   const HdfsConfig& config() const { return cfg_; }
-  std::size_t num_datanodes() const { return dns_.size(); }
 
  private:
   oib::RpcEngine& engine_;

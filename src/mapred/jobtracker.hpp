@@ -53,7 +53,6 @@ class JobTracker {
   const JobSpec* spec_of(JobId id) const;
 
   JobStatus status_of(JobId id) const;
-  std::size_t jobs_submitted() const { return jobs_.size(); }
 
  private:
   struct Job {

@@ -192,7 +192,6 @@ sim::Task TaskTracker::run_task(TaskAssignment t, JobSpec spec) {
     failed_pending_report_.push_back(t);
   } else {
     completed_pending_report_.push_back(t);
-    ++tasks_completed_;
   }
   oob_pending_ = true;
   if (t.type == TaskType::kMap) {

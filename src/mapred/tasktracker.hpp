@@ -57,7 +57,6 @@ class TaskTracker {
   void set_spec_lookup(SpecLookup fn) { jt_spec_lookup_ = std::move(fn); }
 
   cluster::Host& host() const { return host_; }
-  int tasks_completed() const { return tasks_completed_; }
 
   /// Bulk-stream endpoint, for stats inspection; null when streaming is
   /// disabled or the data path is not RDMA.
@@ -120,7 +119,6 @@ class TaskTracker {
   std::set<std::pair<JobId, TaskId>> attempted_;  // fault-injection bookkeeping
   int free_map_slots_;
   int free_reduce_slots_;
-  int tasks_completed_ = 0;
   bool running_flag_ = false;
 };
 

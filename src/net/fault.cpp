@@ -8,13 +8,6 @@ namespace {
 constexpr sim::Dur kRetransmitDelay = sim::millis(200);
 }  // namespace
 
-const LinkFaults& FaultPlan::faults_for(cluster::HostId src, cluster::HostId dst) const {
-  for (const LinkOverride& o : overrides_) {
-    if ((o.src < 0 || o.src == src) && (o.dst < 0 || o.dst == dst)) return o.faults;
-  }
-  return default_;
-}
-
 sim::Time FaultPlan::window_clear_time(cluster::HostId src, cluster::HostId dst,
                                        sim::Time now) const {
   // Windows may chain or overlap; iterate to the fixpoint. Each pass either
@@ -53,7 +46,7 @@ FaultDecision FaultPlan::decide(cluster::HostId src, cluster::HostId dst, sim::T
     d.extra = (clear - now) + kRetransmitDelay;
   }
 
-  const LinkFaults& f = faults_for(src, dst);
+  const LinkFaults& f = default_;
   if (f.drop_prob > 0.0) {
     // Each retransmission is itself subject to loss; cap the chain so a
     // drop_prob of 1.0 cannot hang the simulation.

@@ -1,6 +1,6 @@
 // Deterministic network fault injection.
 //
-// A FaultPlan attached to the Fabric perturbs message delivery: per-link
+// A FaultPlan attached to the Fabric perturbs message delivery: link
 // packet/message drop probability, transient link flaps (outage windows),
 // one-way partitions, and latency spikes. All randomness comes from one
 // RNG seeded at construction, so a given (seed, plan) pair reproduces the
@@ -29,7 +29,8 @@
 
 namespace rpcoib::net {
 
-/// Per-link fault probabilities (applied per message/chunk).
+/// Link fault probabilities, the same on every link (applied per
+/// message/chunk).
 struct LinkFaults {
   double drop_prob = 0.0;        // chance a chunk is dropped (retransmitted
                                  // on reliable paths, lost on one-shot)
@@ -76,21 +77,8 @@ class FaultPlan {
         kill_rng_(seed ^ 0x6B696C6CULL),
         datagram_rng_(seed ^ 0x75646C6FULL) {}
 
-  /// Re-seed (restarts the failure schedule; call before a run).
-  void set_seed(std::uint64_t seed) {
-    rng_ = sim::Rng(seed);
-    kill_rng_ = sim::Rng(seed ^ 0x6B696C6CULL);
-    datagram_rng_ = sim::Rng(seed ^ 0x75646C6FULL);
-    for (KillEntry& k : kills_) k.fired = false;
-  }
-
-  /// Faults applied to every link without a per-link override.
+  /// Faults applied to every link.
   void set_default_faults(LinkFaults f) { default_ = f; }
-
-  /// Per-directed-link override.
-  void set_link_faults(cluster::HostId src, cluster::HostId dst, LinkFaults f) {
-    overrides_.push_back(LinkOverride{src, dst, f});
-  }
 
   /// One-way partition: nothing from src reaches dst in [start, end).
   void add_outage(FaultWindow w) { windows_.push_back(w); }
@@ -145,7 +133,7 @@ class FaultPlan {
   /// entirely (no RNG draws) when this is false, keeping disabled-plan
   /// runs bit-identical to runs with no plan at all.
   bool enabled() const {
-    return default_.any() || !overrides_.empty() || !windows_.empty();
+    return default_.any() || !windows_.empty();
   }
 
   /// Decide the fate of one delivery on src -> dst at `now`.
@@ -154,14 +142,8 @@ class FaultPlan {
                        bool reliable);
 
   const FaultCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = FaultCounters{}; }
 
  private:
-  struct LinkOverride {
-    cluster::HostId src;
-    cluster::HostId dst;
-    LinkFaults faults;
-  };
   struct KillEntry {
     cluster::HostId src;
     cluster::HostId dst;
@@ -169,7 +151,6 @@ class FaultPlan {
     bool fired;
   };
 
-  const LinkFaults& faults_for(cluster::HostId src, cluster::HostId dst) const;
   /// Earliest time >= now at which no window covers src -> dst (follows
   /// chained/overlapping windows); returns now when the link is up.
   sim::Time window_clear_time(cluster::HostId src, cluster::HostId dst,
@@ -182,7 +163,6 @@ class FaultPlan {
   // UD datagram-loss draws ride a third stream for the same reason.
   sim::Rng datagram_rng_;
   LinkFaults default_{};
-  std::vector<LinkOverride> overrides_;
   std::vector<FaultWindow> windows_;
   std::vector<KillEntry> kills_;
   double kill_prob_ = 0.0;

@@ -29,38 +29,47 @@ void Socket::close() {
                     [pipe, dest] { dest->close(); });
 }
 
+sim::Dur Socket::send_cost(std::size_t n) const {
+  const NetParams& p = fab_.params(transport_);
+  return p.per_msg_send_cpu + p.kernel_copy(n);
+}
+
+void Socket::send_segment(Bytes chunk) {
+  // The fabric owns wire timing; the peer's rx channel gets each chunk at
+  // its arrival time (flow-ordered). Capture the pipe (not `this`) so a
+  // destroyed sender cannot dangle. NOTE: the size must be read before the
+  // move — argument evaluation order is unspecified and the lambda capture
+  // would otherwise empty the vector first.
+  const std::size_t wire_bytes = chunk.size();
+  sim::Time& clock = is_client_ ? pipe_->clock_to_server : pipe_->clock_to_client;
+  fab_.deliver_flow(local_.id(), remote_, transport_, wire_bytes, clock,
+                    [pipe = pipe_, dest = &tx(), chunk = std::move(chunk)]() mutable {
+                      dest->push(std::move(chunk));
+                    });
+}
+
 sim::Co<void> Socket::write(ByteSpan data) {
   if (closed_) throw SocketError("write on closed socket");
-  const NetParams& p = fab_.params(transport_);
   // Sender-side kernel stack + user->kernel copy occupy a CPU core.
-  co_await local_.compute(p.per_msg_send_cpu + p.kernel_copy(data.size()));
-  // Large writes are segmented so the receiver drains the stream at wire
-  // speed (TCP delivers a 2 MB message as many segments, and the paper's
-  // Fig. 1 "receive time" includes that drain).
-  static constexpr std::size_t kSegmentBytes = 16 * 1024;
-  std::shared_ptr<detail::Pipe> pipe = pipe_;
-  sim::Channel<Bytes>* dest = &tx();
+  co_await local_.compute(send_cost(data.size()));
   for (std::size_t off = 0; off < data.size(); off += kSegmentBytes) {
-    const std::size_t n = std::min(kSegmentBytes, data.size() - off);
-    Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(off),
-                data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    // The fabric owns wire timing; the peer's rx channel gets each chunk
-    // at its arrival time (flow-ordered). Capture the pipe (not `this`)
-    // so a destroyed sender cannot dangle. NOTE: the size must be read
-    // before the move — argument evaluation order is unspecified and the
-    // lambda capture would otherwise empty the vector first.
-    const std::size_t wire_bytes = chunk.size();
-    sim::Time& clock = is_client_ ? pipe_->clock_to_server : pipe_->clock_to_client;
-    fab_.deliver_flow(local_.id(), remote_, transport_, wire_bytes, clock,
-                      [pipe, dest, chunk = std::move(chunk)]() mutable {
-                        dest->push(std::move(chunk));
-                      });
+    send_segment(Bytes(data.begin() + static_cast<std::ptrdiff_t>(off),
+                       data.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(data.size(), off + kSegmentBytes))));
   }
-  co_return;
+}
+
+sim::Co<void> Socket::write(Bytes&& data) {
+  if (data.size() > kSegmentBytes) {
+    co_await write(ByteSpan(data));
+    co_return;
+  }
+  if (closed_) throw SocketError("write on closed socket");
+  co_await local_.compute(send_cost(data.size()));
+  if (!data.empty()) send_segment(std::move(data));
 }
 
 sim::Co<void> Socket::fill() {
-  if (pending_off_ < pending_.size()) co_return;
   Bytes chunk = co_await rx().recv();  // throws ChannelClosed on EOF
   const NetParams& p = fab_.params(transport_);
   // Receiver-side stack CPU + kernel->user copy, charged when the
@@ -80,7 +89,8 @@ sim::Co<void> Socket::read_full(MutByteSpan out) {
   std::size_t got = 0;
   try {
     while (got < out.size()) {
-      co_await fill();
+      // A read the pending chunk still covers starts no coroutine.
+      if (pending_off_ == pending_.size()) co_await fill();
       const std::size_t take = std::min(out.size() - got, pending_.size() - pending_off_);
       std::memcpy(out.data() + got, pending_.data() + pending_off_, take);
       pending_off_ += take;

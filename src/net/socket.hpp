@@ -72,6 +72,12 @@ class Socket : public std::enable_shared_from_this<Socket> {
   /// NIC egress, and delivers the chunk to the peer.
   sim::Co<void> write(ByteSpan data);
 
+  /// Send `data`, taking its bytes: a message of at most one segment moves
+  /// onto the wire instead of being copied there. Charges, timing and
+  /// delivered bytes are those of write(ByteSpan). `data` must stay alive
+  /// until the write returns; pass a named local (see sim/task.hpp).
+  sim::Co<void> write(Bytes&& data);
+
   /// Read exactly `out.size()` bytes (assembling across chunks). Throws
   /// SocketError on EOF before completion.
   sim::Co<void> read_full(MutByteSpan out);
@@ -100,8 +106,18 @@ class Socket : public std::enable_shared_from_this<Socket> {
   sim::Channel<Bytes>& tx() const {
     return is_client_ ? pipe_->to_server : pipe_->to_client;
   }
-  /// Ensure pending_ holds at least one unread byte; waits for a chunk.
+  /// Wait for the next chunk and make it pending_; called once pending_
+  /// is used up.
   sim::Co<void> fill();
+  /// Sender-side kernel stack + user->kernel copy for an n-byte write.
+  sim::Dur send_cost(std::size_t n) const;
+  /// Hand one segment to the fabric, due at the peer in flow order.
+  void send_segment(Bytes chunk);
+
+  /// Large writes are segmented so the receiver drains the stream at wire
+  /// speed (TCP delivers a 2 MB message as many segments, and the paper's
+  /// Fig. 1 "receive time" includes that drain).
+  static constexpr std::size_t kSegmentBytes = 16 * 1024;
 
   cluster::Host& local_;
   cluster::HostId remote_;

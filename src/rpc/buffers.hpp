@@ -4,15 +4,20 @@
 // byte array starting at 32 bytes (10 KB on the server side) that grows by
 // `max(2*len, needed)` with an old-data copy on every adjustment. Each
 // allocation/copy both *really happens* (so adjustment counts in Table I
-// are measured, not asserted) and accrues modeled JVM cost.
+// are measured, not asserted) and accrues modeled JVM cost. The array is
+// allocated uninitialised: the JVM's zero-fill is not part of the model,
+// and only the written prefix is ever read.
 //
 // BufferedOutputStream models the java.io.BufferedOutputStream behind
 // DataOutputStream in Listing 1: one more heap copy on the way to the
-// socket, plus the JVM-heap -> native-I/O copy on flush.
+// socket, plus the JVM-heap -> native-I/O copy on flush. Its heap buffer
+// is charged, not reserved, and flush() hands the buffered bytes on
+// without copying them again.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "net/bytes.hpp"
@@ -36,7 +41,9 @@ inline constexpr std::size_t kServerInitialBuffer = 10 * 1024;
 class DataOutputBuffer final : public DataOutput {
  public:
   DataOutputBuffer(const cluster::CostModel& cm, std::size_t initial_size = kClientInitialBuffer)
-      : DataOutput(cm), buf_(initial_size) {
+      : DataOutput(cm),
+        buf_(std::make_unique_for_overwrite<net::Byte[]>(initial_size)),
+        capacity_(initial_size) {
     // `new DataOutputBuffer()` allocates the initial internal array.
     stats_.allocations++;
     const sim::Dur d = cm.heap_alloc(initial_size);
@@ -47,31 +54,32 @@ class DataOutputBuffer final : public DataOutput {
   // Algorithm 1: DEFAULT ALGORITHM FOR MEMORY ADJUSTMENT.
   void write_raw(net::ByteSpan bs) override {
     const std::size_t new_count = count_ + bs.size();
-    if (new_count > buf_.size()) {
-      const std::size_t new_len = std::max(buf_.size() * 2, new_count);
-      net::Bytes new_buf(new_len);  // (1) reallocate
+    if (new_count > capacity_) {
+      const std::size_t new_len = std::max(capacity_ * 2, new_count);
+      auto new_buf = std::make_unique_for_overwrite<net::Byte[]>(new_len);  // (1) reallocate
       {
         const sim::Dur d = cost_model().heap_alloc(new_len);
         stats_.alloc_time += d;
         accrue(d);
         stats_.allocations++;
       }
-      std::memcpy(new_buf.data(), buf_.data(), count_);  // (2) copy old data
+      std::memcpy(new_buf.get(), buf_.get(), count_);  // (2) copy old data
       accrue(cost_model().heap_copy(count_));
       stats_.bytes_copied += count_;
       buf_ = std::move(new_buf);
+      capacity_ = new_len;
       stats_.mem_adjustments++;
     }
     // (3) copy new data; an empty span may carry a null pointer.
-    if (!bs.empty()) std::memcpy(buf_.data() + count_, bs.data(), bs.size());
+    if (!bs.empty()) std::memcpy(buf_.get() + count_, bs.data(), bs.size());
     accrue(cost_model().heap_copy(bs.size()));
     stats_.bytes_copied += bs.size();
     count_ = new_count;
   }
 
-  net::ByteSpan data() const { return net::ByteSpan(buf_.data(), count_); }
+  net::ByteSpan data() const { return net::ByteSpan(buf_.get(), count_); }
   std::size_t length() const { return count_; }
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
   /// Hadoop's reset(): keeps the (possibly grown) array, rewinds count.
   void reset() { count_ = 0; }
@@ -79,7 +87,8 @@ class DataOutputBuffer final : public DataOutput {
   const BufferStats& stats() const { return stats_; }
 
  private:
-  net::Bytes buf_;
+  std::unique_ptr<net::Byte[]> buf_;  // capacity_ bytes, the first count_ written
+  std::size_t capacity_;
   std::size_t count_ = 0;
   BufferStats stats_;
 };
@@ -126,7 +135,8 @@ class BufferedOutputStream final : public DataOutput {
  public:
   BufferedOutputStream(const cluster::CostModel& cm, std::size_t buf_size = 8192)
       : DataOutput(cm), buf_size_(buf_size) {
-    buf_.reserve(buf_size);
+    // The JVM allocates the whole array; the host buffer grows with what
+    // is written, so a short frame does not carry an 8 KB capacity.
     stats_.allocations++;
     const sim::Dur d = cm.heap_alloc(buf_size);
     stats_.alloc_time += d;
@@ -157,9 +167,14 @@ class BufferedOutputStream final : public DataOutput {
   const BufferStats& stats() const { return stats_; }
 
  private:
+  // The first spill hands buf_ over whole; later ones append to it.
   void spill() {
-    pending_.insert(pending_.end(), buf_.begin(), buf_.end());
-    buf_.clear();
+    if (pending_.empty()) {
+      pending_.swap(buf_);
+    } else {
+      pending_.insert(pending_.end(), buf_.begin(), buf_.end());
+      buf_.clear();
+    }
   }
 
   std::size_t buf_size_;

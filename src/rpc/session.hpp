@@ -26,6 +26,7 @@
 // appear, so seeded runs are byte-identical to a sessionless build.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -51,18 +52,20 @@ struct SessionConfig {
 /// The socket connection preamble, written once per connection like
 /// Hadoop's: "hrpc" and a version byte. Version 5 announces a durable
 /// session and appends its id; a sessionless client sends version 4. The
-/// server reads the first kHeadBytes, then the id only for version 5; it
-/// does not check the magic.
+/// server reads the first kHeadBytes, closes the connection unless they
+/// start with the magic, then reads the id only for version 5.
 struct Preamble {
   static constexpr std::size_t kHeadBytes = 5, kMaxBytes = 13;
   static constexpr std::uint8_t kVersion = 4, kSessionVersion = 5;
   static constexpr net::Byte kMagic[] = {'h', 'r', 'p', 'c'};
   std::uint8_t version = kVersion;
   std::uint64_t session_id = 0;  // kSessionVersion only
+  net::ByteSpan magic = kMagic;  // the bytes read, or the bytes to write
+
+  bool magic_ok() const { return std::ranges::equal(magic, kMagic); }
 
   template <typename IO>
   void fields(IO& io) {
-    net::ByteSpan magic(kMagic);
     io.raw(magic, sizeof(kMagic)).u8(version);
     if (version == kSessionVersion) io.u64(session_id);
   }

@@ -1,5 +1,6 @@
 #include "rpc/socket_client.hpp"
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +23,9 @@ sim::Co<void> SocketRpcClient::dial(const ConnectionPtr& conn, net::Address addr
     // A session handshake carries the durable session id: the server keys
     // retry-cache state by it, so dedup survives this connection.
     const std::uint64_t sid = session_id(host_);
-    co_await conn->sock->write(net::encode_frame(
-        Preamble{sid != 0 ? Preamble::kSessionVersion : Preamble::kVersion, sid}));
+    net::Bytes preamble = net::encode_frame(
+        Preamble{sid != 0 ? Preamble::kSessionVersion : Preamble::kVersion, sid});
+    co_await conn->sock->write(std::move(preamble));
   } catch (const net::SocketError& e) {
     throw RpcTransportError(e.what());
   }
@@ -75,7 +77,7 @@ sim::Task SocketRpcClient::receive_loop(ConnectionPtr conn) {
     for (;;) {
       // Listing 2's client twin: 4-byte length buffer, then a fresh heap
       // buffer per response, with the native->heap copy.
-      net::Bytes len_buf(4);
+      std::array<net::Byte, 4> len_buf;
       co_await conn->sock->read_full(len_buf);
       if (conn->cancelled) co_return;
       co_await host.compute(2 * cm.syscall() + cm.heap_alloc(4));
@@ -142,7 +144,7 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::
   co_await host.compute(encode_cost);
   if (conn->cancelled || conn->broken) co_return;
   try {
-    co_await conn->sock->write(wire);
+    co_await conn->sock->write(std::move(wire));
   } catch (const net::SocketError& e) {
     if (!conn->cancelled) conn->fail_all(e.what());
     co_return;
@@ -161,7 +163,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
       tr != nullptr ? tr->take_ambient() : trace::TraceContext{};
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc:" + key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(tr, "rpc:", key.method, trace::Kind::kClient,
                        trace::Category::kWire, t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   ConnectionPtr conn = co_await core_.get(addr);
@@ -191,8 +193,8 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
       co_await conn->send_mu.lock();
       sim::SimLockGuard guard(conn->send_mu);
       if (conn->broken) throw RpcTransportError("connection broken");
-      const net::Bytes wire = out.take_pending();
-      co_await conn->sock->write(wire);
+      net::Bytes wire = out.take_pending();
+      co_await conn->sock->write(std::move(wire));
     }
   } else {
     // Coalescing path: buffer the payload (one heap copy) and let the

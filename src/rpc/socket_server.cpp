@@ -1,6 +1,7 @@
 #include "rpc/socket_server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "net/frame.hpp"
@@ -116,11 +117,15 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
     conn->set_deferred_rx_charge(true);
     // Connection preamble: the magic and version, then a version-5
     // client's durable session id.
-    net::Bytes pre(Preamble::kMaxBytes);
+    std::array<net::Byte, Preamble::kMaxBytes> pre;
     const net::MutByteSpan head = net::MutByteSpan(pre).first(Preamble::kHeadBytes);
     co_await conn->read_full(head);
     Preamble preamble;
     net::decode_frame(head, preamble);
+    // As Hadoop's Server does, a connection that does not open with the
+    // magic is closed before it is homed or counted: its next bytes are
+    // not a session id or a call.
+    if (!preamble.magic_ok()) throw net::SocketError("bad preamble magic");
     if (preamble.version == Preamble::kSessionVersion) {
       co_await conn->read_full(net::MutByteSpan(pre).subspan(Preamble::kHeadBytes));
       net::decode_frame(pre, preamble);
@@ -143,7 +148,7 @@ sim::Task SocketRpcServer::reader_loop(net::SocketPtr conn, std::uint64_t conn_i
       // processing serializes through the shard's Reader thread pool
       // (default 1, Hadoop's selector model) — the socket server's
       // throughput cap, and the contention point sharding splits.
-      net::Bytes len_buf(4);
+      std::array<net::Byte, 4> len_buf;
       co_await conn->read_full(len_buf);
       co_await shard.reader_slots.acquire();
       // From here to release() any exception must free the Reader slot.
@@ -249,7 +254,7 @@ sim::Task SocketRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
       if (!run) continue;
 
       trace::TraceCollector* tr = hdr.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-      trace::SpanScope handle(tr, "handle:" + hdr.key.method, trace::Kind::kServer,
+      trace::SpanScope handle(tr, "handle:", hdr.key.method, trace::Kind::kServer,
                               trace::Category::kHandler, hdr.ctx, host_.id());
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 
@@ -306,7 +311,7 @@ sim::Co<void> SocketRpcServer::write_response_batch(Shard& shard, net::SocketPtr
   ++shard.pipeline.stats().response_batches;
   shard.pipeline.stats().batched_responses += n;
   try {
-    co_await conn->write(wire);
+    co_await conn->write(std::move(wire));
   } catch (const net::SocketError&) {
     // Client vanished between handling and responding; drop it.
   }
@@ -319,7 +324,7 @@ sim::Task SocketRpcServer::responder_loop(std::shared_ptr<Shard> owned) {
       Response r = co_await shard.response_queue.recv();
       if (!batch_.enabled) {
         try {
-          co_await r.conn->write(r.data);
+          co_await r.conn->write(std::move(r.data));
         } catch (const net::SocketError&) {
           // Client vanished between handling and responding; drop it.
         }
@@ -377,7 +382,7 @@ sim::Task SocketRpcServer::responder_loop(std::shared_ptr<Shard> owned) {
             i = j;
           } else {
             try {
-              co_await conn->write(mine[i]->data);
+              co_await conn->write(std::move(mine[i]->data));
             } catch (const net::SocketError&) {
               // Client vanished between handling and responding; drop it.
             }

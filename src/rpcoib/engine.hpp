@@ -91,7 +91,6 @@ class RpcEngine {
   void record_size_sequences(bool on) { record_sequences_ = on; }
 
   const EngineConfig& config() const { return cfg_; }
-  void set_mode(RpcMode mode) { cfg_.mode = mode; }
   verbs::VerbsStack& verbs() { return verbs_; }
   net::Testbed& testbed() { return tb_; }
 

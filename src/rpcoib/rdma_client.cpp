@@ -423,7 +423,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdSe
   co_await pool_ready_.wait();
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(a.tr, "rpc.ud:" + a.key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(a.tr, "rpc.ud:", a.key.method, trace::Kind::kClient,
                        trace::Category::kWire, a.t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   co_await host_.compute(cm.rpc_framework());
@@ -721,7 +721,7 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
 sim::Co<bool> RdmaRpcClient::call_attempt_rc(const Attempt& a) {
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(a.tr, "rpc:" + a.key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(a.tr, "rpc:", a.key.method, trace::Kind::kClient,
                        trace::Category::kWire, a.t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   co_await pool_ready_.wait();

@@ -696,7 +696,7 @@ sim::Task RdmaRpcServer::handler_loop(std::shared_ptr<Shard> owned) {
         continue;
       }
       trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-      trace::SpanScope handle(tr, "handle:" + key.method, trace::Kind::kServer,
+      trace::SpanScope handle(tr, "handle:", key.method, trace::Kind::kServer,
                               trace::Category::kHandler, ctx, host_.id());
       in.trace_context = handle.context();
 

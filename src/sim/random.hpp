@@ -92,12 +92,6 @@ class Rng {
     return mean + stddev * mag * std::cos(two_pi_u2);
   }
 
-  /// Normal truncated at zero (durations can't be negative).
-  double next_normal_nonneg(double mean, double stddev) {
-    const double v = next_normal(mean, stddev);
-    return v < 0 ? 0 : v;
-  }
-
   /// Fork an independent stream (for per-node RNGs from one master seed).
   Rng fork() { return Rng(next_u64()); }
 

@@ -53,12 +53,6 @@ class Semaphore {
 
   HoldAwaiter hold(Dur d) { return HoldAwaiter{*this, d}; }
 
-  bool try_acquire() {
-    if (count_ <= 0) return false;
-    --count_;
-    return true;
-  }
-
   void release(std::int64_t n = 1) {
     count_ += n;
     while (count_ > 0 && !waiters_.empty()) {
@@ -107,7 +101,6 @@ class SimMutex {
 
   auto lock() { return sem_.acquire(); }
   void unlock() { sem_.release(); }
-  bool try_lock() { return sem_.try_acquire(); }
 
  private:
   Semaphore sem_;

@@ -20,7 +20,6 @@ inline constexpr Dur kMicrosecond = 1000;
 inline constexpr Dur kMillisecond = 1000 * 1000;
 inline constexpr Dur kSecond = 1000ULL * 1000 * 1000;
 
-constexpr Dur nanos(std::uint64_t n) { return n; }
 constexpr Dur micros(std::uint64_t n) { return n * kMicrosecond; }
 constexpr Dur millis(std::uint64_t n) { return n * kMillisecond; }
 constexpr Dur seconds(std::uint64_t n) { return n * kSecond; }
@@ -29,12 +28,6 @@ constexpr Dur seconds(std::uint64_t n) { return n * kSecond; }
 /// arithmetic can never schedule into the past.
 constexpr Dur from_us(double us) {
   return us <= 0 ? 0 : static_cast<Dur>(us * static_cast<double>(kMicrosecond) + 0.5);
-}
-constexpr Dur from_ms(double ms) {
-  return ms <= 0 ? 0 : static_cast<Dur>(ms * static_cast<double>(kMillisecond) + 0.5);
-}
-constexpr Dur from_sec(double s) {
-  return s <= 0 ? 0 : static_cast<Dur>(s * static_cast<double>(kSecond) + 0.5);
 }
 
 constexpr double to_us(Time t) { return static_cast<double>(t) / static_cast<double>(kMicrosecond); }

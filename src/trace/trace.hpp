@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,15 @@ class SpanScope {
     if (tr != nullptr && tr->enabled()) {
       tr_ = tr;
       id_ = tr->begin_span(std::move(name), kind, cat, parent, host);
+    }
+  }
+  /// A span named `prefix` + `name`; the name is built only when tracing,
+  /// so a per-call site pays no string work while untraced.
+  SpanScope(TraceCollector* tr, std::string_view prefix, std::string_view name, Kind kind,
+            Category cat, TraceContext parent, int host) {
+    if (tr != nullptr && tr->enabled()) {
+      tr_ = tr;
+      id_ = tr->begin_span(std::string(prefix).append(name), kind, cat, parent, host);
     }
   }
   SpanScope(SpanScope&& o) noexcept : tr_(o.tr_), id_(o.id_) { o.tr_ = nullptr; }

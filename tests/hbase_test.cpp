@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "hbase/hbase.hpp"
 #include "net/testbed.hpp"
@@ -110,6 +111,46 @@ TEST(HBase, FlushMovesMemstoreToHdfsAndGetsStillHit) {
   EXPECT_GT(flushes, 0u);
   // Flushed HFiles exist in HDFS.
   EXPECT_GT(f.hdfs_cluster.namenode().num_files(), 0u);
+}
+
+Task put_flush_put(Fixture& f, std::size_t& flushed_a, std::size_t& fresh_a,
+                   std::size_t& flushed_b, bool& done) {
+  std::unique_ptr<HTable> t = f.hbase_cluster.make_table(f.tb.host(5));
+  const std::string a = "row-a", b = "row-b";
+  const net::Bytes big(3000, net::Byte{1}), small(700, net::Byte{2});
+  // Each 3000-byte Put reaches the flush threshold on its own.
+  co_await t->put(b, big);
+  co_await t->put(a, big);
+  const GetResult r1 = co_await t->get(a);
+  co_await t->put(a, small);
+  const GetResult r2 = co_await t->get(a);
+  const GetResult r3 = co_await t->get(b);
+  flushed_a = r1.found ? r1.value.size() : 0;
+  fresh_a = r2.found ? r2.value.size() : 0;
+  flushed_b = r3.found ? r3.value.size() : 0;
+  done = true;
+}
+
+// A key re-Put after a flush lives in both stores: the memstore's newer
+// size wins, and a key that was only flushed still hits.
+TEST(HBase, MemstoreShadowsFlushedStore) {
+  Scheduler s;
+  HBaseConfig cfg = Fixture::small_cfg();
+  cfg.memstore_flush_bytes = 3000;
+  Fixture f(s, RpcMode::kSocketIPoIB, HBaseMode::kSocketIPoIB, cfg);
+  std::size_t flushed_a = 0, fresh_a = 0, flushed_b = 0;
+  bool done = false;
+  s.spawn(put_flush_put(f, flushed_a, fresh_a, flushed_b, done));
+  s.run_until(sim::seconds(60));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(flushed_a, 3000u);
+  EXPECT_EQ(fresh_a, 700u);
+  EXPECT_EQ(flushed_b, 3000u);
+  std::uint64_t flushes = 0;
+  for (std::size_t i = 0; i < f.hbase_cluster.num_regions(); ++i) {
+    flushes += f.hbase_cluster.region(i).flushes();
+  }
+  EXPECT_EQ(flushes, 2u);
 }
 
 Task run_ycsb(Fixture& f, ycsb::WorkloadSpec spec, ycsb::WorkloadResult& out) {

@@ -2,8 +2,10 @@
 // serialization, stream assembly, EOF, refused connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "net/socket.hpp"
 #include "net/testbed.hpp"
@@ -208,6 +210,61 @@ TEST(SocketTable, RelistenWithNoStepBetweenLeavesOldAcceptorClosed) {
     EXPECT_EQ(old_got, nullptr) << parked;
     EXPECT_FALSE(new_closed) << parked;
     EXPECT_NE(new_got, nullptr) << parked;
+  }
+}
+
+// What a peer saw of one message: its bytes, the time each 16 KiB piece
+// was read, and when the sender's write returned.
+struct WriteTrace {
+  Bytes got;
+  std::vector<sim::Time> piece_times;
+  sim::Time write_done = 0;
+};
+
+Task piece_reader(Testbed& tb, Listener& l, std::size_t n, WriteTrace& out) {
+  SocketPtr sock = co_await l.accept();
+  out.got.resize(n);
+  static constexpr std::size_t kPiece = 16 * 1024;
+  for (std::size_t off = 0; off < n; off += kPiece) {
+    co_await sock->read_full(MutByteSpan(out.got).subspan(off, std::min(kPiece, n - off)));
+    out.piece_times.push_back(tb.sched().now());
+  }
+}
+
+Task one_write(Testbed& tb, Address addr, std::size_t n, bool owning, WriteTrace& out) {
+  SocketPtr sock = co_await tb.sockets().connect(tb.host(0), addr, Transport::kIPoIB);
+  Bytes msg(n);
+  for (std::size_t i = 0; i < n; ++i) msg[i] = static_cast<Byte>(i % 251);
+  if (owning) {
+    co_await sock->write(std::move(msg));
+  } else {
+    co_await sock->write(ByteSpan(msg));
+  }
+  out.write_done = tb.sched().now();
+}
+
+// The owning write moves a message of up to one segment onto the wire and
+// segments a larger one like the span write: the peer reads the same bytes
+// at the same virtual times either way.
+TEST(Socket, OwningWriteMatchesSpanWrite) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{16 * 1024}, std::size_t{16 * 1024 + 1}}) {
+    WriteTrace runs[2];
+    for (const bool owning : {false, true}) {
+      Scheduler s;
+      Testbed tb(s, Testbed::cluster_b());
+      Listener& l = *tb.sockets().listen({1, 9000});
+      WriteTrace& t = runs[owning ? 1 : 0];
+      s.spawn(piece_reader(tb, l, n, t));
+      s.spawn(one_write(tb, {1, 9000}, n, owning, t));
+      s.run();
+    }
+    Bytes expect(n);
+    for (std::size_t i = 0; i < n; ++i) expect[i] = static_cast<Byte>(i % 251);
+    EXPECT_EQ(runs[0].got, expect) << n;
+    EXPECT_EQ(runs[1].got, expect) << n;
+    EXPECT_EQ(runs[1].piece_times, runs[0].piece_times) << n;
+    EXPECT_EQ(runs[1].write_done, runs[0].write_done) << n;
+    EXPECT_GT(runs[0].write_done, 0u) << n;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <iterator>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "chaos_env.hpp"
+#include "net/frame.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
 #include "rpc/socket_client.hpp"
@@ -713,6 +715,70 @@ TEST(SocketRpc, ShortReplyBodyIsATransportError) {
   EXPECT_NE(error.find("short reply"), std::string::npos) << error;
   client.close_connections();
   s.drain_tasks();
+}
+
+/// A raw client: sends `preamble`, then one add(2, 3) call, and records
+/// whether the server closed the connection instead of answering.
+Task raw_call_client(Testbed& tb, net::Bytes preamble, bool& closed) {
+  const cluster::CostModel& cm = tb.host(0).cost();
+  net::SocketPtr sock =
+      co_await tb.sockets().connect(tb.host(0), kServerAddr, Transport::kIPoIB);
+  DataOutputBuffer call(cm);
+  write_call_header(call, 1, false, 0, trace::TraceContext{}, kAdd);
+  AddParam p;
+  p.a = 2;
+  p.b = 3;
+  p.write(call);
+  BufferedOutputStream out(cm);
+  out.write_u32(static_cast<std::uint32_t>(call.length()));
+  out.write_payload(call.data());
+  out.flush();
+  const net::Bytes wire = out.take_pending();
+  co_await sock->write(preamble);
+  co_await sock->write(wire);
+  std::array<net::Byte, 4> len{};
+  try {
+    co_await sock->read_full(len);
+  } catch (const net::SocketError&) {
+    closed = true;
+  }
+}
+
+// A connection that does not open with the "hrpc" magic is closed before
+// it is homed: no call of it runs, no shard counts it, and a version-5
+// preamble's session id is never adopted. The good-magic twin of each case
+// shows the same bytes are served when the magic is right.
+TEST(SocketRpc, BadPreambleMagicIsClosedUnserved) {
+  static constexpr net::Byte kBadMagic[] = {'h', 'r', 'p', 'x'};
+  for (const std::uint8_t version : {Preamble::kVersion, Preamble::kSessionVersion}) {
+    for (const bool good : {true, false}) {
+      SCOPED_TRACE("version " + std::to_string(version) + (good ? " good" : " bad") +
+                   " magic");
+      Scheduler s;
+      Testbed tb(s, Testbed::cluster_b());
+      SocketRpcServer server(tb.host(1), tb.sockets(), kServerAddr, 4);
+      register_test_protocol(server);
+      SessionConfig session;
+      session.enabled = true;
+      server.set_session(session);
+      server.start();
+      const Preamble pre{version, 0x5E55,
+                         good ? net::ByteSpan(Preamble::kMagic) : net::ByteSpan(kBadMagic)};
+      bool closed = false;
+      s.spawn(raw_call_client(tb, net::encode_frame(pre), closed));
+      s.run_until(sim::seconds(1));
+
+      const RpcStats& st = server.stats();
+      std::uint64_t conns = 0;
+      for (const ShardCounters& sc : st.shards) conns += sc.conns_assigned;
+      EXPECT_EQ(closed, !good);
+      EXPECT_EQ(st.calls_handled, good ? 1u : 0u);
+      EXPECT_EQ(conns, good ? 1u : 0u);
+      EXPECT_EQ(st.sessions_opened, good && version == Preamble::kSessionVersion ? 1u : 0u);
+      server.stop();
+      s.drain_tasks();
+    }
+  }
 }
 
 TEST(SocketRpc, LatencyOrderingAcrossTransports) {

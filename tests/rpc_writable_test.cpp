@@ -285,5 +285,37 @@ TEST(BufferedStream, NativeCopyChargedOnFlush) {
   EXPECT_GE(out.take_pending().size(), big.size());
 }
 
+// A small stream buffer spills to pending_ several times before the flush:
+// the bytes leave in write order, and the modelled cost is the one heap
+// allocation, one heap copy per write and one native copy of the total.
+TEST(BufferedStream, RepeatedSpillsKeepByteOrderAndCharges) {
+  constexpr std::size_t kBufSize = 16;
+  BufferedOutputStream out(kCm, kBufSize);
+  net::Bytes expect;
+  sim::Dur charge = kCm.heap_alloc(kBufSize);
+  for (int w = 0; w < 12; ++w) {
+    net::Bytes chunk(static_cast<std::size_t>(5 + w % 4));
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+      chunk[j] = static_cast<net::Byte>(w * 16 + static_cast<int>(j));
+    }
+    out.write_raw(chunk);
+    expect.insert(expect.end(), chunk.begin(), chunk.end());
+    charge += kCm.heap_copy(chunk.size());
+  }
+  ASSERT_GT(expect.size(), 4 * kBufSize);  // several spills
+  out.flush();
+  charge += kCm.native_copy(expect.size());
+  EXPECT_EQ(out.take_pending(), expect);
+  EXPECT_EQ(out.take_accrued(), charge);
+  EXPECT_EQ(out.stats().allocations, 1u);
+  EXPECT_EQ(out.stats().alloc_time, kCm.heap_alloc(kBufSize));
+  EXPECT_EQ(out.stats().bytes_copied, expect.size());
+
+  // The stream goes on after a take: the next flush carries only new bytes.
+  out.write_u32(0x01020304);
+  out.flush();
+  EXPECT_EQ(out.take_pending(), (net::Bytes{1, 2, 3, 4}));
+}
+
 }  // namespace
 }  // namespace rpcoib::rpc

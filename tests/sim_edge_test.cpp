@@ -166,15 +166,6 @@ TEST(SemaphoreEdge, FifoOrderUnderContention) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(SemaphoreEdge, TryAcquireNeverBlocks) {
-  Scheduler s;
-  Semaphore sem(s, 1);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
-  sem.release();
-  EXPECT_TRUE(sem.try_acquire());
-}
-
 Task wg_user(WaitGroup& wg) {
   wg.done();
   co_return;
