@@ -16,11 +16,13 @@
 // a fail_all of its own.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -38,6 +40,51 @@ namespace rpcoib::rpc {
 template <typename Pending>
 struct ClientConnection;
 
+/// A connection's outstanding calls by call id: a flat table kept sorted
+/// by id. Ids mostly arrive in increasing order, so filing one appends;
+/// walks (fail_all, the NACK scan) go in call-id order.
+template <typename Pending>
+class PendingTable {
+ public:
+  using Entry = std::pair<std::uint64_t, Pending*>;
+  using iterator = typename std::vector<Entry>::iterator;
+
+  /// File `pc` under `id`, replacing a record already filed there.
+  void assign(std::uint64_t id, Pending* pc) {
+    const iterator it = lower_bound(id);
+    if (it != entries_.end() && it->first == id) {
+      it->second = pc;
+    } else {
+      entries_.insert(it, Entry{id, pc});
+    }
+  }
+  /// Unregister `id`; nullptr when it is not filed.
+  Pending* take(std::uint64_t id) {
+    const iterator it = lower_bound(id);
+    if (it == entries_.end() || it->first != id) return nullptr;
+    Pending* pc = it->second;
+    entries_.erase(it);
+    return pc;
+  }
+  iterator erase(iterator it) { return entries_.erase(it); }
+  bool contains(std::uint64_t id) {
+    const iterator it = lower_bound(id);
+    return it != entries_.end() && it->first == id;
+  }
+  iterator begin() { return entries_.begin(); }
+  iterator end() { return entries_.end(); }
+  bool empty() const { return entries_.empty(); }
+  std::size_t size() const { return entries_.size(); }
+  void clear() { entries_.clear(); }  // keeps capacity
+
+ private:
+  iterator lower_bound(std::uint64_t id) {
+    return std::lower_bound(entries_.begin(), entries_.end(), id,
+                            [](const Entry& e, std::uint64_t k) { return e.first < k; });
+  }
+  std::vector<Entry> entries_;
+};
+
 /// One call waiting for its reply. `Self` is the transport's record, which
 /// adds where the reply's bytes land.
 template <typename Self>
@@ -49,7 +96,7 @@ struct PendingCall {
   /// record must not outlive that connection: declare it after the
   /// connection's owning pointer.
   ~PendingCall() {
-    if (table_ != nullptr) table_->erase(id_);
+    if (table_ != nullptr) (void)table_->take(id_);
   }
 
   /// The cleanup fail_all runs before waking the call. A transport's
@@ -64,7 +111,7 @@ struct PendingCall {
 
  private:
   friend struct ClientConnection<Self>;
-  std::map<std::uint64_t, Self*>* table_ = nullptr;
+  PendingTable<Self>* table_ = nullptr;
   std::uint64_t id_ = 0;
 };
 
@@ -83,20 +130,14 @@ struct ClientConnection {
   /// no exit (reply, timeout or throw) leaves it dangling here.
   void file(std::uint64_t id, Pending& pc) {
     if (broken) throw RpcTransportError("connection broken");
-    pending[id] = &pc;
+    pending.assign(id, &pc);
     pc.table_ = &pending;
     pc.id_ = id;
   }
 
   /// The reply step: unregister the call a reply answers. nullptr when the
   /// call is gone: it timed out, or fail_all already failed it over.
-  Pending* take(std::uint64_t id) {
-    auto it = pending.find(id);
-    if (it == pending.end()) return nullptr;
-    Pending* pc = it->second;
-    pending.erase(it);
-    return pc;
-  }
+  Pending* take(std::uint64_t id) { return pending.take(id); }
 
   /// Mark the connection broken and fail every pending call over to the
   /// retry loop. Runs off the connection alone, so a receive loop that
@@ -118,7 +159,7 @@ struct ClientConnection {
   // flush timers check it after every resumption instead of touching the
   // (possibly destroyed) client.
   bool cancelled = false;
-  std::map<std::uint64_t, Pending*> pending;
+  PendingTable<Pending> pending;
 };
 
 /// Coalescer sink (batch.hpp) for one connection's small calls: a flush

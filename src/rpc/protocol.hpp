@@ -9,11 +9,12 @@
 
 #include <coroutine>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,15 @@ struct MethodKey {
   friend bool operator==(const MethodKey& a, const MethodKey& b) = default;
 
   std::string to_string() const { return protocol + "." + method; }
+
+  /// For the hashed tables looked up on every call (dispatch, pool
+  /// history); reports iterate ordered maps instead.
+  struct Hash {
+    std::size_t operator()(const MethodKey& k) const noexcept {
+      const std::hash<std::string_view> h;
+      return h(k.protocol) * 31 + h(k.method);
+    }
+  };
 };
 
 /// Raised at the caller when the server-side handler threw; carries the
@@ -212,7 +222,7 @@ class Dispatcher {
   std::size_t size() const { return handlers_.size(); }
 
  private:
-  std::map<MethodKey, MethodHandler> handlers_;
+  std::unordered_map<MethodKey, MethodHandler, MethodKey::Hash> handlers_;
 };
 
 /// One handler invocation with its error captured, for both servers.

@@ -145,7 +145,7 @@ NativeBuffer* ShadowPool::acquire_for(const rpc::MethodKey& key) {
 
 void ShadowPool::update_history(const rpc::MethodKey& key, std::size_t used) {
   const std::size_t fit = native_.class_size_for(used == 0 ? 1 : used);
-  auto [it, inserted] = history_.emplace(key, fit);
+  auto [it, inserted] = history_.try_emplace(key, fit);
   if (!inserted) {
     if (fit > it->second) {
       // The stream had to re-get bigger buffers: grow the record.

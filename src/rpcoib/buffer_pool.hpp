@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/host.hpp"
@@ -186,7 +186,7 @@ class ShadowPool {
 
  private:
   NativeBufferPool& native_;
-  std::map<rpc::MethodKey, std::size_t> history_;
+  std::unordered_map<rpc::MethodKey, std::size_t, rpc::MethodKey::Hash> history_;
 };
 
 }  // namespace rpcoib::oib

@@ -27,10 +27,13 @@ void write_status(RDMAOutputStream& out, std::uint64_t id, rpc::RpcStatus status
   out.write_text(msg);
 }
 
-/// The pool-history key a status-only answer is sized under.
-rpc::MethodKey status_key(rpc::RpcStatus status) {
-  return status == rpc::RpcStatus::kBusy ? rpc::MethodKey{"__overload", "busy"}
-                                         : rpc::MethodKey{"__session", "rejected"};
+/// The pool-history keys a status-only answer is sized under.
+const rpc::MethodKey kBusyKey{"__overload", "busy"};
+const rpc::MethodKey kRejectedKey{"__session", "rejected"};
+const rpc::MethodKey kUdOversizeKey{"__ud", "oversize"};
+
+const rpc::MethodKey& status_key(rpc::RpcStatus status) {
+  return status == rpc::RpcStatus::kBusy ? kBusyKey : kRejectedKey;
 }
 
 }  // namespace
@@ -582,7 +585,7 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     ++shard->pipeline.stats().ud_resp_oversize;
     const std::uint64_t id = read_be64(msg.data() + 1);
     native_.release(buf);
-    RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
+    RDMAOutputStream err(host_.cost(), shadow_, kUdOversizeKey);
     write_status(err, id, rpc::RpcStatus::kError, "response exceeds the UD datagram MTU");
     co_await host_.compute(err.take_accrued());
     msg = err.data();

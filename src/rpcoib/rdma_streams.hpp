@@ -19,14 +19,17 @@ namespace rpcoib::oib {
 
 class RDMAOutputStream final : public rpc::DataOutput {
  public:
-  /// Acquires the initial buffer via the shadow pool's history for `key`.
-  RDMAOutputStream(const cluster::CostModel& cm, ShadowPool& pool, rpc::MethodKey key)
-      : rpc::DataOutput(cm), pool_(pool), key_(std::move(key)) {
+  /// Acquires the initial buffer via the shadow pool's history for `key`,
+  /// which must outlive the stream (it is referred to, not copied).
+  RDMAOutputStream(const cluster::CostModel& cm, ShadowPool& pool, const rpc::MethodKey& key)
+      : rpc::DataOutput(cm), pool_(pool), key_(key) {
     buf_ = pool_.acquire_for(key_);
     // Pool acquire is a freelist pop, amortizing the registration done at
     // library load — orders of magnitude below a JVM allocation.
     accrue(sim::from_us(kAcquireUs));
   }
+
+  RDMAOutputStream(const cluster::CostModel&, ShadowPool&, rpc::MethodKey&&) = delete;
 
   ~RDMAOutputStream() override {
     // Streams normally hand the buffer to the transport via take_buffer();
@@ -85,7 +88,7 @@ class RDMAOutputStream final : public rpc::DataOutput {
   }
 
   ShadowPool& pool_;
-  rpc::MethodKey key_;
+  const rpc::MethodKey& key_;
   NativeBuffer* buf_ = nullptr;
   std::size_t count_ = 0;
   std::uint64_t regets_ = 0;

@@ -35,7 +35,9 @@ class Semaphore {
 
   /// Hold one unit for `d` of virtual time, then release it: acquire,
   /// delay, release without a coroutine frame. Queues FIFO with acquire()
-  /// waiters; `d` == 0 returns at once without touching the count.
+  /// waiters; `d` == 0 returns at once without touching the count. The
+  /// holder's own frame is the one heap entry of the hold, and the unit is
+  /// released as it resumes, before the body continues.
   struct HoldAwaiter {
     Semaphore& sem;
     Dur d;
@@ -46,9 +48,11 @@ class Semaphore {
         return;
       }
       --sem.count_;
-      sem.release_after(d, h);
+      sem.sched_.resume_after(d, h);
     }
-    void await_resume() const noexcept {}
+    void await_resume() {
+      if (d != 0) sem.release();
+    }
   };
 
   HoldAwaiter hold(Dur d) { return HoldAwaiter{*this, d}; }
@@ -62,8 +66,9 @@ class Semaphore {
       // same-tick acquire cannot starve it.
       --count_;
       if (w.hold != 0) {
-        // A holder keeps the reserved unit and starts its hold when woken.
-        sched_.call_at(sched_.now(), [this, w] { release_after(w.hold, w.h); });
+        // A holder keeps the reserved unit and starts its hold when woken;
+        // its await_resume releases the unit at the end.
+        sched_.call_at(sched_.now(), [this, w] { sched_.resume_after(w.hold, w.h); });
       } else {
         sched_.call_at(sched_.now(), [this, h = w.h] {
           ++count_;  // hand the reserved slot back just before the waiter takes it
@@ -80,14 +85,6 @@ class Semaphore {
     std::coroutine_handle<> h;
     Dur hold;  // nonzero: a hold() waiter; 0: an acquire() waiter
   };
-
-  /// End a hold: after `d`, release the unit, then resume the holder.
-  void release_after(Dur d, std::coroutine_handle<> h) {
-    sched_.call_after(d, [this, h] {
-      release();
-      h.resume();
-    });
-  }
 
   Scheduler& sched_;
   std::int64_t count_;
@@ -166,7 +163,13 @@ class SimEvent {
   struct WaitAwaiter {
     SimEvent& ev;
     bool await_ready() const noexcept { return ev.set_; }
-    void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (!ev.first_) {
+        ev.first_ = h;
+      } else {
+        ev.more_.push_back(h);
+      }
+    }
     void await_resume() const noexcept {}
   };
 
@@ -205,8 +208,9 @@ class SimEvent {
   void set() {
     if (set_) return;
     set_ = true;
-    for (std::coroutine_handle<> w : waiters_) sched_.post(w);
-    waiters_.clear();
+    if (first_) sched_.post(std::exchange(first_, nullptr));
+    for (std::coroutine_handle<> w : more_) sched_.post(w);
+    more_.clear();
     timed_waiters_.wake_all();
   }
 
@@ -215,7 +219,10 @@ class SimEvent {
  private:
   Scheduler& sched_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // Untimed waiters in wait order: the first inline (most events have at
+  // most one, so waiting allocates nothing), the rest after it.
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> more_;
   TimedWaiters timed_waiters_;
 };
 

@@ -42,21 +42,38 @@ void ProtectionDomain::deregister(const MemoryRegion& mr) {
 // VerbsStack
 
 std::uint32_t VerbsStack::add_region(MemoryRegion mr) {
-  const std::uint32_t key = next_key_++;
+  const auto key = static_cast<std::uint32_t>(regions_.size());
   mr.lkey = mr.rkey = key;
-  regions_.emplace(key, mr);
+  regions_.push_back(mr);
   return key;
 }
 
-void VerbsStack::remove_region(std::uint32_t rkey) { regions_.erase(rkey); }
+void VerbsStack::remove_region(std::uint32_t rkey) {
+  if (rkey < regions_.size()) regions_[rkey] = MemoryRegion{};
+}
 
 net::MutByteSpan VerbsStack::resolve(std::uint32_t rkey, std::uint64_t offset,
                                      std::size_t len) const {
-  auto it = regions_.find(rkey);
-  if (it == regions_.end()) throw VerbsError("unknown rkey");
-  const MemoryRegion& mr = it->second;
+  if (rkey >= regions_.size() || regions_[rkey].rkey == 0) throw VerbsError("unknown rkey");
+  const MemoryRegion& mr = regions_[rkey];
   if (offset + len > mr.length) throw VerbsError("remote access out of bounds");
   return net::MutByteSpan(mr.addr + offset, len);
+}
+
+net::Bytes VerbsStack::take_staging() {
+  if (spare_staging_.empty()) return {};
+  net::Bytes b = std::move(spare_staging_.back());
+  spare_staging_.pop_back();
+  return b;
+}
+
+void VerbsStack::recycle_staging(net::Bytes&& bytes) {
+  if (spare_staging_.size() >= kSpareStaging || bytes.capacity() == 0 ||
+      bytes.capacity() > kSpareStagingBytes) {
+    return;
+  }
+  bytes.clear();
+  spare_staging_.push_back(std::move(bytes));
 }
 
 sim::Dur VerbsStack::registration_cost(std::size_t bytes) const {
@@ -205,6 +222,7 @@ void QueuePair::match_inbound() {
     if (!msg.data.empty()) std::memcpy(pr.buf.data(), msg.data.data(), msg.data.size());
     recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
                                  static_cast<std::uint32_t>(msg.data.size()), 0, context_});
+    stack_.recycle_staging(std::move(msg.data));
   }
 }
 
@@ -226,7 +244,8 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   // Doorbell: the posting thread writes the WQE and rings the HCA.
   co_await host_.compute(p.per_msg_send_cpu);
 
-  net::Bytes payload(buf.begin(), buf.end());
+  net::Bytes payload = stack_.take_staging();
+  payload.assign(buf.begin(), buf.end());
   const CompletionQueue::Sink scq = send_cq_;
   // Size read before the move: argument evaluation order is unspecified.
   const std::size_t wire_bytes = payload.size();
@@ -297,13 +316,19 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
   cluster::HostId responder = peer->host_.id();
   cluster::HostId requester = host_.id();
   fab.sched().call_at(req_arrival, [&fab, stack, scq, wr_id, local, src, responder,
-                                    requester, p] {
+                                    requester, responder_qp = std::weak_ptr(peer)] {
     // The rkey resolves when the request *arrives* at the responder, and
     // again as the bytes land: a region deregistered before or while the
     // READ is in flight is a remote access error. The requester gets a
     // failed completion (status != 0) with an untouched buffer, never a
-    // crash or a read of freed or reused memory.
+    // crash or a read of freed or reused memory. So does a READ whose
+    // responder QP was torn down meanwhile: no QP is left to serve it.
     const WorkCompletion failed{wr_id, Opcode::kRdmaRead, 0, 0, 0, /*status=*/1};
+    const QueuePairPtr served_by = responder_qp.lock();
+    if (!served_by || !served_by->connected()) {
+      scq.complete(failed);
+      return;
+    }
     try {
       (void)stack->resolve(src.rkey, src.offset, local.size());
     } catch (const VerbsError&) {
@@ -323,7 +348,6 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
                   scq.complete(WorkCompletion{wr_id, Opcode::kRdmaRead,
                                            static_cast<std::uint32_t>(local.size()), 0});
                 });
-    (void)p;
   });
   co_return;
 }
@@ -361,7 +385,8 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
   // Doorbell: same WQE cost as an RC send.
   co_await host_.compute(p.per_msg_send_cpu);
 
-  net::Bytes payload(buf.begin(), buf.end());
+  net::Bytes payload = stack_.take_staging();
+  payload.assign(buf.begin(), buf.end());
   VerbsStack* stack = &stack_;
   const cluster::HostId src_host = host_.id();
   const std::uint32_t src_qpn = qpn_;
@@ -390,12 +415,14 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
   // the caller's problem (RPCoIB rides the session/retry path).
   if (ring_.empty()) {
     ++rx_dropped_;
+    stack_.recycle_staging(std::move(data));
     return;
   }
   PostedRecv pr = ring_.front();
   ring_.pop_front();
   if (kGrhBytes + data.size() > pr.buf.size()) {
     ++rx_dropped_;
+    stack_.recycle_staging(std::move(data));
     return;
   }
   // GRH-style source addressing: the first kGrhBytes of the receive buffer
@@ -406,6 +433,7 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
   recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
                                static_cast<std::uint32_t>(kGrhBytes + data.size()), 0,
                                context_});
+  stack_.recycle_staging(std::move(data));
 }
 
 // ---------------------------------------------------------------------------

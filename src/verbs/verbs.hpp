@@ -444,6 +444,18 @@ class VerbsStack {
   std::uint32_t add_region(MemoryRegion mr);
   void remove_region(std::uint32_t rkey);
 
+  /// Storage for a SEND's or datagram's staged bytes: a spare vector a
+  /// receiver handed back (empty, its capacity kept), else a new one.
+  net::Bytes take_staging();
+  /// Hand back a delivered message's storage for the next post_send. The
+  /// list keeps at most kSpareStaging vectors of at most
+  /// kSpareStagingBytes capacity (a UD datagram's MTU, and RPCoIB's eager
+  /// SEND limit); anything else is freed, so the list never holds more
+  /// than 128 KiB.
+  void recycle_staging(net::Bytes&& bytes);
+  static constexpr std::size_t kSpareStaging = 32;
+  static constexpr std::size_t kSpareStagingBytes = 4096;
+
   /// Cost of registering `bytes` of memory (page pinning + HCA update).
   sim::Dur registration_cost(std::size_t bytes) const;
 
@@ -509,8 +521,10 @@ class VerbsStack {
 
  private:
   net::Fabric& fab_;
-  std::uint32_t next_key_ = 1;
-  std::map<std::uint32_t, MemoryRegion> regions_;
+  // Indexed by key: keys are dense from 1 and never reused, and a
+  // deregistered key's entry is left with rkey 0.
+  std::vector<MemoryRegion> regions_{MemoryRegion{}};
+  std::vector<net::Bytes> spare_staging_;
   std::map<std::uintptr_t, QueuePairPtr> cm_pending_;
   std::uint32_t next_qpn_ = 1;
   std::map<std::uint32_t, UdEndpoint*> ud_endpoints_;

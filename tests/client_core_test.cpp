@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "net/fault.hpp"
 #include "net/testbed.hpp"
@@ -520,126 +521,126 @@ constexpr const char* kRdmaSpans = R"(3 0 pool.register 7 0 9215008 buffers=256
 34 0 reconnect.fault_injected 14 2000013601 2000013601
 35 31 send 2 2000013001 2000013601 path=rendezvous
 36 0 fault.transport:echo 10 2000000000 2000013601
-40 0 retry.backoff:echo 11 2000013601 2070276818
-41 0 rpc.ud:echo 6 2070276818 2070283198
-42 0 rpc:echo 6 2070283198 2070378522
-43 42 serialize 1 2070328734 2070330883
-44 43 pool.acquire 7 2070328734 2070328884
-45 42 send 2 2070330883 2070331483 path=rendezvous
-49 42 deserialize 1 2070374388 2070378522
-50 0 rpc.ud:echo 6 8000000000 8000006380
-51 0 rpc:echo 6 8000006380 8000102254
-52 0 reconnect.idle_evicted 14 8000006380 8000006380
-53 51 serialize 1 8000051916 8000054065
-54 53 pool.acquire 7 8000051916 8000052066
-55 51 send 2 8000054065 8000054665 path=rendezvous
-59 51 deserialize 1 8000098120 8000102254
-60 0 rpc:put 6 10000000000 10000085436
-61 0 rpc:put 6 10000000000 10000096786
-62 0 rpc:put 6 10000000000 10000108136
-63 0 rpc:put 6 10000000000 10000119486
-64 0 rpc:put 6 10000000000 10000130836
-65 0 rpc:put 6 10000000000 10000142186
-66 60 serialize 1 10000045536 10000063279
-67 66 pool.acquire 7 10000045536 10000045836
-68 61 serialize 1 10000045536 10000063279
-69 68 pool.acquire 7 10000045536 10000045836
-70 62 serialize 1 10000045536 10000063279
-71 70 pool.acquire 7 10000045536 10000045836
-72 63 serialize 1 10000045536 10000063279
-73 72 pool.acquire 7 10000045536 10000045836
-74 64 serialize 1 10000045536 10000063279
-75 74 pool.acquire 7 10000045536 10000045836
-76 65 serialize 1 10000045536 10000063279
-77 76 pool.acquire 7 10000045536 10000045836
+37 0 retry.backoff:echo 11 2000013601 2070276818
+38 0 rpc.ud:echo 6 2070276818 2070283198
+39 0 rpc:echo 6 2070283198 2070379274
+40 39 serialize 1 2070328734 2070330883
+41 40 pool.acquire 7 2070328734 2070328884
+42 39 send 2 2070330883 2070331483 path=rendezvous
+46 39 deserialize 1 2070375140 2070379274
+47 0 rpc.ud:echo 6 8000000000 8000006380
+48 0 rpc:echo 6 8000006380 8000102254
+49 0 reconnect.idle_evicted 14 8000006380 8000006380
+50 48 serialize 1 8000051916 8000054065
+51 50 pool.acquire 7 8000051916 8000052066
+52 48 send 2 8000054065 8000054665 path=rendezvous
+56 48 deserialize 1 8000098120 8000102254
+57 0 rpc:put 6 10000000000 10000085436
+58 0 rpc:put 6 10000000000 10000096786
+59 0 rpc:put 6 10000000000 10000108136
+60 0 rpc:put 6 10000000000 10000119486
+61 0 rpc:put 6 10000000000 10000130836
+62 0 rpc:put 6 10000000000 10000142186
+63 57 serialize 1 10000045536 10000063279
+64 63 pool.acquire 7 10000045536 10000045836
+65 58 serialize 1 10000045536 10000063279
+66 65 pool.acquire 7 10000045536 10000045836
+67 59 serialize 1 10000045536 10000063279
+68 67 pool.acquire 7 10000045536 10000045836
+69 60 serialize 1 10000045536 10000063279
+70 69 pool.acquire 7 10000045536 10000045836
+71 61 serialize 1 10000045536 10000063279
+72 71 pool.acquire 7 10000045536 10000045836
+73 62 serialize 1 10000045536 10000063279
+74 73 pool.acquire 7 10000045536 10000045836
+75 57 send 2 10000063279 10000063879 path=rendezvous
+76 58 send 2 10000063279 10000063879 path=rendezvous
+77 59 send 2 10000063279 10000063879 path=rendezvous
 78 60 send 2 10000063279 10000063879 path=rendezvous
 79 61 send 2 10000063279 10000063879 path=rendezvous
 80 62 send 2 10000063279 10000063879 path=rendezvous
-81 63 send 2 10000063279 10000063879 path=rendezvous
-82 64 send 2 10000063279 10000063879 path=rendezvous
-83 65 send 2 10000063279 10000063879 path=rendezvous
-84 60 overload.nack:put 12 10000063879 10000085436
-85 0 rpc:put 6 10000085436 10000541276
-86 61 overload.nack:put 12 10000063879 10000096786
-87 0 rpc:put 6 10000096786 10000676991
-88 62 overload.nack:put 12 10000063879 10000108136
-89 0 rpc:put 6 10000108136 10000812706
-90 63 overload.nack:put 12 10000063879 10000119486
-91 0 rpc:put 6 10000119486 10000948421
-92 64 overload.nack:put 12 10000063879 10000130836
-93 0 rpc:put 6 10000130836 10001084136
-94 65 overload.nack:put 12 10000063879 10000142186
-95 0 rpc:put 6 10000142186 10001219851
-96 85 serialize 1 10000108071 10000170768
-97 87 serialize 1 10000108071 10000170768
-98 89 serialize 1 10000112186 10000174883
-99 91 serialize 1 10000123536 10000186233
-100 93 serialize 1 10000134886 10000197583
-101 95 serialize 1 10000146236 10000208933
-102 85 send 2 10000170768 10000283525
-103 87 send 2 10000170768 10000325371
-104 89 send 2 10000174883 10000367217
-105 91 send 2 10000186233 10000409063
-109 93 send 2 10000197583 10000450909
-110 95 send 2 10000208933 10000492755
-111 85 deserialize 1 10000541236 10000541276
-115 87 deserialize 1 10000676951 10000676991
-119 89 deserialize 1 10000812666 10000812706
-123 91 deserialize 1 10000948381 10000948421
-127 93 deserialize 1 10001084096 10001084136
-131 95 deserialize 1 10001219811 10001219851
-132 0 rpc:echo 6 12000000000 12000039356
-133 0 rpc:echo 6 12000000000 12000050706
-134 0 rpc:echo 6 12000000000 12000062056
-135 0 rpc:echo 6 12000000000 12000073406
-136 0 rpc:echo 6 12000000000 12000084756
-137 0 rpc:echo 6 12000000000 12000096106
-138 132 serialize 1 12000004050 12000005204
-139 138 pool.acquire 7 12000004050 12000004200
-140 133 serialize 1 12000004050 12000005204
-141 140 pool.acquire 7 12000004050 12000004200
-142 134 serialize 1 12000004050 12000005204
-143 142 pool.acquire 7 12000004050 12000004200
-144 135 serialize 1 12000004050 12000005204
-145 144 pool.acquire 7 12000004050 12000004200
-146 136 serialize 1 12000004050 12000005204
-147 146 pool.acquire 7 12000004050 12000004200
-148 137 serialize 1 12000004050 12000005204
-149 148 pool.acquire 7 12000004050 12000004200
+81 57 overload.nack:put 12 10000063879 10000085436
+82 0 rpc:put 6 10000085436 10000541276
+83 58 overload.nack:put 12 10000063879 10000096786
+84 0 rpc:put 6 10000096786 10000676991
+85 59 overload.nack:put 12 10000063879 10000108136
+86 0 rpc:put 6 10000108136 10000812706
+87 60 overload.nack:put 12 10000063879 10000119486
+88 0 rpc:put 6 10000119486 10000948421
+89 61 overload.nack:put 12 10000063879 10000130836
+90 0 rpc:put 6 10000130836 10001084136
+91 62 overload.nack:put 12 10000063879 10000142186
+92 0 rpc:put 6 10000142186 10001219851
+93 82 serialize 1 10000108071 10000170768
+94 84 serialize 1 10000108071 10000170768
+95 86 serialize 1 10000112186 10000174883
+96 88 serialize 1 10000123536 10000186233
+97 90 serialize 1 10000134886 10000197583
+98 92 serialize 1 10000146236 10000208933
+99 82 send 2 10000170768 10000283525
+100 84 send 2 10000170768 10000325371
+101 86 send 2 10000174883 10000367217
+102 88 send 2 10000186233 10000409063
+106 90 send 2 10000197583 10000450909
+107 92 send 2 10000208933 10000492755
+108 82 deserialize 1 10000541236 10000541276
+112 84 deserialize 1 10000676951 10000676991
+116 86 deserialize 1 10000812666 10000812706
+120 88 deserialize 1 10000948381 10000948421
+124 90 deserialize 1 10001084096 10001084136
+128 92 deserialize 1 10001219811 10001219851
+129 0 rpc:echo 6 12000000000 12000039356
+130 0 rpc:echo 6 12000000000 12000050706
+131 0 rpc:echo 6 12000000000 12000062056
+132 0 rpc:echo 6 12000000000 12000073406
+133 0 rpc:echo 6 12000000000 12000084756
+134 0 rpc:echo 6 12000000000 12000096106
+135 129 serialize 1 12000004050 12000005204
+136 135 pool.acquire 7 12000004050 12000004200
+137 130 serialize 1 12000004050 12000005204
+138 137 pool.acquire 7 12000004050 12000004200
+139 131 serialize 1 12000004050 12000005204
+140 139 pool.acquire 7 12000004050 12000004200
+141 132 serialize 1 12000004050 12000005204
+142 141 pool.acquire 7 12000004050 12000004200
+143 133 serialize 1 12000004050 12000005204
+144 143 pool.acquire 7 12000004050 12000004200
+145 134 serialize 1 12000004050 12000005204
+146 145 pool.acquire 7 12000004050 12000004200
+147 129 send 2 12000005204 12000005269 path=batched
+148 130 send 2 12000005204 12000005269 path=batched
+149 131 send 2 12000005204 12000005269 path=batched
 150 132 send 2 12000005204 12000005269 path=batched
 151 133 send 2 12000005204 12000005269 path=batched
 152 134 send 2 12000005204 12000005269 path=batched
-153 135 send 2 12000005204 12000005269 path=batched
-154 136 send 2 12000005204 12000005269 path=batched
-155 137 send 2 12000005204 12000005269 path=batched
-156 132 batch.flush 2 12000005269 12000006016
-176 132 deserialize 1 12000038916 12000039356
-177 133 deserialize 1 12000050266 12000050706
-178 134 deserialize 1 12000061616 12000062056
-179 135 deserialize 1 12000072966 12000073406
-180 136 deserialize 1 12000084316 12000084756
-181 137 deserialize 1 12000095666 12000096106
-182 0 rpc:put 6 14000000000 14000085436
-183 0 rpc:put 6 14000000000 14000045536
-184 0 rpc:put 6 14000000000 14000045536
-185 183 overload.pool:put 12 14000045536 14000045536
-186 0 rpc:put 6 14000045536 14000501376
-187 184 overload.pool:put 12 14000045536 14000045536
-188 0 rpc:put 6 14000045536 14000637091
-189 182 serialize 1 14000045536 14000063279
-190 189 pool.acquire 7 14000045536 14000045836
-191 182 send 2 14000063279 14000063879 path=rendezvous
-192 182 overload.nack:put 12 14000063879 14000085436
-193 0 rpc:put 6 14000085436 14000772806
-194 186 serialize 1 14000068171 14000130868
-195 188 serialize 1 14000068171 14000130868
-196 193 serialize 1 14000089486 14000152183
-197 186 send 2 14000130868 14000243625
-198 188 send 2 14000130868 14000285471
-199 193 send 2 14000152183 14000327317
-203 186 deserialize 1 14000501336 14000501376
-207 188 deserialize 1 14000637051 14000637091
-211 193 deserialize 1 14000772766 14000772806
+153 129 batch.flush 2 12000005269 12000006016
+173 129 deserialize 1 12000038916 12000039356
+174 130 deserialize 1 12000050266 12000050706
+175 131 deserialize 1 12000061616 12000062056
+176 132 deserialize 1 12000072966 12000073406
+177 133 deserialize 1 12000084316 12000084756
+178 134 deserialize 1 12000095666 12000096106
+179 0 rpc:put 6 14000000000 14000085436
+180 0 rpc:put 6 14000000000 14000045536
+181 0 rpc:put 6 14000000000 14000045536
+182 180 overload.pool:put 12 14000045536 14000045536
+183 0 rpc:put 6 14000045536 14000501376
+184 181 overload.pool:put 12 14000045536 14000045536
+185 0 rpc:put 6 14000045536 14000637091
+186 179 serialize 1 14000045536 14000063279
+187 186 pool.acquire 7 14000045536 14000045836
+188 179 send 2 14000063279 14000063879 path=rendezvous
+189 179 overload.nack:put 12 14000063879 14000085436
+190 0 rpc:put 6 14000085436 14000772806
+191 183 serialize 1 14000068171 14000130868
+192 185 serialize 1 14000068171 14000130868
+193 190 serialize 1 14000089486 14000152183
+194 183 send 2 14000130868 14000243625
+195 185 send 2 14000130868 14000285471
+196 190 send 2 14000152183 14000327317
+200 183 deserialize 1 14000501336 14000501376
+204 185 deserialize 1 14000637051 14000637091
+208 190 deserialize 1 14000772766 14000772806
 )";
 constexpr const char* kRdmaReport = R"(| Counter                     | Value   | 
 |-----------------------------|---------|
@@ -697,6 +698,64 @@ TEST(ClientCore, RdmaClientKeepsEverySpanAcrossThePlaneLadder) {
   const PinRun run = run_rdma_scenario();
   EXPECT_EQ(run.spans, kRdmaSpans);
   EXPECT_EQ(run.report, kRdmaReport);
+}
+
+// ---- The pending-call table ------------------------------------------------
+
+struct TablePending : rpc::PendingCall<TablePending> {
+  using PendingCall::PendingCall;
+};
+
+Task await_pending(TablePending& pc, std::uint64_t id, std::vector<std::uint64_t>& woke) {
+  co_await pc.done.wait();
+  woke.push_back(id);
+}
+
+TEST(ClientCore, FailAllWakesCallsInCallIdOrderAfterAnOlderIdIsRefiled) {
+  Scheduler s;
+  rpc::ClientConnection<TablePending> conn(s);
+  TablePending p7(s), p9(s), p3(s), p5(s);
+  conn.file(7, p7);
+  conn.file(9, p9);
+  // A retry re-files older ids behind the newer ones.
+  conn.file(3, p3);
+  conn.file(5, p5);
+  std::vector<std::uint64_t> woke;
+  s.spawn(await_pending(p7, 7, woke));
+  s.spawn(await_pending(p9, 9, woke));
+  s.spawn(await_pending(p3, 3, woke));
+  s.spawn(await_pending(p5, 5, woke));
+  s.run();
+  ASSERT_TRUE(woke.empty());
+  EXPECT_EQ(conn.pending.size(), 4u);
+  conn.fail_all("connection lost");
+  s.run();
+  EXPECT_EQ(woke, (std::vector<std::uint64_t>{3, 5, 7, 9}));
+  EXPECT_TRUE(p3.transport_error && p5.transport_error && p7.transport_error &&
+              p9.transport_error);
+  EXPECT_EQ(p3.error_msg, "connection lost");
+  EXPECT_TRUE(conn.pending.empty());
+  EXPECT_EQ(conn.take(5), nullptr);
+  EXPECT_THROW(conn.file(11, p5), rpc::RpcTransportError);
+}
+
+TEST(ClientCore, PendingRecordUnregistersItselfAndTakeMatchesById) {
+  Scheduler s;
+  rpc::ClientConnection<TablePending> conn(s);
+  TablePending p2(s), p4(s);
+  conn.file(4, p4);
+  conn.file(2, p2);
+  {
+    TablePending p3(s);
+    conn.file(3, p3);
+    EXPECT_TRUE(conn.pending.contains(3));
+  }  // a record that dies (reply, timeout or throw) leaves no entry
+  EXPECT_FALSE(conn.pending.contains(3));
+  EXPECT_EQ(conn.take(1), nullptr);
+  EXPECT_EQ(conn.take(4), &p4);
+  EXPECT_EQ(conn.take(4), nullptr);
+  EXPECT_EQ(conn.take(2), &p2);
+  EXPECT_TRUE(conn.pending.empty());
 }
 
 }  // namespace

@@ -299,6 +299,87 @@ TEST(HostEdge, ComputeMatchesAcquireDelayReleaseCoroutine) {
   EXPECT_EQ(host.events, ref.events);
 }
 
+// --- Holds (Host::compute's awaiter): one heap entry holding the frame ---
+
+Task timed_holder(Scheduler& s, Semaphore& cores, int id, Dur d,
+                  std::vector<ResumeRecord>& log) {
+  co_await cores.hold(d);
+  log.push_back({id, 0, s.now()});
+}
+
+TEST(HoldEdge, QueuedHoldsTakeCoresFifoAtUnchangedTimesAndEvents) {
+  Scheduler s;
+  Semaphore cores(s, 8);  // a testbed node's core count
+  std::vector<ResumeRecord> log;
+  // Holders 0-7 take every core and end 10 us apart, the shortest last;
+  // 8, 9 and 10 queue, and each gets the next core freed, in that order.
+  for (int i = 0; i < 8; ++i) s.spawn(timed_holder(s, cores, i, micros(80 - 10 * i), log));
+  for (int i = 8; i < 11; ++i) s.spawn(timed_holder(s, cores, i, micros(5), log));
+  s.run();
+  const std::vector<ResumeRecord> want = {
+      {7, 0, micros(10)}, {8, 0, micros(15)}, {6, 0, micros(20)}, {9, 0, micros(20)},
+      {10, 0, micros(25)}, {5, 0, micros(30)}, {4, 0, micros(40)}, {3, 0, micros(50)},
+      {2, 0, micros(60)}, {1, 0, micros(70)}, {0, 0, micros(80)}};
+  EXPECT_EQ(log, want);
+  // 11 task starts, 11 hold ends and one hand-off per queued holder.
+  EXPECT_EQ(s.events_processed(), 25u);
+  EXPECT_EQ(cores.available(), 8);
+}
+
+Task zero_holder(Scheduler& s, Semaphore& cores, std::size_t& queued_after) {
+  co_await cores.hold(0);
+  queued_after = s.queued();
+}
+
+TEST(HoldEdge, ZeroHoldSchedulesNothing) {
+  Scheduler s;
+  Semaphore cores(s, 8);
+  std::size_t queued_after = 99;
+  s.spawn(zero_holder(s, cores, queued_after));
+  s.run();
+  EXPECT_EQ(queued_after, 0u);
+  EXPECT_EQ(s.events_processed(), 1u);  // the task's start alone
+  EXPECT_EQ(cores.available(), 8);
+}
+
+TEST(HoldEdge, DrainMidHoldLeavesNoTask) {
+  Scheduler s;
+  Semaphore cores(s, 8);
+  std::vector<ResumeRecord> log;
+  // Nine holders: eight mid-hold and one queued for a core.
+  for (int i = 0; i < 9; ++i) s.spawn(timed_holder(s, cores, i, micros(100), log));
+  s.run_until(micros(50));
+  EXPECT_EQ(s.live_task_count(), 9u);
+  s.drain_tasks();
+  EXPECT_EQ(s.live_task_count(), 0u);
+  EXPECT_TRUE(s.idle());
+  s.run();
+  EXPECT_TRUE(log.empty());
+}
+
+Task event_waiter(SimEvent& ev, int id, std::vector<int>& order) {
+  co_await ev.wait();
+  order.push_back(id);
+}
+
+TEST(SimEventEdge, WaitersResumeInWaitOrderPastTheInlineSlot) {
+  Scheduler s;
+  SimEvent ev(s);
+  std::vector<int> order;
+  // The first waiter takes the inline slot, the other two the overflow.
+  s.spawn(event_waiter(ev, 0, order));
+  s.spawn_after(micros(1), event_waiter(ev, 1, order));
+  s.spawn_after(micros(2), event_waiter(ev, 2, order));
+  s.call_at(micros(3), [&] { ev.set(); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(s.now(), micros(3));
+  // Set already: a later wait returns at once.
+  s.spawn(event_waiter(ev, 3, order));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 // --- Frame recycler (compiled out under ASan, where these skip) ---
 
 Co<int> leaf(int x) { co_return x + 1; }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string>
 
@@ -39,6 +40,44 @@ TEST(MemoryRegion, RegisterResolveDeregister) {
   EXPECT_THROW(f.stack.resolve(mr.rkey, 4000, 200), VerbsError);
   pd.deregister(mr);
   EXPECT_THROW(f.stack.resolve(mr.rkey, 0, 1), VerbsError);
+}
+
+TEST(MemoryRegion, DeregisteredKeyIsUnknownAndNeverReused) {
+  Scheduler s;
+  VerbsFixture f(s);
+  ProtectionDomain pd(f.stack, f.tb.host(0));
+  Bytes a(64), b(64);
+  const MemoryRegion first = pd.register_mr_untimed(a);
+  pd.deregister(first);
+  try {
+    (void)f.stack.resolve(first.rkey, 0, 1);
+    ADD_FAILURE() << "a deregistered rkey resolved";
+  } catch (const VerbsError& e) {
+    EXPECT_STREQ(e.what(), "unknown rkey");
+  }
+  const MemoryRegion second = pd.register_mr_untimed(b);
+  EXPECT_NE(second.rkey, first.rkey);
+  EXPECT_THROW(f.stack.resolve(first.rkey, 0, 1), VerbsError);
+  EXPECT_EQ(f.stack.resolve(second.rkey, 0, 64).data(), b.data());
+  EXPECT_THROW(f.stack.resolve(second.rkey + 1, 0, 1), VerbsError);  // never issued
+}
+
+TEST(VerbsStack, SpareStagingListIsBounded) {
+  Scheduler s;
+  VerbsFixture f(s);
+  for (std::size_t i = 0; i < VerbsStack::kSpareStaging + 8; ++i) {
+    f.stack.recycle_staging(Bytes(64));
+  }
+  f.stack.recycle_staging(Bytes(VerbsStack::kSpareStagingBytes + 1));  // too big to keep
+  std::size_t kept = 0;
+  for (;;) {
+    const Bytes b = f.stack.take_staging();
+    if (b.capacity() == 0) break;
+    EXPECT_TRUE(b.empty());
+    EXPECT_LE(b.capacity(), VerbsStack::kSpareStagingBytes);
+    ++kept;
+  }
+  EXPECT_EQ(kept, VerbsStack::kSpareStaging);
 }
 
 TEST(MemoryRegion, RegistrationCostScalesWithSize) {
@@ -282,6 +321,44 @@ TEST(QueuePair, RdmaReadFetchesRemoteBytes) {
   // One-sided: the server CQs saw nothing.
   EXPECT_FALSE(p.server_rcq.poll(wc));
   EXPECT_FALSE(p.server_scq.poll(wc));
+}
+
+Task read_then(QueuePairPtr qp, net::MutByteSpan local, RemoteBuffer src,
+               std::function<void()> then) {
+  co_await qp->post_rdma_read(6, local, src);
+  then();  // the request is on the wire, not yet at the responder
+}
+
+TEST(QueuePair, RdmaReadThroughTornDownResponderFailsUntouched) {
+  for (const bool destroy : {false, true}) {
+    SCOPED_TRACE(destroy ? "responder QP destroyed" : "responder QP disconnected");
+    Scheduler s;
+    VerbsFixture f(s);
+    ConnectedPair p(s, f);
+    ProtectionDomain server_pd(f.stack, f.tb.host(1));
+    Bytes remote(512);
+    std::iota(remote.begin(), remote.end(), Byte{0});
+    const MemoryRegion mr = server_pd.register_mr_untimed(remote);
+
+    Bytes local(128, Byte{0xEE});
+    s.spawn(read_then(p.client_qp, local, RemoteBuffer{mr.rkey, 0, 128}, [&p, destroy] {
+      if (destroy) {
+        p.server_qp.reset();
+      } else {
+        p.server_qp->disconnect();
+      }
+    }));
+    s.run();
+
+    // The region is still registered, but no QP is left to serve the READ.
+    EXPECT_EQ(Bytes(128, Byte{0xEE}), local);
+    WorkCompletion wc;
+    ASSERT_TRUE(p.client_scq.poll(wc));
+    EXPECT_EQ(wc.opcode, Opcode::kRdmaRead);
+    EXPECT_EQ(wc.status, 1u);
+    EXPECT_EQ(wc.byte_len, 0u);
+    EXPECT_FALSE(p.client_scq.poll(wc));
+  }
 }
 
 Task expect_send_throws(QueuePairPtr qp, bool& threw) {
