@@ -73,8 +73,6 @@ class PendingTable {
   }
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }  // keeps capacity
 
  private:

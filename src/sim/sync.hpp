@@ -163,13 +163,7 @@ class SimEvent {
   struct WaitAwaiter {
     SimEvent& ev;
     bool await_ready() const noexcept { return ev.set_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      if (!ev.first_) {
-        ev.first_ = h;
-      } else {
-        ev.more_.push_back(h);
-      }
-    }
+    void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
     void await_resume() const noexcept {}
   };
 
@@ -208,9 +202,8 @@ class SimEvent {
   void set() {
     if (set_) return;
     set_ = true;
-    if (first_) sched_.post(std::exchange(first_, nullptr));
-    for (std::coroutine_handle<> w : more_) sched_.post(w);
-    more_.clear();
+    for (std::coroutine_handle<> w : waiters_) sched_.post(w);
+    waiters_.clear();
     timed_waiters_.wake_all();
   }
 
@@ -219,10 +212,7 @@ class SimEvent {
  private:
   Scheduler& sched_;
   bool set_ = false;
-  // Untimed waiters in wait order: the first inline (most events have at
-  // most one, so waiting allocates nothing), the rest after it.
-  std::coroutine_handle<> first_;
-  std::vector<std::coroutine_handle<>> more_;
+  std::vector<std::coroutine_handle<>> waiters_;
   TimedWaiters timed_waiters_;
 };
 

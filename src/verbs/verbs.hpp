@@ -448,13 +448,12 @@ class VerbsStack {
   /// receiver handed back (empty, its capacity kept), else a new one.
   net::Bytes take_staging();
   /// Hand back a delivered message's storage for the next post_send. The
-  /// list keeps at most kSpareStaging vectors of at most
-  /// kSpareStagingBytes capacity (a UD datagram's MTU, and RPCoIB's eager
-  /// SEND limit); anything else is freed, so the list never holds more
+  /// list keeps at most kSpareStaging vectors of at most a UD datagram's
+  /// MTU in capacity; anything else is freed, so the list never holds more
   /// than 128 KiB.
   void recycle_staging(net::Bytes&& bytes);
   static constexpr std::size_t kSpareStaging = 32;
-  static constexpr std::size_t kSpareStagingBytes = 4096;
+  static constexpr std::size_t kSpareStagingBytes = UdEndpoint::kMtu;
 
   /// Cost of registering `bytes` of memory (page pinning + HCA update).
   sim::Dur registration_cost(std::size_t bytes) const;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
@@ -727,14 +728,14 @@ TEST(ClientCore, FailAllWakesCallsInCallIdOrderAfterAnOlderIdIsRefiled) {
   s.spawn(await_pending(p5, 5, woke));
   s.run();
   ASSERT_TRUE(woke.empty());
-  EXPECT_EQ(conn.pending.size(), 4u);
+  EXPECT_EQ(std::distance(conn.pending.begin(), conn.pending.end()), 4);
   conn.fail_all("connection lost");
   s.run();
   EXPECT_EQ(woke, (std::vector<std::uint64_t>{3, 5, 7, 9}));
   EXPECT_TRUE(p3.transport_error && p5.transport_error && p7.transport_error &&
               p9.transport_error);
   EXPECT_EQ(p3.error_msg, "connection lost");
-  EXPECT_TRUE(conn.pending.empty());
+  EXPECT_TRUE(conn.pending.begin() == conn.pending.end());
   EXPECT_EQ(conn.take(5), nullptr);
   EXPECT_THROW(conn.file(11, p5), rpc::RpcTransportError);
 }
@@ -755,7 +756,7 @@ TEST(ClientCore, PendingRecordUnregistersItselfAndTakeMatchesById) {
   EXPECT_EQ(conn.take(4), &p4);
   EXPECT_EQ(conn.take(4), nullptr);
   EXPECT_EQ(conn.take(2), &p2);
-  EXPECT_TRUE(conn.pending.empty());
+  EXPECT_TRUE(conn.pending.begin() == conn.pending.end());
 }
 
 }  // namespace

@@ -362,11 +362,10 @@ Task event_waiter(SimEvent& ev, int id, std::vector<int>& order) {
   order.push_back(id);
 }
 
-TEST(SimEventEdge, WaitersResumeInWaitOrderPastTheInlineSlot) {
+TEST(SimEventEdge, WaitersResumeInWaitOrder) {
   Scheduler s;
   SimEvent ev(s);
   std::vector<int> order;
-  // The first waiter takes the inline slot, the other two the overflow.
   s.spawn(event_waiter(ev, 0, order));
   s.spawn_after(micros(1), event_waiter(ev, 1, order));
   s.spawn_after(micros(2), event_waiter(ev, 2, order));
