@@ -128,17 +128,14 @@ Result run_one(const Config& cfg, std::uint64_t seed) {
   // Authoritative store: version per key, bumped by the write-hot leg.
   std::vector<int> versions(kKeys, 1);
   std::vector<std::set<int>> ledger(kKeys);
-  server.dispatcher().register_method(
+  server.dispatcher().register_method<KeyParam>(
       kGet.protocol, kGet.method,
-      [&versions, &server, cpu = cfg.handler_cpu](rpc::DataInput& in,
-                                                  rpc::DataOutput& out) -> sim::Co<void> {
-        KeyParam p;
-        p.read_fields(in);
+      [&versions, &server,
+       cpu = cfg.handler_cpu](const KeyParam& p) -> sim::Co<rpc::IntWritable> {
         if (cpu > 0) co_await server.host().compute(cpu);
         int id = 0;
         std::sscanf(p.key.c_str(), "key-%d", &id);
-        rpc::IntWritable(versions[static_cast<std::size_t>(id)]).write(out);
-        co_return;
+        co_return rpc::IntWritable(versions[static_cast<std::size_t>(id)]);
       });
   server.start();
 

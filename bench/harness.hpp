@@ -206,14 +206,8 @@ inline void traced_runs(const std::string& path, const char* root,
 
 /// Registers `key` on `server` as an echo of its BytesWritable argument.
 inline void register_echo(rpc::RpcServer& server, const rpc::MethodKey& key) {
-  server.dispatcher().register_method(
-      key.protocol, key.method,
-      [](rpc::DataInput& in, rpc::DataOutput& out) -> sim::Co<void> {
-        rpc::BytesWritable payload;
-        payload.read_fields(in);
-        rpc::BytesWritable(std::move(payload.value)).write(out);
-        co_return;
-      });
+  server.dispatcher().register_method<rpc::BytesWritable>(
+      key.protocol, key.method, [](rpc::BytesWritable& payload) { return std::move(payload); });
 }
 
 /// One client of a receive-memory sweep: after `start`, one uncounted

@@ -43,6 +43,9 @@ oracles=(
   # wordstore prints per-method message sizes).
   "hdfs_wordstore examples/hdfs_wordstore"
   "hbase_kv_demo  examples/hbase_kv_demo"
+  # RandomWriter+Sort on one slave over IPoIB and RPCoIB: the JobTracker,
+  # TaskTracker and NameNode handlers on both transports.
+  "fig6_sort      bench/bench_fig6_sort      64 --json-out=fig6_sort.json"
 )
 
 run_set() {

@@ -48,14 +48,12 @@ int main() {
 
     // 3. Register a method on a server...
     std::unique_ptr<rpc::RpcServer> server = engine.make_server(tb.host(1), kServerAddr);
-    server->dispatcher().register_method(
+    // The dispatcher decodes the param and writes the returned result,
+    // like Hadoop's RPC.Server.call; a body that must wait in virtual time
+    // returns sim::Co<rpc::Text> instead.
+    server->dispatcher().register_method<GreetParam>(
         kGreet.protocol, kGreet.method,
-        [](rpc::DataInput& in, rpc::DataOutput& out) -> sim::Co<void> {
-          GreetParam p;
-          p.read_fields(in);
-          rpc::Text("hello, " + p.name).write(out);
-          co_return;
-        });
+        [](const GreetParam& p) { return rpc::Text("hello, " + p.name); });
     server->start();
 
     // 4. ...and call it from another host. The second call is "warm": the

@@ -93,56 +93,48 @@ sim::Task RegionServer::flush_memstore(std::uint64_t bytes, trace::TraceContext 
 void RegionServer::register_handlers() {
   rpc::Dispatcher& d = server_->dispatcher();
 
-  d.register_method(kRegionProtocol, "put",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      const trace::TraceContext hctx = in.trace_context;
-                      PutParam p;
-                      p.read_fields(in);
-                      ++puts_;
-                      // Region blocked while a flush is in progress.
-                      if (flushing_ && flush_done_) co_await flush_done_->wait();
-                      memstore_[p.key] = static_cast<std::uint32_t>(p.value.size());
-                      memstore_bytes_ += p.value.size();
-                      // Export the get-shaped response for this row so hot
-                      // readers bypass the handler. The value bytes match
-                      // both the memstore and the flushed-store read path,
-                      // so the entry stays valid across a flush.
-                      if (rpc::OneSidedPublisher* pub = server_->onesided()) {
-                        GetResult cached;
-                        cached.found = true;
-                        cached.value.assign(p.value.size(), net::Byte{0x42});
-                        rpc::DataOutputBuffer buf(host_.cost());
-                        cached.write(buf);
-                        pub->publish(
-                            rpc::onesided_entry_key(kRegionProtocol, "get", p.key),
-                            buf.data());
-                      }
-                      ++wal_pending_puts_;
-                      if (wal_pending_puts_ >= static_cast<std::uint64_t>(cfg_.wal_batch)) {
-                        // Group-commit leader: sync the batch to the WAL.
-                        const std::size_t batch =
-                            wal_pending_puts_ * (cfg_.record_bytes + 64);
-                        wal_pending_puts_ = 0;
-                        co_await append_wal(batch, hctx);
-                      }
-                      if (memstore_bytes_ >= cfg_.memstore_flush_bytes && !flushing_) {
-                        flushing_ = true;
-                        flush_done_ = std::make_unique<sim::SimEvent>(host_.sched());
-                        const std::uint64_t to_flush = memstore_bytes_;
-                        memstore_bytes_ = 0;
-                        for (auto& [k, v] : memstore_) store_[k] = v;
-                        memstore_.clear();
-                        host_.sched().spawn(flush_memstore(to_flush, hctx));
-                      }
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<PutParam>(
+      kRegionProtocol, "put",
+      [this](const PutParam& p, const trace::TraceContext& hctx) -> Co<rpc::BooleanWritable> {
+        ++puts_;
+        // Region blocked while a flush is in progress.
+        if (flushing_ && flush_done_) co_await flush_done_->wait();
+        memstore_[p.key] = static_cast<std::uint32_t>(p.value.size());
+        memstore_bytes_ += p.value.size();
+        // Export the get-shaped response for this row so hot readers
+        // bypass the handler. The value bytes match both the memstore and
+        // the flushed-store read path, so the entry stays valid across a
+        // flush.
+        if (rpc::OneSidedPublisher* pub = server_->onesided()) {
+          GetResult cached;
+          cached.found = true;
+          cached.value.assign(p.value.size(), net::Byte{0x42});
+          rpc::DataOutputBuffer buf(host_.cost());
+          cached.write(buf);
+          pub->publish(rpc::onesided_entry_key(kRegionProtocol, "get", p.key), buf.data());
+        }
+        ++wal_pending_puts_;
+        if (wal_pending_puts_ >= static_cast<std::uint64_t>(cfg_.wal_batch)) {
+          // Group-commit leader: sync the batch to the WAL.
+          const std::size_t batch = wal_pending_puts_ * (cfg_.record_bytes + 64);
+          wal_pending_puts_ = 0;
+          co_await append_wal(batch, hctx);
+        }
+        if (memstore_bytes_ >= cfg_.memstore_flush_bytes && !flushing_) {
+          flushing_ = true;
+          flush_done_ = std::make_unique<sim::SimEvent>(host_.sched());
+          const std::uint64_t to_flush = memstore_bytes_;
+          memstore_bytes_ = 0;
+          for (auto& [k, v] : memstore_) store_[k] = v;
+          memstore_.clear();
+          host_.sched().spawn(flush_memstore(to_flush, hctx));
+        }
+        co_return rpc::BooleanWritable(true);
+      });
 
-  d.register_method(
-      kRegionProtocol, "get", [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-        const trace::TraceContext hctx = in.trace_context;
-        GetParam p;
-        p.read_fields(in);
+  d.register_method<GetParam>(
+      kRegionProtocol, "get",
+      [this](const GetParam& p, const trace::TraceContext& hctx) -> Co<GetResult> {
         ++gets_;
         GetResult r;
         auto it = memstore_.find(p.key);
@@ -166,15 +158,14 @@ void RegionServer::register_handlers() {
             ++get_misses_;
             if (get_misses_ % static_cast<std::uint64_t>(cfg_.get_nn_interval) == 0) {
               trace::activate(tr, hctx);
-              hdfs::LocatedBlocksResult lb = co_await dfs_->get_block_locations(
-                  "/hbase/region-" + std::to_string(index_) + "/hfile-0", 0,
-                  cfg_.record_bytes);
+              const std::string hfile = "/hbase/region-" + std::to_string(index_) + "/hfile-0";
+              hdfs::LocatedBlocksResult lb =
+                  co_await dfs_->get_block_locations(hfile, 0, cfg_.record_bytes);
               (void)lb;
             }
           }
         }
-        r.write(out);
-        co_return;
+        co_return r;
       });
 }
 

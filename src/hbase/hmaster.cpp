@@ -2,8 +2,6 @@
 
 namespace rpcoib::hbase {
 
-using sim::Co;
-
 HMaster::HMaster(cluster::Host& host, oib::RpcEngine& engine, net::Address addr,
                  int expected_region_servers)
     : host_(host), addr_(addr), expected_(expected_region_servers) {
@@ -21,23 +19,19 @@ void HMaster::stop() {
 void HMaster::register_handlers() {
   rpc::Dispatcher& d = server_->dispatcher();
 
-  d.register_method(kMasterProtocol, "regionServerStartup",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      RegionServerStartupParam p;
-                      p.read_fields(in);
-                      regions_[p.location.index] = p.location;
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<RegionServerStartupParam>(
+      kMasterProtocol, "regionServerStartup", [this](const RegionServerStartupParam& p) {
+        regions_[p.location.index] = p.location;
+        return rpc::BooleanWritable(true);
+      });
 
-  d.register_method(kMasterProtocol, "getRegionLocations",
-                    [this](rpc::DataInput&, rpc::DataOutput& out) -> Co<void> {
-                      RegionLocationsResult r;
-                      r.complete = static_cast<int>(regions_.size()) >= expected_;
-                      for (const auto& [idx, loc] : regions_) r.regions.push_back(loc);
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<rpc::NullWritable>(
+      kMasterProtocol, "getRegionLocations", [this](const rpc::NullWritable&) {
+        RegionLocationsResult r;
+        r.complete = static_cast<int>(regions_.size()) >= expected_;
+        for (const auto& [idx, loc] : regions_) r.regions.push_back(loc);
+        return r;
+      });
 }
 
 }  // namespace rpcoib::hbase

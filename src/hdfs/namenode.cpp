@@ -6,8 +6,6 @@
 
 namespace rpcoib::hdfs {
 
-using sim::Co;
-
 NameNode::NameNode(cluster::Host& host, oib::RpcEngine& engine, net::Address addr,
                    HdfsConfig cfg)
     : host_(host), engine_(engine), addr_(addr), cfg_(cfg) {
@@ -162,262 +160,204 @@ void NameNode::republish(const std::string& path) {
 
 void NameNode::register_handlers() {
   rpc::Dispatcher& d = server_->dispatcher();
+  using rpc::BooleanWritable;
 
   // --- ClientProtocol ----------------------------------------------------
-  d.register_method(kClientProtocol, "getFileInfo",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      FileStatusResult r;
-                      make_file_status(p.path, r);
-                      r.write(out);
-                      // Warm the one-sided entry so the *next* lookup of
-                      // this path can bypass the handler entirely.
-                      republish(p.path);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "getFileInfo", [this](const PathParam& p) {
+    FileStatusResult r;
+    make_file_status(p.path, r);
+    // Warm the one-sided entry so the *next* lookup of this path can
+    // bypass the handler entirely.
+    republish(p.path);
+    return r;
+  });
 
-  d.register_method(kClientProtocol, "mkdirs",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      INode& node = files_[p.path];
-                      node.is_dir = true;
-                      node.mtime = sim::to_us(host_.sched().now()) / 1000;
-                      republish(p.path);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "mkdirs", [this](const PathParam& p) {
+    INode& node = files_[p.path];
+    node.is_dir = true;
+    node.mtime = sim::to_us(host_.sched().now()) / 1000;
+    republish(p.path);
+    return BooleanWritable(true);
+  });
 
-  d.register_method(kClientProtocol, "create",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      CreateParam p;
-                      p.read_fields(in);
-                      if (files_.contains(p.path) && !p.overwrite) {
-                        throw std::runtime_error("file exists: " + p.path);
-                      }
-                      INode node;
-                      node.is_dir = false;
-                      node.replication = p.replication;
-                      node.block_size = p.block_size;
-                      node.under_construction = true;
-                      node.lease_holder = p.client;
-                      node.mtime = sim::to_us(host_.sched().now()) / 1000;
-                      files_[p.path] = std::move(node);
-                      republish(p.path);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<CreateParam>(kClientProtocol, "create", [this](const CreateParam& p) {
+    if (files_.contains(p.path) && !p.overwrite) {
+      throw std::runtime_error("file exists: " + p.path);
+    }
+    INode node;
+    node.is_dir = false;
+    node.replication = p.replication;
+    node.block_size = p.block_size;
+    node.under_construction = true;
+    node.lease_holder = p.client;
+    node.mtime = sim::to_us(host_.sched().now()) / 1000;
+    files_[p.path] = std::move(node);
+    republish(p.path);
+    return BooleanWritable(true);
+  });
 
-  d.register_method(kClientProtocol, "addBlock",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      AddBlockParam p;
-                      p.read_fields(in);
-                      auto it = files_.find(p.path);
-                      if (it == files_.end()) throw std::runtime_error("no such file");
-                      LocatedBlockResult r;
-                      r.located.block.id = next_block_id_++;
-                      r.located.block.num_bytes = 0;
-                      r.located.locations = choose_targets(it->second.replication);
-                      if (r.located.locations.empty()) {
-                        throw std::runtime_error("no datanodes available");
-                      }
-                      it->second.blocks.push_back(r.located.block.id);
-                      BlockInfo bi;
-                      bi.path = p.path;
-                      block_map_[r.located.block.id] = std::move(bi);
-                      republish(p.path);
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<AddBlockParam>(kClientProtocol, "addBlock", [this](const AddBlockParam& p) {
+    auto it = files_.find(p.path);
+    if (it == files_.end()) throw std::runtime_error("no such file");
+    LocatedBlockResult r;
+    r.located.block.id = next_block_id_++;
+    r.located.block.num_bytes = 0;
+    r.located.locations = choose_targets(it->second.replication);
+    if (r.located.locations.empty()) throw std::runtime_error("no datanodes available");
+    it->second.blocks.push_back(r.located.block.id);
+    BlockInfo bi;
+    bi.path = p.path;
+    block_map_[r.located.block.id] = std::move(bi);
+    republish(p.path);
+    return r;
+  });
 
-  d.register_method(kClientProtocol, "abandonBlock",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      AbandonBlockParam p;
-                      p.read_fields(in);
-                      auto it = files_.find(p.path);
-                      if (it != files_.end()) {
-                        std::erase(it->second.blocks, p.block);
-                      }
-                      block_map_.erase(p.block);
-                      republish(p.path);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<AbandonBlockParam>(
+      kClientProtocol, "abandonBlock", [this](const AbandonBlockParam& p) {
+        auto it = files_.find(p.path);
+        if (it != files_.end()) std::erase(it->second.blocks, p.block);
+        block_map_.erase(p.block);
+        republish(p.path);
+        return BooleanWritable(true);
+      });
 
-  d.register_method(kClientProtocol, "complete",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      auto it = files_.find(p.path);
-                      bool done = false;
-                      if (it != files_.end()) {
-                        // Like Hadoop: complete succeeds once every block
-                        // has at least one reported replica.
-                        done = true;
-                        for (BlockId b : it->second.blocks) {
-                          if (replica_count(b) == 0) done = false;
-                        }
-                        if (done) it->second.under_construction = false;
-                      }
-                      if (done) republish(p.path);
-                      rpc::BooleanWritable(done).write(out);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "complete", [this](const PathParam& p) {
+    auto it = files_.find(p.path);
+    bool done = false;
+    if (it != files_.end()) {
+      // Like Hadoop: complete succeeds once every block has at least one
+      // reported replica.
+      done = true;
+      for (BlockId b : it->second.blocks) {
+        if (replica_count(b) == 0) done = false;
+      }
+      if (done) it->second.under_construction = false;
+    }
+    if (done) republish(p.path);
+    return BooleanWritable(done);
+  });
 
-  d.register_method(kClientProtocol, "renewLease",
-                    [](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "renewLease",
+                               [](const PathParam&) { return BooleanWritable(true); });
 
-  d.register_method(kClientProtocol, "getBlockLocations",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      GetBlockLocationsParam p;
-                      p.read_fields(in);
-                      LocatedBlocksResult r;
-                      if (!locate_blocks(p.path, p.offset, p.length, r)) {
-                        throw std::runtime_error("no such file");
-                      }
-                      r.write(out);
-                      republish(p.path);
-                      co_return;
-                    });
+  d.register_method<GetBlockLocationsParam>(
+      kClientProtocol, "getBlockLocations", [this](const GetBlockLocationsParam& p) {
+        LocatedBlocksResult r;
+        if (!locate_blocks(p.path, p.offset, p.length, r)) {
+          throw std::runtime_error("no such file");
+        }
+        republish(p.path);
+        return r;
+      });
 
-  d.register_method(kClientProtocol, "getListing",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      ListingResult r;
-                      const std::string prefix = p.path.back() == '/' ? p.path : p.path + "/";
-                      for (const auto& [path, node] : files_) {
-                        if (path.size() > prefix.size() && path.starts_with(prefix) &&
-                            path.find('/', prefix.size()) == std::string::npos) {
-                          FileStatus st;
-                          st.path = path;
-                          st.is_dir = node.is_dir;
-                          st.length = file_length(path);
-                          st.replication = node.replication;
-                          st.block_size = node.block_size;
-                          r.entries.push_back(std::move(st));
-                        }
-                      }
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "getListing", [this](const PathParam& p) {
+    ListingResult r;
+    const std::string prefix = p.path.back() == '/' ? p.path : p.path + "/";
+    for (const auto& [path, node] : files_) {
+      if (path.size() > prefix.size() && path.starts_with(prefix) &&
+          path.find('/', prefix.size()) == std::string::npos) {
+        FileStatus st;
+        st.path = path;
+        st.is_dir = node.is_dir;
+        st.length = file_length(path);
+        st.replication = node.replication;
+        st.block_size = node.block_size;
+        r.entries.push_back(std::move(st));
+      }
+    }
+    return r;
+  });
 
-  d.register_method(kClientProtocol, "rename",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      RenameParam p;
-                      p.read_fields(in);
-                      auto it = files_.find(p.src);
-                      bool ok = false;
-                      if (it != files_.end() && !files_.contains(p.dst)) {
-                        files_[p.dst] = std::move(it->second);
-                        files_.erase(it);
-                        ok = true;
-                        for (BlockId b : files_[p.dst].blocks) block_map_[b].path = p.dst;
-                        republish(p.src);
-                        republish(p.dst);
-                      }
-                      rpc::BooleanWritable(ok).write(out);
-                      co_return;
-                    });
+  d.register_method<RenameParam>(kClientProtocol, "rename", [this](const RenameParam& p) {
+    auto it = files_.find(p.src);
+    bool ok = false;
+    if (it != files_.end() && !files_.contains(p.dst)) {
+      files_[p.dst] = std::move(it->second);
+      files_.erase(it);
+      ok = true;
+      for (BlockId b : files_[p.dst].blocks) block_map_[b].path = p.dst;
+      republish(p.src);
+      republish(p.dst);
+    }
+    return BooleanWritable(ok);
+  });
 
-  d.register_method(kClientProtocol, "delete",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      PathParam p;
-                      p.read_fields(in);
-                      bool ok = false;
-                      auto it = files_.find(p.path);
-                      if (it != files_.end()) {
-                        for (BlockId b : it->second.blocks) block_map_.erase(b);
-                        files_.erase(it);
-                        ok = true;
-                      }
-                      // Recursive delete of children for directories.
-                      const std::string prefix = p.path + "/";
-                      std::vector<std::string> removed;
-                      for (auto cit = files_.begin(); cit != files_.end();) {
-                        if (cit->first.starts_with(prefix)) {
-                          for (BlockId b : cit->second.blocks) block_map_.erase(b);
-                          removed.push_back(cit->first);
-                          cit = files_.erase(cit);
-                          ok = true;
-                        } else {
-                          ++cit;
-                        }
-                      }
-                      republish(p.path);
-                      for (const std::string& child : removed) republish(child);
-                      rpc::BooleanWritable(ok).write(out);
-                      co_return;
-                    });
+  d.register_method<PathParam>(kClientProtocol, "delete", [this](const PathParam& p) {
+    bool ok = false;
+    auto it = files_.find(p.path);
+    if (it != files_.end()) {
+      for (BlockId b : it->second.blocks) block_map_.erase(b);
+      files_.erase(it);
+      ok = true;
+    }
+    // Recursive delete of children for directories.
+    const std::string prefix = p.path + "/";
+    std::vector<std::string> removed;
+    for (auto cit = files_.begin(); cit != files_.end();) {
+      if (cit->first.starts_with(prefix)) {
+        for (BlockId b : cit->second.blocks) block_map_.erase(b);
+        removed.push_back(cit->first);
+        cit = files_.erase(cit);
+        ok = true;
+      } else {
+        ++cit;
+      }
+    }
+    republish(p.path);
+    for (const std::string& child : removed) republish(child);
+    return BooleanWritable(ok);
+  });
 
   // --- DatanodeProtocol ---------------------------------------------------
-  d.register_method(kDatanodeProtocol, "register",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      DatanodeRegistration p;
-                      p.read_fields(in);
-                      DatanodeInfo& info = datanodes_[p.id];
-                      info.capacity = p.capacity_bytes;
-                      info.last_heartbeat = host_.sched().now();
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<DatanodeRegistration>(
+      kDatanodeProtocol, "register", [this](const DatanodeRegistration& p) {
+        DatanodeInfo& info = datanodes_[p.id];
+        info.capacity = p.capacity_bytes;
+        info.last_heartbeat = host_.sched().now();
+        return BooleanWritable(true);
+      });
 
-  d.register_method(kDatanodeProtocol, "sendHeartbeat",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      HeartbeatParam p;
-                      p.read_fields(in);
-                      auto it = datanodes_.find(p.id);
-                      if (it != datanodes_.end()) {
-                        it->second.used = p.used_bytes;
-                        it->second.last_heartbeat = host_.sched().now();
-                      }
-                      HeartbeatResult r;
-                      auto pit = pending_replications_.find(p.id);
-                      if (pit != pending_replications_.end() && !pit->second.empty()) {
-                        r.command = 1;
-                        r.replicate_target = pit->second.back();
-                        pit->second.pop_back();
-                        if (pit->second.empty()) pending_replications_.erase(pit);
-                      }
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<HeartbeatParam>(
+      kDatanodeProtocol, "sendHeartbeat", [this](const HeartbeatParam& p) {
+        auto it = datanodes_.find(p.id);
+        if (it != datanodes_.end()) {
+          it->second.used = p.used_bytes;
+          it->second.last_heartbeat = host_.sched().now();
+        }
+        HeartbeatResult r;
+        auto pit = pending_replications_.find(p.id);
+        if (pit != pending_replications_.end() && !pit->second.empty()) {
+          r.command = 1;
+          r.replicate_target = pit->second.back();
+          pit->second.pop_back();
+          if (pit->second.empty()) pending_replications_.erase(pit);
+        }
+        return r;
+      });
 
-  d.register_method(kDatanodeProtocol, "blockReceived",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      BlockReceivedParam p;
-                      p.read_fields(in);
-                      BlockInfo& bi = block_map_[p.block.id];
-                      bi.num_bytes = p.block.num_bytes;
-                      bi.replicas.insert(p.id);
-                      if (!bi.path.empty()) republish(bi.path);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<BlockReceivedParam>(
+      kDatanodeProtocol, "blockReceived", [this](const BlockReceivedParam& p) {
+        BlockInfo& bi = block_map_[p.block.id];
+        bi.num_bytes = p.block.num_bytes;
+        bi.replicas.insert(p.id);
+        if (!bi.path.empty()) republish(bi.path);
+        return BooleanWritable(true);
+      });
 
-  d.register_method(kDatanodeProtocol, "blockReport",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      BlockReportParam p;
-                      p.read_fields(in);
-                      std::set<std::string> touched;
-                      for (const Block& b : p.blocks) {
-                        auto it = block_map_.find(b.id);
-                        if (it != block_map_.end()) {
-                          it->second.replicas.insert(p.id);
-                          it->second.num_bytes = b.num_bytes;
-                          if (!it->second.path.empty()) touched.insert(it->second.path);
-                        }
-                      }
-                      for (const std::string& path : touched) republish(path);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<BlockReportParam>(
+      kDatanodeProtocol, "blockReport", [this](const BlockReportParam& p) {
+        std::set<std::string> touched;
+        for (const Block& b : p.blocks) {
+          auto it = block_map_.find(b.id);
+          if (it != block_map_.end()) {
+            it->second.replicas.insert(p.id);
+            it->second.num_bytes = b.num_bytes;
+            if (!it->second.path.empty()) touched.insert(it->second.path);
+          }
+        }
+        for (const std::string& path : touched) republish(path);
+        return BooleanWritable(true);
+      });
 }
 
 }  // namespace rpcoib::hdfs

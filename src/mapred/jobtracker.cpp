@@ -4,8 +4,6 @@
 
 namespace rpcoib::mapred {
 
-using sim::Co;
-
 JobTracker::JobTracker(cluster::Host& host, oib::RpcEngine& engine, net::Address addr,
                        JobTrackerConfig cfg)
     : host_(host), engine_(engine), addr_(addr), cfg_(cfg) {
@@ -108,48 +106,34 @@ void JobTracker::on_task_complete(Job& job, const TaskAssignment& t,
 void JobTracker::register_handlers() {
   rpc::Dispatcher& d = server_->dispatcher();
 
-  d.register_method(kJobSubmissionProtocol, "submitJob",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      JobSubmission sub;
-                      sub.read_fields(in);
-                      Job job;
-                      job.id = sub.id;
-                      job.spec = sub.spec;
-                      job.trace_ctx = sub.ctx();
-                      job.submit_time = host_.sched().now();
-                      for (TaskId t = 0; t < sub.spec.num_maps; ++t) {
-                        job.pending_maps.push_back(t);
-                      }
-                      if (!sub.spec.map_only) {
-                        for (TaskId t = 0; t < sub.spec.num_reduces; ++t) {
-                          job.pending_reduces.push_back(t);
-                        }
-                      }
-                      jobs_[sub.id] = std::move(job);
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<JobSubmission>(
+      kJobSubmissionProtocol, "submitJob", [this](const JobSubmission& sub) {
+        Job job;
+        job.id = sub.id;
+        job.spec = sub.spec;
+        job.trace_ctx = sub.ctx();
+        job.submit_time = host_.sched().now();
+        for (TaskId t = 0; t < sub.spec.num_maps; ++t) job.pending_maps.push_back(t);
+        if (!sub.spec.map_only) {
+          for (TaskId t = 0; t < sub.spec.num_reduces; ++t) job.pending_reduces.push_back(t);
+        }
+        jobs_[sub.id] = std::move(job);
+        return rpc::BooleanWritable(true);
+      });
 
-  d.register_method(kJobSubmissionProtocol, "getJobStatus",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      rpc::IntWritable id;
-                      id.read_fields(in);
-                      const JobStatus st = status_of(id.value);
-                      JobStatusResult r;
-                      r.exists = st.exists;
-                      r.complete = st.complete;
-                      r.maps_done = st.maps_done;
-                      r.reduces_done = st.reduces_done;
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<rpc::IntWritable>(
+      kJobSubmissionProtocol, "getJobStatus", [this](const rpc::IntWritable& id) {
+        const JobStatus st = status_of(id.value);
+        JobStatusResult r;
+        r.exists = st.exists;
+        r.complete = st.complete;
+        r.maps_done = st.maps_done;
+        r.reduces_done = st.reduces_done;
+        return r;
+      });
 
-  d.register_method(
-      kInterTrackerProtocol, "heartbeat",
-      [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-        HeartbeatRequest req;
-        req.read_fields(in);
-
+  d.register_method<HeartbeatRequest>(
+      kInterTrackerProtocol, "heartbeat", [this](const HeartbeatRequest& req) {
         trackers_[req.tracker].last_heartbeat = host_.sched().now();
         HeartbeatResponse resp;
         // Process completions first so freed slots can be refilled.
@@ -207,24 +191,20 @@ void JobTracker::register_handlers() {
         TrackerState& ts = trackers_[req.tracker];
         ts.assigned.insert(ts.assigned.end(), resp.new_tasks.begin(),
                            resp.new_tasks.end());
-        resp.write(out);
-        co_return;
+        return resp;
       });
 
   // Shuffle support: TaskTrackers relay reduce-side completion-event polls.
-  d.register_method(kInterTrackerProtocol, "getMapCompletionEvents",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      rpc::IntWritable job_id;
-                      job_id.read_fields(in);
-                      MapCompletionEventsResult r;
-                      auto it = jobs_.find(job_id.value);
-                      if (it != jobs_.end()) {
-                        r.total_maps = it->second.spec.num_maps;
-                        r.completed_map_hosts = it->second.completed_map_hosts;
-                      }
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<rpc::IntWritable>(
+      kInterTrackerProtocol, "getMapCompletionEvents", [this](const rpc::IntWritable& job_id) {
+        MapCompletionEventsResult r;
+        auto it = jobs_.find(job_id.value);
+        if (it != jobs_.end()) {
+          r.total_maps = it->second.spec.num_maps;
+          r.completed_map_hosts = it->second.completed_map_hosts;
+        }
+        return r;
+      });
 }
 
 }  // namespace rpcoib::mapred

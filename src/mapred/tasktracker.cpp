@@ -76,39 +76,27 @@ void TaskTracker::stop() {
 
 void TaskTracker::register_umbilical_handlers() {
   rpc::Dispatcher& d = umbilical_server_->dispatcher();
-  auto ack = [](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-    TaskIdParam p;
-    p.read_fields(in);
-    rpc::BooleanWritable(true).write(out);
-    co_return;
-  };
-  d.register_method(kTaskUmbilicalProtocol, "getTask", ack);
-  d.register_method(kTaskUmbilicalProtocol, "ping", ack);
-  d.register_method(kTaskUmbilicalProtocol, "done", ack);
-  d.register_method(kTaskUmbilicalProtocol, "commitPending", ack);
-  d.register_method(kTaskUmbilicalProtocol, "canCommit", ack);
+  for (const char* method : {"getTask", "ping", "done", "commitPending", "canCommit"}) {
+    d.register_method<TaskIdParam>(kTaskUmbilicalProtocol, method,
+                                   [](const TaskIdParam&) { return rpc::BooleanWritable(true); });
+  }
 
-  d.register_method(kTaskUmbilicalProtocol, "statusUpdate",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      StatusUpdateParam p;
-                      p.read_fields(in);
-                      auto it = running_.find({p.report.job, p.report.task});
-                      if (it != running_.end()) it->second.progress = p.report.progress;
-                      rpc::BooleanWritable(true).write(out);
-                      co_return;
-                    });
+  d.register_method<StatusUpdateParam>(
+      kTaskUmbilicalProtocol, "statusUpdate", [this](const StatusUpdateParam& p) {
+        auto it = running_.find({p.report.job, p.report.task});
+        if (it != running_.end()) it->second.progress = p.report.progress;
+        return rpc::BooleanWritable(true);
+      });
 
   // Reduce tasks poll their tracker; the tracker relays to the JobTracker
   // (Hadoop's TaskTracker caches these; the relay traffic is the point).
-  d.register_method(kTaskUmbilicalProtocol, "getMapCompletionEvents",
-                    [this](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-                      rpc::IntWritable job_id;
-                      job_id.read_fields(in);
-                      MapCompletionEventsResult r;
-                      co_await jt_rpc_->call(jt_addr_, kJtCompletionEvents, job_id, &r);
-                      r.write(out);
-                      co_return;
-                    });
+  d.register_method<rpc::IntWritable>(
+      kTaskUmbilicalProtocol, "getMapCompletionEvents",
+      [this](const rpc::IntWritable& job_id) -> Co<MapCompletionEventsResult> {
+        MapCompletionEventsResult r;
+        co_await jt_rpc_->call(jt_addr_, kJtCompletionEvents, job_id, &r);
+        co_return r;
+      });
 }
 
 sim::Task TaskTracker::heartbeat_loop() {

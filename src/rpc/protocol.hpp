@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -207,11 +208,37 @@ using MethodHandler = std::function<sim::Co<void>(DataInput& in, DataOutput& out
 
 class Dispatcher {
  public:
+  /// The raw form: the handler reads its param and writes its result itself.
   void register_method(std::string protocol, std::string method, MethodHandler h) {
     MethodKey key{std::move(protocol), std::move(method)};
     if (!handlers_.emplace(std::move(key), std::move(h)).second) {
       throw std::logic_error("method registered twice");
     }
+  }
+
+  /// Hadoop's RPC.Server.call contract, written once: decode a `Param`,
+  /// run `body(param)` — or `body(param, trace_context)` — and write the
+  /// result Writable it returns. A body that must suspend returns
+  /// sim::Co<Result>. A param that fails to decode never reaches the body,
+  /// and a body that throws writes nothing.
+  template <typename Param, typename Body>
+  void register_method(std::string protocol, std::string method, Body body) {
+    register_method(std::move(protocol), std::move(method),
+                    [body = std::move(body)](DataInput& in, DataOutput& out) -> sim::Co<void> {
+                      Param param;
+                      param.read_fields(in);
+                      // The body may suspend: it sees a copy held in this
+                      // frame, not a view into `in`.
+                      const trace::TraceContext ctx = in.trace_context;
+                      auto result = invoke_body(body, param, ctx);
+                      if constexpr (requires { result.write(out); }) {
+                        result.write(out);
+                      } else {
+                        const auto value = co_await result;
+                        value.write(out);
+                      }
+                      co_return;
+                    });
   }
 
   const MethodHandler* find(const MethodKey& key) const {
@@ -222,6 +249,15 @@ class Dispatcher {
   std::size_t size() const { return handlers_.size(); }
 
  private:
+  template <typename Body, typename Param>
+  static auto invoke_body(const Body& body, Param& param, const trace::TraceContext& ctx) {
+    if constexpr (std::is_invocable_v<const Body&, Param&, const trace::TraceContext&>) {
+      return body(param, ctx);
+    } else {
+      return body(param);
+    }
+  }
+
   std::unordered_map<MethodKey, MethodHandler, MethodKey::Hash> handlers_;
 };
 

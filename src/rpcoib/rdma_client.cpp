@@ -50,8 +50,6 @@ RdmaRpcClient::RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets,
       native_(host, stack, cfg.pool),
       shadow_(native_),
       pool_ready_(host.sched()) {
-  // Pre-posted receive buffers must hold any eager frame plus headers.
-  cfg_.recv_buf_size = std::max(cfg_.recv_buf_size, cfg_.eager_threshold + 512);
   // Register the pool at construction ("library load" in the paper) so
   // the cost is off every call's critical path.
   host_.sched().spawn(init_pool_task(alive_));
@@ -89,10 +87,8 @@ sim::Co<void> RdmaRpcClient::dial(const ConnectionPtr& conn, net::Address addr) 
                                     net::Transport::kIPoIB,
                                     static_cast<std::uint64_t>(cfg_.eager_threshold),
                                     &peer_threshold, session_id(host_));
-    // Ring sizing follows the negotiated handshake, not the construction
-    // clamp (which only saw the local knob).
-    const EagerNegotiation eager =
-        negotiate_eager(cfg_.eager_threshold, peer_threshold, cfg_.recv_buf_size);
+    // Ring sizing follows the handshake, not the local knob alone.
+    const EagerNegotiation eager = negotiate_eager(cfg_.eager_threshold, peer_threshold);
     conn->eager_threshold = eager.threshold;
     if (eager.mismatch) ++stats_.threshold_mismatches;
     for (int i = 0; i < cfg_.recv_depth; ++i) {

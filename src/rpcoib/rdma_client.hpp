@@ -31,7 +31,6 @@ namespace rpcoib::oib {
 
 struct RdmaClientConfig {
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
-  std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
   int recv_depth = WireDefaults::kRecvDepth;
   PoolConfig pool{};
   /// UD datagram eager path (default off): sub-MTU eager calls ride

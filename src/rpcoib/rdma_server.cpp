@@ -54,10 +54,7 @@ RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
       fallback_(host, sockets,
                 net::Address{addr.host,
                              static_cast<std::uint16_t>(addr.port + kSocketFallbackPortOffset)},
-                cfg.num_handlers, cfg.shards) {
-  // Pre-posted receive buffers must hold any eager frame plus headers.
-  cfg_.recv_buf_size = std::max(cfg_.recv_buf_size, cfg_.eager_threshold + 512);
-}
+                cfg.num_handlers, cfg.shards) {}
 
 RdmaRpcServer::~RdmaRpcServer() { stop(); }
 
@@ -259,7 +256,7 @@ sim::Task RdmaRpcServer::srq_refill_loop(std::shared_ptr<Shard> shard) {
       if (shard->stopped) co_return;
       ++shard->pipeline.stats().srq_refills;
       while (srq->posted() < shard->srq_depth) {
-        post_recv_buffer(*shard, nullptr, native_.acquire(cfg_.recv_buf_size));
+        post_recv_buffer(*shard, nullptr, native_.acquire(recv_buf_for(cfg_.eager_threshold)));
       }
       srq->arm_limit(shard->srq_low_watermark);
     }
@@ -313,7 +310,8 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
     // fills below are pure freelist pops, not demand allocations.
     std::size_t total_srq = 0;
     for (const auto& shard : core_.shards()) total_srq += shard->srq_depth;
-    co_await native_.initialize(total_srq > 0 ? cfg_.recv_buf_size : 0, total_srq);
+    co_await native_.initialize(total_srq > 0 ? recv_buf_for(cfg_.eager_threshold) : 0,
+                                total_srq);
     if (l->closed()) co_return;  // stopped during registration: no run to fill
     for (const auto& shard : core_.shards()) {
       if (!shard->srq) continue;
@@ -321,10 +319,16 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
       // here on, registered receive memory is a function of srq_depth
       // (load), not of how many connections accept() creates.
       for (std::size_t i = 0; i < shard->srq_depth; ++i) {
-        post_recv_buffer(*shard, nullptr, native_.acquire(cfg_.recv_buf_size));
+        post_recv_buffer(*shard, nullptr, native_.acquire(recv_buf_for(cfg_.eager_threshold)));
       }
       shard->srq->arm_limit(shard->srq_low_watermark);
     }
+    // The shared ring is posted before any handshake, so it never
+    // advertises "none": a client would fall back to its own threshold and
+    // overrun the stripe buffers. It advertises what a buffer holds.
+    const std::uint64_t advertised = cfg_.eager_threshold == 0 && total_srq > 0
+                                         ? recv_buf_for(0) - 512
+                                         : cfg_.eager_threshold;
     for (;;) {
       net::SocketPtr boot = co_await l->accept();
       // Two-phase handshake: read the client's blob first, so the home
@@ -340,8 +344,7 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
         info = co_await cm_.read_bootstrap(boot);
         const std::uint64_t sid = session_.enabled ? info.session_id : 0;
         home = core_.home(sid, conn_seq_);  // conn_seq_ is the next id - 1
-        qp = co_await cm_.accept(boot, info, home->cq, home->cq,
-                                 static_cast<std::uint64_t>(cfg_.eager_threshold));
+        qp = co_await cm_.accept(boot, info, home->cq, home->cq, advertised);
       } catch (const verbs::VerbsError&) {
         continue;  // malformed bootstrap (e.g. a socket client); drop it
       } catch (const net::SocketError&) {
@@ -361,7 +364,7 @@ sim::Task RdmaRpcServer::listener_loop(std::shared_ptr<net::Listener> l) {
       ++shard.pipeline.counters().conns_assigned;
       conn->last_recv = host_.sched().now();
       const EagerNegotiation eager =
-          negotiate_eager(cfg_.eager_threshold, info.peer_eager_threshold, cfg_.recv_buf_size);
+          negotiate_eager(cfg_.eager_threshold, info.peer_eager_threshold);
       conn->eager_threshold = eager.threshold;
       conn->recv_buf_size = eager.ring_buf;
       if (eager.mismatch) ++stats_.threshold_mismatches;

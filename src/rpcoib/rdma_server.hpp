@@ -53,7 +53,6 @@ struct RdmaServerConfig {
   /// connections end to end: CQ, SRQ stripe, call queue, handlers.
   int shards = 1;
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
-  std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
   PoolConfig pool{};
   /// Evict connections with no receive activity for this long (LRU sweep,
   /// runs at half the threshold). The client re-bootstraps transparently

@@ -76,11 +76,17 @@ enum class FrameType : std::uint8_t {
 struct WireDefaults {
   /// Eager/rendezvous switch point (tunable, Section III-D).
   static constexpr std::size_t kEagerThreshold = 4 * 1024;
-  /// Pre-posted receive buffer size: must hold any eager frame.
+  /// Smallest pre-posted receive buffer.
   static constexpr std::size_t kRecvBufSize = 8 * 1024;
   /// Receive buffers pre-posted per queue pair.
   static constexpr int kRecvDepth = 16;
 };
+
+/// A pre-posted receive buffer that holds any eager frame of up to
+/// `threshold` payload bytes plus headers.
+inline std::size_t recv_buf_for(std::size_t threshold) {
+  return std::max(WireDefaults::kRecvBufSize, threshold + 512);
+}
 
 /// Unreliable-datagram eager path (ud.* knobs). Off by default: with
 /// enabled=false the RC/SRQ transport is byte-identical to builds without
@@ -152,11 +158,10 @@ struct EagerNegotiation {
   bool mismatch = false;  // both advertised, and they differ
 };
 
-inline EagerNegotiation negotiate_eager(std::size_t local, std::uint64_t peer,
-                                        std::size_t recv_buf_size) {
+inline EagerNegotiation negotiate_eager(std::size_t local, std::uint64_t peer) {
   const auto p = static_cast<std::size_t>(peer);
   const std::size_t threshold = p == 0 ? local : std::min(local, p);
-  return {threshold, std::max(recv_buf_size, std::max(threshold, p) + 512), p != 0 && p != local};
+  return {threshold, recv_buf_for(std::max(local, p)), p != 0 && p != local};
 }
 
 /// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].

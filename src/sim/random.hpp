@@ -76,22 +76,6 @@ class Rng {
     return -mean * std::log1p(-u);
   }
 
-  /// Normal via Box–Muller (deterministic, uses two uniforms per pair).
-  double next_normal(double mean, double stddev) {
-    if (have_spare_) {
-      have_spare_ = false;
-      return mean + stddev * spare_;
-    }
-    double u1 = next_double();
-    double u2 = next_double();
-    if (u1 < 1e-300) u1 = 1e-300;
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    const double two_pi_u2 = 2.0 * 3.141592653589793 * u2;
-    spare_ = mag * std::sin(two_pi_u2);
-    have_spare_ = true;
-    return mean + stddev * mag * std::cos(two_pi_u2);
-  }
-
   /// Fork an independent stream (for per-node RNGs from one master seed).
   Rng fork() { return Rng(next_u64()); }
 
@@ -99,8 +83,6 @@ class Rng {
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
   std::uint64_t s_[4];
-  bool have_spare_ = false;
-  double spare_ = 0;
 };
 
 /// Zipfian generator over [0, n), YCSB-style (Gray et al.), used by the

@@ -20,7 +20,6 @@
 namespace rpcoib::sim {
 
 class Task;
-class JoinHandle;
 
 /// Move-only `void()` callable for scheduled callbacks. Closures up to
 /// kInline bytes live inside the object (no allocation); larger ones go to
@@ -148,11 +147,11 @@ class Scheduler {
 
   /// Launch a top-level simulated process. The coroutine starts at the
   /// current virtual time; its frame is destroyed automatically when it
-  /// finishes. The returned handle can be co_awaited to join.
-  JoinHandle spawn(Task task);
+  /// finishes. Nothing joins it: an uncaught exception aborts run().
+  void spawn(Task task);
 
   /// Launch a process at a future time.
-  JoinHandle spawn_after(Dur d, Task task);
+  void spawn_after(Dur d, Task task);
 
   /// Run until no events remain. Rethrows the first exception that escaped
   /// any spawned process.

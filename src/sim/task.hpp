@@ -4,8 +4,9 @@
 //
 //  * `Task`  — a top-level detached process (a simulated thread). Created by
 //    calling a coroutine returning `Task` and handing it to
-//    `Scheduler::spawn`. The frame self-destroys at completion; completion
-//    and failure are observable through the `JoinHandle`.
+//    `Scheduler::spawn`. Fire-and-forget: nothing joins it; the frame
+//    self-destroys at completion, and an uncaught exception aborts
+//    `Scheduler::run`.
 //  * `Co<T>` — a nested awaitable computation (an ordinary function call
 //    that may block in virtual time). Lazily started when awaited, resumes
 //    its awaiter by symmetric transfer, RAII-owned by the awaiting frame.
@@ -31,65 +32,22 @@
 
 #include <coroutine>
 #include <exception>
-#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/frame_pool.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rpcoib::sim {
 
-namespace detail {
-
-/// Shared between a running Task's promise and any JoinHandles.
-struct TaskState {
-  Scheduler* sched = nullptr;
-  bool done = false;
-  std::exception_ptr ex;
-  bool ex_observed = false;
-  std::vector<std::coroutine_handle<>> waiters;
-};
-
-}  // namespace detail
-
-/// Handle for joining a spawned Task. Copyable; all copies observe the same
-/// completion. `co_await handle` suspends until the task finishes and
-/// rethrows its uncaught exception, if any.
-class JoinHandle {
- public:
-  JoinHandle() = default;
-  explicit JoinHandle(std::shared_ptr<detail::TaskState> st) : st_(std::move(st)) {}
-
-  bool valid() const { return st_ != nullptr; }
-  bool done() const { return st_ && st_->done; }
-  bool failed() const { return st_ && st_->ex != nullptr; }
-
-  struct Awaiter {
-    std::shared_ptr<detail::TaskState> st;
-    bool await_ready() const noexcept { return st->done; }
-    void await_suspend(std::coroutine_handle<> h) const { st->waiters.push_back(h); }
-    void await_resume() const {
-      if (st->ex) {
-        st->ex_observed = true;
-        std::rethrow_exception(st->ex);
-      }
-    }
-  };
-  Awaiter operator co_await() const { return Awaiter{st_}; }
-
- private:
-  std::shared_ptr<detail::TaskState> st_;
-};
-
 /// Top-level simulated process. Move-only; ownership passes to the
 /// Scheduler on spawn.
 class Task {
  public:
   struct promise_type : detail::RecycledFrame {
-    std::shared_ptr<detail::TaskState> st = std::make_shared<detail::TaskState>();
+    Scheduler* sched = nullptr;
     TaskLink link;
+    std::exception_ptr ex;
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -99,24 +57,19 @@ class Task {
     struct FinalAwaiter {
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) const noexcept {
-        // Grab the shared state before the frame dies.
-        std::shared_ptr<detail::TaskState> st = h.promise().st;
-        st->sched->unregister_task(h.promise().link);
+        // Take what outlives the frame before it dies.
+        Scheduler* sched = h.promise().sched;
+        std::exception_ptr ex = std::move(h.promise().ex);
+        sched->unregister_task(h.promise().link);
         h.destroy();
-        st->done = true;
-        for (std::coroutine_handle<> w : st->waiters) st->sched->post(w);
-        st->waiters.clear();
-        if (st->ex && st.use_count() == 1) {
-          // Nobody holds a JoinHandle: surface the failure loudly.
-          st->sched->report_failure(st->ex);
-        }
+        if (ex) sched->report_failure(std::move(ex));
       }
       void await_resume() const noexcept {}
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
 
     void return_void() {}
-    void unhandled_exception() { st->ex = std::current_exception(); }
+    void unhandled_exception() { ex = std::current_exception(); }
   };
 
   Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
@@ -138,7 +91,7 @@ class Task {
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
 
   std::coroutine_handle<promise_type> release(Scheduler& sched) {
-    h_.promise().st->sched = &sched;
+    h_.promise().sched = &sched;
     h_.promise().link.frame = h_;
     sched.register_task(h_.promise().link);
     return std::exchange(h_, nullptr);
@@ -147,19 +100,9 @@ class Task {
   std::coroutine_handle<promise_type> h_;
 };
 
-inline JoinHandle Scheduler::spawn(Task task) {
-  std::coroutine_handle<Task::promise_type> h = task.release(*this);
-  JoinHandle jh(h.promise().st);
-  post(h);
-  return jh;
-}
+inline void Scheduler::spawn(Task task) { post(task.release(*this)); }
 
-inline JoinHandle Scheduler::spawn_after(Dur d, Task task) {
-  std::coroutine_handle<Task::promise_type> h = task.release(*this);
-  JoinHandle jh(h.promise().st);
-  resume_after(d, h);
-  return jh;
-}
+inline void Scheduler::spawn_after(Dur d, Task task) { resume_after(d, task.release(*this)); }
 
 namespace detail {
 

@@ -15,7 +15,6 @@ using net::Testbed;
 using oib::EngineConfig;
 using oib::RpcEngine;
 using oib::RpcMode;
-using sim::Co;
 using sim::Scheduler;
 using sim::Task;
 
@@ -53,14 +52,9 @@ Task throughput_client(rpc::RpcClient& client, Address addr, std::size_t payload
 }  // namespace
 
 void register_pingpong(rpc::RpcServer& server) {
-  server.dispatcher().register_method(
+  server.dispatcher().register_method<rpc::BytesWritable>(
       "bench.PingPongProtocol", "pingpong",
-      [](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
-        rpc::BytesWritable payload;
-        payload.read_fields(in);
-        rpc::BytesWritable(std::move(payload.value)).write(out);
-        co_return;
-      });
+      [](rpc::BytesWritable& payload) { return std::move(payload); });
 }
 
 std::vector<LatencyResult> run_latency(RpcMode mode, const std::vector<std::size_t>& payloads,

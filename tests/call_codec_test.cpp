@@ -1,17 +1,22 @@
 // The wire codecs both transports share, and the totality of their
 // decoders: the call header (rpc/protocol.hpp) over DataInputBuffer and
 // RDMAInputStream, RPCoIB's rendezvous control frames (rpcoib/wire.hpp),
-// the socket batch split, and a socket server that must keep reading after
-// a malformed frame instead of ending its reader.
+// the socket batch split, a socket server that must keep reading after
+// a malformed frame instead of ending its reader, and the typed handler
+// contract (decode the param, run the body, write the returned result)
+// on the socket and RPCoIB transports.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/socket_server.hpp"
+#include "rpcoib/engine.hpp"
 #include "rpcoib/rdma_streams.hpp"
 #include "rpcoib/wire.hpp"
 
@@ -332,6 +337,187 @@ TEST(SocketServer, MalformedFramesAreDroppedAndTheReaderKeepsReading) {
   server.stop();
   s.run_until(sim::seconds(6));
 }
+
+// ---- The typed handler contract ------------------------------------------------
+
+const rpc::MethodKey kDouble{"test.Typed", "double"};
+const rpc::MethodKey kRefuse{"test.Typed", "refuse"};
+const rpc::MethodKey kLater{"test.Typed", "later"};
+const rpc::MethodKey kLateRefuse{"test.Typed", "lateRefuse"};
+constexpr net::Address kTypedAddr{1, 9200};
+constexpr sim::Dur kLaterDelay = sim::millis(5);
+
+/// How often each body ran, so a test can tell a body that never ran.
+struct TypedRuns {
+  int doubled = 0;
+  int refused = 0;
+};
+
+void register_typed(rpc::Dispatcher& d, sim::Scheduler& s, TypedRuns& runs) {
+  d.register_method<rpc::LongWritable>(kDouble.protocol, kDouble.method,
+                                       [&runs](const rpc::LongWritable& p) {
+                                         ++runs.doubled;
+                                         return rpc::LongWritable(2 * p.value);
+                                       });
+  d.register_method<rpc::IntWritable>(kRefuse.protocol, kRefuse.method,
+                                      [&runs](const rpc::IntWritable&) -> rpc::IntWritable {
+                                        ++runs.refused;
+                                        throw std::runtime_error("typed body refused");
+                                      });
+  d.register_method<rpc::IntWritable>(
+      kLater.protocol, kLater.method,
+      [&s](const rpc::IntWritable& p) -> sim::Co<rpc::IntWritable> {
+        co_await sim::delay(s, kLaterDelay);
+        co_return rpc::IntWritable(p.value + 1);
+      });
+  d.register_method<rpc::IntWritable>(
+      kLateRefuse.protocol, kLateRefuse.method,
+      [&s](const rpc::IntWritable&) -> sim::Co<rpc::IntWritable> {
+        co_await sim::delay(s, kLaterDelay);
+        throw std::runtime_error("typed body refused late");
+      });
+}
+
+struct Invoked {
+  rpc::RpcStatus status = rpc::RpcStatus::kSuccess;
+  std::string error;
+  std::size_t out_bytes = 0;
+  bool done = false;
+};
+
+sim::Task invoke(const rpc::Dispatcher& d, const rpc::MethodKey& key, net::Bytes param,
+                 Invoked& r) {
+  rpc::DataInputBuffer in(cost(), param);
+  rpc::DataOutputBuffer out(cost());
+  rpc::Invocation<> inv(d, key, in, out);
+  r.status = co_await inv;
+  r.error = inv.error();
+  r.out_bytes = out.length();
+  r.done = true;
+}
+
+net::Bytes int_bytes(std::int32_t v) {
+  rpc::DataOutputBuffer out(cost());
+  rpc::IntWritable(v).write(out);
+  return net::Bytes(out.data().begin(), out.data().end());
+}
+
+// A failed call writes no result bytes, whether its body threw before or
+// after suspending or its param never decoded (four bytes where the
+// LongWritable needs eight): the dispatcher, not a transport, observed.
+TEST(TypedHandler, FailedCallWritesNoResultBytes) {
+  for (const rpc::MethodKey& key : {kRefuse, kLateRefuse, kDouble}) {
+    SCOPED_TRACE(key.to_string());
+    sim::Scheduler s;
+    rpc::Dispatcher d;
+    TypedRuns runs;
+    register_typed(d, s, runs);
+    Invoked r;
+    s.spawn(invoke(d, key, int_bytes(7), r));
+    s.run();
+    ASSERT_TRUE(r.done);
+    EXPECT_EQ(r.status, rpc::RpcStatus::kError);
+    EXPECT_EQ(r.out_bytes, 0u);
+    EXPECT_EQ(runs.doubled, 0);
+    if (key != kDouble) {
+      EXPECT_NE(r.error.find("typed body refused"), std::string::npos) << r.error;
+    }
+  }
+}
+
+class TypedOverTransport : public ::testing::TestWithParam<oib::RpcMode> {};
+
+struct TypedCall {
+  bool remote_error = false;
+  std::string error;
+  std::int64_t value = -1;
+  sim::Dur elapsed = 0;
+};
+
+template <typename Result>
+sim::Task call_typed(sim::Scheduler& s, rpc::RpcClient& client, rpc::MethodKey key,
+                     const rpc::Writable& param, TypedCall& out) {
+  const sim::Time t0 = s.now();
+  Result resp;
+  try {
+    co_await client.call(kTypedAddr, key, param, &resp);
+    out.value = resp.value;
+  } catch (const rpc::RemoteException& e) {
+    out.remote_error = true;
+    out.error = e.what();
+  }
+  out.elapsed = s.now() - t0;
+}
+
+struct TypedRig {
+  sim::Scheduler s;
+  net::Testbed tb{s, net::Testbed::cluster_b()};
+  oib::RpcEngine engine;
+  std::unique_ptr<rpc::RpcServer> server;
+  std::unique_ptr<rpc::RpcClient> client;
+  TypedRuns runs;
+
+  explicit TypedRig(oib::RpcMode mode) : engine(tb, oib::EngineConfig{.mode = mode}) {
+    server = engine.make_server(tb.host(1), kTypedAddr);
+    register_typed(server->dispatcher(), s, runs);
+    server->start();
+    client = engine.make_client(tb.host(0));
+  }
+  ~TypedRig() {
+    server->stop();
+    s.drain_tasks();
+  }
+
+  template <typename Result>
+  TypedCall call(const rpc::MethodKey& key, const rpc::Writable& param) {
+    TypedCall out;
+    s.spawn(call_typed<Result>(s, *client, key, param, out));
+    s.run_until(s.now() + sim::seconds(5));
+    return out;
+  }
+};
+
+TEST_P(TypedOverTransport, ResultReachesTheCaller) {
+  TypedRig rig(GetParam());
+  const rpc::LongWritable param(21);
+  const TypedCall c = rig.call<rpc::LongWritable>(kDouble, param);
+  EXPECT_FALSE(c.remote_error) << c.error;
+  EXPECT_EQ(c.value, 42);
+  EXPECT_EQ(rig.runs.doubled, 1);
+}
+
+TEST_P(TypedOverTransport, UndecodableParamAnswersRemoteExceptionWithoutRunningTheBody) {
+  TypedRig rig(GetParam());
+  const rpc::IntWritable param(21);  // the method decodes a LongWritable
+  const TypedCall c = rig.call<rpc::LongWritable>(kDouble, param);
+  EXPECT_TRUE(c.remote_error);
+  EXPECT_EQ(c.value, -1);
+  EXPECT_EQ(rig.runs.doubled, 0);
+}
+
+TEST_P(TypedOverTransport, ThrowingBodyReachesTheCallerAsItsMessage) {
+  TypedRig rig(GetParam());
+  const rpc::IntWritable param(7);
+  const TypedCall c = rig.call<rpc::IntWritable>(kRefuse, param);
+  EXPECT_TRUE(c.remote_error);
+  EXPECT_NE(c.error.find("typed body refused"), std::string::npos) << c.error;
+  EXPECT_EQ(rig.runs.refused, 1);
+}
+
+TEST_P(TypedOverTransport, AsyncResultArrivesAfterItsSuspension) {
+  TypedRig rig(GetParam());
+  const rpc::IntWritable param(41);
+  const TypedCall c = rig.call<rpc::IntWritable>(kLater, param);
+  EXPECT_FALSE(c.remote_error) << c.error;
+  EXPECT_EQ(c.value, 42);
+  EXPECT_GE(c.elapsed, kLaterDelay);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, TypedOverTransport,
+                         ::testing::Values(oib::RpcMode::kSocketIPoIB, oib::RpcMode::kRpcoIB),
+                         [](const ::testing::TestParamInfo<oib::RpcMode>& info) {
+                           return info.param == oib::RpcMode::kRpcoIB ? "RPCoIB" : "IPoIB";
+                         });
 
 }  // namespace
 }  // namespace rpcoib

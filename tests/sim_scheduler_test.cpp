@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event core: virtual time, task spawning,
-// joining, channels, sync primitives, determinism.
+// channels, sync primitives, determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,26 +52,6 @@ TEST(Scheduler, CallbacksInPastClampToNow) {
   EXPECT_EQ(s.now(), micros(5));
 }
 
-Task sleeper_sets(Scheduler& s, bool& flag) {
-  co_await delay(s, micros(100));
-  flag = true;
-}
-
-Task joins_child(Scheduler& s, bool& child_done, bool& parent_saw) {
-  JoinHandle child = s.spawn(sleeper_sets(s, child_done));
-  co_await child;
-  parent_saw = child_done;
-}
-
-TEST(Task, JoinWaitsForCompletion) {
-  Scheduler s;
-  bool child_done = false, parent_saw = false;
-  s.spawn(joins_child(s, child_done, parent_saw));
-  s.run();
-  EXPECT_TRUE(child_done);
-  EXPECT_TRUE(parent_saw);
-}
-
 Task thrower(Scheduler& s) {
   co_await delay(s, micros(1));
   throw std::runtime_error("boom");
@@ -81,23 +61,6 @@ TEST(Task, UnjoinedExceptionPropagatesToRun) {
   Scheduler s;
   s.spawn(thrower(s));
   EXPECT_THROW(s.run(), std::runtime_error);
-}
-
-Task catcher(Scheduler& s, bool& caught) {
-  JoinHandle h = s.spawn(thrower(s));
-  try {
-    co_await h;
-  } catch (const std::runtime_error&) {
-    caught = true;
-  }
-}
-
-TEST(Task, JoinedExceptionRethrownAtJoin) {
-  Scheduler s;
-  bool caught = false;
-  s.spawn(catcher(s, caught));
-  s.run();
-  EXPECT_TRUE(caught);
 }
 
 Co<int> add_later(Scheduler& s, int a, int b) {

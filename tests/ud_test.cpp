@@ -430,22 +430,23 @@ TEST(Ud, DisabledUdAdvertisesNothingAndKeepsReportsClean) {
 //
 // The rings must be sized from the *negotiated* threshold, not the local
 // default: a peer that advertises nothing ("0") falls back to its own
-// threshold and may legally send eager frames far larger than this
-// side's recv_buf_size. Covered in both directions (client ring sized
-// against the server's advertisement; server legacy ring sized against
-// the client's), with the UD path both off and on.
+// threshold and may legally send eager frames larger than this side's
+// 8 KiB buffers. Covered in both directions (client ring sized against a
+// 16 KB server; the server's shared ring, posted before any handshake,
+// against a 16 KB client), with the UD path both off and on.
 TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
   for (bool ud_enabled : {false, true}) {
     SCOPED_TRACE(ud_enabled ? "ud-on" : "ud-off");
-    // Direction A: the client advertises no threshold and sizes its own
-    // buffers small; the server (16 KB threshold) sends a 10 KB eager
-    // response that must still land in the client's ring.
+    // Direction A: the client advertises no threshold; the server (16 KB
+    // threshold) sends a 10 KB eager response that must still land in the
+    // client's ring.
     {
       Scheduler s;
       Testbed tb(s, Testbed::cluster_b());
       verbs::VerbsStack verbs(tb.fabric());
       oib::RdmaServerConfig scfg;
       scfg.shards = chaos_shards();
+      scfg.eager_threshold = 16 * 1024;
       if (ud_enabled) scfg.ud = ud_on();
       oib::RdmaRpcServer server(tb.host(1), tb.sockets(), verbs, kAddr, scfg);
       std::map<int, int> exec;
@@ -454,7 +455,6 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
 
       oib::RdmaClientConfig ccfg;
       ccfg.eager_threshold = 0;  // "not advertised": peer uses its own 16 KB
-      ccfg.recv_buf_size = 1024;
       if (ud_enabled) ccfg.ud = ud_on();
       oib::RdmaRpcClient client(tb.host(0), tb.sockets(), verbs, ccfg);
 
@@ -478,9 +478,9 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       client.close_connections();
       s.drain_tasks();
     }
-    // Direction B: the server advertises no threshold and sizes its
-    // legacy per-connection ring small; the client (16 KB threshold)
-    // sends a 10 KB eager call that must still land server-side.
+    // Direction B: the server runs no threshold; the client (16 KB
+    // threshold) sends a 10 KB call that must still land in the server's
+    // shared ring.
     {
       Scheduler s;
       Testbed tb(s, Testbed::cluster_b());
@@ -488,7 +488,6 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       oib::RdmaServerConfig scfg;
       scfg.shards = chaos_shards();
       scfg.eager_threshold = 0;  // "not advertised": peer uses its own 16 KB
-      scfg.recv_buf_size = 1024;
       if (ud_enabled) scfg.ud = ud_on();
       oib::RdmaRpcServer server(tb.host(1), tb.sockets(), verbs, kAddr, scfg);
       std::map<int, int> exec;
@@ -496,6 +495,7 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       server.start();
 
       oib::RdmaClientConfig ccfg;
+      ccfg.eager_threshold = 16 * 1024;
       if (ud_enabled) ccfg.ud = ud_on();
       oib::RdmaRpcClient client(tb.host(0), tb.sockets(), verbs, ccfg);
 
