@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -58,12 +59,11 @@ struct PoolConfig {
   /// bound. 0 = uncapped (the seed behavior; plain acquire() always is).
   std::size_t demand_alloc_cap = 0;
   /// Shared-receive-queue sizing (RdmaRpcServer): depth of the server-wide
-  /// pre-registered receive ring shared by every accepted connection, and
-  /// the low watermark below which the refill task tops it back up from
-  /// this pool. srq_depth 0 selects the legacy per-connection recv rings
-  /// (registered receive memory then grows O(connections)).
+  /// pre-registered receive ring shared by every accepted connection. The
+  /// refill task tops it back up from this pool once it falls to a quarter
+  /// of this depth. srq_depth 0 selects the legacy per-connection recv
+  /// rings (registered receive memory then grows O(connections)).
   std::size_t srq_depth = 64;
-  std::size_t srq_low_watermark = 16;
 };
 
 struct PoolStats {
@@ -165,6 +165,14 @@ class ShadowPool {
   /// Buffer sized for a known length (receive side: the length arrived in
   /// the control message, so no history is needed).
   NativeBuffer* acquire_sized(std::size_t size) { return native_.acquire(size); }
+
+  /// A buffer holding a copy of `bytes`: a frame copied out of a receive
+  /// slot (or split off a batch) so the slot can be reposted at once.
+  NativeBuffer* acquire_copy(net::ByteSpan bytes) {
+    NativeBuffer* b = native_.acquire(bytes.size());
+    std::memcpy(b->span.data(), bytes.data(), bytes.size());
+    return b;
+  }
 
   /// Capped variant of acquire_sized (see NativeBufferPool::try_acquire).
   NativeBuffer* try_acquire_sized(std::size_t size) { return native_.try_acquire(size); }

@@ -1,7 +1,6 @@
 #include "rpcoib/rdma_client.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -40,6 +39,12 @@ std::optional<std::uint8_t> read_reply(RDMAInputStream& in, rpc::Writable* respo
 
 }  // namespace
 
+net::Bytes RdmaRpcClient::copy_for_batch(NativeBuffer*& buf, net::ByteSpan frame) {
+  net::Bytes payload(frame.begin(), frame.end());
+  native_.release(std::exchange(buf, nullptr));
+  return payload;
+}
+
 RdmaRpcClient::RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets,
                              verbs::VerbsStack& stack, RdmaClientConfig cfg)
     : host_(host),
@@ -75,7 +80,6 @@ void RdmaRpcClient::close_connections() {
 }
 
 sim::Co<void> RdmaRpcClient::dial(const ConnectionPtr& conn, net::Address addr) {
-  conn->alive = alive_;
   try {
     // Bootstrap over the server's socket address (Section III-D),
     // exchanging eager thresholds in the endpoint-info blob, then
@@ -137,10 +141,7 @@ void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan fr
     repost_recv(conn, buf, is_recv_slot);  // stale (or malformed): recycle the buffer
     return;
   }
-  pc->resp = frame;
-  pc->resp_buf = buf;
-  pc->resp_is_recv_slot = is_recv_slot;
-  pc->done.set();
+  pc->answer(frame, buf, is_recv_slot);
 }
 
 sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
@@ -207,9 +208,8 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
               co_await host.compute(cm.direct_copy(wc.byte_len));
               if (!*conn->alive) co_return;
               for (const net::ByteSpan sub_frame : subs) {
-                NativeBuffer* sub = shadow_.acquire_sized(sub_frame.size());
-                std::memcpy(sub->span.data(), sub_frame.data(), sub_frame.size());
-                deliver_response(conn, net::ByteSpan(sub->span.data(), sub_frame.size()), sub,
+                NativeBuffer* sub = shadow_.acquire_copy(sub_frame);
+                deliver_response(conn, sub->span.first(sub_frame.size()), sub,
                                  /*is_recv_slot=*/false);
               }
             }
@@ -252,39 +252,65 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
   }
 }
 
-sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
+template <typename Sink>
+sim::Co<void> RdmaRpcClient::flush_batch(Sink sink, std::vector<net::Bytes> items,
                                          trace::TraceContext ctx) {
   // Hoisted like receive_loop: the computes below may outlive the client.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   const sim::Time t0 = host.sched().now();
+  const Endpoint& conn = *sink.conn;
 
-  // [u8 kBatch][u32 count][u32 len_i x count][kCall sub-frames...] encoded
-  // straight into a pooled registered buffer — one doorbell for the lot.
-  const std::size_t total = batch_frame_size(items);
+  // [plane wrapper][u8 kBatch][u32 count][u32 len_i x count][kCall
+  // sub-frames...] encoded straight into a pooled registered buffer — one
+  // doorbell for the lot. The wrapper is charged with the whole frame's copy.
+  const std::size_t total = Sink::kWrapper + batch_frame_size(items);
   NativeBuffer* fb = shadow_.acquire_sized(total);
-  encode_batch(items, fb->span.data());
-  const sim::Dur encode_cost = cm.direct_copy(total) + cm.jni_call();
-  co_await host.compute(encode_cost);
+  sink.wrap(fb->span.first(Sink::kWrapper));
+  encode_batch(items, fb->span.data() + Sink::kWrapper);
+  co_await host.compute(cm.direct_copy(total) + cm.jni_call());
   // Client torn down while we computed: the pool died with it, so the
   // lease cannot be returned — just stop.
-  if (!*conn->alive) co_return;
-  if (conn->broken) {
+  if (!*conn.alive) co_return;
+  if (sink.stopped() || !sink.can_post()) {
     native_.release(fb);
     co_return;
   }
   try {
     const net::ByteSpan wire(fb->span.data(), total);
-    co_await conn->qp->post_send(wr_of(fb), wire);
-    // fb is released by receive_loop at the kSend completion.
+    co_await sink.post(fb, wire);
+    // fb is released by the receive loop at the kSend completion.
   } catch (const std::exception& e) {
-    if (!*conn->alive) co_return;
+    if (!*conn.alive) co_return;
     native_.release(fb);
-    conn->fail_all(e.what());
+    sink.post_failed(e.what());
     co_return;
   }
-  if (!*conn->alive || conn->cancelled) co_return;
+  if (!*conn.alive || conn.cancelled) co_return;
+  sink.note_sent();
   note_batch_sent(ctx, t0);
+}
+
+sim::Co<void> RdmaRpcClient::RcSink::post(NativeBuffer* fb, net::ByteSpan wire) const {
+  return conn->qp->post_send(wr_of(fb), wire);
+}
+
+void RdmaRpcClient::UdSink::wrap(net::MutByteSpan header) const {
+  rpc::SpanOutput out(self->host_.cost(), header);
+  write_ud_header(out, self->session_id(self->host_));
+}
+
+bool RdmaRpcClient::UdSink::can_post() const {
+  // Service withdrawn (server stopped): the datagrams are "lost"; the
+  // callers time out and their retries take the RC or socket path.
+  const verbs::UdService* svc = self->stack_.ud_service(addr);
+  return svc != nullptr && !svc->qpns.empty();
+}
+
+sim::Co<void> RdmaRpcClient::UdSink::post(NativeBuffer* fb, net::ByteSpan wire) const {
+  const verbs::AddressHandle to = self->ud_target(
+      *self->stack_.ud_service(addr), self->session_id(self->host_), dest->batcher().epoch());
+  co_await conn->ep->post_send(wr_of(fb), to, wire);
 }
 
 std::size_t RdmaRpcClient::ud_budget() const {
@@ -304,7 +330,7 @@ verbs::AddressHandle RdmaRpcClient::ud_target(const verbs::UdService& svc,
 
 RdmaRpcClient::UdStatePtr RdmaRpcClient::ud_state() {
   if (!ud_) {
-    ud_ = std::make_shared<UdState>(host_.sched());
+    ud_ = std::make_shared<UdState>(*this);
     ud_->ep = std::make_unique<verbs::UdEndpoint>(stack_, host_, ud_->cq, ud_->cq);
     // Ring buffers hold a GRH-prefixed full-MTU datagram each; the depth
     // bounds the client's registered-memory cost per the flat-state goal.
@@ -319,14 +345,15 @@ RdmaRpcClient::UdStatePtr RdmaRpcClient::ud_state() {
 }
 
 sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
-  // Hoisted like receive_loop: the loop may outlive the client object and
-  // re-checks ud->cancelled after every resumption.
+  // Hoisted like receive_loop, under the same teardown rule: the loop
+  // re-checks ud->alive after every resumption, and a shut endpoint's loop
+  // keeps reaping its CQ, returning each buffer to the pool.
   cluster::Host& host = host_;
   const cluster::CostModel& cm = host.cost();
   try {
     for (;;) {
       verbs::WorkCompletion wc = co_await ud->cq.wait();
-      if (ud->cancelled) co_return;
+      if (!*ud->alive) co_return;
       if (wc.opcode == verbs::Opcode::kSend) {
         if (NativeBuffer* b = buf_of(wc.wr_id); b != nullptr) native_.release(b);
         continue;
@@ -337,7 +364,7 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
       // demux below runs without a suspension between lookup and wakeup.
       co_await host.compute(cm.cq_poll() + cm.thread_wakeup() + cm.rpc_framework() +
                             cm.direct_copy(wc.byte_len));
-      if (ud->cancelled) co_return;
+      if (!*ud->alive) co_return;
       const std::size_t grh = verbs::UdEndpoint::kGrhBytes;
       if (wc.byte_len > grh + 9) {
         net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
@@ -346,73 +373,23 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
             // Copy into a pooled buffer so the ring slot reposts
             // immediately; the caller releases the copy after
             // deserialization (never a recv slot on the UD path).
-            NativeBuffer* copy = shadow_.acquire_sized(frame.size());
-            std::memcpy(copy->span.data(), frame.data(), frame.size());
-            pc->resp = net::ByteSpan(copy->span.data(), frame.size());
-            pc->resp_buf = copy;
-            pc->resp_is_recv_slot = false;
-            pc->done.set();
+            NativeBuffer* copy = shadow_.acquire_copy(frame);
+            pc->answer(copy->span.first(frame.size()), copy, /*is_recv_slot=*/false);
             ++stats_.ud_responses_received;
           }
           // else: a late duplicate (the retry already completed) — drop;
           // server-side dedup guarantees it carries the same payload.
         }
       }
-      if (!ud->cancelled && ud->ep) {
-        ud->ep->post_recv(wr_of(rb), rb->span);
-      } else {
+      if (ud->broken) {
         native_.release(rb);
+      } else {
+        ud->ep->post_recv(wr_of(rb), rb->span);
       }
     }
   } catch (const sim::ChannelClosed&) {
     // Shutdown path.
   }
-}
-
-std::size_t RdmaRpcClient::ud_batch_limit() const {
-  return std::min(batch_.max_bytes,
-                  std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
-}
-
-sim::Co<void> RdmaRpcClient::ud_flush_batch(UdSink sink, std::vector<net::Bytes> items,
-                                            trace::TraceContext ctx) {
-  const UdStatePtr& ud = sink.ud;
-  cluster::Host& host = host_;
-  const cluster::CostModel& cm = host.cost();
-  const sim::Time t0 = host.sched().now();
-
-  // [u8 kUdCall][u64 session][u8 kBatch][u32 count][u32 len_i][sub-frames]
-  // — one datagram, one doorbell for the lot.
-  const std::uint64_t sid = session_id(host_);
-  const std::size_t total = kUdHeaderBytes + batch_frame_size(items);
-  NativeBuffer* fb = shadow_.acquire_sized(total);
-  rpc::SpanOutput header(cm, fb->span.first(kUdHeaderBytes));
-  write_ud_header(header, sid);  // charged with the whole frame's copy below
-  encode_batch(items, fb->span.data() + kUdHeaderBytes);
-  co_await host.compute(cm.direct_copy(total) + cm.jni_call());
-  if (ud->cancelled) co_return;
-  const verbs::UdService* svc = stack_.ud_service(sink.addr);
-  if (svc == nullptr || svc->qpns.empty() || !ud->ep) {
-    // Service withdrawn (server stopped): the datagrams are "lost"; the
-    // callers time out and their retries take the RC or socket path.
-    native_.release(fb);
-    co_return;
-  }
-  try {
-    const net::ByteSpan wire(fb->span.data(), total);
-    co_await ud->ep->post_send(wr_of(fb), ud_target(*svc, sid, sink.dest->batcher().epoch()),
-                               wire);
-    // fb is released by ud_receive_loop at the kSend completion.
-  } catch (const std::exception&) {
-    if (ud->cancelled) co_return;
-    // A failed post is indistinguishable from a lost datagram: drop it
-    // and let the per-call timeouts drive the retries.
-    native_.release(fb);
-    co_return;
-  }
-  if (ud->cancelled) co_return;
-  ++stats_.ud_datagrams_sent;
-  note_batch_sent(ctx, t0);
 }
 
 sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdService& svc) {
@@ -462,18 +439,16 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(const Attempt& a, const verbs::UdSe
   ud->file(a.call_id, pc);
 
   // --- Send: coalesced when small, else one datagram ---------------------
-  const bool batchable = batch_.batchable(msg_len) && msg_len <= ud_batch_limit();
+  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit(*ud);
   try {
     if (batchable) {
       // Append the *inner* frame: the flush re-wraps the batch in one
       // kUdCall header carrying the shared session id.
-      net::Bytes payload(dg.begin() + kUdHeaderBytes, dg.end());
-      native_.release(buf);
-      buf = nullptr;
+      net::Bytes payload = copy_for_batch(buf, dg.subspan(kUdHeaderBytes));
       co_await host_.compute(cm.direct_copy(msg_len));
       std::shared_ptr<rpc::Coalescer<UdSink>>& dest = ud_dests_[a.addr];
       if (!dest) dest = std::make_shared<rpc::Coalescer<UdSink>>(batch_);
-      const UdSink sink{this, ud, dest, a.addr};
+      const UdSink sink{{this, ud}, dest, a.addr};
       co_await dest->append(sink, std::move(payload), ctx);
     } else {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
@@ -788,19 +763,13 @@ sim::Co<bool> RdmaRpcClient::call_attempt_rc(const Attempt& a) {
 
   // --- Hybrid send: coalesced when small, eager below the negotiated
   // threshold, rendezvous above ------------------------------------------
-  const bool batchable =
-      batch_.batchable(msg_len) && msg_len <= RcSink{this, conn}.limit();
+  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit(*conn);
   try {
     conn->file(a.call_id, pc);
     if (batchable) {
-      // Coalescing copies the serialized frame out of the pooled buffer so
-      // the lease returns immediately; the batch amortizes the per-call
-      // doorbell + JNI crossing that the copy replaces.
-      net::Bytes payload(msg.begin(), msg.end());
-      native_.release(buf);
-      buf = nullptr;
+      net::Bytes payload = copy_for_batch(buf, msg);
       co_await host_.compute(cm.direct_copy(msg_len));
-      const RcSink sink{this, conn};
+      const RcSink sink{{this, conn}};
       co_await conn->calls.append(sink, std::move(payload), ctx);
     } else if (msg_len <= conn->eager_threshold) {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post

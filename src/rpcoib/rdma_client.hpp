@@ -76,6 +76,13 @@ class RdmaRpcClient final : public rpc::RpcClient {
         rendezvous_buf = nullptr;
       }
     }
+    /// Hand the call its reply: the full kResp `frame`, held in `buf`.
+    void answer(net::ByteSpan frame, NativeBuffer* buf, bool is_recv_slot) {
+      resp = frame;
+      resp_buf = buf;
+      resp_is_recv_slot = is_recv_slot;
+      done.set();
+    }
     NativeBufferPool& pool;
     net::ByteSpan resp;          // full kResp frame
     NativeBuffer* resp_buf = nullptr;
@@ -86,30 +93,87 @@ class RdmaRpcClient final : public rpc::RpcClient {
     bool nacked = false;  // server refused the rendezvous (pool exhausted)
   };
 
+  /// What both planes' records hold besides the pending-call table: the CQ
+  /// their receive loop drains and the client's liveness token. One
+  /// teardown rule covers both: a loop or flush stands down only once
+  /// `alive` reads false (the pool died with the client); a shut record
+  /// (cancelled, broken) still reaps what it is owed and returns each
+  /// buffer to the pool.
+  struct Endpoint : rpc::ClientConnection<Pending> {
+    explicit Endpoint(const RdmaRpcClient& c)
+        : ClientConnection(c.host_.sched()), alive(c.alive_), cq(c.host_.sched()) {}
+    std::shared_ptr<const bool> alive;
+    verbs::CompletionQueue cq;  // shared send+recv CQ
+  };
+
   struct Connection;
   // Connections are shared-owned: the map, the receive loop, and every
   // in-flight call hold references, so close_connections() can drop the
   // map without freeing state that already-posted wakeups still touch.
   using ConnectionPtr = std::shared_ptr<Connection>;
 
-  using RcSink = rpc::ConnectionSink<RdmaRpcClient, Connection>;
-  friend RcSink;
+  /// Connectionless UD state, shared across every server address: one
+  /// endpoint + CQ, a receive loop, and the call-id -> waiter table (call
+  /// ids are client-unique, so no per-destination demux is needed). It
+  /// reuses the connection record for that table, its register step and
+  /// fail_all; nothing dials it, so its `ready` is never waited on.
+  /// Shared-owned like Connection so the loop outlives close_connections.
+  struct UdState : Endpoint {
+    using Endpoint::Endpoint;
+    std::unique_ptr<verbs::UdEndpoint> ep;
+  };
+  using UdStatePtr = std::shared_ptr<UdState>;
+
+  /// Coalescer sinks (batch.hpp) for the two planes' small calls. Each adds
+  /// to rpc::ConnectionSink the steps of the one flush_batch body that
+  /// differ by plane: the wrapper ahead of the kBatch frame and the post.
+  /// An RC batch goes out bare as one eager SEND, and a failed post fails
+  /// the connection's calls over to the retry loop.
+  struct RcSink : rpc::ConnectionSink<RdmaRpcClient, Connection> {
+    static constexpr std::size_t kWrapper = 0;
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
+      return self->flush_batch(*this, std::move(items), ctx);
+    }
+    void wrap(net::MutByteSpan) const {}
+    bool can_post() const { return true; }
+    sim::Co<void> post(NativeBuffer* fb, net::ByteSpan wire) const;
+    void post_failed(const char* why) const { conn->fail_all(why); }
+    void note_sent() const {}
+  };
+  /// A UD batch (per destination) is one kUdCall datagram wrapping the
+  /// kBatch frame. A withdrawn service or a failed post loses the
+  /// datagram: the calls' timeouts drive their retries.
+  struct UdSink : rpc::ConnectionSink<RdmaRpcClient, UdState> {
+    std::shared_ptr<rpc::Coalescer<UdSink>> dest;
+    net::Address addr;
+    static constexpr std::size_t kWrapper = kUdHeaderBytes;
+    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
+      return self->flush_batch(*this, std::move(items), ctx);
+    }
+    void wrap(net::MutByteSpan header) const;
+    bool can_post() const;
+    sim::Co<void> post(NativeBuffer* fb, net::ByteSpan wire) const;
+    void post_failed(const char*) const {}
+    void note_sent() const { ++self->stats_.ud_datagrams_sent; }
+  };
+  friend struct rpc::ConnectionSink<RdmaRpcClient, Connection>;
+  friend struct rpc::ConnectionSink<RdmaRpcClient, UdState>;
   /// Batch frames ride the eager path, so the byte limit clamps to the
   /// negotiated eager threshold: the frame must fit the peer's pre-posted
   /// receive buffers.
   std::size_t batch_limit(const Connection& conn) const {
     return std::min(batch_.max_bytes, conn.eager_threshold);
   }
+  /// A UD batch's byte limit: the whole kUdCall datagram must fit the MTU,
+  /// so wrapper + batch headers (9 + 5 + 4*count) fit in the slack.
+  std::size_t batch_limit(const UdState&) const {
+    return std::min(batch_.max_bytes,
+                    std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
+  }
 
-  struct Connection : rpc::ClientConnection<Pending> {
-    explicit Connection(const RdmaRpcClient& c)
-        : ClientConnection(c.host_.sched()), cq(c.host_.sched()), calls(c.batch()) {}
-    // The client's liveness token: the connection's loops outlive a shut
-    // (they still reap its owed completions into the pool), but touch the
-    // client only while this holds.
-    std::shared_ptr<const bool> alive;
+  struct Connection : Endpoint {
+    explicit Connection(const RdmaRpcClient& c) : Endpoint(c), calls(c.batch()) {}
     verbs::QueuePairPtr qp;
-    verbs::CompletionQueue cq;  // shared send+recv CQ for this connection
     // Negotiated per-connection eager/rendezvous switch point:
     // min(local, peer-advertised) from the bootstrap handshake, so an
     // eager SEND always fits the peer's pre-posted receive buffers.
@@ -118,37 +182,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // RDMA-READ completions routed from receive_loop to the fetch task
     // that posted them.
     ReadWaiters reads;
-  };
-
-  /// Connectionless UD state, shared across every server address: one
-  /// endpoint + CQ, a receive loop, and the call-id -> waiter table (call
-  /// ids are client-unique, so no per-destination demux is needed). It
-  /// reuses the connection record for that table, its register step and
-  /// fail_all; nothing dials it, so its `ready` is never waited on.
-  /// Shared-owned like Connection so the loop outlives close_connections.
-  struct UdState : rpc::ClientConnection<Pending> {
-    explicit UdState(sim::Scheduler& s) : ClientConnection(s), cq(s) {}
-    verbs::CompletionQueue cq;
-    std::unique_ptr<verbs::UdEndpoint> ep;
-  };
-  using UdStatePtr = std::shared_ptr<UdState>;
-  /// Coalescer sink for one destination's UD calls: kBatch frames ride UD
-  /// too, clamped to the datagram budget (ud_batch_limit) instead of the
-  /// negotiated RC threshold; everything stands down once the UD state is
-  /// cancelled (close_connections).
-  struct UdSink {
-    RdmaRpcClient* self;
-    UdStatePtr ud;
-    std::shared_ptr<rpc::Coalescer<UdSink>> dest;
-    net::Address addr;
-    sim::Scheduler& sched() const { return self->host_.sched(); }
-    std::size_t limit() const { return self->ud_batch_limit(); }
-    sim::Dur linger_cap() const { return rpc::kUncappedLinger; }
-    bool stopped() const { return ud->cancelled; }
-    rpc::RpcStats* flush_stats() const { return &self->stats_; }
-    sim::Co<void> flush(std::vector<net::Bytes> items, trace::TraceContext ctx) const {
-      return self->ud_flush_batch(*this, std::move(items), ctx);
-    }
   };
 
   // The transport's half of the connection core (client_core.hpp).
@@ -176,11 +209,11 @@ class RdmaRpcClient final : public rpc::RpcClient {
   sim::Task receive_loop(ConnectionPtr conn);
   sim::Task fetch_response(ConnectionPtr conn, std::uint32_t rkey, std::uint64_t off,
                            std::uint32_t len);
-  /// Post coalesced kCall frames as one kBatch SEND (the RcSink flush
-  /// body; pooled source buffer, released at the kSend completion like any
-  /// eager frame).
-  sim::Co<void> flush_batch(ConnectionPtr conn, std::vector<net::Bytes> items,
-                            trace::TraceContext ctx);
+  /// Both planes' batch flush: encode coalesced kCall frames as one kBatch
+  /// frame behind the sink's wrapper, straight into a pooled buffer, and
+  /// post it (the receive loop releases it at the kSend completion).
+  template <typename Sink>
+  sim::Co<void> flush_batch(Sink sink, std::vector<net::Bytes> items, trace::TraceContext ctx);
   void deliver_response(const ConnectionPtr& conn, net::ByteSpan frame, NativeBuffer* buf,
                         bool is_recv_slot);
   /// Repost a consumed receive slot, or return the buffer to the pool when
@@ -202,6 +235,11 @@ class RdmaRpcClient final : public rpc::RpcClient {
   /// The one socket exit: the call goes to the server's companion socket
   /// listener through the fallback client, under the call's trace parent.
   sim::Co<void> call_via_fallback(const Attempt& a);
+
+  /// Both planes' coalesce step: copy a small call's serialized frame out
+  /// of its pooled buffer so the lease returns at once (the batch
+  /// amortizes the per-call doorbell + JNI crossing the copy replaces).
+  net::Bytes copy_for_batch(NativeBuffer*& buf, net::ByteSpan frame);
 
   /// One attempt over the RC plane. Returns false, having sent nothing the
   /// call still waits on, for each of its three reroutes to the socket
@@ -231,13 +269,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
   /// call exceeds the datagram budget or the pool refused the
   /// serialization lease — the caller falls through to the RC path.
   sim::Co<bool> call_attempt_ud(const Attempt& a, const verbs::UdService& svc);
-  /// Byte limit for a UD batch: the whole kUdCall datagram must fit the
-  /// MTU, so wrapper + batch headers (9 + 5 + 4*count) fit in the slack.
-  std::size_t ud_batch_limit() const;
-  /// Send coalesced kCall frames as one kUdCall datagram wrapping a kBatch
-  /// frame (the UdSink flush body).
-  sim::Co<void> ud_flush_batch(UdSink sink, std::vector<net::Bytes> items,
-                               trace::TraceContext ctx);
 
   /// Registers the pool. `alive` is the client's token, taken at spawn so
   /// that a client destroyed before or during registration is never touched.

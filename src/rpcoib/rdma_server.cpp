@@ -1,7 +1,6 @@
 #include "rpcoib/rdma_server.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -64,24 +63,19 @@ void RdmaRpcServer::start() {
   alive_ = std::make_shared<bool>(true);
   core_.build(overload_, session_);
   const std::size_t n = core_.shards().size();
+  // The ring refills once it falls to a quarter of its depth.
+  const std::size_t watermark = std::max<std::size_t>(1, cfg_.pool.srq_depth / 4);
   for (const std::shared_ptr<Shard>& shard : core_.shards()) {
     if (cfg_.pool.srq_depth == 0) break;  // legacy per-connection rings
     // Stripe the shared ring: each shard owns srq_depth / n slots (the
     // remainder spread over the low shards, never below one) and refills
-    // at a proportionally scaled watermark. One shard keeps the exact
-    // configured geometry.
-    if (n == 1) {
-      shard->srq_depth = cfg_.pool.srq_depth;
-      shard->srq_low_watermark = cfg_.pool.srq_low_watermark;
-    } else {
-      const std::size_t ui = shard->pipeline.shard_id();
-      shard->srq_depth = std::max<std::size_t>(
-          1, cfg_.pool.srq_depth / n + (ui < cfg_.pool.srq_depth % n ? 1 : 0));
-      shard->srq_low_watermark = std::min(
-          shard->srq_depth,
-          std::max<std::size_t>(1, cfg_.pool.srq_low_watermark / n +
-                                       (ui < cfg_.pool.srq_low_watermark % n ? 1 : 0)));
-    }
+    // at a proportionally scaled watermark. One shard keeps the whole ring.
+    const std::size_t ui = shard->pipeline.shard_id();
+    const auto stripe = [&](std::size_t total) {
+      return std::max<std::size_t>(1, total / n + (ui < total % n ? 1 : 0));
+    };
+    shard->srq_depth = stripe(cfg_.pool.srq_depth);
+    shard->srq_low_watermark = std::min(shard->srq_depth, stripe(watermark));
     shard->srq = std::make_unique<verbs::SharedReceiveQueue>(host_.sched());
     shard->srq->set_stall_counter(&shard->pipeline.stats().srq_rnr_stalls);
     host_.sched().spawn(srq_refill_loop(shard));
@@ -542,14 +536,8 @@ sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
         const auto itype = static_cast<FrameType>(inner[0]);
         if (itype == FrameType::kCall) {
           co_await host_.compute(cm.direct_copy(inner.size()));
-          NativeBuffer* sub = shadow_.acquire_sized(inner.size());
-          std::memcpy(sub->span.data(), inner.data(), inner.size());
           ++shard->pipeline.stats().ud_calls_received;
-          ServerCall call{.conn = conn,
-                          .buf = sub,
-                          .frame_len = static_cast<std::uint32_t>(inner.size()),
-                          .recv_start = host_.sched().now(),
-                          .ud = ret};
+          ServerCall call = copied_call(conn, inner, host_.sched().now(), ret);
           co_await enqueue_call(std::move(call));
         } else if (itype == FrameType::kBatch) {
           // Split per sub-call BEFORE any session logic: each sub-call of
@@ -632,6 +620,16 @@ sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
   shard->pipeline.push(std::move(call), host_.sched().now());
 }
 
+RdmaRpcServer::ServerCall RdmaRpcServer::copied_call(ConnPtr conn, net::ByteSpan frame,
+                                                     sim::Time recv_start,
+                                                     std::optional<UdReturn> ud) {
+  return ServerCall{.conn = std::move(conn),
+                    .buf = shadow_.acquire_copy(frame),
+                    .frame_len = static_cast<std::uint32_t>(frame.size()),
+                    .recv_start = recv_start,
+                    .ud = std::move(ud)};
+}
+
 sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
                                            const std::vector<net::ByteSpan>& subs,
                                            std::optional<UdReturn> ud) {
@@ -643,21 +641,14 @@ sim::Co<void> RdmaRpcServer::enqueue_batch(ConnPtr conn, net::ByteSpan frame,
   const sim::Time recv_start = host_.sched().now();
   trace::TraceContext bctx;
   for (const net::ByteSpan sub_frame : subs) {
-    NativeBuffer* sub = shadow_.acquire_sized(sub_frame.size());
-    std::memcpy(sub->span.data(), sub_frame.data(), sub_frame.size());
-    const net::ByteSpan copied(sub->span.data(), sub_frame.size());
+    ServerCall call = copied_call(conn, sub_frame, recv_start, ud);
     ++st.batched_calls_received;
     if (ud) ++st.ud_calls_received;
     if (!bctx.valid()) {
-      RDMAInputStream in(cm, copied);
+      RDMAInputStream in(cm, call.frame());
       rpc::CallHeader h;
       if (read_kcall_header(in, h)) bctx = h.ctx;
     }
-    ServerCall call{.conn = conn,
-                    .buf = sub,
-                    .frame_len = static_cast<std::uint32_t>(copied.size()),
-                    .recv_start = recv_start,
-                    .ud = ud};
     co_await enqueue_call(std::move(call));
   }
   rpc::recv_span(host_, "batch.parse", {}, bctx, recv_start, host_.sched().now());
@@ -793,8 +784,7 @@ sim::Co<void> RdmaRpcServer::send_status(ServerCall& call, std::uint64_t id,
 
 sim::Co<void> RdmaRpcServer::send_frame(ServerCall& call, net::ByteSpan frame) {
   const cluster::CostModel& cm = host_.cost();
-  NativeBuffer* buf = shadow_.acquire_sized(frame.size());
-  std::memcpy(buf->span.data(), frame.data(), frame.size());
+  NativeBuffer* buf = shadow_.acquire_copy(frame);
   try {
     co_await host_.compute(cm.direct_copy(frame.size()) + cm.jni_call() + cm.rpc_framework());
     co_await send_response(call, buf, net::ByteSpan(buf->span.data(), frame.size()));

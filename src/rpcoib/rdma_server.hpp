@@ -213,6 +213,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// does not parse is dropped and an arrival at a full queue is answered
   /// busy; everything else is queued.
   sim::Co<void> enqueue_call(ServerCall call);
+  /// A call holding a pooled copy of the kCall `frame` (a UD datagram's, or
+  /// one sub-call of a split kBatch frame); the copy charge is the caller's.
+  ServerCall copied_call(ConnPtr conn, net::ByteSpan frame, sim::Time recv_start,
+                         std::optional<UdReturn> ud);
   /// Enqueue every sub-call of a split kBatch frame (split_batch views
   /// into `frame`) as its own pooled call, so the queue bound, deadlines
   /// and tracing all stay per call. One copy charge covers the whole frame.

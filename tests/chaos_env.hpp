@@ -2,7 +2,6 @@
 // that sets one variable reshapes every suite the same way.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -29,12 +28,11 @@ inline int chaos_shards(int fallback = 1) {
 
 /// RPCOIB_SRQ_DEPTH resizes the RPCoIB server's shared receive ring (tiny
 /// rings force the RNR/refill path under faults; 0 selects the legacy
-/// per-connection rings). The watermark scales along.
+/// per-connection rings). The server derives the refill watermark from it.
 inline oib::PoolConfig chaos_pool() {
   oib::PoolConfig p;
   if (const char* env = std::getenv("RPCOIB_SRQ_DEPTH")) {
     p.srq_depth = std::strtoull(env, nullptr, 10);
-    p.srq_low_watermark = std::max<std::size_t>(1, p.srq_depth / 4);
   }
   return p;
 }

@@ -248,7 +248,6 @@ PinRun run_rdma_scenario() {
   sc.pool.buffers_per_class = 32;
   sc.pool.demand_alloc_cap = 1;
   sc.pool.srq_depth = 64;
-  sc.pool.srq_low_watermark = 16;
   sc.srq_idle_evict = sim::seconds(2);
   sc.ud.enabled = true;
   sc.onesided.enabled = true;

@@ -495,7 +495,9 @@ TEST(Chaos, SrqServerSurvivesFaultedManyConnectionSweep) {
     }
     s.run_until(sim::seconds(300));
     EXPECT_EQ(completed, conns * 8);
-    if (ec.pool.srq_depth > 0) EXPECT_GT(server->stats().srq_posted, 0u);
+    if (ec.pool.srq_depth > 0) {
+      EXPECT_GT(server->stats().srq_posted, 0u);
+    }
 
     rpc::RpcStats merged;
     for (auto& c : clients) merged.merge(c->stats());

@@ -18,8 +18,6 @@ using sim::Co;
 using sim::Scheduler;
 using sim::Task;
 
-Bytes make_bytes(std::size_t n, Byte fill = 0xAB) { return Bytes(n, fill); }
-
 TEST(Fabric, WireTimeScalesWithSizeAndBandwidth) {
   Scheduler s;
   Testbed tb(s, Testbed::cluster_b());

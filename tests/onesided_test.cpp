@@ -509,7 +509,9 @@ TEST(Chaos, OneSidedReadsSurviveKillsLossAndReexports) {
     EXPECT_EQ(errors, 0);
     // Plane off, the gets ride the connectionless UD eager path and the
     // RC kill schedule has nothing to bite; the loss plan still runs.
-    if (chaos_onesided()) EXPECT_GT(plan->counters().kills, 0u);
+    if (chaos_onesided()) {
+      EXPECT_GT(plan->counters().kills, 0u);
+    }
     rpc::RpcStats merged;
     for (auto& c : clients) merged.merge(c->stats());
     if (chaos_onesided()) {

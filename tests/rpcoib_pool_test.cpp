@@ -143,7 +143,9 @@ TEST(ShadowPool, RunOfSmallCallsAfterLargeOneShrinksAcquiredClass) {
   const std::uint64_t shrinks_before = f.pool.stats().history_shrinks;
   for (int i = 0; i < 8; ++i) {
     b = f.shadow.acquire_for(key);
-    if (i > 0) EXPECT_EQ(b->span.size(), 512u) << "iteration " << i;
+    if (i > 0) {
+      EXPECT_EQ(b->span.size(), 512u) << "iteration " << i;
+    }
     f.shadow.release_for(key, b, 200);
   }
   EXPECT_EQ(f.shadow.history(key), 512u);

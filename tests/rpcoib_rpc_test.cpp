@@ -424,7 +424,6 @@ struct RestartRig {
     pool.buffers_per_class = 2;
     pool.prealloc_max_class = 4096;
     pool.srq_depth = 8;
-    pool.srq_low_watermark = 2;
     return pool;
   }
 

@@ -300,7 +300,6 @@ TEST(SrqServer, TinyRingBackpressuresWithRnrAndRefillsButCompletesAllCalls) {
   Scheduler s;
   oib::RdmaServerConfig scfg;
   scfg.pool.srq_depth = 2;
-  scfg.pool.srq_low_watermark = 1;
   ServerFixture f(s, 6, scfg);
   // Warm phase: bootstrap every connection (staggered by the serial accept
   // handshakes) so the burst below is pure same-tick eager traffic.
@@ -385,7 +384,6 @@ std::vector<std::uint64_t> srq_counter_run() {
   Scheduler s;
   oib::RdmaServerConfig scfg;
   scfg.pool.srq_depth = 2;
-  scfg.pool.srq_low_watermark = 1;
   ServerFixture f(s, 4, scfg);
   std::vector<char> oks(8, 0);
   for (int i = 0; i < 8; ++i) {

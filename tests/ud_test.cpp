@@ -27,6 +27,7 @@
 #include "rpcoib/rdma_server.hpp"
 #include "rpcoib/wire.hpp"
 #include "sim/random.hpp"
+#include "trace/trace.hpp"
 #include "verbs/verbs.hpp"
 
 namespace rpcoib {
@@ -1065,6 +1066,166 @@ TEST(UdDecoder, TruncatedCallHeaderIsDroppedAtArrivalUnderQueueBound) {
   server->stop();
   expect_pools_balanced(*client, server.get());
   s.drain_tasks();
+}
+
+// --- Teardown: a shut plane still returns what it is owed ----------------
+//
+// close_connections() on a live client shuts its planes while a call is on
+// the wire. Their receive loops stand down only once the client is gone:
+// until then they reap the completions still owed (the posted request's
+// kSend among them) and return each buffer, so the client's pool balances
+// once the run goes quiet. `sent` reads the counter that says the request
+// left: datagrams on UD, calls on RC.
+void close_with_call_in_flight(bool ud) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig ec{.mode = RpcMode::kRpcoIB};
+  if (ud) ec.ud = ud_on();
+  RpcEngine engine(tb, ec);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  std::map<int, int> exec;
+  register_ud_methods(*server, exec);
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+  auto* rc = dynamic_cast<oib::RdmaRpcClient*>(client.get());
+  ASSERT_NE(rc, nullptr);
+  const auto sent = [&] {
+    return ud ? client->stats().ud_datagrams_sent : client->stats().calls_sent;
+  };
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 5, out, err));
+  while (sent() == 0 && s.step()) {
+  }
+  ASSERT_EQ(sent(), 1u);
+  rc->close_connections();
+  s.run();
+
+  EXPECT_TRUE(err);
+  EXPECT_EQ(out, -1);
+  EXPECT_EQ(rc->pool().native().stats().acquires, rc->pool().native().stats().releases);
+  server->stop();
+  s.drain_tasks();
+}
+
+TEST(UdTeardown, CloseWithCallInFlightReturnsEveryBuffer) {
+  {
+    SCOPED_TRACE("UD");
+    close_with_call_in_flight(true);
+  }
+  {
+    SCOPED_TRACE("RC");
+    close_with_call_in_flight(false);
+  }
+}
+
+// The same rule for the batch flush: a UD client shut while a coalesced
+// batch is inside its encode charge returns the batch's pooled frame
+// instead of leaving it leased.
+TEST(UdTeardown, CloseInsideBatchFlushChargeReturnsEveryBuffer) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig ec{.mode = RpcMode::kRpcoIB};
+  ec.ud = ud_on();
+  ec.batch.enabled = true;
+  RpcEngine engine(tb, ec);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  std::map<int, int> exec;
+  register_ud_methods(*server, exec);
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+  auto* rc = dynamic_cast<oib::RdmaRpcClient*>(client.get());
+  ASSERT_NE(rc, nullptr);
+  const oib::PoolStats& pool = rc->pool().native().stats();
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 5, out, err));
+  while (client->stats().batched_calls == 0 && s.step()) {
+  }
+  ASSERT_EQ(client->stats().batched_calls, 1u);
+  // The flush leases its frame and then suspends in the encode charge.
+  const std::uint64_t appended = pool.acquires;
+  while (pool.acquires == appended && s.step()) {
+  }
+  ASSERT_EQ(pool.acquires, appended + 1);
+  ASSERT_EQ(client->stats().batches_sent, 0u);
+  rc->close_connections();
+  s.run();
+
+  EXPECT_TRUE(err);
+  EXPECT_EQ(client->stats().batches_sent, 0u);
+  EXPECT_EQ(client->stats().ud_datagrams_sent, 0u);
+  EXPECT_EQ(pool.acquires, pool.releases);
+  server->stop();
+  s.drain_tasks();
+}
+
+// --- Plane parity: one eager call, two planes -------------------------------
+//
+// The same small echo over a UD client and over an RC-only client records
+// the same call profile (one call, the same kCall frame length, the same
+// Algorithm-1 adjustments) and the same three phases under its call span.
+struct PlaneRun {
+  std::uint64_t calls = 0;
+  double msg_bytes = 0;
+  double mem_adjustments = 0;
+  std::vector<std::string> phases;  // the call span's client-side children, in order
+};
+
+PlaneRun echo_over_plane(bool ud) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  trace::TraceCollector col;
+  col.set_enabled(true);
+  tb.set_tracer(&col);
+  EngineConfig ec{.mode = RpcMode::kRpcoIB};
+  if (ud) ec.ud = ud_on();
+  RpcEngine engine(tb, ec);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  std::map<int, int> exec;
+  register_ud_methods(*server, exec);
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int out = -1;
+  bool err = false;
+  s.spawn(echo_task(*client, 77, out, err));
+  s.run_until(sim::seconds(1));
+  EXPECT_FALSE(err);
+  EXPECT_EQ(out, 77);
+  EXPECT_EQ(client->stats().ud_datagrams_sent, ud ? 1u : 0u);
+
+  PlaneRun run;
+  const rpc::MethodProfile& prof = client->stats().method(kEcho);
+  run.calls = prof.msg_bytes.count();
+  run.msg_bytes = prof.msg_bytes.sum();
+  run.mem_adjustments = prof.mem_adjustments.sum();
+  const std::string root = ud ? "rpc.ud:echo" : "rpc:echo";
+  trace::SpanId call = 0;
+  for (const trace::Span& sp : col.spans()) {
+    if (sp.host == 0 && sp.name == root) call = sp.id;
+    if (call != 0 && sp.host == 0 && sp.parent_id == call) run.phases.push_back(sp.name);
+  }
+  EXPECT_NE(call, 0u) << root << " not recorded";
+  server->stop();
+  expect_pools_balanced(*client, server.get());
+  s.drain_tasks();
+  return run;
+}
+
+TEST(UdParity, SmallEchoProfilesAndPhasesMatchOverUdAndRc) {
+  const PlaneRun ud = echo_over_plane(true);
+  const PlaneRun rc = echo_over_plane(false);
+  EXPECT_EQ(ud.calls, 1u);
+  EXPECT_EQ(ud.calls, rc.calls);
+  EXPECT_GT(ud.msg_bytes, 0);
+  EXPECT_EQ(ud.msg_bytes, rc.msg_bytes);
+  EXPECT_EQ(ud.mem_adjustments, rc.mem_adjustments);
+  const std::vector<std::string> phases{"serialize", "send", "deserialize"};
+  EXPECT_EQ(ud.phases, phases);
+  EXPECT_EQ(rc.phases, phases);
 }
 
 }  // namespace
