@@ -21,14 +21,11 @@ double warm_latency(std::size_t threshold, std::size_t payload) {
   net::Testbed tb(s, net::Testbed::cluster_b());
   verbs::VerbsStack stack(tb.fabric());
 
-  oib::RdmaServerConfig sc;
-  sc.eager_threshold = threshold;
-  oib::RdmaClientConfig cc;
-  cc.eager_threshold = threshold;
-  oib::RdmaRpcServer server(tb.host(0), tb.sockets(), stack, {0, 9090}, sc);
+  const oib::EngineConfig cfg{.eager_threshold = threshold};
+  oib::RdmaRpcServer server(tb.host(0), tb.sockets(), stack, {0, 9090}, cfg);
   workloads::register_pingpong(server);
   server.start();
-  oib::RdmaRpcClient client(tb.host(1), tb.sockets(), stack, cc);
+  oib::RdmaRpcClient client(tb.host(1), tb.sockets(), stack, cfg);
 
   static const rpc::MethodKey kPP{"bench.PingPongProtocol", "pingpong"};
   double warm_us = 0;

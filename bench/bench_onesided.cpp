@@ -114,8 +114,8 @@ Result run_one(const Config& cfg, std::uint64_t seed) {
   Testbed tb(s, Testbed::cluster_b());
   verbs::VerbsStack stack(tb.fabric());
 
-  oib::RdmaServerConfig scfg;
-  scfg.num_handlers = 4;
+  oib::EngineConfig scfg;
+  scfg.server_handlers = 4;
   scfg.onesided.enabled = cfg.onesided;
   if (cfg.write_hot) {
     // Widen the publisher's write window so concurrent READs actually
@@ -153,7 +153,7 @@ Result run_one(const Config& cfg, std::uint64_t seed) {
   // Export the hottest ranks (ZipfianGenerator rank i == key id i).
   for (int id = 0; id < kPublished; ++id) publish(id);
 
-  oib::RdmaClientConfig ccfg;
+  oib::EngineConfig ccfg;
   ccfg.onesided.enabled = cfg.onesided;
   static constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4, 5, 6, 7, 8};
   const sim::ZipfianGenerator zipf(kKeys, 0.99);

@@ -40,13 +40,13 @@ Result run_one(std::size_t srq_depth, int conns, int calls_per_conn) {
   Scheduler s;
   Testbed tb(s, Testbed::cluster_b());
   verbs::VerbsStack stack(tb.fabric());
-  oib::RdmaServerConfig scfg;
+  oib::EngineConfig scfg;
   scfg.pool.srq_depth = srq_depth;  // 0 selects the legacy per-QP rings
   oib::RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr, scfg);
   rpcoib::bench::register_echo(server, kEcho);
   server.start();
 
-  oib::RdmaClientConfig ccfg;
+  oib::EngineConfig ccfg;
   ccfg.pool.buffers_per_class = 2;  // hundreds of client pools: keep each small
   static constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4, 5, 6, 7, 8};
   std::vector<std::unique_ptr<oib::RdmaRpcClient>> clients;

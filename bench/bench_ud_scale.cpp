@@ -48,23 +48,22 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
   // deployments always ride the durable-session plane. The table cap is
   // provisioned for the sweep's client count — per-session state is a few
   // words, which is exactly the flat-state story this bench measures.
-  rpc::SessionConfig session;
-  session.enabled = true;
-  session.table_cap = 32768;
+  oib::EngineConfig scfg;
+  scfg.session.enabled = true;
+  scfg.session.table_cap = 32768;
 
   // The datagram path is lossy even on a fault-free fabric: a burst that
   // overruns the fixed endpoint rings is silently dropped, and the client's
-  // retry resends it. The server runs no retry cache (no set_overload), so
+  // retry resends it. The server runs no retry cache (no overload knob), so
   // a retried call may run its handler twice; the echo is idempotent, so
   // that is safe. Every client therefore runs the retry policy; the RC
   // baseline gets the same policy so the latency comparison is
   // apples-to-apples (it never fires there).
-  rpc::RpcRetryPolicy retry;
-  retry.call_timeout = sim::millis(200);
-  retry.max_retries = 10;
-  retry.backoff_base = sim::millis(10);
+  oib::EngineConfig ccfg = scfg;
+  ccfg.retry.call_timeout = sim::millis(200);
+  ccfg.retry.max_retries = 10;
+  ccfg.retry.backoff_base = sim::millis(10);
 
-  oib::RdmaServerConfig scfg;
   scfg.ud.enabled = ud;
   // Provisioned for the top of the sweep: ring depth is a property of the
   // endpoint pool, not of the client count, so it is identical for every
@@ -72,18 +71,16 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
   // clients grow, only as burst depth does.
   scfg.ud.recv_depth = 256;
   oib::RdmaRpcServer server(tb.host(1), tb.sockets(), stack, kAddr, scfg);
-  server.set_session(session);
   rpcoib::bench::register_echo(server, kEcho);
   server.start();
 
-  oib::RdmaClientConfig ccfg;
   ccfg.ud.enabled = ud;
   // Thousands of client pools in one process: keep each tiny. Ring slots
   // beyond the prealloc classes demand-allocate once at bootstrap (the
   // uncounted warmup call absorbs the registration cost).
   ccfg.pool.buffers_per_class = 1;
   ccfg.pool.prealloc_max_class = 1024;
-  ccfg.recv_depth = 2;
+  ccfg.pool.recv_depth = 2;
   ccfg.ud.client_recv_depth = 2;
   static constexpr cluster::HostId kClientHosts[] = {0, 2, 3, 4, 5, 6, 7, 8};
   std::vector<std::unique_ptr<oib::RdmaRpcClient>> clients;
@@ -93,8 +90,6 @@ Result run_one(bool ud, int conns, int calls_per_conn) {
   for (int i = 0; i < conns; ++i) {
     clients.push_back(std::make_unique<oib::RdmaRpcClient>(
         tb.host(kClientHosts[i % 8]), tb.sockets(), stack, ccfg));
-    clients.back()->set_session(session);
-    clients.back()->set_retry_policy(retry);
     s.spawn(rpcoib::bench::echo_client(s, *clients.back(), kAddr, kEcho, sim::micros(50) * i,
                                        calls_per_conn, total_us, done));
   }

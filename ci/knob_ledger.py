@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Knob ledger: every config field has a README row that shows its effect.
 
-Reads the bodies of the engine/server/client config structs from their
-headers and the knob table in README.md, and fails when
+EngineConfig is the one place an RPC knob is stated. The ledger reads its
+body and the bodies of the structs it embeds from their headers, and the
+knob table in README.md, and fails when
 
   * a config field has no row in the table, or
   * a row names a field that no longer exists (a deleted knob left behind),
-  * a row that names a config field has an empty "Shown by" cell.
+  * a row that names a config field has an empty "Shown by" cell, or
+  * a `struct ...Config` in src/ other than those EngineConfig embeds
+    declares a field typed as one of them: a second copy of a knob family,
+    filled field by field from EngineConfig.
 
 Field names in the table (backticked, first column):
 
   * EngineConfig's own fields bare: `server_shards`;
   * fields of a struct EngineConfig embeds under its member name:
-    `retry.call_timeout`, `pool.srq_depth`;
-  * RdmaServerConfig / RdmaClientConfig fields qualified:
-    `RdmaServerConfig::srq_idle_evict`.
+    `retry.call_timeout`, `pool.srq_depth`.
 
 A bare name after a qualified one in the same cell inherits its prefix, so
 "`retry.call_timeout`, `max_retries`" names retry.call_timeout and
@@ -28,7 +30,7 @@ from pathlib import Path
 
 # Struct name -> header (relative to src/).
 STRUCTS = {
-    "EngineConfig": "rpcoib/engine.hpp",
+    "EngineConfig": "rpcoib/engine_config.hpp",
     "RpcRetryPolicy": "rpc/retry.hpp",
     "OverloadConfig": "rpc/overload.hpp",
     "BatchConfig": "rpc/batch.hpp",
@@ -37,23 +39,16 @@ STRUCTS = {
     "UdConfig": "rpcoib/wire.hpp",
     "OneSidedConfig": "rpcoib/wire.hpp",
     "PoolConfig": "rpcoib/buffer_pool.hpp",
-    "RdmaServerConfig": "rpcoib/rdma_server.hpp",
-    "RdmaClientConfig": "rpcoib/rdma_client.hpp",
 }
-QUALIFIED = ("RdmaServerConfig", "RdmaClientConfig")
 
 # `type name = init;`, `type name{...};` or `type name;` at struct depth 1.
 FIELD = re.compile(r"^\s*([A-Za-z_][\w:<>, ]*?)\s+(\w+)\s*(?:=[^;]*|\{[^}]*\})?;\s*$")
 
 
-def struct_fields(src: Path, name: str):
-    """[(field, type)] of `struct name { ... };` in declaration order."""
-    text = (src / STRUCTS[name]).read_text()
-    m = re.search(r"^struct " + name + r" \{\n", text, re.M)
-    if m is None:
-        sys.exit(f"knob_ledger: struct {name} not found in src/{STRUCTS[name]}")
+def body_fields(text: str, start: int, name: str):
+    """[(field, type)] of the struct body opening at `start`, in order."""
     fields, depth = [], 1
-    for line in text[m.end():].splitlines():
+    for line in text[start:].splitlines():
         code = line.split("//", 1)[0]
         if depth == 1 and code.strip() == "};":
             return fields
@@ -65,6 +60,31 @@ def struct_fields(src: Path, name: str):
     sys.exit(f"knob_ledger: unterminated struct {name}")
 
 
+def struct_fields(src: Path, name: str):
+    """[(field, type)] of `struct name { ... };` in declaration order."""
+    text = (src / STRUCTS[name]).read_text()
+    m = re.search(r"^struct " + name + r" \{\n", text, re.M)
+    if m is None:
+        sys.exit(f"knob_ledger: struct {name} not found in src/{STRUCTS[name]}")
+    return body_fields(text, m.end(), name)
+
+
+def regrown_copies(src: Path):
+    """`struct ...Config` fields outside STRUCTS typed as a STRUCTS family."""
+    families = set(STRUCTS) - {"EngineConfig"}
+    errors = []
+    for header in sorted(src.rglob("*.hpp")):
+        text = header.read_text()
+        for m in re.finditer(r"^\s*struct (\w+Config) \{\n", text, re.M):
+            if m.group(1) in STRUCTS:
+                continue
+            for field, ftype in body_fields(text, m.end(), m.group(1)):
+                if ftype in families:
+                    errors.append(f"{m.group(1)}::{field} ({header.relative_to(src)}) copies "
+                                  f"{ftype}; state it once, in EngineConfig")
+    return errors
+
+
 def expected_knobs(src: Path):
     """Ledger names of every config field, and the prefixes they live under."""
     knobs, prefixes = [], set()
@@ -74,9 +94,6 @@ def expected_knobs(src: Path):
             knobs += [f"{field}.{sub}" for sub, _ in struct_fields(src, ftype)]
         else:
             knobs.append(field)
-    for owner in QUALIFIED:
-        prefixes.add(owner + "::")
-        knobs += [f"{owner}::{field}" for field, _ in struct_fields(src, owner)]
     return knobs, prefixes
 
 
@@ -126,6 +143,7 @@ def main() -> int:
                 if not shown_by:
                     errors.append(f"`{n}` has an empty 'Shown by' cell")
     errors += [f"`{k}` has no row in README's knob table" for k in knobs if k not in named]
+    errors += regrown_copies(root / "src")
     for e in errors:
         print("knob_ledger:", e)
     if errors:

@@ -56,6 +56,8 @@ class Summary {
 
   void reset() { *this = Summary(); }
 
+  bool operator==(const Summary&) const = default;
+
  private:
   std::uint64_t n_ = 0;
   double sum_ = 0;

@@ -93,23 +93,16 @@ class CallPipeline {
     if (queue_->size() > stats_.queue_depth_peak) {
       stats_.queue_depth_peak = queue_->size();
     }
-    if (stats_.queue_depth_peak > counters_.queued_peak) {
-      counters_.queued_peak = stats_.queue_depth_peak;
-    }
   }
 
   /// One call answered busy (a full queue or a capped-out pool).
-  void note_shed() {
-    ++stats_.calls_shed;
-    ++counters_.dropped;
-  }
+  void note_shed() { ++stats_.calls_shed; }
 
   /// Deadline check at dequeue: true means the caller already gave up and
   /// the call must not cost a handler. Counts calls_expired.
   bool expired_at_dequeue(sim::Time deadline, sim::Time now) {
     if (deadline == 0 || now < deadline) return false;
     ++stats_.calls_expired;
-    ++counters_.dropped;
     return true;
   }
 
@@ -121,7 +114,6 @@ class CallPipeline {
     Call call;
     while (queue_->try_recv(call)) out.push_back(std::move(call));
     stats_.dropped_on_stop += out.size();
-    counters_.dropped += out.size();
     return out;
   }
 

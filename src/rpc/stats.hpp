@@ -38,6 +38,8 @@ struct MethodProfile {
     size_sequence.insert(size_sequence.end(), o.size_sequence.begin(), o.size_sequence.end());
     sequence_dropped += o.sequence_dropped;
   }
+
+  bool operator==(const MethodProfile&) const = default;
 };
 
 /// Per-shard receive/dispatch counters (server.shards). One block per
@@ -47,6 +49,7 @@ struct MethodProfile {
 struct ShardCounters {
   std::uint64_t conns_assigned = 0;  // connections homed on this shard
   std::uint64_t dispatched = 0;      // calls admitted into the shard queue
+  // Filled by RpcStats::fold_shards from the shard's own stats:
   std::uint64_t queued_peak = 0;     // shard call-queue high-water mark
   std::uint64_t dropped = 0;         // shed + expired + dropped at stop()
 
@@ -331,8 +334,12 @@ template <typename Shards>
 void RpcStats::fold_shards(const Shards& blocks) {
   RpcStats agg;
   for (const auto& sh : blocks) {
-    agg.merge(sh->pipeline.stats());
-    agg.shards.push_back(sh->pipeline.counters());
+    const RpcStats& st = sh->pipeline.stats();
+    agg.merge(st);
+    ShardCounters sc = sh->pipeline.counters();
+    sc.queued_peak = st.queue_depth_peak;
+    sc.dropped = st.calls_shed + st.calls_expired + st.dropped_on_stop;
+    agg.shards.push_back(sc);
   }
   for (const CounterRow& r : kCounterRows) {
     if (r.group >= CounterGroup::kServer) this->*r.field = agg.*r.field;

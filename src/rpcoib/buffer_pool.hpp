@@ -22,6 +22,7 @@
 #include "cluster/host.hpp"
 #include "net/bytes.hpp"
 #include "rpc/protocol.hpp"
+#include "rpcoib/wire.hpp"
 #include "sim/task.hpp"
 #include "verbs/verbs.hpp"
 
@@ -46,6 +47,12 @@ struct NativeBuffer {
   bool leased = false;       // debugging guard against double lease/release
 };
 
+/// A posted work request's wr_id carries its pooled buffer's address
+/// (0 = no buffer attached). Addresses are even, so odd wr_ids stay free
+/// for ReadWaiters' READ tokens.
+inline std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
+inline NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
+
 struct PoolConfig {
   std::size_t min_class = 512;        // smallest buffer size
   std::size_t max_class = 4u << 20;   // largest registerable size (4 MB)
@@ -64,6 +71,12 @@ struct PoolConfig {
   /// of this depth. srq_depth 0 selects the legacy per-connection recv
   /// rings (registered receive memory then grows O(connections)).
   std::size_t srq_depth = 64;
+  /// RdmaRpcServer: evict connections with no receive activity for this
+  /// long (LRU sweep, runs at half the threshold). The client
+  /// re-bootstraps transparently on its next call. 0 = never evict.
+  sim::Dur srq_idle_evict = 0;
+  /// RdmaRpcClient: receive buffers pre-posted per connection.
+  std::size_t recv_depth = WireDefaults::kRecvDepth;
 };
 
 struct PoolStats {
@@ -116,10 +129,10 @@ class NativeBufferPool {
   /// instead of reaching the buffer's next lease.
   void release_revoked(NativeBuffer* buf);
 
-  /// Return the buffers behind a drained receive ring's wr_ids (each one a
-  /// NativeBuffer pointer, 0 for none) — teardown of posted receives.
+  /// Return the buffers behind a drained receive ring's wr_ids —
+  /// teardown of posted receives.
   void release_posted(const std::vector<std::uint64_t>& wr_ids) {
-    for (const std::uint64_t wr : wr_ids) release(reinterpret_cast<NativeBuffer*>(wr));
+    for (const std::uint64_t wr : wr_ids) release(buf_of(wr));
   }
 
   /// Size of the class that would serve `size`.

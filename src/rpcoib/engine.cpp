@@ -15,14 +15,33 @@ const char* rpc_mode_name(RpcMode mode) {
   return "?";
 }
 
+namespace {
+
+/// The socket transport a non-RDMA mode runs over.
+net::Transport socket_transport(RpcMode mode) {
+  switch (mode) {
+    case RpcMode::kSocket1GigE: return net::Transport::kOneGigE;
+    case RpcMode::kSocket10GigE: return net::Transport::kTenGigE;
+    default: return net::Transport::kIPoIB;
+  }
+}
+
+}  // namespace
+
 RpcEngine::RpcEngine(net::Testbed& tb, EngineConfig cfg)
     : tb_(tb), cfg_(cfg), verbs_(tb.fabric()) {}
 
 std::unique_ptr<rpc::RpcClient> RpcEngine::make_client(cluster::Host& host) {
-  std::unique_ptr<rpc::RpcClient> client = make_client_impl(host);
-  client->set_retry_policy(cfg_.retry);
-  client->set_batch(cfg_.batch);
-  client->set_session(cfg_.session);
+  std::unique_ptr<rpc::RpcClient> client;
+  if (cfg_.mode == RpcMode::kRpcoIB) {
+    client = std::make_unique<RdmaRpcClient>(host, tb_.sockets(), verbs_, cfg_);
+  } else {
+    client = std::make_unique<rpc::SocketRpcClient>(host, tb_.sockets(),
+                                                    socket_transport(cfg_.mode));
+    client->set_retry_policy(cfg_.retry);
+    client->set_batch(cfg_.batch);
+    client->set_session(cfg_.session);
+  }
   client->stats().record_sequences = record_sequences_;
   rpc::RpcClient* raw = client.get();
   clients_.push_back(raw);
@@ -43,56 +62,16 @@ std::map<rpc::MethodKey, rpc::MethodProfile> RpcEngine::aggregated_profiles() co
   return agg;
 }
 
-std::unique_ptr<rpc::RpcClient> RpcEngine::make_client_impl(cluster::Host& host) {
-  switch (cfg_.mode) {
-    case RpcMode::kSocket1GigE:
-      return std::make_unique<rpc::SocketRpcClient>(host, tb_.sockets(),
-                                                    net::Transport::kOneGigE);
-    case RpcMode::kSocket10GigE:
-      return std::make_unique<rpc::SocketRpcClient>(host, tb_.sockets(),
-                                                    net::Transport::kTenGigE);
-    case RpcMode::kSocketIPoIB:
-      return std::make_unique<rpc::SocketRpcClient>(host, tb_.sockets(),
-                                                    net::Transport::kIPoIB);
-    case RpcMode::kRpcoIB: {
-      RdmaClientConfig rc;
-      rc.eager_threshold = cfg_.eager_threshold;
-      rc.pool = cfg_.pool;
-      rc.ud = cfg_.ud;
-      rc.onesided = cfg_.onesided;
-      return std::make_unique<RdmaRpcClient>(host, tb_.sockets(), verbs_, rc);
-    }
-  }
-  return nullptr;
-}
-
 std::unique_ptr<rpc::RpcServer> RpcEngine::make_server(cluster::Host& host,
                                                        net::Address addr) {
-  std::unique_ptr<rpc::RpcServer> server;
-  switch (cfg_.mode) {
-    case RpcMode::kSocket1GigE:
-    case RpcMode::kSocket10GigE:
-    case RpcMode::kSocketIPoIB:
-      server = std::make_unique<rpc::SocketRpcServer>(host, tb_.sockets(), addr,
-                                                      cfg_.server_handlers, cfg_.server_shards);
-      break;
-    case RpcMode::kRpcoIB: {
-      RdmaServerConfig sc;
-      sc.num_handlers = cfg_.server_handlers;
-      sc.shards = cfg_.server_shards;
-      sc.eager_threshold = cfg_.eager_threshold;
-      sc.pool = cfg_.pool;
-      sc.ud = cfg_.ud;
-      sc.onesided = cfg_.onesided;
-      server = std::make_unique<RdmaRpcServer>(host, tb_.sockets(), verbs_, addr, sc);
-      break;
-    }
+  if (cfg_.mode == RpcMode::kRpcoIB) {
+    return std::make_unique<RdmaRpcServer>(host, tb_.sockets(), verbs_, addr, cfg_);
   }
-  if (server) {
-    server->set_overload(cfg_.overload);
-    server->set_batch(cfg_.batch);
-    server->set_session(cfg_.session);
-  }
+  auto server = std::make_unique<rpc::SocketRpcServer>(host, tb_.sockets(), addr,
+                                                       cfg_.server_handlers, cfg_.server_shards);
+  server->set_overload(cfg_.overload);
+  server->set_batch(cfg_.batch);
+  server->set_session(cfg_.session);
   return server;
 }
 

@@ -11,10 +11,6 @@ namespace rpcoib::oib {
 
 namespace {
 
-/// wr_id carries the pooled buffer pointer (0 = no buffer attached).
-std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
-NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
-
 /// Seqlock conflict retries before a one-sided READ degrades the call to
 /// RPC (onesided_conflict_fallbacks): bounds the spin on write-hot keys.
 constexpr int kMaxVersionRetries = 2;
@@ -46,7 +42,7 @@ net::Bytes RdmaRpcClient::copy_for_batch(NativeBuffer*& buf, net::ByteSpan frame
 }
 
 RdmaRpcClient::RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets,
-                             verbs::VerbsStack& stack, RdmaClientConfig cfg)
+                             verbs::VerbsStack& stack, const EngineConfig& cfg)
     : host_(host),
       sockets_(sockets),
       stack_(stack),
@@ -55,6 +51,9 @@ RdmaRpcClient::RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets,
       native_(host, stack, cfg.pool),
       shadow_(native_),
       pool_ready_(host.sched()) {
+  set_retry_policy(cfg.retry);
+  set_batch(cfg.batch);
+  set_session(cfg.session);
   // Register the pool at construction ("library load" in the paper) so
   // the cost is off every call's critical path.
   host_.sched().spawn(init_pool_task(alive_));
@@ -95,7 +94,7 @@ sim::Co<void> RdmaRpcClient::dial(const ConnectionPtr& conn, net::Address addr) 
     const EagerNegotiation eager = negotiate_eager(cfg_.eager_threshold, peer_threshold);
     conn->eager_threshold = eager.threshold;
     if (eager.mismatch) ++stats_.threshold_mismatches;
-    for (int i = 0; i < cfg_.recv_depth; ++i) {
+    for (std::size_t i = 0; i < cfg_.pool.recv_depth; ++i) {
       NativeBuffer* rb = native_.acquire(eager.ring_buf);
       conn->qp->post_recv(wr_of(rb), rb->span);
     }

@@ -21,6 +21,7 @@
 #include "rpc/rpc.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpcoib/buffer_pool.hpp"
+#include "rpcoib/engine_config.hpp"
 #include "rpcoib/rdma_streams.hpp"
 #include "rpcoib/read_waiters.hpp"
 #include "rpcoib/wire.hpp"
@@ -29,30 +30,14 @@
 
 namespace rpcoib::oib {
 
-struct RdmaClientConfig {
-  std::size_t eager_threshold = WireDefaults::kEagerThreshold;
-  int recv_depth = WireDefaults::kRecvDepth;
-  PoolConfig pool{};
-  /// UD datagram eager path (default off): sub-MTU eager calls ride
-  /// connectionless datagrams into the server's fixed UD endpoint pool;
-  /// RC QPs are bootstrapped only for rendezvous-sized calls. UD is
-  /// lossy — run sessions + a retry policy for exactly-once delivery.
-  UdConfig ud{};
-  /// One-sided read plane (default off): eligible Get/lookup calls are
-  /// resolved by RDMA READ against the server's advertised seqlock
-  /// region, falling back to plain RPC on miss/conflict/stale generation.
-  OneSidedConfig onesided{};
-};
-
 class RdmaRpcClient final : public rpc::RpcClient {
  public:
   RdmaRpcClient(cluster::Host& host, net::SocketTable& sockets, verbs::VerbsStack& stack,
-                RdmaClientConfig cfg = {});
+                const EngineConfig& cfg = {});
   ~RdmaRpcClient() override;
 
   cluster::Host& host() const override { return host_; }
   ShadowPool& pool() { return shadow_; }
-  const RdmaClientConfig& config() const { return cfg_; }
 
   void close_connections();
 
@@ -278,7 +263,9 @@ class RdmaRpcClient final : public rpc::RpcClient {
   net::SocketTable& sockets_;
   verbs::VerbsStack& stack_;
   verbs::ConnectionManager cm_;
-  RdmaClientConfig cfg_;
+  // Read for the transport knobs; retry, batch and session were applied
+  // to the RpcClient base at construction.
+  EngineConfig cfg_;
   NativeBufferPool native_;
   ShadowPool shadow_;
   sim::SimEvent pool_ready_;

@@ -39,7 +39,7 @@ const rpc::MethodKey& status_key(rpc::RpcStatus status) {
 
 RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
                              verbs::VerbsStack& stack, net::Address addr,
-                             RdmaServerConfig cfg)
+                             const EngineConfig& cfg)
     : host_(host),
       sockets_(sockets),
       stack_(stack),
@@ -48,12 +48,16 @@ RdmaRpcServer::RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets,
       cfg_(cfg),
       native_(host, stack, cfg.pool),
       shadow_(native_),
-      core_(host.sched(), cfg.shards),
+      core_(host.sched(), cfg.server_shards),
       ud_(std::make_shared<UdPlane>(host.sched())),
       fallback_(host, sockets,
                 net::Address{addr.host,
                              static_cast<std::uint16_t>(addr.port + kSocketFallbackPortOffset)},
-                cfg.num_handlers, cfg.shards) {}
+                cfg.server_handlers, cfg.server_shards) {
+  set_overload(cfg.overload);
+  set_batch(cfg.batch);
+  set_session(cfg.session);
+}
 
 RdmaRpcServer::~RdmaRpcServer() { stop(); }
 
@@ -80,7 +84,7 @@ void RdmaRpcServer::start() {
     shard->srq->set_stall_counter(&shard->pipeline.stats().srq_rnr_stalls);
     host_.sched().spawn(srq_refill_loop(shard));
   }
-  if (cfg_.srq_idle_evict > 0) host_.sched().spawn(idle_evict_loop(alive_));
+  if (cfg_.pool.srq_idle_evict > 0) host_.sched().spawn(idle_evict_loop(alive_));
   if (cfg_.ud.enabled) {
     // A fresh UD endpoint pool per run. The previous run's endpoints fold
     // their drop counts into the base first so ud_rx_dropped stays
@@ -110,7 +114,7 @@ void RdmaRpcServer::start() {
     for (auto& ep : ud_->eps) {
       for (int i = 0; i < cfg_.ud.recv_depth; ++i) {
         NativeBuffer* b = native_.acquire(slot);
-        ep->post_recv(reinterpret_cast<std::uint64_t>(b), b->span);
+        ep->post_recv(wr_of(b), b->span);
         ud_ring_bytes_ += b->span.size();
       }
     }
@@ -129,7 +133,7 @@ void RdmaRpcServer::start() {
   }
   host_.sched().spawn(listener_loop(sockets_.listen(addr_)));
   for (const auto& shard : core_.shards()) host_.sched().spawn(reader_loop(shard));
-  core_.spawn_handlers(cfg_.num_handlers, [this](auto s) { return handler_loop(s); });
+  core_.spawn_handlers(cfg_.server_handlers, [this](auto s) { return handler_loop(s); });
   // The companion socket listener for clients whose QP bootstrap fails
   // serves this server's methods, and must shed under the same policy as
   // the RDMA path, or overload would simply migrate to it.
@@ -216,10 +220,10 @@ void RdmaRpcServer::note_ring_bytes(Shard& shard, std::size_t n) {
 
 void RdmaRpcServer::post_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer* buf) {
   if (shard.srq) {
-    shard.srq->post_recv(reinterpret_cast<std::uint64_t>(buf), buf->span);
+    shard.srq->post_recv(wr_of(buf), buf->span);
     ++shard.pipeline.stats().srq_posted;
   } else {
-    conn->qp->post_recv(reinterpret_cast<std::uint64_t>(buf), buf->span);
+    conn->qp->post_recv(wr_of(buf), buf->span);
   }
   note_ring_bytes(shard, buf->span.size());
 }
@@ -259,7 +263,7 @@ sim::Task RdmaRpcServer::srq_refill_loop(std::shared_ptr<Shard> shard) {
 }
 
 sim::Task RdmaRpcServer::idle_evict_loop(std::shared_ptr<bool> alive) {
-  const sim::Dur idle = cfg_.srq_idle_evict;
+  const sim::Dur idle = cfg_.pool.srq_idle_evict;
   const sim::Dur sweep = std::max<sim::Dur>(idle / 2, 1);
   try {
     for (;;) {
@@ -281,7 +285,7 @@ sim::Task RdmaRpcServer::idle_evict_loop(std::shared_ptr<bool> alive) {
         ConnPtr c = it->second;
         Shard& shard = *shard_of(*c);
         for (std::uint64_t wr : c->qp->drain_posted_recvs()) {  // legacy ring
-          auto* b = reinterpret_cast<NativeBuffer*>(wr);
+          auto* b = buf_of(wr);
           shard.ring_bytes -= std::min(shard.ring_bytes, b->span.size());
           native_.release(b);
         }
@@ -396,7 +400,7 @@ sim::Task RdmaRpcServer::fetch_call(std::shared_ptr<Shard> shard, ConnPtr conn,
     ++shard->pipeline.stats().pool_nacks;
     const ControlFrame nack(Control{FrameType::kNack, rkey});
     try {
-      co_await conn->qp->post_send(0, nack.span());
+      co_await conn->qp->post_send(wr_of(nullptr), nack.span());
     } catch (const verbs::VerbsError&) {
     }
     co_return;
@@ -425,16 +429,16 @@ sim::Task RdmaRpcServer::reader_loop(std::shared_ptr<Shard> owned) {
       verbs::WorkCompletion wc = co_await shard.cq.wait();
       switch (wc.opcode) {
         case verbs::Opcode::kSend: {
-          // Eager response on the wire: pooled source (if any; odd wr_ids
-          // are READ tokens) is reusable.
-          if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
+          // Eager response on the wire: its pooled source (if any) is
+          // reusable.
+          native_.release(buf_of(wc.wr_id));
           break;
         }
         case verbs::Opcode::kRdmaRead:
           shard.reads.complete(wc);
           break;
         case verbs::Opcode::kRecv: {
-          auto* rb = reinterpret_cast<NativeBuffer*>(wc.wr_id);
+          auto* rb = buf_of(wc.wr_id);
           shard.ring_bytes -= std::min(shard.ring_bytes, rb->span.size());
           auto cit = conns_.find(wc.qp_context);
           if (cit == conns_.end() || shard.stopped) {
@@ -500,11 +504,11 @@ sim::Task RdmaRpcServer::ud_reader_loop(std::shared_ptr<UdPlane> plane) {
       verbs::WorkCompletion wc = co_await plane->cq.wait();
       if (wc.opcode == verbs::Opcode::kSend) {
         // Response datagram on the wire: pooled source is reusable.
-        if ((wc.wr_id & 1) == 0) native_.release(reinterpret_cast<NativeBuffer*>(wc.wr_id));
+        native_.release(buf_of(wc.wr_id));
         continue;
       }
       if (wc.opcode != verbs::Opcode::kRecv) continue;
-      auto* rb = reinterpret_cast<NativeBuffer*>(wc.wr_id);
+      auto* rb = buf_of(wc.wr_id);
       const std::size_t ep_index = static_cast<std::size_t>(wc.qp_context);
       constexpr std::size_t grh = verbs::UdEndpoint::kGrhBytes;
       if (!plane->stopped && wc.byte_len > grh + kUdHeaderBytes &&
@@ -587,9 +591,8 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     co_return;
   }
   try {
-    co_await plane.eps[call.ud->ep]->post_send(reinterpret_cast<std::uint64_t>(buf),
-                                               call.ud->peer, msg);
-    // Released by ud_reader_loop at the kSend completion (even wr_id).
+    co_await plane.eps[call.ud->ep]->post_send(wr_of(buf), call.ud->peer, msg);
+    // Released by ud_reader_loop at the kSend completion.
     ++shard->pipeline.stats().ud_responses_sent;
   } catch (const verbs::VerbsError&) {
     native_.release(buf);
@@ -803,14 +806,14 @@ sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
   const std::shared_ptr<Shard> shard = shard_of(*call.conn);
   try {
     if (msg.size() <= call.conn->eager_threshold) {
-      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
+      co_await call.conn->qp->post_send(wr_of(buf), msg);
       // Released by reader_loop at the kSend completion.
     } else {
       shard->pending_resp[buf->mr.rkey] = buf;
       const ControlFrame ctrl(Control{FrameType::kCtrlResp, buf->mr.rkey,
                                       static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
                                       static_cast<std::uint32_t>(msg.size())});
-      co_await call.conn->qp->post_send(0, ctrl.span());
+      co_await call.conn->qp->post_send(wr_of(nullptr), ctrl.span());
     }
   } catch (const verbs::VerbsError&) {
     shard->pending_resp.erase(buf->mr.rkey);
@@ -843,8 +846,8 @@ sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn, std::vector<net:
   }
   try {
     const net::ByteSpan wire(fb->span.data(), total);
-    co_await conn->qp->post_send(reinterpret_cast<std::uint64_t>(fb), wire);
-    // fb is released by reader_loop at the kSend completion (even wr_id).
+    co_await conn->qp->post_send(wr_of(fb), wire);
+    // fb is released by reader_loop at the kSend completion.
   } catch (const verbs::VerbsError&) {
     native_.release(fb);
     co_return;

@@ -7,7 +7,7 @@
 // RDMA-READ in (rendezvous), and responses are serialized straight into
 // pooled registered buffers whose size comes from per-method history.
 //
-// `shards` > 1 replicates the whole receive/dispatch chain: connections
+// `server_shards` > 1 replicates the whole receive/dispatch chain: connections
 // are homed on the ServerCore's independent shards (by session id, else
 // round-robin by dense connection id), each with its own completion
 // queue, its own SRQ stripe of the shared receive ring, its own
@@ -38,6 +38,7 @@
 #include "rpc/server_core.hpp"
 #include "rpc/socket_server.hpp"
 #include "rpcoib/buffer_pool.hpp"
+#include "rpcoib/engine_config.hpp"
 #include "rpcoib/onesided.hpp"
 #include "rpcoib/rdma_streams.hpp"
 #include "rpcoib/read_waiters.hpp"
@@ -47,32 +48,10 @@
 
 namespace rpcoib::oib {
 
-struct RdmaServerConfig {
-  int num_handlers = 8;
-  /// Reader shards (server.shards). Each shard owns a disjoint set of
-  /// connections end to end: CQ, SRQ stripe, call queue, handlers.
-  int shards = 1;
-  std::size_t eager_threshold = WireDefaults::kEagerThreshold;
-  PoolConfig pool{};
-  /// Evict connections with no receive activity for this long (LRU sweep,
-  /// runs at half the threshold). The client re-bootstraps transparently
-  /// on its next call. 0 = never evict.
-  sim::Dur srq_idle_evict = 0;
-  /// UD datagram eager path (default off): a small fixed pool of
-  /// connectionless endpoints serves every client's sub-MTU eager calls,
-  /// so per-client server state (QPs, rings) stays flat at any client
-  /// count. Advertised on the verbs stack as a UdService at `addr`.
-  UdConfig ud{};
-  /// One-sided read plane (default off): export hot read-mostly responses
-  /// into a registered seqlock region clients fetch with RDMA READ,
-  /// advertised on the verbs stack as a OneSidedService at `addr`.
-  OneSidedConfig onesided{};
-};
-
 class RdmaRpcServer final : public rpc::RpcServer {
  public:
   RdmaRpcServer(cluster::Host& host, net::SocketTable& sockets, verbs::VerbsStack& stack,
-                net::Address addr, RdmaServerConfig cfg = {});
+                net::Address addr, const EngineConfig& cfg = {});
   ~RdmaRpcServer() override;
 
   void start() override;
@@ -250,7 +229,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   verbs::VerbsStack& stack_;
   verbs::ConnectionManager cm_;
   net::Address addr_;
-  RdmaServerConfig cfg_;
+  // Read for the transport knobs; overload, batch and session were
+  // applied to the RpcServer base at construction.
+  EngineConfig cfg_;
   NativeBufferPool native_;
   ShadowPool shadow_;
 

@@ -19,9 +19,6 @@ constexpr int kCtrlRecvDepth = 16;
 // A grant carries its slot count in one byte.
 constexpr std::size_t kMaxRingDepth = 255;
 
-std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
-NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
-
 StreamConfig clamp_cfg(StreamConfig cfg, const PoolConfig& pool) {
   cfg.chunk_size = std::clamp(cfg.chunk_size, pool.min_class, pool.max_class);
   cfg.ring_depth = std::clamp<std::size_t>(cfg.ring_depth, 1, kMaxRingDepth);

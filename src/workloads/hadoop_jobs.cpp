@@ -75,14 +75,8 @@ struct MrStack {
     return cfg;
   }
   static EngineConfig make_engine_cfg(RpcMode rpc_mode, const ChaosConfig* chaos) {
-    EngineConfig cfg;
+    EngineConfig cfg = chaos != nullptr ? chaos->engine : EngineConfig{};
     cfg.mode = rpc_mode;
-    if (chaos != nullptr) {
-      cfg.retry = chaos->retry;
-      cfg.overload = chaos->overload;
-      cfg.session = chaos->session;
-      cfg.ud = chaos->ud;
-    }
     return cfg;
   }
   static hdfs::HdfsConfig make_hdfs_cfg(bool dn_disk_writes, const ChaosConfig* chaos) {

@@ -30,10 +30,7 @@ struct SortResult {
 /// Default-constructed = no faults, no retries (legacy behavior).
 struct ChaosConfig {
   std::shared_ptr<net::FaultPlan> fault;  // installed on the testbed fabric
-  rpc::RpcRetryPolicy retry;              // applied to every RPC client
-  rpc::OverloadConfig overload;           // queue bound + retry cache, every server
-  rpc::SessionConfig session;             // durable sessions + reconnect recovery
-  oib::UdConfig ud;                       // datagram eager path (RPCoIB only)
+  oib::EngineConfig engine{};             // every RPC endpoint; `mode` comes from the run_* call
   sim::Dur tracker_expiry = 0;            // JobTracker task re-execution
   int pipeline_retries = 0;               // DFSClient write-pipeline recovery
 };

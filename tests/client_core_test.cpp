@@ -243,44 +243,40 @@ PinRun run_rdma_scenario() {
 
   // Main server: SRQ ring with idle eviction, UD and one-sided planes on,
   // and a rendezvous pool capped at one demand allocation.
-  oib::RdmaServerConfig sc;
-  sc.num_handlers = 4;
+  oib::EngineConfig sc;
+  sc.server_handlers = 4;
   sc.pool.buffers_per_class = 32;
   sc.pool.demand_alloc_cap = 1;
   sc.pool.srq_depth = 64;
-  sc.srq_idle_evict = sim::seconds(2);
+  sc.pool.srq_idle_evict = sim::seconds(2);
+  sc.overload = ov;
+  sc.session = sessions_on();
   sc.ud.enabled = true;
   sc.onesided.enabled = true;
   oib::RdmaRpcServer main(tb.host(1), tb.sockets(), stack, kMain, sc);
-  main.set_overload(ov);
-  main.set_session(sessions_on());
   register_methods(main, s);
   main.start();
   // Second server: its first bootstrap fails, rerouting it to sockets.
-  oib::RdmaRpcServer reroute(tb.host(2), tb.sockets(), stack, kReroute, oib::RdmaServerConfig{});
-  reroute.set_session(sessions_on());
+  oib::RdmaRpcServer reroute(tb.host(2), tb.sockets(), stack, kReroute,
+                             oib::EngineConfig{.session = sessions_on()});
   register_methods(reroute, s);
   reroute.start();
 
   // Client A: UD and one-sided planes on. Client B: plain RC with
   // coalescing. Client C: its pool capped at one demand allocation.
-  oib::RdmaClientConfig ca;
-  ca.pool.buffers_per_class = 32;
+  oib::EngineConfig cb;
+  cb.pool.buffers_per_class = 32;
+  cb.retry = retry_policy();
+  cb.session = sessions_on();
+  oib::EngineConfig ca = cb;
   ca.ud.enabled = true;
   ca.onesided.enabled = true;
   oib::RdmaRpcClient a(tb.host(0), tb.sockets(), stack, ca);
-  configure(a);
-  oib::RdmaClientConfig cb;
-  cb.pool.buffers_per_class = 32;
-  oib::RdmaRpcClient b(tb.host(3), tb.sockets(), stack, cb);
-  configure(b);
-  rpc::BatchConfig batch;
-  batch.enabled = true;
-  b.set_batch(batch);
-  oib::RdmaClientConfig cc = cb;
+  oib::EngineConfig cc = cb;
   cc.pool.demand_alloc_cap = 1;
+  cb.batch.enabled = true;
+  oib::RdmaRpcClient b(tb.host(3), tb.sockets(), stack, cb);
   oib::RdmaRpcClient c(tb.host(4), tb.sockets(), stack, cc);
-  configure(c);
 
   // Bootstrap failure: sticky socket reroute, then a call on the reroute.
   s.run_until(sim::millis(10));
@@ -342,9 +338,8 @@ std::size_t live_after_close_during_dial(sim::Dur offset) {
   std::unique_ptr<rpc::RpcServer> server;
   std::unique_ptr<Client> client;
   if constexpr (kRdma) {
-    server = std::make_unique<oib::RdmaRpcServer>(tb.host(1), tb.sockets(), stack, kDialAddr,
-                                                  oib::RdmaServerConfig{});
-    client = std::make_unique<Client>(tb.host(0), tb.sockets(), stack, oib::RdmaClientConfig{});
+    server = std::make_unique<oib::RdmaRpcServer>(tb.host(1), tb.sockets(), stack, kDialAddr);
+    client = std::make_unique<Client>(tb.host(0), tb.sockets(), stack);
   } else {
     server = std::make_unique<rpc::SocketRpcServer>(tb.host(1), tb.sockets(), kDialAddr, 4);
     client = std::make_unique<Client>(tb.host(0), tb.sockets(), net::Transport::kIPoIB);

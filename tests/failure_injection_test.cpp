@@ -744,8 +744,8 @@ TEST(Chaos, MiniSortOverFlappingLinkIsIdenticalAcrossRuns) {
       plan->set_default_faults({.drop_prob = 0.02});
       plan->add_flap(0, 1, sim::seconds(2), sim::seconds(3));
       chaos.fault = plan;
-      chaos.retry.call_timeout = sim::seconds(3);
-      chaos.retry.max_retries = 4;
+      chaos.engine.retry.call_timeout = sim::seconds(3);
+      chaos.engine.retry.max_retries = 4;
       chaos.tracker_expiry = sim::seconds(30);
       chaos.pipeline_retries = 5;
       return workloads::run_randomwriter_sort(mode, /*slaves=*/2, 128ULL << 20,

@@ -340,7 +340,7 @@ TEST(Overload, PoolExhaustionNacksRendezvousAndFallsBackToSocket) {
   // The client gets its own *uncapped* pool: the cap under test here is the
   // server's rendezvous-fetch one (client-side serialization caps are
   // covered by the Regrow* tests).
-  oib::RdmaClientConfig cc;
+  EngineConfig cc;
   cc.pool.buffers_per_class = 32;
   std::unique_ptr<rpc::RpcClient> client = std::make_unique<oib::RdmaRpcClient>(
       tb.host(0), tb.sockets(), engine.verbs(), cc);

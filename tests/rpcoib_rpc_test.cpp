@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "chaos_env.hpp"
+#include "net/fault.hpp"
 #include "net/testbed.hpp"
 #include "rpc/buffers.hpp"
+#include "rpc/resilience.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpc/socket_server.hpp"
 #include "rpcoib/engine.hpp"
@@ -47,8 +50,8 @@ void register_echo(rpc::RpcServer& server) {
 }
 
 struct Fixture {
-  explicit Fixture(Scheduler& s, RdmaServerConfig server_cfg = {},
-                   RdmaClientConfig client_cfg = {})
+  explicit Fixture(Scheduler& s, const EngineConfig& server_cfg = {},
+                   const EngineConfig& client_cfg = {})
       : tb(s, Testbed::cluster_b()),
         stack(tb.fabric()),
         server(tb.host(1), tb.sockets(), stack, kAddr, server_cfg),
@@ -111,9 +114,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RpcoIBSizes,
 // below goes rendezvous and completes; both sides count the mismatch.
 TEST(RpcoIB, MismatchedEagerThresholdsNegotiateToMin) {
   Scheduler s;
-  RdmaServerConfig scfg;
+  EngineConfig scfg;
   scfg.eager_threshold = 2 * 1024;
-  RdmaClientConfig ccfg;
+  EngineConfig ccfg;
   ccfg.eager_threshold = 16 * 1024;
   Fixture f(s, scfg, ccfg);
   bool ok = false;
@@ -251,11 +254,8 @@ TEST(RpcEngine, ModesProduceWorkingPairs) {
 TEST(RpcoIB, ThresholdSweepStillCorrect) {
   for (std::size_t threshold : {std::size_t{256}, std::size_t{1024}, std::size_t{16384}}) {
     Scheduler s;
-    RdmaServerConfig sc;
-    sc.eager_threshold = threshold;
-    RdmaClientConfig cc;
-    cc.eager_threshold = threshold;
-    Fixture f(s, sc, cc);
+    const EngineConfig cfg{.eager_threshold = threshold};
+    Fixture f(s, cfg, cfg);
     bool ok1 = false, ok2 = false;
     s.spawn(call_echo(f.client, threshold / 2, ok1));
     s.spawn(call_echo(f.client, threshold * 4, ok2));
@@ -419,35 +419,16 @@ struct RestartRig {
   static constexpr int kLanes = 2;        // concurrent callers per client
   static constexpr int kCallsPerLane = 4;
 
-  static PoolConfig small_pool() {
-    PoolConfig pool;
-    pool.buffers_per_class = 2;
-    pool.prealloc_max_class = 4096;
-    pool.srq_depth = 8;
-    return pool;
-  }
-
   RestartRig(Scheduler& s, bool ud, int shards)
       : tb(s, Testbed::cluster_b()),
         stack(tb.fabric()),
-        server(tb.host(1), tb.sockets(), stack, kAddr, server_cfg(ud, shards)),
+        server(tb.host(1), tb.sockets(), stack, kAddr, rig_cfg(ud, shards)),
         outcomes(std::size(kClientHosts) * kLanes * kCallsPerLane, kPending) {
     register_echo(server);
-    rpc::BatchConfig batch;
-    batch.enabled = !ud;
-    server.set_batch(batch);
     server.start();
-    rpc::RpcRetryPolicy retry;
-    retry.call_timeout = sim::millis(2);
-    retry.max_retries = 2;
-    retry.backoff_base = sim::micros(200);
-    RdmaClientConfig ccfg;
-    ccfg.pool = small_pool();
-    ccfg.ud.enabled = ud;
     for (const cluster::HostId h : kClientHosts) {
-      clients.push_back(std::make_unique<RdmaRpcClient>(tb.host(h), tb.sockets(), stack, ccfg));
-      clients.back()->set_retry_policy(retry);
-      clients.back()->set_batch(batch);
+      clients.push_back(
+          std::make_unique<RdmaRpcClient>(tb.host(h), tb.sockets(), stack, rig_cfg(ud, shards)));
     }
     // UD calls stay sub-MTU; the RC case adds rendezvous-sized ones.
     const std::vector<std::size_t> sizes =
@@ -468,10 +449,18 @@ struct RestartRig {
     tb.sched().drain_tasks();
   }
 
-  static RdmaServerConfig server_cfg(bool ud, int shards) {
-    RdmaServerConfig cfg;
-    cfg.shards = shards;
-    cfg.pool = small_pool();
+  /// The server and every client: small pools, a tight retry policy, and
+  /// either UD or batched RC.
+  static EngineConfig rig_cfg(bool ud, int shards) {
+    EngineConfig cfg;
+    cfg.server_shards = shards;
+    cfg.pool.buffers_per_class = 2;
+    cfg.pool.prealloc_max_class = 4096;
+    cfg.pool.srq_depth = 8;
+    cfg.retry.call_timeout = sim::millis(2);
+    cfg.retry.max_retries = 2;
+    cfg.retry.backoff_base = sim::micros(200);
+    cfg.batch.enabled = !ud;
     cfg.ud.enabled = ud;
     cfg.ud.server_endpoints = 2;
     cfg.ud.recv_depth = 8;
@@ -547,6 +536,126 @@ void restart_sweep(bool ud, int shards) {
 TEST(RpcoIB, RestartMidTrafficServesAgainUd) { restart_sweep(true, chaos_shards(1)); }
 
 TEST(RpcoIB, RestartMidTrafficServesAgainRcBatched) { restart_sweep(false, chaos_shards(2)); }
+
+// ---- One configuration: EngineConfig reaches the RDMA endpoints whole ------
+
+/// Echo `n` bytes at virtual time `at`; a call the retries could not carry
+/// through counts as failed instead of ending the run.
+Task echo_at(Scheduler& s, rpc::RpcClient& client, sim::Time at, std::size_t n, int& ok) {
+  co_await sim::delay(s, at - s.now());
+  net::Bytes payload(n, static_cast<net::Byte>(n));
+  rpc::BytesWritable req(payload);
+  rpc::BytesWritable resp;
+  try {
+    co_await client.call(kAddr, kEcho, req, &resp);
+  } catch (const rpc::RpcTransportError&) {
+    co_return;
+  }
+  ok += resp.value == payload ? 1 : 0;
+}
+
+struct ParityRun {
+  std::string report;
+  std::map<rpc::MethodKey, rpc::MethodProfile> methods;
+  int ok = 0;
+};
+
+/// A seeded mix of coalescable and rendezvous-sized echoes, with a
+/// connection kill under it, against one RPCoIB pair built from `cfg` by
+/// RpcEngine or by hand.
+ParityRun parity_run(const EngineConfig& cfg, bool by_engine) {
+  auto plan = std::make_shared<net::FaultPlan>(chaos_seed());
+  plan->add_connection_kill(0, 1, sim::millis(5));
+  net::TestbedConfig tcfg = Testbed::cluster_b();
+  tcfg.fault = plan;
+  Scheduler s;
+  Testbed tb(s, tcfg);
+  RpcEngine engine(tb, cfg);
+  std::unique_ptr<rpc::RpcServer> server;
+  std::unique_ptr<rpc::RpcClient> client;
+  if (by_engine) {
+    server = engine.make_server(tb.host(1), kAddr);
+    client = engine.make_client(tb.host(0));
+  } else {
+    server = std::make_unique<RdmaRpcServer>(tb.host(1), tb.sockets(), engine.verbs(), kAddr,
+                                             cfg);
+    client = std::make_unique<RdmaRpcClient>(tb.host(0), tb.sockets(), engine.verbs(), cfg);
+  }
+  register_echo(*server);
+  server->start();
+  ParityRun run;
+  sim::Rng rng(chaos_seed());
+  for (int i = 0; i < 32; ++i) {
+    const std::size_t n = rng.next_below(4) == 0 ? 8192 + rng.next_below(8192)
+                                                  : 16 + rng.next_below(256);
+    s.spawn(echo_at(s, *client, sim::micros(rng.next_below(10000)), n, run.ok));
+  }
+  s.run_until(sim::seconds(5));
+  run.report = rpc::resilience_report(client->stats(), &plan->counters(), &server->stats());
+  run.methods = client->stats().methods;
+  dynamic_cast<RdmaRpcClient&>(*client).close_connections();
+  server->stop();
+  s.drain_tasks();
+  return run;
+}
+
+// RpcEngine adds nothing to what EngineConfig states: an RPCoIB pair it
+// builds and one built by hand from the same configuration (sessions,
+// batching, two shards, a retry policy, a retry cache) run the same seeded
+// mix to the same report and the same per-method profiles.
+TEST(RpcEngine, HandBuiltRdmaPairMatchesTheEnginesOwn) {
+  EngineConfig cfg{.mode = RpcMode::kRpcoIB, .server_shards = 2};
+  cfg.retry.call_timeout = sim::millis(20);
+  cfg.retry.max_retries = 4;
+  cfg.retry.backoff_base = sim::micros(500);
+  cfg.overload.retry_cache_entries = 64;
+  cfg.batch.enabled = true;
+  cfg.session.enabled = true;
+  const ParityRun by_engine = parity_run(cfg, true);
+  const ParityRun by_hand = parity_run(cfg, false);
+  EXPECT_EQ(by_engine.ok, 32);
+  EXPECT_EQ(by_hand.ok, by_engine.ok);
+  // The run went through the kill's reconnect, sessions and both shards.
+  for (const char* row : {"reconnects (fault injected)", "server sessions opened", "shard 1"}) {
+    EXPECT_NE(by_engine.report.find(row), std::string::npos) << row;
+  }
+  EXPECT_EQ(by_hand.report, by_engine.report);
+  ASSERT_EQ(by_engine.methods.size(), 1u);
+  EXPECT_TRUE(by_hand.methods == by_engine.methods);
+}
+
+// The knobs only the RDMA endpoints read, reached through RpcEngine alone:
+// pool.srq_idle_evict evicts the idle connection, and pool.recv_depth sizes
+// the client's receive ring on each connection it dials.
+TEST(RpcEngine, PoolKnobsReachTheRdmaEndpoints) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  EngineConfig cfg{.mode = RpcMode::kRpcoIB};
+  cfg.pool.srq_idle_evict = sim::seconds(1);
+  cfg.pool.recv_depth = 2;
+  RpcEngine engine(tb, cfg);
+  auto server = engine.make_server(tb.host(1), kAddr);
+  register_echo(*server);
+  server->start();
+  auto client = engine.make_client(tb.host(0));
+  auto& rdma = dynamic_cast<RdmaRpcClient&>(*client);
+  const PoolStats& ps = rdma.pool().native().stats();
+  int ok = 0;
+  s.spawn(echo_at(s, *client, sim::millis(1), 64, ok));
+  s.run_until(sim::millis(500));
+  EXPECT_EQ(ps.acquires - ps.releases, 2u);  // the posted ring, and nothing else
+  // Idle past the sweep: the server evicts, and the next call re-dials.
+  s.spawn(echo_at(s, *client, sim::seconds(3), 64, ok));
+  s.run_until(sim::seconds(4));
+  EXPECT_EQ(ok, 2);
+  EXPECT_GE(server->stats().srq_evictions, 1u);
+  EXPECT_EQ(client->stats().connections_opened, 2u);
+  EXPECT_EQ(ps.acquires - ps.releases, 2u);
+  rdma.close_connections();
+  server->stop();
+  s.drain_tasks();
+  EXPECT_EQ(ps.acquires, ps.releases);
+}
 
 }  // namespace
 }  // namespace rpcoib::oib

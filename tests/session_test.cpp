@@ -531,14 +531,10 @@ TEST(Session, IdleEvictionAndKillReconnectsStayExactlyOnce) {
   ec.session = sessions_on();
   ec.pool = chaos_pool();
   RpcEngine engine(tb, ec);
-  oib::RdmaServerConfig scfg;
-  scfg.num_handlers = 4;
-  scfg.shards = chaos_shards();
-  scfg.pool = chaos_pool();
-  scfg.srq_idle_evict = sim::seconds(2);
+  EngineConfig scfg = ec;
+  scfg.server_handlers = 4;
+  scfg.pool.srq_idle_evict = sim::seconds(2);
   oib::RdmaRpcServer server(tb.host(1), tb.sockets(), engine.verbs(), kAddr, scfg);
-  server.set_overload(ec.overload);
-  server.set_session(ec.session);
   std::map<int, int> exec;
   register_session_methods(server, exec);
   server.start();
@@ -599,17 +595,13 @@ TEST(Session, ReconnectCountersAttributeExactCauses) {
       std::unique_ptr<rpc::RpcServer> server;
       oib::RdmaRpcServer* rs = nullptr;
       if (mode == RpcMode::kRpcoIB) {
-        oib::RdmaServerConfig scfg;
-        scfg.num_handlers = 4;
-        scfg.shards = shards;
-        scfg.pool = chaos_pool();
-        scfg.srq_idle_evict = sim::seconds(2);
+        EngineConfig scfg = ec;
+        scfg.server_handlers = 4;
+        scfg.pool.srq_idle_evict = sim::seconds(2);
         auto owned = std::make_unique<oib::RdmaRpcServer>(tb.host(1), tb.sockets(),
                                                           engine.verbs(), kAddr, scfg);
         rs = owned.get();
         server = std::move(owned);
-        server->set_overload(ec.overload);
-        server->set_session(ec.session);
       } else {
         server = engine.make_server(tb.host(1), kAddr);
       }
@@ -718,12 +710,12 @@ TEST(Chaos, MiniSortWithConnectionKillsIsIdenticalAcrossRuns) {
     auto plan = std::make_shared<net::FaultPlan>(chaos_seed());
     plan->set_kill_prob(0.001);
     chaos.fault = plan;
-    chaos.retry.call_timeout = sim::seconds(3);
-    chaos.retry.max_retries = 6;
-    chaos.retry.retry_non_idempotent_on_timeout = true;
-    chaos.overload.retry_cache_entries = 512;
-    chaos.session.enabled = true;
-    chaos.ud.enabled = chaos_ud();
+    chaos.engine.retry.call_timeout = sim::seconds(3);
+    chaos.engine.retry.max_retries = 6;
+    chaos.engine.retry.retry_non_idempotent_on_timeout = true;
+    chaos.engine.overload.retry_cache_entries = 512;
+    chaos.engine.session.enabled = true;
+    chaos.engine.ud.enabled = chaos_ud();
     chaos.tracker_expiry = sim::seconds(30);
     chaos.pipeline_retries = 5;
     const workloads::SortResult r = workloads::run_randomwriter_sort(

@@ -228,8 +228,8 @@ void register_echo(rpc::RpcServer& server) {
 /// RPCoIB server plus `n` independent clients spread over the testbed's
 /// non-server hosts (each with its own pool and connection).
 struct ServerFixture {
-  ServerFixture(Scheduler& s, int n, oib::RdmaServerConfig scfg = {},
-                oib::RdmaClientConfig ccfg = {})
+  ServerFixture(Scheduler& s, int n, const oib::EngineConfig& scfg = {},
+                const oib::EngineConfig& ccfg = {})
       : tb(s, Testbed::cluster_b()),
         stack(tb.fabric()),
         server(tb.host(1), tb.sockets(), stack, kAddr, scfg) {
@@ -263,7 +263,7 @@ Task call_echo(rpc::RpcClient& client, std::size_t n, bool& ok) {
 /// One 64-byte echo per client; returns the server's receive-ring peak.
 std::uint64_t ring_peak_with(int nclients, std::size_t srq_depth) {
   Scheduler s;
-  oib::RdmaServerConfig scfg;
+  oib::EngineConfig scfg;
   scfg.pool.srq_depth = srq_depth;
   ServerFixture f(s, nclients, scfg);
   std::vector<char> oks(static_cast<std::size_t>(nclients), 0);
@@ -298,7 +298,7 @@ TEST(SrqServer, RegisteredRecvRingFlatInConnectionCount) {
 
 TEST(SrqServer, TinyRingBackpressuresWithRnrAndRefillsButCompletesAllCalls) {
   Scheduler s;
-  oib::RdmaServerConfig scfg;
+  oib::EngineConfig scfg;
   scfg.pool.srq_depth = 2;
   ServerFixture f(s, 6, scfg);
   // Warm phase: bootstrap every connection (staggered by the serial accept
@@ -354,8 +354,8 @@ Task two_calls_with_idle_gap(Scheduler& s, rpc::RpcClient& client, bool& ok1, bo
 
 TEST(SrqServer, IdleEvictionIsTransparentToTheClient) {
   Scheduler s;
-  oib::RdmaServerConfig scfg;
-  scfg.srq_idle_evict = sim::seconds(1);
+  oib::EngineConfig scfg;
+  scfg.pool.srq_idle_evict = sim::seconds(1);
   ServerFixture f(s, 1, scfg);
   bool ok1 = false, ok2 = false;
   s.spawn(two_calls_with_idle_gap(s, *f.clients[0], ok1, ok2));
@@ -368,7 +368,7 @@ TEST(SrqServer, IdleEvictionIsTransparentToTheClient) {
 
 TEST(SrqServer, LegacyPerQpRingModeStillServes) {
   Scheduler s;
-  oib::RdmaServerConfig scfg;
+  oib::EngineConfig scfg;
   scfg.pool.srq_depth = 0;  // legacy mode
   ServerFixture f(s, 1, scfg);
   bool ok = false;
@@ -382,7 +382,7 @@ TEST(SrqServer, LegacyPerQpRingModeStillServes) {
 
 std::vector<std::uint64_t> srq_counter_run() {
   Scheduler s;
-  oib::RdmaServerConfig scfg;
+  oib::EngineConfig scfg;
   scfg.pool.srq_depth = 2;
   ServerFixture f(s, 4, scfg);
   std::vector<char> oks(8, 0);

@@ -445,8 +445,8 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       Scheduler s;
       Testbed tb(s, Testbed::cluster_b());
       verbs::VerbsStack verbs(tb.fabric());
-      oib::RdmaServerConfig scfg;
-      scfg.shards = chaos_shards();
+      oib::EngineConfig scfg;
+      scfg.server_shards = chaos_shards();
       scfg.eager_threshold = 16 * 1024;
       if (ud_enabled) scfg.ud = ud_on();
       oib::RdmaRpcServer server(tb.host(1), tb.sockets(), verbs, kAddr, scfg);
@@ -454,7 +454,7 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       register_ud_methods(server, exec);
       server.start();
 
-      oib::RdmaClientConfig ccfg;
+      oib::EngineConfig ccfg;
       ccfg.eager_threshold = 0;  // "not advertised": peer uses its own 16 KB
       if (ud_enabled) ccfg.ud = ud_on();
       oib::RdmaRpcClient client(tb.host(0), tb.sockets(), verbs, ccfg);
@@ -486,8 +486,8 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       Scheduler s;
       Testbed tb(s, Testbed::cluster_b());
       verbs::VerbsStack verbs(tb.fabric());
-      oib::RdmaServerConfig scfg;
-      scfg.shards = chaos_shards();
+      oib::EngineConfig scfg;
+      scfg.server_shards = chaos_shards();
       scfg.eager_threshold = 0;  // "not advertised": peer uses its own 16 KB
       if (ud_enabled) scfg.ud = ud_on();
       oib::RdmaRpcServer server(tb.host(1), tb.sockets(), verbs, kAddr, scfg);
@@ -495,7 +495,7 @@ TEST(UdThreshold, MismatchedThresholdCannotOverrunPeerRing) {
       register_ud_methods(server, exec);
       server.start();
 
-      oib::RdmaClientConfig ccfg;
+      oib::EngineConfig ccfg;
       ccfg.eager_threshold = 16 * 1024;
       if (ud_enabled) ccfg.ud = ud_on();
       oib::RdmaRpcClient client(tb.host(0), tb.sockets(), verbs, ccfg);
